@@ -314,12 +314,19 @@ impl RingHandle {
     }
 
     /// Centralized sense-reversing barrier: one `fetch_add` per rank, the
-    /// last arriver flips the group generation and rings the doorbell.
-    /// Returns whether this rank was the last arriver (the caller meters
-    /// the collective exactly once on that rank). Waiting drains rings, so
-    /// peers mid-push on unrelated collectives never stall against a rank
-    /// sitting in a barrier.
-    pub(crate) fn barrier(&mut self, shared: &RingShared, gid: GroupId, p: usize) -> bool {
+    /// last arriver runs `meter_once` (the collective is metered exactly
+    /// once, and *before* anyone is released: a peer that snapshots the
+    /// shared meter right after its barrier returns must see this barrier
+    /// in it), flips the group generation and rings the doorbell. Waiting
+    /// drains rings, so peers mid-push on unrelated collectives never stall
+    /// against a rank sitting in a barrier.
+    pub(crate) fn barrier(
+        &mut self,
+        shared: &RingShared,
+        gid: GroupId,
+        p: usize,
+        meter_once: impl FnOnce(),
+    ) {
         let state = match self.barrier_cache.get(&gid) {
             Some(s) => Arc::clone(s),
             None => {
@@ -334,12 +341,11 @@ impl RingHandle {
             // group's next barrier only after they observe the flip
             // (Acquire), which orders the reset before their increments.
             state.arrived.0.store(0, Ordering::Relaxed);
+            meter_once();
             state.generation.0.store(gen.wrapping_add(1), Ordering::Release);
             shared.wake();
-            true
         } else {
             self.wait_until(shared, |_| state.generation.0.load(Ordering::Acquire) != gen);
-            false
         }
     }
 

@@ -699,8 +699,9 @@ impl Communicator for ThreadComm {
         if let Some(shared) = &self.core.ring {
             let ring = ring.as_mut().expect("ring backend carries a ring handle");
             // Sense-reversing atomic barrier — no messages; the last arriver
-            // meters the collective once (the mutex backend's convention).
-            if ring.barrier(shared, gid, p) {
+            // meters the collective once, before it releases its peers (the
+            // mutex backend's convention).
+            ring.barrier(shared, gid, p, || {
                 self.core.meter.record(CommEvent {
                     op: CommOp::Barrier,
                     bytes: 0,
@@ -708,7 +709,7 @@ impl Communicator for ThreadComm {
                     seconds: self.core.cost.barrier(p),
                     tag: CommTag::Untagged,
                 });
-            }
+            });
             return;
         }
 

@@ -130,15 +130,6 @@ pub struct KfacConfig {
     /// task-state diagnostic and panics (instead of hanging the process on
     /// a mismatched collective).
     pub runtime_stall_timeout_ms: u64,
-    /// Worker cap for the batched factor-eigensolve queue at decomposition
-    /// sites. `0` (default) defers to `KAISA_EIG_BATCH` and then one worker
-    /// per core; `1` disables batching entirely (factors solve one call at
-    /// a time, the pre-PR-9 behavior); `N` caps the queue workers at `N`.
-    /// Batching is bitwise identical to serial solves and only ever applies
-    /// to dense-resident factors — shard-resident factors keep their
-    /// one-at-a-time transient-square materialization so the metered
-    /// memory peak is unchanged.
-    pub eig_batch: usize,
     /// Process-wide GEMM kernel selection applied at [`crate::Kfac::new`]
     /// ([`kaisa_tensor::set_gemm_kernel`]). `None` (default) leaves the
     /// `KAISA_GEMM_KERNEL` environment selection (or `auto`) in place.
@@ -181,7 +172,6 @@ impl Default for KfacConfig {
             network: None,
             cross_iter_depth: CrossIterDepth::Fixed(1),
             runtime_stall_timeout_ms: 5000,
-            eig_batch: 0,
             gemm_kernel: None,
             syrk: None,
         }
@@ -369,13 +359,6 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Cap the batched factor-eigensolve queue workers (`0` = auto via
-    /// `KAISA_EIG_BATCH` / core count, `1` = solve one factor per call).
-    pub fn eig_batch(mut self, workers: usize) -> Self {
-        self.cfg.eig_batch = workers;
-        self
-    }
-
     /// Pin the process-wide GEMM kernel selection at `Kfac::new` time
     /// (blocked and naive are bitwise interchangeable).
     pub fn gemm_kernel(mut self, kernel: GemmKernel) -> Self {
@@ -458,16 +441,10 @@ mod tests {
 
     #[test]
     fn kernel_knobs_roundtrip() {
-        let cfg = KfacConfig::builder()
-            .eig_batch(4)
-            .gemm_kernel(GemmKernel::Naive)
-            .syrk(SyrkMode::Off)
-            .build();
-        assert_eq!(cfg.eig_batch, 4);
+        let cfg = KfacConfig::builder().gemm_kernel(GemmKernel::Naive).syrk(SyrkMode::Off).build();
         assert_eq!(cfg.gemm_kernel, Some(GemmKernel::Naive));
         assert_eq!(cfg.syrk, Some(SyrkMode::Off));
         let default = KfacConfig::default();
-        assert_eq!(default.eig_batch, 0);
         assert_eq!(default.gemm_kernel, None);
         assert_eq!(default.syrk, None);
     }

@@ -254,11 +254,6 @@ impl Kfac {
         let mut vg: Vec<Option<Vec<f32>>> = vec![None; n];
         let mut va_pending: Vec<Option<(PendingCollective, Vec<f32>)>> =
             (0..n).map(|_| None).collect();
-        // Batch every dense-resident eigensolve this rank owns before the
-        // sweeps (bitwise identical to the inline calls; per-layer timing
-        // attributed inside). Shard-resident factors stay inline.
-        let mut prepass = self.eig_prepass();
-
         // Sweep 1: local eigensolves (or inverses); begin v_A pair shuttles.
         for &i in &order {
             let asn = self.plan.layers[i].clone();
@@ -277,18 +272,16 @@ impl Kfac {
                 continue;
             }
             if rank == asn.a_worker {
-                let (qa, values) = match prepass[i].0.take() {
-                    Some(solved) => solved,
-                    None => self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_a()),
-                };
+                let (qa, values) = self.times.time_layer(i, Stage::EigCompute, || {
+                    self.states[i].eig_a_with(&mut self.eig_scratch)
+                });
                 self.states[i].qa = Some(qa);
                 va[i] = Some(values);
             }
             if rank == asn.g_worker {
-                let (qg, values) = match prepass[i].1.take() {
-                    Some(solved) => solved,
-                    None => self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_g()),
-                };
+                let (qg, values) = self.times.time_layer(i, Stage::EigCompute, || {
+                    self.states[i].eig_g_with(&mut self.eig_scratch)
+                });
                 self.states[i].qg = Some(qg);
                 vg[i] = Some(values);
             }

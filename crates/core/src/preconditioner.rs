@@ -18,7 +18,7 @@
 //!    and write-back into the model's gradients.
 
 use kaisa_comm::{ClusterNetwork, CollectiveCostModel, CommTag, Communicator, ReduceOp, ShardSpec};
-use kaisa_linalg::sym_eig_batch_timed;
+use kaisa_linalg::EigScratch;
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
 
@@ -34,11 +34,6 @@ use crate::state::{
 use crate::strategy::{effective_worker_frac, FactorReduction, StrategyPlan};
 use crate::timing::{Stage, StageTimes};
 use crate::DistStrategy;
-
-/// One layer's pre-batched eigensolve results: `.0` holds `(Q_A, v_A)` and
-/// `.1` holds `(Q_G, v_G)` when [`Kfac::eig_prepass`] solved them; `None`
-/// slots fall back to the inline per-factor path.
-pub(crate) type EigPrepassSlot = (Option<(Matrix, Vec<f32>)>, Option<(Matrix, Vec<f32>)>);
 
 /// The KAISA K-FAC gradient preconditioner.
 ///
@@ -103,6 +98,11 @@ pub struct Kfac {
     /// steps that map to each slot (empty on the dense path). One slot per
     /// window depth, so a held DAG never aliases live staging.
     pub(crate) staging: StagingRing,
+    /// The eigensolver's `f64` workspace, shared by every inline factor
+    /// decomposition of this rank (solves run one at a time). Transient
+    /// solver scratch, not K-FAC state: un-metered, like the allocation per
+    /// call it replaces.
+    pub(crate) eig_scratch: EigScratch,
 }
 
 impl Kfac {
@@ -203,6 +203,7 @@ impl Kfac {
             windows_built: 0,
             mem: MemoryMeter::new(),
             staging: StagingRing::new(resolved_depth, n_layers),
+            eig_scratch: EigScratch::new(),
         };
         // Step 0 updates factors, so the very first forward must capture.
         model.set_kfac_capture(true);
@@ -322,68 +323,6 @@ impl Kfac {
         if transient > 0 {
             self.mem.transient(MemoryCategory::Factors, transient);
         }
-    }
-
-    /// Batch-solve every *dense-resident* factor eigendecomposition this
-    /// rank owns through one [`sym_eig_batch_timed`] queue, returning per
-    /// layer the solved `(Q, v)` pairs (`.0` = A, `.1` = G; `None` where
-    /// the rank does not own the factor, the square is shard-resident, or
-    /// batching is off). Decomposition sites `take()` these instead of
-    /// calling [`KfacLayerState::eig_a`]/[`eig_g`] one at a time.
-    ///
-    /// Only dense-resident squares batch: `sym_eig` borrows them in place,
-    /// so holding many jobs open adds **zero** transient memory and the
-    /// [`Self::note_decomposition_transients`] metering (which assumes
-    /// shard-resident squares materialize one at a time) stays exact.
-    /// Shard-resident factors keep the inline one-at-a-time path.
-    ///
-    /// Per-job wall-clock is attributed to the owning layer's
-    /// `EigCompute` stage, so stage reports match the serial path.
-    pub(crate) fn eig_prepass(&mut self) -> Vec<EigPrepassSlot> {
-        let n = self.states.len();
-        let mut out: Vec<EigPrepassSlot> = (0..n).map(|_| (None, None)).collect();
-        if !self.cfg.use_eigen || self.cfg.eig_batch == 1 {
-            return out;
-        }
-        let rank = self.rank;
-        let states = &self.states;
-        let mut jobs: Vec<(usize, bool)> = Vec::new();
-        for (i, asn) in self.plan.layers.iter().enumerate() {
-            if rank == asn.a_worker && states[i].factor_a.is_some() {
-                jobs.push((i, false));
-            }
-            if rank == asn.g_worker && states[i].factor_g.is_some() {
-                jobs.push((i, true));
-            }
-        }
-        if jobs.len() < 2 {
-            // A single job gains nothing from the queue; leave it to the
-            // inline site (identical math either way).
-            return out;
-        }
-        let inputs: Vec<&Matrix> = jobs
-            .iter()
-            .map(|&(i, is_g)| {
-                if is_g {
-                    states[i].factor_g.as_ref().expect("job collected from dense G")
-                } else {
-                    states[i].factor_a.as_ref().expect("job collected from dense A")
-                }
-            })
-            .collect();
-        let solved = sym_eig_batch_timed(&inputs, self.cfg.eig_batch);
-        drop(inputs);
-        for (&(i, is_g), (result, seconds)) in jobs.iter().zip(solved) {
-            self.times.add_layer(i, Stage::EigCompute, seconds);
-            let eig = if is_g {
-                result.expect("G factor eigendecomposition failed")
-            } else {
-                result.expect("A factor eigendecomposition failed")
-            };
-            let slot = if is_g { &mut out[i].1 } else { &mut out[i].0 };
-            *slot = Some((eig.vectors, eig.values));
-        }
-        out
     }
 
     /// Arm statistic capture on the model if the *upcoming* step is a
@@ -710,15 +649,8 @@ impl Kfac {
         let precision = self.cfg.precision;
         let precompute = self.cfg.precompute_outer;
         let use_eigen = self.cfg.use_eigen;
-        // Batch every dense-resident eigensolve this rank owns up front
-        // (bitwise identical to the inline calls below; per-layer timing
-        // attributed inside). Shard-resident factors stay inline. The loop
-        // below visits layers in index order, so the prepass iterator
-        // stays aligned with `i`.
-        let mut prepass = self.eig_prepass().into_iter();
 
         for i in 0..self.states.len() {
-            let mut presolved = prepass.next().expect("one prepass slot per layer");
             let asn = self.plan.layers[i].clone();
             let is_gw = asn.is_gradient_worker(rank);
             let (a_dim, g_dim) = (self.states[i].a_dim, self.states[i].g_dim);
@@ -772,18 +704,16 @@ impl Kfac {
             let mut va: Option<Vec<f32>> = None;
             let mut vg: Option<Vec<f32>> = None;
             if rank == asn.a_worker {
-                let (qa, values) = match presolved.0.take() {
-                    Some(solved) => solved,
-                    None => self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_a()),
-                };
+                let (qa, values) = self.times.time_layer(i, Stage::EigCompute, || {
+                    self.states[i].eig_a_with(&mut self.eig_scratch)
+                });
                 self.states[i].qa = Some(qa);
                 va = Some(values);
             }
             if rank == asn.g_worker {
-                let (qg, values) = match presolved.1.take() {
-                    Some(solved) => solved,
-                    None => self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_g()),
-                };
+                let (qg, values) = self.times.time_layer(i, Stage::EigCompute, || {
+                    self.states[i].eig_g_with(&mut self.eig_scratch)
+                });
                 self.states[i].qg = Some(qg);
                 vg = Some(values);
             }

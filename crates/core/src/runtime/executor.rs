@@ -702,45 +702,19 @@ impl Kfac {
                     }
                     return TaskPoll::Done;
                 }
-                // The runtime DAG gates each EigSolve on its own layer's
-                // fold, so only the per-layer {A, G} pair can batch here:
-                // when this rank owns both factors and both squares are
-                // dense-resident, solve them through one two-job queue
-                // (bitwise identical; per-factor timing attributed).
-                let pair_batch = rank == asn.a_worker
-                    && rank == asn.g_worker
-                    && self.cfg.eig_batch != 1
-                    && self.states[i].factor_a.is_some()
-                    && self.states[i].factor_g.is_some();
-                if pair_batch {
-                    let fa = self.states[i].factor_a.as_ref().expect("dense A checked");
-                    let fg = self.states[i].factor_g.as_ref().expect("dense G checked");
-                    let mut solved =
-                        kaisa_linalg::sym_eig_batch_timed(&[fa, fg], self.cfg.eig_batch)
-                            .into_iter();
-                    let (ra, sa) = solved.next().expect("A solve queued");
-                    let (rg, sg) = solved.next().expect("G solve queued");
-                    self.times.add_layer(i, Stage::EigCompute, sa);
-                    self.times.add_layer(i, Stage::EigCompute, sg);
-                    let ea = ra.expect("A factor eigendecomposition failed");
-                    let eg = rg.expect("G factor eigendecomposition failed");
-                    self.states[i].qa = Some(ea.vectors);
-                    ctx.va[i] = Some(ea.values);
-                    self.states[i].qg = Some(eg.vectors);
-                    ctx.vg[i] = Some(eg.values);
-                } else {
-                    if rank == asn.a_worker {
-                        let (qa, values) =
-                            self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_a());
-                        self.states[i].qa = Some(qa);
-                        ctx.va[i] = Some(values);
-                    }
-                    if rank == asn.g_worker {
-                        let (qg, values) =
-                            self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_g());
-                        self.states[i].qg = Some(qg);
-                        ctx.vg[i] = Some(values);
-                    }
+                if rank == asn.a_worker {
+                    let (qa, values) = self.times.time_layer(i, Stage::EigCompute, || {
+                        self.states[i].eig_a_with(&mut self.eig_scratch)
+                    });
+                    self.states[i].qa = Some(qa);
+                    ctx.va[i] = Some(values);
+                }
+                if rank == asn.g_worker {
+                    let (qg, values) = self.times.time_layer(i, Stage::EigCompute, || {
+                        self.states[i].eig_g_with(&mut self.eig_scratch)
+                    });
+                    self.states[i].qg = Some(qg);
+                    ctx.vg[i] = Some(values);
                 }
                 if asn.is_gradient_worker(rank)
                     && asn.gradient_workers.len() == 1

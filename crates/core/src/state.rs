@@ -1,7 +1,9 @@
 //! Per-layer K-FAC state: running factors and cached eigendecompositions,
 //! plus the pure pack/unpack kernels the stage pipeline uses as task bodies.
 
-use kaisa_linalg::{pack_upper, packed_len, spd_inverse, sym_eig, unpack_upper};
+use kaisa_linalg::{
+    pack_upper, packed_len, spd_inverse, sym_eig_with_scratch, unpack_upper, EigScratch,
+};
 use kaisa_tensor::{Matrix, Precision};
 
 /// Quantize a payload to the storage precision in place (no-op at fp32).
@@ -342,9 +344,15 @@ impl KfacLayerState {
     /// # Panics
     /// If no factor has been accumulated yet.
     pub fn eig_a(&self) -> (Matrix, Vec<f32>) {
+        self.eig_a_with(&mut EigScratch::new())
+    }
+
+    /// [`Self::eig_a`] on a caller-held solver workspace (`Kfac` keeps one
+    /// for all its decompositions, so a solve allocates only its result).
+    pub fn eig_a_with(&self, scratch: &mut EigScratch) -> (Matrix, Vec<f32>) {
         let eig = match (&self.factor_a, &self.packed_a) {
-            (Some(a), _) => sym_eig(a),
-            (None, Some(p)) => sym_eig(&p.to_matrix(self.a_dim)),
+            (Some(a), _) => sym_eig_with_scratch(a, scratch),
+            (None, Some(p)) => sym_eig_with_scratch(&p.to_matrix(self.a_dim), scratch),
             (None, None) => panic!("A factor not yet accumulated"),
         };
         let eig = eig.expect("A factor eigendecomposition failed");
@@ -353,9 +361,14 @@ impl KfacLayerState {
 
     /// Eigendecompose the running `G` factor; returns `(Q_G, v_G)`.
     pub fn eig_g(&self) -> (Matrix, Vec<f32>) {
+        self.eig_g_with(&mut EigScratch::new())
+    }
+
+    /// [`Self::eig_g`] on a caller-held solver workspace.
+    pub fn eig_g_with(&self, scratch: &mut EigScratch) -> (Matrix, Vec<f32>) {
         let eig = match (&self.factor_g, &self.packed_g) {
-            (Some(g), _) => sym_eig(g),
-            (None, Some(p)) => sym_eig(&p.to_matrix(self.g_dim)),
+            (Some(g), _) => sym_eig_with_scratch(g, scratch),
+            (None, Some(p)) => sym_eig_with_scratch(&p.to_matrix(self.g_dim), scratch),
             (None, None) => panic!("G factor not yet accumulated"),
         };
         let eig = eig.expect("G factor eigendecomposition failed");

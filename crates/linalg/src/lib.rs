@@ -2,15 +2,18 @@
 //!
 //! Dense linear algebra kernels used by the KAISA K-FAC preconditioner:
 //!
-//! * [`sym_eig`] — symmetric eigendecomposition (Householder tridiagonal
-//!   reduction + implicit-shift QL), the paper's replacement for matrix
-//!   inversion (Section 2.1.3). Factor eigendecompositions produce real
-//!   eigenvalues and orthogonal eigenvectors because the Kronecker factors
-//!   `A = aᵀa` and `G = gᵀg` are symmetric positive semi-definite.
-//! * [`sym_eig_batch_timed`] / [`sym_eig_batch`] — queue-drained batched
-//!   solves of many independent factors with per-worker reused
-//!   [`EigScratch`], bitwise identical to per-call [`sym_eig`]; worker cap
-//!   via `KAISA_EIG_BATCH` or the caller.
+//! * [`sym_eig`] / [`sym_eig_with_scratch`] — symmetric eigendecomposition
+//!   (Householder tridiagonal reduction + implicit-shift QL), the paper's
+//!   replacement for matrix inversion (Section 2.1.3). Factor
+//!   eigendecompositions produce real eigenvalues and orthogonal
+//!   eigenvectors because the Kronecker factors `A = aᵀa` and `G = gᵀg` are
+//!   symmetric positive semi-definite. Every O(n³) inner loop is unit-stride
+//!   on the row-major workspace ([`EigScratch`], one `n x n` `f64` buffer
+//!   plus three `n`-vectors, reusable across solves); a NaN/Inf input is
+//!   refused up front with [`EigenError::NonFinite`].
+//! * [`sym_eig_reference`] — the same algorithm as the one-to-one EISPACK
+//!   transcription with strided inner loops: the oracle [`sym_eig`] must
+//!   match bit for bit, called only by tests and `kernel_bench`.
 //! * [`cholesky`] / [`cholesky_solve`] / [`spd_inverse`] — SPD factorizations
 //!   for the direct damped-inverse preconditioning baseline (Eq. 12–14),
 //!   implemented so the eigendecomposition-vs-inverse ablation in the paper
@@ -26,14 +29,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod cholesky;
 mod eigen;
 mod inverse;
+mod reference;
 mod triangular;
 
-pub use batch::{eig_batch_workers, sym_eig_batch, sym_eig_batch_timed};
 pub use cholesky::{cholesky, cholesky_solve, spd_inverse, CholeskyError};
 pub use eigen::{sym_eig, sym_eig_with_scratch, EigScratch, EigenError, SymEig};
 pub use inverse::lu_inverse;
+pub use reference::sym_eig_reference;
 pub use triangular::{pack_upper, packed_len, unpack_upper};
