@@ -36,18 +36,17 @@ fn bench_precondition(c: &mut Criterion) {
     let mut group = c.benchmark_group("precondition");
     for &(a_dim, g_dim) in &[(64usize, 32usize), (256, 128), (576, 64)] {
         let label = format!("{a_dim}x{g_dim}");
-        let (with, grad) = prepared_state(a_dim, g_dim, true);
-        group.bench_with_input(
-            BenchmarkId::new("precomputed_outer", &label),
-            &(with, grad.clone()),
-            |b, (state, grad)| b.iter(|| state.precondition_eigen(grad, 0.003)),
-        );
-        let (without, grad) = prepared_state(a_dim, g_dim, false);
-        group.bench_with_input(
-            BenchmarkId::new("recompute_outer", &label),
-            &(without, grad),
-            |b, (state, grad)| b.iter(|| state.precondition_eigen(grad, 0.003)),
-        );
+        for (name, precompute) in [("precomputed_outer", true), ("recompute_outer", false)] {
+            let (mut state, grad) = prepared_state(a_dim, g_dim, precompute);
+            group.bench_function(BenchmarkId::new(name, &label), |b| {
+                // As in `Kfac::step`: the result goes back to the layer's
+                // work buffers once it has been written to the model.
+                b.iter(|| {
+                    let p = state.precondition_eigen(&grad, 0.003);
+                    state.recycle(p);
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -1,7 +1,8 @@
 //! Kernel-floor throughput harness: blocked-vs-naive GEMM GFLOP/s per
-//! layout and shape, SYRK-vs-`gemm_tn` Gram cells, plus `sym_eig`-vs-oracle
-//! eigensolve latency at real factor sizes, written as
-//! `BENCH_kernels.json` next to `BENCH_comm.json`.
+//! layout and shape, SYRK-vs-`gemm_tn` Gram cells, the compute team against
+//! its inline band loop (small-product latency at the step shapes, and two
+//! concurrent callers), plus `sym_eig`-vs-oracle eigensolve latency at real
+//! factor sizes, written as `BENCH_kernels.json` next to `BENCH_comm.json`.
 //!
 //! Both kernels are measured in the same process on the same machine with
 //! interleaved best-of trials (the comm_bench protocol), so the comparison
@@ -29,14 +30,20 @@
 //! * `sym_eig` is slower than its strided reference oracle past the same
 //!   noise margin at any measured factor size, or misses a floor of
 //!   [`EIG_SPEEDUP_FLOORS`] — the unit-stride walk has to keep paying for
-//!   itself where the factors of the end-to-end workloads live.
+//!   itself where the factors of the end-to-end workloads live; or
+//! * a product at one of the step shapes ([`STEP_SHAPES`]) takes more than
+//!   [`SMALL_LATENCY_CEILING`]× the inline band loop's p50 through the
+//!   normal entry point — the team must cost a small product nothing; or
+//! * two threads calling the flagship precondition product at once get less
+//!   aggregate GFLOP/s than one caller alone, past the noise margin — two
+//!   busy ranks must not be slowed by each other's offers.
 
 use std::time::Instant;
 
 use kaisa_linalg::{sym_eig, sym_eig_reference, EigenError, SymEig};
 use kaisa_tensor::{
-    gemm_nn_with, gemm_nt_with, gemm_tn_with, set_gemm_kernel, syrk_tn_with, GemmKernel, Matrix,
-    Rng,
+    gemm_nn_with, gemm_nt_with, gemm_tn_with, inline_bands, set_gemm_kernel, syrk_tn_with,
+    GemmKernel, Matrix, Rng,
 };
 
 /// Measured trials per cell; best is kept (each trial is a complete
@@ -62,6 +69,20 @@ const SYRK_SPEEDUP_FLOOR: f64 = 1.3;
 /// The flagship syrk gate shape `(m, k)`: a 1024² factor from 4096 patch
 /// rows, the K-FAC conv-statistic regime the fast path exists for.
 const SYRK_FLOOR_SHAPE: (usize, usize) = (1024, 4096);
+/// The products a `bench_e2e` step is made of `(m, k, n)`: BertMini's
+/// attention and feed-forward projections, and the wide MLP's forward pass
+/// at local batch 8. All sit below the team's banding threshold.
+const STEP_SHAPES: [(usize, usize, usize); 3] = [(256, 64, 64), (256, 64, 256), (8, 512, 512)];
+/// Shapes on both sides of the banding threshold (8 Mi multiply-adds),
+/// full mode only: the sweep the threshold was read from (EXPERIMENTS.md).
+const SWEEP_SHAPES: [(usize, usize, usize); 5] =
+    [(128, 128, 256), (128, 256, 256), (256, 256, 256), (512, 512, 257), (512, 513, 513)];
+/// A step-shape product through the normal entry point may take at most
+/// this many times the inline band loop's p50.
+const SMALL_LATENCY_CEILING: f64 = 1.25;
+/// The two-caller cell's shape: `mlp_wide_mem_opt`'s largest precondition
+/// product.
+const CONCURRENT_SHAPE: (usize, usize, usize) = (512, 513, 513);
 
 #[derive(Clone, Copy, PartialEq)]
 enum Layout {
@@ -210,6 +231,100 @@ fn measure_syrk(m: usize, k: usize) -> (f64, f64) {
     (syrk, gemm)
 }
 
+fn operand(len: usize, rng: &mut Rng) -> Vec<f32> {
+    (0..len).map(|_| rng.next_f32() - 0.5).collect()
+}
+
+fn p50_us(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    samples[samples.len() / 2] * 1e6
+}
+
+/// Latency of one blocked `nn` product through the normal entry point (the
+/// team decides) and with its bands forced inline on the caller: p50 over a
+/// window of calls, interleaved best-of-[`TRIALS`] with alternating order.
+/// Returns `(team_us, inline_us)`.
+fn measure_latency(m: usize, k: usize, n: usize) -> (f64, f64) {
+    let mut rng = Rng::seed_from_u64(46);
+    let (a, b) = (operand(m * k, &mut rng), operand(k * n, &mut rng));
+    let mut c = vec![0.0f32; m * n];
+    let calls = (WINDOW_FLOPS / (2.0 * (m * k * n) as f64)).ceil().max(9.0) as usize;
+    let mut window = |inline: bool| {
+        let mut samples: Vec<f64> = (0..calls)
+            .map(|_| {
+                c.fill(0.0);
+                let start = Instant::now();
+                if inline {
+                    inline_bands(|| gemm_nn_with(GemmKernel::Blocked, m, k, n, &a, &b, &mut c));
+                } else {
+                    gemm_nn_with(GemmKernel::Blocked, m, k, n, &a, &b, &mut c);
+                }
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        p50_us(&mut samples)
+    };
+    let _ = (window(false), window(true)); // warm both, start the helpers
+    let (mut team, mut inline) = (f64::INFINITY, f64::INFINITY);
+    for t in 0..TRIALS {
+        for forced_inline in if t % 2 == 0 { [false, true] } else { [true, false] } {
+            let us = window(forced_inline);
+            if forced_inline {
+                inline = inline.min(us);
+            } else {
+                team = team.min(us);
+            }
+        }
+    }
+    (team, inline)
+}
+
+/// Aggregate GFLOP/s of `callers` threads each running the same blocked
+/// `nn` product back to back for one window, started together.
+fn concurrent_trial(callers: usize, (m, k, n): (usize, usize, usize), iters: usize) -> f64 {
+    let mut rng = Rng::seed_from_u64(47);
+    let (a, b) = (operand(m * k, &mut rng), operand(k * n, &mut rng));
+    let gate = std::sync::Barrier::new(callers);
+    let slowest = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..callers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut c = vec![0.0f32; m * n];
+                    gemm_nn_with(GemmKernel::Blocked, m, k, n, &a, &b, &mut c);
+                    gate.wait();
+                    let start = Instant::now();
+                    for _ in 0..iters {
+                        c.fill(0.0);
+                        gemm_nn_with(GemmKernel::Blocked, m, k, n, &a, &b, &mut c);
+                    }
+                    start.elapsed().as_secs_f64()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("caller panicked")).fold(0.0, f64::max)
+    });
+    2.0 * (m * k * n) as f64 * (iters * callers) as f64 / slowest / 1.0e9
+}
+
+/// One caller vs two at [`CONCURRENT_SHAPE`], interleaved
+/// best-of-[`TRIALS`]: `(single_gflops, two_caller_aggregate_gflops)`.
+fn measure_concurrent() -> (f64, f64) {
+    let iters = 12;
+    let _ = concurrent_trial(1, CONCURRENT_SHAPE, 2);
+    let (mut single, mut pair) = (0.0f64, 0.0f64);
+    for t in 0..TRIALS {
+        for callers in if t % 2 == 0 { [1, 2] } else { [2, 1] } {
+            let gflops = concurrent_trial(callers, CONCURRENT_SHAPE, iters);
+            if callers == 1 {
+                single = single.max(gflops);
+            } else {
+                pair = pair.max(gflops);
+            }
+        }
+    }
+    (single, pair)
+}
+
 fn random_spd(n: usize, rng: &mut Rng) -> Matrix {
     let a = Matrix::randn(n, n, 1.0, rng);
     let mut s = a.matmul_tn(&a);
@@ -348,6 +463,40 @@ fn main() {
         ));
     }
 
+    // The team against its inline band loop: latency at the step shapes
+    // (gated), the threshold sweep (full mode, reported), and two callers.
+    let mut team_rows = Vec::new();
+    let sweep: &[(usize, usize, usize)] = if quick { &[] } else { &SWEEP_SHAPES };
+    for (i, &(m, k, n)) in STEP_SHAPES.iter().chain(sweep).enumerate() {
+        let (team, inline) = measure_latency(m, k, n);
+        let ratio = team / inline;
+        let gated = i < STEP_SHAPES.len();
+        eprintln!(
+            "team    {m:>4}x{k:>4}x{n:>4}  team {team:>8.1} us | inline {inline:>8.1} us | {ratio:>5.2}x{}",
+            if gated { "" } else { "  (sweep)" }
+        );
+        if gated && ratio > SMALL_LATENCY_CEILING {
+            gate_failures.push(format!(
+                "team {m}x{k}x{n}: p50 {team:.1} us > {SMALL_LATENCY_CEILING}x inline {inline:.1} us"
+            ));
+        }
+        team_rows.push(format!(
+            "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"team_p50_us\": {team:.1}, \"inline_p50_us\": {inline:.1}, \"ratio\": {ratio:.3}, \"gated\": {gated}}}"
+        ));
+    }
+    let (single, pair) = measure_concurrent();
+    let (cm, ck, cn) = CONCURRENT_SHAPE;
+    eprintln!(
+        "team    {cm:>4}x{ck:>4}x{cn:>4}  1 caller {single:>7.2} GF/s | 2 callers {pair:>7.2} GF/s aggregate | {:>5.2}x",
+        pair / single
+    );
+    if pair < single * (1.0 - GATE_TOLERANCE) {
+        gate_failures.push(format!(
+            "team {cm}x{ck}x{cn}: two callers {pair:.2} GF/s aggregate < one caller {single:.2} GF/s - {:.0}% margin",
+            GATE_TOLERANCE * 100.0
+        ));
+    }
+
     let mut eig_rows = Vec::new();
     for &n in eig_sizes {
         let (fast, reference) = measure_eig(n);
@@ -381,16 +530,27 @@ fn main() {
             "  \"trials\": {},\n",
             "  \"gemm\": [\n{}\n  ],\n",
             "  \"syrk\": [\n{}\n  ],\n",
+            "  \"team_latency\": [\n{}\n  ],\n",
+            "  \"team_concurrent\": {{\"m\": {}, \"k\": {}, \"n\": {}, \"cores\": {}, ",
+            "\"one_caller_gflops\": {:.3}, \"two_callers_aggregate_gflops\": {:.3}}},\n",
             "  \"eigensolve\": [\n{}\n  ],\n",
             "  \"gate\": {{\"tolerance\": {}, \"speedup_floor\": {}, \"floor_shape\": [{}, {}, {}], ",
             "\"syrk_speedup_floor\": {}, \"syrk_floor_shape\": [{}, {}], ",
-            "\"eig_speedup_floors\": {:?}, \"enforced\": {}, \"passed\": {}, \"failures\": [{}]}}\n",
+            "\"eig_speedup_floors\": {:?}, \"small_latency_ceiling\": {}, ",
+            "\"enforced\": {}, \"passed\": {}, \"failures\": [{}]}}\n",
             "}}\n"
         ),
         quick,
         TRIALS,
         rows.join(",\n"),
         syrk_rows.join(",\n"),
+        team_rows.join(",\n"),
+        cm,
+        ck,
+        cn,
+        std::thread::available_parallelism().map_or(1, |c| c.get()),
+        single,
+        pair,
         eig_rows.join(",\n"),
         GATE_TOLERANCE,
         SPEEDUP_FLOOR,
@@ -401,6 +561,7 @@ fn main() {
         SYRK_FLOOR_SHAPE.0,
         SYRK_FLOOR_SHAPE.1,
         EIG_SPEEDUP_FLOORS.map(|(n, floor)| vec![n as f64, floor]),
+        SMALL_LATENCY_CEILING,
         !no_gate,
         gate_passed,
         gate_failures

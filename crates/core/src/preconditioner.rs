@@ -874,11 +874,14 @@ impl Kfac {
 
     /// Precondition one layer's gradient locally (Eq. 15–17, EK-FAC, or the
     /// direct-inverse fallback) — or return a zero receive buffer on
-    /// non-gradient-worker ranks. Shared by both executors.
+    /// non-gradient-worker ranks. Shared by all executors. Either way the
+    /// matrix comes out of the layer's reused work buffers and goes back to
+    /// them in [`Kfac::scale_and_write_back`].
     pub(crate) fn precondition_local(&mut self, i: usize, grad: &Matrix, is_gw: bool) -> Matrix {
-        let (g_dim, a_dim) = (self.states[i].g_dim, self.states[i].a_dim);
         if !is_gw {
-            return Matrix::zeros(g_dim, a_dim);
+            let mut recv = self.states[i].take_work();
+            recv.fill_zero();
+            return recv;
         }
         let damping = self.cfg.damping;
         let use_eigen = self.cfg.use_eigen;
@@ -925,14 +928,16 @@ impl Kfac {
                     }
                 }
             };
-            for (layer, mut p) in layers.iter_mut().zip(preconditioned) {
+            let written = layers.iter_mut().zip(&mut self.states).zip(preconditioned);
+            for ((layer, state), mut p) in written {
                 if nu != 1.0 {
                     p.scale(nu);
                 }
                 layer.set_combined_grad(&p);
+                state.recycle(p);
             }
         });
-        // The preconditioned copies are written back and dropped.
+        // The preconditioned copies are written back and their buffers idle.
         self.mem.set(MemoryCategory::PrecondGrads, 0);
     }
 }

@@ -253,6 +253,14 @@ pub struct KfacLayerState {
     /// per-step "partial update" of George et al. that the paper's Related
     /// Work proposes running under KAISA's distribution framework.
     pub ekfac_scale: Option<Matrix>,
+    /// Up to two idle `g_dim x a_dim` product buffers: `precondition_*`
+    /// writes its chained products into them instead of allocating one
+    /// matrix per product per step, hands the result out as an owned
+    /// matrix, and gets it back through [`KfacLayerState::recycle`]. Pure
+    /// scratch: not K-FAC state, so neither [`KfacLayerState::memory_bytes`]
+    /// nor the `MemoryMeter` (which meters the preconditioned gradients
+    /// while they are live) counts it.
+    work: Vec<Matrix>,
 }
 
 impl KfacLayerState {
@@ -274,6 +282,22 @@ impl KfacLayerState {
             inv_a: None,
             inv_g: None,
             ekfac_scale: None,
+            work: Vec::new(),
+        }
+    }
+
+    /// A `g_dim x a_dim` buffer with unspecified contents: an idle one if
+    /// there is one, else a fresh allocation.
+    pub(crate) fn take_work(&mut self) -> Matrix {
+        self.work.pop().unwrap_or_else(|| Matrix::zeros(self.g_dim, self.a_dim))
+    }
+
+    /// Hand a matrix returned by `precondition_*` back for reuse once its
+    /// contents are no longer needed. Anything of another shape, or beyond
+    /// the two buffers a step uses, is simply dropped.
+    pub fn recycle(&mut self, buf: Matrix) {
+        if self.work.len() < 2 && buf.shape() == (self.g_dim, self.a_dim) {
+            self.work.push(buf);
         }
     }
 
@@ -396,22 +420,28 @@ impl KfacLayerState {
 
     /// Precondition a combined gradient (`g_dim x a_dim`) through the cached
     /// eigendecompositions (Eq. 15–17). Requires `qa`, `qg`, and either the
-    /// precomputed `outer` or both eigenvalue vectors plus `damping`.
-    pub fn precondition_eigen(&self, grad: &Matrix, damping: f32) -> Matrix {
+    /// precomputed `outer` or both eigenvalue vectors plus `damping`. The
+    /// four products ping-pong between the state's two work buffers;
+    /// [`KfacLayerState::recycle`] the result when done with it.
+    pub fn precondition_eigen(&mut self, grad: &Matrix, damping: f32) -> Matrix {
+        let (mut t, mut v) = (self.take_work(), self.take_work());
         let qa = self.qa.as_ref().expect("Q_A not cached on this rank");
         let qg = self.qg.as_ref().expect("Q_G not cached on this rank");
-        let v1 = qg.matmul_tn(grad).matmul(qa);
-        let mut v2 = v1;
+        qg.matmul_tn_into(grad, &mut t);
+        t.matmul_into(qa, &mut v);
         match &self.outer {
-            Some(outer) => v2.hadamard_assign(outer),
+            Some(outer) => v.hadamard_assign(outer),
             None => {
                 let va = self.va.as_ref().expect("v_A not cached (ablation path)");
                 let vg = self.vg.as_ref().expect("v_G not cached (ablation path)");
                 let outer = Self::compute_outer(vg, va, damping);
-                v2.hadamard_assign(&outer);
+                v.hadamard_assign(&outer);
             }
         }
-        qg.matmul(&v2).matmul_nt(qa)
+        qg.matmul_into(&v, &mut t);
+        t.matmul_nt_into(qa, &mut v);
+        self.recycle(t);
+        v
     }
 
     /// EK-FAC preconditioning (George et al., NeurIPS 2018): project into
@@ -425,15 +455,19 @@ impl KfacLayerState {
     /// yet, so the first EK-FAC step after an eigendecomposition update
     /// coincides with plain K-FAC.
     pub fn precondition_ekfac(&mut self, grad: &Matrix, damping: f32, decay: f32) -> Matrix {
+        let (mut t, mut v) = (self.take_work(), self.take_work());
         let qa = self.qa.as_ref().expect("Q_A not cached on this rank");
         let qg = self.qg.as_ref().expect("Q_G not cached on this rank");
-        let v1 = qg.matmul_tn(grad).matmul(qa);
+        qg.matmul_tn_into(grad, &mut t);
+        t.matmul_into(qa, &mut v);
 
-        // Update the corrected second moments from this step's projection.
-        let mut sq = v1.clone();
-        sq.hadamard_assign(&v1);
+        // Update the corrected second moments from this step's projection
+        // `v`; its elementwise square goes into `t`, which is free again.
+        for (sq, &x) in t.as_mut_slice().iter_mut().zip(v.as_slice()) {
+            *sq = x * x;
+        }
         match self.ekfac_scale.as_mut() {
-            Some(s) => s.axpby(1.0 - decay, &sq, decay),
+            Some(s) => s.axpby(1.0 - decay, &t, decay),
             None => {
                 // Seed with K-FAC's eigenvalue outer product (the prior the
                 // corrected moments refine): recover it from `outer`, which
@@ -444,24 +478,30 @@ impl KfacLayerState {
                         s.map_inplace(|x| x.max(0.0));
                         s
                     }
-                    None => sq,
+                    None => t.clone(),
                 };
                 self.ekfac_scale = Some(seed);
             }
         }
         let scale = self.ekfac_scale.as_ref().expect("just initialized");
-        let mut v2 = v1;
-        for (v, s) in v2.as_mut_slice().iter_mut().zip(scale.as_slice()) {
-            *v /= s.max(0.0) + damping;
+        for (x, s) in v.as_mut_slice().iter_mut().zip(scale.as_slice()) {
+            *x /= s.max(0.0) + damping;
         }
-        qg.matmul(&v2).matmul_nt(qa)
+        qg.matmul_into(&v, &mut t);
+        t.matmul_nt_into(qa, &mut v);
+        self.recycle(t);
+        v
     }
 
     /// Precondition through the damped direct inverses (Eq. 14 fallback).
-    pub fn precondition_inverse(&self, grad: &Matrix) -> Matrix {
+    pub fn precondition_inverse(&mut self, grad: &Matrix) -> Matrix {
+        let (mut t, mut v) = (self.take_work(), self.take_work());
         let inv_a = self.inv_a.as_ref().expect("A inverse not cached");
         let inv_g = self.inv_g.as_ref().expect("G inverse not cached");
-        inv_g.matmul(grad).matmul(inv_a)
+        inv_g.matmul_into(grad, &mut t);
+        t.matmul_into(inv_a, &mut v);
+        self.recycle(t);
+        v
     }
 
     /// Bytes of running factor state held on this rank at the given storage
@@ -699,6 +739,50 @@ mod tests {
         let via_inverse = state.precondition_inverse(&grad);
         let rel = via_eigen.max_abs_diff(&via_inverse) / via_eigen.max_abs().max(1e-9);
         assert!(rel < 0.01, "methods differ by {rel} relative at tiny damping");
+    }
+
+    #[test]
+    fn recycled_work_buffers_do_not_change_a_bit() {
+        // The products must overwrite whatever a recycled buffer holds: a
+        // state fed back its own (poisoned) results has to keep producing
+        // what a state that allocates every buffer fresh produces.
+        let mut rng = Rng::seed_from_u64(203);
+        let damping = 0.003;
+        let mut state = KfacLayerState::new("rw", 7, 4);
+        state.update_factors(random_psd(7, &mut rng), random_psd(4, &mut rng), 0.0);
+        let (qa, va) = state.eig_a();
+        let (qg, vg) = state.eig_g();
+        state.qa = Some(qa);
+        state.qg = Some(qg);
+        state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
+        state.compute_inverses(damping);
+        let mut fresh = state.clone();
+
+        for round in 0..3 {
+            let grad = Matrix::randn(4, 7, 1.0, &mut rng);
+            let mut reused = [
+                state.precondition_eigen(&grad, damping),
+                state.precondition_inverse(&grad),
+                state.precondition_ekfac(&grad, damping, 0.9),
+            ];
+            fresh.work.clear();
+            let eigen = fresh.precondition_eigen(&grad, damping);
+            fresh.work.clear();
+            let inverse = fresh.precondition_inverse(&grad);
+            fresh.work.clear();
+            let ekfac = fresh.precondition_ekfac(&grad, damping, 0.9);
+            assert_eq!(reused, [eigen, inverse, ekfac], "round {round}");
+            for m in &mut reused {
+                m.map_inplace(|_| f32::NAN);
+            }
+            let [a, b, c] = reused;
+            state.recycle(a);
+            state.recycle(b);
+            state.recycle(c);
+            state.recycle(Matrix::zeros(7, 4)); // wrong shape: dropped
+            assert_eq!(state.work.len(), 2, "a step keeps two buffers, no more");
+            assert!(state.work.iter().all(|m| m.shape() == (4, 7)));
+        }
     }
 
     #[test]

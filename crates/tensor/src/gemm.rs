@@ -22,14 +22,24 @@
 //!   making the two kernels bitwise interchangeable. The microkernel never
 //!   fuses into FMA for the same reason.
 //!
-//! Parallelization splits `C` into independent row bands, each handed to one
-//! scoped thread via `chunks_mut` — data-race free by construction, and
-//! bitwise independent of the split because every `C` element's update
-//! sequence is confined to its own band. Small problems stay serial to
-//! avoid thread-spawn overhead.
+//! Parallelization: a product big enough to pay ([`team::pays`]) is cut
+//! into independent row bands of `C` — a pure function of the shape and the
+//! core count — which sit in a queue (`chunks_mut` behind a mutex, so
+//! handing out disjoint `&mut` bands is safe code). The calling thread
+//! claims bands from it until it is empty; when another core has nothing to
+//! do, the process-wide [`team`](crate::team) lets parked helper threads
+//! claim from the same queue. No thread is ever spawned per call, and the
+//! result is bitwise independent of who computed which band because every
+//! `C` element's update sequence is confined to its own band. Smaller
+//! products run as one serial sweep. After warm-up a call allocates
+//! nothing: the packed `B` panels and each band's packed `A` slab live in
+//! per-thread grow-only scratch.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+use crate::team;
 
 /// Rows per register tile (microkernel height).
 pub(crate) const MR: usize = 6;
@@ -123,9 +133,6 @@ pub fn gemm_kernel() -> GemmKernel {
     }
 }
 
-/// Below this many multiply-adds the serial kernel wins.
-pub(crate) const PAR_THRESHOLD: usize = 64 * 64 * 64;
-
 /// Below this many multiply-adds `Auto` keeps the naive loops: the packed
 /// panels and tile staging cost more than they save on tiny operands.
 const BLOCKED_THRESHOLD: usize = 16 * 16 * 16;
@@ -138,34 +145,56 @@ pub(crate) fn use_blocked(kernel: GemmKernel, m: usize, k: usize, n: usize) -> b
     }
 }
 
-pub(crate) fn num_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Rows of `C` handed to each worker thread (naive path).
+/// Rows of `C` per band on the naive path.
 fn row_band(m: usize) -> usize {
-    (m / (num_threads() * 4)).max(4)
+    (m / (team::cores() * 4)).max(4)
 }
 
-/// Rows of `C` per worker thread on the blocked path: a multiple of `MR` so
-/// every band but the last is made of full microkernel tiles.
+/// Rows of `C` per band on the blocked path: a multiple of `MR` so every
+/// band but the last is made of full microkernel tiles.
 fn blocked_band(m: usize) -> usize {
-    let per = m.div_ceil(num_threads() * 2).max(MR);
+    let per = m.div_ceil(team::cores() * 2).max(MR);
     per.div_ceil(MR) * MR
 }
 
-/// Run `kernel(band_index, c_band)` for each `band * n`-element chunk of `c`
-/// on scoped worker threads.
+/// Run `kernel(band_index, c_band)` once for each `band * n`-element chunk
+/// of `c`: on the calling thread, and on idle team helpers when there are
+/// any. Bands are claimed one at a time from the shared `chunks_mut` queue.
 fn par_row_bands<F>(c: &mut [f32], band: usize, n: usize, kernel: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    std::thread::scope(|scope| {
-        for (band_idx, c_band) in c.chunks_mut(band * n).enumerate() {
-            let kernel = &kernel;
-            scope.spawn(move || kernel(band_idx, c_band));
-        }
+    let count = c.len().div_ceil(band * n);
+    let queue = Mutex::new(c.chunks_mut(band * n).enumerate());
+    team::run(count, &|| {
+        // The lock is released before the band runs, so a panicking band
+        // cannot poison it; `next` itself does not panic.
+        let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        claimed.map(|(band_idx, c_band)| kernel(band_idx, c_band)).is_some()
     });
+}
+
+/// A thread's grow-only packing buffer. [`take_scratch`] moves it out for
+/// the duration of a call and `slot.set(buf)` hands it back, so after
+/// warm-up packing allocates nothing; a re-entrant use on the same thread
+/// (or a call that unwinds) just finds an empty buffer and allocates.
+pub(crate) type Scratch = std::thread::LocalKey<Cell<Vec<f32>>>;
+
+thread_local! {
+    /// The calling thread's packed-`B` panels.
+    pub(crate) static PACKED_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// The band-executing thread's packed-`A` slab.
+    pub(crate) static PACKED_A: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// This thread's buffer from `slot`, at least `len` long, contents
+/// unspecified. Return it with `slot.set(buf)`.
+pub(crate) fn take_scratch(slot: &'static Scratch, len: usize) -> Vec<f32> {
+    let mut buf = slot.take();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    buf
 }
 
 /// Operand layouts the blocked path understands; each maps a logical
@@ -207,7 +236,7 @@ pub fn gemm_nn_with(
     }
     if use_blocked(kernel, m, k, n) {
         blocked_gemm(Layout::Nn, m, k, n, a, b, c);
-    } else if m * n * k >= PAR_THRESHOLD && m > 1 {
+    } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
             let r0 = band_idx * band;
@@ -261,7 +290,7 @@ pub fn gemm_tn_with(
     }
     if use_blocked(kernel, m, k, n) {
         blocked_gemm(Layout::Tn, m, k, n, a, b, c);
-    } else if m * n * k >= PAR_THRESHOLD && m > 1 {
+    } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
             let r0 = band_idx * band;
@@ -323,7 +352,7 @@ pub fn gemm_nt_with(
     }
     if use_blocked(kernel, m, k, n) {
         blocked_gemm(Layout::Nt, m, k, n, a, b, c);
-    } else if m * n * k >= PAR_THRESHOLD && m > 1 {
+    } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
             let r0 = band_idx * band;
@@ -357,14 +386,21 @@ fn gemm_nt_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f
 
 /// Pack `B` into `NR`-column panels, each laid out `[k][NR]` with
 /// zero-padded edge columns, so the microkernel streams both vectors of a
-/// row with unit stride regardless of the original layout.
+/// row with unit stride regardless of the original layout. The panels are
+/// written into the calling thread's [`PACKED_B`] buffer; hand it back with
+/// `PACKED_B.set(bp)` when the product is done.
 pub(crate) fn pack_b(layout: Layout, k: usize, n: usize, b: &[f32]) -> Vec<f32> {
     let panels = n.div_ceil(NR);
-    let mut bp = vec![0.0f32; panels * k * NR];
+    let mut bp = take_scratch(&PACKED_B, panels * k * NR);
     for jp in 0..panels {
         let j0 = jp * NR;
         let nr = NR.min(n - j0);
         let panel = &mut bp[jp * k * NR..(jp + 1) * k * NR];
+        if nr < NR {
+            // Only a ragged last panel has padding lanes; the buffer is
+            // reused, so they must be cleared here.
+            panel.fill(0.0);
+        }
         match layout {
             Layout::Nn | Layout::Tn => {
                 for kk in 0..k {
@@ -400,11 +436,14 @@ pub(crate) fn pack_a(
 ) {
     let panels = mc.div_ceil(MR);
     debug_assert!(ap.len() >= panels * k * MR);
-    ap[..panels * k * MR].fill(0.0);
     for ip in 0..panels {
         let i0 = ip * MR;
         let mr = MR.min(mc - i0);
         let panel = &mut ap[ip * k * MR..(ip + 1) * k * MR];
+        if mr < MR {
+            // As in `pack_b`: only a ragged last panel has padding lanes.
+            panel.fill(0.0);
+        }
         match layout {
             Layout::Nn | Layout::Nt => {
                 for rr in 0..mr {
@@ -456,7 +495,7 @@ pub(crate) fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR *
 /// then per band pack `MC`-row slabs of A and sweep register tiles.
 fn blocked_gemm(layout: Layout, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     let bp = pack_b(layout, k, n, b);
-    if m * n * k >= PAR_THRESHOLD && m > 1 {
+    if team::pays(m * n * k) && m > 1 {
         let band = blocked_band(m);
         let bp = &bp;
         par_row_bands(c, band, n, |band_idx, c_band| {
@@ -467,6 +506,7 @@ fn blocked_gemm(layout: Layout, m: usize, k: usize, n: usize, a: &[f32], b: &[f3
     } else {
         blocked_rows(layout, 0, m, m, k, n, a, &bp, c);
     }
+    PACKED_B.set(bp);
 }
 
 /// Serial blocked kernel over `rows` rows of `C` starting at logical row
@@ -486,7 +526,7 @@ fn blocked_rows(
     c: &mut [f32],
 ) {
     let n_panels = n.div_ceil(NR);
-    let mut ap = vec![0.0f32; MC.min(rows).div_ceil(MR) * MR * k];
+    let mut ap = take_scratch(&PACKED_A, MC.min(rows).div_ceil(MR) * MR * k);
     let mut tile = [0.0f32; MR * NR];
     for ic in (0..rows).step_by(MC) {
         let mc = MC.min(rows - ic);
@@ -533,6 +573,7 @@ fn blocked_rows(
             }
         }
     }
+    PACKED_A.set(ap);
 }
 
 #[cfg(test)]
@@ -692,9 +733,10 @@ mod tests {
 
     #[test]
     fn parallel_band_split_matches_serial() {
-        // Large enough to cross PAR_THRESHOLD so the banded path runs.
+        // Large enough that the banded path runs.
         let mut rng = Rng::seed_from_u64(4);
-        let (m, k, n) = (96, 80, 72);
+        let (m, k, n) = (216, 200, 204);
+        assert!(team::pays(m * k * n));
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let b = Matrix::randn(k, n, 1.0, &mut rng);
         let mut c_par = vec![0.0; m * n];
@@ -706,11 +748,12 @@ mod tests {
 
     #[test]
     fn blocked_panel_scheduler_matches_serial() {
-        // The banded blocked path (panel scheduler across scoped threads)
-        // must be bitwise identical to a single serial blocked sweep —
-        // every C element's k-ascending update chain lives in one band.
+        // The banded blocked path (bands claimed by the caller and the
+        // team) must be bitwise identical to a single serial blocked sweep
+        // — every C element's k-ascending update chain lives in one band.
         let mut rng = Rng::seed_from_u64(5);
-        let (m, k, n) = (97, 80, 73); // crosses PAR_THRESHOLD, ragged edges
+        let (m, k, n) = (217, 200, 203); // banded, ragged edges
+        assert!(team::pays(m * k * n));
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let b = Matrix::randn(k, n, 1.0, &mut rng);
         let mut c_par = vec![0.0; m * n];

@@ -6,7 +6,8 @@
 //! The crate provides:
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with BLAS-like operations
-//!   (Rayon-parallel blocked GEMM, transposes, elementwise kernels).
+//!   (blocked GEMM/SYRK banded over a cooperative compute team, transposes,
+//!   elementwise kernels).
 //! * [`Tensor4`] — an NCHW activation tensor used by convolutional layers,
 //!   with [`im2col`]/[`col2im`] lowering.
 //! * [`f16`](mod@f16) — a software implementation of IEEE 754 binary16 used to
@@ -23,7 +24,10 @@
 //! behind runtime feature detection), where every block carries a
 //! `SAFETY:` comment and is property-tested bitwise against the safe
 //! scalar reference kernels — which remain the permanent oracle and can be
-//! forced process-wide with `KAISA_GEMM_KERNEL=naive`.
+//! forced process-wide with `KAISA_GEMM_KERNEL=naive` — and to one
+//! lifetime-erased closure reference in the `team` module (the helper
+//! threads that claim GEMM bands when a core is idle), whose contract is
+//! stated and enforced there.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -40,6 +44,7 @@ mod rng;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 mod syrk;
+mod team;
 mod tensor4;
 
 pub use f16::F16;
@@ -53,6 +58,7 @@ pub use rng::Rng;
 pub use syrk::{
     set_syrk_chunk_rows, set_syrk_mode, syrk_chunk_rows, syrk_mode, syrk_tn, syrk_tn_with, SyrkMode,
 };
+pub use team::inline_bands;
 pub use tensor4::Tensor4;
 
 /// Convenience result alias for shape-checked tensor operations.

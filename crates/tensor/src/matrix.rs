@@ -145,7 +145,7 @@ impl Matrix {
 
     /// Set every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
+        self.data.fill(0.0);
     }
 
     /// Return the transpose as a new matrix.
@@ -183,6 +183,15 @@ impl Matrix {
         Ok(out)
     }
 
+    /// `out = self @ other` into a caller-held matrix of the product's
+    /// shape, overwriting it — bitwise what [`Matrix::matmul`] returns,
+    /// without the allocation.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.rows, "matmul_into: inner dimensions differ");
+        out.prepare_product(self.rows, other.cols);
+        gemm::gemm_nn(self.rows, self.cols, other.cols, &self.data, &other.data, &mut out.data);
+    }
+
     /// `selfᵀ @ other` without materializing the transpose.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(
@@ -193,6 +202,21 @@ impl Matrix {
         let mut out = Matrix::zeros(self.cols, other.cols);
         gemm::gemm_tn(self.cols, self.rows, other.cols, &self.data, &other.data, &mut out.data);
         out
+    }
+
+    /// `out = selfᵀ @ other` into a caller-held matrix (see
+    /// [`Matrix::matmul_into`]).
+    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "matmul_tn_into: inner dimensions differ");
+        out.prepare_product(self.cols, other.cols);
+        gemm::gemm_tn(self.cols, self.rows, other.cols, &self.data, &other.data, &mut out.data);
+    }
+
+    /// Check that `self` can receive a `rows x cols` product and zero it
+    /// (the GEMM kernels accumulate into `C`).
+    fn prepare_product(&mut self, rows: usize, cols: usize) {
+        assert_eq!(self.shape(), (rows, cols), "product output has the wrong shape");
+        self.fill_zero();
     }
 
     /// `selfᵀ @ self` — the K-FAC factor-statistic Gram product.
@@ -223,6 +247,14 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
         gemm::gemm_nt(self.rows, self.cols, other.rows, &self.data, &other.data, &mut out.data);
         out
+    }
+
+    /// `out = self @ otherᵀ` into a caller-held matrix (see
+    /// [`Matrix::matmul_into`]).
+    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.cols, "matmul_nt_into: inner dimensions differ");
+        out.prepare_product(self.rows, other.rows);
+        gemm::gemm_nt(self.rows, self.cols, other.rows, &self.data, &other.data, &mut out.data);
     }
 
     /// Elementwise `self += other`.
@@ -476,6 +508,33 @@ mod tests {
         let fast = a.matmul_nt(&b);
         let slow = a.matmul(&b.transpose());
         assert!(approx_eq(&fast, &slow, 1e-4));
+    }
+
+    #[test]
+    fn into_variants_overwrite_and_match_allocating_ones_bitwise() {
+        let mut rng = Rng::seed_from_u64(9);
+        let a = Matrix::randn(23, 17, 1.0, &mut rng);
+        let b = Matrix::randn(17, 31, 1.0, &mut rng);
+        let bt = b.transpose();
+        let at = a.transpose();
+        // Stale contents must not leak into the product.
+        let mut out = Matrix::full(23, 31, f32::NAN);
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b));
+        out = Matrix::full(23, 31, 7.0);
+        at.matmul_tn_into(&b, &mut out);
+        assert_eq!(out, at.matmul_tn(&b));
+        out = Matrix::full(23, 31, -1.0);
+        a.matmul_nt_into(&bt, &mut out);
+        assert_eq!(out, a.matmul_nt(&bt));
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong shape")]
+    fn into_variants_reject_a_misshapen_output() {
+        let a = Matrix::zeros(2, 3);
+        let b = Matrix::zeros(3, 4);
+        a.matmul_into(&b, &mut Matrix::zeros(2, 3));
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! no-FMA discipline from `gemm`. The blocked sweep simply **skips every
 //! register tile that lies entirely above the diagonal**; tiles straddling
 //! it are computed in full and the spilled upper elements are overwritten
-//! by the mirror. Parallelism splits `C` into MR-aligned row bands with
-//! *triangle-balanced* boundaries (`r_i ≈ m·√(i/bands)`) so each scoped
-//! thread owns roughly the same number of lower-triangle flops.
+//! by the mirror. A product big enough to pay is cut into MR-aligned row
+//! bands with *triangle-balanced* boundaries (`r_i ≈ m·√(i/bands)`), so each
+//! band holds roughly the same number of lower-triangle flops; the calling
+//! thread claims them from a queue and, exactly as for the GEMM row bands,
+//! idle [`team`](crate::team) helpers claim from the same queue.
 //!
 //! The streamed conv-capture path accumulates SYRK contributions
 //! chunk-by-chunk over row blocks of the patch matrix; because the chunks
@@ -30,12 +32,13 @@
 //! [`syrk_chunk_rows`] (env `KAISA_SYRK_CHUNK`) bounds those chunks.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::gemm::{
-    gemm_kernel, microkernel, num_threads, pack_a, pack_b, use_blocked, GemmKernel, Layout, MC, MR,
-    NR, PAR_THRESHOLD,
+    gemm_kernel, microkernel, pack_a, pack_b, take_scratch, use_blocked, GemmKernel, Layout, MC,
+    MR, NR, PACKED_A, PACKED_B,
 };
+use crate::team;
 
 /// Whether factor-statistic Gram products route through the SYRK fast path
 /// (env `KAISA_SYRK`, [`set_syrk_mode`], or the `syrk` config knob in
@@ -165,7 +168,7 @@ pub fn syrk_tn_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [
     }
     if use_blocked(kernel, m, k, m) {
         blocked_syrk(m, k, a, c);
-    } else if m * m * k / 2 >= PAR_THRESHOLD && m > 1 {
+    } else if team::pays(m * m * k / 2) && m > 1 {
         par_triangle_bands(m, c, |r0, rows, band| naive_syrk_rows(r0, rows, m, k, a, band));
     } else {
         naive_syrk_rows(0, m, m, k, a, c);
@@ -199,42 +202,63 @@ fn mirror_lower(m: usize, c: &mut [f32]) {
     }
 }
 
-/// MR-aligned band boundaries `0 = r_0 < r_1 < … < r_b = m` with roughly
-/// equal lower-triangle area per band: `r_i ≈ m·√(i/b)` rounded to a
-/// multiple of `MR`, deduplicated. The split never affects results — each
-/// `C` row's update chain is confined to its own band.
-fn triangle_bands(m: usize) -> Vec<usize> {
-    let bands = (num_threads() * 2).max(1);
-    let mut bounds = vec![0usize];
-    for i in 1..bands {
-        let frac = (i as f64 / bands as f64).sqrt();
-        let r = ((m as f64 * frac / MR as f64).round() as usize * MR).min(m);
-        if r > *bounds.last().unwrap() {
-            bounds.push(r);
-        }
-    }
-    if *bounds.last().unwrap() < m {
-        bounds.push(m);
-    }
-    bounds
+/// MR-aligned row bands `(r0, r1)` covering `0..m` with roughly equal
+/// lower-triangle area each: boundary `i` of `b` sits at `m·√(i/b)` rounded
+/// to a multiple of `MR`, empty bands dropped. The split never affects
+/// results — each `C` row's update chain is confined to its own band.
+struct TriangleBands {
+    m: usize,
+    bands: usize,
+    /// Next boundary index to try.
+    i: usize,
+    /// Where the previous band ended.
+    r0: usize,
 }
 
-/// Run `kernel(r0, rows, c_band)` over triangle-balanced row bands of `C`
-/// on scoped worker threads (the diagonal-block scheduler).
+fn triangle_bands(m: usize) -> TriangleBands {
+    TriangleBands { m, bands: team::cores() * 2, i: 1, r0: 0 }
+}
+
+impl Iterator for TriangleBands {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let r0 = self.r0;
+        while self.i < self.bands {
+            let frac = (self.i as f64 / self.bands as f64).sqrt();
+            let r = ((self.m as f64 * frac / MR as f64).round() as usize * MR).min(self.m);
+            self.i += 1;
+            if r > r0 {
+                self.r0 = r;
+                return Some((r0, r));
+            }
+        }
+        self.r0 = self.m;
+        (r0 < self.m).then_some((r0, self.m))
+    }
+}
+
+/// Run `kernel(r0, rows, c_band)` once per triangle-balanced row band of
+/// `C` (the diagonal-block scheduler): on the calling thread, and on idle
+/// team helpers when there are any.
 fn par_triangle_bands<F>(m: usize, c: &mut [f32], kernel: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
-    let bounds = triangle_bands(m);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [f32] = c;
-        for w in bounds.windows(2) {
-            let (r0, r1) = (w[0], w[1]);
-            let (band, tail) = std::mem::take(&mut rest).split_at_mut((r1 - r0) * m);
-            rest = tail;
-            let kernel = &kernel;
-            scope.spawn(move || kernel(r0, r1 - r0, band));
-        }
+    let count = triangle_bands(m).count();
+    let queue = Mutex::new((triangle_bands(m), c));
+    team::run(count, &|| {
+        // Claim the next band and split its rows off the front of what is
+        // left of `C`; the lock is released before the band runs.
+        let (r0, r1, band) = {
+            let mut queue = queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let Some((r0, r1)) = queue.0.next() else { return false };
+            let (band, rest) = std::mem::take(&mut queue.1).split_at_mut((r1 - r0) * m);
+            queue.1 = rest;
+            (r0, r1, band)
+        };
+        kernel(r0, r1 - r0, band);
+        true
     });
 }
 
@@ -242,7 +266,7 @@ where
 /// sweep triangle-balanced row bands.
 fn blocked_syrk(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
     let bp = pack_b(Layout::Tn, k, m, a);
-    if m * m * k / 2 >= PAR_THRESHOLD && m > 1 {
+    if team::pays(m * m * k / 2) && m > 1 {
         let bp = &bp;
         par_triangle_bands(m, c, |r0, rows, band| {
             blocked_syrk_rows(r0, rows, m, k, a, bp, band);
@@ -250,6 +274,7 @@ fn blocked_syrk(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
     } else {
         blocked_syrk_rows(0, m, m, k, a, &bp, c);
     }
+    PACKED_B.set(bp);
 }
 
 /// Serial blocked SYRK over `rows` rows of `C` starting at logical row
@@ -267,7 +292,7 @@ fn blocked_syrk_rows(
     c: &mut [f32],
 ) {
     let n_panels = m.div_ceil(NR);
-    let mut ap = vec![0.0f32; MC.min(rows).div_ceil(MR) * MR * k];
+    let mut ap = take_scratch(&PACKED_A, MC.min(rows).div_ceil(MR) * MR * k);
     let mut tile = [0.0f32; MR * NR];
     for ic in (0..rows).step_by(MC) {
         let mc = MC.min(rows - ic);
@@ -299,6 +324,7 @@ fn blocked_syrk_rows(
             }
         }
     }
+    PACKED_A.set(ap);
 }
 
 #[cfg(test)]
@@ -431,10 +457,10 @@ mod tests {
 
     #[test]
     fn parallel_triangle_bands_match_serial() {
-        // Big enough that m*m*k/2 crosses PAR_THRESHOLD so the banded
-        // scheduler runs; must be bitwise identical to the serial sweep.
-        let (m, k) = (120, 80);
-        assert!(m * m * k / 2 >= PAR_THRESHOLD);
+        // Big enough that the banded scheduler runs; must be bitwise
+        // identical to the serial sweep.
+        let (m, k) = (300, 200);
+        assert!(team::pays(m * m * k / 2));
         let a = fill(k * m, 12);
         for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
             let mut c_par = vec![0.0f32; m * m];
@@ -456,13 +482,14 @@ mod tests {
     #[test]
     fn triangle_bands_are_valid_partitions() {
         for m in [1usize, 5, 6, 48, 97, 256, 1024] {
-            let b = triangle_bands(m);
-            assert_eq!(b[0], 0);
-            assert_eq!(*b.last().unwrap(), m);
-            assert!(b.windows(2).all(|w| w[0] < w[1]), "m={m}: {b:?}");
+            let b: Vec<(usize, usize)> = triangle_bands(m).collect();
+            assert_eq!(b[0].0, 0);
+            assert_eq!(b.last().unwrap().1, m);
+            assert!(b.iter().all(|&(r0, r1)| r0 < r1), "m={m}: {b:?}");
+            assert!(b.windows(2).all(|w| w[0].1 == w[1].0), "m={m}: {b:?}");
             // Interior boundaries are MR-aligned so blocked bands tile fully.
-            for &r in &b[1..b.len() - 1] {
-                assert_eq!(r % MR, 0, "m={m}: {b:?}");
+            for &(r0, _) in &b[1..] {
+                assert_eq!(r0 % MR, 0, "m={m}: {b:?}");
             }
         }
     }
