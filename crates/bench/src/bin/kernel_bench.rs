@@ -1,8 +1,10 @@
 //! Kernel-floor throughput harness: blocked-vs-naive GEMM GFLOP/s per
 //! layout and shape, SYRK-vs-`gemm_tn` Gram cells, the compute team against
 //! its inline band loop (small-product latency at the step shapes, and two
-//! concurrent callers), plus `sym_eig`-vs-oracle eigensolve latency at real
-//! factor sizes, written as `BENCH_kernels.json` next to `BENCH_comm.json`.
+//! concurrent callers), `sym_eig`-vs-oracle eigensolve latency at real
+//! factor sizes, plus the elementwise layers of the step path (`Gelu`,
+//! `BatchNorm2d`) in ns per element, written as `BENCH_kernels.json` next to
+//! `BENCH_comm.json`.
 //!
 //! Both kernels are measured in the same process on the same machine with
 //! interleaved best-of trials (the comm_bench protocol), so the comparison
@@ -36,14 +38,18 @@
 //!   normal entry point — the team must cost a small product nothing; or
 //! * two threads calling the flagship precondition product at once get less
 //!   aggregate GFLOP/s than one caller alone, past the noise margin — two
-//!   busy ranks must not be slowed by each other's offers.
+//!   busy ranks must not be slowed by each other's offers; or
+//! * `Gelu` forward + backward at BertMini's feed-forward shape costs more
+//!   than [`GELU_NS_CEILING`] ns per element — one libm-free `tanh` per
+//!   element, none in backward.
 
 use std::time::Instant;
 
 use kaisa_linalg::{sym_eig, sym_eig_reference, EigenError, SymEig};
+use kaisa_nn::{activation::Gelu, norm::BatchNorm2d};
 use kaisa_tensor::{
     gemm_nn_with, gemm_nt_with, gemm_tn_with, inline_bands, set_gemm_kernel, syrk_tn_with,
-    GemmKernel, Matrix, Rng,
+    GemmKernel, Matrix, Rng, Tensor4,
 };
 
 /// Measured trials per cell; best is kept (each trial is a complete
@@ -83,6 +89,15 @@ const SMALL_LATENCY_CEILING: f64 = 1.25;
 /// The two-caller cell's shape: `mlp_wide_mem_opt`'s largest precondition
 /// product.
 const CONCURRENT_SHAPE: (usize, usize, usize) = (512, 513, 513);
+
+/// `Gelu` forward + backward on one `bert_mem_opt_accum` micro-batch's
+/// feed-forward activation `(rows, cols)`, and the ns-per-element ceiling it
+/// is gated at (54 with libm's `tanhf` called in both passes, ~6 since).
+const GELU_SHAPE: (usize, usize) = (256, 256);
+const GELU_NS_CEILING: f64 = 12.0;
+/// `BatchNorm2d` forward + backward on `resnet_comm_opt`'s stage-1
+/// activation `(n, c, h, w)`; reported, not gated.
+const BN2D_SHAPE: (usize, usize, usize, usize) = (16, 32, 16, 16);
 
 #[derive(Clone, Copy, PartialEq)]
 enum Layout {
@@ -362,6 +377,46 @@ fn measure_eig(n: usize) -> (f64, f64) {
     (fast, reference)
 }
 
+/// Best-of-[`TRIALS`] ns per element of `pass` (one forward + backward),
+/// each trial the mean over a ~20 ms window.
+fn ns_per_element(elements: usize, mut pass: impl FnMut()) -> f64 {
+    pass();
+    let iters = (5.0e6 / elements as f64).ceil() as usize;
+    (0..TRIALS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                pass();
+            }
+            start.elapsed().as_secs_f64() * 1e9 / (iters * elements) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn measure_gelu() -> f64 {
+    let mut rng = Rng::seed_from_u64(48);
+    let (rows, cols) = GELU_SHAPE;
+    let x = Matrix::randn(rows, cols, 1.5, &mut rng);
+    let dy = Matrix::randn(rows, cols, 1.0, &mut rng);
+    let mut gelu = Gelu::new();
+    ns_per_element(rows * cols, || {
+        let y = gelu.forward(std::hint::black_box(&x), true);
+        std::hint::black_box((y, gelu.backward(&dy)));
+    })
+}
+
+fn measure_bn2d() -> f64 {
+    let mut rng = Rng::seed_from_u64(49);
+    let (n, c, h, w) = BN2D_SHAPE;
+    let x = Tensor4::randn(n, c, h, w, 1.0, &mut rng);
+    let dy = Tensor4::randn(n, c, h, w, 1.0, &mut rng);
+    let mut bn = BatchNorm2d::new(c);
+    ns_per_element(x.numel(), || {
+        let y = bn.forward(std::hint::black_box(&x), true);
+        std::hint::black_box((y, bn.backward(&dy)));
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -521,6 +576,19 @@ fn main() {
         ));
     }
 
+    let (gelu_ns, bn2d_ns) = (measure_gelu(), measure_bn2d());
+    let (gr, gc) = GELU_SHAPE;
+    let (bn, bc, bh, bw) = BN2D_SHAPE;
+    eprintln!(
+        "gelu_fwd_bwd {gr}x{gc}        {gelu_ns:>6.2} ns/element (ceiling {GELU_NS_CEILING})"
+    );
+    eprintln!("bn2d_fwd_bwd {bn}x{bc}x{bh}x{bw}   {bn2d_ns:>6.2} ns/element");
+    if gelu_ns > GELU_NS_CEILING {
+        gate_failures.push(format!(
+            "gelu_fwd_bwd {gr}x{gc}: {gelu_ns:.2} ns/element > {GELU_NS_CEILING} ns ceiling"
+        ));
+    }
+
     let gate_passed = gate_failures.is_empty();
     let json = format!(
         concat!(
@@ -534,9 +602,13 @@ fn main() {
             "  \"team_concurrent\": {{\"m\": {}, \"k\": {}, \"n\": {}, \"cores\": {}, ",
             "\"one_caller_gflops\": {:.3}, \"two_callers_aggregate_gflops\": {:.3}}},\n",
             "  \"eigensolve\": [\n{}\n  ],\n",
+            "  \"elementwise\": [\n",
+            "    {{\"name\": \"gelu_fwd_bwd\", \"shape\": [{}, {}], \"ns_per_element\": {:.2}, \"gated\": true}},\n",
+            "    {{\"name\": \"bn2d_fwd_bwd\", \"shape\": [{}, {}, {}, {}], \"ns_per_element\": {:.2}, \"gated\": false}}\n",
+            "  ],\n",
             "  \"gate\": {{\"tolerance\": {}, \"speedup_floor\": {}, \"floor_shape\": [{}, {}, {}], ",
             "\"syrk_speedup_floor\": {}, \"syrk_floor_shape\": [{}, {}], ",
-            "\"eig_speedup_floors\": {:?}, \"small_latency_ceiling\": {}, ",
+            "\"eig_speedup_floors\": {:?}, \"small_latency_ceiling\": {}, \"gelu_ns_ceiling\": {}, ",
             "\"enforced\": {}, \"passed\": {}, \"failures\": [{}]}}\n",
             "}}\n"
         ),
@@ -552,6 +624,14 @@ fn main() {
         single,
         pair,
         eig_rows.join(",\n"),
+        gr,
+        gc,
+        gelu_ns,
+        bn,
+        bc,
+        bh,
+        bw,
+        bn2d_ns,
         GATE_TOLERANCE,
         SPEEDUP_FLOOR,
         FLOOR_SHAPE.0,
@@ -562,6 +642,7 @@ fn main() {
         SYRK_FLOOR_SHAPE.1,
         EIG_SPEEDUP_FLOORS.map(|(n, floor)| vec![n as f64, floor]),
         SMALL_LATENCY_CEILING,
+        GELU_NS_CEILING,
         !no_gate,
         gate_passed,
         gate_failures

@@ -32,10 +32,9 @@ pub enum MemoryCategory {
     /// and shard buffers a depth-D runtime holds for deferred factor
     /// completes until the window drains them (`cross_iter_depth > 1`).
     HeldWindows,
-    /// Persistent per-layer streamed-capture chunk buffers: the bounded
-    /// `chunk x a_dim` im2col scratch conv layers reuse across factor
-    /// updates on the SYRK fast path (replacing the full patch-matrix
-    /// materialization the pre-SYRK capture performed).
+    /// Buffers layers keep between steps only to compute their statistics
+    /// (`KfacAble::capture_scratch_bytes`). Zero for every layer in
+    /// `kaisa-nn`; the category is where such a buffer must show up.
     CaptureScratch,
 }
 

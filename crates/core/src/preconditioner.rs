@@ -289,9 +289,8 @@ impl Kfac {
             .set(MemoryCategory::PackedStaging, self.staging.resident_bytes(p.bytes_per_element()));
     }
 
-    /// Refresh the meter's capture-scratch residency from the layers'
-    /// persistent streamed-im2col chunk buffers; called wherever the
-    /// executor already holds the layer list.
+    /// Refresh the meter's capture-scratch residency from what the layers
+    /// report; called wherever the executor already holds the layer list.
     pub(crate) fn note_capture_residency(&mut self, layers: &[&mut dyn kaisa_nn::KfacAble]) {
         let bytes = layers.iter().map(|l| l.capture_scratch_bytes()).sum();
         self.mem.set(MemoryCategory::CaptureScratch, bytes);

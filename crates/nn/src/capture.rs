@@ -223,9 +223,10 @@ pub trait KfacAble {
     /// (the preconditioned gradient coming back from K-FAC).
     fn set_combined_grad(&mut self, grad: &Matrix);
 
-    /// Bytes of persistent per-layer capture scratch — the streamed-im2col
-    /// chunk buffer conv layers reuse between factor updates. Metered by
-    /// the preconditioner under its capture-scratch memory category.
+    /// Bytes of buffers the layer keeps between steps only to compute its
+    /// statistics; the preconditioner meters them under its capture-scratch
+    /// memory category. No layer in this crate holds any: Linear and Conv2d
+    /// both take `A` from the matrix their forward pass multiplies by.
     fn capture_scratch_bytes(&self) -> usize {
         0
     }

@@ -6,10 +6,7 @@
 //! construction of Grosse & Martens that the paper's implementation uses for
 //! all convolutional layers of ResNet and U-Net.
 
-use kaisa_tensor::{
-    col2im, im2col, im2col_rows, init, syrk_chunk_rows, syrk_mode, syrk_tn, Conv2dGeom, Matrix,
-    Rng, SyrkMode, Tensor4,
-};
+use kaisa_tensor::{col2im, im2col, init, Conv2dGeom, Matrix, Rng, Tensor4};
 
 use crate::capture::{CaptureMode, KfacAble, KfacCapture};
 
@@ -34,11 +31,39 @@ pub struct Conv2d {
     c_out: usize,
     patch_cache: Option<Matrix>,
     in_shape: Option<(usize, usize, usize, usize)>,
-    /// Reused streamed-capture chunk buffer (`chunk x a_dim`): allocated on
-    /// the first factor update and kept across updates, so capture never
-    /// re-materializes (or copies, for the bias ones-column) the full patch
-    /// matrix.
-    capture_scratch: Option<Matrix>,
+}
+
+/// Scatter im2col-ordered rows `(n·hw, c)` into NCHW planes: per image, the
+/// transpose of its `(hw, c)` block.
+fn rows_to_nchw(rows: &Matrix, n: usize, c: usize, oh: usize, ow: usize) -> Tensor4 {
+    let hw = oh * ow;
+    let mut out = Tensor4::zeros(n, c, oh, ow);
+    let images = rows.as_slice().chunks_exact((hw * c).max(1));
+    for (src, dst) in images.zip(out.as_mut_slice().chunks_exact_mut((hw * c).max(1))) {
+        for (co, plane) in dst.chunks_exact_mut(hw).enumerate() {
+            for (v, row) in plane.iter_mut().zip(src.chunks_exact(c)) {
+                *v = row[co];
+            }
+        }
+    }
+    out
+}
+
+/// Gather NCHW planes into im2col-ordered rows `(n·hw, c)`: the inverse of
+/// [`rows_to_nchw`].
+fn nchw_to_rows(t: &Tensor4) -> Matrix {
+    let (n, c, oh, ow) = t.shape();
+    let hw = oh * ow;
+    let mut rows = Matrix::zeros(n * hw, c);
+    let images = t.as_slice().chunks_exact((hw * c).max(1));
+    for (src, dst) in images.zip(rows.as_mut_slice().chunks_exact_mut((hw * c).max(1))) {
+        for (co, plane) in src.chunks_exact(hw).enumerate() {
+            for (&v, row) in plane.iter().zip(dst.chunks_exact_mut(c)) {
+                row[co] = v;
+            }
+        }
+    }
+    rows
 }
 
 impl Conv2d {
@@ -67,7 +92,6 @@ impl Conv2d {
             c_out,
             patch_cache: None,
             in_shape: None,
-            capture_scratch: None,
         }
     }
 
@@ -103,37 +127,22 @@ impl Conv2d {
         }
         if train {
             if self.kfac.enabled {
-                if self.kfac.mode == CaptureMode::Accumulate && syrk_mode() == SyrkMode::On {
-                    // Streamed chunked im2col: accumulate aᵀa over bounded
-                    // row chunks through the reused scratch — never
-                    // materializing the (rows x a_dim) augmented matrix.
-                    // Chunks partition the rows in ascending input order,
-                    // so the sum is bitwise identical to the one-shot path.
-                    let contrib = self.streamed_a_contrib(x);
-                    self.kfac.record_forward_stat(contrib, n);
-                } else if self.bias.is_some() {
-                    let aug = patches.append_ones_column();
-                    self.kfac.record_forward(&aug, n);
-                } else {
-                    self.kfac.record_forward(&patches, n);
+                // `A` comes from the patch matrix the product above was just
+                // computed from; nothing is lowered a second time.
+                match (&self.bias, self.kfac.mode) {
+                    (None, _) => self.kfac.record_forward(&patches, n),
+                    (Some(_), CaptureMode::Accumulate) => {
+                        self.kfac.record_forward_stat(bordered_gram(&patches), n)
+                    }
+                    (Some(_), CaptureMode::StoreRaw) => {
+                        self.kfac.record_forward(&patches.append_ones_column(), n)
+                    }
                 }
             }
             self.patch_cache = Some(patches);
             self.in_shape = Some(x.shape());
         }
-        // Scatter (rows, c_out) -> NCHW.
-        let mut out = Tensor4::zeros(n, self.c_out, oh, ow);
-        for img in 0..n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = out_mat.row((img * oh + oy) * ow + ox);
-                    for (co, &v) in row.iter().enumerate() {
-                        out.set(img, co, oy, ox, v);
-                    }
-                }
-            }
-        }
-        out
+        rows_to_nchw(&out_mat, n, self.c_out, oh, ow)
     }
 
     /// Backward pass: consumes the cached patches, accumulates parameter
@@ -145,22 +154,12 @@ impl Conv2d {
             .take()
             .unwrap_or_else(|| panic!("{}: backward without forward", self.name));
         let (n, c_in, h, w) = self.in_shape.take().expect("input shape cached");
-        let (gn, gc, oh, ow) = grad_out.shape();
+        let (gn, gc, _, _) = grad_out.shape();
         assert_eq!(gn, n, "{}: batch mismatch", self.name);
         assert_eq!(gc, self.c_out, "{}: grad channel mismatch", self.name);
 
-        // Gather NCHW grads into (rows, c_out) with im2col row order.
-        let mut g_mat = Matrix::zeros(n * oh * ow, self.c_out);
-        for img in 0..n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = g_mat.row_mut((img * oh + oy) * ow + ox);
-                    for (co, v) in row.iter_mut().enumerate() {
-                        *v = grad_out.get(img, co, oy, ox);
-                    }
-                }
-            }
-        }
+        // (rows, c_out) with im2col row order.
+        let g_mat = nchw_to_rows(grad_out);
 
         if self.kfac.enabled {
             self.kfac.record_backward(&g_mat, n);
@@ -181,40 +180,6 @@ impl Conv2d {
         col2im(&dpatches, n, c_in, h, w, &self.geom)
     }
 
-    /// Unscaled `aᵀa` over the (augmented) patch matrix of `x`, computed by
-    /// streaming im2col row chunks through `capture_scratch` and
-    /// accumulating SYRK contributions. The scratch holds `chunk x a_dim`
-    /// floats (`KAISA_SYRK_CHUNK` rows) with the bias ones-column written
-    /// once per allocation — `im2col_rows` only touches the patch columns.
-    fn streamed_a_contrib(&mut self, x: &Tensor4) -> Matrix {
-        let (n, _, h, w) = x.shape();
-        let (oh, ow) = self.geom.out_shape(h, w);
-        let rows = n * oh * ow;
-        let patch_len = self.weight.cols();
-        let a_dim = patch_len + usize::from(self.bias.is_some());
-        let chunk = syrk_chunk_rows().min(rows.max(1));
-        let fits = matches!(&self.capture_scratch, Some(s) if s.shape() == (chunk, a_dim));
-        if !fits {
-            let mut s = Matrix::zeros(chunk, a_dim);
-            if a_dim > patch_len {
-                for r in 0..chunk {
-                    s.row_mut(r)[patch_len] = 1.0;
-                }
-            }
-            self.capture_scratch = Some(s);
-        }
-        let scratch = self.capture_scratch.as_mut().expect("allocated above");
-        let mut c = Matrix::zeros(a_dim, a_dim);
-        let mut r0 = 0;
-        while r0 < rows {
-            let len = chunk.min(rows - r0);
-            im2col_rows(x, &self.geom, r0, len, scratch);
-            syrk_tn(a_dim, len, &scratch.as_slice()[..len * a_dim], c.as_mut_slice());
-            r0 += len;
-        }
-        c
-    }
-
     /// Zero the parameter gradients.
     pub fn zero_grad(&mut self) {
         self.grad_weight.fill_zero();
@@ -222,6 +187,33 @@ impl Conv2d {
             db.iter_mut().for_each(|v| *v = 0.0);
         }
     }
+}
+
+/// `[P 1]ᵀ[P 1]` for the patch matrix `P` of a bias layer, without building
+/// `[P 1]`: the corner block is `PᵀP`, and multiplying by the ones column
+/// is adding — so the border is the column sums of `P` taken in ascending
+/// row order from `0.0`, and the last entry counts the rows the same way
+/// (exact up to 2²⁴, where a running `f32` count stops moving). Bit for
+/// bit `patches.append_ones_column().gram_tn()`.
+fn bordered_gram(patches: &Matrix) -> Matrix {
+    let (rows, p) = patches.shape();
+    let gram = patches.gram_tn();
+    let mut out = Matrix::zeros(p + 1, p + 1);
+    let mut sums = vec![0.0f32; p];
+    for i in 0..p {
+        out.row_mut(i)[..p].copy_from_slice(gram.row(i));
+    }
+    for r in 0..rows {
+        for (s, &v) in sums.iter_mut().zip(patches.row(r)) {
+            *s += v;
+        }
+    }
+    for (i, &s) in sums.iter().enumerate() {
+        out.set(i, p, s);
+        out.set(p, i, s);
+    }
+    out.set(p, p, rows.min(1 << 24) as f32);
+    out
 }
 
 impl KfacAble for Conv2d {
@@ -239,10 +231,6 @@ impl KfacAble for Conv2d {
 
     fn capture_mut(&mut self) -> &mut KfacCapture {
         &mut self.kfac
-    }
-
-    fn capture_scratch_bytes(&self) -> usize {
-        self.capture_scratch.as_ref().map_or(0, |m| m.numel() * std::mem::size_of::<f32>())
     }
 
     #[allow(clippy::needless_range_loop)]
@@ -284,6 +272,7 @@ impl KfacAble for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn forward_shape() {
@@ -353,57 +342,92 @@ mod tests {
     }
 
     #[test]
-    fn streamed_capture_matches_full_path_bitwise() {
-        // The streamed chunked-im2col SYRK capture must reproduce the
-        // one-shot augmented-patch-matrix path bit for bit, for every
-        // chunk size and with/without bias.
-        use kaisa_tensor::set_syrk_chunk_rows;
+    fn capture_matches_augmented_patch_matrix_bitwise() {
+        // The `A` statistic taken from the forward's own patch matrix —
+        // with the bias border built from column sums — must reproduce the
+        // Gram of the explicitly augmented patch matrix bit for bit.
         let mut rng = Rng::seed_from_u64(85);
         let x = Tensor4::randn(2, 2, 5, 4, 1.0, &mut rng);
         for has_bias in [true, false] {
-            let mut reference = Conv2d::new("ref", 2, 3, 3, 1, 1, has_bias, &mut rng);
-            reference.kfac.enabled = true;
-            // Reference: the pre-SYRK full path, computed explicitly.
-            let patches = im2col(&x, &reference.geom);
+            let mut conv = Conv2d::new("ref", 2, 3, 3, 1, 1, has_bias, &mut rng);
+            conv.kfac.enabled = true;
+            let patches = im2col(&x, &conv.geom);
             let aug = if has_bias { patches.append_ones_column() } else { patches };
             let mut expect = aug.matmul_tn(&aug);
             expect.scale(1.0 / 2.0);
-            for chunk in [1usize, 3, 16, 1 << 20] {
-                set_syrk_chunk_rows(chunk);
-                let mut conv = reference.clone();
-                let y = conv.forward(&x, true);
-                let g = Tensor4::randn(y.n(), y.c(), y.h(), y.w(), 0.1, &mut rng);
-                let _ = conv.backward(&g);
-                let stats = conv.kfac.take_stats().unwrap();
-                for (a, b) in stats.a_stat.as_slice().iter().zip(expect.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "bias={has_bias} chunk={chunk}");
-                }
+            let y = conv.forward(&x, true);
+            let g = Tensor4::randn(y.n(), y.c(), y.h(), y.w(), 0.1, &mut rng);
+            let _ = conv.backward(&g);
+            let stats = conv.kfac.take_stats().unwrap();
+            assert_eq!(stats.a_stat.shape(), expect.shape());
+            for (a, b) in stats.a_stat.as_slice().iter().zip(expect.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "bias={has_bias}");
             }
-            set_syrk_chunk_rows(0);
         }
     }
 
     #[test]
-    fn capture_scratch_is_reused_between_updates() {
-        // The streamed path must allocate its chunk buffer once and keep it
-        // across factor updates instead of re-materializing per call.
-        let mut rng = Rng::seed_from_u64(86);
-        let mut conv = Conv2d::new("scratch", 2, 3, 3, 1, 1, true, &mut rng);
-        conv.kfac.enabled = true;
-        let x = Tensor4::randn(2, 2, 4, 4, 1.0, &mut rng);
-        assert_eq!(conv.capture_scratch_bytes(), 0);
-        let _ = conv.forward(&x, true);
-        let after_first = conv.capture_scratch_bytes();
-        if kaisa_tensor::syrk_mode() == SyrkMode::On {
-            let rows = 2 * 4 * 4;
-            let chunk = syrk_chunk_rows().min(rows);
-            assert_eq!(after_first, chunk * conv.a_dim() * std::mem::size_of::<f32>());
-            let ptr_first = conv.capture_scratch.as_ref().unwrap().as_slice().as_ptr();
-            conv.patch_cache = None;
-            let _ = conv.forward(&x, true);
-            assert_eq!(conv.capture_scratch_bytes(), after_first);
-            let ptr_second = conv.capture_scratch.as_ref().unwrap().as_slice().as_ptr();
-            assert_eq!(ptr_first, ptr_second, "scratch must be reused, not reallocated");
+    fn bordered_gram_counts_rows_like_a_running_f32_sum() {
+        // A one-column patch matrix of zeros: only the count is nonzero.
+        assert_eq!(bordered_gram(&Matrix::zeros(5, 1)).as_slice(), &[0.0, 0.0, 0.0, 5.0]);
+        // Why the count is capped at 2^24: that is where adding 1.0 to an
+        // `f32`, as the ones column's Gram entry does, stops moving it.
+        let mut count = (1u32 << 24) as f32 - 1.0;
+        for _ in 0..3 {
+            count += 1.0;
+        }
+        assert_eq!(count, (1u32 << 24) as f32);
+    }
+
+    /// Oracle: the rows → NCHW scatter of `forward` as it was, one
+    /// bounds-checked 4-index `set` per element.
+    fn oracle_scatter(out_mat: &Matrix, n: usize, c: usize, oh: usize, ow: usize) -> Tensor4 {
+        let mut out = Tensor4::zeros(n, c, oh, ow);
+        for img in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = out_mat.row((img * oh + oy) * ow + ox);
+                    for (co, &v) in row.iter().enumerate() {
+                        out.set(img, co, oy, ox, v);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Oracle: the NCHW → rows gather of `backward` as it was.
+    fn oracle_gather(grad_out: &Tensor4) -> Matrix {
+        let (n, c, oh, ow) = grad_out.shape();
+        let mut g_mat = Matrix::zeros(n * oh * ow, c);
+        for img in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = g_mat.row_mut((img * oh + oy) * ow + ox);
+                    for (co, v) in row.iter_mut().enumerate() {
+                        *v = grad_out.get(img, co, oy, ox);
+                    }
+                }
+            }
+        }
+        g_mat
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn plane_scatter_gather_match_four_index_oracle_bitwise(
+            n in 1usize..5, c in 1usize..7, oh in 1usize..6, ow in 1usize..6, seed in any::<u64>(),
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let rows = Matrix::randn(n * oh * ow, c, 1.0, &mut rng);
+            let t = rows_to_nchw(&rows, n, c, oh, ow);
+            prop_assert_eq!(&t, &oracle_scatter(&rows, n, c, oh, ow));
+            let g = Tensor4::randn(n, c, oh, ow, 1.0, &mut rng);
+            prop_assert_eq!(nchw_to_rows(&g), oracle_gather(&g));
+            // And they invert each other.
+            prop_assert_eq!(nchw_to_rows(&t), rows);
         }
     }
 

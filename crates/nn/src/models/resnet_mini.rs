@@ -28,7 +28,6 @@ struct ResBlock {
     bn2: BatchNorm2d,
     shortcut: Option<(Conv2d, BatchNorm2d)>,
     relu_out: Relu2d,
-    input_cache: Option<Tensor4>,
 }
 
 impl ResBlock {
@@ -49,14 +48,10 @@ impl ResBlock {
             bn2: BatchNorm2d::new(c_out),
             shortcut,
             relu_out: Relu2d::new(),
-            input_cache: None,
         }
     }
 
     fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
-        if train {
-            self.input_cache = Some(x.clone());
-        }
         let h = self.conv1.forward(x, train);
         let h = self.bn1.forward(&h, train);
         let h = self.relu1.forward(&h, train);
@@ -89,7 +84,6 @@ impl ResBlock {
             }
             None => gx.add_assign(&g),
         }
-        self.input_cache = None;
         gx
     }
 

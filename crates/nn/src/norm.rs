@@ -31,7 +31,14 @@ pub struct BatchNorm2d {
 struct BnCache {
     x_hat: Tensor4,
     inv_std: Vec<f32>,
-    centered: Tensor4,
+}
+
+/// The contiguous `(image, channel)` planes of an NCHW buffer, in storage
+/// order: plane `p` belongs to channel `p % c`. Every per-channel reduction
+/// below visits a channel's planes image by image and each plane row by
+/// row, so its `f64` sum is taken in image → row → column order.
+fn plane_len(t: &Tensor4) -> usize {
+    (t.h() * t.w()).max(1)
 }
 
 impl BatchNorm2d {
@@ -57,36 +64,27 @@ impl BatchNorm2d {
 
     /// Forward pass. In training mode uses batch statistics and updates the
     /// running averages; in eval mode uses the running statistics.
-    #[allow(clippy::needless_range_loop)]
     pub fn forward(&mut self, x: &Tensor4, train: bool) -> Tensor4 {
         let (n, c, h, w) = x.shape();
         assert_eq!(c, self.channels(), "BatchNorm2d channel mismatch");
         let m = (n * h * w) as f32;
+        let hw = plane_len(x);
 
         let (mean, var) = if train {
             let mut mean = vec![0.0f64; c];
-            let mut var = vec![0.0f64; c];
-            for img in 0..n {
-                for ch in 0..c {
-                    for y in 0..h {
-                        for xx in 0..w {
-                            mean[ch] += x.get(img, ch, y, xx) as f64;
-                        }
-                    }
-                }
+            for (p, plane) in x.as_slice().chunks_exact(hw).enumerate() {
+                mean[p % c] = plane.iter().fold(mean[p % c], |s, &v| s + v as f64);
             }
             for v in mean.iter_mut() {
                 *v /= m as f64;
             }
-            for img in 0..n {
-                for ch in 0..c {
-                    for y in 0..h {
-                        for xx in 0..w {
-                            let d = x.get(img, ch, y, xx) as f64 - mean[ch];
-                            var[ch] += d * d;
-                        }
-                    }
-                }
+            let mut var = vec![0.0f64; c];
+            for (p, plane) in x.as_slice().chunks_exact(hw).enumerate() {
+                let mu = mean[p % c];
+                var[p % c] = plane.iter().fold(var[p % c], |s, &v| {
+                    let d = v as f64 - mu;
+                    s + d * d
+                });
             }
             for v in var.iter_mut() {
                 *v /= m as f64;
@@ -108,22 +106,19 @@ impl BatchNorm2d {
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
         let mut out = Tensor4::zeros(n, c, h, w);
         let mut x_hat = Tensor4::zeros(n, c, h, w);
-        let mut centered = Tensor4::zeros(n, c, h, w);
-        for img in 0..n {
-            for ch in 0..c {
-                for y in 0..h {
-                    for xx in 0..w {
-                        let cen = x.get(img, ch, y, xx) - mean[ch];
-                        let xh = cen * inv_std[ch];
-                        centered.set(img, ch, y, xx, cen);
-                        x_hat.set(img, ch, y, xx, xh);
-                        out.set(img, ch, y, xx, self.gamma[ch] * xh + self.beta[ch]);
-                    }
-                }
+        let planes = x.as_slice().chunks_exact(hw);
+        let planes = planes.zip(x_hat.as_mut_slice().chunks_exact_mut(hw));
+        for (p, ((xp, hp), op)) in planes.zip(out.as_mut_slice().chunks_exact_mut(hw)).enumerate() {
+            let ch = p % c;
+            let (mu, is, g, b) = (mean[ch], inv_std[ch], self.gamma[ch], self.beta[ch]);
+            for ((&xv, hv), ov) in xp.iter().zip(hp).zip(op) {
+                let xh = (xv - mu) * is;
+                *hv = xh;
+                *ov = g * xh + b;
             }
         }
         if train {
-            self.cache = Some(BnCache { x_hat, inv_std, centered });
+            self.cache = Some(BnCache { x_hat, inv_std });
         }
         out
     }
@@ -132,21 +127,21 @@ impl BatchNorm2d {
     pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
         let cache = self.cache.take().expect("BatchNorm2d backward without forward");
         let (n, c, h, w) = grad_out.shape();
+        assert_eq!(cache.x_hat.shape(), grad_out.shape(), "BatchNorm2d grad shape mismatch");
         let m = (n * h * w) as f32;
+        let hw = plane_len(grad_out);
 
         // dγ, dβ and the per-channel reductions the dx formula needs.
         let mut sum_dy = vec![0.0f64; c];
         let mut sum_dy_xhat = vec![0.0f64; c];
-        for img in 0..n {
-            for ch in 0..c {
-                for y in 0..h {
-                    for xx in 0..w {
-                        let dy = grad_out.get(img, ch, y, xx) as f64;
-                        sum_dy[ch] += dy;
-                        sum_dy_xhat[ch] += dy * cache.x_hat.get(img, ch, y, xx) as f64;
-                    }
-                }
+        let planes = grad_out.as_slice().chunks_exact(hw);
+        for (p, (dyp, hp)) in planes.zip(cache.x_hat.as_slice().chunks_exact(hw)).enumerate() {
+            let (mut s, mut sx) = (sum_dy[p % c], sum_dy_xhat[p % c]);
+            for (&dy, &xh) in dyp.iter().zip(hp) {
+                s += dy as f64;
+                sx += dy as f64 * xh as f64;
             }
+            (sum_dy[p % c], sum_dy_xhat[p % c]) = (s, sx);
         }
         for ch in 0..c {
             self.grad_gamma[ch] += sum_dy_xhat[ch] as f32;
@@ -155,21 +150,18 @@ impl BatchNorm2d {
 
         // dx = (γ/σ) [dy - mean(dy) - x̂ mean(dy·x̂)]
         let mut dx = Tensor4::zeros(n, c, h, w);
-        for img in 0..n {
-            for ch in 0..c {
-                let k = self.gamma[ch] * cache.inv_std[ch];
-                let mean_dy = sum_dy[ch] as f32 / m;
-                let mean_dy_xhat = sum_dy_xhat[ch] as f32 / m;
-                for y in 0..h {
-                    for xx in 0..w {
-                        let dy = grad_out.get(img, ch, y, xx);
-                        let xh = cache.x_hat.get(img, ch, y, xx);
-                        dx.set(img, ch, y, xx, k * (dy - mean_dy - xh * mean_dy_xhat));
-                    }
-                }
+        let planes = grad_out.as_slice().chunks_exact(hw);
+        let planes = planes.zip(cache.x_hat.as_slice().chunks_exact(hw));
+        for (p, ((dyp, hp), dxp)) in planes.zip(dx.as_mut_slice().chunks_exact_mut(hw)).enumerate()
+        {
+            let ch = p % c;
+            let k = self.gamma[ch] * cache.inv_std[ch];
+            let mean_dy = sum_dy[ch] as f32 / m;
+            let mean_dy_xhat = sum_dy_xhat[ch] as f32 / m;
+            for ((&dy, &xh), dxv) in dyp.iter().zip(hp).zip(dxp) {
+                *dxv = k * (dy - mean_dy - xh * mean_dy_xhat);
             }
         }
-        let _ = cache.centered; // retained for clarity of the derivation
         dx
     }
 
@@ -279,6 +271,156 @@ impl LayerNorm {
 mod tests {
     use super::*;
     use kaisa_tensor::Rng;
+    use proptest::prelude::*;
+
+    // ---- Oracle: BatchNorm2d as it was before the plane walk, one
+    // bounds-checked 4-index `get`/`set` per element. ----
+
+    #[allow(clippy::needless_range_loop)]
+    fn oracle_forward(bn: &mut BatchNorm2d, x: &Tensor4, train: bool) -> Tensor4 {
+        let (n, c, h, w) = x.shape();
+        let m = (n * h * w) as f32;
+        let (mean, var) = if train {
+            let mut mean = vec![0.0f64; c];
+            let mut var = vec![0.0f64; c];
+            for img in 0..n {
+                for ch in 0..c {
+                    for y in 0..h {
+                        for xx in 0..w {
+                            mean[ch] += x.get(img, ch, y, xx) as f64;
+                        }
+                    }
+                }
+            }
+            for v in mean.iter_mut() {
+                *v /= m as f64;
+            }
+            for img in 0..n {
+                for ch in 0..c {
+                    for y in 0..h {
+                        for xx in 0..w {
+                            let d = x.get(img, ch, y, xx) as f64 - mean[ch];
+                            var[ch] += d * d;
+                        }
+                    }
+                }
+            }
+            for v in var.iter_mut() {
+                *v /= m as f64;
+            }
+            for ch in 0..c {
+                bn.running_mean[ch] =
+                    (1.0 - bn.momentum) * bn.running_mean[ch] + bn.momentum * mean[ch] as f32;
+                bn.running_var[ch] =
+                    (1.0 - bn.momentum) * bn.running_var[ch] + bn.momentum * var[ch] as f32;
+            }
+            (
+                mean.iter().map(|&v| v as f32).collect::<Vec<_>>(),
+                var.iter().map(|&v| v as f32).collect::<Vec<_>>(),
+            )
+        } else {
+            (bn.running_mean.clone(), bn.running_var.clone())
+        };
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + bn.eps).sqrt()).collect();
+        let mut out = Tensor4::zeros(n, c, h, w);
+        let mut x_hat = Tensor4::zeros(n, c, h, w);
+        for img in 0..n {
+            for ch in 0..c {
+                for y in 0..h {
+                    for xx in 0..w {
+                        let cen = x.get(img, ch, y, xx) - mean[ch];
+                        let xh = cen * inv_std[ch];
+                        x_hat.set(img, ch, y, xx, xh);
+                        out.set(img, ch, y, xx, bn.gamma[ch] * xh + bn.beta[ch]);
+                    }
+                }
+            }
+        }
+        if train {
+            bn.cache = Some(BnCache { x_hat, inv_std });
+        }
+        out
+    }
+
+    fn oracle_backward(bn: &mut BatchNorm2d, grad_out: &Tensor4) -> Tensor4 {
+        let cache = bn.cache.take().expect("BatchNorm2d backward without forward");
+        let (n, c, h, w) = grad_out.shape();
+        let m = (n * h * w) as f32;
+        let mut sum_dy = vec![0.0f64; c];
+        let mut sum_dy_xhat = vec![0.0f64; c];
+        for img in 0..n {
+            for ch in 0..c {
+                for y in 0..h {
+                    for xx in 0..w {
+                        let dy = grad_out.get(img, ch, y, xx) as f64;
+                        sum_dy[ch] += dy;
+                        sum_dy_xhat[ch] += dy * cache.x_hat.get(img, ch, y, xx) as f64;
+                    }
+                }
+            }
+        }
+        for ch in 0..c {
+            bn.grad_gamma[ch] += sum_dy_xhat[ch] as f32;
+            bn.grad_beta[ch] += sum_dy[ch] as f32;
+        }
+        let mut dx = Tensor4::zeros(n, c, h, w);
+        for img in 0..n {
+            for ch in 0..c {
+                let k = bn.gamma[ch] * cache.inv_std[ch];
+                let mean_dy = sum_dy[ch] as f32 / m;
+                let mean_dy_xhat = sum_dy_xhat[ch] as f32 / m;
+                for y in 0..h {
+                    for xx in 0..w {
+                        let dy = grad_out.get(img, ch, y, xx);
+                        let xh = cache.x_hat.get(img, ch, y, xx);
+                        dx.set(img, ch, y, xx, k * (dy - mean_dy - xh * mean_dy_xhat));
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Two training steps and one eval pass over random `(n, c, h, w)` —
+        /// `h·w = 1` and `n = 1` included — leave outputs, input gradients,
+        /// parameter gradients, running statistics and the cached `x̂` bit
+        /// for bit what the 4-index loops produce.
+        #[test]
+        fn plane_walk_matches_four_index_oracle_bitwise(
+            n in 1usize..5, c in 1usize..6, h in 1usize..7, w in 1usize..7, seed in any::<u64>(),
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut bn = BatchNorm2d::new(c);
+            bn.gamma = (0..c).map(|_| 1.0 + 0.3 * rng.normal()).collect();
+            bn.beta = (0..c).map(|_| 0.2 * rng.normal()).collect();
+            let mut oracle = bn.clone();
+            for _ in 0..2 {
+                let x = Tensor4::randn(n, c, h, w, 2.0, &mut rng);
+                let dy = Tensor4::randn(n, c, h, w, 0.5, &mut rng);
+                let (y, y_o) = (bn.forward(&x, true), oracle_forward(&mut oracle, &x, true));
+                prop_assert_eq!(bits(y.as_slice()), bits(y_o.as_slice()));
+                let (cache, cache_o) = (bn.cache.as_ref().unwrap(), oracle.cache.as_ref().unwrap());
+                prop_assert_eq!(bits(cache.x_hat.as_slice()), bits(cache_o.x_hat.as_slice()));
+                prop_assert_eq!(bits(&cache.inv_std), bits(&cache_o.inv_std));
+                let (dx, dx_o) = (bn.backward(&dy), oracle_backward(&mut oracle, &dy));
+                prop_assert_eq!(bits(dx.as_slice()), bits(dx_o.as_slice()));
+                prop_assert_eq!(bits(&bn.grad_gamma), bits(&oracle.grad_gamma));
+                prop_assert_eq!(bits(&bn.grad_beta), bits(&oracle.grad_beta));
+                prop_assert_eq!(bits(&bn.running_mean), bits(&oracle.running_mean));
+                prop_assert_eq!(bits(&bn.running_var), bits(&oracle.running_var));
+            }
+            let x = Tensor4::randn(n, c, h, w, 2.0, &mut rng);
+            let (y, y_o) = (bn.forward(&x, false), oracle_forward(&mut oracle, &x, false));
+            prop_assert_eq!(bits(y.as_slice()), bits(y_o.as_slice()));
+        }
+    }
 
     #[test]
     fn batchnorm_normalizes_batch() {

@@ -55,9 +55,7 @@ pub use im2col::{col2im, im2col, im2col_rows, Conv2dGeom};
 pub use matrix::Matrix;
 pub use precision::Precision;
 pub use rng::Rng;
-pub use syrk::{
-    set_syrk_chunk_rows, set_syrk_mode, syrk_chunk_rows, syrk_mode, syrk_tn, syrk_tn_with, SyrkMode,
-};
+pub use syrk::{set_syrk_mode, syrk_mode, syrk_tn, syrk_tn_with, SyrkMode};
 pub use team::inline_bands;
 pub use tensor4::Tensor4;
 

@@ -1,6 +1,6 @@
-//! `std::arch` AVX2 kernels: the 6×16 GEMM microkernel and the 8-lane
-//! binary16 quantizer. Every `unsafe` block in the workspace lives in this
-//! module.
+//! `std::arch` AVX2 kernels: the 6×16 GEMM microkernel, the 8-lane
+//! binary16 quantizer and the AVX2 compilation of `ops::tanh_f32`. Every
+//! `unsafe` block in the workspace lives in this module.
 //!
 //! Two contracts govern everything here:
 //!
@@ -106,6 +106,54 @@ pub(crate) fn microkernel_6x16_avx2(k: usize, ap: &[f32], bp: &[f32], acc: &mut 
         _mm256_storeu_ps(pc.add(5 * NR), c50);
         _mm256_storeu_ps(pc.add(5 * NR + 8), c51);
     }
+}
+
+/// [`crate::ops::tanh_f32`] over a slice with AVX2, in place. Returns
+/// `false` (leaving `x` untouched) when AVX2 is unavailable.
+///
+/// There is no second implementation to keep in step: the loop inlines the
+/// scalar body, which has no branch, no call and no FMA, so compiling it
+/// with AVX2 enabled turns each IEEE operation into its lanewise twin and
+/// every lane holds exactly the scalar result.
+pub(crate) fn tanh_slice_avx2(x: &mut [f32]) -> bool {
+    #[target_feature(enable = "avx2")]
+    fn body(x: &mut [f32]) {
+        for v in x.iter_mut() {
+            *v = crate::ops::tanh_f32(*v);
+        }
+    }
+    if !avx2_available() {
+        return false;
+    }
+    // SAFETY: AVX2 support was verified by `avx2_available` above.
+    unsafe { body(x) };
+    true
+}
+
+/// [`crate::ops::mac_strided`] with AVX2: the same loop nest, compiled with
+/// 8-lane multiplies and adds. Returns `false` (leaving `c` untouched) when
+/// AVX2 is unavailable.
+pub(crate) fn mac_strided_avx2(
+    shape: (usize, usize, usize),
+    a: (&[f32], usize, usize),
+    b: (&[f32], usize),
+    c: (&mut [f32], usize),
+) -> bool {
+    #[target_feature(enable = "avx2")]
+    fn body(
+        shape: (usize, usize, usize),
+        a: (&[f32], usize, usize),
+        b: (&[f32], usize),
+        c: (&mut [f32], usize),
+    ) {
+        crate::ops::mac_strided_body(shape, a, b, c);
+    }
+    if !avx2_available() {
+        return false;
+    }
+    // SAFETY: AVX2 support was verified by `avx2_available` above.
+    unsafe { body(shape, a, b, c) };
+    true
 }
 
 /// Quantize a slice through binary16 storage with AVX2, 8 lanes at a time.

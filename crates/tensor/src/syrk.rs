@@ -25,13 +25,11 @@
 //! thread claims them from a queue and, exactly as for the GEMM row bands,
 //! idle [`team`](crate::team) helpers claim from the same queue.
 //!
-//! The streamed conv-capture path accumulates SYRK contributions
-//! chunk-by-chunk over row blocks of the patch matrix; because the chunks
-//! partition `kk` in ascending input order and the kernels accumulate into
-//! the live `C`, chunked accumulation is bitwise identical to one shot.
-//! [`syrk_chunk_rows`] (env `KAISA_SYRK_CHUNK`) bounds those chunks.
+//! Because the kernels accumulate into the live `C` in ascending `kk`
+//! order, accumulating row blocks of `A` one call at a time is bitwise
+//! identical to one shot.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::gemm::{
@@ -109,40 +107,6 @@ pub fn syrk_mode() -> SyrkMode {
         2 => SyrkMode::Off,
         _ => env_mode(),
     }
-}
-
-/// Default rows per streamed im2col chunk (`KAISA_SYRK_CHUNK` unset).
-const DEFAULT_CHUNK_ROWS: usize = 256;
-
-/// Process-wide programmatic chunk override; 0 = unset.
-static CHUNK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-fn env_chunk_rows() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("KAISA_SYRK_CHUNK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CHUNK_ROWS)
-    })
-}
-
-/// Rows per streamed im2col chunk for conv factor capture: the last nonzero
-/// [`set_syrk_chunk_rows`] value, else `KAISA_SYRK_CHUNK`, else 256. The
-/// chunk size bounds the per-layer capture scratch (`chunk × a_dim` floats)
-/// and never changes results — chunked SYRK accumulation in input order is
-/// bitwise identical to one shot.
-pub fn syrk_chunk_rows() -> usize {
-    match CHUNK_OVERRIDE.load(Ordering::Relaxed) {
-        0 => env_chunk_rows(),
-        n => n,
-    }
-}
-
-/// Override the streamed-capture chunk size (0 resets to the env/default).
-pub fn set_syrk_chunk_rows(rows: usize) {
-    CHUNK_OVERRIDE.store(rows, Ordering::Relaxed);
 }
 
 /// `C[m x m] += AᵀA` where `A` is stored `[k x m]` row-major — the
@@ -518,10 +482,5 @@ mod tests {
         assert!("triangular".parse::<SyrkMode>().is_err());
         assert_eq!(SyrkMode::On.to_string(), "on");
         assert_eq!(SyrkMode::Off.to_string(), "off");
-    }
-
-    #[test]
-    fn chunk_rows_default_is_positive() {
-        assert!(syrk_chunk_rows() >= 1);
     }
 }

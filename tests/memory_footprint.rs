@@ -130,26 +130,14 @@ fn non_worker_ranks_hold_zero_factor_bytes() {
 
 #[test]
 fn capture_scratch_is_metered_and_bounded() {
-    // The streamed-im2col SYRK capture path holds one persistent
-    // `chunk x a_dim` buffer per conv layer; the meter must see it, and it
-    // must stay within the configured chunk bound (the whole point of
-    // streaming is that it does NOT scale with the batch's patch rows).
-    if kaisa::tensor::syrk_mode() == kaisa::tensor::SyrkMode::Off {
-        // The KAISA_SYRK=off oracle lane never allocates capture scratch.
-        return;
-    }
+    // The bound is zero: a conv layer takes its `A` statistic from the patch
+    // matrix its forward pass has just multiplied by, so no layer holds a
+    // capture-side buffer between steps and a factor step meters none — on
+    // a model with conv layers, on every rank, in either SYRK mode.
     let dense = run(0.25, false);
-    let chunk = kaisa::tensor::syrk_chunk_rows();
-    let (_, _, dims) = &dense[0];
-    // Upper bound: every K-FAC layer were a conv with a full chunk buffer
-    // (linear layers contribute zero, so this over-counts — that's fine).
-    let bound: usize = dims.iter().map(|&(a, _)| chunk * a * 4).sum();
     for (rank, r) in dense.iter().enumerate() {
-        let cur = r.0.current(MemoryCategory::CaptureScratch);
-        assert!(cur > 0, "rank {rank}: conv capture scratch not metered");
-        assert!(cur <= bound, "rank {rank}: scratch {cur} B exceeds chunk bound {bound} B");
-        // The scratch is allocated once and reused, never grows with steps.
-        assert_eq!(r.0.peak(MemoryCategory::CaptureScratch), cur, "rank {rank}");
+        assert_eq!(r.0.peak(MemoryCategory::CaptureScratch), 0, "rank {rank}");
+        assert!(r.0.peak(MemoryCategory::Factors) > 0, "rank {rank}: the run took factor steps");
     }
 }
 
