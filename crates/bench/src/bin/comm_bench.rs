@@ -1,6 +1,6 @@
 //! Bustle-style communicator throughput harness: ops/sec and latency
 //! percentiles per collective, ring backend vs mutex backend, written as
-//! `BENCH_comm.json` next to `BENCH_runtime.json`.
+//! `BENCH_comm.json`.
 //!
 //! The map-bench Collection/Handle protocol, transliterated: a `ThreadComm`
 //! world is the *Collection* (one shared engine), each rank thread owns a

@@ -12,9 +12,8 @@ use kaisa_comm::{
     ClusterNetwork, CollectiveCostModel, CommTag, Communicator, MeterSnapshot, ThreadComm,
 };
 use kaisa_core::{
-    auto_strategy, modeled_cross_iter_makespans, modeled_depth_makespans,
-    modeled_strategy_makespans, plan_assignments, priority_sweep_order, AssignmentStrategy,
-    ComputeRates, FactorReduction, Kfac, KfacConfig, StepModel, StepModelOptions, KFAC_STAGES,
+    auto_strategy, modeled_strategy_makespans, plan_assignments, AssignmentStrategy, ComputeRates,
+    FactorReduction, Kfac, KfacConfig, StepModel, StepModelOptions, KFAC_STAGES,
 };
 use kaisa_data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa_nn::models::Mlp;
@@ -61,18 +60,7 @@ struct LiveRun {
     meter: MeterSnapshot,
 }
 
-fn run_live(world: usize, frac: f64, pipelined: bool, sharded: bool, runtime: bool) -> LiveRun {
-    run_live_depth(world, frac, pipelined, sharded, runtime, 1)
-}
-
-fn run_live_depth(
-    world: usize,
-    frac: f64,
-    pipelined: bool,
-    sharded: bool,
-    runtime: bool,
-    depth: usize,
-) -> LiveRun {
+fn run_live(world: usize, frac: f64, pipelined: bool, sharded: bool) -> LiveRun {
     let dataset = GaussianBlobs::generate(512, 32, 4, 0.4, 130);
     let mut results = ThreadComm::run(world, |comm| {
         let mut model = Mlp::new(&[32, 64, 48, 4], &mut Rng::seed_from_u64(31));
@@ -82,8 +70,6 @@ fn run_live_depth(
             .inv_update_freq(10)
             .pipelined(pipelined)
             .sharded_factors(sharded)
-            .async_runtime(runtime)
-            .cross_iter_depth(depth)
             .build();
         let mut kfac = Kfac::new(cfg, &mut model, comm);
         let sampler = ShardSampler::new(dataset.len(), world, comm.rank(), 8, 3);
@@ -97,7 +83,6 @@ fn run_live_depth(
                 kfac.step(&mut model, comm, 0.05);
             }
         }
-        kfac.flush(comm);
         comm.barrier();
         let times = kfac.stage_times();
         LiveRun {
@@ -117,23 +102,18 @@ fn live() {
     let fracs = [1.0 / 8.0, 0.5, 1.0];
     let mut stage_table: Vec<Vec<String>> =
         KFAC_STAGES.iter().map(|s| vec![s.to_string()]).collect();
-    let mut totals: Vec<Vec<String>> = vec![
-        vec!["serial".to_string()],
-        vec!["pipelined".to_string()],
-        vec!["runtime".to_string()],
-    ];
+    let mut totals: Vec<Vec<String>> =
+        vec![vec!["serial".to_string()], vec!["pipelined".to_string()]];
     let mut sample: Option<LiveRun> = None;
     for &frac in &fracs {
-        let serial = run_live(world, frac, false, false, false);
-        let pipelined = run_live(world, frac, true, false, false);
-        let runtime = run_live(world, frac, false, false, true);
+        let serial = run_live(world, frac, false, false);
+        let pipelined = run_live(world, frac, true, false);
         for (row, avg) in stage_table.iter_mut().zip(pipelined.averages) {
             row.push(format!("{:.3}", avg * 1e3));
         }
         totals[0].push(format!("{:.3}", serial.kfac_seconds / serial.steps.max(1) as f64 * 1e3));
         totals[1]
             .push(format!("{:.3}", pipelined.kfac_seconds / pipelined.steps.max(1) as f64 * 1e3));
-        totals[2].push(format!("{:.3}", runtime.kfac_seconds / runtime.steps.max(1) as f64 * 1e3));
         if (frac - 0.5).abs() < 1e-12 {
             sample = Some(pipelined);
         }
@@ -186,7 +166,7 @@ fn resnet_mini_dims() -> Vec<(usize, usize)> {
 }
 
 fn cost_model() {
-    println!("== α–β cost model: serial vs pipelined vs runtime step makespan (world 8) ==\n");
+    println!("== α–β cost model: serial vs pipelined step makespan (world 8) ==\n");
     let dims = resnet_mini_dims();
     let world = 8;
     let mut rows = Vec::new();
@@ -203,17 +183,13 @@ fn cost_model() {
                 name.to_string(),
                 format!("{:.3}", m.serial_seconds() * 1e3),
                 format!("{:.3}", m.pipelined_seconds() * 1e3),
-                format!("{:.3}", m.runtime_seconds() * 1e3),
                 format!("{:.2}x", m.overlap_speedup()),
             ]);
         }
     }
     println!(
         "{}",
-        render_table(
-            &["frac", "network", "serial ms", "pipelined ms", "runtime ms", "speedup"],
-            &rows
-        )
+        render_table(&["frac", "network", "serial ms", "pipelined ms", "speedup"], &rows)
     );
 
     println!("== Strategy dispatch: modeled amortized ms/iter (batch 32, F=10, K=100) ==\n");
@@ -241,63 +217,6 @@ fn cost_model() {
         )
     );
     println!("(LOCAL-OPT is DP-KFAC's zero-factor-traffic point — shown for the tradeoff, never auto-picked because it changes the update)\n");
-
-    println!("== Cross-iteration window: two-iteration makespan, pipelined vs runtime ==\n");
-    let mut rows = Vec::new();
-    for world in [4usize, 8] {
-        for (name, net) in [
-            ("10GbE", ClusterNetwork::ethernet_10g()),
-            ("IB-EDR", ClusterNetwork::infiniband_edr()),
-        ] {
-            let (pipelined, runtime) = modeled_cross_iter_makespans(&dims, world, net, 32);
-            rows.push(vec![
-                format!("{world}"),
-                name.to_string(),
-                format!("{:.3}", pipelined * 1e3),
-                format!("{:.3}", runtime * 1e3),
-                format!("{:.1}%", 100.0 * (1.0 - runtime / pipelined)),
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        render_table(&["world", "network", "pipelined ms", "runtime ms", "saved"], &rows)
-    );
-    println!("(the runtime window hoists iteration-0 factor comm past the scale barrier into iteration-1's forward/backward)\n");
-}
-
-/// Depth sweep: modeled amortized per-iteration seconds of the depth-D
-/// window next to the live runtime executor's measured per-step K-FAC
-/// seconds at the same depth.
-fn depth_sweep() {
-    println!("== Depth-D cross-iteration window: modeled vs live runtime (world 8, F=5) ==\n");
-    let dims = resnet_mini_dims();
-    let world = 8;
-    let depths = [1usize, 2, 4];
-    let modeled = modeled_depth_makespans(
-        &dims,
-        world,
-        ClusterNetwork::ethernet_10g(),
-        32,
-        5,
-        *depths.iter().max().unwrap(),
-    );
-    let mut rows = Vec::new();
-    for &depth in &depths {
-        let amortized =
-            modeled.iter().find(|(d, _)| *d == depth).map(|(_, s)| *s).unwrap_or(f64::NAN);
-        let live = run_live_depth(world, 0.5, false, true, true, depth);
-        rows.push(vec![
-            format!("{depth}"),
-            format!("{:.3}", amortized * 1e3),
-            format!("{:.3}", live.kfac_seconds / live.steps.max(1) as f64 * 1e3),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(&["depth", "modeled amortized ms/iter", "live KFAC ms/step"], &rows)
-    );
-    println!("(modeled on 10GbE at per-rank batch 32; live timers share host cores, so the modeled column isolates the schedule effect)\n");
 }
 
 fn sharded() {
@@ -306,8 +225,8 @@ fn sharded() {
     // meter is shared across thread ranks).
     let mut rows = Vec::new();
     for world in [4usize, 8] {
-        let dense = run_live(world, 0.5, true, false, false);
-        let shard = run_live(world, 0.5, true, true, false);
+        let dense = run_live(world, 0.5, true, false);
+        let shard = run_live(world, 0.5, true, true);
         let dense_bytes = dense.meter.tag_bytes(CommTag::FactorComm);
         let shard_bytes = shard.meter.tag_bytes(CommTag::FactorReduce)
             + shard.meter.tag_bytes(CommTag::FactorGather);
@@ -324,8 +243,7 @@ fn sharded() {
         render_table(&["world", "dense factor B/step", "sharded factor B/step", "saved"], &rows)
     );
 
-    // Modeled pipelined makespans on the ResNetMini dims, with and without
-    // the priority-searched sweep order.
+    // Modeled pipelined makespans on the ResNetMini dims.
     let dims = resnet_mini_dims();
     let rates = ComputeRates::default();
     let mut rows = Vec::new();
@@ -339,29 +257,18 @@ fn sharded() {
             let dense_opts = StepModelOptions::dense(4, false);
             let shard_opts =
                 StepModelOptions { reduction: FactorReduction::ShardedReduceScatter, ..dense_opts };
-            let ms = |opts: StepModelOptions<'_>| {
+            let ms = |opts: StepModelOptions| {
                 StepModel::with_options(&dims, &plan, &cost, &rates, opts).pipelined_seconds() * 1e3
             };
-            let dense_order = priority_sweep_order(&dims, &plan, &cost, &rates, dense_opts);
-            let shard_order = priority_sweep_order(&dims, &plan, &cost, &rates, shard_opts);
             rows.push(vec![
                 format!("{world}"),
                 name.to_string(),
                 format!("{:.3}", ms(dense_opts)),
-                format!("{:.3}", ms(StepModelOptions { order: Some(&dense_order), ..dense_opts })),
                 format!("{:.3}", ms(shard_opts)),
-                format!("{:.3}", ms(StepModelOptions { order: Some(&shard_order), ..shard_opts })),
             ]);
         }
     }
-    println!(
-        "{}",
-        render_table(
-            &["world", "network", "dense ms", "dense+prio ms", "sharded ms", "sharded+prio ms"],
-            &rows
-        )
-    );
-    println!("(the priority columns use the makespan-searched sweep order; the search starts from the fixed order, so they never regress)\n");
+    println!("{}", render_table(&["world", "network", "dense ms", "sharded ms"], &rows));
 }
 
 fn main() {
@@ -369,6 +276,5 @@ fn main() {
     simulated();
     live();
     cost_model();
-    depth_sweep();
     sharded();
 }

@@ -227,18 +227,6 @@ impl PendingCollective {
         self.ticket.take()
     }
 
-    pub(crate) fn ticket(&self) -> Option<&PendingTicket> {
-        self.ticket.as_ref()
-    }
-
-    /// Whether the result is already available at the handle (begin-time
-    /// payload or no-op completion). Backends without a ticket concept are
-    /// always ready; ticketed backends are queried via
-    /// [`Communicator::poll_ready`].
-    pub fn is_eager(&self) -> bool {
-        self.ticket.is_none()
-    }
-
     /// The pipeline stage this collective was issued by.
     pub fn tag(&self) -> CommTag {
         self.tag
@@ -377,20 +365,6 @@ pub trait Communicator: Send + Sync {
             "default begin_allgather supports only singleton groups; backend must override"
         );
         PendingCollective::ready(buf.to_vec(), tag)
-    }
-
-    /// Non-blocking readiness probe: `true` iff a subsequent
-    /// [`Communicator::complete`] of `pending` would return without waiting
-    /// on other ranks. Eager handles (begin-time payload or no-op) are always
-    /// ready. The cooperative task runtime uses this to *park* a task whose
-    /// collective is still in flight and yield the rank to other runnable
-    /// tasks instead of blocking inside `complete`.
-    ///
-    /// The default says ready, which is correct for backends whose `begin_*`
-    /// methods block (the result exists by the time a handle is returned).
-    fn poll_ready(&self, pending: &PendingCollective) -> bool {
-        let _ = pending;
-        true
     }
 
     /// Block until `pending` finishes and write its result into `buf`

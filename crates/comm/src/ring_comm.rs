@@ -353,16 +353,6 @@ impl RingHandle {
         members.iter().all(|&m| m == self.rank || self.stash.contains_key(&(gid, seq, m)))
     }
 
-    /// Non-blocking readiness probe for an in-flight collective.
-    pub(crate) fn poll(&mut self, gid: GroupId, seq: u64) -> bool {
-        self.drain();
-        match self.roles.get(&(gid, seq)) {
-            Some(Role::Leader { members, .. }) => self.members_arrived(gid, seq, members),
-            Some(Role::Member { src }) => self.stash.contains_key(&(gid, seq, *src)),
-            None => panic!("poll_ready on a collective this rank never began"),
-        }
-    }
-
     /// Push one collective contribution to `dst` (a member's begin-side
     /// send to its group leader).
     pub(crate) fn send_contribution(

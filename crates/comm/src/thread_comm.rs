@@ -3,8 +3,8 @@
 //!
 //! Both engines implement the same collective semantics — deterministic
 //! rank-ordered reductions, MPI matching order per group, the non-blocking
-//! `begin_*`/`poll_ready`/`complete` split — and meter identical traffic,
-//! so they are bitwise interchangeable. See [`crate::ThreadCommBackend`]
+//! `begin_*`/`complete` split — and meter identical traffic, so they are
+//! bitwise interchangeable. See [`crate::ThreadCommBackend`]
 //! for how to pick one and `crates/comm/src/ring_comm.rs` for the ring
 //! protocol.
 
@@ -434,24 +434,6 @@ impl Communicator for ThreadComm {
             }
             slots = self.core.cond.wait(slots).unwrap();
         }
-    }
-
-    fn poll_ready(&self, pending: &PendingCollective) -> bool {
-        if pending.is_eager() {
-            return true;
-        }
-        let ticket = pending.ticket().expect("non-eager handle carries a ticket");
-        let (gid, seq) = ticket.key;
-        if self.core.ring.is_some() {
-            let mut st = self.state.lock().unwrap();
-            return st.ring.as_mut().expect("ring backend carries a ring handle").poll(gid, seq);
-        }
-        // Slot absent ⇒ not ready: a slot cannot be retired before *this*
-        // rank contributes its `done` in `complete`, so absence here means
-        // no participant has begun the collective yet (a broadcast receiver
-        // polling before the root posts).
-        let slots = self.core.slots.lock().unwrap();
-        slots.get(&ticket.key).is_some_and(|slot| slot.ready)
     }
 
     fn allgather(&self, send: &[f32]) -> Vec<f32> {
@@ -1075,95 +1057,6 @@ mod pending_tests {
                 (pair_out[0], world_out[0])
             });
             assert_eq!(results, vec![(3.0, 10.0), (3.0, 10.0), (7.0, 10.0), (7.0, 10.0)]);
-        }
-    }
-
-    #[test]
-    fn poll_ready_reflects_rendezvous_state() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for opts in backends() {
-            let begun = AtomicUsize::new(0);
-            ThreadComm::run_with(2, opts, |comm| {
-                let buf = vec![comm.rank() as f32; 4];
-                if comm.rank() == 0 {
-                    let pending =
-                        comm.begin_allreduce(&buf, ReduceOp::Sum, &[0, 1], CommTag::FactorComm);
-                    // Only rank 0 has begun: the collective cannot be ready.
-                    assert!(!comm.poll_ready(&pending));
-                    begun.store(1, Ordering::SeqCst);
-                    // Wait (outside the rendezvous) for rank 1 to contribute,
-                    // then the poll must flip to ready without completing.
-                    while begun.load(Ordering::SeqCst) != 2 {
-                        std::thread::yield_now();
-                    }
-                    assert!(comm.poll_ready(&pending));
-                    let mut out = vec![0.0f32; 4];
-                    comm.complete(pending, &mut out);
-                    assert_eq!(out, vec![1.0; 4]);
-                } else {
-                    while begun.load(Ordering::SeqCst) != 1 {
-                        std::thread::yield_now();
-                    }
-                    let pending =
-                        comm.begin_allreduce(&buf, ReduceOp::Sum, &[0, 1], CommTag::FactorComm);
-                    // Both contributions are in: ready on the late arriver
-                    // too. (Rank 1 is a ring-engine member, so its readiness
-                    // comes from the leader's result push — wait for it.)
-                    while !comm.poll_ready(&pending) {
-                        begun.store(2, Ordering::SeqCst);
-                        std::thread::yield_now();
-                    }
-                    begun.store(2, Ordering::SeqCst);
-                    let mut out = vec![0.0f32; 4];
-                    comm.complete(pending, &mut out);
-                    assert_eq!(out, vec![1.0; 4]);
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn poll_ready_eager_handles_are_always_ready() {
-        for opts in backends() {
-            ThreadComm::run_with(1, opts, |comm| {
-                let pending = comm.begin_allreduce(&[1.0], ReduceOp::Sum, &[0], CommTag::Untagged);
-                assert!(comm.poll_ready(&pending));
-                let mut out = vec![0.0f32];
-                comm.complete(pending, &mut out);
-                let noop = PendingCollective::noop(CommTag::Untagged);
-                assert!(comm.poll_ready(&noop));
-                comm.complete(noop, &mut []);
-            });
-        }
-    }
-
-    #[test]
-    fn poll_ready_broadcast_receiver_waits_for_root() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for opts in backends() {
-            let stage = AtomicUsize::new(0);
-            ThreadComm::run_with(2, opts, |comm| {
-                if comm.rank() == 1 {
-                    // Receiver begins first: payload not yet posted by root.
-                    let pending = comm.begin_broadcast(&[0.0, 0.0], 0, &[0, 1], CommTag::EigComm);
-                    assert!(!comm.poll_ready(&pending));
-                    stage.store(1, Ordering::SeqCst);
-                    while stage.load(Ordering::SeqCst) != 2 {
-                        std::thread::yield_now();
-                    }
-                    assert!(comm.poll_ready(&pending));
-                    let mut out = vec![0.0f32; 2];
-                    comm.complete(pending, &mut out);
-                    assert_eq!(out, vec![5.0, 6.0]);
-                } else {
-                    while stage.load(Ordering::SeqCst) != 1 {
-                        std::thread::yield_now();
-                    }
-                    let pending = comm.begin_broadcast(&[5.0, 6.0], 0, &[0, 1], CommTag::EigComm);
-                    stage.store(2, Ordering::SeqCst);
-                    comm.complete(pending, &mut [5.0, 6.0]);
-                }
-            });
         }
     }
 

@@ -1,26 +1,8 @@
 //! K-FAC preconditioner configuration.
 
-use kaisa_comm::ClusterNetwork;
 use kaisa_tensor::{GemmKernel, Precision, SyrkMode};
 
 use crate::{AssignmentStrategy, DistStrategy};
-
-/// Depth of the task runtime's cross-iteration scheduling window: how many
-/// step DAGs may be in flight at once (the current step plus retired
-/// residues whose deferred factor completes are still draining).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossIterDepth {
-    /// A fixed window depth; `Fixed(1)` is the classic two-half lookahead
-    /// with no cross-step residue.
-    Fixed(usize),
-    /// Pick the modeled-best depth per (plan, network, update frequency) at
-    /// `Kfac::new` time. The choice is a pure function of the layer
-    /// dimensions, world size, configured network, and `factor_update_freq`
-    /// (evaluated at the reference per-rank batch of 32), so every rank
-    /// derives the same depth — a per-rank measurement would break
-    /// collective matching.
-    Auto,
-}
 
 /// Configuration of the [`crate::Kfac`] preconditioner.
 ///
@@ -91,45 +73,6 @@ pub struct KfacConfig {
     /// identical to the dense path (property-tested); the dense path remains
     /// the reference implementation.
     pub sharded_factors: bool,
-    /// Iterate pipelined executor sweeps in the issue order found by the
-    /// `StepModel` makespan search (shortest critical chains first, refined
-    /// by pairwise-swap descent; never modeled worse than fixed order)
-    /// instead of fixed layer order. Changes only the *issue order* of
-    /// tasks and collectives — every collective keeps its group and
-    /// payload, so numerics are bitwise unchanged. No effect on the serial
-    /// executor.
-    pub priority_schedule: bool,
-    /// Execute `step()` on the per-rank cooperative task runtime
-    /// (`crate::runtime`): stage work becomes polled task units on a
-    /// ready-queue scheduler, and a task whose collective is still in flight
-    /// *parks* — yielding the rank to any runnable task instead of blocking
-    /// inside `complete`. Collective begin order is pinned per group by
-    /// plan-time gates, so the runtime is bitwise identical to the serial
-    /// and sweep-pipelined executors (property-tested). Takes precedence
-    /// over `pipelined` when both are set.
-    pub async_runtime: bool,
-    /// α–β parameters of the network the job actually runs on, used to score
-    /// the `priority_schedule` makespan search and the runtime scheduler's
-    /// dispatch priorities. `None` falls back to the 10 GbE reference model.
-    /// Part of the config (identical on every rank) so all ranks derive the
-    /// same issue order — a per-rank measurement would break collective
-    /// matching.
-    pub network: Option<ClusterNetwork>,
-    /// Depth of the task runtime's cross-iteration scheduling window
-    /// (requires `async_runtime` when not `Fixed(1)`). At depth D the
-    /// runtime holds up to D in-flight step DAGs: factor-fold completes of
-    /// an update step may retire into the window and drain under up to D-1
-    /// later iterations' compute, instead of blocking `step_finish`. The
-    /// window force-drains before every factor-update step (EMA fold
-    /// ordering) — so with `factor_update_freq == 1` every step drains
-    /// in-step and depth is effectively 1. Depths are bitwise identical to
-    /// the serial executor (property-tested).
-    pub cross_iter_depth: CrossIterDepth,
-    /// Milliseconds a runtime rank may sit with no runnable task and no
-    /// collective progress before the stall watchdog dumps a per-rank
-    /// task-state diagnostic and panics (instead of hanging the process on
-    /// a mismatched collective).
-    pub runtime_stall_timeout_ms: u64,
     /// Process-wide GEMM kernel selection applied at [`crate::Kfac::new`]
     /// ([`kaisa_tensor::set_gemm_kernel`]). `None` (default) leaves the
     /// `KAISA_GEMM_KERNEL` environment selection (or `auto`) in place.
@@ -167,11 +110,6 @@ impl Default for KfacConfig {
             ekfac: false,
             pipelined: true,
             sharded_factors: false,
-            priority_schedule: false,
-            async_runtime: false,
-            network: None,
-            cross_iter_depth: CrossIterDepth::Fixed(1),
-            runtime_stall_timeout_ms: 5000,
             gemm_kernel: None,
             syrk: None,
         }
@@ -197,15 +135,6 @@ impl KfacConfig {
              eigendecompositions never run on stale-by-construction factors",
             self.inv_update_freq,
             self.factor_update_freq
-        );
-        assert!(self.runtime_stall_timeout_ms > 0, "runtime_stall_timeout_ms must be positive");
-        if let CrossIterDepth::Fixed(d) = self.cross_iter_depth {
-            assert!(d >= 1, "cross_iter_depth must be at least 1");
-        }
-        assert!(
-            self.cross_iter_depth == CrossIterDepth::Fixed(1) || self.async_runtime,
-            "cross_iter_depth beyond 1 requires async_runtime(true): only the task \
-             runtime can hold a retired step DAG in flight"
         );
         assert!(
             self.strategy != Some(DistStrategy::LocalOpt) || !self.sharded_factors,
@@ -316,49 +245,6 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Toggle critical-path priority ordering of the pipelined executor's
-    /// sweeps vs. fixed layer order.
-    pub fn priority_schedule(mut self, on: bool) -> Self {
-        self.cfg.priority_schedule = on;
-        self
-    }
-
-    /// Toggle the cooperative task runtime executor (parked collectives
-    /// yield the rank to runnable tasks) vs. sweep pipelining / serial.
-    pub fn async_runtime(mut self, on: bool) -> Self {
-        self.cfg.async_runtime = on;
-        self
-    }
-
-    /// Supply the α–β network parameters of the actual backend for the
-    /// priority search and runtime scheduler (must be identical on every
-    /// rank; defaults to the 10 GbE reference when unset).
-    pub fn network(mut self, network: ClusterNetwork) -> Self {
-        self.cfg.network = Some(network);
-        self
-    }
-
-    /// Set a fixed depth for the task runtime's cross-iteration scheduling
-    /// window (depths beyond 1 require `async_runtime(true)`).
-    pub fn cross_iter_depth(mut self, depth: usize) -> Self {
-        self.cfg.cross_iter_depth = CrossIterDepth::Fixed(depth);
-        self
-    }
-
-    /// Let `Kfac::new` pick the modeled-best cross-iteration window depth
-    /// for the registered model, world size, configured network, and
-    /// `factor_update_freq` (requires `async_runtime(true)`).
-    pub fn cross_iter_depth_auto(mut self) -> Self {
-        self.cfg.cross_iter_depth = CrossIterDepth::Auto;
-        self
-    }
-
-    /// Set the runtime stall-watchdog timeout in milliseconds.
-    pub fn runtime_stall_timeout_ms(mut self, ms: u64) -> Self {
-        self.cfg.runtime_stall_timeout_ms = ms;
-        self
-    }
-
     /// Pin the process-wide GEMM kernel selection at `Kfac::new` time
     /// (blocked and naive are bitwise interchangeable).
     pub fn gemm_kernel(mut self, kernel: GemmKernel) -> Self {
@@ -414,18 +300,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_depth_rejected() {
-        let _ = KfacConfig::builder().async_runtime(true).cross_iter_depth(0).build();
-    }
-
-    #[test]
-    #[should_panic(expected = "requires async_runtime")]
-    fn deep_window_requires_the_task_runtime() {
-        let _ = KfacConfig::builder().cross_iter_depth(3).build();
-    }
-
-    #[test]
     #[should_panic(expected = "nothing to shard")]
     fn local_opt_rejects_sharded_factors() {
         let _ =
@@ -447,13 +321,5 @@ mod tests {
         let default = KfacConfig::default();
         assert_eq!(default.gemm_kernel, None);
         assert_eq!(default.syrk, None);
-    }
-
-    #[test]
-    fn depth_builder_roundtrip() {
-        let cfg = KfacConfig::builder().async_runtime(true).cross_iter_depth(3).build();
-        assert_eq!(cfg.cross_iter_depth, CrossIterDepth::Fixed(3));
-        let auto = KfacConfig::builder().async_runtime(true).cross_iter_depth_auto().build();
-        assert_eq!(auto.cross_iter_depth, CrossIterDepth::Auto);
     }
 }

@@ -43,7 +43,6 @@ mod config;
 mod memory;
 pub mod pipeline;
 mod preconditioner;
-pub mod runtime;
 mod state;
 pub mod strategy;
 mod timing;
@@ -52,16 +51,10 @@ pub use assignment::{
     plan_assignments, plan_assignments_with, AssignmentStrategy, LayerAssignment, WorkPlan,
 };
 pub use checkpoint::{KfacCheckpoint, LayerCheckpoint};
-pub use config::{CrossIterDepth, KfacConfig, KfacConfigBuilder};
+pub use config::{KfacConfig, KfacConfigBuilder};
 pub use memory::{MemoryBudget, MemoryCategory, MemoryMeter};
-pub use pipeline::{
-    priority_sweep_order, ComputeRates, PipelineStage, StepModel, StepModelOptions, TaskGraph,
-};
+pub use pipeline::{ComputeRates, PipelineStage, StepModel, StepModelOptions, TaskGraph};
 pub use preconditioner::Kfac;
-pub use runtime::{
-    auto_cross_iter_depth, modeled_cross_iter_makespans, modeled_depth_makespans, CrossIterModel,
-    CrossStage, OverlapMode, WindowSpec,
-};
 pub use state::{KfacLayerState, PackedFactor};
 pub use strategy::{
     auto_strategy, effective_worker_frac, modeled_strategy_makespans, FactorReduction, StrategyPlan,

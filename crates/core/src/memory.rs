@@ -28,10 +28,6 @@ pub enum MemoryCategory {
     /// Preconditioned gradients alive between preconditioning and the
     /// KL-clip write-back.
     PrecondGrads,
-    /// Residual buffers of retired cross-iteration window steps: payload
-    /// and shard buffers a depth-D runtime holds for deferred factor
-    /// completes until the window drains them (`cross_iter_depth > 1`).
-    HeldWindows,
     /// Buffers layers keep between steps only to compute their statistics
     /// (`KfacAble::capture_scratch_bytes`). Zero for every layer in
     /// `kaisa-nn`; the category is where such a buffer must show up.
@@ -40,12 +36,11 @@ pub enum MemoryCategory {
 
 impl MemoryCategory {
     /// Every category, in display order.
-    pub const ALL: [MemoryCategory; 6] = [
+    pub const ALL: [MemoryCategory; 5] = [
         MemoryCategory::Factors,
         MemoryCategory::Eigens,
         MemoryCategory::PackedStaging,
         MemoryCategory::PrecondGrads,
-        MemoryCategory::HeldWindows,
         MemoryCategory::CaptureScratch,
     ];
 
@@ -56,7 +51,6 @@ impl MemoryCategory {
             MemoryCategory::Eigens => "eigens",
             MemoryCategory::PackedStaging => "packed staging",
             MemoryCategory::PrecondGrads => "precond grads",
-            MemoryCategory::HeldWindows => "held windows",
             MemoryCategory::CaptureScratch => "capture scratch",
         }
     }
@@ -67,8 +61,7 @@ impl MemoryCategory {
             MemoryCategory::Eigens => 1,
             MemoryCategory::PackedStaging => 2,
             MemoryCategory::PrecondGrads => 3,
-            MemoryCategory::HeldWindows => 4,
-            MemoryCategory::CaptureScratch => 5,
+            MemoryCategory::CaptureScratch => 4,
         }
     }
 }
@@ -81,8 +74,8 @@ impl MemoryCategory {
 /// factor a shard-resident eigendecomposition materializes and drops).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryMeter {
-    current: [usize; 6],
-    peak: [usize; 6],
+    current: [usize; 5],
+    peak: [usize; 5],
 }
 
 impl MemoryMeter {

@@ -37,25 +37,17 @@ pub(crate) struct MatBcast {
     m: Matrix,
 }
 
-impl MatBcast {
-    /// The in-flight handle, for readiness polling by the task runtime.
-    pub(crate) fn pending(&self) -> &PendingCollective {
-        &self.pending
-    }
-}
-
 /// All result broadcasts a layer has in flight between sweeps 2 and 3 of
-/// the eigendecomposition phase (shared with the task runtime, whose
-/// eig-broadcast begin/complete tasks carry the same in-flight set).
+/// the eigendecomposition phase.
 #[derive(Default)]
-pub(crate) struct LayerBcasts {
-    pub(crate) qa: Option<MatBcast>,
-    pub(crate) qg: Option<MatBcast>,
-    pub(crate) outer: Option<MatBcast>,
-    pub(crate) inv_a: Option<MatBcast>,
-    pub(crate) inv_g: Option<MatBcast>,
-    pub(crate) va_buf: Option<(PendingCollective, Vec<f32>)>,
-    pub(crate) vg_buf: Option<(PendingCollective, Vec<f32>)>,
+struct LayerBcasts {
+    qa: Option<MatBcast>,
+    qg: Option<MatBcast>,
+    outer: Option<MatBcast>,
+    inv_a: Option<MatBcast>,
+    inv_g: Option<MatBcast>,
+    va_buf: Option<(PendingCollective, Vec<f32>)>,
+    vg_buf: Option<(PendingCollective, Vec<f32>)>,
 }
 
 impl Kfac {
@@ -71,7 +63,6 @@ impl Kfac {
         let decay = self.cfg.factor_decay;
         let triangular = self.cfg.triangular_comm;
         let world_group: Vec<usize> = (0..self.world).collect();
-        let order = self.sweep_order.clone();
 
         struct InFlight {
             layer: usize,
@@ -81,8 +72,7 @@ impl Kfac {
         }
         let mut inflight: Vec<InFlight> = Vec::with_capacity(layers.len());
 
-        for &i in &order {
-            let layer = &mut layers[i];
+        for (i, layer) in layers.iter_mut().enumerate() {
             let stats = layer.capture_mut().take_stats().unwrap_or_else(|| {
                 panic!(
                     "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
@@ -138,7 +128,6 @@ impl Kfac {
         let triangular = self.cfg.triangular_comm;
         let rank = self.rank;
         let world_group: Vec<usize> = (0..self.world).collect();
-        let order = self.sweep_order.clone();
 
         struct InFlight {
             layer: usize,
@@ -148,15 +137,14 @@ impl Kfac {
         }
         let mut inflight: Vec<InFlight> = Vec::with_capacity(layers.len());
 
-        for &i in &order {
-            let layer = &mut layers[i];
+        for (i, layer) in layers.iter_mut().enumerate() {
             let stats = layer.capture_mut().take_stats().unwrap_or_else(|| {
                 panic!(
                     "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
                     layer.layer_name()
                 )
             });
-            let mut staging = self.staging.take(0, i);
+            let mut staging = std::mem::take(&mut self.staging[i]);
             let split = self.times.time_layer(i, Stage::FactorCompute, || {
                 let inv = 1.0 / stats.batches.max(1) as f32;
                 pack_factor_payload_scaled_into(
@@ -183,7 +171,7 @@ impl Kfac {
             });
             // The begin copies the payload; the staging buffer is free for
             // the next factor step the moment the collective is in flight.
-            self.staging.put(0, i, staging);
+            self.staging[i] = staging;
             inflight.push(entry);
         }
 
@@ -248,14 +236,13 @@ impl Kfac {
         let precompute = self.cfg.precompute_outer;
         let use_eigen = self.cfg.use_eigen;
         let n = self.states.len();
-        let order = self.sweep_order.clone();
 
         let mut va: Vec<Option<Vec<f32>>> = vec![None; n];
         let mut vg: Vec<Option<Vec<f32>>> = vec![None; n];
         let mut va_pending: Vec<Option<(PendingCollective, Vec<f32>)>> =
             (0..n).map(|_| None).collect();
         // Sweep 1: local eigensolves (or inverses); begin v_A pair shuttles.
-        for &i in &order {
+        for i in 0..n {
             let asn = self.plan.layers[i].clone();
             // EK-FAC corrected moments live in the eigenbasis; a new basis
             // invalidates them (they re-seed from the fresh outer product).
@@ -304,7 +291,7 @@ impl Kfac {
 
         // Sweep 2: finish shuttles, outer products; begin result broadcasts.
         let mut bcasts: Vec<LayerBcasts> = (0..n).map(|_| LayerBcasts::default()).collect();
-        for &i in &order {
+        for i in 0..n {
             let asn = self.plan.layers[i].clone();
             let is_gw = asn.is_gradient_worker(rank);
             let (a_dim, g_dim) = (self.states[i].a_dim, self.states[i].g_dim);
@@ -431,8 +418,7 @@ impl Kfac {
         }
 
         // Sweep 3: complete every result broadcast into the layer state.
-        for &i in &order {
-            let b = std::mem::take(&mut bcasts[i]);
+        for (i, b) in bcasts.into_iter().enumerate() {
             if let Some(mb) = b.inv_a {
                 let m = self.complete_matrix_bcast(i, comm, mb);
                 self.states[i].inv_a = Some(m);
@@ -477,12 +463,11 @@ impl Kfac {
         let precision = self.cfg.precision;
         let grads: Vec<Matrix> = layers.iter().map(|l| l.combined_grad()).collect();
         let n = grads.len();
-        let order = self.sweep_order.clone();
 
         let mut pending: Vec<Option<PendingCollective>> = (0..n).map(|_| None).collect();
         let mut preconditioned: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
 
-        for &i in &order {
+        for i in 0..n {
             let grad = &grads[i];
             let asn = self.plan.layers[i].clone();
             let is_gw = asn.is_gradient_worker(rank);
@@ -502,15 +487,15 @@ impl Kfac {
             preconditioned[i] = Some(precond);
         }
 
-        for &i in &order {
+        for i in 0..n {
             if let Some(p) = pending[i].take() {
                 let buf = preconditioned[i].as_mut().expect("filled in sweep 1").as_mut_slice();
                 self.times.time_layer(i, Stage::GradComm, || comm.complete(p, buf));
             }
         }
 
-        // The KL-clip scale consumes layers in fixed order on every config,
-        // so ν — and therefore the update — is bitwise order-independent.
+        // The KL-clip scale consumes layers in the serial executor's order,
+        // so ν — and therefore the update — is bitwise the same.
         let preconditioned: Vec<Matrix> =
             preconditioned.into_iter().map(|p| p.expect("every layer preconditioned")).collect();
         self.scale_and_write_back(layers, &grads, preconditioned, lr);

@@ -32,6 +32,4 @@ pub mod stage;
 pub mod task;
 
 pub use stage::PipelineStage;
-pub use task::{
-    priority_sweep_order, ComputeRates, Resource, StepModel, StepModelOptions, Task, TaskGraph,
-};
+pub use task::{ComputeRates, Resource, StepModel, StepModelOptions, Task, TaskGraph};

@@ -24,7 +24,7 @@ use kaisa_comm::CollectiveCostModel;
 use crate::assignment::WorkPlan;
 use crate::pipeline::stage::PipelineStage;
 use crate::state::factor_payload_len;
-use crate::strategy::{FactorReduction, StrategyPlan};
+use crate::strategy::FactorReduction;
 
 /// What a task occupies while it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,48 +104,6 @@ impl TaskGraph {
         makespan
     }
 
-    /// Ready-queue makespan: the task runtime's greedy dispatch. Instead of
-    /// walking tasks in issue order (a parked task at the head of the line
-    /// stalls everything behind it on the same resource), repeatedly run the
-    /// dependency-satisfied task that can *start earliest* — ties break
-    /// toward the lower issue index, mirroring the live scheduler's
-    /// id-ordered ready scan. O(n²), fine at per-step task counts.
-    pub fn ready_schedule_makespan(&self, world: usize) -> f64 {
-        let mut compute_free = vec![0.0f64; world];
-        let mut network_free = 0.0f64;
-        let n = self.tasks.len();
-        let mut finish = vec![0.0f64; n];
-        let mut done = vec![false; n];
-        let mut makespan = 0.0f64;
-        for _ in 0..n {
-            let mut pick: Option<(usize, f64)> = None;
-            for (id, task) in self.tasks.iter().enumerate() {
-                if done[id] || !task.deps.iter().all(|&d| done[d]) {
-                    continue;
-                }
-                let deps_done = task.deps.iter().map(|&d| finish[d]).fold(0.0f64, f64::max);
-                let free = match task.resource {
-                    Resource::Compute(r) => compute_free[r],
-                    Resource::Network => network_free,
-                };
-                let start = deps_done.max(free);
-                if pick.map_or(true, |(_, s)| start < s) {
-                    pick = Some((id, start));
-                }
-            }
-            let (id, start) = pick.expect("graph is acyclic: some task is always ready");
-            let end = start + self.tasks[id].duration;
-            match self.tasks[id].resource {
-                Resource::Compute(r) => compute_free[r] = end,
-                Resource::Network => network_free = end,
-            }
-            finish[id] = end;
-            done[id] = true;
-            makespan = makespan.max(end);
-        }
-        makespan
-    }
-
     /// Dependency-only critical path (infinite resources) — a lower bound on
     /// any schedule.
     pub fn critical_path(&self) -> f64 {
@@ -180,7 +138,7 @@ impl Default for ComputeRates {
 
 /// Options for [`StepModel::with_options`] beyond the dense defaults.
 #[derive(Debug, Clone, Copy)]
-pub struct StepModelOptions<'a> {
+pub struct StepModelOptions {
     /// Factor element width in bytes (2 for fp16 factors).
     pub elem_bytes: usize,
     /// Triangular factor packing (Section 4.3).
@@ -195,33 +153,16 @@ pub struct StepModelOptions<'a> {
     /// direct-inverse fallback, whose solver consumes both factors on one
     /// rank.
     pub gather: bool,
-    /// Issue layers within each phase in this order instead of `0..n`
-    /// (the pipelined executor's priority schedule). Must be a permutation.
-    pub order: Option<&'a [usize]>,
 }
 
-impl StepModelOptions<'_> {
-    /// Dense-path options: world allreduce, fixed layer order.
+impl StepModelOptions {
+    /// Dense-path options: world allreduce, no regather.
     pub fn dense(elem_bytes: usize, triangular: bool) -> Self {
         StepModelOptions {
             elem_bytes,
             triangular,
             reduction: FactorReduction::DenseAllreduce,
             gather: false,
-            order: None,
-        }
-    }
-
-    /// The options a resolved [`StrategyPlan`] implies — the one mapping
-    /// from the strategy layer into the α–β step model, shared by the
-    /// priority scheduler and the cost sweeps.
-    pub fn from_plan(elem_bytes: usize, triangular: bool, plan: &StrategyPlan) -> Self {
-        StepModelOptions {
-            elem_bytes,
-            triangular,
-            reduction: plan.reduction,
-            gather: plan.regather_split_layers,
-            order: None,
         }
     }
 }
@@ -233,7 +174,6 @@ pub struct StepModel {
     graph: TaskGraph,
     serial: f64,
     world: usize,
-    chain: Vec<f64>,
 }
 
 impl StepModel {
@@ -259,17 +199,16 @@ impl StepModel {
     }
 
     /// Build the model with explicit [`StepModelOptions`] — the sharded
-    /// factor path, the inverse-fallback regather, and/or a priority issue
-    /// order.
+    /// factor path and/or the inverse-fallback regather.
     pub fn with_options(
         dims: &[(usize, usize)],
         plan: &WorkPlan,
         cost: &CollectiveCostModel,
         rates: &ComputeRates,
-        opts: StepModelOptions<'_>,
+        opts: StepModelOptions,
     ) -> Self {
         assert_eq!(dims.len(), plan.layers.len(), "plan must cover every layer");
-        let StepModelOptions { elem_bytes, triangular, reduction, gather, order } = opts;
+        let StepModelOptions { elem_bytes, triangular, reduction, gather } = opts;
         let sharded = reduction == FactorReduction::ShardedReduceScatter;
         let local = reduction == FactorReduction::LocalNone;
         let world = plan.world;
@@ -277,19 +216,6 @@ impl StepModel {
         let mut serial = 0.0f64;
 
         let n = dims.len();
-        let order: Vec<usize> = match order {
-            Some(o) => {
-                let mut sorted = o.to_vec();
-                sorted.sort_unstable();
-                assert!(
-                    sorted.iter().copied().eq(0..n),
-                    "issue order must be a permutation of 0..{n}"
-                );
-                o.to_vec()
-            }
-            None => (0..n).collect(),
-        };
-        let mut chain = vec![0.0f64; n];
         let fa_fin: Vec<f64> =
             dims.iter().map(|&(a, g)| 2.0 * (a * a + g * g) as f64 / rates.gemm_flops).collect();
         let fa_fold = fa_fin.clone(); // axpby over both factors: same element count
@@ -337,7 +263,7 @@ impl StepModel {
         let mut g_factor_ready = vec![0usize; n]; // task feeding eig_g on the G worker
         let mut fin_ids = vec![Vec::new(); n];
         let mut comm_ids = vec![0usize; n];
-        for &i in &order {
+        for i in 0..n {
             if local {
                 let id = graph.push(Task {
                     layer: i,
@@ -348,7 +274,6 @@ impl StepModel {
                 });
                 fin_ids[i].push(id);
                 comm_ids[i] = id; // the fold depends directly on the finalize
-                chain[i] += fa_fin[i];
                 continue;
             }
             for r in 0..world {
@@ -373,9 +298,8 @@ impl StepModel {
                 duration,
                 deps: fin_ids[i].clone(),
             });
-            chain[i] += fa_fin[i] + duration;
         }
-        for &i in &order {
+        for i in 0..n {
             let asn = &plan.layers[i];
             let mut fold_dep = comm_ids[i];
             if local {
@@ -388,7 +312,6 @@ impl StepModel {
                 });
                 a_factor_ready[i] = id;
                 g_factor_ready[i] = id;
-                chain[i] += fa_fold[i];
                 serial += fa_fin[i] + fa_fold[i];
                 continue;
             }
@@ -400,7 +323,6 @@ impl StepModel {
                     duration: ga[i],
                     deps: vec![comm_ids[i]],
                 });
-                chain[i] += ga[i];
             }
             if sharded {
                 let a_id = graph.push(Task {
@@ -419,11 +341,6 @@ impl StepModel {
                 });
                 a_factor_ready[i] = a_id;
                 g_factor_ready[i] = g_id;
-                chain[i] += if asn.a_worker == asn.g_worker {
-                    fold_a[i] + fold_g[i]
-                } else {
-                    fold_a[i].max(fold_g[i])
-                };
                 serial += fa_fin[i] + rs[i] + ga[i];
                 serial += if asn.a_worker == asn.g_worker {
                     fold_a[i] + fold_g[i]
@@ -443,14 +360,13 @@ impl StepModel {
                 }
                 a_factor_ready[i] = fold_ids[asn.a_worker];
                 g_factor_ready[i] = fold_ids[asn.g_worker];
-                chain[i] += fa_fold[i];
                 serial += fa_fin[i] + ar[i] + fa_fold[i];
             }
         }
 
         // -------- Eigendecomposition phase --------
         let mut eig_done = vec![0usize; n]; // last task whose output feeds preconditioning
-        for &i in &order {
+        for i in 0..n {
             let asn = &plan.layers[i];
             let a_id = graph.push(Task {
                 layer: i,
@@ -513,12 +429,11 @@ impl StepModel {
                 eig_a[i].max(eig_g[i])
             };
             serial += eig_cost + pair_cost + outer[i] + bcast_cost;
-            chain[i] += eig_cost + pair_cost + outer[i] + bcast_cost;
         }
 
         // -------- Precondition + gradient broadcast phase --------
         let mut gb_or_p = Vec::new();
-        for &i in &order {
+        for i in 0..n {
             let asn = &plan.layers[i];
             let mut p_ids = Vec::new();
             for &r in &asn.gradient_workers {
@@ -545,7 +460,6 @@ impl StepModel {
                 gb_or_p.extend(p_ids);
             }
             serial += prec[i] + gb_cost;
-            chain[i] += prec[i] + gb_cost;
         }
 
         // -------- Scale --------
@@ -565,7 +479,7 @@ impl StepModel {
         // scale remains.
         serial += scale_total;
 
-        StepModel { graph, serial, world, chain }
+        StepModel { graph, serial, world }
     }
 
     /// The underlying task graph.
@@ -587,101 +501,6 @@ impl StepModel {
     pub fn overlap_speedup(&self) -> f64 {
         self.serial_seconds() / self.pipelined_seconds().max(1e-18)
     }
-
-    /// Modeled seconds for the task-runtime executor: greedy ready-queue
-    /// dispatch, floored by the issue-order list schedule. Greedy
-    /// event-driven scheduling can suffer anomalies on adversarial graphs,
-    /// but the live runtime is free to fall back to pure issue order (its
-    /// gates pin exactly that order per group), so its makespan never
-    /// exceeds the pipelined executor's.
-    pub fn runtime_seconds(&self) -> f64 {
-        self.graph.ready_schedule_makespan(self.world).min(self.pipelined_seconds())
-    }
-
-    /// Per-layer critical-chain duration: the sum of one layer's stage
-    /// durations from statistics finalize through its gradient broadcast.
-    /// This is the list-scheduling priority key for [`Self::priority_order`].
-    pub fn layer_priorities(&self) -> &[f64] {
-        &self.chain
-    }
-
-    /// Layer issue order by **ascending** critical-chain priority (ties
-    /// break toward the lower layer index). The executor's sweeps issue
-    /// collectives in this order and also *complete* them in this order, so
-    /// the schedule behaves like a permutation flow shop: a long-chain layer
-    /// issued first parks its unfinished collective at the head of the line
-    /// and stalls every later completion behind it. Issuing short chains
-    /// first drains them while the long eigensolves are still running —
-    /// Johnson's-rule flavor, and exhaustive permutation checks on the test
-    /// dims confirm shortest-chain-first is makespan-optimal for the dense
-    /// comm-bound configs. A pure function of the dims, plan, and cost
-    /// model, so every rank computes the same order — reordering collectives
-    /// identically preserves per-group matching.
-    pub fn priority_order(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.chain.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.chain[a].partial_cmp(&self.chain[b]).expect("finite priorities").then(a.cmp(&b))
-        });
-        idx
-    }
-}
-
-/// Pick the pipelined sweep order for `dims` under `plan`: evaluate the
-/// modeled makespan of the fixed order, the [`StepModel::priority_order`]
-/// chain orders (ascending and descending), then refine the winner with a
-/// deterministic pairwise-swap descent that only accepts strict
-/// improvements. Starting from the fixed order guarantees the result never
-/// models worse than issuing layers in `0..n`. Every input is identical on
-/// every rank, the scan order is fixed, and the arithmetic is
-/// deterministic, so all ranks agree on the order — collective matching is
-/// preserved. `opts.order` is ignored.
-pub fn priority_sweep_order(
-    dims: &[(usize, usize)],
-    plan: &WorkPlan,
-    cost: &CollectiveCostModel,
-    rates: &ComputeRates,
-    opts: StepModelOptions<'_>,
-) -> Vec<usize> {
-    let n = dims.len();
-    let eval = |order: &[usize]| {
-        let opts = StepModelOptions { order: Some(order), ..opts };
-        StepModel::with_options(dims, plan, cost, rates, opts).pipelined_seconds()
-    };
-    let mut best: Vec<usize> = (0..n).collect();
-    let mut best_t = eval(&best);
-    let base =
-        StepModel::with_options(dims, plan, cost, rates, StepModelOptions { order: None, ..opts });
-    let ascending = base.priority_order();
-    let descending: Vec<usize> = ascending.iter().rev().copied().collect();
-    for cand in [ascending, descending] {
-        let t = eval(&cand);
-        if t < best_t {
-            best_t = t;
-            best = cand;
-        }
-    }
-    // First-improvement descent over all pairwise swaps; layer counts are
-    // small so the O(n^2) evaluations per pass are cheap, and construction
-    // runs once per Kfac instance.
-    loop {
-        let mut improved = false;
-        for a in 0..n {
-            for b in a + 1..n {
-                let mut cand = best.clone();
-                cand.swap(a, b);
-                let t = eval(&cand);
-                if t < best_t {
-                    best_t = t;
-                    best = cand;
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -747,13 +566,12 @@ mod tests {
         assert!(m.graph().critical_path() <= m.pipelined_seconds() + 1e-15);
     }
 
-    fn sharded_opts(order: Option<&[usize]>) -> StepModelOptions<'_> {
+    fn sharded_opts() -> StepModelOptions {
         StepModelOptions {
             elem_bytes: 4,
             triangular: false,
             reduction: FactorReduction::ShardedReduceScatter,
             gather: false,
-            order,
         }
     }
 
@@ -764,7 +582,7 @@ mod tests {
         let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
         let rates = ComputeRates::default();
         let dense = StepModel::new(&d, &plan, &cost, &rates, 4, false);
-        let sharded = StepModel::with_options(&d, &plan, &cost, &rates, sharded_opts(None));
+        let sharded = StepModel::with_options(&d, &plan, &cost, &rates, sharded_opts());
         assert_eq!(sharded.graph().stage_total(PipelineStage::FactorAllreduce), 0.0);
         assert_eq!(dense.graph().stage_total(PipelineStage::FactorReduce), 0.0);
         let rs = sharded.graph().stage_total(PipelineStage::FactorReduce);
@@ -815,8 +633,8 @@ mod tests {
         let plan = plan_assignments(&d, 4, 0.5, AssignmentStrategy::ComputeLpt);
         let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
         let rates = ComputeRates::default();
-        let no_gather = StepModel::with_options(&d, &plan, &cost, &rates, sharded_opts(None));
-        let mut with_gather = sharded_opts(None);
+        let no_gather = StepModel::with_options(&d, &plan, &cost, &rates, sharded_opts());
+        let mut with_gather = sharded_opts();
         with_gather.gather = true;
         let with_gather = StepModel::with_options(&d, &plan, &cost, &rates, with_gather);
         assert_eq!(no_gather.graph().stage_total(PipelineStage::FactorGather), 0.0);
@@ -828,152 +646,6 @@ mod tests {
             .filter(|t| t.stage == PipelineStage::FactorGather)
             .count();
         assert_eq!(gather_tasks, split_layers, "one regather per split-worker layer");
-    }
-
-    #[test]
-    fn priority_order_is_a_permutation_sorted_by_chain() {
-        let m = model(8, 0.5, ClusterNetwork::ethernet_10g());
-        let order = m.priority_order();
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..dims().len()).collect::<Vec<_>>());
-        let pri = m.layer_priorities();
-        for w in order.windows(2) {
-            assert!(pri[w[0]] <= pri[w[1]], "priorities must be non-decreasing");
-        }
-    }
-
-    #[test]
-    fn priority_issue_order_improves_comm_bound_makespan() {
-        let d = dims();
-        let plan = plan_assignments(&d, 8, 0.5, AssignmentStrategy::ComputeLpt);
-        let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
-        let rates = ComputeRates::default();
-        let opts = StepModelOptions::dense(4, false);
-        let fixed = StepModel::with_options(&d, &plan, &cost, &rates, opts);
-        let order = priority_sweep_order(&d, &plan, &cost, &rates, opts);
-        let prioritized = StepModel::with_options(
-            &d,
-            &plan,
-            &cost,
-            &rates,
-            StepModelOptions { order: Some(&order), ..opts },
-        );
-        // Same task multiset either way: identical serial walk.
-        assert!((prioritized.serial_seconds() - fixed.serial_seconds()).abs() < 1e-12);
-        assert!(
-            prioritized.pipelined_seconds() < fixed.pipelined_seconds(),
-            "priority order must strictly improve this comm-bound config: {} vs {}",
-            prioritized.pipelined_seconds(),
-            fixed.pipelined_seconds()
-        );
-    }
-
-    #[test]
-    fn priority_sweep_order_never_models_worse_than_fixed() {
-        let d = dims();
-        let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
-        let rates = ComputeRates::default();
-        for world in [2, 4, 8] {
-            for frac in [1.0 / world as f64, 0.5, 1.0] {
-                let plan = plan_assignments(&d, world, frac, AssignmentStrategy::ComputeLpt);
-                for reduction in [
-                    FactorReduction::DenseAllreduce,
-                    FactorReduction::ShardedReduceScatter,
-                    FactorReduction::LocalNone,
-                ] {
-                    let opts = StepModelOptions {
-                        elem_bytes: 4,
-                        triangular: false,
-                        reduction,
-                        gather: false,
-                        order: None,
-                    };
-                    let fixed =
-                        StepModel::with_options(&d, &plan, &cost, &rates, opts).pipelined_seconds();
-                    let order = priority_sweep_order(&d, &plan, &cost, &rates, opts);
-                    let tuned = StepModel::with_options(
-                        &d,
-                        &plan,
-                        &cost,
-                        &rates,
-                        StepModelOptions { order: Some(&order), ..opts },
-                    )
-                    .pipelined_seconds();
-                    assert!(
-                        tuned <= fixed,
-                        "world={world} frac={frac} {reduction:?}: {tuned} > {fixed}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn non_permutation_issue_order_is_rejected() {
-        let d = dims();
-        let plan = plan_assignments(&d, 2, 1.0, AssignmentStrategy::ComputeLpt);
-        let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
-        let bad = vec![0usize, 0, 1, 2, 3];
-        let _ = StepModel::with_options(
-            &d,
-            &plan,
-            &cost,
-            &ComputeRates::default(),
-            StepModelOptions { order: Some(&bad), ..StepModelOptions::dense(4, false) },
-        );
-    }
-
-    #[test]
-    fn runtime_never_exceeds_pipelined() {
-        for world in [1, 2, 4, 8] {
-            for frac in [1.0 / world as f64, 0.5, 1.0] {
-                for net in [ClusterNetwork::infiniband_edr(), ClusterNetwork::ethernet_10g()] {
-                    let m = model(world, frac, net);
-                    assert!(
-                        m.runtime_seconds() <= m.pipelined_seconds() + 1e-15,
-                        "world={world} frac={frac}: {} > {}",
-                        m.runtime_seconds(),
-                        m.pipelined_seconds()
-                    );
-                    assert!(m.graph().critical_path() <= m.runtime_seconds() + 1e-15);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ready_schedule_beats_list_schedule_on_a_parked_head_of_line() {
-        // Issue order: long network op first, then a short independent
-        // compute task on rank 0 *behind* a compute task that depends on the
-        // network op. The list schedule walks in issue order, so the
-        // dependent task blocks rank 0 until the network finishes; the ready
-        // queue runs the independent task first.
-        let mut g = TaskGraph::new();
-        let net = g.push(Task {
-            layer: 0,
-            stage: PipelineStage::FactorAllreduce,
-            resource: Resource::Network,
-            duration: 10.0,
-            deps: vec![],
-        });
-        g.push(Task {
-            layer: 0,
-            stage: PipelineStage::FactorAccumulate,
-            resource: Resource::Compute(0),
-            duration: 1.0,
-            deps: vec![net],
-        });
-        g.push(Task {
-            layer: 1,
-            stage: PipelineStage::EigCompute,
-            resource: Resource::Compute(0),
-            duration: 5.0,
-            deps: vec![],
-        });
-        assert_eq!(g.list_schedule_makespan(1), 16.0);
-        assert_eq!(g.ready_schedule_makespan(1), 11.0);
     }
 
     #[test]

@@ -17,19 +17,17 @@
 //! 4. **Scaling** (every step): KL-clip scaling `ν = min(1, √(κ/Σ⟨p,g⟩lr²))`
 //!    and write-back into the model's gradients.
 
-use kaisa_comm::{ClusterNetwork, CollectiveCostModel, CommTag, Communicator, ReduceOp, ShardSpec};
+use kaisa_comm::{CommTag, Communicator, ReduceOp, ShardSpec};
 use kaisa_linalg::EigScratch;
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
 
 use crate::assignment::{plan_assignments_with, LayerAssignment, WorkPlan};
-use crate::config::CrossIterDepth;
 use crate::config::KfacConfig;
 use crate::memory::{MemoryCategory, MemoryMeter};
-use crate::pipeline::{priority_sweep_order, ComputeRates, StepModelOptions};
 use crate::state::{
     factor_payload_len, pack_factor_payload, pack_factor_payload_scaled_into, quantize_slice,
-    unpack_factor_payload, KfacLayerState, StagingRing,
+    unpack_factor_payload, KfacLayerState,
 };
 use crate::strategy::{effective_worker_frac, FactorReduction, StrategyPlan};
 use crate::timing::{Stage, StageTimes};
@@ -56,8 +54,8 @@ pub struct Kfac {
     pub(crate) plan: WorkPlan,
     /// The resolved strategy plan: which factor-reduction mode, regather
     /// policy, and per-stage comm participation this run uses. Computed
-    /// once here and consumed uniformly by all three executors and the
-    /// stage-graph builder — the single source of strategy truth.
+    /// once here and consumed uniformly by both executors — the single
+    /// source of strategy truth.
     pub(crate) strat: StrategyPlan,
     pub(crate) states: Vec<KfacLayerState>,
     pub(crate) rank: usize,
@@ -72,32 +70,13 @@ pub struct Kfac {
     /// `kaisa-comm` meter separately counts physical `f32` buffers per
     /// collective.
     pub(crate) comm_bytes: u64,
-    /// The order the pipelined executor's sweeps iterate layers: identity by
-    /// default; the `StepModel`-searched priority order when
-    /// `priority_schedule` is on. Identical on every rank (a pure function
-    /// of dims + plan), so reordering keeps per-group collective matching.
-    pub(crate) sweep_order: Vec<usize>,
-    /// The in-progress task-runtime step between `step_begin` and
-    /// `step_finish` (`async_runtime` only).
-    pub(crate) runtime_step: Option<crate::runtime::executor::RuntimeStep>,
-    /// Retired runtime steps whose deferred factor completes are still
-    /// draining — the depth-D cross-iteration window ring (front = oldest).
-    /// Always empty at depth 1.
-    pub(crate) window: std::collections::VecDeque<crate::runtime::executor::RuntimeStep>,
-    /// Resolved cross-iteration window depth (`CrossIterDepth::Auto` is
-    /// resolved once in [`Kfac::new`], identically on every rank).
-    pub(crate) resolved_depth: usize,
-    /// Runtime step DAGs planned so far (window indices for the watchdog
-    /// and the staging-ring slot rotation).
-    pub(crate) windows_built: u64,
     /// Live per-category resident-byte meter for this rank (the measured
     /// counterpart of the analytic `memory_bytes` model).
     pub(crate) mem: MemoryMeter,
-    /// Per-(window slot x layer) packed staging buffers the sharded path
-    /// scales-and-packs captured statistics into, reused across the factor
-    /// steps that map to each slot (empty on the dense path). One slot per
-    /// window depth, so a held DAG never aliases live staging.
-    pub(crate) staging: StagingRing,
+    /// Per-layer packed staging buffers the sharded path scales-and-packs
+    /// captured statistics into, reused across factor steps (empty on the
+    /// dense path).
+    pub(crate) staging: Vec<Vec<f32>>,
     /// The eigensolver's `f64` workspace, shared by every inline factor
     /// decomposition of this rank (solves run one at a time). Transient
     /// solver scratch, not K-FAC state: un-metered, like the allocation per
@@ -146,46 +125,6 @@ impl Kfac {
             .zip(&names)
             .map(|(&(a, g), name)| KfacLayerState::new(name.clone(), a, g))
             .collect();
-        let sweep_order: Vec<usize> = if cfg.priority_schedule {
-            // Search for the issue order with the best modeled makespan on
-            // the calibrated network (the 10 GbE comm-bound reference when
-            // none is configured), starting from the fixed order so the
-            // result never models worse than it. Only the *ordering*
-            // matters, and it is a pure function of dims + plan + config,
-            // so every rank agrees.
-            let network = cfg.network.unwrap_or_else(ClusterNetwork::ethernet_10g);
-            let cost = CollectiveCostModel::new(network);
-            priority_sweep_order(
-                &dims,
-                &plan,
-                &cost,
-                &ComputeRates::default(),
-                StepModelOptions::from_plan(
-                    cfg.precision.bytes_per_element(),
-                    cfg.triangular_comm,
-                    &strat,
-                ),
-            )
-        } else {
-            (0..dims.len()).collect()
-        };
-        let n_layers = dims.len();
-        let resolved_depth = match cfg.cross_iter_depth {
-            CrossIterDepth::Fixed(d) => d,
-            CrossIterDepth::Auto => {
-                // Modeled-best depth on the configured network (10 GbE
-                // reference when unset) at the nominal per-rank batch of
-                // 32 — a pure function of dims/world/network/F, so every
-                // rank resolves the same depth.
-                let network = cfg.network.unwrap_or_else(ClusterNetwork::ethernet_10g);
-                crate::runtime::auto_cross_iter_depth(
-                    &dims,
-                    comm.world_size(),
-                    network,
-                    cfg.factor_update_freq,
-                )
-            }
-        };
         let kfac = Kfac {
             cfg,
             plan,
@@ -196,13 +135,8 @@ impl Kfac {
             steps: 0,
             times: StageTimes::new(),
             comm_bytes: 0,
-            sweep_order,
-            runtime_step: None,
-            window: std::collections::VecDeque::new(),
-            resolved_depth,
-            windows_built: 0,
             mem: MemoryMeter::new(),
-            staging: StagingRing::new(resolved_depth, n_layers),
+            staging: vec![Vec::new(); dims.len()],
             eig_scratch: EigScratch::new(),
         };
         // Step 0 updates factors, so the very first forward must capture.
@@ -243,18 +177,6 @@ impl Kfac {
         self.comm_bytes
     }
 
-    /// The layer order the pipelined executor's sweeps iterate (identity
-    /// unless `priority_schedule` is on).
-    pub fn sweep_order(&self) -> &[usize] {
-        &self.sweep_order
-    }
-
-    /// The resolved cross-iteration window depth this instance runs at
-    /// (what `CrossIterDepth::Auto` picked, or the fixed setting).
-    pub fn cross_iter_depth(&self) -> usize {
-        self.resolved_depth
-    }
-
     /// This rank's K-FAC memory overhead in bytes (factors + cached
     /// decompositions at the storage precision) — the Figure 6/Table 5
     /// metric.
@@ -285,8 +207,8 @@ impl Kfac {
         let p = self.cfg.precision;
         let eig = self.states.iter().map(|s| s.eigen_memory_bytes(p)).sum();
         self.mem.set(MemoryCategory::Eigens, eig);
-        self.mem
-            .set(MemoryCategory::PackedStaging, self.staging.resident_bytes(p.bytes_per_element()));
+        let staging = self.staging.iter().map(Vec::len).sum::<usize>() * p.bytes_per_element();
+        self.mem.set(MemoryCategory::PackedStaging, staging);
     }
 
     /// Refresh the meter's capture-scratch residency from what the layers
@@ -346,15 +268,6 @@ impl Kfac {
     /// `lr` is the learning rate the following optimizer step will use; it
     /// enters the KL-clip scaling factor.
     pub fn step<M: Model>(&mut self, model: &mut M, comm: &dyn Communicator, lr: f32) {
-        if self.cfg.async_runtime {
-            // Task-runtime executor (takes precedence over `pipelined`).
-            // The monolithic step is simply the lookahead split run
-            // back-to-back; `step_finish` advances the step counters.
-            self.step_begin(model, comm);
-            self.step_finish(model, comm, lr);
-            return;
-        }
-
         let factor_step = self.is_factor_update_step();
         let inv_step = self.is_inv_update_step();
         let mut layers = model.kfac_layers();
@@ -468,9 +381,8 @@ impl Kfac {
 
     /// LOCAL-OPT's per-layer fold: the owner finalizes and folds the
     /// statistics its own rank captured; every other rank is a no-op (it
-    /// already dropped its capture via `take_stats`). Shared by the serial
-    /// executor and the runtime's `FactorLocalFold` task.
-    pub(crate) fn fold_local_stats(&mut self, i: usize, stats: kaisa_nn::KfacStats) {
+    /// already dropped its capture via `take_stats`).
+    fn fold_local_stats(&mut self, i: usize, stats: kaisa_nn::KfacStats) {
         // LOCAL-OPT runs on the one-worker grid, so owner == a_worker ==
         // g_worker.
         if self.rank != self.plan.layers[i].a_worker {
@@ -519,7 +431,7 @@ impl Kfac {
                     layer.layer_name()
                 )
             });
-            let mut staging = self.staging.take(0, i);
+            let mut staging = std::mem::take(&mut self.staging[i]);
             let split = self.times.time_layer(i, Stage::FactorCompute, || {
                 let inv = 1.0 / stats.batches.max(1) as f32;
                 pack_factor_payload_scaled_into(
@@ -551,7 +463,7 @@ impl Kfac {
             });
             // `begin_reduce_scatter` copies the payload, so the staging
             // buffer is reusable as soon as the begin returns.
-            self.staging.put(0, i, staging);
+            self.staging[i] = staging;
             self.comm_bytes += (owned.len() * precision.bytes_per_element()) as u64;
 
             if self.needs_factor_gather(&asn) {
@@ -873,7 +785,7 @@ impl Kfac {
 
     /// Precondition one layer's gradient locally (Eq. 15–17, EK-FAC, or the
     /// direct-inverse fallback) — or return a zero receive buffer on
-    /// non-gradient-worker ranks. Shared by all executors. Either way the
+    /// non-gradient-worker ranks. Shared by both executors. Either way the
     /// matrix comes out of the layer's reused work buffers and goes back to
     /// them in [`Kfac::scale_and_write_back`].
     pub(crate) fn precondition_local(&mut self, i: usize, grad: &Matrix, is_gw: bool) -> Matrix {

@@ -139,45 +139,6 @@ impl PackedFactor {
     }
 }
 
-/// Per-window-slot packed staging buffers: one reusable `Vec<f32>` per
-/// `(window slot, layer)`. With a depth-D cross-iteration window, up to D
-/// step DAGs are in flight at once; giving each window slot its own staging
-/// buffers guarantees a held DAG's factor payload can never alias the
-/// staging a *live* step is packing into — by construction, not by timing.
-/// Depth 1 degenerates to the classic single per-layer buffer set.
-#[derive(Debug, Clone)]
-pub(crate) struct StagingRing {
-    /// `slots[slot][layer]`: reused across the factor steps that map to
-    /// `slot` (`window index % depth`).
-    slots: Vec<Vec<Vec<f32>>>,
-}
-
-impl StagingRing {
-    /// A ring of `depth` slots with one empty buffer per layer each.
-    pub fn new(depth: usize, layers: usize) -> Self {
-        assert!(depth >= 1, "staging ring needs at least one slot");
-        StagingRing { slots: vec![vec![Vec::new(); layers]; depth] }
-    }
-
-    /// Take layer `layer`'s buffer from `slot` (replacing it with an empty
-    /// vec); pair with [`StagingRing::put`] around a pack-and-begin.
-    pub fn take(&mut self, slot: usize, layer: usize) -> Vec<f32> {
-        let depth = self.slots.len();
-        std::mem::take(&mut self.slots[slot % depth][layer])
-    }
-
-    /// Return a buffer taken by [`StagingRing::take`].
-    pub fn put(&mut self, slot: usize, layer: usize, buf: Vec<f32>) {
-        let depth = self.slots.len();
-        self.slots[slot % depth][layer] = buf;
-    }
-
-    /// Resident bytes across every slot at `elem_bytes` per element.
-    pub fn resident_bytes(&self, elem_bytes: usize) -> usize {
-        self.slots.iter().flat_map(|layers| layers.iter()).map(|b| b.len() * elem_bytes).sum()
-    }
-}
-
 /// The single EMA fold kernel for square factor state: first fold moves the
 /// fresh matrix in, later folds compute `x ← (1-decay)·x̂ + decay·x` — the
 /// exact `axpby` expression, so every square path shares one semantics.

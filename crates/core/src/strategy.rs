@@ -4,15 +4,13 @@
 //! my stage?" from scattered config bits (`sharded_factors`, `use_eigen`,
 //! worker counts). This module centralizes that decision into a
 //! [`StrategyPlan`] computed once in `Kfac::new` and consumed uniformly by
-//! the serial, sweep-pipelined, and task-runtime executors, the stage-graph
-//! builder ([`crate::StepModelOptions`]), and the memory meter — so adding
-//! a strategy (like DP-KFAC's `LocalOpt`) is a plan change, not an
+//! the serial and sweep-pipelined executors and the memory meter — so
+//! adding a strategy (like DP-KFAC's `LocalOpt`) is a plan change, not an
 //! every-executor change.
 //!
 //! It also hosts [`auto_strategy`]: a pure-function dispatcher that picks
-//! the modeled-fastest strategy from the calibrated α–β cost model, under
-//! the same all-ranks-agree contract as
-//! [`crate::runtime::auto_cross_iter_depth`].
+//! the modeled-fastest strategy from the calibrated α–β cost model, so
+//! every rank picks the same one.
 
 use kaisa_comm::{ClusterNetwork, CollectiveCostModel};
 
@@ -43,7 +41,7 @@ pub enum FactorReduction {
 /// The resolved per-run distribution plan: which strategy is in effect and
 /// what every stage of the step must do about communication. Computed once
 /// in `Kfac::new` (a pure function of config + placement, identical on
-/// every rank) and consulted by all three executors, so no executor body
+/// every rank) and consulted by both executors, so no executor body
 /// branches on raw strategy/config flags.
 #[derive(Debug, Clone)]
 pub struct StrategyPlan {
@@ -136,8 +134,7 @@ fn candidate_frac(strategy: DistStrategy, world: usize) -> f64 {
 }
 
 /// Modeled amortized seconds per optimizer iteration for each distribution
-/// strategy on the α–β network model — the strategy-axis twin of
-/// [`crate::runtime::modeled_depth_makespans`]. `LocalOpt` is scored at the
+/// strategy on the α–β network model. `LocalOpt` is scored at the
 /// MEM-OPT placement with zero factor-collective time (DP-KFAC folds local
 /// statistics). Update-interval stages amortize over `factor_update_freq` /
 /// `inv_update_freq`. A pure function of its arguments: every rank computes
@@ -249,12 +246,10 @@ pub fn modeled_strategy_makespans(
 /// time for this model/world/network at the reference per-rank batch of 32
 /// and the default update intervals (`F = 10`, `K = 100`).
 ///
-/// Same all-ranks-agree contract as
-/// [`crate::runtime::auto_cross_iter_depth`]: a pure function of its
-/// arguments, so every rank dispatches identically — a per-rank measurement
-/// would break collective matching. Within 0.1% of the best time the
-/// fewest-gradient-workers candidate wins (less cached eigendecomposition
-/// memory for the same modeled speed).
+/// A pure function of its arguments, so every rank dispatches identically —
+/// a per-rank measurement would break collective matching. Within 0.1% of
+/// the best time the fewest-gradient-workers candidate wins (less cached
+/// eigendecomposition memory for the same modeled speed).
 ///
 /// Only the three *exact* strategies (MEM/HYBRID/COMM-OPT, which are
 /// bitwise-identical reformulations of the same update) are candidates.

@@ -31,11 +31,10 @@
 //! `world` ranks from the pool, rebuilds the model, **restores** the
 //! packed factor/eigen state from the previous segment's byte checkpoint
 //! (re-running LPT placement and strategy resolution at the new world
-//! size), trains to the next pause point, flushes the preconditioner
-//! quiescent, and writes a fresh checkpoint. Restore is bitwise
-//! transparent: the gated invariant is that pause → checkpoint → resume
-//! at a different world equals a fresh run that resized in-process at the
-//! same step, bit for bit, on every rank.
+//! size), trains to the next pause point, and writes a fresh checkpoint.
+//! Restore is bitwise transparent: the gated invariant is that pause →
+//! checkpoint → resume at a different world equals a fresh run that
+//! resized in-process at the same step, bit for bit, on every rank.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -439,8 +438,8 @@ impl JobManager {
     }
 
     /// Execute one segment of a job: restore (or build fresh), train to
-    /// the next pause point or completion, flush the preconditioner
-    /// quiescent, checkpoint, and either finish or re-queue.
+    /// the next pause point or completion, checkpoint, and either finish or
+    /// re-queue.
     fn run_segment(&self, id: JobId) {
         let (spec, start_step, world, ckpt_bytes) = {
             let shard = self.shard(id).read().expect("job map poisoned");
@@ -454,7 +453,6 @@ impl JobManager {
             .find(|&s| s > start_step)
             .unwrap_or(spec.total_steps)
             .min(spec.total_steps);
-        let kfac_async = spec.kfac.as_ref().is_some_and(|k| k.async_runtime);
         let features = spec.layer_sizes[0];
         let classes = *spec.layer_sizes.last().expect("validated non-empty");
 
@@ -515,7 +513,7 @@ impl JobManager {
                     &mut model,
                     &mut optimizer as &mut dyn Optimizer,
                     kfac.as_mut(),
-                    kfac_async,
+                    false,
                     &data,
                     &batches[s % per_epoch],
                     spec.local_batch,
@@ -526,17 +524,12 @@ impl JobManager {
                 micro += stats.micro_batches;
             }
 
-            // Pause point: drain any in-flight window so the checkpoint
-            // sees a quiescent preconditioner.
-            if let Some(k) = kfac.as_mut() {
-                k.flush(comm);
-            }
             let measured = kfac.as_ref().map_or(0, |k| k.memory_meter().current_total());
             let ckpt = JobCheckpoint {
                 step: target,
                 params: model.params_flat(),
                 velocity: optimizer.velocity().to_vec(),
-                kfac: kfac.as_mut().map(|k| k.checkpoint_state(comm)),
+                kfac: kfac.as_ref().map(|k| k.checkpoint_state(comm)),
             };
             (ckpt.to_bytes(), measured, loss_sum, micro)
         });

@@ -156,34 +156,6 @@ impl IterationBreakdown {
             + self.precondition.max(self.grad_bcast)
             + self.scale
     }
-
-    /// Total seconds per iteration under the task-runtime executor's
-    /// cross-iteration model: the step_begin/step_finish split lets the
-    /// factor phase drift past the scale barrier and hide under the *next*
-    /// iteration's forward pass (the first third of `forward_backward`; the
-    /// backward two-thirds are already claimed by DDP bucket overlap).
-    /// Never below the irreducible baseline chain, never above
-    /// [`IterationBreakdown::overlapped_total`].
-    pub fn runtime_total(&self) -> f64 {
-        self.runtime_total_with_depth(2)
-    }
-
-    /// [`IterationBreakdown::runtime_total`] generalized to a depth-`depth`
-    /// cross-iteration window: each additional in-flight iteration donates
-    /// one more forward-pass third to hide deferred factor work under, so
-    /// the hideable window is `(depth - 1) * forward_backward / 3`. Depth 1
-    /// is the sweep pipeline (nothing crosses the iteration boundary);
-    /// depth 2 reproduces [`IterationBreakdown::runtime_total`] exactly.
-    /// The amortized factor phase saturates: once it is fully hidden,
-    /// deeper windows stop helping.
-    pub fn runtime_total_with_depth(&self, depth: usize) -> f64 {
-        assert!(depth >= 1, "window depth must be at least 1");
-        let factor_phase = self.factor_compute.max(self.factor_comm);
-        let forward_window = (depth - 1) as f64 * self.forward_backward / 3.0;
-        let hidden = factor_phase.min(forward_window);
-        (self.overlapped_total() - hidden)
-            .max(self.forward_backward + self.grad_allreduce + self.scale)
-    }
 }
 
 /// Per-rank memory, bytes.
@@ -466,48 +438,6 @@ mod tests {
         // pipelined model must be strictly cheaper there.
         let mem_opt = rn50_sim(1.0 / 64.0).iteration_breakdown();
         assert!(mem_opt.overlapped_total() < mem_opt.total());
-    }
-
-    #[test]
-    fn runtime_total_bounded_by_overlapped_and_baseline() {
-        for frac in [1.0 / 64.0, 0.5, 1.0] {
-            let b = rn50_sim(frac).iteration_breakdown();
-            let runtime = b.runtime_total();
-            assert!(
-                runtime <= b.overlapped_total() + 1e-15,
-                "cross-iteration overlap can only help: {} > {}",
-                runtime,
-                b.overlapped_total()
-            );
-            assert!(runtime >= b.forward_backward + b.grad_allreduce + b.scale);
-        }
-        // ResNet-50's amortized factor phase is nonzero, so hoisting it into
-        // the next forward pass must be a strict win over the sweep pipeline.
-        let b = rn50_sim(0.5).iteration_breakdown();
-        assert!(
-            b.runtime_total() < b.overlapped_total(),
-            "factor phase {} should hide under the forward window",
-            b.factor_compute.max(b.factor_comm)
-        );
-    }
-
-    #[test]
-    fn runtime_total_with_depth_is_monotone_and_saturating() {
-        let b = rn50_sim(0.5).iteration_breakdown();
-        // Depth 1 = no cross-iteration hiding; depth 2 = the legacy model.
-        assert_eq!(b.runtime_total_with_depth(1), b.overlapped_total());
-        assert_eq!(b.runtime_total_with_depth(2), b.runtime_total());
-        let mut prev = b.runtime_total_with_depth(1);
-        for depth in 2..=6 {
-            let t = b.runtime_total_with_depth(depth);
-            assert!(t <= prev + 1e-15, "depth {depth}: {t} regressed from {prev}");
-            prev = t;
-        }
-        // Once the amortized factor phase is fully hidden, deeper windows
-        // stop helping: times saturate at the baseline-bounded floor.
-        let deep = b.runtime_total_with_depth(32);
-        assert!(deep <= b.runtime_total_with_depth(6) + 1e-15);
-        assert!(deep >= b.forward_backward + b.grad_allreduce + b.scale);
     }
 
     #[test]

@@ -94,15 +94,15 @@ pub struct StepStats {
 }
 
 /// Drive exactly one synchronous optimizer step: K-FAC capture arming,
-/// micro-batch forward/backward accumulation, the optional async
-/// `step_begin` lookahead, the DDP gradient allreduce, K-FAC
-/// preconditioning, and the first-order update.
+/// micro-batch forward/backward accumulation, the DDP gradient allreduce,
+/// K-FAC preconditioning, and the first-order update.
 ///
 /// This is the loop body of [`train_rank`], exposed so external drivers
 /// (the serve layer's job manager) can advance a job step-at-a-time —
 /// pausing, checkpointing, and resuming — while executing the *identical*
-/// code path as an uninterrupted run. `kfac_async` must mirror the
-/// `KfacConfig::async_runtime` flag the preconditioner was built with.
+/// code path as an uninterrupted run. `kfac_async` must be `false`: the
+/// lookahead split it selected is gone, and the argument stays only so
+/// existing callers keep compiling.
 // A step genuinely has this many independent inputs; bundling them into a
 // struct would only move the argument list behind a constructor.
 #[allow(clippy::too_many_arguments)]
@@ -110,7 +110,7 @@ pub fn run_step<M, D>(
     comm: &dyn Communicator,
     model: &mut M,
     optimizer: &mut dyn Optimizer,
-    mut kfac: Option<&mut Kfac>,
+    kfac: Option<&mut Kfac>,
     kfac_async: bool,
     train_set: &D,
     indices: &[usize],
@@ -122,6 +122,7 @@ where
     M: Model,
     D: Dataset<Input = M::Input, Target = M::Target> + ?Sized,
 {
+    assert!(!kfac_async, "run_step: the kfac_async lookahead split was removed; pass false");
     if let Some(kfac) = kfac.as_deref() {
         kfac.prepare(model);
     } else {
@@ -140,18 +141,9 @@ where
         stats.micro_batches += 1;
     }
 
-    if kfac_async {
-        if let Some(kfac) = kfac.as_deref_mut() {
-            kfac.step_begin(model, comm);
-        }
-    }
     allreduce_gradients(model, comm, grad_accum);
     if let Some(kfac) = kfac {
-        if kfac_async {
-            kfac.step_finish(model, comm, lr);
-        } else {
-            kfac.step(model, comm, lr);
-        }
+        kfac.step(model, comm, lr);
     }
     optimizer.step_model_dyn(model, lr);
     stats
@@ -176,9 +168,6 @@ where
     let sampler =
         ShardSampler::new(train_set.len(), world, rank, cfg.local_batch * cfg.grad_accum, cfg.seed);
     let mut kfac = cfg.kfac.clone().map(|kc| Kfac::new(kc, &mut model, comm));
-    // Two-step lookahead: with the task runtime enabled, factor collectives
-    // begin before the DDP gradient allreduce and drain concurrently with it.
-    let kfac_async = cfg.kfac.as_ref().is_some_and(|kc| kc.async_runtime);
 
     let mut result = TrainResult::default();
     let start = Instant::now();
@@ -201,7 +190,7 @@ where
                 &mut model,
                 optimizer,
                 kfac.as_mut(),
-                kfac_async,
+                false,
                 train_set,
                 &indices,
                 cfg.local_batch,
@@ -237,12 +226,6 @@ where
         }
     }
 
-    // A depth-D window may retire steps with deferred factor completes
-    // still in flight; drain them so the complete-side accounting below
-    // (comm bytes, stage times, meters) is final on every rank.
-    if let Some(kfac) = &mut kfac {
-        kfac.flush(comm);
-    }
     result.total_seconds = start.elapsed().as_secs_f64();
     result.iterations = iterations;
     result.avg_iteration_seconds =
@@ -396,45 +379,6 @@ mod tests {
         assert!(result.kfac_memory_bytes > 0);
         assert!(result.stage_times.is_some());
         assert!(result.best_metric() > 0.5, "metric {}", result.best_metric());
-    }
-
-    #[test]
-    fn async_runtime_lookahead_matches_monolithic_kfac_step() {
-        // The step_begin/step_finish split interleaves factor collectives
-        // with the DDP allreduce but must not change a single bit of the
-        // training trajectory.
-        let (train, val) = blobs();
-        let base = TrainConfig {
-            epochs: 3,
-            local_batch: 16,
-            schedule: LrSchedule::Constant { lr: 0.2 },
-            ..Default::default()
-        };
-        let kc =
-            KfacConfig::builder().grad_worker_frac(0.5).factor_update_freq(2).inv_update_freq(4);
-        let run = |kc: KfacConfig| {
-            train_distributed(
-                4,
-                || Mlp::new(&[8, 16, 4], &mut Rng::seed_from_u64(3)),
-                Sgd::new,
-                &train,
-                &val,
-                &TrainConfig { kfac: Some(kc), ..base.clone() },
-            )
-        };
-        let serial = run(kc.clone().build());
-        // Depth 1 is the classic two-half lookahead; depth 3 retires steps
-        // into the cross-iteration window. Both must be trajectory-exact.
-        for depth in [1usize, 3] {
-            let lookahead = run(kc.clone().async_runtime(true).cross_iter_depth(depth).build());
-            assert_eq!(serial.iterations, lookahead.iterations, "depth {depth}");
-            assert_eq!(serial.kfac_comm_bytes, lookahead.kfac_comm_bytes, "depth {depth}");
-            for (a, b) in serial.epochs.iter().zip(&lookahead.epochs) {
-                assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "epoch {}", a.epoch);
-                assert_eq!(a.val_loss.to_bits(), b.val_loss.to_bits(), "epoch {}", a.epoch);
-                assert_eq!(a.val_metric.to_bits(), b.val_metric.to_bits(), "epoch {}", a.epoch);
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The lock-free ring engine is a drop-in replacement for the mutex
-//! mailboxes: for every distribution strategy, every executor, and every
-//! window depth, training on `ThreadCommBackend::Ring` must be *bitwise*
-//! identical to training on `ThreadCommBackend::Mutex`, and the comm meters
-//! must record exactly the same traffic. Collectives reduce in ascending
+//! mailboxes: for every distribution strategy and both executors, training
+//! on `ThreadCommBackend::Ring` must be *bitwise* identical to training on
+//! `ThreadCommBackend::Mutex`, and the comm meters must record exactly the
+//! same traffic. Collectives reduce in ascending
 //! rank order in both engines, so there is no tolerance anywhere — any
 //! drift is a reordering bug in the ring protocol.
 
@@ -46,7 +46,6 @@ fn train_on_backend(
             last_grads = model.grads_flat();
             opt.step_model(&mut model, 0.1);
         }
-        kfac.flush(comm);
         comm.barrier();
         (model.params_flat(), last_grads, comm.meter_snapshot())
     })
@@ -102,19 +101,13 @@ fn ring_matches_mutex_across_strategies() {
 }
 
 #[test]
-fn ring_matches_mutex_across_executors_and_depths() {
-    // The executor axis: serial, pipelined, and the task runtime at window
-    // depths 1–3. The runtime leans hardest on non-blocking begin/poll/
-    // complete overlap, which is exactly where a mis-sequenced ring would
-    // first diverge.
+fn ring_matches_mutex_across_executors() {
+    // The executor axis: serial and pipelined. The pipelined sweeps keep a
+    // phase's collectives in flight between begin and complete, which is
+    // exactly where a mis-sequenced ring would first diverge.
     let world = 4;
     assert_backends_equivalent(world, 10, 223, "serial", |b| b.pipelined(false));
     assert_backends_equivalent(world, 10, 223, "pipelined", |b| b.pipelined(true));
-    for depth in [1usize, 2, 3] {
-        assert_backends_equivalent(world, 10, 223, &format!("runtime depth={depth}"), move |b| {
-            b.async_runtime(true).cross_iter_depth(depth)
-        });
-    }
 }
 
 #[test]

@@ -28,6 +28,19 @@ fn train(
     seed: u64,
     build: impl Fn(KfacConfigBuilder) -> KfacConfigBuilder + Sync,
 ) -> Vec<(Vec<f32>, Vec<f32>, u64, MeterSnapshot)> {
+    train_accum(world, steps, seed, 1, build)
+}
+
+/// [`train`] with gradient accumulation: each step's indices split into
+/// `grad_accum` micro-batches whose gradients (and K-FAC statistics)
+/// accumulate before the K-FAC step.
+fn train_accum(
+    world: usize,
+    steps: usize,
+    seed: u64,
+    grad_accum: usize,
+    build: impl Fn(KfacConfigBuilder) -> KfacConfigBuilder + Sync,
+) -> Vec<(Vec<f32>, Vec<f32>, u64, MeterSnapshot)> {
     let dataset = GaussianBlobs::generate(128, 8, 4, 0.4, seed);
     ThreadComm::run(world, |comm| {
         let mut model = Mlp::new(&[8, 12, 4], &mut Rng::seed_from_u64(seed + 1));
@@ -40,18 +53,20 @@ fn train(
             let epoch = step / sampler.batches_per_epoch();
             let batches = sampler.epoch_batches(epoch);
             let indices = &batches[step % sampler.batches_per_epoch()];
-            let (x, y) = dataset.batch(indices);
             kfac.prepare(&mut model);
             model.zero_grad();
-            let _ = model.forward_backward(&x, &y);
-            kaisa::trainer::allreduce_gradients(&mut model, comm, 1);
+            let micro = indices.len().div_ceil(grad_accum).max(1);
+            for chunk in indices.chunks(micro) {
+                let (x, y) = dataset.batch(chunk);
+                let _ = model.forward_backward(&x, &y);
+            }
+            kaisa::trainer::allreduce_gradients(&mut model, comm, grad_accum);
             kfac.step(&mut model, comm, 0.1);
             last_grads = model.grads_flat();
             opt.step_model(&mut model, 0.1);
         }
-        // Drain any depth-D window residue, then quiesce all ranks so every
-        // collective of the final step has been recorded in the meter.
-        kfac.flush(comm);
+        // Quiesce all ranks so every collective of the final step has been
+        // recorded in the meter.
         comm.barrier();
         (model.params_flat(), last_grads, kfac.comm_bytes(), comm.meter_snapshot())
     })
@@ -289,271 +304,6 @@ fn sharded_factors_cut_metered_factor_bytes_at_world_8() {
 }
 
 #[test]
-fn priority_schedule_never_changes_numerics() {
-    // Reordering sweep issue order keeps every collective's group and
-    // payload, so training — including logical comm bytes — is bitwise
-    // unchanged in both the dense and sharded paths.
-    for world in [4usize, 8] {
-        for sharded in [false, true] {
-            let fixed = train(world, 10, 107, |b| {
-                b.grad_worker_frac(0.5).pipelined(true).sharded_factors(sharded)
-            });
-            let prioritized = train(world, 10, 107, |b| {
-                b.grad_worker_frac(0.5)
-                    .pipelined(true)
-                    .sharded_factors(sharded)
-                    .priority_schedule(true)
-            });
-            let ctx = format!("world={world} sharded={sharded}");
-            assert_bitwise_equal(&fixed, &prioritized, &ctx);
-            for (rank, (f, p)) in fixed.iter().zip(&prioritized).enumerate() {
-                for tag in CommTag::ALL {
-                    assert_eq!(
-                        f.3.tag_bytes(tag),
-                        p.3.tag_bytes(tag),
-                        "{ctx}: rank {rank} {tag:?} bytes changed under priority schedule"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Like [`train`], but drives the task runtime through the trainer's
-/// two-step lookahead split: `step_begin` launches factor collectives
-/// *before* the DDP gradient allreduce, `step_finish` drains them after.
-fn train_lookahead(
-    world: usize,
-    steps: usize,
-    seed: u64,
-    build: impl Fn(KfacConfigBuilder) -> KfacConfigBuilder + Sync,
-) -> Vec<(Vec<f32>, Vec<f32>, u64, MeterSnapshot)> {
-    let dataset = GaussianBlobs::generate(128, 8, 4, 0.4, seed);
-    ThreadComm::run(world, |comm| {
-        let mut model = Mlp::new(&[8, 12, 4], &mut Rng::seed_from_u64(seed + 1));
-        let mut opt = Sgd::with_momentum(0.9);
-        let cfg = build(
-            KfacConfig::builder().factor_update_freq(2).inv_update_freq(4).async_runtime(true),
-        )
-        .build();
-        let mut kfac = Kfac::new(cfg, &mut model, comm);
-        let sampler = ShardSampler::new(dataset.len(), world, comm.rank(), 8, seed);
-        let mut last_grads = Vec::new();
-        for step in 0..steps {
-            let epoch = step / sampler.batches_per_epoch();
-            let batches = sampler.epoch_batches(epoch);
-            let indices = &batches[step % sampler.batches_per_epoch()];
-            let (x, y) = dataset.batch(indices);
-            kfac.prepare(&mut model);
-            model.zero_grad();
-            let _ = model.forward_backward(&x, &y);
-            kfac.step_begin(&mut model, comm);
-            kaisa::trainer::allreduce_gradients(&mut model, comm, 1);
-            kfac.step_finish(&mut model, comm, 0.1);
-            last_grads = model.grads_flat();
-            opt.step_model(&mut model, 0.1);
-        }
-        kfac.flush(comm);
-        comm.barrier();
-        (model.params_flat(), last_grads, kfac.comm_bytes(), comm.meter_snapshot())
-    })
-}
-
-#[test]
-fn async_runtime_is_bitwise_identical_across_strategies_and_worlds() {
-    // The tentpole contract: the task runtime replays the sweep executor's
-    // collective order through plan-time gates, so training is bitwise
-    // identical to the serial reference on the full strategy matrix.
-    for world in [1usize, 2, 4, 8] {
-        for frac in [1.0 / world as f64, 0.5, 1.0] {
-            let serial = train(world, 10, 31, |b| b.grad_worker_frac(frac).pipelined(false));
-            let runtime = train(world, 10, 31, |b| b.grad_worker_frac(frac).async_runtime(true));
-            assert_bitwise_equal(&serial, &runtime, &format!("runtime world={world} frac={frac}"));
-        }
-    }
-}
-
-#[test]
-fn async_runtime_is_bitwise_identical_with_fp16_triangular_and_sharded() {
-    for (precision, triangular, sharded) in [
-        (Precision::Fp16, false, false),
-        (Precision::Fp32, true, false),
-        (Precision::Fp16, true, true),
-        (Precision::Fp32, false, true),
-    ] {
-        let mk = |runtime: bool| {
-            train(4, 8, 47, move |b| {
-                b.grad_worker_frac(0.5)
-                    .precision(precision)
-                    .triangular_comm(triangular)
-                    .sharded_factors(sharded)
-                    .pipelined(!runtime)
-                    .async_runtime(runtime)
-            })
-        };
-        let ctx = format!("runtime precision={precision:?} tri={triangular} sharded={sharded}");
-        assert_bitwise_equal(&mk(false), &mk(true), &ctx);
-    }
-}
-
-#[test]
-fn async_runtime_is_bitwise_identical_on_variant_algorithms() {
-    type Variant = (&'static str, fn(KfacConfigBuilder) -> KfacConfigBuilder);
-    let variants: [Variant; 3] = [
-        ("inverse", |b| b.use_eigen(false)),
-        ("no-precompute", |b| b.precompute_outer(false)),
-        ("ekfac", |b| b.ekfac(true)),
-    ];
-    for (name, variant) in variants {
-        let serial = train(4, 8, 59, |b| variant(b.grad_worker_frac(0.5)).pipelined(false));
-        let runtime = train(4, 8, 59, |b| variant(b.grad_worker_frac(0.5)).async_runtime(true));
-        assert_bitwise_equal(&serial, &runtime, &format!("runtime {name}"));
-    }
-}
-
-#[test]
-fn lookahead_split_is_bitwise_identical_to_monolithic_step() {
-    // step_begin before the DDP allreduce + step_finish after must equal the
-    // serial reference exactly: factor collectives and the DDP allreduce are
-    // independent, and rank-ordered reductions pin every bit.
-    for (frac, sharded) in [(0.5, false), (0.25, false), (0.5, true)] {
-        let serial = train(4, 10, 113, |b| {
-            b.grad_worker_frac(frac).sharded_factors(sharded).pipelined(false)
-        });
-        let split =
-            train_lookahead(4, 10, 113, |b| b.grad_worker_frac(frac).sharded_factors(sharded));
-        let ctx = format!("lookahead frac={frac} sharded={sharded}");
-        assert_bitwise_equal(&serial, &split, &ctx);
-    }
-}
-
-/// Like [`train_lookahead`], but with gradient accumulation: each step's
-/// indices split into `grad_accum` micro-batches whose gradients (and K-FAC
-/// statistics) accumulate before the split-step K-FAC update.
-fn train_lookahead_accum(
-    world: usize,
-    steps: usize,
-    seed: u64,
-    grad_accum: usize,
-    build: impl Fn(KfacConfigBuilder) -> KfacConfigBuilder + Sync,
-) -> Vec<(Vec<f32>, Vec<f32>, u64, MeterSnapshot)> {
-    let dataset = GaussianBlobs::generate(128, 8, 4, 0.4, seed);
-    ThreadComm::run(world, |comm| {
-        let mut model = Mlp::new(&[8, 12, 4], &mut Rng::seed_from_u64(seed + 1));
-        let mut opt = Sgd::with_momentum(0.9);
-        let cfg = build(
-            KfacConfig::builder().factor_update_freq(2).inv_update_freq(4).async_runtime(true),
-        )
-        .build();
-        let mut kfac = Kfac::new(cfg, &mut model, comm);
-        let sampler = ShardSampler::new(dataset.len(), world, comm.rank(), 8, seed);
-        let mut last_grads = Vec::new();
-        for step in 0..steps {
-            let epoch = step / sampler.batches_per_epoch();
-            let batches = sampler.epoch_batches(epoch);
-            let indices = &batches[step % sampler.batches_per_epoch()];
-            kfac.prepare(&mut model);
-            model.zero_grad();
-            let micro = indices.len().div_ceil(grad_accum).max(1);
-            for chunk in indices.chunks(micro) {
-                let (x, y) = dataset.batch(chunk);
-                let _ = model.forward_backward(&x, &y);
-            }
-            kfac.step_begin(&mut model, comm);
-            kaisa::trainer::allreduce_gradients(&mut model, comm, grad_accum);
-            kfac.step_finish(&mut model, comm, 0.1);
-            last_grads = model.grads_flat();
-            opt.step_model(&mut model, 0.1);
-        }
-        kfac.flush(comm);
-        comm.barrier();
-        (model.params_flat(), last_grads, kfac.comm_bytes(), comm.meter_snapshot())
-    })
-}
-
-#[test]
-fn depth_window_is_bitwise_identical_across_depths_and_layouts() {
-    // The tentpole contract: a depth-D cross-iteration window defers factor
-    // completes across iteration boundaries but must not change a single
-    // bit of training vs the serial executor, dense or sharded.
-    for depth in [1usize, 2, 3] {
-        for sharded in [false, true] {
-            let serial = train(4, 10, 31, |b| {
-                b.grad_worker_frac(0.5).pipelined(false).sharded_factors(sharded)
-            });
-            let windowed = train(4, 10, 31, |b| {
-                b.grad_worker_frac(0.5)
-                    .async_runtime(true)
-                    .cross_iter_depth(depth)
-                    .sharded_factors(sharded)
-            });
-            let ctx = format!("depth={depth} sharded={sharded}");
-            assert_bitwise_equal(&serial, &windowed, &ctx);
-        }
-    }
-}
-
-#[test]
-fn depth_window_is_bitwise_identical_with_fp16_triangular_and_grad_accum() {
-    // Depth 3 through the lookahead split, with half-precision triangular
-    // factor payloads and 2-way gradient accumulation — the layouts that
-    // most reshape what the deferred completes unpack and fold.
-    for (precision, triangular, sharded) in [
-        (Precision::Fp16, true, false),
-        (Precision::Fp16, false, true),
-        (Precision::Fp32, true, true),
-    ] {
-        let serial = train(4, 8, 47, move |b| {
-            b.grad_worker_frac(0.5)
-                .precision(precision)
-                .triangular_comm(triangular)
-                .sharded_factors(sharded)
-                .pipelined(false)
-        });
-        let deep = train_lookahead_accum(4, 8, 47, 1, move |b| {
-            b.grad_worker_frac(0.5)
-                .precision(precision)
-                .triangular_comm(triangular)
-                .sharded_factors(sharded)
-                .cross_iter_depth(3)
-        });
-        let ctx = format!("depth=3 precision={precision:?} tri={triangular} sharded={sharded}");
-        assert_bitwise_equal(&serial, &deep, &ctx);
-    }
-    // Gradient accumulation: micro-batch statistics accumulate identically
-    // whether the window runs at depth 1 or depth 3.
-    let shallow = train_lookahead_accum(4, 8, 53, 2, |b| {
-        b.grad_worker_frac(0.5).sharded_factors(true).cross_iter_depth(1)
-    });
-    let deep = train_lookahead_accum(4, 8, 53, 2, |b| {
-        b.grad_worker_frac(0.5).sharded_factors(true).cross_iter_depth(3)
-    });
-    assert_bitwise_equal(&shallow, &deep, "depth=3 grad_accum=2");
-}
-
-#[test]
-fn depth_auto_resolves_identically_on_every_rank() {
-    // depth(auto) is a pure function of layer dims, world size, network,
-    // and the factor update frequency — so every rank must resolve the
-    // same depth without communicating.
-    let depths = ThreadComm::run(4, |comm| {
-        let mut model = Mlp::new(&[8, 12, 4], &mut Rng::seed_from_u64(9));
-        let cfg = KfacConfig::builder()
-            .factor_update_freq(5)
-            .inv_update_freq(10)
-            .async_runtime(true)
-            .cross_iter_depth_auto()
-            .network(ClusterNetwork::ethernet_10g())
-            .build();
-        let kfac = Kfac::new(cfg, &mut model, comm);
-        comm.barrier();
-        kfac.cross_iter_depth()
-    });
-    assert!(depths.iter().all(|&d| d == depths[0]), "ranks disagree on auto depth: {depths:?}");
-    assert!(depths[0] >= 1);
-}
-
-#[test]
 fn cost_model_shows_overlap_win_on_comm_bound_resnet() {
     // The acceptance configuration: ResNetMini layer dims, world 8,
     // HYBRID-OPT, on a comm-bound 10GbE network. The list-scheduled pipeline
@@ -586,22 +336,6 @@ fn cost_model_shows_overlap_win_on_comm_bound_resnet() {
     );
     // Sanity: the dependency-only critical path lower-bounds the schedule.
     assert!(m.graph().critical_path() <= m.pipelined_seconds() + 1e-15);
-    // The task runtime relaxes the sweep's lock-step issue order, so its
-    // modeled makespan can never exceed the pipelined schedule.
-    assert!(
-        m.runtime_seconds() <= m.pipelined_seconds() + 1e-15,
-        "runtime {} must not exceed pipelined {}",
-        m.runtime_seconds(),
-        m.pipelined_seconds()
-    );
-    // And across the iteration boundary the two-iteration window model must
-    // overlap iteration-0 factor traffic with iteration-1 forward/backward.
-    let (pipelined_w, runtime_w) =
-        kaisa::core::modeled_cross_iter_makespans(&dims, world, ClusterNetwork::ethernet_10g(), 32);
-    assert!(
-        runtime_w <= pipelined_w + 1e-15,
-        "cross-iteration window: runtime {runtime_w} must not exceed pipelined {pipelined_w}"
-    );
 }
 
 proptest! {
@@ -614,19 +348,21 @@ proptest! {
         steps in 3usize..8,
         seed in 100u64..200,
         sharded in any::<bool>(),
-        runtime in any::<bool>(),
-        depth in 1usize..4,
+        fp16 in any::<bool>(),
+        triangular in any::<bool>(),
+        grad_accum in 1usize..3,
     ) {
-        let serial = train(world, steps, seed, |b| {
-            b.grad_worker_frac(frac).pipelined(false).sharded_factors(sharded)
-        });
-        let pipelined = train(world, steps, seed, |b| {
-            b.grad_worker_frac(frac)
-                .pipelined(!runtime)
-                .async_runtime(runtime)
-                .cross_iter_depth(if runtime { depth } else { 1 })
-                .sharded_factors(sharded)
-        });
+        let precision = if fp16 { Precision::Fp16 } else { Precision::Fp32 };
+        let run = |pipelined: bool| {
+            train_accum(world, steps, seed, grad_accum, move |b| {
+                b.grad_worker_frac(frac)
+                    .precision(precision)
+                    .triangular_comm(triangular)
+                    .sharded_factors(sharded)
+                    .pipelined(pipelined)
+            })
+        };
+        let (serial, pipelined) = (run(false), run(true));
         for (rank, (s, p)) in serial.iter().zip(&pipelined).enumerate() {
             prop_assert_eq!(bits(&s.0), bits(&p.0), "rank {} params", rank);
             prop_assert_eq!(bits(&s.1), bits(&p.1), "rank {} grads", rank);

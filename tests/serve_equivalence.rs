@@ -75,7 +75,7 @@ struct SegmentState {
 }
 
 /// One reference segment: fresh world, optional in-memory restore, train
-/// `[start, end)`, flush, hand the state back. Asserts every rank derived
+/// `[start, end)`, hand the state back. Asserts every rank derived
 /// bitwise-identical state.
 fn reference_segment(
     kc: &KfacConfig,
@@ -111,7 +111,7 @@ fn reference_segment(
                 &mut model,
                 &mut optimizer as &mut dyn Optimizer,
                 kfac.as_mut(),
-                kc.async_runtime,
+                false,
                 &data,
                 &batches[s % per_epoch],
                 LOCAL_BATCH,
@@ -119,13 +119,10 @@ fn reference_segment(
                 LR,
             );
         }
-        if let Some(k) = kfac.as_mut() {
-            k.flush(comm);
-        }
         SegmentState {
             params: model.params_flat(),
             velocity: optimizer.velocity().to_vec(),
-            kfac: kfac.as_mut().map(|k| k.checkpoint_state(comm)),
+            kfac: kfac.as_ref().map(|k| k.checkpoint_state(comm)),
         }
     });
     for (r, o) in outs.iter().enumerate().skip(1) {

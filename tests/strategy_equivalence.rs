@@ -209,7 +209,6 @@ fn train_cfg(
             last_grads = model.grads_flat();
             opt.step_model(&mut model, 0.1);
         }
-        kfac.flush(comm);
         comm.barrier();
         (model.params_flat(), last_grads, comm.meter_snapshot())
     })
@@ -238,36 +237,18 @@ fn local_opt_world1_is_bitwise_identical_to_dense_serial() {
 
 #[test]
 fn local_opt_is_deterministic_across_executors_ranks_and_worlds() {
-    // The fourth strategy through the full executor matrix: serial,
-    // pipelined, and task-runtime (at depths 1–3) must train bit-identically
-    // at every world, and all ranks must hold the same weights — DP-KFAC
-    // changes *whose* statistics feed the preconditioner, not the
-    // data-parallel contract.
+    // The fourth strategy through both executors: serial and pipelined
+    // must train bit-identically at every world, and all ranks must hold the
+    // same weights — DP-KFAC changes *whose* statistics feed the
+    // preconditioner, not the data-parallel contract.
     for world in [1usize, 2, 4] {
         let serial =
             train_cfg(world, 10, 137, 1, |b| b.strategy(DistStrategy::LocalOpt).pipelined(false));
         let pipelined =
             train_cfg(world, 10, 137, 1, |b| b.strategy(DistStrategy::LocalOpt).pipelined(true));
-        let mut variants = vec![("pipelined".to_string(), pipelined)];
-        for depth in [1usize, 2, 3] {
-            let runtime = train_cfg(world, 10, 137, 1, |b| {
-                b.strategy(DistStrategy::LocalOpt).async_runtime(true).cross_iter_depth(depth)
-            });
-            variants.push((format!("runtime depth={depth}"), runtime));
-        }
-        for (name, candidate) in &variants {
-            for (rank, (s, c)) in serial.iter().zip(candidate).enumerate() {
-                assert_eq!(
-                    bits(&s.0),
-                    bits(&c.0),
-                    "world={world} {name}: rank {rank} params differ from serial"
-                );
-                assert_eq!(
-                    bits(&s.1),
-                    bits(&c.1),
-                    "world={world} {name}: rank {rank} grads differ from serial"
-                );
-            }
+        for (rank, (s, p)) in serial.iter().zip(&pipelined).enumerate() {
+            assert_eq!(bits(&s.0), bits(&p.0), "world={world}: rank {rank} params differ");
+            assert_eq!(bits(&s.1), bits(&p.1), "world={world}: rank {rank} grads differ");
         }
         // Ranks agree bit-for-bit within the strategy.
         for (rank, r) in serial.iter().enumerate().skip(1) {
@@ -281,10 +262,10 @@ fn local_opt_is_deterministic_across_executors_ranks_and_worlds() {
 }
 
 #[test]
-fn local_opt_survives_fp16_grad_accum_and_deep_windows() {
+fn local_opt_survives_fp16_and_grad_accum() {
     // The layouts that most reshape the owner-side fold: half-precision
-    // triangular payloads and accumulated micro-batch statistics, run
-    // through the depth-3 window. The runtime must still match serial.
+    // triangular payloads and accumulated micro-batch statistics. The
+    // pipelined executor must still match serial.
     for (precision, triangular, grad_accum) in
         [(Precision::Fp16, true, 1), (Precision::Fp16, false, 2), (Precision::Fp32, true, 2)]
     {
@@ -294,18 +275,17 @@ fn local_opt_survives_fp16_grad_accum_and_deep_windows() {
                 .triangular_comm(triangular)
                 .pipelined(false)
         });
-        let deep = train_cfg(4, 8, 139, grad_accum, move |b| {
+        let pipelined = train_cfg(4, 8, 139, grad_accum, move |b| {
             b.strategy(DistStrategy::LocalOpt)
                 .precision(precision)
                 .triangular_comm(triangular)
-                .async_runtime(true)
-                .cross_iter_depth(3)
+                .pipelined(true)
         });
         let ctx =
             format!("precision={precision:?} triangular={triangular} grad_accum={grad_accum}");
-        for (rank, (s, d)) in serial.iter().zip(&deep).enumerate() {
-            assert_eq!(bits(&s.0), bits(&d.0), "{ctx}: rank {rank} params differ");
-            assert_eq!(bits(&s.1), bits(&d.1), "{ctx}: rank {rank} grads differ");
+        for (rank, (s, p)) in serial.iter().zip(&pipelined).enumerate() {
+            assert_eq!(bits(&s.0), bits(&p.0), "{ctx}: rank {rank} params differ");
+            assert_eq!(bits(&s.1), bits(&p.1), "{ctx}: rank {rank} grads differ");
         }
     }
 }
@@ -315,14 +295,11 @@ fn local_opt_moves_zero_factor_collective_bytes_at_world_8() {
     // The acceptance gate: DP-KFAC's whole point is deleting the factor
     // collectives. At world 8, every rank's meter must show exactly zero
     // bytes under all three factor tags — dense allreduce, reduce-scatter,
-    // and regather — in every executor, while the rest of the step
+    // and regather — in both executors, while the rest of the step
     // (eigendecomposition broadcast, gradient broadcast, DDP) still flows.
     type Exec = (&'static str, fn(KfacConfigBuilder) -> KfacConfigBuilder);
-    let execs: [Exec; 3] = [
-        ("serial", |b| b.pipelined(false)),
-        ("pipelined", |b| b.pipelined(true)),
-        ("runtime", |b| b.async_runtime(true).cross_iter_depth(2)),
-    ];
+    let execs: [Exec; 2] =
+        [("serial", |b| b.pipelined(false)), ("pipelined", |b| b.pipelined(true))];
     for (name, exec) in execs {
         let results = train_cfg(8, 10, 149, 1, |b| exec(b.strategy(DistStrategy::LocalOpt)));
         for (rank, (_, _, meter)) in results.iter().enumerate() {
@@ -360,10 +337,9 @@ fn local_opt_moves_zero_factor_collective_bytes_at_world_8() {
 
 #[test]
 fn auto_strategy_agrees_on_every_rank() {
-    // The dispatcher is a pure function of (dims, world, network) — the
-    // same all-ranks-agree contract as depth(auto): every rank must pick
-    // the same strategy without communicating, or ranks would plan
-    // different collectives and deadlock.
+    // The dispatcher is a pure function of (dims, world, network): every
+    // rank must pick the same strategy without communicating, or ranks
+    // would plan different collectives and deadlock.
     let dims: Vec<(usize, usize)> = vec![(576, 64), (1152, 128), (2304, 256), (512, 10)];
     for network in [ClusterNetwork::ethernet_10g(), ClusterNetwork::infiniband_edr()] {
         let picks = ThreadComm::run(WORLD, |comm| {
