@@ -2,7 +2,8 @@
 //! layout and shape, SYRK-vs-`gemm_tn` Gram cells, the compute team against
 //! its inline band loop (small-product latency at the step shapes, and two
 //! concurrent callers), `sym_eig`-vs-oracle eigensolve latency at real
-//! factor sizes, plus the elementwise layers of the step path (`Gelu`,
+//! factor sizes and `sym_eig`'s AVX2 solver body against its portable
+//! compilation, plus the elementwise layers of the step path (`Gelu`,
 //! `BatchNorm2d`) in ns per element, written as `BENCH_kernels.json` next to
 //! `BENCH_comm.json`.
 //!
@@ -33,6 +34,10 @@
 //!   noise margin at any measured factor size, or misses a floor of
 //!   [`EIG_SPEEDUP_FLOORS`] — the unit-stride walk has to keep paying for
 //!   itself where the factors of the end-to-end workloads live; or
+//! * on a CPU with AVX2, the AVX2 compilation of `sym_eig`'s solver body is
+//!   slower than the portable one past the noise margin at the smallest of
+//!   [`TWIN_SIZES`], or misses [`TWIN_FLOOR`] — a twin that lost its
+//!   `#[target_feature]` inlining runs at the portable speed; or
 //! * a product at one of the step shapes ([`STEP_SHAPES`]) takes more than
 //!   [`SMALL_LATENCY_CEILING`]× the inline band loop's p50 through the
 //!   normal entry point — the team must cost a small product nothing; or
@@ -45,7 +50,7 @@
 
 use std::time::Instant;
 
-use kaisa_linalg::{sym_eig, sym_eig_reference, EigenError, SymEig};
+use kaisa_linalg::{sym_eig, sym_eig_portable, sym_eig_reference, EigScratch, EigenError, SymEig};
 use kaisa_nn::{activation::Gelu, norm::BatchNorm2d};
 use kaisa_tensor::{
     gemm_nn_with, gemm_nt_with, gemm_tn_with, inline_bands, set_gemm_kernel, syrk_tn_with,
@@ -66,8 +71,19 @@ const SPEEDUP_FLOOR: f64 = 1.5;
 const FLOOR_SHAPE: (usize, usize, usize) = (512, 512, 512);
 /// Required `sym_eig`/reference speedups `(n, floor)`: 576 is the largest
 /// factor of `bench_e2e`'s `resnet_comm_opt`, 512 the cache-set cliff of
-/// the strided walk (4 KiB rows).
-const EIG_SPEEDUP_FLOORS: [(usize, f64); 2] = [(512, 4.0), (576, 2.5)];
+/// the strided walk (4 KiB rows). Both sit above what the solver read
+/// before its AVX2 twin (~8× and ~4×).
+const EIG_SPEEDUP_FLOORS: [(usize, f64); 2] = [(512, 9.0), (576, 4.5)];
+/// Sizes at which `sym_eig`'s AVX2 compilation of the solver body is timed
+/// against its portable one: bert/serve's factor, bert's feed-forward
+/// factor, resnet's largest.
+const TWIN_SIZES: [usize; 3] = [65, 257, 576];
+/// Required portable/AVX2 speedup `(n, floor)`: a twin that lost its
+/// `#[target_feature]` inlining runs at the portable speed (~1.0×) and
+/// fails here. The twin reads 1.12–1.38× on the 2-vCPU reference VM (a
+/// third of the solve is cache-bound and gains nothing from AVX2), so the
+/// floor sits below that spread.
+const TWIN_FLOOR: (usize, f64) = (576, 1.1);
 /// Required syrk/gemm_tn speedup at the flagship Gram shape — conservative
 /// versus the theoretical ~2× flop halving (packing and the mirror are not
 /// halved), but far above noise.
@@ -347,34 +363,44 @@ fn random_spd(n: usize, rng: &mut Rng) -> Matrix {
     s
 }
 
-/// Measure one factor size: `sym_eig` vs the strided reference oracle on
-/// the same SPD matrix, interleaved best-of-[`TRIALS`] with alternating
-/// order, returning `(sym_eig_ms, reference_ms)` per solve.
-fn measure_eig(n: usize) -> (f64, f64) {
+type Solver = fn(&Matrix) -> Result<SymEig, EigenError>;
+
+/// `sym_eig` through the portable compilation of its solver body.
+fn portable(m: &Matrix) -> Result<SymEig, EigenError> {
+    sym_eig_portable(m, &mut EigScratch::new())
+}
+
+/// Measure two eigensolvers on the same `n x n` SPD matrix, interleaved
+/// best-of-[`TRIALS`] with alternating order, returning `(a_ms, b_ms)` per
+/// solve. Panics unless both return the same bits.
+fn measure_eig(n: usize, a: Solver, b: Solver) -> (f64, f64) {
     let mut rng = Rng::seed_from_u64(45);
     let m = random_spd(n, &mut rng);
+    let bits = |solve: Solver| {
+        let eig = solve(&m).expect("SPD input decomposes");
+        eig.values.iter().chain(eig.vectors.as_slice()).map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    assert!(bits(a) == bits(b), "sym_eig {n}: the two solvers disagree bitwise");
     // Small sizes repeat until the window is ~10 ms of the slower solver.
     let iters = (2.0e7 / (n as f64).powi(3)).ceil().max(1.0) as usize;
-    let trial = |solve: fn(&Matrix) -> Result<SymEig, EigenError>| {
+    let trial = |solve: Solver| {
         let start = Instant::now();
         for _ in 0..iters {
             let _ = std::hint::black_box(solve(std::hint::black_box(&m))).unwrap();
         }
         start.elapsed().as_secs_f64() * 1e3 / iters as f64
     };
-    // Warm both paths.
-    let _ = (trial(sym_eig), trial(sym_eig_reference));
-    let (mut fast, mut reference) = (f64::INFINITY, f64::INFINITY);
+    let (mut a_ms, mut b_ms) = (f64::INFINITY, f64::INFINITY);
     for t in 0..TRIALS {
         if t % 2 == 0 {
-            fast = fast.min(trial(sym_eig));
-            reference = reference.min(trial(sym_eig_reference));
+            a_ms = a_ms.min(trial(a));
+            b_ms = b_ms.min(trial(b));
         } else {
-            reference = reference.min(trial(sym_eig_reference));
-            fast = fast.min(trial(sym_eig));
+            b_ms = b_ms.min(trial(b));
+            a_ms = a_ms.min(trial(a));
         }
     }
-    (fast, reference)
+    (a_ms, b_ms)
 }
 
 /// Best-of-[`TRIALS`] ns per element of `pass` (one forward + backward),
@@ -447,11 +473,16 @@ fn main() {
             (96, 600, 84),
         ]
     };
-    // Factor sizes of the end-to-end workloads (65 bert/serve, 288 and 576
-    // resnet) and both sides of the 512 cliff; the 1024 reference solve
-    // alone takes ~15 s a trial, so it is full-mode only.
+    // Factor sizes of the end-to-end workloads (65 bert/serve, 257 bert's
+    // feed-forward, 288 and 576 resnet) and both sides of the 512 cliff; the
+    // 1024 reference solve alone takes ~15 s a trial, so it is full-mode
+    // only.
     let eig_sizes: &[usize] =
-        if quick { &[65, 288, 512, 513, 576] } else { &[65, 288, 512, 513, 576, 1024] };
+        if quick { &[65, 257, 288, 512, 513, 576] } else { &[65, 257, 288, 512, 513, 576, 1024] };
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
 
     eprintln!(
         "kernel_bench: shapes={shapes:?} trials={TRIALS} ({})",
@@ -554,7 +585,7 @@ fn main() {
 
     let mut eig_rows = Vec::new();
     for &n in eig_sizes {
-        let (fast, reference) = measure_eig(n);
+        let (fast, reference) = measure_eig(n, sym_eig, sym_eig_reference);
         let speedup = reference / fast;
         eprintln!(
             "sym_eig {n:>4}x{n:<4}        sym_eig {fast:>9.3} ms | reference {reference:>9.3} ms | {speedup:>5.2}x"
@@ -574,6 +605,34 @@ fn main() {
         eig_rows.push(format!(
             "    {{\"n\": {n}, \"sym_eig_ms\": {fast:.3}, \"reference_ms\": {reference:.3}, \"speedup\": {speedup:.3}}}"
         ));
+    }
+
+    // The solver body's AVX2 compilation (what `sym_eig` dispatches to)
+    // against its portable one: only meaningful where the CPU has AVX2.
+    let mut twin_rows = Vec::new();
+    if avx2 {
+        for n in TWIN_SIZES {
+            let (twin, portable) = measure_eig(n, sym_eig, portable);
+            let speedup = portable / twin;
+            eprintln!(
+                "sym_eig {n:>4}x{n:<4}   AVX2 twin {twin:>9.3} ms | portable {portable:>9.3} ms | {speedup:>5.2}x"
+            );
+            if n == TWIN_SIZES[0] && twin > portable * (1.0 + GATE_TOLERANCE) {
+                gate_failures.push(format!(
+                    "sym_eig {n}: AVX2 twin {twin:.3} ms > portable {portable:.3} ms + {:.0}% margin",
+                    GATE_TOLERANCE * 100.0
+                ));
+            }
+            if n == TWIN_FLOOR.0 && speedup < TWIN_FLOOR.1 {
+                gate_failures.push(format!(
+                    "sym_eig {n}: portable/AVX2 twin {speedup:.2}x < {}x floor",
+                    TWIN_FLOOR.1
+                ));
+            }
+            twin_rows.push(format!(
+                "    {{\"n\": {n}, \"avx2_ms\": {twin:.3}, \"portable_ms\": {portable:.3}, \"speedup\": {speedup:.3}}}"
+            ));
+        }
     }
 
     let (gelu_ns, bn2d_ns) = (measure_gelu(), measure_bn2d());
@@ -602,13 +661,15 @@ fn main() {
             "  \"team_concurrent\": {{\"m\": {}, \"k\": {}, \"n\": {}, \"cores\": {}, ",
             "\"one_caller_gflops\": {:.3}, \"two_callers_aggregate_gflops\": {:.3}}},\n",
             "  \"eigensolve\": [\n{}\n  ],\n",
+            "  \"eigensolve_twin\": {{\"avx2\": {}, \"rows\": [\n{}\n  ]}},\n",
             "  \"elementwise\": [\n",
             "    {{\"name\": \"gelu_fwd_bwd\", \"shape\": [{}, {}], \"ns_per_element\": {:.2}, \"gated\": true}},\n",
             "    {{\"name\": \"bn2d_fwd_bwd\", \"shape\": [{}, {}, {}, {}], \"ns_per_element\": {:.2}, \"gated\": false}}\n",
             "  ],\n",
             "  \"gate\": {{\"tolerance\": {}, \"speedup_floor\": {}, \"floor_shape\": [{}, {}, {}], ",
             "\"syrk_speedup_floor\": {}, \"syrk_floor_shape\": [{}, {}], ",
-            "\"eig_speedup_floors\": {:?}, \"small_latency_ceiling\": {}, \"gelu_ns_ceiling\": {}, ",
+            "\"eig_speedup_floors\": {:?}, \"eig_twin_floor\": [{}, {}], ",
+            "\"small_latency_ceiling\": {}, \"gelu_ns_ceiling\": {}, ",
             "\"enforced\": {}, \"passed\": {}, \"failures\": [{}]}}\n",
             "}}\n"
         ),
@@ -624,6 +685,8 @@ fn main() {
         single,
         pair,
         eig_rows.join(",\n"),
+        avx2,
+        twin_rows.join(",\n"),
         gr,
         gc,
         gelu_ns,
@@ -641,6 +704,8 @@ fn main() {
         SYRK_FLOOR_SHAPE.0,
         SYRK_FLOOR_SHAPE.1,
         EIG_SPEEDUP_FLOORS.map(|(n, floor)| vec![n as f64, floor]),
+        TWIN_FLOOR.0,
+        TWIN_FLOOR.1,
         SMALL_LATENCY_CEILING,
         GELU_NS_CEILING,
         !no_gate,

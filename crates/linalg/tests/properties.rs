@@ -2,8 +2,8 @@
 //! orthogonality, and packing invariants over random symmetric matrices.
 
 use kaisa_linalg::{
-    cholesky, lu_inverse, pack_upper, packed_len, sym_eig, sym_eig_reference, sym_eig_with_scratch,
-    unpack_upper, EigScratch, EigenError,
+    cholesky, lu_inverse, pack_upper, packed_len, sym_eig, sym_eig_portable, sym_eig_reference,
+    sym_eig_with_scratch, unpack_upper, EigScratch, EigenError,
 };
 use kaisa_tensor::{Matrix, Precision, Rng};
 use proptest::prelude::*;
@@ -89,29 +89,48 @@ fn eig_family(kind: usize, n: usize, seed: u64) -> Matrix {
     }
 }
 
-/// `sym_eig` (through a possibly dirty scratch) against the oracle, by bits.
+/// Both compilations of the solver body — the one `sym_eig` dispatches to
+/// (AVX2 where the CPU has it) and the portable one — through a possibly
+/// dirty scratch, against the oracle, by bits.
 fn assert_eig_bitwise(m: &Matrix, scratch: &mut EigScratch, what: &str) {
-    let got = sym_eig_with_scratch(m, scratch).expect("sym_eig");
     let want = sym_eig_reference(m).expect("sym_eig_reference");
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&got.values), bits(&want.values), "{what}: eigenvalues differ");
-    assert_eq!(
-        bits(got.vectors.as_slice()),
-        bits(want.vectors.as_slice()),
-        "{what}: eigenvectors differ"
-    );
+    for (body, solve) in [
+        ("dispatched", sym_eig_with_scratch as fn(&Matrix, &mut EigScratch) -> _),
+        ("portable", sym_eig_portable),
+    ] {
+        let got = solve(m, scratch).expect("sym_eig");
+        assert_eq!(bits(&got.values), bits(&want.values), "{what} {body}: eigenvalues differ");
+        assert_eq!(
+            bits(got.vectors.as_slice()),
+            bits(want.vectors.as_slice()),
+            "{what} {body}: eigenvectors differ"
+        );
+    }
 }
 
-/// The sizes around the cache-set cliff, too slow for the random sweep.
-#[test]
-fn sym_eig_bitwise_matches_reference_at_power_of_two_sizes() {
+fn assert_fixed_sizes_bitwise(cases: &[(usize, &[usize])]) {
     let mut scratch = EigScratch::new();
-    for (n, kinds) in [(255usize, &[7usize][..]), (256, &[1, 6]), (257, &[4]), (512, &[0])] {
+    for &(n, kinds) in cases {
         for &kind in kinds {
             let m = eig_family(kind, n, 1000 + n as u64);
             assert_eig_bitwise(&m, &mut scratch, &format!("n={n} kind={kind}"));
         }
     }
+}
+
+/// The sizes around the cache-set cliff, too slow for the random sweep.
+#[test]
+fn sym_eig_bitwise_matches_reference_at_power_of_two_sizes() {
+    assert_fixed_sizes_bitwise(&[(255, &[7]), (256, &[1, 6]), (257, &[4]), (512, &[0])]);
+}
+
+/// `bench_e2e`'s largest factor (ResNetMini's conv `A`), fp16-quantised as
+/// K-FAC feeds it; a test of its own so the harness runs it alongside the
+/// other slow cases.
+#[test]
+fn sym_eig_bitwise_matches_reference_at_576() {
+    assert_fixed_sizes_bitwise(&[(576, &[1])]);
 }
 
 #[test]
