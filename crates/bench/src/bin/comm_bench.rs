@@ -1,52 +1,46 @@
-//! Bustle-style communicator throughput harness: ops/sec and latency
-//! percentiles per collective, ring backend vs mutex backend, written as
-//! `BENCH_comm.json`.
+//! Communicator payload sweep: ops/sec, latency percentiles and bandwidth
+//! per collective and payload size, written as `BENCH_comm.json`.
 //!
 //! The map-bench Collection/Handle protocol, transliterated: a `ThreadComm`
 //! world is the *Collection* (one shared engine), each rank thread owns a
-//! *Handle* (its `ThreadComm`), and every thread drives a fixed op mix
-//! against its handle while per-op latencies are recorded. Here the op mix
-//! is one collective at a time — collectives are globally synchronizing, so
-//! mixing them would only measure the slowest.
+//! *Handle* (its `ThreadComm`), and every thread drives one collective at a
+//! time against its handle while per-op latencies are recorded —
+//! collectives are globally synchronizing, so mixing them would only
+//! measure the slowest.
 //!
 //! ```sh
 //! cargo run --release -p kaisa-bench --bin comm_bench            # full
 //! cargo run --release -p kaisa-bench --bin comm_bench -- --quick # CI
-//! cargo run --release -p kaisa-bench --bin comm_bench -- --no-gate --out p.json
-//! cargo run --release -p kaisa-bench --bin comm_bench -- --worlds 8,16,64,128
+//! cargo run --release -p kaisa-bench --bin comm_bench -- --worlds 2,8,16 --out p.json
 //! ```
 //!
-//! `--worlds` takes a comma-separated list of world sizes and overrides the
-//! built-in sweep (`8,16,32` full / `8` quick), so scaling past 32 ranks is
-//! a flag rather than a recompile. The regression gate only runs when the
-//! sweep includes the gate world (8).
+//! Payloads sweep 1 K → 4 M `f32` elements (4 KiB → 16 MiB): the small end
+//! is where per-op software overhead dominates, the large end is bandwidth,
+//! and K-FAC factor traffic sits at 0.25–1 M elements in between. Every
+//! cell reports `ops_per_sec` (per-rank collective calls per second),
+//! `p50_us`/`p99_us` (per-op latency pooled over ranks) and `gb_per_s`
+//! (payload bytes moved through the collective per second, NCCL's
+//! "algorithm bandwidth"). An allgather's payload is the gathered total, so
+//! each rank contributes `payload / world`; a barrier has no payload and is
+//! measured once per world.
 //!
-//! Unless `--no-gate` is passed, the run *fails* (exit 1) if at the gate
-//! world (8) the ring backend regresses past the noise margin
-//! ([`GATE_TOLERANCE`]) below the mutex backend on ops/sec or above it on
-//! p99 latency for any collective — this is the CI regression gate for the
-//! lock-free hot path. Both backends are measured in the same process on
-//! the same machine with interleaved trials, so the comparison is
-//! self-calibrating on noisy runners; the margin absorbs scheduler jitter
-//! on oversubscribed single-core CI, where run-to-run swings reach ±15%.
-//! On typical runs the ring backend wins p99 on every collective outright.
+//! `--worlds` takes a comma-separated list of world sizes (default `2,8`
+//! full, `2` quick). The harness explains end-to-end deltas; it gates
+//! nothing.
 
 use std::time::Instant;
 
-use kaisa_comm::{CommOptions, Communicator, ReduceOp, ThreadComm, ThreadCommBackend};
+use kaisa_comm::{Communicator, ReduceOp, ThreadComm};
 
-/// Elements per collective payload (4 KiB of f32 — the small-message regime
-/// where per-op software overhead, not bandwidth, dominates).
-const PAYLOAD: usize = 1024;
+/// Payload sizes in `f32` elements, 1 K → 4 M in steps of 4×.
+const PAYLOADS: [usize; 7] = [1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22];
+/// The `--quick` subset: both ends and the factor-traffic middle.
+const QUICK_PAYLOADS: [usize; 4] = [1 << 10, 1 << 14, 1 << 18, 1 << 22];
 /// Warmup ops per rank before the timed window (interns groups, faults in
-/// rings, settles the spin/park state).
-const WARMUP: usize = 20;
-/// Measured trials per (backend, world, collective); best trial is kept.
+/// rings and buffers, settles the spin/park state).
+const WARMUP: usize = 5;
+/// Measured trials per cell; the best trial is kept.
 const TRIALS: usize = 3;
-/// Relative noise margin for the CI gate: ring must stay within this
-/// fraction of the mutex baseline on both metrics (and beats it outright on
-/// quiet machines).
-const GATE_TOLERANCE: f64 = 0.15;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Collective {
@@ -85,7 +79,7 @@ impl Collective {
                 let _ = comm.reduce_scatter(buf);
             }
             Collective::Allgather => {
-                let _ = comm.allgather(&buf[..PAYLOAD / comm.world_size()]);
+                let _ = comm.allgather(&buf[..buf.len() / comm.world_size()]);
             }
             Collective::Broadcast => comm.broadcast(buf, 0),
             Collective::Barrier => comm.barrier(),
@@ -93,12 +87,13 @@ impl Collective {
     }
 }
 
-/// One backend's measurement for one (world, collective) cell.
+/// One (world, collective, payload) measurement.
 #[derive(Clone, Copy)]
 struct Sample {
     ops_per_sec: f64,
     p50_us: f64,
     p99_us: f64,
+    gb_per_s: f64,
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -109,12 +104,19 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
+/// Timed ops per rank for a payload: enough to fill about `budget_bytes`
+/// of payload traffic, clamped so small payloads get a stable p99 and large
+/// ones finish in well under a second.
+fn iters_for(payload: usize, budget_bytes: usize) -> usize {
+    (budget_bytes / (4 * payload)).clamp(10, 1000)
+}
+
 /// Run one timed trial: every rank drives `iters` ops, the throughput
 /// window is fenced by barriers, and per-op latencies from all ranks are
 /// pooled for the percentiles.
-fn trial(opts: &CommOptions, world: usize, iters: usize, op: Collective) -> Sample {
-    let per_rank = ThreadComm::run_with(world, opts.clone(), |comm| {
-        let mut buf = vec![comm.rank() as f32 + 1.0; PAYLOAD];
+fn trial(world: usize, payload: usize, iters: usize, op: Collective) -> Sample {
+    let per_rank = ThreadComm::run(world, |comm| {
+        let mut buf = vec![comm.rank() as f32 + 1.0; payload];
         for _ in 0..WARMUP {
             op.run(comm, &mut buf);
         }
@@ -132,50 +134,33 @@ fn trial(opts: &CommOptions, world: usize, iters: usize, op: Collective) -> Samp
     let span = per_rank.iter().map(|(s, _)| *s).fold(0.0f64, f64::max);
     let mut lats: Vec<f64> = per_rank.into_iter().flat_map(|(_, l)| l).collect();
     lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let bytes = if op == Collective::Barrier { 0 } else { 4 * payload };
     Sample {
         ops_per_sec: (world * iters) as f64 / span,
         p50_us: percentile(&lats, 0.50),
         p99_us: percentile(&lats, 0.99),
+        gb_per_s: (bytes * iters) as f64 / span / 1e9,
     }
 }
 
-fn fold_best(best: Option<Sample>, s: Sample) -> Option<Sample> {
-    Some(match best {
-        None => s,
-        Some(b) => Sample {
+/// Best of [`TRIALS`] trials (max throughput, min percentiles — every trial
+/// is a complete measurement, so the best one is the least perturbed by
+/// scheduler noise).
+fn measure(world: usize, payload: usize, iters: usize, op: Collective) -> Sample {
+    (0..TRIALS)
+        .map(|_| trial(world, payload, iters, op))
+        .reduce(|b, s| Sample {
             ops_per_sec: b.ops_per_sec.max(s.ops_per_sec),
             p50_us: b.p50_us.min(s.p50_us),
             p99_us: b.p99_us.min(s.p99_us),
-        },
-    })
-}
-
-/// Measure both backends for one (world, collective) cell: best of
-/// [`TRIALS`] trials each (max throughput, min percentiles — every trial is
-/// a complete measurement, so the best one is the least-perturbed by
-/// scheduler noise). Trials are *interleaved*, alternating which backend
-/// goes first, so slow drift in machine speed (frequency scaling, cache
-/// warm-up) biases neither backend.
-fn measure_pair(world: usize, iters: usize, op: Collective) -> (Sample, Sample) {
-    let ring_opts = CommOptions { backend: ThreadCommBackend::Ring, ..CommOptions::default() };
-    let mutex_opts = CommOptions { backend: ThreadCommBackend::Mutex, ..CommOptions::default() };
-    let (mut ring, mut mutex) = (None, None);
-    for t in 0..TRIALS {
-        if t % 2 == 0 {
-            ring = fold_best(ring, trial(&ring_opts, world, iters, op));
-            mutex = fold_best(mutex, trial(&mutex_opts, world, iters, op));
-        } else {
-            mutex = fold_best(mutex, trial(&mutex_opts, world, iters, op));
-            ring = fold_best(ring, trial(&ring_opts, world, iters, op));
-        }
-    }
-    (ring.expect("at least one trial"), mutex.expect("at least one trial"))
+            gb_per_s: b.gb_per_s.max(s.gb_per_s),
+        })
+        .expect("at least one trial")
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let no_gate = args.iter().any(|a| a == "--no-gate");
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -186,7 +171,7 @@ fn main() {
     let worlds: Vec<usize> = match args.iter().position(|a| a == "--worlds") {
         Some(i) => {
             let list = args.get(i + 1).unwrap_or_else(|| {
-                panic!("--worlds needs a comma-separated list, e.g. --worlds 8,16,64")
+                panic!("--worlds needs a comma-separated list, e.g. --worlds 2,8,16")
             });
             let parsed: Vec<usize> = list
                 .split(',')
@@ -202,119 +187,63 @@ fn main() {
             assert!(!parsed.is_empty(), "--worlds: empty list");
             parsed
         }
-        None => {
-            if quick {
-                vec![8]
-            } else {
-                vec![8, 16, 32]
-            }
-        }
+        None if quick => vec![2],
+        None => vec![2, 8],
     };
-    let iters = if quick { 200 } else { 1000 };
-    const GATE_WORLD: usize = 8;
+    let payloads: &[usize] = if quick { &QUICK_PAYLOADS } else { &PAYLOADS };
+    let budget_bytes = if quick { 32 << 20 } else { 256 << 20 };
 
     eprintln!(
-        "comm_bench: worlds={worlds:?} iters={iters} payload={PAYLOAD}xf32 trials={TRIALS} ({})",
+        "comm_bench: worlds={worlds:?} payloads={payloads:?}xf32 trials={TRIALS} ({})",
         if quick { "quick" } else { "full" }
     );
 
     let mut world_blocks = Vec::new();
-    let mut gate_failures: Vec<String> = Vec::new();
     for &world in &worlds {
         let mut rows = Vec::new();
         for op in COLLECTIVES {
-            let (ring, mutex) = measure_pair(world, iters, op);
-            eprintln!(
-                "world {world:>2} {:<14} ring {:>10.0} ops/s p99 {:>8.1} us | mutex {:>10.0} ops/s p99 {:>8.1} us",
-                op.name(),
-                ring.ops_per_sec,
-                ring.p99_us,
-                mutex.ops_per_sec,
-                mutex.p99_us
-            );
-            if world == GATE_WORLD {
-                if ring.ops_per_sec < mutex.ops_per_sec * (1.0 - GATE_TOLERANCE) {
-                    gate_failures.push(format!(
-                        "{}: ring {:.0} ops/s < mutex {:.0} ops/s - {:.0}% margin",
-                        op.name(),
-                        ring.ops_per_sec,
-                        mutex.ops_per_sec,
-                        GATE_TOLERANCE * 100.0
-                    ));
-                }
-                if ring.p99_us > mutex.p99_us * (1.0 + GATE_TOLERANCE) {
-                    gate_failures.push(format!(
-                        "{}: ring p99 {:.1} us > mutex p99 {:.1} us + {:.0}% margin",
-                        op.name(),
-                        ring.p99_us,
-                        mutex.p99_us,
-                        GATE_TOLERANCE * 100.0
-                    ));
-                }
+            let sizes: &[usize] = if op == Collective::Barrier { &[0] } else { payloads };
+            for &payload in sizes {
+                let iters = iters_for(payload.max(1), budget_bytes);
+                let s = measure(world, payload, iters, op);
+                eprintln!(
+                    "world {world:>2} {:<14} {:>8} elems {:>11.0} ops/s p50 {:>9.1} us p99 {:>9.1} us {:>7.2} GB/s",
+                    op.name(),
+                    payload,
+                    s.ops_per_sec,
+                    s.p50_us,
+                    s.p99_us,
+                    s.gb_per_s
+                );
+                rows.push(format!(
+                    "        {{\"collective\": \"{}\", \"payload_elems\": {payload}, \"iters_per_rank\": {iters}, \"ops_per_sec\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"gb_per_s\": {:.3}}}",
+                    op.name(),
+                    s.ops_per_sec,
+                    s.p50_us,
+                    s.p99_us,
+                    s.gb_per_s
+                ));
             }
-            let cell = |s: Sample| {
-                format!(
-                    "{{\"ops_per_sec\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}}}",
-                    s.ops_per_sec, s.p50_us, s.p99_us
-                )
-            };
-            rows.push(format!(
-                "        {{\"collective\": \"{}\", \"ring\": {}, \"mutex\": {}}}",
-                op.name(),
-                cell(ring),
-                cell(mutex)
-            ));
         }
         world_blocks.push(format!(
-            "    {{\"world\": {world}, \"collectives\": [\n{}\n      ]}}",
+            "    {{\"world\": {world}, \"cells\": [\n{}\n      ]}}",
             rows.join(",\n")
         ));
     }
 
-    let gate_passed = gate_failures.is_empty();
     let json = format!(
         concat!(
             "{{\n",
             "  \"benchmark\": \"kaisa-comm\",\n",
             "  \"quick\": {},\n",
-            "  \"payload_elems\": {},\n",
-            "  \"iters_per_rank\": {},\n",
             "  \"trials\": {},\n",
-            "  \"worlds\": [\n{}\n  ],\n",
-            "  \"gate\": {{\"world\": {}, \"tolerance\": {}, \"enforced\": {}, \"passed\": {}, \"failures\": [{}]}}\n",
+            "  \"worlds\": [\n{}\n  ]\n",
             "}}\n"
         ),
         quick,
-        PAYLOAD,
-        iters,
         TRIALS,
         world_blocks.join(",\n"),
-        GATE_WORLD,
-        GATE_TOLERANCE,
-        !no_gate,
-        gate_passed,
-        gate_failures
-            .iter()
-            .map(|f| format!("\"{}\"", f.replace('"', "'")))
-            .collect::<Vec<_>>()
-            .join(", "),
     );
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     eprintln!("wrote {out}");
-
-    if !gate_passed {
-        eprintln!("comm_bench gate FAILED at world {GATE_WORLD}:");
-        for f in &gate_failures {
-            eprintln!("  - {f}");
-        }
-        if no_gate {
-            eprintln!("(--no-gate: reporting only, not failing)");
-        } else {
-            std::process::exit(1);
-        }
-    } else if worlds.contains(&GATE_WORLD) {
-        eprintln!("comm_bench gate passed at world {GATE_WORLD}");
-    } else {
-        eprintln!("comm_bench gate skipped: world {GATE_WORLD} not in sweep {worlds:?}");
-    }
 }

@@ -10,7 +10,7 @@
 //! are a flat `Vec<u64>` indexed by the interned id.
 //!
 //! The table is *world-shared* on purpose: ids double as wire keys for the
-//! SPSC ring backend, so every rank must agree on them. Whichever rank
+//! rank-pair rings, so every rank must agree on them. Whichever rank
 //! interns a group first assigns its id; later ranks look it up. The shared
 //! mutex is touched only on the first sighting of a group per handle.
 

@@ -4,9 +4,12 @@
 //!
 //! The paper runs on NCCL over InfiniBand with one process per GPU. Here,
 //! *ranks are OS threads* inside one process that exchange data through
-//! shared-memory rendezvous slots — real concurrency with real collective
-//! semantics (matching order per group, barriers, sub-group broadcasts), the
-//! properties HYBRID-OPT's correctness depends on.
+//! lock-free single-producer/single-consumer rings, one per ordered rank
+//! pair — real concurrency with real collective semantics (rank-ordered
+//! reductions, matching order per group, barriers, sub-group broadcasts),
+//! the properties HYBRID-OPT's correctness depends on. [`ThreadComm`] is the
+//! one engine and has no options: [`ThreadComm::world`], [`ThreadComm::run`]
+//! and [`RankPool::new`] are the whole construction surface.
 //!
 //! Every collective is metered: byte volume, operation counts, and a
 //! *simulated wall time* from an α–β (latency–bandwidth) cost model with
@@ -26,13 +29,12 @@
 //! assert_eq!(outputs, vec![6.0; 4]); // 0+1+2+3 on every rank
 //! ```
 
-// `deny` rather than `forbid`: the SPSC ring internals (`spsc`) and the
-// `sched_setaffinity` FFI shim (`affinity`) carry targeted
-// `#[allow(unsafe_code)]` with safety comments; everything else stays safe.
+// `deny` rather than `forbid`: the SPSC ring internals (`spsc`) carry
+// targeted `#[allow(unsafe_code)]` with `// SAFETY:` comments (CI lints
+// them with `clippy::undocumented_unsafe_blocks`); everything else is safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 mod cost_model;
 mod group;
 mod local;
@@ -50,99 +52,14 @@ pub use thread_comm::ThreadComm;
 
 use group::GroupId;
 
-/// Which engine a [`ThreadComm`] world runs its collectives on.
-///
-/// Both engines implement identical semantics (deterministic rank-ordered
-/// reduction, MPI matching order, non-blocking `begin_*`/`complete`) and
-/// meter identical traffic; they differ only in how payloads move between
-/// rank threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ThreadCommBackend {
-    /// The seed engine: one mutex-guarded rendezvous slot table plus a
-    /// condvar. Kept as an A/B baseline and debug escape hatch — every
-    /// collective serializes on the slot lock.
-    Mutex,
-    /// Lock-free engine: one cache-line-padded SPSC ring per ordered rank
-    /// pair with a spin-then-park progress loop. The hot path takes no
-    /// lock. This is the default.
-    #[default]
-    Ring,
-}
-
-impl ThreadCommBackend {
-    /// Resolve the backend from `KAISA_COMM_BACKEND` (`ring` or `mutex`,
-    /// case-insensitive); unset or unrecognized values give the default
-    /// ([`ThreadCommBackend::Ring`]).
-    pub fn from_env() -> Self {
-        match std::env::var("KAISA_COMM_BACKEND") {
-            Ok(v) => v.parse().unwrap_or_default(),
-            Err(_) => Self::default(),
-        }
-    }
-}
-
-impl std::str::FromStr for ThreadCommBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "mutex" => Ok(ThreadCommBackend::Mutex),
-            "ring" => Ok(ThreadCommBackend::Ring),
-            other => Err(format!("unknown comm backend {other:?} (expected ring|mutex)")),
-        }
-    }
-}
-
-impl std::fmt::Display for ThreadCommBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ThreadCommBackend::Mutex => "mutex",
-            ThreadCommBackend::Ring => "ring",
-        })
-    }
-}
-
-/// Construction options for a [`ThreadComm`] world
-/// ([`ThreadComm::world_with`] / [`ThreadComm::run_with`]).
-#[derive(Debug, Clone)]
-pub struct CommOptions {
-    /// The α–β collective cost model feeding the simulated clock.
-    pub cost: CollectiveCostModel,
-    /// Which collective engine to run on.
-    pub backend: ThreadCommBackend,
-    /// Pin rank `r` to core `r % available_parallelism` at spawn
-    /// ([`ThreadComm::run_with`] only). Defaults to the `KAISA_PIN_CORES`
-    /// environment variable (`1`/`true`); off otherwise — pinning hurts on
-    /// oversubscribed machines.
-    pub pin_cores: bool,
-    /// Capacity (messages) of each rank-pair SPSC ring; rounded up to a
-    /// power of two. Only the ring backend reads it.
-    pub ring_capacity: usize,
-}
-
-impl Default for CommOptions {
-    fn default() -> Self {
-        CommOptions {
-            cost: CollectiveCostModel::default(),
-            backend: ThreadCommBackend::from_env(),
-            pin_cores: std::env::var("KAISA_PIN_CORES")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false),
-            ring_capacity: 256,
-        }
-    }
-}
-
-/// Rendezvous ticket for a collective still in flight on [`ThreadComm`]:
-/// the (interned-group, sequence) key plus the participant count needed to
-/// retire the slot.
+/// Ticket for a collective still in flight on [`ThreadComm`]: the
+/// (interned-group, sequence) key it was matched under.
 #[derive(Debug)]
 pub(crate) struct PendingTicket {
     pub(crate) key: (GroupId, u64),
-    pub(crate) participants: usize,
     /// For reduce-scatter: the `(start, len)` ranges of the reduced payload
     /// this rank owns. [`Communicator::complete`] copies their concatenation
-    /// instead of the whole slot buffer.
+    /// instead of the whole reduced payload.
     pub(crate) shard: Option<Vec<(usize, usize)>>,
 }
 
@@ -170,16 +87,16 @@ pub struct ShardSpec {
 /// and only block when the result is actually needed. The handle also
 /// carries the [`CommTag`] of the issuing stage for meter attribution.
 ///
-/// Dropping a pending handle without calling `complete` leaves the
-/// rendezvous slot behind and will wedge the other participants — every
-/// handle must be completed.
+/// Dropping a pending handle without calling `complete` leaves its peers
+/// waiting for a result this rank never collects (a group leader never
+/// reduces and distributes) — every handle must be completed.
 #[must_use = "a pending collective must be passed to Communicator::complete"]
 #[derive(Debug)]
 pub struct PendingCollective {
     /// Result already available at begin time (world-of-one, default
     /// blocking impls, or backends that finished eagerly).
     payload: Option<Vec<f32>>,
-    /// Backend rendezvous ticket when the result is not yet available.
+    /// Matching ticket when the result is not yet available.
     ticket: Option<PendingTicket>,
     tag: CommTag,
 }
@@ -196,25 +113,20 @@ impl PendingCollective {
         PendingCollective { payload: None, ticket: None, tag }
     }
 
-    pub(crate) fn in_flight(key: (GroupId, u64), participants: usize, tag: CommTag) -> Self {
-        PendingCollective {
-            payload: None,
-            ticket: Some(PendingTicket { key, participants, shard: None }),
-            tag,
-        }
+    pub(crate) fn in_flight(key: (GroupId, u64), tag: CommTag) -> Self {
+        PendingCollective { payload: None, ticket: Some(PendingTicket { key, shard: None }), tag }
     }
 
     /// In-flight reduce-scatter: completion copies only this rank's owned
     /// `(start, len)` ranges of the reduced payload, concatenated.
     pub(crate) fn in_flight_sharded(
         key: (GroupId, u64),
-        participants: usize,
         tag: CommTag,
         ranges: Vec<(usize, usize)>,
     ) -> Self {
         PendingCollective {
             payload: None,
-            ticket: Some(PendingTicket { key, participants, shard: Some(ranges) }),
+            ticket: Some(PendingTicket { key, shard: Some(ranges) }),
             tag,
         }
     }

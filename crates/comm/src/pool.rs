@@ -4,24 +4,23 @@
 //! job wants its own [`ThreadComm`] world. A [`RankPool`] bounds how many
 //! rank threads run concurrently across *all* jobs: [`RankPool::run_job`]
 //! acquires one permit per rank (blocking while the pool is full), spawns
-//! the job's world through [`ThreadComm::run_with`], and releases the
+//! the job's world through [`ThreadComm::run`], and releases the
 //! permits when the job's rank threads join — even if a rank panics.
 //!
-//! Every job gets a **fresh, fully isolated world**: its own rendezvous
-//! slots, SPSC rings, group table, and meter. Ranks are numbered `0..world`
-//! within each job regardless of which pool permits backed them, so a job
-//! checkpointed at one world size restores cleanly at another.
+//! Every job gets a **fresh, fully isolated world**: its own SPSC rings,
+//! group table, and meter. Ranks are numbered `0..world` within each job
+//! regardless of which pool permits backed them, so a job checkpointed at
+//! one world size restores cleanly at another.
 
 use std::sync::{Condvar, Mutex};
 
-use crate::{CommOptions, ThreadComm};
+use crate::ThreadComm;
 
 /// A counting semaphore over rank-thread capacity, shared by every job a
 /// serve pool runs.
 #[derive(Debug)]
 pub struct RankPool {
     capacity: usize,
-    opts: CommOptions,
     available: Mutex<usize>,
     freed: Condvar,
 }
@@ -42,16 +41,10 @@ impl Drop for Lease<'_> {
 }
 
 impl RankPool {
-    /// A pool of `capacity` rank threads with default communicator options.
+    /// A pool of `capacity` rank threads.
     pub fn new(capacity: usize) -> Self {
-        Self::with_options(capacity, CommOptions::default())
-    }
-
-    /// A pool of `capacity` rank threads whose job worlds are constructed
-    /// with explicit [`CommOptions`] (backend, cost model, ring capacity).
-    pub fn with_options(capacity: usize, opts: CommOptions) -> Self {
         assert!(capacity >= 1, "rank pool needs at least one rank");
-        RankPool { capacity, opts, available: Mutex::new(capacity), freed: Condvar::new() }
+        RankPool { capacity, available: Mutex::new(capacity), freed: Condvar::new() }
     }
 
     /// Total rank threads the pool may run concurrently.
@@ -66,7 +59,7 @@ impl RankPool {
 
     /// Run one job on a fresh `world`-rank communicator world, blocking
     /// until the pool has `world` free rank permits. Returns the per-rank
-    /// results in rank order, exactly like [`ThreadComm::run_with`].
+    /// results in rank order, exactly like [`ThreadComm::run`].
     ///
     /// # Panics
     /// If `world` exceeds the pool capacity (such a job could never start),
@@ -90,7 +83,7 @@ impl RankPool {
             *avail -= world;
         }
         let _lease = Lease { pool: self, ranks: world };
-        ThreadComm::run_with(world, self.opts.clone(), f)
+        ThreadComm::run(world, f)
     }
 }
 

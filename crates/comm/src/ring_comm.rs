@@ -7,15 +7,13 @@
 //! rank. Members push their contribution into their `member→leader` ring at
 //! `begin_*` time (never blocking except on ring backpressure); the leader
 //! stashes its own contribution locally. At completion the leader drains
-//! its rings, reduces the contributions **in ascending rank order** (the
-//! same `reduce_rank_order` the mutex backend uses, so results are bitwise
-//! identical across backends and thread schedules), meters the collective
-//! once, and pushes each member exactly the slice it is owed — the full
-//! result for allreduce, the member's owned shard concatenation for
-//! reduce-scatter, the rank-ordered concatenation for allgather, an empty
-//! ack for barrier. Broadcast skips the leader: the root pushes its payload
-//! straight to every member at begin time, exactly like the mutex backend
-//! posts the rendezvous slot eagerly.
+//! its rings, reduces the contributions **in ascending rank order** (so
+//! results are bitwise identical across thread schedules), meters the
+//! collective once, and pushes each member the result it is owed — the full
+//! reduction for allreduce and reduce-scatter (members slice out their own
+//! shards), the rank-ordered concatenation for allgather. Barriers send no
+//! messages (see [`RingHandle::barrier`]). Broadcast skips the leader: the
+//! root pushes its payload straight to every member at begin time.
 //!
 //! ## Matching
 //!
@@ -25,7 +23,10 @@
 //! but collectives on *different* groups may interleave, so consumers drain
 //! greedily into a stash keyed `(gid, seq, src)` and matching pops from the
 //! stash. Greedy draining is also what keeps rings short: any rank that
-//! waits for anything first empties everything addressed to it.
+//! waits for anything first empties everything addressed to it. A ring holds
+//! [`RING_CAPACITY`] messages; a producer that finds it full drains its own
+//! inbound rings while it waits, so two ranks filling each other's rings
+//! cannot deadlock.
 //!
 //! ## Waiting
 //!
@@ -49,9 +50,12 @@ use crate::meter::{CommEvent, CommOp, CommTag, Meter};
 use crate::spsc::{self, CachePadded, Consumer, Producer};
 use crate::{CollectiveCostModel, ReduceOp};
 
+/// Messages each ordered rank-pair ring holds (a power of two).
+pub(crate) const RING_CAPACITY: usize = 256;
+
 /// One payload in flight on a rank-pair ring. Payloads are `Arc`-shared so
 /// a leader distributing one result to `p − 1` members clones a refcount,
-/// not the buffer — the mutex backend's shared-slot read, without the lock.
+/// not the buffer.
 #[derive(Debug)]
 struct Message {
     gid: GroupId,
@@ -80,8 +84,7 @@ pub(crate) enum OpKind {
     ReduceScatter(ReduceOp),
     /// Begun allgather: metered as the gather half of a ring allreduce.
     AllgatherBegin,
-    /// Blocking allgather: metered as one rank's contribution (the
-    /// blocking-form convention the mutex backend uses).
+    /// Blocking allgather: metered as one rank's contribution.
     AllgatherBlocking,
 }
 
@@ -180,9 +183,9 @@ pub(crate) struct RingHandle {
     barrier_cache: HashMap<GroupId, Arc<BarrierState>>,
 }
 
-/// Build the full ring mesh for `world` ranks (`capacity` messages per
-/// ordered pair) and deal the endpoints out as per-rank handles.
-pub(crate) fn build_mesh(world: usize, capacity: usize) -> Vec<RingHandle> {
+/// Build the full ring mesh for `world` ranks and deal the endpoints out as
+/// per-rank handles.
+pub(crate) fn build_mesh(world: usize) -> Vec<RingHandle> {
     let mut handles: Vec<RingHandle> = (0..world)
         .map(|rank| RingHandle {
             rank,
@@ -198,7 +201,7 @@ pub(crate) fn build_mesh(world: usize, capacity: usize) -> Vec<RingHandle> {
             if src == dst {
                 continue;
             }
-            let (tx, rx) = spsc::ring::<Message>(capacity);
+            let (tx, rx) = spsc::ring::<Message>(RING_CAPACITY);
             handles[src].tx[dst] = Some(tx);
             handles[dst].rx[src] = Some(rx);
         }
@@ -353,17 +356,25 @@ impl RingHandle {
         members.iter().all(|&m| m == self.rank || self.stash.contains_key(&(gid, seq, m)))
     }
 
-    /// Push one collective contribution to `dst` (a member's begin-side
-    /// send to its group leader).
-    pub(crate) fn send_contribution(
+    /// Begin a leader-completed collective: the lowest member keeps its own
+    /// contribution in its leader role; every other member pushes its
+    /// contribution to the leader and waits for its result from it.
+    pub(crate) fn begin_to_leader(
         &mut self,
         shared: &RingShared,
-        dst: usize,
-        gid: GroupId,
-        seq: u64,
-        data: Arc<[f32]>,
+        (gid, seq): (GroupId, u64),
+        kind: OpKind,
+        own: &[f32],
+        members: Arc<[usize]>,
+        tag: CommTag,
     ) {
-        self.push(shared, dst, Message { gid, seq, data });
+        let leader = members[0];
+        if self.rank == leader {
+            self.insert_role(gid, seq, Role::Leader { kind, own: own.into(), members, tag });
+        } else {
+            self.push(shared, leader, Message { gid, seq, data: own.into() });
+            self.insert_role(gid, seq, Role::Member { src: leader });
+        }
     }
 
     /// Record an in-flight role.
@@ -532,15 +543,34 @@ impl RingHandle {
     }
 }
 
-/// Reduce in ascending rank order and apply the `Avg` scale — shared
-/// numerics with the mutex backend (bitwise identical results).
+/// Reduce the contributions in ascending rank order, so results are
+/// bit-deterministic regardless of thread scheduling (floating-point addition
+/// is not associative), then apply the `Avg` scale. Shared by allreduce and
+/// reduce-scatter, which is what makes a reduce-scatter shard bitwise equal
+/// to the same slice of an allreduce.
 fn reduce_scaled(parts: &BTreeMap<usize, Arc<[f32]>>, op: ReduceOp, p: usize) -> Vec<f32> {
-    let mut result = crate::thread_comm::reduce_rank_order(parts, op);
+    let mut parts = parts.values();
+    let mut acc = parts.next().expect("at least one contribution").to_vec();
+    for part in parts {
+        debug_assert_eq!(acc.len(), part.len(), "reduction length mismatch");
+        match op {
+            ReduceOp::Sum | ReduceOp::Avg => {
+                for (a, b) in acc.iter_mut().zip(part.iter()) {
+                    *a += *b;
+                }
+            }
+            ReduceOp::Max => {
+                for (a, b) in acc.iter_mut().zip(part.iter()) {
+                    *a = a.max(*b);
+                }
+            }
+        }
+    }
     if op == ReduceOp::Avg {
         let inv = 1.0 / p as f32;
-        for v in result.iter_mut() {
+        for v in acc.iter_mut() {
             *v *= inv;
         }
     }
-    result
+    acc
 }

@@ -1,8 +1,7 @@
 //! Cache-line-padded lock-free single-producer/single-consumer ring.
 //!
-//! The ring backend of [`crate::ThreadComm`] keeps one of these per ordered
-//! rank pair, so every payload moves rank→rank without ever touching a
-//! mutex: the producer owns `tail`, the consumer owns `head`, and the two
+//! [`crate::ThreadComm`] keeps one of these per ordered rank pair, so every
+//! payload moves rank→rank without ever touching a mutex: the producer owns `tail`, the consumer owns `head`, and the two
 //! indices live on separate cache lines ([`#[repr(align(64))]`] padding) so
 //! a push never invalidates the consumer's line and vice versa — the false
 //! sharing that would otherwise re-serialize the "lock-free" path.
@@ -14,9 +13,8 @@
 //! at most one thread reads it, and the acquire/release handoff on
 //! `tail`/`head` orders the slot contents between them.
 //!
-//! This module is the only place in `kaisa-comm` (together with the sibling
-//! FFI shim in `affinity`) allowed to use `unsafe`; the crate root denies it
-//! everywhere else.
+//! This module is the only place in `kaisa-comm` allowed to use `unsafe`;
+//! the crate root denies it everywhere else.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -45,6 +43,12 @@ struct Shared<T> {
 // side's acquire load. `T: Send` is required because values cross threads.
 #[allow(unsafe_code)]
 unsafe impl<T: Send> Send for Shared<T> {}
+// SAFETY: the only `&Shared` access paths are the one `Producer` and the one
+// `Consumer` (neither is `Clone`, and `push`/`pop` take `&mut self`), so no
+// slot is ever touched by two threads at once; the atomic `head`/`tail`
+// indices are the only state both sides read, and the acquire/release
+// handoff on them orders every slot access. `T: Send` suffices because a
+// value is moved, never shared, between the two threads.
 #[allow(unsafe_code)]
 unsafe impl<T: Send> Sync for Shared<T> {}
 

@@ -1,6 +1,6 @@
 //! Property-based tests on the collectives: for arbitrary world sizes,
-//! payloads, and group partitions, the rendezvous implementation must match
-//! the sequential specification.
+//! payloads, and group partitions, the ring engine must match the
+//! sequential specification.
 
 use kaisa_comm::{CommTag, Communicator, ReduceOp, ShardSpec, ThreadComm};
 use kaisa_tensor::Rng;
@@ -10,9 +10,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn allreduce_sum_matches_sequential(world in 1usize..9, len in 1usize..64, seed in any::<u64>()) {
+    fn allreduce_sum_matches_sequential(
+        world in 1usize..9,
+        len in 1usize..64,
+        seed in any::<u64>(),
+        avg in any::<bool>(),
+    ) {
         // Each rank contributes a deterministic pseudo-random buffer; every
-        // rank must receive the exact rank-ordered sequential sum.
+        // rank must receive the exact rank-ordered sequential sum, or for
+        // `Avg` that sum times `1/world`.
         let contributions: Vec<Vec<f32>> = (0..world)
             .map(|r| {
                 let mut rng = Rng::seed_from_u64(seed ^ (r as u64) << 8);
@@ -25,13 +31,21 @@ proptest! {
                 *e += *v;
             }
         }
+        let op = if avg { ReduceOp::Avg } else { ReduceOp::Sum };
+        if avg {
+            let inv = 1.0 / world as f32;
+            for e in expected.iter_mut() {
+                *e *= inv;
+            }
+        }
         let outputs = ThreadComm::run(world, |comm| {
             let mut buf = contributions[comm.rank()].clone();
-            comm.allreduce(&mut buf, ReduceOp::Sum);
+            comm.allreduce(&mut buf, op);
             buf
         });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for out in outputs {
-            prop_assert_eq!(&out, &expected, "allreduce must be rank-order deterministic");
+            prop_assert_eq!(bits(&out), bits(&expected), "allreduce must be rank-order deterministic");
         }
     }
 

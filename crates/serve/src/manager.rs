@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 use std::time::Instant;
 
-use kaisa_comm::{CommOptions, Communicator, RankPool, ReduceOp};
+use kaisa_comm::{Communicator, RankPool, ReduceOp};
 use kaisa_core::{effective_worker_frac, DistStrategy, Kfac, MemoryBudget};
 use kaisa_data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa_nn::{models::Mlp, Model};
@@ -64,18 +64,11 @@ pub struct ServeConfig {
     pub pool_budget_bytes: usize,
     /// Number of independent lock shards in the job map.
     pub map_shards: usize,
-    /// Communicator options for every job world the pool constructs.
-    pub comm: CommOptions,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            pool_ranks: 8,
-            pool_budget_bytes: 256 << 20,
-            map_shards: 8,
-            comm: CommOptions::default(),
-        }
+        ServeConfig { pool_ranks: 8, pool_budget_bytes: 256 << 20, map_shards: 8 }
     }
 }
 
@@ -239,7 +232,7 @@ impl JobManager {
         assert!(cfg.map_shards >= 1, "job map needs at least one shard");
         let shards = (0..cfg.map_shards).map(|_| RwLock::new(HashMap::new())).collect();
         JobManager {
-            pool: RankPool::with_options(cfg.pool_ranks, cfg.comm.clone()),
+            pool: RankPool::new(cfg.pool_ranks),
             budget: MemoryBudget::new(cfg.pool_budget_bytes),
             shards,
             sched: Mutex::new(Sched { queue: VecDeque::new(), running: 0 }),

@@ -69,11 +69,11 @@ pub(crate) fn pays(macs: usize) -> bool {
 /// Cores available to this process, resolved on first use and then fixed:
 /// band sizes, the team size and the "is a core free" test all read this one
 /// value (`available_parallelism` re-reads the cgroup files on every call,
-/// 15–20 µs). It counts the *calling thread's* affinity mask, so when the
-/// very first caller is a rank thread pinned by `CommOptions::pin_cores` it
-/// sees one core, and the process gets one band per product and a team of
-/// zero helpers. Helpers inherit the affinity of the thread that makes the
-/// first offer.
+/// 15–20 µs). It counts the *calling thread's* affinity mask: nothing in
+/// the workspace narrows a thread's mask, so under `taskset -c 0` it sees
+/// one core and the process gets one band per product and a team of zero
+/// helpers. Helpers inherit the affinity of the thread that makes the first
+/// offer.
 pub(crate) fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
