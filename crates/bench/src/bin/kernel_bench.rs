@@ -3,9 +3,10 @@
 //! its inline band loop (small-product latency at the step shapes, and two
 //! concurrent callers), `sym_eig`-vs-oracle eigensolve latency at real
 //! factor sizes and `sym_eig`'s AVX2 solver body against its portable
-//! compilation, plus the elementwise layers of the step path (`Gelu`,
-//! `BatchNorm2d`) in ns per element, written as `BENCH_kernels.json` next to
-//! `BENCH_comm.json`.
+//! compilation, the elementwise layers of the step path (`Gelu`,
+//! `BatchNorm2d`) in ns per element, and `Conv2d` forward + backward +
+//! capture in its column layout against the row-layout pipeline it
+//! replaced, written as `BENCH_kernels.json` next to `BENCH_comm.json`.
 //!
 //! Both kernels are measured in the same process on the same machine with
 //! interleaved best-of trials (the comm_bench protocol), so the comparison
@@ -46,15 +47,20 @@
 //!   busy ranks must not be slowed by each other's offers; or
 //! * `Gelu` forward + backward at BertMini's feed-forward shape costs more
 //!   than [`GELU_NS_CEILING`] ns per element — one libm-free `tanh` per
-//!   element, none in backward.
+//!   element, none in backward; or
+//! * `Conv2d` forward + backward + capture in the column layout is slower
+//!   than the row-layout oracle past the noise margin at either of
+//!   [`CONV_SHAPES`] (and the two must agree bit for bit, or the run
+//!   panics). The cell explains `bench_e2e`'s `nn.*` deltas; it claims
+//!   nothing by itself.
 
 use std::time::Instant;
 
 use kaisa_linalg::{sym_eig, sym_eig_portable, sym_eig_reference, EigScratch, EigenError, SymEig};
-use kaisa_nn::{activation::Gelu, norm::BatchNorm2d};
+use kaisa_nn::{activation::Gelu, norm::BatchNorm2d, Conv2d, KfacCapture};
 use kaisa_tensor::{
-    gemm_nn_with, gemm_nt_with, gemm_tn_with, inline_bands, set_gemm_kernel, syrk_tn_with,
-    GemmKernel, Matrix, Rng, Tensor4,
+    col2im, gemm_nn_with, gemm_nt_with, gemm_tn_with, im2col, inline_bands, set_gemm_kernel,
+    syrk_tn_with, GemmKernel, Matrix, Rng, Tensor4,
 };
 
 /// Measured trials per cell; best is kept (each trial is a complete
@@ -114,6 +120,10 @@ const GELU_NS_CEILING: f64 = 12.0;
 /// `BatchNorm2d` forward + backward on `resnet_comm_opt`'s stage-1
 /// activation `(n, c, h, w)`; reported, not gated.
 const BN2D_SHAPE: (usize, usize, usize, usize) = (16, 32, 16, 16);
+/// `resnet_comm_opt`'s two 3×3 convolutions `(n, c_in, h, w, c_out)`
+/// (stride 1, padding 1, no bias): stage 1 and stage 2 at batch 16.
+const CONV_SHAPES: [(usize, usize, usize, usize, usize); 2] =
+    [(16, 32, 16, 16, 32), (16, 64, 8, 8, 64)];
 
 #[derive(Clone, Copy, PartialEq)]
 enum Layout {
@@ -443,6 +453,123 @@ fn measure_bn2d() -> f64 {
     })
 }
 
+/// The row layout's NCHW scatter of a `(n·oh·ow) × c` product, one plane
+/// at a time (as `Conv2d::forward` ran before the column layout).
+fn rows_to_planes(rows: &Matrix, n: usize, c: usize, oh: usize, ow: usize) -> Tensor4 {
+    let hw = oh * ow;
+    let mut out = Tensor4::zeros(n, c, oh, ow);
+    for (src, dst) in
+        rows.as_slice().chunks_exact(hw * c).zip(out.as_mut_slice().chunks_exact_mut(hw * c))
+    {
+        for (co, plane) in dst.chunks_exact_mut(hw).enumerate() {
+            for (v, row) in plane.iter_mut().zip(src.chunks_exact(c)) {
+                *v = row[co];
+            }
+        }
+    }
+    out
+}
+
+/// The inverse gather, NCHW planes to `(n·oh·ow) × c` rows.
+fn planes_to_rows(t: &Tensor4) -> Matrix {
+    let (n, c, oh, ow) = t.shape();
+    let hw = oh * ow;
+    let mut rows = Matrix::zeros(n * hw, c);
+    for (src, dst) in
+        t.as_slice().chunks_exact(hw * c).zip(rows.as_mut_slice().chunks_exact_mut(hw * c))
+    {
+        for (co, plane) in src.chunks_exact(hw).enumerate() {
+            for (&v, row) in plane.iter().zip(dst.chunks_exact_mut(c)) {
+                row[co] = v;
+            }
+        }
+    }
+    rows
+}
+
+/// One forward + backward + capture of `conv`'s weights through the row
+/// layout: `im2col`, `A·Wᵀ`, scatter; gather, `Gᵀ·A`, `G·W`, `col2im`; both
+/// factors as `gram_tn` of the rows. Returns `(y, dx)`; `dW` accumulates
+/// into `grad_weight` and the statistics into `cap`.
+fn row_conv_pass(
+    conv: &Conv2d,
+    x: &Tensor4,
+    g: &Tensor4,
+    grad_weight: &mut Matrix,
+    cap: &mut KfacCapture,
+) -> (Tensor4, Tensor4) {
+    let (n, c_in, h, w) = x.shape();
+    let (oh, ow) = conv.geom.out_shape(h, w);
+    let patches = im2col(x, &conv.geom);
+    let y = rows_to_planes(&patches.matmul_nt(&conv.weight), n, conv.c_out(), oh, ow);
+    cap.record_forward(&patches, n);
+    let g_rows = planes_to_rows(g);
+    cap.record_backward(&g_rows, n);
+    grad_weight.add_assign(&g_rows.matmul_tn(&patches));
+    let dx = col2im(&g_rows.matmul(&conv.weight), n, c_in, h, w, &conv.geom);
+    (y, dx)
+}
+
+/// `Conv2d` forward + backward + capture at one of [`CONV_SHAPES`]: the
+/// layer's column path against [`row_conv_pass`], interleaved
+/// best-of-[`TRIALS`] ms per pass with alternating order, every band inline
+/// on this thread — each rank's lot at world 2, where the other core is
+/// busy with the other rank. Panics unless the two agree bit for bit on
+/// `y`, `dx`, `dW`, `A` and `G`.
+fn measure_conv((n, c_in, h, w, c_out): (usize, usize, usize, usize, usize)) -> (f64, f64) {
+    let mut rng = Rng::seed_from_u64(50);
+    let mut conv = Conv2d::new("bench", c_in, c_out, 3, 1, 1, false, &mut rng);
+    conv.kfac.enabled = true;
+    let x = Tensor4::randn(n, c_in, h, w, 1.0, &mut rng);
+    let g = Tensor4::randn(n, c_out, h, w, 0.1, &mut rng);
+    let mut cap = KfacCapture::new();
+    cap.enabled = true;
+    let mut grad_weight = Matrix::zeros(c_out, conv.weight.cols());
+
+    let column = |conv: &mut Conv2d| {
+        conv.zero_grad();
+        let y = conv.forward(&x, true);
+        let dx = conv.backward(&g);
+        (y, dx, conv.kfac.take_stats().expect("capture is on"))
+    };
+    let mut row = |conv: &Conv2d| {
+        grad_weight.fill_zero();
+        let (y, dx) = row_conv_pass(conv, &x, &g, &mut grad_weight, &mut cap);
+        (y, dx, cap.take_stats().expect("capture is on"), grad_weight.clone())
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (y, dx, stats) = column(&mut conv);
+    let (y_ref, dx_ref, stats_ref, dw_ref) = row(&conv);
+    let agree = bits(y.as_slice()) == bits(y_ref.as_slice())
+        && bits(dx.as_slice()) == bits(dx_ref.as_slice())
+        && bits(conv.grad_weight.as_slice()) == bits(dw_ref.as_slice())
+        && bits(stats.a_stat.as_slice()) == bits(stats_ref.a_stat.as_slice())
+        && bits(stats.g_stat.as_slice()) == bits(stats_ref.g_stat.as_slice());
+    assert!(agree, "conv {n}x{c_in}x{h}x{w}->{c_out}: column path and row oracle disagree bitwise");
+
+    let iters = 5;
+    let (mut col_ms, mut row_ms) = (f64::INFINITY, f64::INFINITY);
+    for t in 0..TRIALS {
+        for column_first in if t % 2 == 0 { [true, false] } else { [false, true] } {
+            let start = Instant::now();
+            for _ in 0..iters {
+                if column_first {
+                    std::hint::black_box(column(&mut conv));
+                } else {
+                    std::hint::black_box(row(&conv));
+                }
+            }
+            let ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
+            if column_first {
+                col_ms = col_ms.min(ms);
+            } else {
+                row_ms = row_ms.min(ms);
+            }
+        }
+    }
+    (col_ms, row_ms)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -648,6 +775,25 @@ fn main() {
         ));
     }
 
+    let mut conv_rows = Vec::new();
+    for shape in CONV_SHAPES {
+        let (n, c_in, h, w, c_out) = shape;
+        let (column, oracle) = inline_bands(|| measure_conv(shape));
+        let speedup = oracle / column;
+        eprintln!(
+            "conv {n}x{c_in}x{h}x{w}->{c_out} fwd+bwd+capture  column {column:>7.2} ms | row oracle {oracle:>7.2} ms | {speedup:>5.2}x"
+        );
+        if column > oracle * (1.0 + GATE_TOLERANCE) {
+            gate_failures.push(format!(
+                "conv {n}x{c_in}x{h}x{w}->{c_out}: column {column:.2} ms > row oracle {oracle:.2} ms + {:.0}% margin",
+                GATE_TOLERANCE * 100.0
+            ));
+        }
+        conv_rows.push(format!(
+            "    {{\"shape\": [{n}, {c_in}, {h}, {w}], \"c_out\": {c_out}, \"column_ms\": {column:.3}, \"row_oracle_ms\": {oracle:.3}, \"speedup\": {speedup:.3}}}"
+        ));
+    }
+
     let gate_passed = gate_failures.is_empty();
     let json = format!(
         concat!(
@@ -666,6 +812,7 @@ fn main() {
             "    {{\"name\": \"gelu_fwd_bwd\", \"shape\": [{}, {}], \"ns_per_element\": {:.2}, \"gated\": true}},\n",
             "    {{\"name\": \"bn2d_fwd_bwd\", \"shape\": [{}, {}, {}, {}], \"ns_per_element\": {:.2}, \"gated\": false}}\n",
             "  ],\n",
+            "  \"conv\": [\n{}\n  ],\n",
             "  \"gate\": {{\"tolerance\": {}, \"speedup_floor\": {}, \"floor_shape\": [{}, {}, {}], ",
             "\"syrk_speedup_floor\": {}, \"syrk_floor_shape\": [{}, {}], ",
             "\"eig_speedup_floors\": {:?}, \"eig_twin_floor\": [{}, {}], ",
@@ -695,6 +842,7 @@ fn main() {
         bh,
         bw,
         bn2d_ns,
+        conv_rows.join(",\n"),
         GATE_TOLERANCE,
         SPEEDUP_FLOOR,
         FLOOR_SHAPE.0,

@@ -1,6 +1,6 @@
 //! K-FAC preconditioner configuration.
 
-use kaisa_tensor::{GemmKernel, Precision, SyrkMode};
+use kaisa_tensor::Precision;
 
 use crate::{AssignmentStrategy, DistStrategy};
 
@@ -73,23 +73,6 @@ pub struct KfacConfig {
     /// identical to the dense path (property-tested); the dense path remains
     /// the reference implementation.
     pub sharded_factors: bool,
-    /// Process-wide GEMM kernel selection applied at [`crate::Kfac::new`]
-    /// ([`kaisa_tensor::set_gemm_kernel`]). `None` (default) leaves the
-    /// `KAISA_GEMM_KERNEL` environment selection (or `auto`) in place.
-    /// Blocked and naive kernels are bitwise interchangeable, so this knob
-    /// is purely observability/performance. Note it is global to the
-    /// process, not scoped to one `Kfac` instance.
-    pub gemm_kernel: Option<GemmKernel>,
-    /// Process-wide SYRK mode applied at [`crate::Kfac::new`]
-    /// ([`kaisa_tensor::set_syrk_mode`]). `None` (default) leaves the
-    /// `KAISA_SYRK` environment selection (or `on`) in place. `On` routes
-    /// factor-statistic Gram products (`aᵀa`, `gᵀg`) through the
-    /// symmetric-rank-k fast path (lower triangle + exact mirror, half the
-    /// multiply-adds) and enables streamed chunked-im2col conv capture;
-    /// `Off` restores the full-GEMM path. The two are bitwise identical,
-    /// so the knob never perturbs the training trajectory. Like
-    /// `gemm_kernel`, it is global to the process.
-    pub syrk: Option<SyrkMode>,
 }
 
 impl Default for KfacConfig {
@@ -110,8 +93,6 @@ impl Default for KfacConfig {
             ekfac: false,
             pipelined: true,
             sharded_factors: false,
-            gemm_kernel: None,
-            syrk: None,
         }
     }
 }
@@ -245,20 +226,6 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Pin the process-wide GEMM kernel selection at `Kfac::new` time
-    /// (blocked and naive are bitwise interchangeable).
-    pub fn gemm_kernel(mut self, kernel: GemmKernel) -> Self {
-        self.cfg.gemm_kernel = Some(kernel);
-        self
-    }
-
-    /// Pin the process-wide SYRK mode at `Kfac::new` time (`On` and `Off`
-    /// are bitwise interchangeable; `Off` is the full-GEMM oracle lane).
-    pub fn syrk(mut self, mode: SyrkMode) -> Self {
-        self.cfg.syrk = Some(mode);
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> KfacConfig {
         self.cfg.validate();
@@ -311,15 +278,5 @@ mod tests {
         let cfg = KfacConfig::builder().strategy(DistStrategy::LocalOpt).build();
         assert_eq!(cfg.strategy, Some(DistStrategy::LocalOpt));
         assert_eq!(KfacConfig::default().strategy, None);
-    }
-
-    #[test]
-    fn kernel_knobs_roundtrip() {
-        let cfg = KfacConfig::builder().gemm_kernel(GemmKernel::Naive).syrk(SyrkMode::Off).build();
-        assert_eq!(cfg.gemm_kernel, Some(GemmKernel::Naive));
-        assert_eq!(cfg.syrk, Some(SyrkMode::Off));
-        let default = KfacConfig::default();
-        assert_eq!(default.gemm_kernel, None);
-        assert_eq!(default.syrk, None);
     }
 }

@@ -89,16 +89,6 @@ impl Kfac {
     /// distribution plan, and enable capture for the first step.
     pub fn new<M: Model>(cfg: KfacConfig, model: &mut M, comm: &dyn Communicator) -> Self {
         cfg.validate();
-        if let Some(kernel) = cfg.gemm_kernel {
-            // Process-global (the kernel choice must be uniform: GEMM runs
-            // inside model forward/backward too, not just inside K-FAC).
-            kaisa_tensor::set_gemm_kernel(kernel);
-        }
-        if let Some(mode) = cfg.syrk {
-            // Same scope as the GEMM kernel: capture runs inside model
-            // forward/backward, so the SYRK routing must be uniform too.
-            kaisa_tensor::set_syrk_mode(mode);
-        }
         let mut dims = Vec::new();
         let mut names = Vec::new();
         for layer in model.kfac_layers() {

@@ -21,8 +21,13 @@
 //! * `A += aᵀa / n` — the KFC convention that sums spatial support.
 //! * `G += gᵀg · n² / rows` — converts mean-loss gradients back to per-sample
 //!   gradients (`g_sample = n · g_row`) and averages over `n·T`.
+//!
+//! A Linear layer hands over `a`/`g` in the row layout (`rows × dim`). A
+//! Conv2d layer hands over the column layout it computes in: one `dim × T`
+//! block per sample, whose Gram products ([`gram_nt`]) are `aᵀa`/`gᵀg` of
+//! the rows those blocks transpose to, bit for bit.
 
-use kaisa_tensor::Matrix;
+use kaisa_tensor::{gram_nt, Matrix};
 
 /// When the statistics are materialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,9 +59,65 @@ pub struct KfacCapture {
     pub mode: CaptureMode,
     a_stat: Option<Matrix>,
     g_stat: Option<Matrix>,
-    raw_a: Vec<(Matrix, usize)>,
-    raw_g: Vec<(Matrix, usize)>,
+    raw_a: Vec<(Raw, usize)>,
+    raw_g: Vec<(Raw, usize)>,
     batches: usize,
+}
+
+/// A raw `a` or `g` kept for [`CaptureMode::StoreRaw`], in the layout its
+/// layer computes in.
+#[derive(Debug, Clone)]
+enum Raw {
+    /// `rows × dim` (a Linear layer).
+    Rows(Matrix),
+    /// One `dim × T` block per sample, stacked into `(n·dim) × T` (a Conv2d
+    /// layer).
+    Cols { blocks: Matrix, dim: usize },
+}
+
+impl Raw {
+    /// A copy of `n` consecutive `dim × T` column blocks.
+    fn cols(cols: &[f32], dim: usize, n: usize) -> Raw {
+        let blocks = Matrix::from_vec(n * dim, cols.len() / (n * dim), cols.to_vec());
+        Raw::Cols { blocks, dim }
+    }
+
+    /// The `rows` of the scaling conventions: positions over all samples.
+    fn rows(&self) -> usize {
+        match self {
+            Raw::Rows(m) => m.rows(),
+            Raw::Cols { blocks, dim } => blocks.numel() / dim,
+        }
+    }
+
+    fn gram(&self) -> Matrix {
+        match self {
+            Raw::Rows(m) => m.gram_tn(),
+            Raw::Cols { blocks, dim } => gram_cols(blocks.as_slice(), *dim, blocks.rows() / dim),
+        }
+    }
+
+    fn numel(&self) -> usize {
+        match self {
+            Raw::Rows(m) | Raw::Cols { blocks: m, .. } => m.numel(),
+        }
+    }
+}
+
+/// `Σ_b B_b·B_bᵀ` over the `n` consecutive `dim × T` blocks of `cols`,
+/// into a fresh matrix.
+pub(crate) fn gram_cols(cols: &[f32], dim: usize, n: usize) -> Matrix {
+    let mut out = Matrix::zeros(dim, dim);
+    gram_nt(dim, cols.len() / (dim * n).max(1), cols, out.as_mut_slice());
+    out
+}
+
+/// `stat += contrib`, or `stat = contrib` for the first contribution.
+fn accumulate(stat: &mut Option<Matrix>, contrib: Matrix) {
+    match stat {
+        Some(s) => s.add_assign(&contrib),
+        None => *stat = Some(contrib),
+    }
 }
 
 impl KfacCapture {
@@ -73,30 +134,40 @@ impl KfacCapture {
             return;
         }
         match self.mode {
-            CaptureMode::Accumulate => {
-                let mut contrib = a.gram_tn();
-                contrib.scale(1.0 / n_samples as f32);
-                match self.a_stat.as_mut() {
-                    Some(s) => s.add_assign(&contrib),
-                    None => self.a_stat = Some(contrib),
-                }
-            }
-            CaptureMode::StoreRaw => {
-                self.raw_a.push((a.clone(), n_samples));
-            }
+            CaptureMode::Accumulate => self.record_forward_stat(a.gram_tn(), n_samples),
+            CaptureMode::StoreRaw => self.record_raw_a(Raw::Rows(a.clone()), n_samples),
         }
+    }
+
+    /// [`record_forward`](Self::record_forward) for an `a` in the column
+    /// layout: `cols` holds one `dim × T` block per sample, `n_samples`
+    /// blocks in all. Bitwise what `record_forward` gives for the
+    /// `(n·T) × dim` rows the blocks transpose to.
+    pub fn record_forward_cols(&mut self, cols: &[f32], dim: usize, n_samples: usize) {
+        if !self.enabled {
+            return;
+        }
+        match self.mode {
+            CaptureMode::Accumulate => {
+                self.record_forward_stat(gram_cols(cols, dim, n_samples), n_samples)
+            }
+            CaptureMode::StoreRaw => self.record_raw_a(Raw::cols(cols, dim, n_samples), n_samples),
+        }
+    }
+
+    fn record_raw_a(&mut self, raw: Raw, n_samples: usize) {
+        self.raw_a.push((raw, n_samples));
         // Convention: one forward + one backward == one micro-batch; count on
         // the forward side.
         self.batches += 1;
     }
 
     /// Record a pre-computed `aᵀa` contribution (unscaled) for `n_samples`
-    /// samples — the streamed conv capture path, which accumulates SYRK
-    /// contributions chunk-by-chunk without materializing the full patch
-    /// matrix. Only meaningful in [`CaptureMode::Accumulate`]; the chunked
-    /// sum is bitwise identical to [`record_forward`](Self::record_forward)
-    /// on the full matrix because the chunks partition the row dimension in
-    /// ascending input order.
+    /// samples — how a Conv2d layer with a bias hands over its bordered
+    /// Gram, built without the ones column. Only meaningful in
+    /// [`CaptureMode::Accumulate`], where it is bitwise
+    /// [`record_forward`](Self::record_forward) of any `a` whose `gram_tn`
+    /// is `contrib`.
     pub fn record_forward_stat(&mut self, mut contrib: Matrix, n_samples: usize) {
         if !self.enabled {
             return;
@@ -107,10 +178,7 @@ impl KfacCapture {
             "record_forward_stat is an Accumulate-mode entry point"
         );
         contrib.scale(1.0 / n_samples as f32);
-        match self.a_stat.as_mut() {
-            Some(s) => s.add_assign(&contrib),
-            None => self.a_stat = Some(contrib),
-        }
+        accumulate(&mut self.a_stat, contrib);
         self.batches += 1;
     }
 
@@ -120,20 +188,30 @@ impl KfacCapture {
         if !self.enabled {
             return;
         }
-        let rows = g.rows().max(1);
+        match self.mode {
+            CaptureMode::Accumulate => self.record_g_stat(g.gram_tn(), g.rows(), n_samples),
+            CaptureMode::StoreRaw => self.raw_g.push((Raw::Rows(g.clone()), n_samples)),
+        }
+    }
+
+    /// [`record_backward`](Self::record_backward) for a `g` in the column
+    /// layout: one `dim × T` block per sample, as in
+    /// [`record_forward_cols`](Self::record_forward_cols).
+    pub fn record_backward_cols(&mut self, cols: &[f32], dim: usize, n_samples: usize) {
+        if !self.enabled {
+            return;
+        }
         match self.mode {
             CaptureMode::Accumulate => {
-                let mut contrib = g.gram_tn();
-                contrib.scale((n_samples * n_samples) as f32 / rows as f32);
-                match self.g_stat.as_mut() {
-                    Some(s) => s.add_assign(&contrib),
-                    None => self.g_stat = Some(contrib),
-                }
+                self.record_g_stat(gram_cols(cols, dim, n_samples), cols.len() / dim, n_samples)
             }
-            CaptureMode::StoreRaw => {
-                self.raw_g.push((g.clone(), n_samples));
-            }
+            CaptureMode::StoreRaw => self.raw_g.push((Raw::cols(cols, dim, n_samples), n_samples)),
         }
+    }
+
+    fn record_g_stat(&mut self, mut contrib: Matrix, rows: usize, n_samples: usize) {
+        contrib.scale((n_samples * n_samples) as f32 / rows.max(1) as f32);
+        accumulate(&mut self.g_stat, contrib);
     }
 
     /// Drain the accumulated statistics (resets the capture for the next
@@ -154,22 +232,15 @@ impl KfacCapture {
                 }
                 let mut a_stat: Option<Matrix> = None;
                 for (a, n) in self.raw_a.drain(..) {
-                    let mut contrib = a.gram_tn();
+                    let mut contrib = a.gram();
                     contrib.scale(1.0 / n as f32);
-                    match a_stat.as_mut() {
-                        Some(s) => s.add_assign(&contrib),
-                        None => a_stat = Some(contrib),
-                    }
+                    accumulate(&mut a_stat, contrib);
                 }
                 let mut g_stat: Option<Matrix> = None;
                 for (g, n) in self.raw_g.drain(..) {
-                    let rows = g.rows().max(1);
-                    let mut contrib = g.gram_tn();
-                    contrib.scale((n * n) as f32 / rows as f32);
-                    match g_stat.as_mut() {
-                        Some(s) => s.add_assign(&contrib),
-                        None => g_stat = Some(contrib),
-                    }
+                    let mut contrib = g.gram();
+                    contrib.scale((n * n) as f32 / g.rows().max(1) as f32);
+                    accumulate(&mut g_stat, contrib);
                 }
                 Some(KfacStats { a_stat: a_stat?, g_stat: g_stat?, batches })
             }
@@ -184,8 +255,8 @@ impl KfacCapture {
         let raw: usize = self
             .raw_a
             .iter()
-            .map(|(m, _)| m.numel())
-            .chain(self.raw_g.iter().map(|(m, _)| m.numel()))
+            .map(|(raw, _)| raw.numel())
+            .chain(self.raw_g.iter().map(|(raw, _)| raw.numel()))
             .sum();
         (stat + raw) * std::mem::size_of::<f32>()
     }
@@ -314,25 +385,57 @@ mod tests {
 
     #[test]
     fn record_forward_stat_matches_record_forward_bitwise() {
-        // Streaming a pre-computed Gram contribution (the chunked conv
-        // path, here a single chunk) must be indistinguishable from
-        // recording the matrix itself.
+        // Handing over a pre-computed Gram contribution (a bias conv's
+        // bordered Gram) must be indistinguishable from recording the
+        // matrix itself.
         let mut rng = Rng::seed_from_u64(64);
         let mut whole = KfacCapture { enabled: true, ..Default::default() };
-        let mut streamed = KfacCapture { enabled: true, ..Default::default() };
+        let mut handed = KfacCapture { enabled: true, ..Default::default() };
         for _ in 0..3 {
             let a = Matrix::randn(12, 5, 1.0, &mut rng);
             let g = Matrix::randn(12, 4, 1.0, &mut rng);
             whole.record_forward(&a, 12);
             whole.record_backward(&g, 12);
-            streamed.record_forward_stat(a.gram_tn(), 12);
-            streamed.record_backward(&g, 12);
+            handed.record_forward_stat(a.gram_tn(), 12);
+            handed.record_backward(&g, 12);
         }
         let sw = whole.take_stats().unwrap();
-        let ss = streamed.take_stats().unwrap();
+        let ss = handed.take_stats().unwrap();
         assert_eq!(sw.batches, ss.batches);
         for (x, y) in sw.a_stat.as_slice().iter().zip(ss.a_stat.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn column_blocks_record_like_their_rows_bitwise() {
+        // Three samples of four positions, recorded as `dim × 4` column
+        // blocks and as the `12 × dim` rows they transpose to: same bits,
+        // same bytes held, in both modes.
+        let mut rng = Rng::seed_from_u64(65);
+        for mode in [CaptureMode::Accumulate, CaptureMode::StoreRaw] {
+            let mut rows = KfacCapture { enabled: true, mode, ..Default::default() };
+            let mut cols = KfacCapture { enabled: true, mode, ..Default::default() };
+            for _ in 0..2 {
+                let a = Matrix::randn(3 * 5, 4, 1.0, &mut rng);
+                let g = Matrix::randn(3 * 2, 4, 1.0, &mut rng);
+                let to_rows = |blocks: &Matrix, dim: usize| {
+                    Matrix::from_fn(12, dim, |r, i| blocks.get((r / 4) * dim + i, r % 4))
+                };
+                rows.record_forward(&to_rows(&a, 5), 3);
+                rows.record_backward(&to_rows(&g, 2), 3);
+                cols.record_forward_cols(a.as_slice(), 5, 3);
+                cols.record_backward_cols(g.as_slice(), 2, 3);
+                assert_eq!(rows.memory_bytes(), cols.memory_bytes(), "{mode:?}");
+            }
+            let (r, c) = (rows.take_stats().unwrap(), cols.take_stats().unwrap());
+            assert_eq!(r.batches, c.batches);
+            for (x, y) in r.a_stat.as_slice().iter().zip(c.a_stat.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "A {mode:?}");
+            }
+            for (x, y) in r.g_stat.as_slice().iter().zip(c.g_stat.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "G {mode:?}");
+            }
         }
     }
 

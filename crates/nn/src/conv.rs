@@ -1,21 +1,33 @@
-//! 2-D convolution lowered to GEMM via im2col, with K-FAC capture.
+//! 2-D convolution lowered to per-image GEMMs in the column layout, with
+//! K-FAC capture.
 //!
 //! The K-FAC `A` factor of a Conv2d layer is the second moment of the im2col
-//! patch rows (dimension `c_in·kh·kw (+1)`), and `G` is the second moment of
+//! patches (dimension `c_in·kh·kw (+1)`), and `G` is the second moment of
 //! the per-location pre-activation gradients (dimension `c_out`) — the KFC
 //! construction of Grosse & Martens that the paper's implementation uses for
 //! all convolutional layers of ResNet and U-Net.
+//!
+//! Each image is lowered to its column-layout patch block
+//! `Pt = (c_in·kh·kw) × (oh·ow)` ([`im2col_image`]), so `W · Pt` lands
+//! straight in the image's NCHW output block and the gradient's NCHW block
+//! is already `G = c_out × (oh·ow)`. Every product, Gram and fold keeps the
+//! per-element operation order of the row-layout pipeline
+//! (`im2col` → `A·Wᵀ` → scatter to NCHW, and back), so each output is that
+//! pipeline's, bit for bit (DESIGN §5j).
 
-use kaisa_tensor::{col2im, im2col, init, Conv2dGeom, Matrix, Rng, Tensor4};
+use kaisa_tensor::{
+    col2im_image, gemm_nn, gemm_nt_blocks, gemm_tn, im2col_image, init, Conv2dGeom, Matrix, Rng,
+    Tensor4,
+};
 
-use crate::capture::{CaptureMode, KfacAble, KfacCapture};
+use crate::capture::{gram_cols, CaptureMode, KfacAble, KfacCapture};
 
 /// A 2-D convolution layer with weight shape `(c_out, c_in·kh·kw)`.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     name: String,
     /// Flattened kernel weights: row `o` is output channel `o`'s kernel in
-    /// channel-major, row-major order (matching im2col's patch layout).
+    /// channel-major, row-major order (matching the patch blocks' rows).
     pub weight: Matrix,
     /// Optional per-output-channel bias.
     pub bias: Option<Vec<f32>>,
@@ -29,41 +41,10 @@ pub struct Conv2d {
     pub geom: Conv2dGeom,
     c_in: usize,
     c_out: usize,
-    patch_cache: Option<Matrix>,
+    /// The training forward's patch blocks, `(n·c_in·kh·kw) × (oh·ow)`: one
+    /// column-layout block per image, kept for backward.
+    col_cache: Option<Matrix>,
     in_shape: Option<(usize, usize, usize, usize)>,
-}
-
-/// Scatter im2col-ordered rows `(n·hw, c)` into NCHW planes: per image, the
-/// transpose of its `(hw, c)` block.
-fn rows_to_nchw(rows: &Matrix, n: usize, c: usize, oh: usize, ow: usize) -> Tensor4 {
-    let hw = oh * ow;
-    let mut out = Tensor4::zeros(n, c, oh, ow);
-    let images = rows.as_slice().chunks_exact((hw * c).max(1));
-    for (src, dst) in images.zip(out.as_mut_slice().chunks_exact_mut((hw * c).max(1))) {
-        for (co, plane) in dst.chunks_exact_mut(hw).enumerate() {
-            for (v, row) in plane.iter_mut().zip(src.chunks_exact(c)) {
-                *v = row[co];
-            }
-        }
-    }
-    out
-}
-
-/// Gather NCHW planes into im2col-ordered rows `(n·hw, c)`: the inverse of
-/// [`rows_to_nchw`].
-fn nchw_to_rows(t: &Tensor4) -> Matrix {
-    let (n, c, oh, ow) = t.shape();
-    let hw = oh * ow;
-    let mut rows = Matrix::zeros(n * hw, c);
-    let images = t.as_slice().chunks_exact((hw * c).max(1));
-    for (src, dst) in images.zip(rows.as_mut_slice().chunks_exact_mut((hw * c).max(1))) {
-        for (co, plane) in src.chunks_exact(hw).enumerate() {
-            for (&v, row) in plane.iter().zip(dst.chunks_exact_mut(c)) {
-                row[co] = v;
-            }
-        }
-    }
-    rows
 }
 
 impl Conv2d {
@@ -90,7 +71,7 @@ impl Conv2d {
             geom: Conv2dGeom::square(kernel, stride, pad),
             c_in,
             c_out,
-            patch_cache: None,
+            col_cache: None,
             in_shape: None,
         }
     }
@@ -115,69 +96,83 @@ impl Conv2d {
         assert_eq!(x.c(), self.c_in, "{}: channel mismatch", self.name);
         let (n, _, h, w) = x.shape();
         let (oh, ow) = self.geom.out_shape(h, w);
-        let patches = im2col(x, &self.geom);
-        // (rows, c_out)
-        let mut out_mat = patches.matmul_nt(&self.weight);
-        if let Some(b) = &self.bias {
-            for r in 0..out_mat.rows() {
-                for (v, bi) in out_mat.row_mut(r).iter_mut().zip(b) {
-                    *v += *bi;
+        let (p, hw) = (self.weight.cols(), oh * ow);
+        let mut cols = Matrix::zeros(n * p, hw);
+        let mut y = Tensor4::zeros(n, self.c_out, oh, ow);
+        let images = cols.as_mut_slice().chunks_exact_mut(p * hw);
+        for (img, (pt, y_img)) in
+            images.zip(y.as_mut_slice().chunks_exact_mut(self.c_out * hw)).enumerate()
+        {
+            im2col_image(x, img, &self.geom, pt);
+            gemm_nn(self.c_out, p, hw, self.weight.as_slice(), pt, y_img);
+            if let Some(b) = &self.bias {
+                for (plane, &bi) in y_img.chunks_exact_mut(hw).zip(b) {
+                    plane.iter_mut().for_each(|v| *v += bi);
                 }
             }
         }
         if train {
             if self.kfac.enabled {
-                // `A` comes from the patch matrix the product above was just
+                // `A` comes from the blocks the products above were just
                 // computed from; nothing is lowered a second time.
                 match (&self.bias, self.kfac.mode) {
-                    (None, _) => self.kfac.record_forward(&patches, n),
+                    (None, _) => self.kfac.record_forward_cols(cols.as_slice(), p, n),
                     (Some(_), CaptureMode::Accumulate) => {
-                        self.kfac.record_forward_stat(bordered_gram(&patches), n)
+                        self.kfac.record_forward_stat(bordered_gram(&cols, p), n)
                     }
                     (Some(_), CaptureMode::StoreRaw) => {
-                        self.kfac.record_forward(&patches.append_ones_column(), n)
+                        self.kfac.record_forward_cols(&append_ones_rows(&cols, p), p + 1, n)
                     }
                 }
             }
-            self.patch_cache = Some(patches);
+            self.col_cache = Some(cols);
             self.in_shape = Some(x.shape());
         }
-        rows_to_nchw(&out_mat, n, self.c_out, oh, ow)
+        y
     }
 
-    /// Backward pass: consumes the cached patches, accumulates parameter
-    /// gradients, records the K-FAC `G` statistic, and returns the input
-    /// gradient.
+    /// Backward pass: consumes the cached patch blocks, accumulates
+    /// parameter gradients, records the K-FAC `G` statistic, and returns the
+    /// input gradient.
     pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let patches = self
-            .patch_cache
+        let cols = self
+            .col_cache
             .take()
             .unwrap_or_else(|| panic!("{}: backward without forward", self.name));
         let (n, c_in, h, w) = self.in_shape.take().expect("input shape cached");
-        let (gn, gc, _, _) = grad_out.shape();
+        let (gn, gc, gh, gw) = grad_out.shape();
         assert_eq!(gn, n, "{}: batch mismatch", self.name);
         assert_eq!(gc, self.c_out, "{}: grad channel mismatch", self.name);
+        let (p, hw) = (self.weight.cols(), cols.cols());
+        assert_eq!(gh * gw, hw, "{}: grad spatial mismatch", self.name);
 
-        // (rows, c_out) with im2col row order.
-        let g_mat = nchw_to_rows(grad_out);
-
+        // Each image's NCHW gradient block is its `G = c_out × (oh·ow)`.
+        let g = grad_out.as_slice();
         if self.kfac.enabled {
-            self.kfac.record_backward(&g_mat, n);
+            self.kfac.record_backward_cols(g, self.c_out, n);
         }
 
-        // dW += gᵀ patches
-        let dw = g_mat.matmul_tn(&patches);
-        self.grad_weight.add_assign(&dw);
-        if let Some(db) = &mut self.grad_bias {
-            for r in 0..g_mat.rows() {
-                for (dbi, gi) in db.iter_mut().zip(g_mat.row(r)) {
-                    *dbi += *gi;
+        // dW is summed from zero image after image, pixels in order — the
+        // row-ascending chain of `Gᵀ·patches` — then added once.
+        let mut dw = Matrix::zeros(self.c_out, p);
+        gemm_nt_blocks(self.c_out, hw, p, g, cols.as_slice(), dw.as_mut_slice());
+        let mut dx = Tensor4::zeros(n, c_in, h, w);
+        let mut dpt = vec![0.0f32; p * hw];
+        for (g_img, dx_img) in
+            g.chunks_exact(self.c_out * hw).zip(dx.as_mut_slice().chunks_exact_mut(c_in * h * w))
+        {
+            if let Some(db) = &mut self.grad_bias {
+                for (dbi, plane) in db.iter_mut().zip(g_img.chunks_exact(hw)) {
+                    *dbi = plane.iter().fold(*dbi, |s, &v| s + v);
                 }
             }
+            // dPt = Wᵀ·G, folded back onto the input.
+            dpt.fill(0.0);
+            gemm_tn(p, self.c_out, hw, self.weight.as_slice(), g_img, &mut dpt);
+            col2im_image(&dpt, c_in, h, w, &self.geom, dx_img);
         }
-        // dpatches = g W; dx = col2im(dpatches)
-        let dpatches = g_mat.matmul(&self.weight);
-        col2im(&dpatches, n, c_in, h, w, &self.geom)
+        self.grad_weight.add_assign(&dw);
+        dx
     }
 
     /// Zero the parameter gradients.
@@ -189,30 +184,44 @@ impl Conv2d {
     }
 }
 
-/// `[P 1]ᵀ[P 1]` for the patch matrix `P` of a bias layer, without building
-/// `[P 1]`: the corner block is `PᵀP`, and multiplying by the ones column
-/// is adding — so the border is the column sums of `P` taken in ascending
-/// row order from `0.0`, and the last entry counts the rows the same way
-/// (exact up to 2²⁴, where a running `f32` count stops moving). Bit for
-/// bit `patches.append_ones_column().gram_tn()`.
-fn bordered_gram(patches: &Matrix) -> Matrix {
-    let (rows, p) = patches.shape();
-    let gram = patches.gram_tn();
+/// `[P 1]ᵀ[P 1]` for the patch rows `P` of a bias layer, from its column
+/// blocks `cols` (`(n·p) × hw`) without building `[P 1]`: the corner block
+/// is `Σ Pt·Ptᵀ`, and multiplying by the ones column is adding — so the
+/// border is the row sums of the blocks, taken image after image in pixel
+/// order from `0.0` (the patch rows' ascending order), and the last entry
+/// counts the pixels the same way (exact up to 2²⁴, where a running `f32`
+/// count stops moving). Bit for bit `gram_tn` of `P` with a ones column
+/// appended.
+fn bordered_gram(cols: &Matrix, p: usize) -> Matrix {
+    let (n, hw) = (cols.rows() / p, cols.cols());
+    let gram = gram_cols(cols.as_slice(), p, n);
     let mut out = Matrix::zeros(p + 1, p + 1);
     let mut sums = vec![0.0f32; p];
     for i in 0..p {
         out.row_mut(i)[..p].copy_from_slice(gram.row(i));
     }
-    for r in 0..rows {
-        for (s, &v) in sums.iter_mut().zip(patches.row(r)) {
-            *s += v;
+    for block in cols.as_slice().chunks_exact(p * hw) {
+        for (s, row) in sums.iter_mut().zip(block.chunks_exact(hw)) {
+            *s = row.iter().fold(*s, |acc, &v| acc + v);
         }
     }
     for (i, &s) in sums.iter().enumerate() {
         out.set(i, p, s);
         out.set(p, i, s);
     }
-    out.set(p, p, rows.min(1 << 24) as f32);
+    out.set(p, p, (n * hw).min(1 << 24) as f32);
+    out
+}
+
+/// The column blocks of `[P 1]`: each image's `p × hw` block of `cols`
+/// followed by a row of ones — what a bias layer's raw capture stores.
+fn append_ones_rows(cols: &Matrix, p: usize) -> Vec<f32> {
+    let hw = cols.cols();
+    let mut out = Vec::with_capacity(cols.numel() + cols.rows() / p * hw);
+    for block in cols.as_slice().chunks_exact(p * hw) {
+        out.extend_from_slice(block);
+        out.resize(out.len() + hw, 1.0);
+    }
     out
 }
 
@@ -272,6 +281,7 @@ impl KfacAble for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kaisa_tensor::{col2im, im2col};
     use proptest::prelude::*;
 
     #[test]
@@ -368,8 +378,9 @@ mod tests {
 
     #[test]
     fn bordered_gram_counts_rows_like_a_running_f32_sum() {
-        // A one-column patch matrix of zeros: only the count is nonzero.
-        assert_eq!(bordered_gram(&Matrix::zeros(5, 1)).as_slice(), &[0.0, 0.0, 0.0, 5.0]);
+        // One image, one kernel tap, five pixels of zeros: only the count
+        // is nonzero.
+        assert_eq!(bordered_gram(&Matrix::zeros(1, 5), 1).as_slice(), &[0.0, 0.0, 0.0, 5.0]);
         // Why the count is capped at 2^24: that is where adding 1.0 to an
         // `f32`, as the ones column's Gram entry does, stops moving it.
         let mut count = (1u32 << 24) as f32 - 1.0;
@@ -379,7 +390,7 @@ mod tests {
         assert_eq!(count, (1u32 << 24) as f32);
     }
 
-    /// Oracle: the rows → NCHW scatter of `forward` as it was, one
+    /// Oracle: the row-layout output `(n·oh·ow) × c` scattered to NCHW, one
     /// bounds-checked 4-index `set` per element.
     fn oracle_scatter(out_mat: &Matrix, n: usize, c: usize, oh: usize, ow: usize) -> Tensor4 {
         let mut out = Tensor4::zeros(n, c, oh, ow);
@@ -396,7 +407,7 @@ mod tests {
         out
     }
 
-    /// Oracle: the NCHW → rows gather of `backward` as it was.
+    /// Oracle: NCHW gathered into row-layout `(n·oh·ow) × c`.
     fn oracle_gather(grad_out: &Tensor4) -> Matrix {
         let (n, c, oh, ow) = grad_out.shape();
         let mut g_mat = Matrix::zeros(n * oh * ow, c);
@@ -413,21 +424,98 @@ mod tests {
         g_mat
     }
 
+    /// The row-layout forward: `im2col`, `A·Wᵀ`, bias, scatter; `A`
+    /// captured as `gram_tn` of the patch rows (with a ones column for a
+    /// bias). Returns the output and the patch rows.
+    fn oracle_forward(conv: &Conv2d, x: &Tensor4, cap: &mut KfacCapture) -> (Tensor4, Matrix) {
+        let patches = im2col(x, &conv.geom);
+        let mut out = patches.matmul_nt(&conv.weight);
+        if let Some(b) = &conv.bias {
+            for r in 0..out.rows() {
+                for (v, bi) in out.row_mut(r).iter_mut().zip(b) {
+                    *v += *bi;
+                }
+            }
+        }
+        let a = if conv.bias.is_some() { patches.append_ones_column() } else { patches.clone() };
+        cap.record_forward(&a, x.n());
+        let (oh, ow) = conv.geom.out_shape(x.h(), x.w());
+        (oracle_scatter(&out, x.n(), conv.c_out(), oh, ow), patches)
+    }
+
+    /// The row-layout backward: gather, `G` captured as `gram_tn`,
+    /// `dW += Gᵀ·patches`, `db += Σ rows`, `dx = col2im(G·W)`.
+    fn oracle_backward(
+        conv: &Conv2d,
+        patches: &Matrix,
+        (h, w): (usize, usize),
+        grad_out: &Tensor4,
+        cap: &mut KfacCapture,
+        grads: &mut (Matrix, Option<Vec<f32>>),
+    ) -> Tensor4 {
+        let g = oracle_gather(grad_out);
+        cap.record_backward(&g, grad_out.n());
+        grads.0.add_assign(&g.matmul_tn(patches));
+        if let Some(db) = &mut grads.1 {
+            for r in 0..g.rows() {
+                for (dbi, gi) in db.iter_mut().zip(g.row(r)) {
+                    *dbi += *gi;
+                }
+            }
+        }
+        col2im(&g.matmul(&conv.weight), grad_out.n(), conv.c_in(), h, w, &conv.geom)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn plane_scatter_gather_match_four_index_oracle_bitwise(
-            n in 1usize..5, c in 1usize..7, oh in 1usize..6, ow in 1usize..6, seed in any::<u64>(),
+        fn column_path_matches_row_oracle_bitwise(
+            k in 1usize..=5, stride in 1usize..=3, pad in 0usize..=2,
+            extra in 0usize..3, wider in any::<bool>(),
+            n in 1usize..=3, c_in in 1usize..=3, c_out in 1usize..=4,
+            has_bias in any::<bool>(), raw in any::<bool>(), seed in any::<u64>(),
         ) {
+            // Output, dx, dW, db, `A` and `G`, each bit for bit the row
+            // pipeline's, over two forward/backward calls whose gradients
+            // and statistics accumulate.
             let mut rng = Rng::seed_from_u64(seed);
-            let rows = Matrix::randn(n * oh * ow, c, 1.0, &mut rng);
-            let t = rows_to_nchw(&rows, n, c, oh, ow);
-            prop_assert_eq!(&t, &oracle_scatter(&rows, n, c, oh, ow));
-            let g = Tensor4::randn(n, c, oh, ow, 1.0, &mut rng);
-            prop_assert_eq!(nchw_to_rows(&g), oracle_gather(&g));
-            // And they invert each other.
-            prop_assert_eq!(nchw_to_rows(&t), rows);
+            let h = k.saturating_sub(2 * pad).max(1) + extra;
+            let (h, w) = if wider { (h, h + 1 + extra) } else { (h + 2, h) };
+            let mode = if raw { CaptureMode::StoreRaw } else { CaptureMode::Accumulate };
+            let mut conv = Conv2d::new("col", c_in, c_out, k, stride, pad, has_bias, &mut rng);
+            if let Some(b) = &mut conv.bias {
+                b.iter_mut().for_each(|v| *v = rng.normal());
+            }
+            conv.kfac.enabled = true;
+            conv.kfac.mode = mode;
+            let mut cap = KfacCapture::new();
+            cap.enabled = true;
+            cap.mode = mode;
+            let mut grads =
+                (Matrix::zeros(c_out, conv.weight.cols()), has_bias.then(|| vec![0.0; c_out]));
+            for _ in 0..2 {
+                let x = Tensor4::randn(n, c_in, h, w, 1.0, &mut rng);
+                let y = conv.forward(&x, true);
+                let (y_ref, patches) = oracle_forward(&conv, &x, &mut cap);
+                prop_assert_eq!(y.shape(), y_ref.shape());
+                prop_assert_eq!(bits(y.as_slice()), bits(y_ref.as_slice()), "forward");
+                let g = Tensor4::randn(y.n(), y.c(), y.h(), y.w(), 1.0, &mut rng);
+                let dx = conv.backward(&g);
+                let dx_ref = oracle_backward(&conv, &patches, (h, w), &g, &mut cap, &mut grads);
+                prop_assert_eq!(bits(dx.as_slice()), bits(dx_ref.as_slice()), "dx");
+            }
+            prop_assert_eq!(bits(conv.grad_weight.as_slice()), bits(grads.0.as_slice()), "dW");
+            prop_assert_eq!(conv.grad_bias.as_deref().map(bits), grads.1.as_deref().map(bits), "db");
+            let (got, expect) = (conv.kfac.take_stats().unwrap(), cap.take_stats().unwrap());
+            prop_assert_eq!(got.batches, expect.batches);
+            prop_assert_eq!(got.a_stat.shape(), expect.a_stat.shape());
+            prop_assert_eq!(bits(got.a_stat.as_slice()), bits(expect.a_stat.as_slice()), "A");
+            prop_assert_eq!(bits(got.g_stat.as_slice()), bits(expect.g_stat.as_slice()), "G");
         }
     }
 

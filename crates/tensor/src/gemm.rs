@@ -1,13 +1,12 @@
 //! Blocked, thread-parallel GEMM kernels.
 //!
-//! Three variants are provided: `C = A·B`, `C = Aᵀ·B`, and `C = A·Bᵀ`, all
-//! row-major. The K-FAC hot paths are `Aᵀ·B` (factor statistics `aᵀa`, `gᵀg`)
-//! and plain products (preconditioning `Qᵀ·∇L·Q`), so those avoid
-//! materializing transposes.
+//! Three variants are provided: `C += A·B`, `C += Aᵀ·B`, and `C += A·Bᵀ`,
+//! all row-major, all accumulating into the live `C`. The K-FAC hot paths
+//! are `Aᵀ·B` (factor statistics `aᵀa`, `gᵀg`) and plain products
+//! (preconditioning `Qᵀ·∇L·Q`), so those avoid materializing transposes.
 //!
 //! Two kernel families sit behind each entry point, selected by
-//! [`GemmKernel`] (env `KAISA_GEMM_KERNEL`, [`set_gemm_kernel`], or the
-//! `KfacConfig` knob in `kaisa-core`):
+//! [`GemmKernel`] (env `KAISA_GEMM_KERNEL` or [`set_gemm_kernel`]):
 //!
 //! * **naive** — the original i-k-j / k-i-j / dot-product loops. These are
 //!   the reference implementation the blocked path is property-tested
@@ -20,7 +19,9 @@
 //!   `C[i,j]` receives exactly one `mul` + `add` per `kk` in ascending
 //!   order — the identical floating-point sequence to the naive loops,
 //!   making the two kernels bitwise interchangeable. The microkernel never
-//!   fuses into FMA for the same reason.
+//!   fuses into FMA for the same reason. Where a panel's `k` runs along a
+//!   stored row (`A` in `Nn`/`Nt`, `B` in `Nt`) packing is a transpose,
+//!   done eight rows by eight `k` per AVX2 register transpose.
 //!
 //! Parallelization: a product big enough to pay ([`team::pays`]) is cut
 //! into independent row bands of `C` — a pure function of the shape and the
@@ -39,6 +40,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
+use crate::matrix::GRAM_BLOCK_ROWS;
 use crate::team;
 
 /// Rows per register tile (microkernel height).
@@ -49,8 +51,8 @@ pub(crate) const NR: usize = 16;
 pub(crate) const MC: usize = 48;
 
 /// GEMM kernel selection, settable per process via the `KAISA_GEMM_KERNEL`
-/// environment variable (`auto` | `blocked` | `naive`), [`set_gemm_kernel`],
-/// or the `gemm_kernel` config knob in `kaisa-core`.
+/// environment variable (`auto` | `blocked` | `naive`) or
+/// [`set_gemm_kernel`].
 ///
 /// Both kernels produce bitwise-identical results (property-tested); the
 /// selection only trades packing overhead against microkernel throughput,
@@ -205,14 +207,12 @@ pub(crate) enum Layout {
     Nn,
     /// `A` is stored `[k x m]` (logical `Aᵀ·B`); accumulates into `C`.
     Tn,
-    /// `B` is stored `[n x k]` (logical `A·Bᵀ`); sums into a zeroed local
-    /// accumulator first, then adds once into `C` — matching the naive
-    /// dot-product kernel's association.
+    /// `B` is stored `[n x k]` (logical `A·Bᵀ`); accumulates into `C`.
     Nt,
 }
 
-/// `C[m x n] = A[m x k] · B[k x n]`, all row-major. `c` must be zeroed by the
-/// caller (the kernels accumulate).
+/// `C[m x n] += A[m x k] · B[k x n]`, all row-major (zero `c` first for the
+/// plain product).
 pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_nn_with(gemm_kernel(), m, k, n, a, b, c);
 }
@@ -235,7 +235,7 @@ pub fn gemm_nn_with(
         return;
     }
     if use_blocked(kernel, m, k, n) {
-        blocked_gemm(Layout::Nn, m, k, n, a, b, c);
+        blocked_gemm(Layout::Nn, m, k, k, n, a, b, c);
     } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
@@ -265,7 +265,7 @@ fn gemm_nn_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f
     }
 }
 
-/// `C[m x n] = Aᵀ · B` where `A` is stored as `[k x m]` row-major (so `Aᵀ` is
+/// `C[m x n] += Aᵀ · B` where `A` is stored as `[k x m]` row-major (so `Aᵀ` is
 /// `m x k`), `B` is `[k x n]`. This is the factor-statistic kernel
 /// `A = aᵀ·a / batch` with `a` stored batch-major.
 pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -289,7 +289,7 @@ pub fn gemm_tn_with(
         return;
     }
     if use_blocked(kernel, m, k, n) {
-        blocked_gemm(Layout::Tn, m, k, n, a, b, c);
+        blocked_gemm(Layout::Tn, m, k, k, n, a, b, c);
     } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
@@ -329,7 +329,12 @@ fn gemm_tn_serial_range(
     }
 }
 
-/// `C[m x n] = A · Bᵀ` where `A` is `[m x k]` and `B` is `[n x k]` row-major.
+/// `C[m x n] += A · Bᵀ` where `A` is `[m x k]` and `B` is `[n x k]` row-major.
+///
+/// Every `C[i, j]` is the live value followed by one mul-then-add per `kk`
+/// in ascending order, like the other two layouts, so a sequence of calls
+/// over consecutive `k` slices (a conv layer's images, DESIGN §5j) sums to
+/// the one-shot product bit for bit.
 pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_nt_with(gemm_kernel(), m, k, n, a, b, c);
 }
@@ -351,7 +356,7 @@ pub fn gemm_nt_with(
         return;
     }
     if use_blocked(kernel, m, k, n) {
-        blocked_gemm(Layout::Nt, m, k, n, a, b, c);
+        blocked_gemm(Layout::Nt, m, k, k, n, a, b, c);
     } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
@@ -364,18 +369,57 @@ pub fn gemm_nt_with(
     }
 }
 
+/// `C[m x n] += Σ_b A_b · B_bᵀ` over the consecutive `[m x k]` blocks `A_b`
+/// of `a` and `[n x k]` blocks `B_b` of `b`, in order: bit for bit
+/// [`gemm_nt_with`] called block after block, which is `gemm_tn` of the row
+/// layout stacking every block's transpose (a conv layer's
+/// `dW = Σ G_img·Pt_imgᵀ`, DESIGN §5j).
+pub fn gemm_nt_blocks(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_nt_blocks_with(gemm_kernel(), m, k, n, a, b, c);
+}
+
+/// [`gemm_nt_blocks`] with an explicit kernel selection. The blocked
+/// kernel packs short blocks several to a call, up to `GRAM_BLOCK_ROWS`
+/// columns, so `C` is staged through the register tiles once per call
+/// rather than once per block.
+pub fn gemm_nt_blocks_with(
+    kernel: GemmKernel,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    debug_assert_eq!(a.len() / (m * k).max(1), b.len() / (n * k).max(1));
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    if !use_blocked(kernel, m, k, n) {
+        for (a_blk, b_blk) in a.chunks_exact(m * k).zip(b.chunks_exact(n * k)) {
+            gemm_nt_with(kernel, m, k, n, a_blk, b_blk, c);
+        }
+        return;
+    }
+    let per_call = (GRAM_BLOCK_ROWS / k).max(1);
+    for (a_grp, b_grp) in a.chunks(per_call * m * k).zip(b.chunks(per_call * n * k)) {
+        blocked_gemm(Layout::Nt, m, a_grp.len() / m, k, n, a_grp, b_grp, c);
+    }
+}
+
 fn gemm_nt_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    // C[i, j] = dot(A row i, B row j): both unit stride.
+    // C[i, j] += dot(A row i, B row j): both unit stride, the running sum
+    // starting from the live C value.
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let c_row = &mut c[i * n..(i + 1) * n];
         for (j, cj) in c_row.iter_mut().enumerate() {
             let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
+            let mut acc = *cj;
             for (&x, &y) in a_row.iter().zip(b_row) {
                 acc += x * y;
             }
-            *cj += acc;
+            *cj = acc;
         }
     }
 }
@@ -389,7 +433,11 @@ fn gemm_nt_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f
 /// row with unit stride regardless of the original layout. The panels are
 /// written into the calling thread's [`PACKED_B`] buffer; hand it back with
 /// `PACKED_B.set(bp)` when the product is done.
-pub(crate) fn pack_b(layout: Layout, k: usize, n: usize, b: &[f32]) -> Vec<f32> {
+///
+/// An `Nt` operand may come as `k / kb` consecutive `[n x kb]` blocks that
+/// together make up the logical `[n x k]` (`kb = k` for one matrix): the
+/// `k` extent of a panel then runs through the blocks in order.
+pub(crate) fn pack_b(layout: Layout, k: usize, kb: usize, n: usize, b: &[f32]) -> Vec<f32> {
     let panels = n.div_ceil(NR);
     let mut bp = take_scratch(&PACKED_B, panels * k * NR);
     for jp in 0..panels {
@@ -410,12 +458,9 @@ pub(crate) fn pack_b(layout: Layout, k: usize, n: usize, b: &[f32]) -> Vec<f32> 
             }
             Layout::Nt => {
                 // B stored [n x k]: column j of the logical B is row j of
-                // the storage.
-                for jj in 0..nr {
-                    let col = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                    for (kk, &v) in col.iter().enumerate() {
-                        panel[kk * NR + jj] = v;
-                    }
+                // the storage (of each block in turn).
+                for (block, dst) in b.chunks_exact(n * kb).zip(panel.chunks_exact_mut(kb * NR)) {
+                    interleave::<NR>(&block[j0 * kb..(j0 + nr) * kb], kb, dst);
                 }
             }
         }
@@ -423,14 +468,56 @@ pub(crate) fn pack_b(layout: Layout, k: usize, n: usize, b: &[f32]) -> Vec<f32> 
     bp
 }
 
+/// Interleave `rows` (at most `W` of them, each `kb` long) into `dst`,
+/// laid out `[kb][W]`: `dst[kk·W + r] = rows[r·kb + kk]`, lanes past the
+/// last row zeroed — the transposing half of packing a row-major operand.
+/// With AVX2, eight `kk` at a time go through an 8×8 register transpose;
+/// [`interleave_portable`] does the rest (or all of it).
+fn interleave<const W: usize>(rows: &[f32], kb: usize, dst: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    let done = crate::simd::interleave_avx2::<W>(rows, kb, dst);
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    interleave_portable::<W>(rows, kb, done, dst);
+}
+
+/// [`interleave`] for `kk ≥ from` (a multiple of 8) without `std::arch`:
+/// eight `kk` at a time through a small tile, so every source row is read,
+/// and `dst` written, in order rather than at stride `W`.
+fn interleave_portable<const W: usize>(rows: &[f32], kb: usize, from: usize, dst: &mut [f32]) {
+    let nr = rows.len() / kb;
+    let mut kk0 = from;
+    while kk0 + 8 <= kb {
+        let mut tile = [[0.0f32; W]; 8];
+        for (r, src) in rows.chunks_exact(kb).enumerate() {
+            for (t, &v) in tile.iter_mut().zip(&src[kk0..kk0 + 8]) {
+                t[r] = v;
+            }
+        }
+        for (out, t) in dst[kk0 * W..(kk0 + 8) * W].chunks_exact_mut(W).zip(&tile) {
+            out.copy_from_slice(t);
+        }
+        kk0 += 8;
+    }
+    for kk in kk0..kb {
+        for (r, src) in rows.chunks_exact(kb).enumerate() {
+            dst[kk * W + r] = src[kk];
+        }
+        dst[kk * W + nr..(kk + 1) * W].fill(0.0);
+    }
+}
+
 /// Pack rows `[r0, r0 + mc)` of the logical `A` into `MR`-row panels laid
-/// out `[k][MR]`, zero-padding the last panel's missing rows.
+/// out `[k][MR]`, zero-padding the last panel's missing rows. A row-major
+/// (`Nn`/`Nt`) `A` may come as `[m x kb]` blocks, as in [`pack_b`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_a(
     layout: Layout,
     r0: usize,
     mc: usize,
     m: usize,
     k: usize,
+    kb: usize,
     a: &[f32],
     ap: &mut [f32],
 ) {
@@ -446,11 +533,9 @@ pub(crate) fn pack_a(
         }
         match layout {
             Layout::Nn | Layout::Nt => {
-                for rr in 0..mr {
-                    let row = &a[(r0 + i0 + rr) * k..(r0 + i0 + rr + 1) * k];
-                    for (kk, &v) in row.iter().enumerate() {
-                        panel[kk * MR + rr] = v;
-                    }
+                let r = r0 + i0;
+                for (block, dst) in a.chunks_exact(m * kb).zip(panel.chunks_exact_mut(kb * MR)) {
+                    interleave::<MR>(&block[r * kb..(r + mr) * kb], kb, dst);
                 }
             }
             Layout::Tn => {
@@ -493,18 +578,28 @@ pub(crate) fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR *
 
 /// Blocked GEMM driver: pack B once (shared read-only across row bands),
 /// then per band pack `MC`-row slabs of A and sweep register tiles.
-fn blocked_gemm(layout: Layout, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let bp = pack_b(layout, k, n, b);
+#[allow(clippy::too_many_arguments)]
+fn blocked_gemm(
+    layout: Layout,
+    m: usize,
+    k: usize,
+    kb: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    let bp = pack_b(layout, k, kb, n, b);
     if team::pays(m * n * k) && m > 1 {
         let band = blocked_band(m);
         let bp = &bp;
         par_row_bands(c, band, n, |band_idx, c_band| {
             let r0 = band_idx * band;
             let rows = c_band.len() / n;
-            blocked_rows(layout, r0, rows, m, k, n, a, bp, c_band);
+            blocked_rows(layout, r0, rows, m, k, kb, n, a, bp, c_band);
         });
     } else {
-        blocked_rows(layout, 0, m, m, k, n, a, &bp, c);
+        blocked_rows(layout, 0, m, m, k, kb, n, a, &bp, c);
     }
     PACKED_B.set(bp);
 }
@@ -512,7 +607,8 @@ fn blocked_gemm(layout: Layout, m: usize, k: usize, n: usize, a: &[f32], b: &[f3
 /// Serial blocked kernel over `rows` rows of `C` starting at logical row
 /// `r0` (`c` is the band's slice). Stages each `MR x NR` tile of `C`
 /// through a contiguous accumulator so the microkernel sees unit stride and
-/// edge tiles are handled by zero padding.
+/// edge tiles are handled by zero padding. `kb` is the block width of a
+/// row-major `A` (see [`pack_a`]).
 #[allow(clippy::too_many_arguments)]
 fn blocked_rows(
     layout: Layout,
@@ -520,6 +616,7 @@ fn blocked_rows(
     rows: usize,
     m: usize,
     k: usize,
+    kb: usize,
     n: usize,
     a: &[f32],
     bp: &[f32],
@@ -531,7 +628,7 @@ fn blocked_rows(
     for ic in (0..rows).step_by(MC) {
         let mc = MC.min(rows - ic);
         let m_panels = mc.div_ceil(MR);
-        pack_a(layout, r0 + ic, mc, m, k, a, &mut ap[..m_panels * MR * k]);
+        pack_a(layout, r0 + ic, mc, m, k, kb, a, &mut ap[..m_panels * MR * k]);
         for jp in 0..n_panels {
             let j0 = jp * NR;
             let nr = NR.min(n - j0);
@@ -541,34 +638,17 @@ fn blocked_rows(
                 let mr = MR.min(mc - i0);
                 let a_panel = &ap[ip * k * MR..(ip + 1) * k * MR];
                 let c0 = ic + i0;
-                match layout {
-                    Layout::Nn | Layout::Tn => {
-                        // Naive association: C is the running accumulator.
-                        // Stage the live C values into the tile (padding
-                        // lanes start at zero and are discarded).
-                        tile.fill(0.0);
-                        for rr in 0..mr {
-                            let src = &c[(c0 + rr) * n + j0..(c0 + rr) * n + j0 + nr];
-                            tile[rr * NR..rr * NR + nr].copy_from_slice(src);
-                        }
-                        microkernel(k, a_panel, b_panel, &mut tile);
-                        for rr in 0..mr {
-                            let dst = &mut c[(c0 + rr) * n + j0..(c0 + rr) * n + j0 + nr];
-                            dst.copy_from_slice(&tile[rr * NR..rr * NR + nr]);
-                        }
-                    }
-                    Layout::Nt => {
-                        // Naive association: a zeroed local accumulator is
-                        // summed over k, then added into C exactly once.
-                        tile.fill(0.0);
-                        microkernel(k, a_panel, b_panel, &mut tile);
-                        for rr in 0..mr {
-                            let dst = &mut c[(c0 + rr) * n + j0..(c0 + rr) * n + j0 + nr];
-                            for (cv, &tv) in dst.iter_mut().zip(&tile[rr * NR..rr * NR + nr]) {
-                                *cv += tv;
-                            }
-                        }
-                    }
+                // C is the running accumulator: stage the live values into
+                // the tile (padding lanes start at zero and are discarded).
+                tile.fill(0.0);
+                for rr in 0..mr {
+                    let src = &c[(c0 + rr) * n + j0..(c0 + rr) * n + j0 + nr];
+                    tile[rr * NR..rr * NR + nr].copy_from_slice(src);
+                }
+                microkernel(k, a_panel, b_panel, &mut tile);
+                for rr in 0..mr {
+                    let dst = &mut c[(c0 + rr) * n + j0..(c0 + rr) * n + j0 + nr];
+                    dst.copy_from_slice(&tile[rr * NR..rr * NR + nr]);
                 }
             }
         }
@@ -764,10 +844,73 @@ mod tests {
         let b = Matrix::randn(k, n, 1.0, &mut rng);
         let mut c_par = vec![0.0; m * n];
         gemm_nn_with(GemmKernel::Blocked, m, k, n, a.as_slice(), b.as_slice(), &mut c_par);
-        let bp = pack_b(Layout::Nn, k, n, b.as_slice());
+        let bp = pack_b(Layout::Nn, k, k, n, b.as_slice());
         let mut c_serial = vec![0.0; m * n];
-        blocked_rows(Layout::Nn, 0, m, m, k, n, a.as_slice(), &bp, &mut c_serial);
+        blocked_rows(Layout::Nn, 0, m, m, k, k, n, a.as_slice(), &bp, &mut c_serial);
         assert_eq!(c_par, c_serial);
+    }
+
+    #[test]
+    fn gemm_nt_blocks_packs_short_blocks_together_bitwise() {
+        // Blocks of 400 columns go two to a kernel call, blocks of 1500 one
+        // each: either way the result is the Tn product of the stacked
+        // transposes, accumulated into a nonzero C, in both kernels.
+        for (m, k, n, blocks) in
+            [(20usize, 400usize, 13usize, 5usize), (9, 1500, 7, 2), (50, 7, 33, 300)]
+        {
+            let mut rng = Rng::seed_from_u64((m + k + n) as u64);
+            let a = Matrix::randn(blocks * m, k, 1.0, &mut rng);
+            let b = Matrix::randn(blocks * n, k, 1.0, &mut rng);
+            let stack = |x: &Matrix, d: usize| {
+                Matrix::from_fn(blocks * k, d, |r, i| x.get((r / k) * d + i, r % k))
+            };
+            let (at, bt) = (stack(&a, m), stack(&b, n));
+            let mut expect = vec![0.5f32; m * n];
+            gemm_tn_with(
+                GemmKernel::Naive,
+                m,
+                blocks * k,
+                n,
+                at.as_slice(),
+                bt.as_slice(),
+                &mut expect,
+            );
+            for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
+                let mut c = vec![0.5f32; m * n];
+                gemm_nt_blocks_with(kernel, m, k, n, a.as_slice(), b.as_slice(), &mut c);
+                for (x, y) in c.iter().zip(&expect) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{kernel} ({m},{k},{n})x{blocks}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interleave_matches_its_portable_loop_bitwise() {
+        // Every row count up to the panel width (MR and NR) and `kb` on
+        // both sides of the 8-wide transpose, into a dirty panel: the same
+        // bits, padding lanes zeroed.
+        fn check<const W: usize>() {
+            for nr in 1..=W {
+                for kb in [1usize, 7, 8, 9, 16, 23, 40] {
+                    let rows: Vec<f32> = (0..nr * kb)
+                        .map(|i| f32::from_bits(0x3f80_0000 + i as u32 * 977))
+                        .collect();
+                    let mut fast = vec![f32::NAN; kb * W];
+                    let mut slow = vec![f32::NAN; kb * W];
+                    interleave::<W>(&rows, kb, &mut fast);
+                    interleave_portable::<W>(&rows, kb, 0, &mut slow);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&fast), bits(&slow), "W={W} nr={nr} kb={kb}");
+                    for kk in 0..kb {
+                        assert_eq!(fast[kk * W + nr - 1], rows[(nr - 1) * kb + kk]);
+                        assert!(fast[kk * W + nr..(kk + 1) * W].iter().all(|&v| v == 0.0));
+                    }
+                }
+            }
+        }
+        check::<MR>();
+        check::<NR>();
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! im2col / col2im lowering for convolution.
 //!
-//! Convolution is lowered to GEMM: every receptive-field patch of the input
-//! becomes one row of a patch matrix of shape
-//! `(N * H_out * W_out) x (C_in * KH * KW)`. This is also exactly the
-//! activation matrix K-FAC's `A` factor is computed from for Conv2d layers
-//! (Grosse & Martens, "A Kronecker-factored approximate Fisher matrix for
-//! convolution layers").
+//! Convolution is lowered to GEMM in the column ("Caffe") layout: each
+//! image becomes a patch matrix `Pt` of shape `(C_in·KH·KW) x (H_out·W_out)`
+//! whose column `oy·W_out + ox` is the receptive field of output pixel
+//! `(oy, ox)` ([`im2col_image`]), so `W · Pt` is that image's NCHW output
+//! block and its adjoint ([`col2im_image`]) folds `Wᵀ · G` back onto the
+//! input. The blocks are also what K-FAC's `A` factor of a Conv2d layer is
+//! computed from (Grosse & Martens, "A Kronecker-factored approximate
+//! Fisher matrix for convolution layers"): `A = Σ Pt·Ptᵀ`.
+//!
+//! [`im2col`] and [`col2im`] are the row layout — one patch per row of an
+//! `(N·H_out·W_out) x (C_in·KH·KW)` matrix — kept as the oracle the column
+//! path is tested against, element for element and add for add.
 
 use crate::{Matrix, Tensor4};
 
@@ -40,7 +46,7 @@ impl Conv2dGeom {
     }
 }
 
-/// Lower an NCHW input to the patch matrix.
+/// The row-layout oracle: lower an NCHW input to the patch matrix.
 ///
 /// Output shape: `(n * oh * ow) x (c * kh * kw)`; row `((n*oh)+oy)*ow+ox`
 /// holds the receptive field of output pixel `(oy, ox)` of image `n`,
@@ -50,61 +56,137 @@ pub fn im2col(input: &Tensor4, geom: &Conv2dGeom) -> Matrix {
     let (oh, ow) = geom.out_shape(h, w);
     let patch_len = c * geom.kh * geom.kw;
     let mut out = Matrix::zeros(n * oh * ow, patch_len);
-    im2col_rows(input, geom, 0, n * oh * ow, &mut out);
+    for img in 0..n {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let row = out.row_mut((img * oh + oy) * ow + ox);
+                let mut col = 0usize;
+                for ch in 0..c {
+                    for ky in 0..geom.kh {
+                        let iy = (oy * geom.sh + ky) as isize - geom.ph as isize;
+                        for kx in 0..geom.kw {
+                            let ix = (ox * geom.sw + kx) as isize - geom.pw as isize;
+                            if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                                row[col] = input.get(img, ch, iy as usize, ix as usize);
+                            }
+                            col += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
     out
 }
 
-/// Lower a contiguous block of patch-matrix rows — rows
-/// `[row0, row0 + nrows)` of the full [`im2col`] output — into the first
-/// `nrows` rows of `out`. Only the leading `c * kh * kw` columns of each
-/// destination row are written (padding positions are written as explicit
-/// zeros, so a reused scratch needs no clearing); any extra columns —
-/// e.g. a bias ones-column appended by the caller — are left untouched.
-///
-/// This is the streamed-capture building block: the K-FAC conv `A` factor
-/// accumulates SYRK contributions chunk-by-chunk without ever
-/// materializing the full patch matrix.
-pub fn im2col_rows(
-    input: &Tensor4,
-    geom: &Conv2dGeom,
-    row0: usize,
-    nrows: usize,
-    out: &mut Matrix,
-) {
-    let (n, c, h, w) = input.shape();
-    let (oh, ow) = geom.out_shape(h, w);
-    let patch_len = c * geom.kh * geom.kw;
-    assert!(row0 + nrows <= n * oh * ow, "im2col_rows: row range out of bounds");
-    assert!(out.rows() >= nrows, "im2col_rows: scratch has too few rows");
-    assert!(out.cols() >= patch_len, "im2col_rows: scratch rows too short");
+/// The output columns `ox` of one kernel column `kx` whose input column
+/// `ox·sw + kx - pw` lies inside `0..w`, as a range (empty when none does).
+fn valid_ox(kx: usize, ow: usize, w: usize, geom: &Conv2dGeom) -> std::ops::Range<usize> {
+    let first = geom.pw.saturating_sub(kx).div_ceil(geom.sw).min(ow);
+    let end = if w + geom.pw > kx { (w + geom.pw - kx).div_ceil(geom.sw).min(ow) } else { 0 };
+    first..end.max(first)
+}
 
-    for r in 0..nrows {
-        let row_idx = row0 + r;
-        let ox = row_idx % ow;
-        let rest = row_idx / ow;
-        let oy = rest % oh;
-        let img = rest / oh;
-        let row = &mut out.row_mut(r)[..patch_len];
-        let mut col = 0usize;
-        for ch in 0..c {
-            for ky in 0..geom.kh {
-                let iy = (oy * geom.sh + ky) as isize - geom.ph as isize;
-                for kx in 0..geom.kw {
-                    let ix = (ox * geom.sw + kx) as isize - geom.pw as isize;
-                    row[col] = if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                        input.get(img, ch, iy as usize, ix as usize)
+/// Lower image `img` of an NCHW input into `out`, its column-layout patch
+/// matrix `(c·kh·kw) x (oh·ow)`, row-major: row `(ch·kh + ky)·kw + kx`
+/// holds, for every output pixel, the input value under kernel tap
+/// `(ch, ky, kx)`. Each `(ch, ky, kx, oy)` segment of a row is one run of
+/// input row `iy` (contiguous at stride 1), with the padding written as
+/// zeros, so `out` needs no clearing. Bit for bit the transpose of image
+/// `img`'s rows of [`im2col`].
+pub fn im2col_image(input: &Tensor4, img: usize, geom: &Conv2dGeom, out: &mut [f32]) {
+    let (_, c, h, w) = input.shape();
+    let (oh, ow) = geom.out_shape(h, w);
+    assert_eq!(out.len(), c * geom.kh * geom.kw * oh * ow, "im2col_image: block size mismatch");
+    let image = &input.as_slice()[img * c * h * w..(img + 1) * c * h * w];
+    let mut rows = out.chunks_exact_mut(oh * ow);
+    for plane in image.chunks_exact(h * w) {
+        for ky in 0..geom.kh {
+            for kx in 0..geom.kw {
+                let row = rows.next().expect("one row per kernel tap");
+                let ox_run = valid_ox(kx, ow, w, geom);
+                for (oy, seg) in row.chunks_exact_mut(ow).enumerate() {
+                    let iy = (oy * geom.sh + ky).wrapping_sub(geom.ph);
+                    if iy >= h || ox_run.is_empty() {
+                        seg.fill(0.0);
+                        continue;
+                    }
+                    seg[..ox_run.start].fill(0.0);
+                    seg[ox_run.end..].fill(0.0);
+                    let ix0 = ox_run.start * geom.sw + kx - geom.pw;
+                    let src = &plane[iy * w + ix0..(iy + 1) * w];
+                    let dst = &mut seg[ox_run.clone()];
+                    if geom.sw == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
                     } else {
-                        0.0
-                    };
-                    col += 1;
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(geom.sw)) {
+                            *d = v;
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-/// Scatter a patch-matrix gradient back to an NCHW input gradient
-/// (the adjoint of [`im2col`]): overlapping patches accumulate.
+/// Fold one image's column-layout patch gradient `cols`
+/// (`(c·kh·kw) x (oh·ow)`, as [`im2col_image`] lays it out) into `out`, that
+/// image's `c x h x w` input-gradient block: the adjoint of
+/// [`im2col_image`], accumulating into `out`.
+///
+/// The kernel taps are walked in *descending* `(ky, kx)` order. An input
+/// pixel under tap `(ky, kx)` of output pixel `(oy, ox)` has
+/// `oy·sh + ky` and `ox·sw + kx` fixed, so a later tap means an earlier
+/// output pixel: descending taps deliver each input pixel's adds in
+/// ascending `(oy, ox)`, the order the row-layout [`col2im`] adds them in,
+/// and a zeroed `out` comes back bit for bit what [`col2im`] returns.
+pub fn col2im_image(
+    cols: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    geom: &Conv2dGeom,
+    out: &mut [f32],
+) {
+    let (oh, ow) = geom.out_shape(h, w);
+    let hw_out = oh * ow;
+    assert_eq!(cols.len(), c * geom.kh * geom.kw * hw_out, "col2im_image: block size mismatch");
+    assert_eq!(out.len(), c * h * w, "col2im_image: image size mismatch");
+    let taps = geom.kh * geom.kw;
+    for (ch_cols, plane) in cols.chunks_exact(taps * hw_out).zip(out.chunks_exact_mut(h * w)) {
+        for ky in (0..geom.kh).rev() {
+            for kx in (0..geom.kw).rev() {
+                let row = &ch_cols[(ky * geom.kw + kx) * hw_out..][..hw_out];
+                let ox_run = valid_ox(kx, ow, w, geom);
+                if ox_run.is_empty() {
+                    continue;
+                }
+                let ix0 = ox_run.start * geom.sw + kx - geom.pw;
+                for (oy, seg) in row.chunks_exact(ow).enumerate() {
+                    let iy = (oy * geom.sh + ky).wrapping_sub(geom.ph);
+                    if iy >= h {
+                        continue;
+                    }
+                    let src = &seg[ox_run.clone()];
+                    let dst = &mut plane[iy * w + ix0..(iy + 1) * w];
+                    if geom.sw == 1 {
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(geom.sw).zip(src) {
+                            *d += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The row-layout oracle's adjoint: scatter a patch-matrix gradient back to
+/// an NCHW input gradient (the adjoint of [`im2col`]), overlapping patches
+/// accumulating in ascending patch-row order.
 pub fn col2im(
     patches: &Matrix,
     n: usize,
@@ -224,35 +306,58 @@ mod tests {
         }
     }
 
+    /// Every geometry the column-layout tests sweep: kernel 1–5, stride
+    /// 1–3, padding 0–2 (including windows wholly in the padding), `h ≠ w`.
+    fn geometries() -> impl Iterator<Item = (Conv2dGeom, usize, usize)> {
+        (1..=5usize).flat_map(|k| {
+            (1..=3).flat_map(move |s| {
+                (0..=2).flat_map(move |p| {
+                    let h = k.saturating_sub(2 * p).max(1);
+                    [(h, h + 2), (h + 3, h + 1)].map(|(h, w)| (Conv2dGeom::square(k, s, p), h, w))
+                })
+            })
+        })
+    }
+
     #[test]
-    fn im2col_rows_chunks_concatenate_to_full() {
-        // Streaming arbitrary row chunks through a reused (oversized,
-        // dirty) scratch reproduces the full patch matrix exactly.
-        let mut rng = Rng::seed_from_u64(13);
-        let x = Tensor4::randn(2, 3, 5, 4, 1.0, &mut rng);
-        let g = Conv2dGeom::square(3, 2, 1);
-        let full = im2col(&x, &g);
-        let rows = full.rows();
-        for chunk in [1usize, 3, 5, rows, rows + 7] {
-            // One extra column simulates the bias ones-column the capture
-            // path appends: it must survive every chunk untouched.
-            let mut scratch = Matrix::zeros(chunk.min(rows), full.cols() + 1);
-            for r in 0..scratch.rows() {
-                scratch.row_mut(r)[full.cols()] = 1.0;
-            }
-            let mut r0 = 0;
-            while r0 < rows {
-                let len = chunk.min(rows - r0);
-                im2col_rows(&x, &g, r0, len, &mut scratch);
-                for r in 0..len {
-                    assert_eq!(
-                        &scratch.row(r)[..full.cols()],
-                        full.row(r0 + r),
-                        "chunk={chunk} r0={r0} r={r}"
-                    );
-                    assert_eq!(scratch.row(r)[full.cols()], 1.0);
+    fn im2col_image_is_the_transpose_of_the_row_oracle_bitwise() {
+        let mut rng = Rng::seed_from_u64(14);
+        for (g, h, w) in geometries() {
+            let x = Tensor4::randn(2, 3, h, w, 1.0, &mut rng);
+            let rows = im2col(&x, &g);
+            let (oh, ow) = g.out_shape(h, w);
+            let (hw, p) = (oh * ow, rows.cols());
+            // A dirty buffer: every element must be written.
+            let mut cols = vec![f32::NAN; p * hw];
+            for img in 0..2 {
+                im2col_image(&x, img, &g, &mut cols);
+                for (col, row) in cols.chunks_exact(hw).enumerate() {
+                    for (px, &v) in row.iter().enumerate() {
+                        let expect = rows.get(img * hw + px, col);
+                        assert_eq!(v.to_bits(), expect.to_bits(), "{g:?} {h}x{w} img {img}");
+                    }
                 }
-                r0 += len;
+            }
+        }
+    }
+
+    #[test]
+    fn col2im_image_matches_the_row_oracle_bitwise() {
+        let mut rng = Rng::seed_from_u64(15);
+        for (g, h, w) in geometries() {
+            let (n, c) = (2, 2);
+            let (oh, ow) = g.out_shape(h, w);
+            let (hw, p) = (oh * ow, c * g.kh * g.kw);
+            let grad = Matrix::randn(n * hw, p, 1.0, &mut rng);
+            let expect = col2im(&grad, n, c, h, w, &g);
+            let mut got = Tensor4::zeros(n, c, h, w);
+            for (img, out) in got.as_mut_slice().chunks_exact_mut(c * h * w).enumerate() {
+                let cols: Vec<f32> =
+                    (0..p * hw).map(|i| grad.get(img * hw + i % hw, i / hw)).collect();
+                col2im_image(&cols, c, h, w, &g, out);
+            }
+            for (a, b) in got.as_slice().iter().zip(expect.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{g:?} {h}x{w}");
             }
         }
     }

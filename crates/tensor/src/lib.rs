@@ -9,7 +9,7 @@
 //!   (blocked GEMM/SYRK banded over a cooperative compute team, transposes,
 //!   elementwise kernels).
 //! * [`Tensor4`] — an NCHW activation tensor used by convolutional layers,
-//!   with [`im2col`]/[`col2im`] lowering.
+//!   with the column-layout [`im2col_image`]/[`col2im_image`] lowering.
 //! * [`f16`](mod@f16) — a software implementation of IEEE 754 binary16 used to
 //!   emulate half-precision *storage and communication* of Kronecker factors
 //!   (Section 3.3 of the KAISA paper) on hardware without native fp16.
@@ -49,13 +49,14 @@ mod tensor4;
 
 pub use f16::F16;
 pub use gemm::{
-    gemm_kernel, gemm_nn_with, gemm_nt_with, gemm_tn_with, set_gemm_kernel, GemmKernel,
+    gemm_kernel, gemm_nn, gemm_nn_with, gemm_nt_blocks, gemm_nt_blocks_with, gemm_nt_with, gemm_tn,
+    gemm_tn_with, set_gemm_kernel, GemmKernel,
 };
-pub use im2col::{col2im, im2col, im2col_rows, Conv2dGeom};
+pub use im2col::{col2im, col2im_image, im2col, im2col_image, Conv2dGeom};
 pub use matrix::Matrix;
 pub use precision::Precision;
 pub use rng::Rng;
-pub use syrk::{set_syrk_mode, syrk_mode, syrk_tn, syrk_tn_with, SyrkMode};
+pub use syrk::{gram_nt, set_syrk_mode, syrk_mode, syrk_nt_with, syrk_tn, syrk_tn_with, SyrkMode};
 pub use team::inline_bands;
 pub use tensor4::Tensor4;
 

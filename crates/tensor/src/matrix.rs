@@ -16,8 +16,10 @@ pub struct Matrix {
 }
 
 /// Rows [`Matrix::gram_tn`] hands the Gram kernels per call (one-shot at
-/// 4096 × 288 reads 7.6–10 ms on the 2-core VM, in blocks of 1024 6.2–7.2).
-const GRAM_BLOCK_ROWS: usize = 1024;
+/// 4096 × 288 reads 7.6–10 ms on the 2-core VM, in blocks of 1024 6.2–7.2),
+/// and the `k` extent the column-layout products (`syrk_nt_with`,
+/// `gemm_nt_blocks_with`) pack per call from short blocks.
+pub(crate) const GRAM_BLOCK_ROWS: usize = 1024;
 
 impl Matrix {
     /// Create a `rows x cols` matrix of zeros.

@@ -1,4 +1,5 @@
-//! `std::arch` AVX2 kernels: the 6×16 GEMM microkernel, the 8-lane
+//! `std::arch` AVX2 kernels: the 6×16 GEMM microkernel, the 8×8 register
+//! transpose that packs row-major operands into its panels, the 8-lane
 //! binary16 quantizer and the AVX2 compilation of `ops::tanh_f32`. Every
 //! `unsafe` block in the workspace lives in this module.
 //!
@@ -106,6 +107,81 @@ pub(crate) fn microkernel_6x16_avx2(k: usize, ap: &[f32], bp: &[f32], acc: &mut 
         _mm256_storeu_ps(pc.add(5 * NR), c50);
         _mm256_storeu_ps(pc.add(5 * NR + 8), c51);
     }
+}
+
+/// The AVX2 form of `gemm::interleave`: `dst[kk·W + r] = rows[r·kb + kk]`
+/// for the `rows.len() / kb ≤ W` rows, lanes past the last row zeroed,
+/// for `kk` below the largest multiple of 8 that fits in `kb` — eight rows
+/// by eight `kk` per 8×8 register transpose, read and written in order.
+/// Returns how many `kk` it did (0 when AVX2 is unavailable); the caller
+/// finishes the rest. Data movement only, so bit for bit the scalar loop.
+pub(crate) fn interleave_avx2<const W: usize>(rows: &[f32], kb: usize, dst: &mut [f32]) -> usize {
+    #[target_feature(enable = "avx2")]
+    fn body<const W: usize>(rows: &[f32], kb: usize, dst: &mut [f32]) -> usize {
+        let nr = rows.len() / kb;
+        let done = kb / 8 * 8;
+        assert!(nr <= W && dst.len() >= kb * W, "interleave: rows or panel out of shape");
+        let (src, out) = (rows.as_ptr(), dst.as_mut_ptr());
+        for g in (0..W).step_by(8) {
+            let lanes = (W - g).min(8);
+            let mask = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), mask);
+            for kk0 in (0..done).step_by(8) {
+                // SAFETY: row `g + i < nr` spans `rows[(g+i)·kb..(g+i+1)·kb]`
+                // and `kk0 + 8 ≤ kb`, so each load reads 8 in-bounds lanes;
+                // each store writes lanes `g..g + lanes ≤ W` of `dst` row
+                // `kk0 + j < kb`, inside the `kb·W` asserted above (the
+                // masked store touches only its first `lanes` lanes).
+                unsafe {
+                    let load = |i: usize| {
+                        if g + i < nr {
+                            _mm256_loadu_ps(src.add((g + i) * kb + kk0))
+                        } else {
+                            _mm256_setzero_ps()
+                        }
+                    };
+                    let (r0, r1, r2, r3) = (load(0), load(1), load(2), load(3));
+                    let (r4, r5, r6, r7) = (load(4), load(5), load(6), load(7));
+                    let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+                    let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+                    let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+                    let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+                    let (s0, s1) =
+                        (_mm256_shuffle_ps::<0x44>(t0, t2), _mm256_shuffle_ps::<0xEE>(t0, t2));
+                    let (s2, s3) =
+                        (_mm256_shuffle_ps::<0x44>(t1, t3), _mm256_shuffle_ps::<0xEE>(t1, t3));
+                    let (s4, s5) =
+                        (_mm256_shuffle_ps::<0x44>(t4, t6), _mm256_shuffle_ps::<0xEE>(t4, t6));
+                    let (s6, s7) =
+                        (_mm256_shuffle_ps::<0x44>(t5, t7), _mm256_shuffle_ps::<0xEE>(t5, t7));
+                    let cols = [
+                        _mm256_permute2f128_ps::<0x20>(s0, s4),
+                        _mm256_permute2f128_ps::<0x20>(s1, s5),
+                        _mm256_permute2f128_ps::<0x20>(s2, s6),
+                        _mm256_permute2f128_ps::<0x20>(s3, s7),
+                        _mm256_permute2f128_ps::<0x31>(s0, s4),
+                        _mm256_permute2f128_ps::<0x31>(s1, s5),
+                        _mm256_permute2f128_ps::<0x31>(s2, s6),
+                        _mm256_permute2f128_ps::<0x31>(s3, s7),
+                    ];
+                    for (j, &col) in cols.iter().enumerate() {
+                        let at = out.add((kk0 + j) * W + g);
+                        if lanes == 8 {
+                            _mm256_storeu_ps(at, col);
+                        } else {
+                            _mm256_maskstore_ps(at, mask, col);
+                        }
+                    }
+                }
+            }
+        }
+        done
+    }
+    if !avx2_available() {
+        return 0;
+    }
+    // SAFETY: AVX2 support was verified by `avx2_available` above.
+    unsafe { body::<W>(rows, kb, dst) }
 }
 
 /// [`crate::ops::tanh_f32`] over a slice with AVX2, in place. Returns

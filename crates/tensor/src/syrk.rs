@@ -28,20 +28,29 @@
 //! Because the kernels accumulate into the live `C` in ascending `kk`
 //! order, accumulating row blocks of `A` one call at a time is bitwise
 //! identical to one shot.
+//!
+//! [`syrk_nt_with`] is the same kernel fed the transposed storage: `A`
+//! row-major `[m x k]`, `C += A·Aᵀ`, as a Conv2d layer holds its per-image
+//! patch and gradient blocks (DESIGN §5j). It takes any number of such
+//! blocks in one call, accumulates them into the lower triangle in order
+//! and mirrors once, so the result is bit for bit `syrk_tn` of the row
+//! layout that stacks every block's transpose. [`gram_nt`] routes it by
+//! the [`SyrkMode`] like [`Matrix::gram_tn`](crate::Matrix::gram_tn).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::gemm::{
-    gemm_kernel, microkernel, pack_a, pack_b, take_scratch, use_blocked, GemmKernel, Layout, MC,
-    MR, NR, PACKED_A, PACKED_B,
+    gemm_kernel, gemm_nt_blocks_with, microkernel, pack_a, pack_b, take_scratch, use_blocked,
+    GemmKernel, Layout, MC, MR, NR, PACKED_A, PACKED_B,
 };
+use crate::matrix::GRAM_BLOCK_ROWS;
 use crate::team;
 
 /// Whether factor-statistic Gram products route through the SYRK fast path
-/// (env `KAISA_SYRK`, [`set_syrk_mode`], or the `syrk` config knob in
-/// `kaisa-core`). Both settings produce bitwise-identical results; `off`
-/// exists as the permanent full-GEMM oracle lane for CI and bisection.
+/// (env `KAISA_SYRK` or [`set_syrk_mode`]). Both settings produce
+/// bitwise-identical results; `off` exists as the permanent full-GEMM
+/// oracle lane for CI and bisection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyrkMode {
     /// Lower-triangle SYRK + mirror (half the multiply-adds). The default.
@@ -130,20 +139,105 @@ pub fn syrk_tn_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [
         // a k=0 update must leave arbitrary caller data intact.
         return;
     }
-    if use_blocked(kernel, m, k, m) {
-        blocked_syrk(m, k, a, c);
-    } else if team::pays(m * m * k / 2) && m > 1 {
-        par_triangle_bands(m, c, |r0, rows, band| naive_syrk_rows(r0, rows, m, k, a, band));
-    } else {
-        naive_syrk_rows(0, m, m, k, a, c);
+    syrk_lower(kernel, Layout::Tn, m, k, k, a, c);
+    mirror_lower(m, c);
+}
+
+/// `C[m x m] += Σ_b A_b·A_bᵀ` over the consecutive `[m x k]` row-major
+/// blocks `A_b` that make up `a` (its length is a multiple of `m·k`). The
+/// blocks accumulate into the lower triangle in order and the upper
+/// triangle is mirrored once at the end, so the result is bitwise
+/// [`syrk_tn`] of the `[blocks·k x m]` matrix stacking every `A_bᵀ`: each
+/// lower element is the live value plus one mul-then-add per column of
+/// each block, blocks and columns ascending.
+///
+/// Short blocks are packed several to a call, up to `GRAM_BLOCK_ROWS`
+/// columns, the extent [`Matrix::gram_tn`](crate::Matrix::gram_tn) hands
+/// the kernel per call, so `C` is staged through the register tiles as
+/// often as it is for the row layout.
+pub fn syrk_nt_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(a.len() % (m * k).max(1), 0);
+    debug_assert_eq!(c.len(), m * m);
+    if m == 0 || k == 0 || a.is_empty() {
+        return;
+    }
+    let per_call = (GRAM_BLOCK_ROWS / k).max(1);
+    for blocks in a.chunks(per_call * m * k) {
+        syrk_lower(kernel, Layout::Nt, m, blocks.len() / m, k, blocks, c);
     }
     mirror_lower(m, c);
 }
 
+/// The Gram product of column-layout blocks, `C[m x m] += Σ_b A_b·A_bᵀ`
+/// (see [`syrk_nt_with`]), on the process-wide kernel: the SYRK kernel when
+/// the [`SyrkMode`] is on, else the full
+/// [`gemm_nt_blocks_with`](crate::gemm_nt_blocks_with) with `B = A`, which
+/// accumulates into `C` the same way. Bitwise identical either way, like
+/// [`Matrix::gram_tn`](crate::Matrix::gram_tn).
+pub fn gram_nt(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+    let kernel = gemm_kernel();
+    match syrk_mode() {
+        SyrkMode::On => syrk_nt_with(kernel, m, k, a, c),
+        SyrkMode::Off => gemm_nt_blocks_with(kernel, m, k, m, a, a, c),
+    }
+}
+
+/// Accumulate the lower triangle (`j ≤ i`) of `C += AᵀA` (`Tn`: `A` stored
+/// `[k x m]`, `kb = k`) or `C += A·Aᵀ` (`Nt`: `A` stored as `k / kb`
+/// consecutive `[m x kb]` blocks); strict-upper elements are left stale or
+/// partly updated, for the caller's mirror.
+fn syrk_lower(
+    kernel: GemmKernel,
+    layout: Layout,
+    m: usize,
+    k: usize,
+    kb: usize,
+    a: &[f32],
+    c: &mut [f32],
+) {
+    if use_blocked(kernel, m, k, m) {
+        blocked_syrk(layout, m, k, kb, a, c);
+    } else if team::pays(m * m * k / 2) && m > 1 {
+        par_triangle_bands(m, c, |r0, rows, band| {
+            naive_syrk_rows(layout, r0, rows, m, k, kb, a, band);
+        });
+    } else {
+        naive_syrk_rows(layout, 0, m, m, k, kb, a, c);
+    }
+}
+
 /// Naive lower-triangle reference: for each `C[i, j]` with `j ≤ i`, the
 /// exact `kk`-ascending mul-then-add chain of `gemm_tn_serial_range` —
-/// zero terms accumulated, never skipped (IEEE NaN/Inf propagation).
-fn naive_syrk_rows(r0: usize, rows: usize, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+/// zero terms accumulated, never skipped (IEEE NaN/Inf propagation). `Nt`
+/// runs each chain as one dot product from the live value, through the
+/// blocks in order; `Tn` streams `kk` outermost.
+#[allow(clippy::too_many_arguments)]
+fn naive_syrk_rows(
+    layout: Layout,
+    r0: usize,
+    rows: usize,
+    m: usize,
+    k: usize,
+    kb: usize,
+    a: &[f32],
+    c: &mut [f32],
+) {
+    if layout == Layout::Nt {
+        for i in 0..rows {
+            let gi = r0 + i;
+            for (j, cj) in c[i * m..i * m + gi + 1].iter_mut().enumerate() {
+                let mut acc = *cj;
+                for block in a.chunks_exact(m * kb) {
+                    let (a_i, a_j) = (&block[gi * kb..(gi + 1) * kb], &block[j * kb..(j + 1) * kb]);
+                    for (&x, &y) in a_i.iter().zip(a_j) {
+                        acc += x * y;
+                    }
+                }
+                *cj = acc;
+            }
+        }
+        return;
+    }
     for kk in 0..k {
         let a_row = &a[kk * m..(kk + 1) * m];
         for i in 0..rows {
@@ -227,30 +321,35 @@ where
 }
 
 /// Blocked SYRK driver: pack `A` once as the shared B-side panels, then
-/// sweep triangle-balanced row bands.
-fn blocked_syrk(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
-    let bp = pack_b(Layout::Tn, k, m, a);
+/// sweep triangle-balanced row bands. `layout` is `Tn` or `Nt`; the packers
+/// read `Nt` storage as a row-major `A` and a `[n x k]` `B`, which is
+/// exactly `A·Aᵀ` (in `[m x kb]` blocks).
+fn blocked_syrk(layout: Layout, m: usize, k: usize, kb: usize, a: &[f32], c: &mut [f32]) {
+    let bp = pack_b(layout, k, kb, m, a);
     if team::pays(m * m * k / 2) && m > 1 {
         let bp = &bp;
         par_triangle_bands(m, c, |r0, rows, band| {
-            blocked_syrk_rows(r0, rows, m, k, a, bp, band);
+            blocked_syrk_rows(layout, r0, rows, m, k, kb, a, bp, band);
         });
     } else {
-        blocked_syrk_rows(0, m, m, k, a, &bp, c);
+        blocked_syrk_rows(layout, 0, m, m, k, kb, a, &bp, c);
     }
     PACKED_B.set(bp);
 }
 
 /// Serial blocked SYRK over `rows` rows of `C` starting at logical row
 /// `r0` (`c` is the band's slice). Identical tile staging and microkernel
-/// to `gemm::blocked_rows` (Tn association: `C` is the live accumulator),
-/// except column panels entirely above the diagonal of a tile row are
-/// skipped — their elements are produced by the mirror instead.
+/// to `gemm::blocked_rows` (`C` is the live accumulator), except column
+/// panels entirely above the diagonal of a tile row are skipped — their
+/// elements are produced by the mirror instead.
+#[allow(clippy::too_many_arguments)]
 fn blocked_syrk_rows(
+    layout: Layout,
     r0: usize,
     rows: usize,
     m: usize,
     k: usize,
+    kb: usize,
     a: &[f32],
     bp: &[f32],
     c: &mut [f32],
@@ -261,7 +360,7 @@ fn blocked_syrk_rows(
     for ic in (0..rows).step_by(MC) {
         let mc = MC.min(rows - ic);
         let m_panels = mc.div_ceil(MR);
-        pack_a(Layout::Tn, r0 + ic, mc, m, k, a, &mut ap[..m_panels * MR * k]);
+        pack_a(layout, r0 + ic, mc, m, k, kb, a, &mut ap[..m_panels * MR * k]);
         for ip in 0..m_panels {
             let i0 = ip * MR;
             let mr = MR.min(mc - i0);
@@ -426,18 +525,46 @@ mod tests {
         let (m, k) = (300, 200);
         assert!(team::pays(m * m * k / 2));
         let a = fill(k * m, 12);
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            let mut c_par = vec![0.0f32; m * m];
-            syrk_tn_with(kernel, m, k, &a, &mut c_par);
-            let mut c_serial = vec![0.0f32; m * m];
-            naive_syrk_rows(0, m, m, k, &a, &mut c_serial);
-            mirror_lower(m, &mut c_serial);
-            if kernel == GemmKernel::Naive {
-                assert_eq!(c_par, c_serial);
-            } else {
+        // The same buffer read as `[k x m]` (Tn) and as one `[m x k]`
+        // column-layout block (Nt).
+        type Entry = fn(GemmKernel, usize, usize, &[f32], &mut [f32]);
+        for (layout, entry) in [(Layout::Tn, syrk_tn_with as Entry), (Layout::Nt, syrk_nt_with)] {
+            for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
+                let mut c_par = vec![0.0f32; m * m];
+                entry(kernel, m, k, &a, &mut c_par);
+                let mut c_serial = vec![0.0f32; m * m];
+                naive_syrk_rows(layout, 0, m, m, k, k, &a, &mut c_serial);
+                mirror_lower(m, &mut c_serial);
                 // Blocked vs naive bitwise equality is the stronger check.
                 for (x, y) in c_par.iter().zip(&c_serial) {
-                    assert_eq!(x.to_bits(), y.to_bits());
+                    assert_eq!(x.to_bits(), y.to_bits(), "{layout:?} {kernel}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn syrk_nt_packs_short_blocks_together_bitwise() {
+        // Blocks of 400 columns go two to a kernel call (three calls for
+        // five blocks), blocks of 1500 one each: either way the result is
+        // the Tn Gram of the stacked transposes, in both kernels.
+        for (m, k, blocks) in [(20usize, 400usize, 5usize), (9, 1500, 2), (50, 7, 300)] {
+            let a = fill(blocks * m * k, (m + k + blocks) as u64);
+            let mut stacked = vec![0.0f32; a.len()];
+            for (b, blk) in a.chunks_exact(m * k).enumerate() {
+                for (i, row) in blk.chunks_exact(k).enumerate() {
+                    for (px, &v) in row.iter().enumerate() {
+                        stacked[(b * k + px) * m + i] = v;
+                    }
+                }
+            }
+            let mut expect = vec![0.0f32; m * m];
+            syrk_tn_with(GemmKernel::Naive, m, blocks * k, &stacked, &mut expect);
+            for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
+                let mut c = vec![0.0f32; m * m];
+                syrk_nt_with(kernel, m, k, &a, &mut c);
+                for (x, y) in c.iter().zip(&expect) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{kernel} ({m},{k})x{blocks}");
                 }
             }
         }

@@ -2,7 +2,8 @@
 //! must hold for arbitrary shapes and values.
 
 use kaisa_tensor::{
-    f16, gemm_nn_with, gemm_nt_with, gemm_tn_with, syrk_tn_with, GemmKernel, Matrix, Rng, F16,
+    f16, gemm_nn_with, gemm_nt_blocks_with, gemm_nt_with, gemm_tn_with, syrk_nt_with, syrk_tn_with,
+    GemmKernel, Matrix, Rng, F16,
 };
 use proptest::prelude::*;
 
@@ -178,7 +179,7 @@ proptest! {
         // The SYRK fast path (lower triangle + mirror) must be *bitwise*
         // identical to the full gemm_tn Gram product for every shape and
         // kernel — one shot AND accumulated over arbitrary row chunks in
-        // input order (the streamed im2col capture pattern).
+        // input order (how `Matrix::gram_tn` walks a tall operand).
         let a = fill(k * m, seed);
         for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
             let mut c_gemm = vec![0.0f32; m * m];
@@ -198,6 +199,59 @@ proptest! {
             for (x, y) in c_chunked.iter().zip(&c_gemm) {
                 prop_assert_eq!(x.to_bits(), y.to_bits(),
                     "{} chunk={} ({},{})", kernel, chunk, m, k);
+            }
+        }
+    }
+
+    #[test]
+    fn column_blocks_match_the_stacked_row_layout_bitwise(
+        m in 1usize..40,
+        n in 1usize..40,
+        k in 1usize..70,
+        blocks in 1usize..4,
+        seed in any::<u64>(),
+        c0 in finite_f32(),
+    ) {
+        // A conv layer holds its operands as per-image `[dim x pixels]`
+        // blocks. Accumulating `A_b·B_bᵀ` block after block (gemm_nt, and
+        // gemm_nt_blocks in one call) and `Σ A_b·A_bᵀ` (syrk_nt) must equal, bit for bit, the Tn products
+        // of the row layout that stacks every block's transpose — the
+        // chains run over blocks, then pixels, ascending, into the live C.
+        let a = fill(blocks * m * k, seed);
+        let b = fill(blocks * n * k, seed ^ 0x5851f42d4c957f2d);
+        let stack = |x: &[f32], d: usize| -> Vec<f32> {
+            let mut t = vec![0.0f32; x.len()];
+            for (bi, blk) in x.chunks_exact(d * k).enumerate() {
+                for (i, row) in blk.chunks_exact(k).enumerate() {
+                    for (px, &v) in row.iter().enumerate() {
+                        t[(bi * k + px) * d + i] = v;
+                    }
+                }
+            }
+            t
+        };
+        let (at, bt) = (stack(&a, m), stack(&b, n));
+        let mut expect = vec![c0; m * n];
+        gemm_tn_with(GemmKernel::Naive, m, blocks * k, n, &at, &bt, &mut expect);
+        let mut gram = vec![0.0f32; m * m];
+        syrk_tn_with(GemmKernel::Naive, m, blocks * k, &at, &mut gram);
+        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
+            let mut c = vec![c0; m * n];
+            for (ab, bb) in a.chunks_exact(m * k).zip(b.chunks_exact(n * k)) {
+                gemm_nt_with(kernel, m, k, n, ab, bb, &mut c);
+            }
+            for (x, y) in c.iter().zip(&expect) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "{} gemm_nt ({},{},{})x{}", kernel, m, k, n, blocks);
+            }
+            let mut c = vec![c0; m * n];
+            gemm_nt_blocks_with(kernel, m, k, n, &a, &b, &mut c);
+            for (x, y) in c.iter().zip(&expect) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "{} gemm_nt_blocks ({},{},{})x{}", kernel, m, k, n, blocks);
+            }
+            let mut g = vec![0.0f32; m * m];
+            syrk_nt_with(kernel, m, k, &a, &mut g);
+            for (x, y) in g.iter().zip(&gram) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "{} syrk_nt ({},{})x{}", kernel, m, k, blocks);
             }
         }
     }
