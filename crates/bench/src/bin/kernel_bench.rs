@@ -3,7 +3,8 @@
 //! its inline band loop (small-product latency at the step shapes, and two
 //! concurrent callers), `sym_eig`-vs-oracle eigensolve latency at real
 //! factor sizes and `sym_eig`'s AVX2 solver body against its portable
-//! compilation, the elementwise layers of the step path (`Gelu`,
+//! compilation, the blocked GEMM through the AVX-512 microkernel against
+//! the AVX2 one, the elementwise layers of the step path (`Gelu`,
 //! `BatchNorm2d`) in ns per element, and `Conv2d` forward + backward +
 //! capture in its column layout against the row-layout pipeline it
 //! replaced, written as `BENCH_kernels.json` next to `BENCH_comm.json`.
@@ -12,7 +13,8 @@
 //! interleaved best-of trials (the comm_bench protocol), so the comparison
 //! is self-calibrating on noisy runners. The naive kernels are the
 //! permanent bitwise oracle — this harness is what keeps the blocked path
-//! *worth having*.
+//! *worth having*. It refuses to run while any `KAISA_*` variable is set:
+//! those switch kernels behind its back.
 //!
 //! ```sh
 //! cargo run --release -p kaisa-bench --bin kernel_bench            # full
@@ -39,6 +41,10 @@
 //!   slower than the portable one past the noise margin at the smallest of
 //!   [`TWIN_SIZES`], or misses [`TWIN_FLOOR`] — a twin that lost its
 //!   `#[target_feature]` inlining runs at the portable speed; or
+//! * on a CPU with AVX-512F, the blocked `nn` product at 512×512×513 on one
+//!   core is less than [`MICRO_TWIN_FLOOR`]× faster through the AVX-512
+//!   microkernel than through the AVX2 one (and the two must agree bit for
+//!   bit at every [`MICRO_TWIN_SHAPES`] entry, or the run panics); or
 //! * a product at one of the step shapes ([`STEP_SHAPES`]) takes more than
 //!   [`SMALL_LATENCY_CEILING`]× the inline band loop's p50 through the
 //!   normal entry point — the team must cost a small product nothing; or
@@ -59,8 +65,8 @@ use std::time::Instant;
 use kaisa_linalg::{sym_eig, sym_eig_portable, sym_eig_reference, EigScratch, EigenError, SymEig};
 use kaisa_nn::{activation::Gelu, norm::BatchNorm2d, Conv2d, KfacCapture};
 use kaisa_tensor::{
-    col2im, gemm_nn_with, gemm_nt_with, gemm_tn_with, im2col, inline_bands, set_gemm_kernel,
-    syrk_tn_with, GemmKernel, Matrix, Rng, Tensor4,
+    col2im, gemm_nn_on, gemm_nn_with, gemm_nt_on, gemm_nt_with, gemm_tn_with, im2col, inline_bands,
+    syrk_tn_with, GemmKernel, Matrix, Microkernel, Rng, Tensor4,
 };
 
 /// Measured trials per cell; best is kept (each trial is a complete
@@ -90,6 +96,15 @@ const TWIN_SIZES: [usize; 3] = [65, 257, 576];
 /// third of the solve is cache-bound and gains nothing from AVX2), so the
 /// floor sits below that spread.
 const TWIN_FLOOR: (usize, f64) = (576, 1.1);
+/// Blocked products timed through the AVX-512 and the AVX2 microkernel, one
+/// core each: `mlp_wide_mem_opt`'s largest precondition product, and a
+/// conv-capture-sized `nt` (`resnet_comm_opt`'s 576-wide patch factor).
+const MICRO_TWIN_SHAPES: [(Layout, (usize, usize, usize)); 2] =
+    [(Layout::Nn, (512, 512, 513)), (Layout::Nt, (64, 576, 1024))];
+/// Required AVX2/AVX-512 time ratio at the first of [`MICRO_TWIN_SHAPES`]:
+/// a kernel that lost its 16-lane rows runs at the AVX2 speed (~1.0×). The
+/// twin read 1.34–1.60× on one core of the 2-vCPU reference VM.
+const MICRO_TWIN_FLOOR: f64 = 1.15;
 /// Required syrk/gemm_tn speedup at the flagship Gram shape — conservative
 /// versus the theoretical ~2× flop halving (packing and the mirror are not
 /// halved), but far above noise.
@@ -380,6 +395,53 @@ fn portable(m: &Matrix) -> Result<SymEig, EigenError> {
     sym_eig_portable(m, &mut EigScratch::new())
 }
 
+/// The blocked product at `shape` through the AVX-512 and the AVX2
+/// microkernel, interleaved best-of-[`TRIALS`] with alternating order, each
+/// trial ~1 GFLOP: `(avx512_gflops, avx2_gflops)`. Panics unless the two
+/// return the same bits.
+fn measure_micro_twin(layout: Layout, (m, k, n): (usize, usize, usize)) -> (f64, f64) {
+    let mut rng = Rng::seed_from_u64(51);
+    let (a_len, b_len) = layout.operand_lens(m, k, n);
+    let (a, b) = (operand(a_len, &mut rng), operand(b_len, &mut rng));
+    let run = |micro: Microkernel, c: &mut [f32]| match layout {
+        Layout::Nn => gemm_nn_on(micro, m, k, n, &a, &b, c),
+        Layout::Nt => gemm_nt_on(micro, m, k, n, &a, &b, c),
+        Layout::Tn => unreachable!("the twin cell times nn and nt"),
+    };
+    let bits = |micro: Microkernel| {
+        let mut c = vec![0.5f32; m * n];
+        run(micro, &mut c);
+        c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    assert!(
+        bits(Microkernel::Avx512) == bits(Microkernel::Avx2),
+        "{} {m}x{k}x{n}: the AVX-512 and AVX2 microkernels disagree bitwise",
+        layout.name()
+    );
+    let flops = 2.0 * (m * k * n) as f64;
+    let iters = (1.0e9 / flops).ceil() as usize;
+    let mut c = vec![0.0f32; m * n];
+    let mut trial = |micro: Microkernel| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            c.fill(0.0);
+            run(micro, &mut c);
+        }
+        flops * iters as f64 / start.elapsed().as_secs_f64() / 1.0e9
+    };
+    let (mut wide, mut narrow) = (0.0f64, 0.0f64);
+    for t in 0..TRIALS {
+        for avx512 in if t % 2 == 0 { [true, false] } else { [false, true] } {
+            if avx512 {
+                wide = wide.max(trial(Microkernel::Avx512));
+            } else {
+                narrow = narrow.max(trial(Microkernel::Avx2));
+            }
+        }
+    }
+    (wide, narrow)
+}
+
 /// Measure two eigensolvers on the same `n x n` SPD matrix, interleaved
 /// best-of-[`TRIALS`] with alternating order, returning `(a_ms, b_ms)` per
 /// solve. Panics unless both return the same bits.
@@ -571,6 +633,14 @@ fn measure_conv((n, c_in, h, w, c_out): (usize, usize, usize, usize, usize)) -> 
 }
 
 fn main() {
+    let overrides: Vec<String> = std::env::vars_os()
+        .filter_map(|(k, _)| k.into_string().ok())
+        .filter(|k| k.starts_with("KAISA_"))
+        .collect();
+    if !overrides.is_empty() {
+        eprintln!("kernel_bench: refusing to run with {} set", overrides.join(", "));
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let no_gate = args.iter().any(|a| a == "--no-gate");
@@ -580,10 +650,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_kernels.json".to_string());
-
-    // Pin Auto out of the way: every measurement names its kernel
-    // explicitly, but model GEMMs inside warmup shouldn't flap.
-    set_gemm_kernel(GemmKernel::Auto);
 
     // The flagship 512³ gate shape always runs — even in --quick — plus a
     // small shape near the Auto dispatch threshold and K-FAC-typical
@@ -611,8 +677,10 @@ fn main() {
     #[cfg(not(target_arch = "x86_64"))]
     let avx2 = false;
 
+    let micro = Microkernel::detect();
     eprintln!(
-        "kernel_bench: shapes={shapes:?} trials={TRIALS} ({})",
+        "kernel_bench: shapes={shapes:?} trials={TRIALS} microkernel={} ({})",
+        micro.as_str(),
         if quick { "quick" } else { "full" }
     );
 
@@ -762,6 +830,36 @@ fn main() {
         }
     }
 
+    // The blocked GEMM through the AVX-512 microkernel (what dispatch picks
+    // where the CPU has it) against the AVX2 one, every band inline.
+    let mut micro_twin_rows = Vec::new();
+    let micro_twin = Microkernel::Avx512.available() && Microkernel::Avx2.available();
+    if !micro_twin {
+        eprintln!("microkernel twin skipped: this CPU has no AVX-512F (or no AVX2)");
+    }
+    let twin_shapes: &[(Layout, (usize, usize, usize))] =
+        if micro_twin { &MICRO_TWIN_SHAPES } else { &[] };
+    for (i, &(layout, shape)) in twin_shapes.iter().enumerate() {
+        let (m, k, n) = shape;
+        let (wide, narrow) = inline_bands(|| measure_micro_twin(layout, shape));
+        let speedup = wide / narrow;
+        eprintln!(
+            "gemm {:<2} {m:>4}x{k:>4}x{n:>4}  AVX-512 {wide:>7.2} GF/s | AVX2 {narrow:>7.2} GF/s | {speedup:>5.2}x (one core)",
+            layout.name()
+        );
+        let gated = i == 0;
+        if gated && speedup < MICRO_TWIN_FLOOR {
+            gate_failures.push(format!(
+                "{} {m}x{k}x{n}: AVX-512/AVX2 microkernel {speedup:.2}x < {MICRO_TWIN_FLOOR}x floor",
+                layout.name()
+            ));
+        }
+        micro_twin_rows.push(format!(
+            "    {{\"layout\": \"{}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \"avx512_gflops\": {wide:.3}, \"avx2_gflops\": {narrow:.3}, \"speedup\": {speedup:.3}, \"gated\": {gated}}}",
+            layout.name()
+        ));
+    }
+
     let (gelu_ns, bn2d_ns) = (measure_gelu(), measure_bn2d());
     let (gr, gc) = GELU_SHAPE;
     let (bn, bc, bh, bw) = BN2D_SHAPE;
@@ -801,6 +899,7 @@ fn main() {
             "  \"benchmark\": \"kaisa-kernels\",\n",
             "  \"quick\": {},\n",
             "  \"trials\": {},\n",
+            "  \"microkernel\": \"{}\",\n",
             "  \"gemm\": [\n{}\n  ],\n",
             "  \"syrk\": [\n{}\n  ],\n",
             "  \"team_latency\": [\n{}\n  ],\n",
@@ -808,6 +907,7 @@ fn main() {
             "\"one_caller_gflops\": {:.3}, \"two_callers_aggregate_gflops\": {:.3}}},\n",
             "  \"eigensolve\": [\n{}\n  ],\n",
             "  \"eigensolve_twin\": {{\"avx2\": {}, \"rows\": [\n{}\n  ]}},\n",
+            "  \"microkernel_twin\": {{\"ran\": {}, \"rows\": [\n{}\n  ]}},\n",
             "  \"elementwise\": [\n",
             "    {{\"name\": \"gelu_fwd_bwd\", \"shape\": [{}, {}], \"ns_per_element\": {:.2}, \"gated\": true}},\n",
             "    {{\"name\": \"bn2d_fwd_bwd\", \"shape\": [{}, {}, {}, {}], \"ns_per_element\": {:.2}, \"gated\": false}}\n",
@@ -816,12 +916,14 @@ fn main() {
             "  \"gate\": {{\"tolerance\": {}, \"speedup_floor\": {}, \"floor_shape\": [{}, {}, {}], ",
             "\"syrk_speedup_floor\": {}, \"syrk_floor_shape\": [{}, {}], ",
             "\"eig_speedup_floors\": {:?}, \"eig_twin_floor\": [{}, {}], ",
+            "\"microkernel_twin_floor\": {}, ",
             "\"small_latency_ceiling\": {}, \"gelu_ns_ceiling\": {}, ",
             "\"enforced\": {}, \"passed\": {}, \"failures\": [{}]}}\n",
             "}}\n"
         ),
         quick,
         TRIALS,
+        micro.as_str(),
         rows.join(",\n"),
         syrk_rows.join(",\n"),
         team_rows.join(",\n"),
@@ -834,6 +936,8 @@ fn main() {
         eig_rows.join(",\n"),
         avx2,
         twin_rows.join(",\n"),
+        micro_twin,
+        micro_twin_rows.join(",\n"),
         gr,
         gc,
         gelu_ns,
@@ -854,6 +958,7 @@ fn main() {
         EIG_SPEEDUP_FLOORS.map(|(n, floor)| vec![n as f64, floor]),
         TWIN_FLOOR.0,
         TWIN_FLOOR.1,
+        MICRO_TWIN_FLOOR,
         SMALL_LATENCY_CEILING,
         GELU_NS_CEILING,
         !no_gate,

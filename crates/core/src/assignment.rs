@@ -315,7 +315,7 @@ mod tests {
     fn lpt_beats_round_robin_on_skewed_jobs() {
         // One huge layer among many small ones: round-robin can stack badly.
         let mut layer_dims = vec![(512, 256)];
-        layer_dims.extend(std::iter::repeat((16, 8)).take(15));
+        layer_dims.extend(std::iter::repeat_n((16, 8), 15));
         let lpt = plan_assignments(&layer_dims, 4, 1.0, AssignmentStrategy::ComputeLpt);
         let rr = plan_assignments(&layer_dims, 4, 1.0, AssignmentStrategy::RoundRobin);
         assert!(lpt.makespan() <= rr.makespan() + 1e-6);

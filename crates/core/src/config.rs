@@ -111,7 +111,7 @@ impl KfacConfig {
         assert!(self.factor_update_freq > 0, "factor_update_freq must be positive");
         assert!(self.inv_update_freq > 0, "inv_update_freq must be positive");
         assert!(
-            self.inv_update_freq % self.factor_update_freq == 0,
+            self.inv_update_freq.is_multiple_of(self.factor_update_freq),
             "inv_update_freq ({}) should be a multiple of factor_update_freq ({}) so \
              eigendecompositions never run on stale-by-construction factors",
             self.inv_update_freq,

@@ -239,18 +239,18 @@ impl Kfac {
     /// Arm statistic capture on the model if the *upcoming* step is a
     /// factor-update step. Call before every forward pass (cheap).
     pub fn prepare<M: Model>(&self, model: &mut M) {
-        let capture = self.steps % self.cfg.factor_update_freq as u64 == 0;
+        let capture = self.steps.is_multiple_of(self.cfg.factor_update_freq as u64);
         model.set_kfac_capture(capture);
     }
 
     /// True if the upcoming step updates factors.
     pub fn is_factor_update_step(&self) -> bool {
-        self.steps % self.cfg.factor_update_freq as u64 == 0
+        self.steps.is_multiple_of(self.cfg.factor_update_freq as u64)
     }
 
     /// True if the upcoming step recomputes eigendecompositions.
     pub fn is_inv_update_step(&self) -> bool {
-        self.steps % self.cfg.inv_update_freq as u64 == 0
+        self.steps.is_multiple_of(self.cfg.inv_update_freq as u64)
     }
 
     /// Run one K-FAC preconditioning step. Must be called after the backward

@@ -135,8 +135,8 @@ pub fn quantize_f16(value: f32) -> f32 {
 /// AVX2 it rounds 8 lanes per instruction through the vector quantizer in
 /// `crate::simd`, which mirrors [`F16::from_f32`]/[`F16::to_f32`] bit for
 /// bit (property-tested). Selecting the `naive` kernel via
-/// `KAISA_GEMM_KERNEL` (or [`crate::set_gemm_kernel`]) forces the scalar
-/// reference here too, so `naive` restores the fully scalar process.
+/// `KAISA_GEMM_KERNEL` forces the scalar reference here too, so `naive`
+/// restores the fully scalar process.
 pub fn quantize_slice_f16(values: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if crate::gemm::gemm_kernel() != crate::gemm::GemmKernel::Naive

@@ -6,22 +6,26 @@
 //! (preconditioning `Qᵀ·∇L·Q`), so those avoid materializing transposes.
 //!
 //! Two kernel families sit behind each entry point, selected by
-//! [`GemmKernel`] (env `KAISA_GEMM_KERNEL` or [`set_gemm_kernel`]):
+//! [`GemmKernel`] (env `KAISA_GEMM_KERNEL`, read once per process):
 //!
 //! * **naive** — the original i-k-j / k-i-j / dot-product loops. These are
 //!   the reference implementation the blocked path is property-tested
 //!   against, and stay the permanent oracle.
 //! * **blocked** — packed-panel, register-tiled microkernels (`MR x NR` =
-//!   6×16) with an AVX2 `std::arch` inner loop behind runtime feature
-//!   detection and a portable scalar fallback. A panels are packed `MR`
-//!   rows at a time per `MC`-row cache block, B panels `NR` columns at a
-//!   time; panels carry the **full** k extent (no k-blocking), so every
-//!   `C[i,j]` receives exactly one `mul` + `add` per `kk` in ascending
-//!   order — the identical floating-point sequence to the naive loops,
-//!   making the two kernels bitwise interchangeable. The microkernel never
-//!   fuses into FMA for the same reason. Where a panel's `k` runs along a
-//!   stored row (`A` in `Nn`/`Nt`, `B` in `Nt`) packing is a transpose,
-//!   done eight rows by eight `k` per AVX2 register transpose.
+//!   6×16). One tile, three compilations ([`Microkernel`]): six 16-lane
+//!   AVX-512F rows, six rows of two 8-lane AVX2 halves, and a portable
+//!   scalar loop, the first the CPU supports in that order (runtime
+//!   feature detection). A panels are packed `MR` rows at a time per
+//!   `MC`-row cache block, B panels `NR` columns at a time; panels carry
+//!   the **full** k extent (no k-blocking), so every `C[i,j]` receives
+//!   exactly one `mul` + `add` per `kk` in ascending order — the identical
+//!   floating-point sequence to the naive loops, making the two kernels
+//!   bitwise interchangeable. No compilation of the microkernel fuses into
+//!   FMA, for the same reason; each lane of a wider vector is the same
+//!   IEEE mul-then-add, so the width never moves a bit. Where a panel's
+//!   `k` runs along a stored row (`A` in `Nn`/`Nt`, `B` in `Nt`) packing
+//!   is a transpose, done eight rows by eight `k` per AVX2 register
+//!   transpose.
 //!
 //! Parallelization: a product big enough to pay ([`team::pays`]) is cut
 //! into independent row bands of `C` — a pure function of the shape and the
@@ -37,7 +41,6 @@
 //! per-thread grow-only scratch.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::matrix::GRAM_BLOCK_ROWS;
@@ -45,14 +48,15 @@ use crate::team;
 
 /// Rows per register tile (microkernel height).
 pub(crate) const MR: usize = 6;
-/// Columns per register tile (microkernel width; two 8-lane AVX2 vectors).
+/// Columns per register tile (microkernel width: one 16-lane AVX-512 vector,
+/// or two 8-lane AVX2 vectors).
 pub(crate) const NR: usize = 16;
 /// Rows of packed A per cache block.
 pub(crate) const MC: usize = 48;
 
 /// GEMM kernel selection, settable per process via the `KAISA_GEMM_KERNEL`
-/// environment variable (`auto` | `blocked` | `naive`) or
-/// [`set_gemm_kernel`].
+/// environment variable (`auto` | `blocked` | `naive`): an oracle switch for
+/// CI and bisection, not a tuning knob.
 ///
 /// Both kernels produce bitwise-identical results (property-tested); the
 /// selection only trades packing overhead against microkernel throughput,
@@ -100,10 +104,9 @@ impl std::str::FromStr for GemmKernel {
     }
 }
 
-/// Process-wide programmatic override; 0 = unset (fall back to the env).
-static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_kernel() -> GemmKernel {
+/// The process-wide GEMM kernel selection: `KAISA_GEMM_KERNEL`, else
+/// [`GemmKernel::Auto`].
+pub fn gemm_kernel() -> GemmKernel {
     static ENV: OnceLock<GemmKernel> = OnceLock::new();
     *ENV.get_or_init(|| {
         std::env::var("KAISA_GEMM_KERNEL")
@@ -111,28 +114,6 @@ fn env_kernel() -> GemmKernel {
             .and_then(|v| v.parse().ok())
             .unwrap_or(GemmKernel::Auto)
     })
-}
-
-/// Override the process-wide GEMM kernel selection (wins over the
-/// `KAISA_GEMM_KERNEL` environment variable).
-pub fn set_gemm_kernel(kernel: GemmKernel) {
-    let code = match kernel {
-        GemmKernel::Auto => 1,
-        GemmKernel::Blocked => 2,
-        GemmKernel::Naive => 3,
-    };
-    KERNEL_OVERRIDE.store(code, Ordering::Relaxed);
-}
-
-/// The currently selected GEMM kernel: the last [`set_gemm_kernel`] value,
-/// else `KAISA_GEMM_KERNEL`, else [`GemmKernel::Auto`].
-pub fn gemm_kernel() -> GemmKernel {
-    match KERNEL_OVERRIDE.load(Ordering::Relaxed) {
-        1 => GemmKernel::Auto,
-        2 => GemmKernel::Blocked,
-        3 => GemmKernel::Naive,
-        _ => env_kernel(),
-    }
 }
 
 /// Below this many multiply-adds `Auto` keeps the naive loops: the packed
@@ -235,7 +216,7 @@ pub fn gemm_nn_with(
         return;
     }
     if use_blocked(kernel, m, k, n) {
-        blocked_gemm(Layout::Nn, m, k, k, n, a, b, c);
+        blocked_gemm(Microkernel::detect(), Layout::Nn, m, k, k, n, a, b, c);
     } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
@@ -289,7 +270,7 @@ pub fn gemm_tn_with(
         return;
     }
     if use_blocked(kernel, m, k, n) {
-        blocked_gemm(Layout::Tn, m, k, k, n, a, b, c);
+        blocked_gemm(Microkernel::detect(), Layout::Tn, m, k, k, n, a, b, c);
     } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
@@ -356,7 +337,7 @@ pub fn gemm_nt_with(
         return;
     }
     if use_blocked(kernel, m, k, n) {
-        blocked_gemm(Layout::Nt, m, k, k, n, a, b, c);
+        blocked_gemm(Microkernel::detect(), Layout::Nt, m, k, k, n, a, b, c);
     } else if team::pays(m * n * k) && m > 1 {
         let band = row_band(m);
         par_row_bands(c, band, n, |band_idx, c_band| {
@@ -403,7 +384,8 @@ pub fn gemm_nt_blocks_with(
     }
     let per_call = (GRAM_BLOCK_ROWS / k).max(1);
     for (a_grp, b_grp) in a.chunks(per_call * m * k).zip(b.chunks(per_call * n * k)) {
-        blocked_gemm(Layout::Nt, m, a_grp.len() / m, k, n, a_grp, b_grp, c);
+        let k_grp = a_grp.len() / m;
+        blocked_gemm(Microkernel::detect(), Layout::Nt, m, k_grp, k, n, a_grp, b_grp, c);
     }
 }
 
@@ -550,7 +532,8 @@ pub(crate) fn pack_a(
 }
 
 /// Portable microkernel: identical per-element mul-then-add sequence to the
-/// AVX2 kernel (each lane is an independent IEEE operation either way).
+/// AVX-512 and AVX2 kernels (each lane is an independent IEEE operation
+/// whatever the width).
 fn microkernel_portable(k: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
     for kk in 0..k {
         let a_col = &ap[kk * MR..kk * MR + MR];
@@ -564,22 +547,133 @@ fn microkernel_portable(k: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * N
     }
 }
 
+/// A compilation of the `MR x NR` microkernel. All three give every `C`
+/// element the same mul-then-add per `kk`, in ascending order, so they
+/// return the same bits; they differ only in how many lanes one
+/// instruction covers.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Microkernel {
+    /// Six 16-lane `zmm` rows (`avx512f`).
+    Avx512,
+    /// Six rows of two 8-lane `ymm` halves (`avx2`).
+    Avx2,
+    /// The scalar loop, vectorised for the baseline target.
+    Portable,
+}
+
+impl Microkernel {
+    /// The widest compilation the running CPU can run — AVX-512F, else
+    /// AVX2, else portable — which every blocked product dispatches to.
+    pub fn detect() -> Self {
+        [Microkernel::Avx512, Microkernel::Avx2]
+            .into_iter()
+            .find(|m| m.available())
+            .unwrap_or(Microkernel::Portable)
+    }
+
+    /// Whether the running CPU can run this compilation.
+    pub fn available(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return match self {
+            Microkernel::Avx512 => crate::simd::avx512_available(),
+            Microkernel::Avx2 => crate::simd::avx2_available(),
+            Microkernel::Portable => true,
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        return self == Microkernel::Portable;
+    }
+
+    /// Stable lowercase name (`avx512` | `avx2` | `portable`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Microkernel::Avx512 => "avx512",
+            Microkernel::Avx2 => "avx2",
+            Microkernel::Portable => "portable",
+        }
+    }
+
+    /// `acc += A-panel · B-panel` through this compilation; one the CPU
+    /// lacks runs the portable loop (the same bits).
+    #[inline]
+    fn run(self, k: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+        #[cfg(target_arch = "x86_64")]
+        match self {
+            Microkernel::Avx512 if crate::simd::avx512_available() => {
+                // SAFETY: `microkernel_6x16_avx512` is `#[target_feature(enable
+                // = "avx512f")]`; the guard just verified the CPU supports it.
+                unsafe { crate::simd::microkernel_6x16_avx512(k, ap, bp, acc) };
+                return;
+            }
+            Microkernel::Avx2 if crate::simd::avx2_available() => {
+                // SAFETY: `microkernel_6x16_avx2` is `#[target_feature(enable =
+                // "avx2")]`; the guard just verified the CPU supports it.
+                unsafe { crate::simd::microkernel_6x16_avx2(k, ap, bp, acc) };
+                return;
+            }
+            _ => {}
+        }
+        microkernel_portable(k, ap, bp, acc);
+    }
+}
+
+/// One `MR x NR` tile update through the widest compilation the CPU has.
 #[inline]
 pub(crate) fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_available() {
-        // SAFETY: `microkernel_6x16_avx2` is `#[target_feature(enable =
-        // "avx2")]`; `avx2_available()` just verified the CPU supports it.
-        unsafe { crate::simd::microkernel_6x16_avx2(k, ap, bp, acc) };
-        return;
+    Microkernel::detect().run(k, ap, bp, acc);
+}
+
+/// `C[m x n] += A[m x k] · B[k x n]` on the blocked path through the given
+/// compilation of the microkernel rather than the widest the CPU has: the
+/// twin `kernel_bench` holds the dispatched one against. Same bits as
+/// [`gemm_nn_with`].
+///
+/// # Panics
+/// If the running CPU cannot run `micro`.
+#[doc(hidden)]
+pub fn gemm_nn_on(
+    micro: Microkernel,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    assert!(micro.available(), "this CPU cannot run the {} microkernel", micro.as_str());
+    assert!(a.len() == m * k && b.len() == k * n && c.len() == m * n, "gemm_nn_on: shape");
+    if m > 0 && n > 0 && k > 0 {
+        blocked_gemm(micro, Layout::Nn, m, k, k, n, a, b, c);
     }
-    microkernel_portable(k, ap, bp, acc);
+}
+
+/// [`gemm_nn_on`] for `C[m x n] += A · Bᵀ` with `B` stored `[n x k]`: same
+/// bits as [`gemm_nt_with`].
+///
+/// # Panics
+/// If the running CPU cannot run `micro`.
+#[doc(hidden)]
+pub fn gemm_nt_on(
+    micro: Microkernel,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    assert!(micro.available(), "this CPU cannot run the {} microkernel", micro.as_str());
+    assert!(a.len() == m * k && b.len() == n * k && c.len() == m * n, "gemm_nt_on: shape");
+    if m > 0 && n > 0 && k > 0 {
+        blocked_gemm(micro, Layout::Nt, m, k, k, n, a, b, c);
+    }
 }
 
 /// Blocked GEMM driver: pack B once (shared read-only across row bands),
 /// then per band pack `MC`-row slabs of A and sweep register tiles.
 #[allow(clippy::too_many_arguments)]
 fn blocked_gemm(
+    micro: Microkernel,
     layout: Layout,
     m: usize,
     k: usize,
@@ -596,10 +690,10 @@ fn blocked_gemm(
         par_row_bands(c, band, n, |band_idx, c_band| {
             let r0 = band_idx * band;
             let rows = c_band.len() / n;
-            blocked_rows(layout, r0, rows, m, k, kb, n, a, bp, c_band);
+            blocked_rows(micro, layout, r0, rows, m, k, kb, n, a, bp, c_band);
         });
     } else {
-        blocked_rows(layout, 0, m, m, k, kb, n, a, &bp, c);
+        blocked_rows(micro, layout, 0, m, m, k, kb, n, a, &bp, c);
     }
     PACKED_B.set(bp);
 }
@@ -611,6 +705,7 @@ fn blocked_gemm(
 /// row-major `A` (see [`pack_a`]).
 #[allow(clippy::too_many_arguments)]
 fn blocked_rows(
+    micro: Microkernel,
     layout: Layout,
     r0: usize,
     rows: usize,
@@ -645,7 +740,7 @@ fn blocked_rows(
                     let src = &c[(c0 + rr) * n + j0..(c0 + rr) * n + j0 + nr];
                     tile[rr * NR..rr * NR + nr].copy_from_slice(src);
                 }
-                microkernel(k, a_panel, b_panel, &mut tile);
+                micro.run(k, a_panel, b_panel, &mut tile);
                 for rr in 0..mr {
                     let dst = &mut c[(c0 + rr) * n + j0..(c0 + rr) * n + j0 + nr];
                     dst.copy_from_slice(&tile[rr * NR..rr * NR + nr]);
@@ -845,8 +940,8 @@ mod tests {
         let mut c_par = vec![0.0; m * n];
         gemm_nn_with(GemmKernel::Blocked, m, k, n, a.as_slice(), b.as_slice(), &mut c_par);
         let bp = pack_b(Layout::Nn, k, k, n, b.as_slice());
-        let mut c_serial = vec![0.0; m * n];
-        blocked_rows(Layout::Nn, 0, m, m, k, k, n, a.as_slice(), &bp, &mut c_serial);
+        let (mut c_serial, micro) = (vec![0.0; m * n], Microkernel::detect());
+        blocked_rows(micro, Layout::Nn, 0, m, m, k, k, n, a.as_slice(), &bp, &mut c_serial);
         assert_eq!(c_par, c_serial);
     }
 
@@ -911,6 +1006,50 @@ mod tests {
         }
         check::<MR>();
         check::<NR>();
+    }
+
+    #[test]
+    fn microkernel_twins_match_portable_bitwise() {
+        // Every special class in both panels, at fixed spots so most of the
+        // tile stays finite: special `i` sits in row `i` of A and column `i`
+        // of B, so NaN and ±Inf poison rows 0..3 and columns 0..3, leaving
+        // rows 3.. x columns 3.. finite to show any rounding difference (an
+        // FMA contraction among them). The NaN is x86's default NaN, so
+        // whichever NaN operand an instruction passes on, and any NaN an
+        // `Inf - Inf` or `0 · Inf` makes, has its bits.
+        let nan = f32::from_bits(0xFFC0_0000);
+        let specials = [nan, f32::INFINITY, f32::NEG_INFINITY, 1.0e-40, -0.0, -3.0e-39];
+        let mut rng = Rng::seed_from_u64(30);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for micro in [Microkernel::Avx512, Microkernel::Avx2] {
+            if !micro.available() {
+                println!("skipped: this CPU cannot run the {} microkernel", micro.as_str());
+                continue;
+            }
+            for k in [0usize, 1, 5, 16, 513] {
+                let mut ap: Vec<f32> = (0..k * MR).map(|_| rng.next_f32() * 4.0 - 2.0).collect();
+                let mut bp: Vec<f32> = (0..k * NR).map(|_| rng.next_f32() * 4.0 - 2.0).collect();
+                for (i, &s) in specials.iter().enumerate().take(k.min(specials.len())) {
+                    let kk = (i * 7) % k;
+                    ap[kk * MR + i] = s;
+                    bp[kk * NR + i] = s;
+                }
+                let mut live = [0.0f32; MR * NR];
+                live.iter_mut().for_each(|v| *v = rng.next_f32() - 0.5);
+                live[1] = -0.0;
+                live[NR + 2] = 1.0e-39;
+                let (mut twin, mut portable) = (live, live);
+                micro.run(k, &ap, &bp, &mut twin);
+                microkernel_portable(k, &ap, &bp, &mut portable);
+                assert_eq!(bits(&twin), bits(&portable), "{} k={k}", micro.as_str());
+                let finite = (3 * NR..MR * NR).filter(|&i| twin[i].is_finite()).count();
+                assert!(
+                    k == 0 || finite >= 3 * (NR - 3),
+                    "{} k={k}: tile mostly poisoned",
+                    micro.as_str()
+                );
+            }
+        }
     }
 
     #[test]

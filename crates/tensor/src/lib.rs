@@ -20,9 +20,10 @@
 //!
 //! The crate carries no external BLAS dependency: determinism and
 //! algorithmic fidelity come first. `unsafe` is confined to the `simd`
-//! module (the `std::arch` AVX2 GEMM microkernel and binary16 quantizer,
-//! behind runtime feature detection), where every block carries a
-//! `SAFETY:` comment and is property-tested bitwise against the safe
+//! module (the `std::arch` AVX-512F and AVX2 GEMM microkernels and the
+//! binary16 quantizer, behind runtime feature detection) and the calls
+//! into it, where every block carries a `SAFETY:` comment and is
+//! property-tested bitwise against the safe
 //! scalar reference kernels — which remain the permanent oracle and can be
 //! forced process-wide with `KAISA_GEMM_KERNEL=naive` — and to one
 //! lifetime-erased closure reference in the `team` module (the helper
@@ -49,14 +50,14 @@ mod tensor4;
 
 pub use f16::F16;
 pub use gemm::{
-    gemm_kernel, gemm_nn, gemm_nn_with, gemm_nt_blocks, gemm_nt_blocks_with, gemm_nt_with, gemm_tn,
-    gemm_tn_with, set_gemm_kernel, GemmKernel,
+    gemm_kernel, gemm_nn, gemm_nn_on, gemm_nn_with, gemm_nt_blocks, gemm_nt_blocks_with,
+    gemm_nt_on, gemm_nt_with, gemm_tn, gemm_tn_with, GemmKernel, Microkernel,
 };
 pub use im2col::{col2im, col2im_image, im2col, im2col_image, Conv2dGeom};
 pub use matrix::Matrix;
 pub use precision::Precision;
 pub use rng::Rng;
-pub use syrk::{gram_nt, set_syrk_mode, syrk_mode, syrk_nt_with, syrk_tn, syrk_tn_with, SyrkMode};
+pub use syrk::{gram_nt, syrk_mode, syrk_nt_with, syrk_tn, syrk_tn_with, SyrkMode};
 pub use team::inline_bands;
 pub use tensor4::Tensor4;
 

@@ -1,22 +1,24 @@
-//! `std::arch` AVX2 kernels: the 6×16 GEMM microkernel, the 8×8 register
-//! transpose that packs row-major operands into its panels, the 8-lane
-//! binary16 quantizer and the AVX2 compilation of `ops::tanh_f32`. Every
-//! `unsafe` block in the workspace lives in this module.
+//! `std::arch` kernels: the 6×16 GEMM microkernel compiled twice (six
+//! 16-lane AVX-512F rows, or six rows of two 8-lane AVX2 halves), the 8×8
+//! register transpose that packs row-major operands into its panels, the
+//! 8-lane binary16 quantizer and the AVX2 compilation of `ops::tanh_f32`.
+//! All of the crate's `std::arch` code lives in this module.
 //!
 //! Two contracts govern everything here:
 //!
-//! 1. **Bitwise equivalence with the scalar reference.** The microkernel
-//!    issues a separate `vmulps`/`vaddps` per update — never FMA — because
+//! 1. **Bitwise equivalence with the scalar reference.** Both microkernels
+//!    issue a separate `mul`/`add` per update — never FMA — because
 //!    `a*b + c` fused in one rounding would diverge from the naive kernels'
 //!    two-rounding sequence. IEEE 754 operations are lanewise deterministic,
-//!    so an 8-lane vector multiply-then-add produces exactly the scalar
-//!    result in every lane, and the blocked GEMM stays bit-identical to the
-//!    naive loops it is property-tested against. Likewise the f16 quantizer
-//!    mirrors [`crate::f16::F16::from_f32`] operation for operation (same
-//!    rounding, same non-standard quiet-NaN payload) instead of using F16C
-//!    hardware conversions, which quiet signaling NaNs differently.
-//! 2. **Runtime dispatch.** Callers gate on [`avx2_available`]; every
-//!    `#[target_feature]` function here is only reachable behind that check.
+//!    so an 8- or 16-lane vector multiply-then-add produces exactly the
+//!    scalar result in every lane, and the blocked GEMM stays bit-identical
+//!    to the naive loops it is property-tested against. Likewise the f16
+//!    quantizer mirrors [`crate::f16::F16::from_f32`] operation for operation
+//!    (same rounding, same non-standard quiet-NaN payload) instead of using
+//!    F16C hardware conversions, which quiet signaling NaNs differently.
+//! 2. **Runtime dispatch.** Callers gate on [`avx512_available`] or
+//!    [`avx2_available`]; every `#[target_feature]` function here is only
+//!    reachable behind the matching check.
 //!
 //! The module is compiled only on `x86_64`; other targets take the portable
 //! paths in `gemm.rs`/`f16.rs`.
@@ -31,6 +33,61 @@ use crate::gemm::{MR, NR};
 pub(crate) fn avx2_available() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+}
+
+/// True when the running CPU supports AVX-512F (detected once per process).
+#[inline]
+pub(crate) fn avx512_available() -> bool {
+    static AVX512: OnceLock<bool> = OnceLock::new();
+    *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+}
+
+/// AVX-512F compilation of the 6×16 microkernel: the same tile and the same
+/// contract as [`microkernel_6x16_avx2`], one 16-lane `zmm` accumulator per
+/// tile row. Per `kk`: one B row load, then per tile row a broadcast of
+/// `A[r,kk]`, `_mm512_mul_ps` and `_mm512_add_ps` — two roundings, like the
+/// scalar `acc += a * b`, so every lane holds exactly what the AVX2 and
+/// portable kernels hold.
+///
+/// # Safety-by-construction
+/// Callers must only invoke this behind an [`avx512_available`] check
+/// (enforced with an `unsafe` block at the single call site); slice bounds
+/// are asserted here so the raw-pointer loads below cannot go out of bounds.
+#[target_feature(enable = "avx512f")]
+pub(crate) fn microkernel_6x16_avx512(k: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+    assert!(ap.len() >= k * MR, "packed A panel too short");
+    assert!(bp.len() >= k * NR, "packed B panel too short");
+    let pa = ap.as_ptr();
+    let pb = bp.as_ptr();
+    let pc = acc.as_mut_ptr();
+    // SAFETY: `acc` is exactly MR*NR = 96 contiguous f32s and NR = 16, so
+    // offset r*NR for r < 6 leaves 16 in-bounds lanes; `pa`/`pb` offsets
+    // stay below the lengths asserted above. Unaligned load/store
+    // intrinsics have no alignment requirement.
+    unsafe {
+        let mut c0 = _mm512_loadu_ps(pc);
+        let mut c1 = _mm512_loadu_ps(pc.add(NR));
+        let mut c2 = _mm512_loadu_ps(pc.add(2 * NR));
+        let mut c3 = _mm512_loadu_ps(pc.add(3 * NR));
+        let mut c4 = _mm512_loadu_ps(pc.add(4 * NR));
+        let mut c5 = _mm512_loadu_ps(pc.add(5 * NR));
+        for kk in 0..k {
+            let b = _mm512_loadu_ps(pb.add(kk * NR));
+            let a = pa.add(kk * MR);
+            c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(*a), b));
+            c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(*a.add(1)), b));
+            c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(*a.add(2)), b));
+            c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(*a.add(3)), b));
+            c4 = _mm512_add_ps(c4, _mm512_mul_ps(_mm512_set1_ps(*a.add(4)), b));
+            c5 = _mm512_add_ps(c5, _mm512_mul_ps(_mm512_set1_ps(*a.add(5)), b));
+        }
+        _mm512_storeu_ps(pc, c0);
+        _mm512_storeu_ps(pc.add(NR), c1);
+        _mm512_storeu_ps(pc.add(2 * NR), c2);
+        _mm512_storeu_ps(pc.add(3 * NR), c3);
+        _mm512_storeu_ps(pc.add(4 * NR), c4);
+        _mm512_storeu_ps(pc.add(5 * NR), c5);
+    }
 }
 
 /// AVX2 6×16 register-tiled microkernel: `acc[r][j] += A[r,kk] * B[kk,j]`

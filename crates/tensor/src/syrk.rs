@@ -15,8 +15,8 @@
 //! Like the GEMM kernels, two variants sit behind the [`GemmKernel`]
 //! selector: the naive scalar reference (the oracle) and a blocked path
 //! reusing the packed panels, the register-tiled `MR x NR` microkernel
-//! (AVX2 behind runtime detection, portable fallback), and the full-k
-//! no-FMA discipline from `gemm`. The blocked sweep simply **skips every
+//! (AVX-512F, else AVX2, behind runtime detection; portable fallback), and
+//! the full-k no-FMA discipline from `gemm`. The blocked sweep simply **skips every
 //! register tile that lies entirely above the diagonal**; tiles straddling
 //! it are computed in full and the spilled upper elements are overwritten
 //! by the mirror. A product big enough to pay is cut into MR-aligned row
@@ -37,7 +37,6 @@
 //! layout that stacks every block's transpose. [`gram_nt`] routes it by
 //! the [`SyrkMode`] like [`Matrix::gram_tn`](crate::Matrix::gram_tn).
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::gemm::{
@@ -48,7 +47,7 @@ use crate::matrix::GRAM_BLOCK_ROWS;
 use crate::team;
 
 /// Whether factor-statistic Gram products route through the SYRK fast path
-/// (env `KAISA_SYRK` or [`set_syrk_mode`]). Both settings produce
+/// (env `KAISA_SYRK`, read once per process). Both settings produce
 /// bitwise-identical results; `off` exists as the permanent full-GEMM
 /// oracle lane for CI and bisection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,34 +87,12 @@ impl std::str::FromStr for SyrkMode {
     }
 }
 
-/// Process-wide programmatic override; 0 = unset (fall back to the env).
-static MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_mode() -> SyrkMode {
+/// The process-wide SYRK mode: `KAISA_SYRK`, else [`SyrkMode::On`].
+pub fn syrk_mode() -> SyrkMode {
     static ENV: OnceLock<SyrkMode> = OnceLock::new();
     *ENV.get_or_init(|| {
         std::env::var("KAISA_SYRK").ok().and_then(|v| v.parse().ok()).unwrap_or(SyrkMode::On)
     })
-}
-
-/// Override the process-wide SYRK mode (wins over the `KAISA_SYRK`
-/// environment variable).
-pub fn set_syrk_mode(mode: SyrkMode) {
-    let code = match mode {
-        SyrkMode::On => 1,
-        SyrkMode::Off => 2,
-    };
-    MODE_OVERRIDE.store(code, Ordering::Relaxed);
-}
-
-/// The currently selected SYRK mode: the last [`set_syrk_mode`] value, else
-/// `KAISA_SYRK`, else [`SyrkMode::On`].
-pub fn syrk_mode() -> SyrkMode {
-    match MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => SyrkMode::On,
-        2 => SyrkMode::Off,
-        _ => env_mode(),
-    }
 }
 
 /// `C[m x m] += AᵀA` where `A` is stored `[k x m]` row-major — the

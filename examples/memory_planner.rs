@@ -62,7 +62,7 @@ fn main() {
             abs_gb,
             if fits { "yes" } else { "NO" },
         );
-        if fits && best.map_or(true, |(_, t)| iter < t) {
+        if fits && best.is_none_or(|(_, t)| iter < t) {
             best = Some((frac, iter));
         }
         frac *= 2.0;
