@@ -1,11 +1,10 @@
 //! The Section 4.3 ablation: triangular vs. full factor communication —
 //! packing halves the payload but adds extract/reconstruct overhead, which
-//! the paper found unprofitable on latency-bound networks. Plus the sharded
-//! factor reduction: dense allreduce vs reduce-scatter to shard owners over
-//! the same payload.
+//! the paper found unprofitable on latency-bound networks. Plus the factor
+//! allreduce itself over one packed payload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kaisa_comm::{CommTag, Communicator, ReduceOp, ShardSpec, ThreadComm};
+use kaisa_comm::{CommTag, Communicator, ReduceOp, ThreadComm};
 use kaisa_linalg::{pack_upper, unpack_upper};
 use kaisa_tensor::{Matrix, Rng};
 
@@ -33,8 +32,7 @@ fn bench_pack_unpack(c: &mut Criterion) {
 }
 
 fn bench_factor_reduction(c: &mut Criterion) {
-    // One packed factor payload per round; the sharded variant retires the
-    // same reduction but each rank materializes only its owned sections.
+    // One packed factor payload per round, averaged over the world.
     const LEN: usize = 16 * 1024;
     const ROUNDS: usize = 8;
     let mut group = c.benchmark_group("factor_reduction");
@@ -58,37 +56,6 @@ fn bench_factor_reduction(c: &mut Criterion) {
                 })
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("sharded_reduce_scatter", world),
-            &world,
-            |b, &world| {
-                b.iter(|| {
-                    ThreadComm::run(world, |comm| {
-                        let ranks: Vec<usize> = (0..world).collect();
-                        // A-section on rank 0, G-section on rank 1: the
-                        // split-worker layout of `factor_shards`.
-                        let shards = [
-                            ShardSpec { owner: 0, start: 0, len: LEN / 2 },
-                            ShardSpec { owner: 1 % world, start: LEN / 2, len: LEN - LEN / 2 },
-                        ];
-                        let owned: usize =
-                            shards.iter().filter(|s| s.owner == comm.rank()).map(|s| s.len).sum();
-                        let payload = vec![comm.rank() as f32 + 1.0; LEN];
-                        for _ in 0..ROUNDS {
-                            let pending = comm.begin_reduce_scatter(
-                                &payload,
-                                ReduceOp::Avg,
-                                &ranks,
-                                &shards,
-                                CommTag::FactorReduce,
-                            );
-                            let mut out = vec![0.0f32; owned];
-                            comm.complete(pending, &mut out);
-                        }
-                    })
-                })
-            },
-        );
     }
     group.finish();
 }

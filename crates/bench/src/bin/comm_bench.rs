@@ -45,25 +45,18 @@ const TRIALS: usize = 3;
 #[derive(Clone, Copy, PartialEq)]
 enum Collective {
     Allreduce,
-    ReduceScatter,
     Allgather,
     Broadcast,
     Barrier,
 }
 
-const COLLECTIVES: [Collective; 5] = [
-    Collective::Allreduce,
-    Collective::ReduceScatter,
-    Collective::Allgather,
-    Collective::Broadcast,
-    Collective::Barrier,
-];
+const COLLECTIVES: [Collective; 4] =
+    [Collective::Allreduce, Collective::Allgather, Collective::Broadcast, Collective::Barrier];
 
 impl Collective {
     fn name(self) -> &'static str {
         match self {
             Collective::Allreduce => "allreduce",
-            Collective::ReduceScatter => "reduce_scatter",
             Collective::Allgather => "allgather",
             Collective::Broadcast => "broadcast",
             Collective::Barrier => "barrier",
@@ -75,9 +68,6 @@ impl Collective {
     fn run(self, comm: &ThreadComm, buf: &mut [f32]) {
         match self {
             Collective::Allreduce => comm.allreduce(buf, ReduceOp::Avg),
-            Collective::ReduceScatter => {
-                let _ = comm.reduce_scatter(buf);
-            }
             Collective::Allgather => {
                 let _ = comm.allgather(&buf[..buf.len() / comm.world_size()]);
             }

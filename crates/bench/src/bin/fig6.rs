@@ -54,50 +54,43 @@ fn live() {
     };
     let mut table = Vec::new();
     for &frac in &[1.0 / 8.0, 0.25, 0.5, 1.0] {
-        let run = |sharded: bool| {
-            ThreadComm::run(world, |comm| {
-                let mut model = ResNetMini::new(model_cfg, &mut Rng::seed_from_u64(30));
-                let cfg = KfacConfig::builder()
-                    .grad_worker_frac(frac)
-                    .factor_update_freq(2)
-                    .inv_update_freq(4)
-                    .sharded_factors(sharded)
-                    .build();
-                let mut kfac = Kfac::new(cfg, &mut model, comm);
-                let sampler = ShardSampler::new(dataset.len(), world, comm.rank(), 4, 3);
-                let start = std::time::Instant::now();
-                let mut steps = 0usize;
-                for indices in sampler.epoch_batches(0) {
-                    let (x, y) = dataset.batch(&indices);
-                    kfac.prepare(&mut model);
-                    model.zero_grad();
-                    let _ = model.forward_backward(&x, &y);
-                    kaisa_trainer::allreduce_gradients(&mut model, comm, 1);
-                    kfac.step(&mut model, comm, 0.05);
-                    steps += 1;
-                }
-                (
-                    start.elapsed().as_secs_f64() / steps as f64,
-                    kfac.memory_bytes(),
-                    kfac.comm_bytes(),
-                    kfac.memory_meter().peak(MemoryCategory::Factors),
-                )
-            })
-        };
-        let dense = run(false);
-        let shard = run(true);
-        let (iter_s, mem, sent, _) = dense[0];
-        let max_mem = dense.iter().map(|r| r.1).max().unwrap();
-        let dense_factors = dense.iter().map(|r| r.3).max().unwrap();
-        let shard_factors = shard.iter().map(|r| r.3).max().unwrap();
+        let run = ThreadComm::run(world, |comm| {
+            let mut model = ResNetMini::new(model_cfg, &mut Rng::seed_from_u64(30));
+            let cfg = KfacConfig::builder()
+                .grad_worker_frac(frac)
+                .factor_update_freq(2)
+                .inv_update_freq(4)
+                .build();
+            let mut kfac = Kfac::new(cfg, &mut model, comm);
+            let sampler = ShardSampler::new(dataset.len(), world, comm.rank(), 4, 3);
+            let start = std::time::Instant::now();
+            let mut steps = 0usize;
+            for indices in sampler.epoch_batches(0) {
+                let (x, y) = dataset.batch(&indices);
+                kfac.prepare(&mut model);
+                model.zero_grad();
+                let _ = model.forward_backward(&x, &y);
+                kaisa_trainer::allreduce_gradients(&mut model, comm, 1);
+                kfac.step(&mut model, comm, 0.05);
+                steps += 1;
+            }
+            (
+                start.elapsed().as_secs_f64() / steps as f64,
+                kfac.memory_bytes(),
+                kfac.comm_bytes(),
+                kfac.memory_meter().peak(MemoryCategory::Factors),
+            )
+        });
+        let (iter_s, mem, sent, _) = run[0];
+        let max_mem = run.iter().map(|r| r.1).max().unwrap();
+        let peak_factors = run.iter().map(|r| r.3).max().unwrap();
         table.push(vec![
             format!("{frac:.3}"),
             format!("{:.1}", iter_s * 1e3),
             format!("{}", mem / 1024),
             format!("{}", max_mem / 1024),
             format!("{sent}"),
-            format!("{}", dense_factors / 1024),
-            format!("{}", shard_factors / 1024),
+            format!("{}", peak_factors / 1024),
         ]);
     }
     println!(
@@ -109,14 +102,13 @@ fn live() {
                 "rank0 K-FAC KiB",
                 "max K-FAC KiB",
                 "rank0 sent B",
-                "peak factor KiB (dense)",
-                "peak factor KiB (sharded)",
+                "peak factor KiB",
             ],
             &table
         )
     );
     println!("(live memory grows with frac and rank-0 send volume falls — the Figure 6 tradeoff;");
-    println!(" the sharded column is the MemoryMeter-measured peak with shard-resident factors)");
+    println!(" the factor column is the MemoryMeter-measured peak, the same at every frac)");
 }
 
 fn main() {

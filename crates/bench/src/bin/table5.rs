@@ -15,7 +15,7 @@ use kaisa_sim::experiments::table5;
 use kaisa_tensor::Rng;
 
 /// Live counterpart of the analytic table: run ResNetMini on 8 thread ranks
-/// and report the per-rank `MemoryMeter` peaks, dense vs shard-resident.
+/// and report the per-rank `MemoryMeter` peaks.
 fn live_meter() {
     println!("\n== Live per-rank MemoryMeter (8 thread ranks, ResNetMini) ==\n");
     let world = 8;
@@ -27,46 +27,34 @@ fn live_meter() {
         blocks_stage2: 2,
         classes: 4,
     };
-    let run = |sharded: bool| -> Vec<MemoryMeter> {
-        ThreadComm::run(world, |comm| {
-            let mut model = ResNetMini::new(model_cfg, &mut Rng::seed_from_u64(30));
-            let cfg = KfacConfig::builder()
-                .grad_worker_frac(0.25)
-                .factor_update_freq(2)
-                .inv_update_freq(4)
-                .sharded_factors(sharded)
-                .build();
-            let mut kfac = Kfac::new(cfg, &mut model, comm);
-            let sampler = ShardSampler::new(dataset.len(), world, comm.rank(), 4, 2);
-            for indices in sampler.epoch_batches(0) {
-                let (x, y) = dataset.batch(&indices);
-                kfac.prepare(&mut model);
-                model.zero_grad();
-                let _ = model.forward_backward(&x, &y);
-                kaisa_trainer::allreduce_gradients(&mut model, comm, 1);
-                kfac.step(&mut model, comm, 0.05);
-            }
-            kfac.memory_meter().clone()
-        })
-    };
-    let dense = run(false);
-    let shard = run(true);
+    let meters: Vec<MemoryMeter> = ThreadComm::run(world, |comm| {
+        let mut model = ResNetMini::new(model_cfg, &mut Rng::seed_from_u64(30));
+        let cfg = KfacConfig::builder()
+            .grad_worker_frac(0.25)
+            .factor_update_freq(2)
+            .inv_update_freq(4)
+            .build();
+        let mut kfac = Kfac::new(cfg, &mut model, comm);
+        let sampler = ShardSampler::new(dataset.len(), world, comm.rank(), 4, 2);
+        for indices in sampler.epoch_batches(0) {
+            let (x, y) = dataset.batch(&indices);
+            kfac.prepare(&mut model);
+            model.zero_grad();
+            let _ = model.forward_backward(&x, &y);
+            kaisa_trainer::allreduce_gradients(&mut model, comm, 1);
+            kfac.step(&mut model, comm, 0.05);
+        }
+        kfac.memory_meter().clone()
+    });
     let table: Vec<Vec<String>> = MemoryCategory::ALL
         .iter()
         .map(|&cat| {
-            let d = dense.iter().map(|m| m.peak(cat)).max().unwrap_or(0);
-            let s = shard.iter().map(|m| m.peak(cat)).max().unwrap_or(0);
-            let ratio =
-                if d > 0 { format!("{:.0}%", 100.0 * s as f64 / d as f64) } else { "-".into() };
-            vec![cat.name().to_string(), format!("{d}"), format!("{s}"), ratio]
+            let peak = meters.iter().map(|m| m.peak(cat)).max().unwrap_or(0);
+            vec![cat.name().to_string(), format!("{peak}")]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(&["category", "dense peak B", "sharded peak B", "shard/dense"], &table)
-    );
-    println!("(peaks are the max over ranks; shard-resident accumulation keeps only owned");
-    println!(" factor sections per rank, so the factor row drops well below 100%)");
+    println!("{}", render_table(&["category", "peak B"], &table));
+    println!("(peaks are the max over ranks; every rank holds every factor)");
 }
 
 fn main() {

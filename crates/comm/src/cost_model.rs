@@ -98,18 +98,6 @@ impl CollectiveCostModel {
         (p as f64 - 1.0) * self.network.p2p(bytes_per_rank)
     }
 
-    /// Ring reduce-scatter of a `bytes` payload across `p` ranks:
-    /// `(p-1)α + n β (p-1)/p` — exactly half a ring allreduce, which is
-    /// reduce-scatter followed by allgather.
-    pub fn reduce_scatter(&self, bytes: usize, p: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let pf = p as f64;
-        (pf - 1.0) * self.network.latency_s
-            + bytes as f64 * self.network.seconds_per_byte * (pf - 1.0) / pf
-    }
-
     /// Dissemination barrier: `⌈log₂ p⌉` zero-byte rounds.
     pub fn barrier(&self, p: usize) -> f64 {
         if p <= 1 {
@@ -157,19 +145,7 @@ mod tests {
         assert_eq!(m.broadcast(1000, 1), 0.0);
         assert_eq!(m.allreduce(1000, 1), 0.0);
         assert_eq!(m.allgather(1000, 1), 0.0);
-        assert_eq!(m.reduce_scatter(1000, 1), 0.0);
         assert_eq!(m.barrier(1), 0.0);
-    }
-
-    #[test]
-    fn reduce_scatter_is_half_an_allreduce() {
-        let m = model();
-        let n = 1 << 20;
-        for p in [2usize, 4, 8, 17] {
-            let rs = m.reduce_scatter(n, p);
-            let ar = m.allreduce(n, p);
-            assert!((rs * 2.0 - ar).abs() < 1e-12, "p={p}: {rs} vs {ar}");
-        }
     }
 
     #[test]

@@ -57,25 +57,6 @@ use group::GroupId;
 #[derive(Debug)]
 pub(crate) struct PendingTicket {
     pub(crate) key: (GroupId, u64),
-    /// For reduce-scatter: the `(start, len)` ranges of the reduced payload
-    /// this rank owns. [`Communicator::complete`] copies their concatenation
-    /// instead of the whole reduced payload.
-    pub(crate) shard: Option<Vec<(usize, usize)>>,
-}
-
-/// One contiguous shard of a reduce-scatter payload: after the collective,
-/// group member `owner` holds `payload[start .. start + len]` of the reduced
-/// result. A shard list must tile the payload exactly (sorted, disjoint,
-/// covering) and every owner must be a member of the participating group;
-/// one rank may own several shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Group member that owns this shard after the reduction.
-    pub owner: usize,
-    /// First payload element of the shard.
-    pub start: usize,
-    /// Shard length in elements.
-    pub len: usize,
 }
 
 /// Handle for a collective started with [`Communicator::begin_allreduce`] or
@@ -114,21 +95,7 @@ impl PendingCollective {
     }
 
     pub(crate) fn in_flight(key: (GroupId, u64), tag: CommTag) -> Self {
-        PendingCollective { payload: None, ticket: Some(PendingTicket { key, shard: None }), tag }
-    }
-
-    /// In-flight reduce-scatter: completion copies only this rank's owned
-    /// `(start, len)` ranges of the reduced payload, concatenated.
-    pub(crate) fn in_flight_sharded(
-        key: (GroupId, u64),
-        tag: CommTag,
-        ranges: Vec<(usize, usize)>,
-    ) -> Self {
-        PendingCollective {
-            payload: None,
-            ticket: Some(PendingTicket { key, shard: Some(ranges) }),
-            tag,
-        }
+        PendingCollective { payload: None, ticket: Some(PendingTicket { key }), tag }
     }
 
     pub(crate) fn take_payload(&mut self) -> Option<Vec<f32>> {
@@ -186,14 +153,6 @@ pub trait Communicator: Send + Sync {
     /// order on every rank.
     fn allgather(&self, send: &[f32]) -> Vec<f32>;
 
-    /// Reduce-scatter: elementwise-sum every rank's `send` buffer, then
-    /// return this rank's contiguous chunk of the result. Payload lengths
-    /// need not divide the world size: with `chunk = ⌈len / world⌉`, rank
-    /// `k` owns `result[k·chunk .. min((k+1)·chunk, len)]` (pad-and-trim —
-    /// trailing ranks may receive short or empty chunks). The building block
-    /// of ring allreduce; exposed for gradient sharding experiments.
-    fn reduce_scatter(&self, send: &[f32]) -> Vec<f32>;
-
     /// Block until every rank has reached the barrier.
     fn barrier(&self);
 
@@ -232,51 +191,6 @@ pub trait Communicator: Send + Sync {
         let mut tmp = buf.to_vec();
         self.broadcast_group(&mut tmp, root, group);
         PendingCollective::ready(tmp, tag)
-    }
-
-    /// Start a (sub-)group reduce-scatter without waiting. Every member of
-    /// `group` contributes a full `buf` of identical length; after the
-    /// reduction each member retrieves, via [`Communicator::complete`], the
-    /// concatenation of the `shards` it owns (possibly empty — such ranks
-    /// still must call `complete` with an empty buffer to retire the
-    /// collective). `shards` must tile `buf` exactly and be identical on
-    /// every member; results are reduced in rank order, so a shard's bits
-    /// equal the same slice of an [`Communicator::allreduce_group`] over the
-    /// same group.
-    ///
-    /// Same blocking-default caveat as [`Communicator::begin_allreduce`].
-    fn begin_reduce_scatter(
-        &self,
-        buf: &[f32],
-        op: ReduceOp,
-        group: &[usize],
-        shards: &[ShardSpec],
-        tag: CommTag,
-    ) -> PendingCollective {
-        let mut tmp = buf.to_vec();
-        self.allreduce_group(&mut tmp, op, group);
-        let mut owned = Vec::new();
-        for s in shards {
-            if s.owner == self.rank() {
-                owned.extend_from_slice(&tmp[s.start..s.start + s.len]);
-            }
-        }
-        PendingCollective::ready(owned, tag)
-    }
-
-    /// Start a (sub-)group allgather without waiting. Contributions may
-    /// differ in length per member; [`Communicator::complete`] writes their
-    /// concatenation in group rank order, so every member's completion
-    /// buffer must be sized to the (caller-agreed) total.
-    ///
-    /// The default implementation only supports singleton groups (the
-    /// identity gather); multi-rank backends must override it.
-    fn begin_allgather(&self, buf: &[f32], group: &[usize], tag: CommTag) -> PendingCollective {
-        assert!(
-            group.len() <= 1,
-            "default begin_allgather supports only singleton groups; backend must override"
-        );
-        PendingCollective::ready(buf.to_vec(), tag)
     }
 
     /// Block until `pending` finishes and write its result into `buf`

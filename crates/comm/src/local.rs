@@ -47,10 +47,6 @@ impl Communicator for LocalComm {
         send.to_vec()
     }
 
-    fn reduce_scatter(&self, send: &[f32]) -> Vec<f32> {
-        send.to_vec()
-    }
-
     fn barrier(&self) {}
 
     fn meter_snapshot(&self) -> MeterSnapshot {
@@ -73,7 +69,6 @@ mod tests {
         comm.broadcast(&mut buf, 0);
         assert_eq!(buf, vec![1.0, 2.0]);
         assert_eq!(comm.allgather(&buf), buf);
-        assert_eq!(comm.reduce_scatter(&buf), buf);
         assert_eq!(comm.simulated_seconds(), 0.0);
     }
 }

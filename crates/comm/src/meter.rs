@@ -19,19 +19,12 @@ pub enum CommOp {
     Allgather,
     /// Barrier.
     Barrier,
-    /// Reduce-scatter (the reduce half of a ring allreduce).
-    ReduceScatter,
 }
 
 impl CommOp {
     /// All tracked operation types, in display order.
-    pub const ALL: [CommOp; 5] = [
-        CommOp::Allreduce,
-        CommOp::ReduceScatter,
-        CommOp::Broadcast,
-        CommOp::Allgather,
-        CommOp::Barrier,
-    ];
+    pub const ALL: [CommOp; 4] =
+        [CommOp::Allreduce, CommOp::Broadcast, CommOp::Allgather, CommOp::Barrier];
 
     /// Index into the meter's counter arrays.
     fn slot(self) -> usize {
@@ -40,7 +33,6 @@ impl CommOp {
             CommOp::Broadcast => 1,
             CommOp::Allgather => 2,
             CommOp::Barrier => 3,
-            CommOp::ReduceScatter => 4,
         }
     }
 
@@ -51,7 +43,6 @@ impl CommOp {
             CommOp::Broadcast => "broadcast",
             CommOp::Allgather => "allgather",
             CommOp::Barrier => "barrier",
-            CommOp::ReduceScatter => "reduce_scatter",
         }
     }
 }
@@ -63,11 +54,13 @@ impl CommOp {
 /// stages of the paper's Figure 7 breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommTag {
-    /// Kronecker-factor allreduce ("factor comm", dense path).
+    /// Kronecker-factor allreduce ("factor comm").
     FactorComm,
-    /// Sharded factor reduce-scatter ("factor comm", sharded path).
+    /// Never emitted: no collective carries this tag. Kept only because the
+    /// end-to-end benchmark's factor-byte sum still names it.
     FactorReduce,
-    /// Worker-group allgather rematerializing a sharded factor payload.
+    /// Never emitted, like [`CommTag::FactorReduce`], and kept for the same
+    /// reason.
     FactorGather,
     /// Eigenbasis / inverse / outer-product broadcasts ("eig bcast").
     EigComm,
@@ -125,12 +118,8 @@ pub struct CommEvent {
     pub op: CommOp,
     /// Logical payload bytes, charged **once per collective** (the meter is
     /// world-shared). Conventions: allreduce and broadcast charge the result
-    /// payload `n`; allgather charges one rank's contribution; a
-    /// reduce-scatter charges `n/2` and a worker-group allgather of a sharded
-    /// payload charges `total/2`, because a ring allreduce *is*
-    /// reduce-scatter + allgather — each half runs half the allreduce's
-    /// volume, and charging either half the full `n` would double-count the
-    /// phase that never executes.
+    /// payload `n`; allgather charges one rank's contribution; a barrier
+    /// charges nothing.
     pub bytes: usize,
     /// Size of the participating group.
     pub group_size: usize,
@@ -140,7 +129,7 @@ pub struct CommEvent {
     pub tag: CommTag,
 }
 
-const N_OPS: usize = 5;
+const N_OPS: usize = 4;
 const N_TAGS: usize = 7;
 
 /// Lock-free accumulation of communication statistics.
@@ -372,28 +361,6 @@ mod tests {
         assert!((d.seconds(CommOp::Broadcast) - 0.3).abs() < 1e-6);
         assert_eq!(d.tag_bytes(CommTag::GradComm), 24);
         assert_eq!(d.tag_bytes(CommTag::Untagged), 0);
-    }
-
-    #[test]
-    fn reduce_scatter_volume_counted_once() {
-        // The shared meter records one event per collective; a reduce-scatter
-        // of a 128-byte payload is charged 64 bytes (the reduce half of a
-        // ring allreduce), not once per participating rank.
-        let m = Meter::new();
-        m.record(CommEvent {
-            op: CommOp::ReduceScatter,
-            bytes: 64,
-            group_size: 8,
-            seconds: 0.1,
-            tag: CommTag::FactorReduce,
-        });
-        let s = m.snapshot();
-        assert_eq!(s.calls(CommOp::ReduceScatter), 1);
-        assert_eq!(s.bytes(CommOp::ReduceScatter), 64);
-        assert_eq!(s.tag_bytes(CommTag::FactorReduce), 64);
-        assert_eq!(s.tag_bytes(CommTag::FactorGather), 0);
-        let tag_total: u64 = CommTag::ALL.iter().map(|&t| s.tag_bytes(t)).sum();
-        assert_eq!(tag_total, s.total_bytes());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! its rings, reduces the contributions **in ascending rank order** (so
 //! results are bitwise identical across thread schedules), meters the
 //! collective once, and pushes each member the result it is owed — the full
-//! reduction for allreduce and reduce-scatter (members slice out their own
-//! shards), the rank-ordered concatenation for allgather. Barriers send no
-//! messages (see [`RingHandle::barrier`]). Broadcast skips the leader: the
-//! root pushes its payload straight to every member at begin time.
+//! reduction for allreduce, the rank-ordered concatenation for allgather.
+//! Barriers send no messages (see [`RingHandle::barrier`]). Broadcast skips
+//! the leader: the root pushes its payload straight to every member at begin
+//! time.
 //!
 //! ## Matching
 //!
@@ -78,14 +78,9 @@ pub(crate) enum Role {
 pub(crate) enum OpKind {
     /// Elementwise reduction, full result to every member.
     Allreduce(ReduceOp),
-    /// Reduction; the *full* result is shared with every member (one `Arc`
-    /// clone each) and members slice their owned ranges locally — cheaper
-    /// than the leader materializing a per-member concatenation.
-    ReduceScatter(ReduceOp),
-    /// Begun allgather: metered as the gather half of a ring allreduce.
-    AllgatherBegin,
-    /// Blocking allgather: metered as one rank's contribution.
-    AllgatherBlocking,
+    /// Rank-ordered concatenation to every member, metered as one rank's
+    /// contribution.
+    Allgather,
 }
 
 /// World-shared half of the ring engine: the sleep doorbell and the spin
@@ -489,46 +484,19 @@ impl RingHandle {
                 shared.wake();
                 result
             }
-            OpKind::ReduceScatter(op) => {
-                let result: Arc<[f32]> = reduce_scaled(&parts, op, p).into();
-                let bytes = std::mem::size_of::<f32>() * result.len();
-                meter.record(CommEvent {
-                    op: CommOp::ReduceScatter,
-                    // The reduce half of a ring allreduce (see CommEvent::bytes).
-                    bytes: bytes / 2,
-                    group_size: p,
-                    seconds: cost.reduce_scatter(bytes, p),
-                    tag,
-                });
-                for &m in members {
-                    if m != self.rank {
-                        self.push_quiet(shared, m, Message { gid, seq, data: Arc::clone(&result) });
-                    }
-                }
-                shared.wake();
-                result
-            }
-            OpKind::AllgatherBegin | OpKind::AllgatherBlocking => {
+            OpKind::Allgather => {
                 let mut gathered = Vec::new();
                 for part in parts.values() {
                     gathered.extend_from_slice(part);
                 }
                 let out: Arc<[f32]> = gathered.into();
-                let total_bytes = std::mem::size_of::<f32>() * out.len();
-                let own_bytes =
+                let bytes =
                     std::mem::size_of::<f32>() * parts.get(&self.rank).map_or(0, |a| a.len());
-                let (bytes, seconds) = match kind {
-                    // Begun form: the gather half of a ring allreduce.
-                    OpKind::AllgatherBegin => {
-                        (total_bytes / 2, cost.allgather(total_bytes.div_ceil(p), p))
-                    }
-                    _ => (own_bytes, cost.allgather(own_bytes, p)),
-                };
                 meter.record(CommEvent {
                     op: CommOp::Allgather,
                     bytes,
                     group_size: p,
-                    seconds,
+                    seconds: cost.allgather(bytes, p),
                     tag,
                 });
                 for &m in members {
@@ -545,9 +513,7 @@ impl RingHandle {
 
 /// Reduce the contributions in ascending rank order, so results are
 /// bit-deterministic regardless of thread scheduling (floating-point addition
-/// is not associative), then apply the `Avg` scale. Shared by allreduce and
-/// reduce-scatter, which is what makes a reduce-scatter shard bitwise equal
-/// to the same slice of an allreduce.
+/// is not associative), then apply the `Avg` scale.
 fn reduce_scaled(parts: &BTreeMap<usize, Arc<[f32]>>, op: ReduceOp, p: usize) -> Vec<f32> {
     let mut parts = parts.values();
     let mut acc = parts.next().expect("at least one contribution").to_vec();

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use crate::group::{GroupTable, HandleGroups};
 use crate::meter::{CommEvent, CommOp, CommTag, Meter, MeterSnapshot};
 use crate::ring_comm::{self, OpKind, RingHandle, RingShared, Role};
-use crate::{CollectiveCostModel, Communicator, PendingCollective, ReduceOp, ShardSpec};
+use crate::{CollectiveCostModel, Communicator, PendingCollective, ReduceOp};
 
 struct CommCore {
     world: usize,
@@ -194,19 +194,7 @@ impl Communicator for ThreadComm {
             gid,
             seq,
         );
-        match &ticket.shard {
-            // Reduce-scatter: the engine delivered the full reduction (one
-            // shared `Arc`); copy out this rank's owned ranges.
-            Some(ranges) => {
-                let mut off = 0;
-                for &(start, len) in ranges {
-                    buf[off..off + len].copy_from_slice(&payload[start..start + len]);
-                    off += len;
-                }
-                debug_assert_eq!(off, buf.len(), "buffer sized to owned shards");
-            }
-            None => buf.copy_from_slice(&payload),
-        }
+        buf.copy_from_slice(&payload);
     }
 
     fn allgather(&self, send: &[f32]) -> Vec<f32> {
@@ -218,82 +206,9 @@ impl Communicator for ThreadComm {
         }
         let seq = groups.next_seq(gid);
         let core = &*self.core;
-        let kind = OpKind::AllgatherBlocking;
+        let kind = OpKind::Allgather;
         ring.begin_to_leader(&core.ring, (gid, seq), kind, send, members, CommTag::Untagged);
         ring.complete_vec(&core.ring, &core.meter, &core.cost, gid, seq).to_vec()
-    }
-
-    fn reduce_scatter(&self, send: &[f32]) -> Vec<f32> {
-        let group = { self.state.lock().unwrap().world_group.clone() };
-        let p = group.len();
-        // Pad-and-trim shard boundaries: with chunk = ⌈len / p⌉, rank k owns
-        // result[k·chunk .. min((k+1)·chunk, len)] — trailing ranks may
-        // receive short or empty chunks when the length does not divide.
-        let chunk = send.len().div_ceil(p);
-        let shards: Vec<ShardSpec> = group
-            .iter()
-            .map(|&k| {
-                let start = (k * chunk).min(send.len());
-                ShardSpec { owner: k, start, len: chunk.min(send.len() - start) }
-            })
-            .collect();
-        let mut out = vec![0.0f32; shards[self.rank].len];
-        let pending =
-            self.begin_reduce_scatter(send, ReduceOp::Sum, &group, &shards, CommTag::Untagged);
-        self.complete(pending, &mut out);
-        out
-    }
-
-    fn begin_reduce_scatter(
-        &self,
-        buf: &[f32],
-        op: ReduceOp,
-        group: &[usize],
-        shards: &[ShardSpec],
-        tag: CommTag,
-    ) -> PendingCollective {
-        let mut st = self.state.lock().unwrap();
-        let (gid, members) = st.groups.resolve(&self.core.groups, group);
-        // Validate the shard tiling on this rank's view; every member must
-        // pass an identical spec (same contract as matching collectives).
-        let mut end = 0usize;
-        for s in shards {
-            assert_eq!(s.start, end, "shards must tile the payload contiguously");
-            assert!(
-                members.contains(&s.owner),
-                "shard owner {} not in group {:?}",
-                s.owner,
-                &*members
-            );
-            end += s.len;
-        }
-        assert_eq!(end, buf.len(), "shards must cover the whole payload");
-        let ranges: Vec<(usize, usize)> =
-            shards.iter().filter(|s| s.owner == self.rank).map(|s| (s.start, s.len)).collect();
-        if members.len() == 1 {
-            let owned: Vec<f32> = ranges
-                .iter()
-                .flat_map(|&(start, len)| buf[start..start + len].iter().copied())
-                .collect();
-            return PendingCollective::ready(owned, tag);
-        }
-        let seq = st.groups.next_seq(gid);
-        let kind = OpKind::ReduceScatter(op);
-        st.ring.begin_to_leader(&self.core.ring, (gid, seq), kind, buf, members, tag);
-        // The leader shares one full-result `Arc` with every member; the
-        // ticket's ranges slice out this rank's shards at `complete`.
-        PendingCollective::in_flight_sharded((gid, seq), tag, ranges)
-    }
-
-    fn begin_allgather(&self, buf: &[f32], group: &[usize], tag: CommTag) -> PendingCollective {
-        let mut st = self.state.lock().unwrap();
-        let (gid, members) = st.groups.resolve(&self.core.groups, group);
-        if members.len() == 1 {
-            return PendingCollective::ready(buf.to_vec(), tag);
-        }
-        let key = (gid, st.groups.next_seq(gid));
-        st.ring.begin_to_leader(&self.core.ring, key, OpKind::AllgatherBegin, buf, members, tag);
-        PendingCollective::in_flight(key, tag)
     }
 
     fn barrier(&self) {
@@ -454,10 +369,9 @@ mod tests {
     fn meter_counts_collectives_identically_across_backends() {
         // One blocking collective of each kind at world 3, metered once per
         // collective (not per rank) under these byte conventions:
-        // allreduce and broadcast charge the payload, a blocking allgather
-        // one rank's contribution, a begun allgather half the gathered
-        // total, a reduce-scatter half the payload, a barrier nothing. The
-        // simulated clock charges the default α–β model for each.
+        // allreduce and broadcast charge the payload, allgather one rank's
+        // contribution, a barrier nothing. The simulated clock charges the
+        // default α–β model for each.
         let comms = ThreadComm::world(3);
         std::thread::scope(|s| {
             for comm in &comms {
@@ -466,12 +380,6 @@ mod tests {
                     comm.allreduce(&mut buf, ReduceOp::Sum);
                     comm.broadcast(&mut buf, 2);
                     let _ = comm.allgather(&buf[..4]); // 16 bytes per rank
-                                                       // 1 + 2 + 3 = 6 elements gathered: 24 bytes in total.
-                    let part = vec![1.0f32; comm.rank() + 1];
-                    let p = comm.begin_allgather(&part, &[0, 1, 2], CommTag::FactorGather);
-                    let mut gathered = vec![0.0f32; 6];
-                    comm.complete(p, &mut gathered);
-                    let _ = comm.reduce_scatter(&buf);
                     comm.barrier();
                 });
             }
@@ -481,8 +389,7 @@ mod tests {
         let expected = [
             (CommOp::Allreduce, 1, 64, cost.allreduce(64, 3)),
             (CommOp::Broadcast, 1, 64, cost.broadcast(64, 3)),
-            (CommOp::Allgather, 2, 16 + 12, cost.allgather(16, 3) + cost.allgather(8, 3)),
-            (CommOp::ReduceScatter, 1, 32, cost.reduce_scatter(64, 3)),
+            (CommOp::Allgather, 1, 16, cost.allgather(16, 3)),
             (CommOp::Barrier, 1, 0, cost.barrier(3)),
         ];
         for (op, calls, bytes, seconds) in expected {
@@ -491,10 +398,8 @@ mod tests {
             // The meter stores whole nanoseconds per event.
             assert!((snap.seconds(op) - seconds).abs() < 4e-9, "{op:?} seconds");
         }
-        assert_eq!(snap.tag_calls(CommTag::FactorGather), 1);
-        assert_eq!(snap.tag_bytes(CommTag::FactorGather), 12);
-        assert_eq!(snap.tag_calls(CommTag::Untagged), 5);
-        assert_eq!(snap.tag_bytes(CommTag::Untagged), 64 + 64 + 16 + 32);
+        assert_eq!(snap.tag_calls(CommTag::Untagged), 4);
+        assert_eq!(snap.tag_bytes(CommTag::Untagged), 64 + 64 + 16);
         // Every handle reads the one world-shared meter.
         assert_eq!(comms[2].meter_snapshot(), snap);
     }
@@ -645,26 +550,15 @@ mod pending_tests {
                     comm.complete(p, &mut out);
                     let p = comm.begin_broadcast(&out, 0, &[0, 1], CommTag::GradComm);
                     comm.complete(p, &mut out);
-                    let shards = [ShardSpec { owner: 1, start: 0, len: 16 }];
-                    let p = comm.begin_reduce_scatter(
-                        &buf,
-                        ReduceOp::Sum,
-                        &[0, 1],
-                        &shards,
-                        CommTag::FactorReduce,
-                    );
-                    comm.complete(p, &mut out[..if comm.rank() == 1 { 16 } else { 0 }]);
                 });
             }
         });
         let snap = comms[0].meter_snapshot();
         assert_eq!(snap.tag_bytes(CommTag::FactorComm), 64);
         assert_eq!(snap.tag_bytes(CommTag::GradComm), 64);
-        assert_eq!(snap.tag_bytes(CommTag::FactorReduce), 32);
         assert_eq!(snap.tag_bytes(CommTag::EigComm), 0);
         assert_eq!(snap.tag_calls(CommTag::FactorComm), 1);
         assert_eq!(snap.tag_calls(CommTag::GradComm), 1);
-        assert_eq!(snap.tag_calls(CommTag::FactorReduce), 1);
         assert_eq!(snap.tag_calls(CommTag::Untagged), 0);
     }
 
@@ -714,23 +608,21 @@ mod pending_tests {
         [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
 
     /// Every rank begins three collectives over overlapping groups — a world
-    /// allreduce, a subgroup collective, a world reduce-scatter — and
-    /// completes them in the order `orders[rank]`. Returns each rank's three
-    /// results and the world's meter. Ranks run on detached threads so a
-    /// world that wedges (a rank that panics leaves its peers waiting) fails
-    /// the test after a deadline instead of hanging it.
+    /// allreduce, a subgroup collective, a world broadcast from the last
+    /// rank — and completes them in the order `orders[rank]`. Returns each
+    /// rank's three results and the world's meter. Ranks run on detached
+    /// threads so a world that wedges (a rank that panics leaves its peers
+    /// waiting) fails the test after a deadline instead of hanging it.
     fn three_in_flight(
         world: usize,
         len: usize,
         orders: &[[usize; 3]],
     ) -> (Vec<[Vec<f32>; 3]>, MeterSnapshot) {
         let all: Vec<usize> = (0..world).collect();
-        let shards: Vec<ShardSpec> =
-            (0..len).map(|i| ShardSpec { owner: i % world, start: i, len: 1 }).collect();
+        let last = world - 1;
         let (tx, rx) = std::sync::mpsc::channel();
         for comm in ThreadComm::world(world) {
-            let (all, shards, order, tx) =
-                (all.clone(), shards.clone(), orders[comm.rank()], tx.clone());
+            let (all, order, tx) = (all.clone(), orders[comm.rank()], tx.clone());
             std::thread::spawn(move || {
                 let r = comm.rank();
                 let mine = awkward(r, 0, len);
@@ -750,17 +642,13 @@ mod pending_tests {
                     let group: &[usize] = if r == 0 { &[0] } else { &[1, 2] };
                     comm.begin_allreduce(&sub_buf, ReduceOp::Sum, group, CommTag::GradComm)
                 };
-                let mine = awkward(r, 2, len);
-                let scatter = comm.begin_reduce_scatter(
-                    &mine,
-                    ReduceOp::Sum,
-                    &all,
-                    &shards,
-                    CommTag::FactorReduce,
-                );
-                let owned = shards.iter().filter(|s| s.owner == r).count();
-                let mut pending = [Some(sum), Some(sub), Some(scatter)];
-                let mut out = [vec![0.0; len], sub_buf, vec![0.0; owned]];
+                // The last rank is never a leader, so its payload reaches
+                // every member on the same rings the other two collectives
+                // use, interleaved with them.
+                let bcast_buf = if r == last { awkward(r, 2, len) } else { vec![0.0; len] };
+                let bcast = comm.begin_broadcast(&bcast_buf, last, &all, CommTag::EigComm);
+                let mut pending = [Some(sum), Some(sub), Some(bcast)];
+                let mut out = [vec![0.0; len], sub_buf, bcast_buf];
                 for i in order {
                     let p = pending[i].take().expect("each collective completes once");
                     comm.complete(p, &mut out[i]);
@@ -784,7 +672,7 @@ mod pending_tests {
         // Each rank completes the three collectives in each of the 3! orders,
         // independently of its peers: 36 combinations at world 2 and 216 at
         // world 3. Members whose wanted payload is not next in the leader's
-        // ring must find it in their stash.
+        // or the root's ring must find it in their stash.
         const LEN: usize = 5;
         for world in [2usize, 3] {
             let sum_of = |salt: usize, ranks: &[usize]| -> Vec<f32> {
@@ -792,13 +680,13 @@ mod pending_tests {
             };
             let all: Vec<usize> = (0..world).collect();
             let world_sum = bits(&sum_of(0, &all));
-            let scatter_sum = sum_of(2, &all);
+            let bcast = bits(&awkward(world - 1, 2, LEN));
             for combo in 0..6usize.pow(world as u32) {
                 let orders: Vec<[usize; 3]> =
                     (0..world).map(|r| ORDERS[combo / 6usize.pow(r as u32) % 6]).collect();
                 let (results, snap) = three_in_flight(world, LEN, &orders);
                 let at = format!("world {world} orders {orders:?}");
-                for (r, [sum, sub, shard]) in results.iter().enumerate() {
+                for (r, [sum, sub, from_last]) in results.iter().enumerate() {
                     assert_eq!(bits(sum), world_sum, "{at} rank {r} allreduce");
                     let sub_oracle = match (world, r) {
                         (2, _) => awkward(9, 1, LEN),
@@ -806,158 +694,14 @@ mod pending_tests {
                         _ => sum_of(1, &[1, 2]),
                     };
                     assert_eq!(bits(sub), bits(&sub_oracle), "{at} rank {r} subgroup");
-                    let owned: Vec<f32> = (r..LEN).step_by(world).map(|i| scatter_sum[i]).collect();
-                    assert_eq!(bits(shard), bits(&owned), "{at} rank {r} reduce-scatter");
+                    assert_eq!(bits(from_last), bcast, "{at} rank {r} broadcast");
                 }
                 // Each collective is metered exactly once (a singleton group
                 // is never metered).
-                let (allreduces, broadcasts) = if world == 2 { (1, 1) } else { (2, 0) };
+                let (allreduces, broadcasts) = if world == 2 { (1, 2) } else { (2, 1) };
                 assert_eq!(snap.calls(CommOp::Allreduce), allreduces, "{at}");
                 assert_eq!(snap.calls(CommOp::Broadcast), broadcasts, "{at}");
-                assert_eq!(snap.calls(CommOp::ReduceScatter), 1, "{at}");
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod reduce_scatter_tests {
-    use super::*;
-
-    #[test]
-    fn reduce_scatter_sums_and_slices() {
-        let results = ThreadComm::run(4, |comm| {
-            // Each rank contributes [rank, rank, ..] over 4 chunks of 2.
-            let send = vec![comm.rank() as f32; 8];
-            comm.reduce_scatter(&send)
-        });
-        // Sum over ranks = 0+1+2+3 = 6 everywhere; each rank gets its
-        // chunk.
-        for (rank, out) in results.iter().enumerate() {
-            assert_eq!(out, &vec![6.0; 2], "rank {rank}");
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_distinct_chunks() {
-        let results = ThreadComm::run(2, |comm| {
-            // Rank r sends [r*10, r*10+1, r*10+2, r*10+3].
-            let send: Vec<f32> = (0..4).map(|i| (comm.rank() * 10 + i) as f32).collect();
-            comm.reduce_scatter(&send)
-        });
-        // Sums: [10, 12, 14, 16]; rank 0 gets [10, 12], rank 1 [14, 16].
-        assert_eq!(results[0], vec![10.0, 12.0]);
-        assert_eq!(results[1], vec![14.0, 16.0]);
-    }
-
-    #[test]
-    fn reduce_scatter_world_one() {
-        let results = ThreadComm::run(1, |comm| comm.reduce_scatter(&[1.0, 2.0]));
-        assert_eq!(results[0], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn reduce_scatter_pads_and_trims_non_divisible_lengths() {
-        // 7 elements over 3 ranks: chunk = ⌈7/3⌉ = 3, so the split is
-        // [0..3), [3..6), [6..7).
-        let results = ThreadComm::run(3, |comm| {
-            let send: Vec<f32> = (0..7).map(|i| (comm.rank() + i) as f32).collect();
-            comm.reduce_scatter(&send)
-        });
-        // Sum over ranks of (r + i) = 3i + 3.
-        assert_eq!(results[0], vec![3.0, 6.0, 9.0]);
-        assert_eq!(results[1], vec![12.0, 15.0, 18.0]);
-        assert_eq!(results[2], vec![21.0]);
-    }
-
-    #[test]
-    fn reduce_scatter_trailing_rank_can_own_nothing() {
-        // 2 elements over 4 ranks: chunk = 1; ranks 2 and 3 own nothing.
-        let results = ThreadComm::run(4, |comm| comm.reduce_scatter(&[1.0, 2.0]));
-        assert_eq!(results[0], vec![4.0]);
-        assert_eq!(results[1], vec![8.0]);
-        assert_eq!(results[2], Vec::<f32>::new());
-        assert_eq!(results[3], Vec::<f32>::new());
-    }
-
-    #[test]
-    fn begin_reduce_scatter_matches_allreduce_slice_bitwise() {
-        // Awkward floats whose sum depends on association order: a shard of
-        // the reduce-scatter must be bit-identical to the same slice of an
-        // allreduce over the same group.
-        let mk = |rank: usize| -> Vec<f32> {
-            (0..12).map(|i| 0.1 + rank as f32 * 1e-7 + i as f32 * 0.3).collect()
-        };
-        let reference = ThreadComm::run(4, |comm| {
-            let mut buf = mk(comm.rank());
-            comm.allreduce(&mut buf, ReduceOp::Avg);
-            buf
-        });
-        let sharded = ThreadComm::run(4, |comm| {
-            let buf = mk(comm.rank());
-            // Uneven, multi-shard ownership: rank 1 owns two shards.
-            let shards = [
-                ShardSpec { owner: 1, start: 0, len: 5 },
-                ShardSpec { owner: 0, start: 5, len: 2 },
-                ShardSpec { owner: 1, start: 7, len: 1 },
-                ShardSpec { owner: 3, start: 8, len: 4 },
-            ];
-            let pending = comm.begin_reduce_scatter(
-                &buf,
-                ReduceOp::Avg,
-                &[0, 1, 2, 3],
-                &shards,
-                CommTag::FactorReduce,
-            );
-            let owned: usize =
-                shards.iter().filter(|s| s.owner == comm.rank()).map(|s| s.len).sum();
-            let mut out = vec![0.0f32; owned];
-            comm.complete(pending, &mut out);
-            out
-        });
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&sharded[0]), bits(&reference[0][5..7]));
-        let rank1: Vec<f32> =
-            reference[1][0..5].iter().chain(&reference[1][7..8]).copied().collect();
-        assert_eq!(bits(&sharded[1]), bits(&rank1));
-        assert_eq!(sharded[2], Vec::<f32>::new());
-        assert_eq!(bits(&sharded[3]), bits(&reference[3][8..12]));
-    }
-
-    #[test]
-    fn begin_allgather_concatenates_variable_lengths_in_rank_order() {
-        let results = ThreadComm::run(3, |comm| {
-            // Rank r contributes r+1 copies of r·10, but only ranks 0
-            // and 2 participate in the group.
-            if comm.rank() == 1 {
-                return Vec::new();
-            }
-            let send = vec![comm.rank() as f32 * 10.0; comm.rank() + 1];
-            let pending = comm.begin_allgather(&send, &[0, 2], CommTag::FactorGather);
-            let mut out = vec![0.0f32; 4];
-            comm.complete(pending, &mut out);
-            out
-        });
-        assert_eq!(results[0], vec![0.0, 20.0, 20.0, 20.0]);
-        assert_eq!(results[2], vec![0.0, 20.0, 20.0, 20.0]);
-    }
-
-    #[test]
-    fn meter_counts_reduce_scatter_once_with_half_volume() {
-        let comms = ThreadComm::world(4);
-        std::thread::scope(|s| {
-            for comm in &comms {
-                s.spawn(move || {
-                    let send = vec![1.0f32; 16]; // 64 bytes
-                    let _ = comm.reduce_scatter(&send);
-                });
-            }
-        });
-        let snap = comms[0].meter_snapshot();
-        // One event for the whole collective (not one per rank), charged
-        // the reduce half of a ring allreduce: 64/2 = 32 bytes.
-        assert_eq!(snap.calls(CommOp::ReduceScatter), 1);
-        assert_eq!(snap.bytes(CommOp::ReduceScatter), 32);
-        assert_eq!(snap.calls(CommOp::Allreduce), 0);
     }
 }

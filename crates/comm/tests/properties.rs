@@ -2,7 +2,7 @@
 //! payloads, and group partitions, the ring engine must match the
 //! sequential specification.
 
-use kaisa_comm::{CommTag, Communicator, ReduceOp, ShardSpec, ThreadComm};
+use kaisa_comm::{Communicator, ReduceOp, ThreadComm};
 use kaisa_tensor::Rng;
 use proptest::prelude::*;
 
@@ -94,127 +94,6 @@ proptest! {
         let expected: Vec<f32> = (0..world)
             .flat_map(|r| (0..len).map(move |i| (r * 1000 + i) as f32))
             .collect();
-        for out in outputs {
-            prop_assert_eq!(&out, &expected);
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_pad_and_trim_matches_sequential(
-        world in 1usize..9,
-        len in 1usize..64,
-        seed in any::<u64>(),
-    ) {
-        // Arbitrary payload lengths, including ones world does not divide:
-        // with chunk = ⌈len/world⌉, rank k must receive exactly
-        // sum[k·chunk .. min((k+1)·chunk, len)], bit-for-bit (rank-ordered
-        // reduction), and trailing ranks may receive short or empty chunks.
-        let contributions: Vec<Vec<f32>> = (0..world)
-            .map(|r| {
-                let mut rng = Rng::seed_from_u64(seed ^ (r as u64) << 8);
-                (0..len).map(|_| rng.uniform(-10.0, 10.0)).collect()
-            })
-            .collect();
-        let mut expected = vec![0.0f32; len];
-        for c in &contributions {
-            for (e, v) in expected.iter_mut().zip(c) {
-                *e += *v;
-            }
-        }
-        let outputs = ThreadComm::run(world, |comm| {
-            comm.reduce_scatter(&contributions[comm.rank()])
-        });
-        let chunk = len.div_ceil(world);
-        let mut covered = 0usize;
-        for (rank, out) in outputs.iter().enumerate() {
-            let start = (rank * chunk).min(len);
-            let end = (start + chunk).min(len);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(
-                bits(out),
-                bits(&expected[start..end]),
-                "rank {} owns [{}, {})", rank, start, end
-            );
-            covered += out.len();
-        }
-        // The shards tile the payload exactly: nothing lost, nothing doubled.
-        prop_assert_eq!(covered, len);
-    }
-
-    #[test]
-    fn sharded_reduce_scatter_matches_allreduce_slices(
-        world in 2usize..7,
-        len in 1usize..48,
-        seed in any::<u64>(),
-        cut_sel in any::<u64>(),
-        owner_sel in any::<u64>(),
-    ) {
-        // An arbitrary two-shard ownership spec: the reduce-scatter result a
-        // rank owns must be bitwise the same slice of a plain allreduce.
-        let cut = (cut_sel % (len as u64 + 1)) as usize;
-        let owner_a = (owner_sel % world as u64) as usize;
-        let owner_b = ((owner_sel >> 8) % world as u64) as usize;
-        let shards = [
-            ShardSpec { owner: owner_a, start: 0, len: cut },
-            ShardSpec { owner: owner_b, start: cut, len: len - cut },
-        ];
-        let contributions: Vec<Vec<f32>> = (0..world)
-            .map(|r| {
-                let mut rng = Rng::seed_from_u64(seed ^ (r as u64) << 8);
-                (0..len).map(|_| rng.uniform(-10.0, 10.0)).collect()
-            })
-            .collect();
-        let reference = ThreadComm::run(world, |comm| {
-            let mut buf = contributions[comm.rank()].clone();
-            comm.allreduce(&mut buf, ReduceOp::Avg);
-            buf
-        });
-        let outputs = ThreadComm::run(world, |comm| {
-            let group: Vec<usize> = (0..world).collect();
-            let pending = comm.begin_reduce_scatter(
-                &contributions[comm.rank()],
-                ReduceOp::Avg,
-                &group,
-                &shards,
-                CommTag::FactorReduce,
-            );
-            let owned: usize =
-                shards.iter().filter(|s| s.owner == comm.rank()).map(|s| s.len).sum();
-            let mut out = vec![0.0f32; owned];
-            comm.complete(pending, &mut out);
-            out
-        });
-        for (rank, out) in outputs.iter().enumerate() {
-            let expected: Vec<f32> = shards
-                .iter()
-                .filter(|s| s.owner == rank)
-                .flat_map(|s| reference[rank][s.start..s.start + s.len].iter().copied())
-                .collect();
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(out), bits(&expected), "rank {}", rank);
-        }
-    }
-
-    #[test]
-    fn group_allgather_concatenates_variable_lengths(
-        world in 2usize..7,
-        lens_seed in any::<u64>(),
-    ) {
-        // Every rank contributes a different-length piece (possibly empty);
-        // each member receives the concatenation in group rank order.
-        let lens: Vec<usize> = (0..world).map(|r| ((lens_seed >> (4 * r)) % 5) as usize).collect();
-        let expected: Vec<f32> = (0..world)
-            .flat_map(|r| (0..lens[r]).map(move |i| (r * 100 + i) as f32))
-            .collect();
-        let outputs = ThreadComm::run(world, |comm| {
-            let r = comm.rank();
-            let send: Vec<f32> = (0..lens[r]).map(|i| (r * 100 + i) as f32).collect();
-            let group: Vec<usize> = (0..world).collect();
-            let pending = comm.begin_allgather(&send, &group, CommTag::FactorGather);
-            let mut out = vec![0.0f32; lens.iter().sum()];
-            comm.complete(pending, &mut out);
-            out
-        });
         for out in outputs {
             prop_assert_eq!(&out, &expected);
         }

@@ -49,16 +49,6 @@ impl LayerAssignment {
     pub fn bcast_group_of(&self, rank: usize) -> Option<&Vec<usize>> {
         self.bcast_groups.iter().find(|g| g.contains(&rank))
     }
-
-    /// The sorted, deduplicated `{a_worker, g_worker}` set — the ranks that
-    /// own shards of this layer's factor payload under sharded reduction,
-    /// and the participant group of a `FactorGather` allgather.
-    pub fn eig_worker_group(&self) -> Vec<usize> {
-        let mut g = vec![self.a_worker, self.g_worker];
-        g.sort_unstable();
-        g.dedup();
-        g
-    }
 }
 
 /// The full placement plan for a model.
@@ -105,26 +95,6 @@ pub fn plan_assignments(
     world: usize,
     grad_worker_frac: f64,
     strategy: AssignmentStrategy,
-) -> WorkPlan {
-    plan_assignments_with(layer_dims, world, grad_worker_frac, strategy, false)
-}
-
-/// [`plan_assignments`] with an explicit shard-aware co-location bias.
-///
-/// With `colocate` set, LPT load *ties* break toward the rank that already
-/// holds the layer's other factor instead of the lowest rank id. Under
-/// sharded factor reduction a split-worker layer pays extra traffic (the
-/// `v_A` pair shuttle, and the direct-inverse fallback's worker-group
-/// regather), so when two candidate ranks are equally loaded, putting both
-/// of a layer's eigendecomposition jobs on one rank is strictly cheaper.
-/// Only exact ties change, so the eigendecomposition makespan is untouched
-/// and the plan stays a pure function of its inputs (all ranks agree).
-pub fn plan_assignments_with(
-    layer_dims: &[(usize, usize)],
-    world: usize,
-    grad_worker_frac: f64,
-    strategy: AssignmentStrategy,
-    colocate: bool,
 ) -> WorkPlan {
     assert!(world > 0, "world must be positive");
     let workers_per_layer = gradient_worker_count(grad_worker_frac, world);
@@ -194,8 +164,7 @@ pub fn plan_assignments_with(
         _ => {
             // LPT: sort jobs by decreasing cost, assign each to the
             // least-loaded allowed rank (ties broken by rank id for
-            // determinism, or — with `colocate` — by the sibling factor's
-            // rank when it is among the least loaded).
+            // determinism).
             jobs.sort_by(|a, b| {
                 b.cost
                     .partial_cmp(&a.cost)
@@ -203,20 +172,14 @@ pub fn plan_assignments_with(
                     .then(a.layer.cmp(&b.layer))
                     .then(a.is_a.cmp(&b.is_a))
             });
-            let mut placed: Vec<[Option<usize>; 2]> = vec![[None, None]; layer_dims.len()];
             for job in &jobs {
                 let allowed = &layers[job.layer].gradient_workers;
                 let min_load = allowed.iter().map(|&r| rank_loads[r]).fold(f64::INFINITY, f64::min);
-                let sibling = placed[job.layer][usize::from(job.is_a)];
-                let rank = match sibling {
-                    Some(s) if colocate && rank_loads[s] == min_load => s,
-                    _ => *allowed
-                        .iter()
-                        .find(|&&r| rank_loads[r] == min_load)
-                        .expect("gradient worker set is non-empty"),
-                };
+                let rank = *allowed
+                    .iter()
+                    .find(|&&r| rank_loads[r] == min_load)
+                    .expect("gradient worker set is non-empty");
                 rank_loads[rank] += job.cost;
-                placed[job.layer][usize::from(!job.is_a)] = Some(rank);
                 if job.is_a {
                     layers[job.layer].a_worker = rank;
                 } else {
@@ -344,37 +307,6 @@ mod tests {
             assert_eq!(layer.gradient_workers, vec![0]);
             assert!(layer.bcast_groups.is_empty());
         }
-    }
-
-    #[test]
-    fn colocation_bias_joins_workers_without_hurting_makespan() {
-        // Two layers whose G jobs tie the LPT load exactly when their A jobs
-        // are already down: the default tie-break (lowest rank id) splits
-        // both layers across ranks; the colocation bias joins each layer on
-        // one rank at the identical makespan.
-        let layer_dims = vec![(20, 4), (20, 20)];
-        let split =
-            plan_assignments_with(&layer_dims, 2, 1.0, AssignmentStrategy::ComputeLpt, false);
-        let joined =
-            plan_assignments_with(&layer_dims, 2, 1.0, AssignmentStrategy::ComputeLpt, true);
-        assert!(
-            split.layers.iter().any(|l| l.a_worker != l.g_worker),
-            "premise: default tie-break splits at least one layer"
-        );
-        for layer in &joined.layers {
-            assert_eq!(layer.a_worker, layer.g_worker, "layer {} not co-located", layer.layer);
-        }
-        assert_eq!(split.makespan(), joined.makespan(), "ties must not change the makespan");
-    }
-
-    #[test]
-    fn colocation_never_beats_min_load() {
-        // The bias only fires on exact ties: when the sibling's rank is
-        // strictly more loaded, the job still goes to the least-loaded rank.
-        let layer_dims = vec![(30, 10), (20, 20)];
-        let plan = plan_assignments_with(&layer_dims, 2, 1.0, AssignmentStrategy::ComputeLpt, true);
-        let naive = plan_assignments(&layer_dims, 2, 1.0, AssignmentStrategy::ComputeLpt);
-        assert!(plan.makespan() <= naive.makespan() + 1e-9);
     }
 
     #[test]

@@ -1,36 +1,28 @@
 //! Checkpoint/restore hooks on [`Kfac`] for elastic world resizing.
 //!
 //! A checkpoint captures the *complete* preconditioner state — running
-//! factor averages (square form, regardless of the resident layout), cached
-//! eigendecompositions, direct inverses, EK-FAC corrected moments, and the
-//! optimizer step counter — on **every** rank, so a paused job can resume
-//! on a *different* world size: [`Kfac::restore`] re-runs LPT placement and
-//! strategy resolution for the new world and re-populates exactly the state
-//! each new rank's residency rules call for.
+//! factor averages, cached eigendecompositions, direct inverses, EK-FAC
+//! corrected moments, and the optimizer step counter — on **every** rank,
+//! so a paused job can resume on a *different* world size:
+//! [`Kfac::restore`] re-runs LPT placement and strategy resolution for the
+//! new world and re-populates exactly the state each new rank's residency
+//! rules call for.
 //!
-//! Distributed state is scattered (sharded factors live only on their
-//! eigendecomposition workers; eigen caches only on gradient workers), so
+//! Distributed state is scattered (LOCAL-OPT factors live only on their
+//! owner; eigen caches only on gradient workers), so
 //! [`Kfac::checkpoint_state`] runs a small collective protocol: one
 //! allgather of per-layer presence flags, then one broadcast per present
 //! field from its lowest-rank holder. Every holder of a field holds bitwise
 //! identical values (they arrived by broadcast or identical deterministic
 //! compute), so the choice of root does not affect the checkpoint bits.
-//!
-//! Factors are stored in **square** form: packed↔square conversion mirrors
-//! bit-equal elements (`pack_upper`/`unpack_upper` are mirrors, flat packing
-//! is the identity), so a factor checkpointed from a packed shard and
-//! re-packed on restore — possibly on a different rank, under a different
-//! strategy — is bitwise identical to one that never left packed space.
 
 use kaisa_comm::Communicator;
-use kaisa_linalg::pack_upper;
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
 
 use crate::config::KfacConfig;
 use crate::preconditioner::Kfac;
-use crate::state::{KfacLayerState, PackedFactor};
-use crate::strategy::FactorReduction;
+use crate::state::KfacLayerState;
 
 /// Number of per-layer optional state fields a checkpoint carries.
 const FIELD_COUNT: usize = 10;
@@ -138,8 +130,8 @@ fn field_len(f: usize, a_dim: usize, g_dim: usize) -> usize {
 /// Whether this rank holds checkpoint field `f` for layer state `s`.
 fn field_present(s: &KfacLayerState, f: usize) -> bool {
     match f {
-        0 => s.factor_a.is_some() || s.packed_a.is_some(),
-        1 => s.factor_g.is_some() || s.packed_g.is_some(),
+        0 => s.factor_a.is_some(),
+        1 => s.factor_g.is_some(),
         2 => s.qa.is_some(),
         3 => s.qg.is_some(),
         4 => s.outer.is_some(),
@@ -152,13 +144,12 @@ fn field_present(s: &KfacLayerState, f: usize) -> bool {
     }
 }
 
-/// Extract checkpoint field `f` from a rank that holds it, in canonical
-/// square form (factors unpack from the shard-resident layout if needed).
+/// Extract checkpoint field `f` from a rank that holds it.
 fn extract_field(s: &KfacLayerState, f: usize) -> Vec<f32> {
     let mat = |m: &Option<Matrix>| m.as_ref().expect("field flagged present").as_slice().to_vec();
     match f {
-        0 => s.square_factor_a().into_vec(),
-        1 => s.square_factor_g().into_vec(),
+        0 => mat(&s.factor_a),
+        1 => mat(&s.factor_g),
         2 => mat(&s.qa),
         3 => mat(&s.qg),
         4 => mat(&s.outer),
@@ -186,18 +177,6 @@ fn set_field(entry: &mut LayerCheckpoint, f: usize, buf: Vec<f32>) {
         9 => entry.ekfac_scale = Some(buf),
         _ => unreachable!("checkpoint field index out of range"),
     }
-}
-
-/// Re-pack a canonical square factor into the wire layout the shard owner
-/// keeps resident. Bitwise inverse of the unpacking `checkpoint_state`
-/// performed: `pack_upper(unpack_upper(x)) == x` element for element.
-fn pack_square(square: &[f32], dim: usize, triangular: bool) -> PackedFactor {
-    let data = if triangular {
-        pack_upper(&Matrix::from_vec(dim, dim, square.to_vec()))
-    } else {
-        square.to_vec()
-    };
-    PackedFactor { data, triangular }
 }
 
 impl Kfac {
@@ -247,10 +226,7 @@ impl Kfac {
     /// placement and strategy resolution via [`Kfac::new`], then populates
     /// exactly the state each field's residency rules place on this rank:
     ///
-    /// * factors land per the resolved reduction mode (dense → square on
-    ///   every rank; sharded → packed on the eigendecomposition owners, with
-    ///   both sections on the A worker for regather layers; local → square
-    ///   on the owner),
+    /// * factors land on every rank, or only on the owner under LOCAL-OPT,
     /// * eigen caches land on gradient workers per the algorithm flags
     ///   (`use_eigen`/`precompute_outer`/`ekfac`),
     /// * the step counter restores the update-frequency phase, and capture
@@ -286,7 +262,6 @@ impl Kfac {
         }
         kfac.steps = ckpt.steps;
         let rank = kfac.rank;
-        let triangular = kfac.cfg.triangular_comm;
 
         for i in 0..ckpt.layers.len() {
             let entry = &ckpt.layers[i];
@@ -294,43 +269,14 @@ impl Kfac {
             let (a_dim, g_dim) = (entry.a_dim, entry.g_dim);
             let square = |v: &Vec<f32>, d: usize| Matrix::from_vec(d, d, v.clone());
 
-            // Running factors, per the new plan's residency.
-            match kfac.strat.reduction {
-                FactorReduction::DenseAllreduce => {
-                    if let Some(a) = &entry.factor_a {
-                        kfac.states[i].factor_a = Some(square(a, a_dim));
-                    }
-                    if let Some(g) = &entry.factor_g {
-                        kfac.states[i].factor_g = Some(square(g, g_dim));
-                    }
+            // Running factors, per the new plan's residency: replicated,
+            // or on the LOCAL-OPT owner alone.
+            if !kfac.strat.local_factors() || rank == asn.a_worker {
+                if let Some(a) = &entry.factor_a {
+                    kfac.states[i].factor_a = Some(square(a, a_dim));
                 }
-                FactorReduction::ShardedReduceScatter => {
-                    // Regather layers fold both packed sections on the A
-                    // worker (the direct-inverse fallback's fold); otherwise
-                    // each section lives on its own eigendecomposition
-                    // worker.
-                    let regather = kfac.strat.needs_regather(&asn);
-                    let g_owner = if regather { asn.a_worker } else { asn.g_worker };
-                    if rank == asn.a_worker {
-                        if let Some(a) = &entry.factor_a {
-                            kfac.states[i].packed_a = Some(pack_square(a, a_dim, triangular));
-                        }
-                    }
-                    if rank == g_owner {
-                        if let Some(g) = &entry.factor_g {
-                            kfac.states[i].packed_g = Some(pack_square(g, g_dim, triangular));
-                        }
-                    }
-                }
-                FactorReduction::LocalNone => {
-                    if rank == asn.a_worker {
-                        if let Some(a) = &entry.factor_a {
-                            kfac.states[i].factor_a = Some(square(a, a_dim));
-                        }
-                        if let Some(g) = &entry.factor_g {
-                            kfac.states[i].factor_g = Some(square(g, g_dim));
-                        }
-                    }
+                if let Some(g) = &entry.factor_g {
+                    kfac.states[i].factor_g = Some(square(g, g_dim));
                 }
             }
 

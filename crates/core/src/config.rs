@@ -20,12 +20,10 @@ pub struct KfacConfig {
     /// `Some(HybridOpt)` keeps the configured fraction.
     /// `Some(LocalOpt)` selects DP-KFAC local preconditioning: one owner
     /// per layer folds and decomposes its rank-local factor statistics with
-    /// **no factor collective at all** — zero `FactorComm`/`FactorReduce`/
-    /// `FactorGather` traffic, at the cost of curvature freshness (each
-    /// owner's preconditioner reflects only its own rank's data shard).
-    /// LocalOpt is never inferred; it must be requested here. Feed
-    /// [`crate::auto_strategy`] into this field to dispatch from the
-    /// calibrated cost model.
+    /// **no factor collective at all** — zero `FactorComm` traffic, at the
+    /// cost of curvature freshness (each owner's preconditioner reflects
+    /// only its own rank's data shard). LocalOpt is never inferred; it must
+    /// be requested here.
     pub strategy: Option<DistStrategy>,
     /// Tikhonov damping γ added to the eigenvalue outer product (Eq. 16).
     pub damping: f32,
@@ -64,15 +62,6 @@ pub struct KfacConfig {
     /// order; both paths are bitwise-identical (property-tested), so this
     /// only trades wall-clock for simplicity when debugging.
     pub pipelined: bool,
-    /// Replace the per-layer factor allreduce with a sharded reduction
-    /// (DP-KFAC, Zhang et al.): reduce-scatter the packed factor payload so
-    /// the `A` section lands only on the layer's A-eigendecomposition worker
-    /// and the `G` section only on its G-worker; non-workers never
-    /// rematerialize (or store) the averaged factors. Halves factor-phase
-    /// communication volume and drops non-worker factor memory. Bitwise
-    /// identical to the dense path (property-tested); the dense path remains
-    /// the reference implementation.
-    pub sharded_factors: bool,
 }
 
 impl Default for KfacConfig {
@@ -92,7 +81,6 @@ impl Default for KfacConfig {
             assignment: AssignmentStrategy::ComputeLpt,
             ekfac: false,
             pipelined: true,
-            sharded_factors: false,
         }
     }
 }
@@ -116,11 +104,6 @@ impl KfacConfig {
              eigendecompositions never run on stale-by-construction factors",
             self.inv_update_freq,
             self.factor_update_freq
-        );
-        assert!(
-            self.strategy != Some(DistStrategy::LocalOpt) || !self.sharded_factors,
-            "LocalOpt never runs a factor collective, so sharded_factors(true) \
-             has nothing to shard — drop one of the two settings"
         );
     }
 }
@@ -219,13 +202,6 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Toggle sharded factor reduction (reduce-scatter to eigendecomposition
-    /// workers) vs. the dense factor allreduce.
-    pub fn sharded_factors(mut self, on: bool) -> Self {
-        self.cfg.sharded_factors = on;
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> KfacConfig {
         self.cfg.validate();
@@ -264,13 +240,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_frac_rejected() {
         let _ = KfacConfig::builder().grad_worker_frac(0.0).build();
-    }
-
-    #[test]
-    #[should_panic(expected = "nothing to shard")]
-    fn local_opt_rejects_sharded_factors() {
-        let _ =
-            KfacConfig::builder().strategy(DistStrategy::LocalOpt).sharded_factors(true).build();
     }
 
     #[test]

@@ -47,18 +47,14 @@ mod state;
 pub mod strategy;
 mod timing;
 
-pub use assignment::{
-    plan_assignments, plan_assignments_with, AssignmentStrategy, LayerAssignment, WorkPlan,
-};
+pub use assignment::{plan_assignments, AssignmentStrategy, LayerAssignment, WorkPlan};
 pub use checkpoint::{KfacCheckpoint, LayerCheckpoint};
 pub use config::{KfacConfig, KfacConfigBuilder};
 pub use memory::{MemoryBudget, MemoryCategory, MemoryMeter};
-pub use pipeline::{ComputeRates, PipelineStage, StepModel, StepModelOptions, TaskGraph};
+pub use pipeline::PipelineStage;
 pub use preconditioner::Kfac;
-pub use state::{KfacLayerState, PackedFactor};
-pub use strategy::{
-    auto_strategy, effective_worker_frac, modeled_strategy_makespans, FactorReduction, StrategyPlan,
-};
+pub use state::KfacLayerState;
+pub use strategy::{effective_worker_frac, StrategyPlan};
 pub use timing::{Stage, StageTimes, KFAC_STAGES};
 
 /// Distribution strategy implied by a `grad_worker_frac` (Section 3.1),
@@ -72,11 +68,11 @@ pub enum DistStrategy {
     /// A proper subset of ranks per layer.
     HybridOpt,
     /// DP-KFAC (Zhang et al.): one *owner* per layer folds and decomposes
-    /// its **rank-local** factor statistics — no factor allreduce, no
-    /// reduce-scatter, no regather. Zero factor-collective traffic at the
-    /// cost of curvature freshness (each owner's preconditioner reflects
-    /// only the data its own rank saw). Never inferred from worker counts;
-    /// selected explicitly via `KfacConfig::strategy`.
+    /// its **rank-local** factor statistics — no factor allreduce. Zero
+    /// factor-collective traffic at the cost of curvature freshness (each
+    /// owner's preconditioner reflects only the data its own rank saw).
+    /// Never inferred from worker counts; selected explicitly via
+    /// `KfacConfig::strategy`.
     LocalOpt,
 }
 

@@ -1,11 +1,10 @@
 //! Live per-rank resident-memory accounting for K-FAC state.
 //!
 //! The analytic model in `kaisa-sim` *predicts* per-rank memory; the
-//! [`MemoryMeter`] *measures* it, so claims like "shard-resident factor
-//! accumulation cuts non-worker factor memory to O(owned shards)" can be
-//! asserted in tests and regression-gated in CI instead of modeled in a
-//! doc. Each `Kfac` instance owns one meter; the trainer exposes it per
-//! rank through `TrainResult`.
+//! [`MemoryMeter`] *measures* it, so claims like "the dense path replicates
+//! every factor on every rank" can be asserted in tests and
+//! regression-gated in CI instead of modeled in a doc. Each `Kfac` instance
+//! owns one meter; the trainer exposes it per rank through `TrainResult`.
 //!
 //! Bytes are counted at the configured storage precision — the same
 //! convention as `Kfac::memory_bytes` and the paper's Table 5 — so the
@@ -15,16 +14,11 @@
 /// A category of K-FAC resident memory tracked by the [`MemoryMeter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryCategory {
-    /// Running factor averages: square `A`/`G` matrices on the dense path,
-    /// packed shard sections on the shard-resident path, plus the transient
-    /// square materializations decomposition workers perform.
+    /// Running factor averages: square `A`/`G` matrices.
     Factors,
     /// Cached decompositions: eigenvectors, the precomputed outer product,
     /// direct inverses, eigenvalue vectors, and EK-FAC corrected moments.
     Eigens,
-    /// Per-layer packed staging buffers the sharded path folds local batch
-    /// statistics into before the reduce-scatter.
-    PackedStaging,
     /// Preconditioned gradients alive between preconditioning and the
     /// KL-clip write-back.
     PrecondGrads,
@@ -36,10 +30,9 @@ pub enum MemoryCategory {
 
 impl MemoryCategory {
     /// Every category, in display order.
-    pub const ALL: [MemoryCategory; 5] = [
+    pub const ALL: [MemoryCategory; 4] = [
         MemoryCategory::Factors,
         MemoryCategory::Eigens,
-        MemoryCategory::PackedStaging,
         MemoryCategory::PrecondGrads,
         MemoryCategory::CaptureScratch,
     ];
@@ -49,7 +42,6 @@ impl MemoryCategory {
         match self {
             MemoryCategory::Factors => "factors",
             MemoryCategory::Eigens => "eigens",
-            MemoryCategory::PackedStaging => "packed staging",
             MemoryCategory::PrecondGrads => "precond grads",
             MemoryCategory::CaptureScratch => "capture scratch",
         }
@@ -59,9 +51,8 @@ impl MemoryCategory {
         match self {
             MemoryCategory::Factors => 0,
             MemoryCategory::Eigens => 1,
-            MemoryCategory::PackedStaging => 2,
-            MemoryCategory::PrecondGrads => 3,
-            MemoryCategory::CaptureScratch => 4,
+            MemoryCategory::PrecondGrads => 2,
+            MemoryCategory::CaptureScratch => 3,
         }
     }
 }
@@ -69,13 +60,11 @@ impl MemoryCategory {
 /// Peak/current resident bytes per [`MemoryCategory`] on one rank.
 ///
 /// `current` tracks what is resident right now; `peak` is the high-water
-/// mark, including transient allocations recorded via
-/// [`MemoryMeter::transient`] that never become resident (e.g. the square
-/// factor a shard-resident eigendecomposition materializes and drops).
+/// mark.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryMeter {
-    current: [usize; 5],
-    peak: [usize; 5],
+    current: [usize; 4],
+    peak: [usize; 4],
 }
 
 impl MemoryMeter {
@@ -89,14 +78,6 @@ impl MemoryMeter {
         let i = cat.index();
         self.current[i] = bytes;
         self.peak[i] = self.peak[i].max(bytes);
-    }
-
-    /// Record a transient allocation of `bytes` on top of the category's
-    /// current residency: raises the peak to at least `current + bytes`
-    /// without changing `current`.
-    pub fn transient(&mut self, cat: MemoryCategory, bytes: usize) {
-        let i = cat.index();
-        self.peak[i] = self.peak[i].max(self.current[i] + bytes);
     }
 
     /// Current resident bytes in a category.
@@ -124,7 +105,7 @@ impl MemoryMeter {
 /// A fixed pool-wide K-FAC memory budget for admission control.
 ///
 /// The serve layer models a candidate job's per-rank K-FAC footprint (the
-/// analytic `kfac_overhead_sharded()` from `kaisa-sim`) and asks the budget
+/// analytic `kfac_overhead()` from `kaisa-sim`) and asks the budget
 /// whether that footprint fits on top of what running jobs' live
 /// [`MemoryMeter`]s currently hold. The two query flavors drive the two
 /// admission outcomes: a job that [`MemoryBudget::would_ever_fit`] rejects
@@ -177,18 +158,6 @@ mod tests {
         assert_eq!(m.current(MemoryCategory::Factors), 40);
         assert_eq!(m.peak(MemoryCategory::Factors), 100);
         assert_eq!(m.current(MemoryCategory::Eigens), 0);
-    }
-
-    #[test]
-    fn transient_raises_peak_without_touching_current() {
-        let mut m = MemoryMeter::new();
-        m.set(MemoryCategory::Factors, 50);
-        m.transient(MemoryCategory::Factors, 30);
-        assert_eq!(m.current(MemoryCategory::Factors), 50);
-        assert_eq!(m.peak(MemoryCategory::Factors), 80);
-        // A smaller transient never lowers the peak.
-        m.transient(MemoryCategory::Factors, 10);
-        assert_eq!(m.peak(MemoryCategory::Factors), 80);
     }
 
     #[test]

@@ -24,10 +24,9 @@
 use kaisa_comm::{CommTag, Communicator, PendingCollective, ReduceOp};
 use kaisa_tensor::Matrix;
 
-use crate::preconditioner::{factor_shards, reassemble_gathered_payload, Kfac};
+use crate::preconditioner::Kfac;
 use crate::state::{
-    factor_payload_len, pack_factor_payload, pack_factor_payload_scaled_into,
-    unpack_factor_payload, KfacLayerState,
+    factor_payload_len, pack_factor_payload, unpack_factor_payload, KfacLayerState,
 };
 use crate::timing::Stage;
 
@@ -112,119 +111,6 @@ impl Kfac {
         self.note_factor_residency();
     }
 
-    /// Pipelined *sharded* factor update: sweep A scales-and-packs each
-    /// layer's statistics into its packed staging buffer and begins the
-    /// reduce-scatter (the `A` section toward the layer's
-    /// A-eigendecomposition worker, the `G` section toward its G-worker);
-    /// sweep B completes the shards, folds the gather-free layers in packed
-    /// space, and begins the direct-inverse fallback's worker-group
-    /// regathers; sweep C completes those and folds on the A workers.
-    pub(crate) fn update_factors_sharded_pipelined(
-        &mut self,
-        layers: &mut [&mut dyn kaisa_nn::KfacAble],
-        comm: &dyn Communicator,
-    ) {
-        let precision = self.cfg.precision;
-        let triangular = self.cfg.triangular_comm;
-        let rank = self.rank;
-        let world_group: Vec<usize> = (0..self.world).collect();
-
-        struct InFlight {
-            layer: usize,
-            pending: PendingCollective,
-            split: usize,
-            total: usize,
-        }
-        let mut inflight: Vec<InFlight> = Vec::with_capacity(layers.len());
-
-        for (i, layer) in layers.iter_mut().enumerate() {
-            let stats = layer.capture_mut().take_stats().unwrap_or_else(|| {
-                panic!(
-                    "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
-                    layer.layer_name()
-                )
-            });
-            let mut staging = std::mem::take(&mut self.staging[i]);
-            let split = self.times.time_layer(i, Stage::FactorCompute, || {
-                let inv = 1.0 / stats.batches.max(1) as f32;
-                pack_factor_payload_scaled_into(
-                    &mut staging,
-                    &stats.a_stat,
-                    &stats.g_stat,
-                    inv,
-                    triangular,
-                    precision,
-                )
-            });
-            let total = staging.len();
-            let asn = self.plan.layers[i].clone();
-            let entry = self.times.time_layer(i, Stage::FactorComm, || {
-                let shards = factor_shards(&asn, split, total);
-                let pending = comm.begin_reduce_scatter(
-                    &staging,
-                    ReduceOp::Avg,
-                    &world_group,
-                    &shards,
-                    CommTag::FactorReduce,
-                );
-                InFlight { layer: i, pending, split, total }
-            });
-            // The begin copies the payload; the staging buffer is free for
-            // the next factor step the moment the collective is in flight.
-            self.staging[i] = staging;
-            inflight.push(entry);
-        }
-
-        struct GatherInFlight {
-            layer: usize,
-            pending: PendingCollective,
-            owned_len: usize,
-            split: usize,
-            total: usize,
-        }
-        let mut gathers: Vec<GatherInFlight> = Vec::new();
-
-        for fl in inflight {
-            let i = fl.layer;
-            let asn = self.plan.layers[i].clone();
-            let owned_len: usize = factor_shards(&asn, fl.split, fl.total)
-                .iter()
-                .filter(|s| s.owner == rank)
-                .map(|s| s.len)
-                .sum();
-            let mut owned = vec![0.0f32; owned_len];
-            self.times.time_layer(i, Stage::FactorComm, || comm.complete(fl.pending, &mut owned));
-            self.comm_bytes += (owned_len * precision.bytes_per_element()) as u64;
-            if self.needs_factor_gather(&asn) {
-                let group = asn.eig_worker_group();
-                if group.contains(&rank) {
-                    let pending = self.times.time_layer(i, Stage::FactorComm, || {
-                        comm.begin_allgather(&owned, &group, CommTag::FactorGather)
-                    });
-                    gathers.push(GatherInFlight {
-                        layer: i,
-                        pending,
-                        owned_len,
-                        split: fl.split,
-                        total: fl.total,
-                    });
-                }
-            } else {
-                self.fold_owned_sections(i, owned, fl.split, fl.total);
-            }
-        }
-
-        for g in gathers {
-            let i = g.layer;
-            let asn = self.plan.layers[i].clone();
-            let mut gathered = vec![0.0f32; g.total];
-            self.times.time_layer(i, Stage::FactorComm, || comm.complete(g.pending, &mut gathered));
-            self.comm_bytes += ((g.total - g.owned_len) * precision.bytes_per_element()) as u64;
-            let payload = reassemble_gathered_payload(&asn, &gathered, g.split);
-            self.fold_gathered_payload(i, payload, g.split);
-        }
-    }
-
     /// Pipelined decomposition update: sweep 1 runs the LPT-assigned
     /// eigensolves and begins the `v_A` pair shuttles; sweep 2 completes the
     /// shuttles, computes the outer products, and begins every result
@@ -249,7 +135,6 @@ impl Kfac {
             if self.cfg.ekfac {
                 self.states[i].ekfac_scale = None;
             }
-            self.note_decomposition_transients(i);
             if !use_eigen {
                 if rank == asn.a_worker {
                     self.times.time_layer(i, Stage::EigCompute, || {

@@ -10,11 +10,6 @@
 //! - [`stage`] — the stage vocabulary: each `(layer x stage)` unit of work,
 //!   its dependency on the previous stage, its timing bucket, and the
 //!   [`kaisa_comm::CommTag`] its traffic is attributed to.
-//! - [`task`] — the task-graph cost model: `(layer x stage)` nodes with
-//!   declared dependencies and α–β durations, schedulable either serialized
-//!   (the serial executor) or list-scheduled over per-rank compute plus a
-//!   shared network (the pipelined executor). This is the analytic form of
-//!   the overlap claim, testable without wall clocks.
 //! - [`executor`] — the live pipelined executor: layer sweeps that *begin*
 //!   every collective of a phase (non-blocking
 //!   [`kaisa_comm::Communicator::begin_allreduce`] /
@@ -29,7 +24,5 @@
 
 pub mod executor;
 pub mod stage;
-pub mod task;
 
 pub use stage::PipelineStage;
-pub use task::{ComputeRates, Resource, StepModel, StepModelOptions, Task, TaskGraph};

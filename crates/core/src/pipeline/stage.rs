@@ -19,15 +19,6 @@ pub enum PipelineStage {
     /// Allreduce-average the packed factor payload across the world
     /// (communication).
     FactorAllreduce,
-    /// Sharded alternative to [`PipelineStage::FactorAllreduce`]:
-    /// reduce-scatter the packed payload so the `A` section lands only on
-    /// the layer's A-eigendecomposition worker and the `G` section on its
-    /// G-worker (communication).
-    FactorReduce,
-    /// Regather the averaged payload within the layer's eigendecomposition
-    /// worker group — only needed by the direct-inverse fallback, whose
-    /// solver consumes both factors on one rank (communication).
-    FactorGather,
     /// Eigendecompose (or invert) the factors on the LPT-assigned worker,
     /// including the `1/(v_G v_Aᵀ + γ)` outer product (compute).
     EigCompute,
@@ -45,14 +36,10 @@ pub enum PipelineStage {
 }
 
 impl PipelineStage {
-    /// All stages in dependency order. `FactorReduce`/`FactorGather` are the
-    /// sharded-path alternative to `FactorAllreduce`; both branches rejoin at
-    /// `EigCompute`.
-    pub const ALL: [PipelineStage; 9] = [
+    /// All stages in dependency order.
+    pub const ALL: [PipelineStage; 7] = [
         PipelineStage::FactorAccumulate,
         PipelineStage::FactorAllreduce,
-        PipelineStage::FactorReduce,
-        PipelineStage::FactorGather,
         PipelineStage::EigCompute,
         PipelineStage::EigBcast,
         PipelineStage::Precondition,
@@ -61,15 +48,11 @@ impl PipelineStage {
     ];
 
     /// The stage this one waits on within the same layer (`None` for the
-    /// head of the chain). `EigCompute` names the dense reference chain's
-    /// predecessor; on the sharded path it instead follows
-    /// `FactorReduce`/`FactorGather`.
+    /// head of the chain).
     pub fn upstream(self) -> Option<PipelineStage> {
         match self {
             PipelineStage::FactorAccumulate => None,
             PipelineStage::FactorAllreduce => Some(PipelineStage::FactorAccumulate),
-            PipelineStage::FactorReduce => Some(PipelineStage::FactorAccumulate),
-            PipelineStage::FactorGather => Some(PipelineStage::FactorReduce),
             PipelineStage::EigCompute => Some(PipelineStage::FactorAllreduce),
             PipelineStage::EigBcast => Some(PipelineStage::EigCompute),
             PipelineStage::Precondition => Some(PipelineStage::EigBcast),
@@ -83,11 +66,7 @@ impl PipelineStage {
     pub fn is_comm(self) -> bool {
         matches!(
             self,
-            PipelineStage::FactorAllreduce
-                | PipelineStage::FactorReduce
-                | PipelineStage::FactorGather
-                | PipelineStage::EigBcast
-                | PipelineStage::GradBcast
+            PipelineStage::FactorAllreduce | PipelineStage::EigBcast | PipelineStage::GradBcast
         )
     }
 
@@ -96,8 +75,6 @@ impl PipelineStage {
         match self {
             PipelineStage::FactorAccumulate => Stage::FactorCompute,
             PipelineStage::FactorAllreduce => Stage::FactorComm,
-            PipelineStage::FactorReduce => Stage::FactorComm,
-            PipelineStage::FactorGather => Stage::FactorComm,
             PipelineStage::EigCompute => Stage::EigCompute,
             PipelineStage::EigBcast => Stage::EigComm,
             PipelineStage::Precondition => Stage::Precondition,
@@ -111,8 +88,6 @@ impl PipelineStage {
     pub fn comm_tag(self) -> Option<CommTag> {
         match self {
             PipelineStage::FactorAllreduce => Some(CommTag::FactorComm),
-            PipelineStage::FactorReduce => Some(CommTag::FactorReduce),
-            PipelineStage::FactorGather => Some(CommTag::FactorGather),
             PipelineStage::EigBcast => Some(CommTag::EigComm),
             PipelineStage::GradBcast => Some(CommTag::GradComm),
             _ => None,
@@ -124,8 +99,6 @@ impl PipelineStage {
         match self {
             PipelineStage::FactorAccumulate => "factor-accumulate",
             PipelineStage::FactorAllreduce => "factor-allreduce",
-            PipelineStage::FactorReduce => "factor-reduce-scatter",
-            PipelineStage::FactorGather => "factor-allgather",
             PipelineStage::EigCompute => "eig-compute",
             PipelineStage::EigBcast => "eig-bcast",
             PipelineStage::Precondition => "precondition",
@@ -141,8 +114,8 @@ mod tests {
 
     #[test]
     fn chain_is_rooted_and_complete() {
-        // Every stage chains back to FactorAccumulate; the dense reference
-        // chain has 7 links, the sharded branch rejoins it at EigCompute.
+        // Every stage chains back to FactorAccumulate, and the chain from
+        // the last stage visits every stage once.
         assert_eq!(PipelineStage::FactorAccumulate.upstream(), None);
         for stage in PipelineStage::ALL {
             let mut cur = stage;
@@ -154,15 +127,13 @@ mod tests {
             }
             assert_eq!(cur, PipelineStage::FactorAccumulate);
         }
-        let mut dense_len = 1;
+        let mut chain_len = 1;
         let mut cur = PipelineStage::ScaleUpdate;
         while let Some(up) = cur.upstream() {
-            dense_len += 1;
+            chain_len += 1;
             cur = up;
         }
-        assert_eq!(dense_len, 7, "dense reference chain skips the sharded pair");
-        assert_eq!(PipelineStage::FactorGather.upstream(), Some(PipelineStage::FactorReduce));
-        assert_eq!(PipelineStage::FactorReduce.upstream(), Some(PipelineStage::FactorAccumulate));
+        assert_eq!(chain_len, PipelineStage::ALL.len());
     }
 
     #[test]
@@ -171,8 +142,6 @@ mod tests {
             assert_eq!(stage.is_comm(), stage.comm_tag().is_some(), "{}", stage.name());
         }
         assert_eq!(PipelineStage::FactorAllreduce.comm_tag(), Some(CommTag::FactorComm));
-        assert_eq!(PipelineStage::FactorReduce.comm_tag(), Some(CommTag::FactorReduce));
-        assert_eq!(PipelineStage::FactorGather.comm_tag(), Some(CommTag::FactorGather));
         assert_eq!(PipelineStage::GradBcast.comm_tag(), Some(CommTag::GradComm));
     }
 

@@ -17,19 +17,18 @@
 //! 4. **Scaling** (every step): KL-clip scaling `ν = min(1, √(κ/Σ⟨p,g⟩lr²))`
 //!    and write-back into the model's gradients.
 
-use kaisa_comm::{CommTag, Communicator, ReduceOp, ShardSpec};
+use kaisa_comm::{CommTag, Communicator, ReduceOp};
 use kaisa_linalg::EigScratch;
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
 
-use crate::assignment::{plan_assignments_with, LayerAssignment, WorkPlan};
+use crate::assignment::{plan_assignments, WorkPlan};
 use crate::config::KfacConfig;
 use crate::memory::{MemoryCategory, MemoryMeter};
 use crate::state::{
-    factor_payload_len, pack_factor_payload, pack_factor_payload_scaled_into, quantize_slice,
-    unpack_factor_payload, KfacLayerState,
+    factor_payload_len, pack_factor_payload, unpack_factor_payload, KfacLayerState,
 };
-use crate::strategy::{effective_worker_frac, FactorReduction, StrategyPlan};
+use crate::strategy::{effective_worker_frac, StrategyPlan};
 use crate::timing::{Stage, StageTimes};
 use crate::DistStrategy;
 
@@ -52,8 +51,8 @@ use crate::DistStrategy;
 pub struct Kfac {
     pub(crate) cfg: KfacConfig,
     pub(crate) plan: WorkPlan,
-    /// The resolved strategy plan: which factor-reduction mode, regather
-    /// policy, and per-stage comm participation this run uses. Computed
+    /// The resolved strategy plan: whether factors are allreduced or folded
+    /// locally, and the per-stage comm participation this run uses. Computed
     /// once here and consumed uniformly by both executors — the single
     /// source of strategy truth.
     pub(crate) strat: StrategyPlan,
@@ -65,18 +64,12 @@ pub struct Kfac {
     /// Logical K-FAC communication bytes attributed to this rank at the
     /// configured storage precision: allreduce payloads count once per
     /// participant; broadcast traffic (`payload x receivers`) is attributed
-    /// to the root; sharded factor reductions count the bytes a rank
-    /// *receives* (its owned shard, plus any regathered sections). The live
-    /// `kaisa-comm` meter separately counts physical `f32` buffers per
-    /// collective.
+    /// to the root. The live `kaisa-comm` meter separately counts physical
+    /// `f32` buffers per collective.
     pub(crate) comm_bytes: u64,
     /// Live per-category resident-byte meter for this rank (the measured
     /// counterpart of the analytic `memory_bytes` model).
     pub(crate) mem: MemoryMeter,
-    /// Per-layer packed staging buffers the sharded path scales-and-packs
-    /// captured statistics into, reused across factor steps (empty on the
-    /// dense path).
-    pub(crate) staging: Vec<Vec<f32>>,
     /// The eigensolver's `f64` workspace, shared by every inline factor
     /// decomposition of this rank (solves run one at a time). Transient
     /// solver scratch, not K-FAC state: un-metered, like the allocation per
@@ -98,17 +91,9 @@ impl Kfac {
         assert!(!dims.is_empty(), "model exposes no K-FAC-preconditionable layers");
         // An explicit strategy override (MemOpt / CommOpt / LocalOpt) pins
         // the gradient-worker grid to its extreme; otherwise the configured
-        // fraction decides. Sharded factor reduction pays extra traffic for
-        // split-worker layers, so bias LPT ties toward co-location when it
-        // is on.
+        // fraction decides.
         let frac = effective_worker_frac(cfg.strategy, cfg.grad_worker_frac, comm.world_size());
-        let plan = plan_assignments_with(
-            &dims,
-            comm.world_size(),
-            frac,
-            cfg.assignment,
-            cfg.sharded_factors,
-        );
+        let plan = plan_assignments(&dims, comm.world_size(), frac, cfg.assignment);
         let strat = StrategyPlan::resolve(&cfg, &plan);
         let states = dims
             .iter()
@@ -126,7 +111,6 @@ impl Kfac {
             times: StageTimes::new(),
             comm_bytes: 0,
             mem: MemoryMeter::new(),
-            staging: vec![Vec::new(); dims.len()],
             eig_scratch: EigScratch::new(),
         };
         // Step 0 updates factors, so the very first forward must capture.
@@ -177,8 +161,7 @@ impl Kfac {
     /// The live per-rank memory meter: peak/current resident bytes per
     /// category at the storage precision. Where [`Kfac::memory_bytes`]
     /// models the analytic Table 5 overhead, the meter *measures* what this
-    /// rank actually held — including the transient square factors
-    /// shard-resident decomposition materializes.
+    /// rank actually held.
     pub fn memory_meter(&self) -> &MemoryMeter {
         &self.mem
     }
@@ -191,14 +174,12 @@ impl Kfac {
         self.mem.set(MemoryCategory::Factors, bytes);
     }
 
-    /// Refresh the meter's eigen-cache and packed-staging residency; called
-    /// once per completed step (both quantities are stable between steps).
+    /// Refresh the meter's eigen-cache residency; called once per completed
+    /// step (it is stable between steps).
     pub(crate) fn note_step_residency(&mut self) {
         let p = self.cfg.precision;
         let eig = self.states.iter().map(|s| s.eigen_memory_bytes(p)).sum();
         self.mem.set(MemoryCategory::Eigens, eig);
-        let staging = self.staging.iter().map(Vec::len).sum::<usize>() * p.bytes_per_element();
-        self.mem.set(MemoryCategory::PackedStaging, staging);
     }
 
     /// Refresh the meter's capture-scratch residency from what the layers
@@ -206,34 +187,6 @@ impl Kfac {
     pub(crate) fn note_capture_residency(&mut self, layers: &[&mut dyn kaisa_nn::KfacAble]) {
         let bytes = layers.iter().map(|l| l.capture_scratch_bytes()).sum();
         self.mem.set(MemoryCategory::CaptureScratch, bytes);
-    }
-
-    /// Record the transient square-factor materializations this rank's
-    /// decomposition work for layer `i` is about to perform on
-    /// shard-resident state (a no-op when the squares are dense-resident).
-    pub(crate) fn note_decomposition_transients(&mut self, i: usize) {
-        let b = self.cfg.precision.bytes_per_element();
-        let s = &self.states[i];
-        let asn = &self.plan.layers[i];
-        let a_sq =
-            if s.factor_a.is_none() && s.packed_a.is_some() { s.a_dim * s.a_dim * b } else { 0 };
-        let g_sq =
-            if s.factor_g.is_none() && s.packed_g.is_some() { s.g_dim * s.g_dim * b } else { 0 };
-        let transient = if self.cfg.use_eigen {
-            // eig_a and eig_g each drop their square before the other
-            // materializes, even on a co-located worker: peak is the max.
-            let a = if self.rank == asn.a_worker { a_sq } else { 0 };
-            let g = if self.rank == asn.g_worker { g_sq } else { 0 };
-            a.max(g)
-        } else if self.rank == asn.a_worker {
-            // compute_inverses holds both damped squares simultaneously.
-            a_sq + g_sq
-        } else {
-            0
-        };
-        if transient > 0 {
-            self.mem.transient(MemoryCategory::Factors, transient);
-        }
     }
 
     /// Arm statistic capture on the model if the *upcoming* step is a
@@ -265,21 +218,15 @@ impl Kfac {
         self.note_capture_residency(&layers);
 
         // The one strategy dispatch: every executor consumes the resolved
-        // `StrategyPlan`'s factor-reduction mode instead of re-deriving the
-        // strategy from config flags.
+        // `StrategyPlan` instead of re-deriving the strategy from config
+        // flags.
         if factor_step {
-            match (self.strat.reduction, self.cfg.pipelined) {
-                (FactorReduction::LocalNone, _) => self.update_factors_local(&mut layers),
-                (FactorReduction::ShardedReduceScatter, true) => {
-                    self.update_factors_sharded_pipelined(&mut layers, comm)
-                }
-                (FactorReduction::ShardedReduceScatter, false) => {
-                    self.update_factors_sharded(&mut layers, comm)
-                }
-                (FactorReduction::DenseAllreduce, true) => {
-                    self.update_factors_pipelined(&mut layers, comm)
-                }
-                (FactorReduction::DenseAllreduce, false) => self.update_factors(&mut layers, comm),
+            if self.strat.local_factors() {
+                self.update_factors_local(&mut layers);
+            } else if self.cfg.pipelined {
+                self.update_factors_pipelined(&mut layers, comm);
+            } else {
+                self.update_factors(&mut layers, comm);
             }
         }
         if self.cfg.pipelined {
@@ -395,154 +342,6 @@ impl Kfac {
         });
     }
 
-    /// Stage 1 (serial executor, sharded): scale-and-pack each layer's
-    /// captured statistics straight into its packed staging buffer (no
-    /// scaled square matrices materialized), then reduce-scatter from there
-    /// so the `A` section lands only on the layer's A-eigendecomposition
-    /// worker and the `G` section on its G-worker. Owners fold their
-    /// averaged sections into shard-resident packed running averages;
-    /// non-workers never materialize (or store) the factors. The
-    /// direct-inverse fallback additionally regathers the payload within
-    /// the (≤2-rank) eigendecomposition worker group, because its solver
-    /// consumes both factors on one rank.
-    fn update_factors_sharded(
-        &mut self,
-        layers: &mut [&mut dyn kaisa_nn::KfacAble],
-        comm: &dyn Communicator,
-    ) {
-        let precision = self.cfg.precision;
-        let triangular = self.cfg.triangular_comm;
-        let rank = self.rank;
-        let world_group: Vec<usize> = (0..self.world).collect();
-        for (i, layer) in layers.iter_mut().enumerate() {
-            let stats = layer.capture_mut().take_stats().unwrap_or_else(|| {
-                panic!(
-                    "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
-                    layer.layer_name()
-                )
-            });
-            let mut staging = std::mem::take(&mut self.staging[i]);
-            let split = self.times.time_layer(i, Stage::FactorCompute, || {
-                let inv = 1.0 / stats.batches.max(1) as f32;
-                pack_factor_payload_scaled_into(
-                    &mut staging,
-                    &stats.a_stat,
-                    &stats.g_stat,
-                    inv,
-                    triangular,
-                    precision,
-                )
-            });
-            let total = staging.len();
-
-            let asn = self.plan.layers[i].clone();
-            let owned = self.times.time_layer(i, Stage::FactorComm, || {
-                let shards = factor_shards(&asn, split, total);
-                let pending = comm.begin_reduce_scatter(
-                    &staging,
-                    ReduceOp::Avg,
-                    &world_group,
-                    &shards,
-                    CommTag::FactorReduce,
-                );
-                let owned_len: usize =
-                    shards.iter().filter(|s| s.owner == rank).map(|s| s.len).sum();
-                let mut owned = vec![0.0f32; owned_len];
-                comm.complete(pending, &mut owned);
-                owned
-            });
-            // `begin_reduce_scatter` copies the payload, so the staging
-            // buffer is reusable as soon as the begin returns.
-            self.staging[i] = staging;
-            self.comm_bytes += (owned.len() * precision.bytes_per_element()) as u64;
-
-            if self.needs_factor_gather(&asn) {
-                let group = asn.eig_worker_group();
-                if group.contains(&rank) {
-                    let mut gathered = vec![0.0f32; total];
-                    let pending = self.times.time_layer(i, Stage::FactorComm, || {
-                        comm.begin_allgather(&owned, &group, CommTag::FactorGather)
-                    });
-                    self.times
-                        .time_layer(i, Stage::FactorComm, || comm.complete(pending, &mut gathered));
-                    self.comm_bytes +=
-                        ((total - owned.len()) * precision.bytes_per_element()) as u64;
-                    let payload = reassemble_gathered_payload(&asn, &gathered, split);
-                    self.fold_gathered_payload(i, payload, split);
-                }
-            } else {
-                self.fold_owned_sections(i, owned, split, total);
-            }
-        }
-    }
-
-    /// True when the sharded path must regather the averaged payload within
-    /// the layer's eigendecomposition worker group (delegates to the
-    /// resolved [`StrategyPlan`]'s regather policy).
-    pub(crate) fn needs_factor_gather(&self, asn: &LayerAssignment) -> bool {
-        self.strat.needs_regather(asn)
-    }
-
-    /// Fold a rank's owned shard sections into its shard-resident packed
-    /// running factors (the gather-free sharded fold): the A worker folds
-    /// the `A` section, the G worker the `G` section; a rank owning both
-    /// folds both. No square matrix is materialized — the section is
-    /// re-quantized (elementwise, so bitwise identical to the dense path's
-    /// whole-payload quantization) and EMA-folded in the packed layout.
-    pub(crate) fn fold_owned_sections(
-        &mut self,
-        i: usize,
-        mut owned: Vec<f32>,
-        split: usize,
-        total: usize,
-    ) {
-        let asn = self.plan.layers[i].clone();
-        let decay = self.cfg.factor_decay;
-        let precision = self.cfg.precision;
-        let triangular = self.cfg.triangular_comm;
-        let rank = self.rank;
-        debug_assert!(owned.is_empty() || rank == asn.a_worker || rank == asn.g_worker);
-        if rank == asn.a_worker {
-            self.times.time_layer(i, Stage::FactorCompute, || {
-                let section = &mut owned[..split];
-                quantize_slice(section, precision);
-                self.states[i].update_packed_a(section, triangular, decay);
-            });
-        }
-        if rank == asn.g_worker {
-            // The G section follows the A section only when this rank owns
-            // both shards; a G-only owner holds just its own section.
-            let offset = if asn.a_worker == asn.g_worker { split } else { 0 };
-            let g_len = total - split;
-            self.times.time_layer(i, Stage::FactorCompute, || {
-                let section = &mut owned[offset..offset + g_len];
-                quantize_slice(section, precision);
-                self.states[i].update_packed_g(section, triangular, decay);
-            });
-        }
-        self.note_factor_residency();
-    }
-
-    /// Fold a regathered full payload on the A worker (the direct-inverse
-    /// fallback's fold — it alone runs `compute_inverses`, which consumes
-    /// both factors). Both sections stay packed; whole-payload quantization
-    /// matches the dense path's [`unpack_factor_payload`] bit for bit.
-    pub(crate) fn fold_gathered_payload(&mut self, i: usize, mut payload: Vec<f32>, split: usize) {
-        let asn = self.plan.layers[i].clone();
-        if self.rank != asn.a_worker {
-            return;
-        }
-        let decay = self.cfg.factor_decay;
-        let precision = self.cfg.precision;
-        let triangular = self.cfg.triangular_comm;
-        self.times.time_layer(i, Stage::FactorCompute, || {
-            quantize_slice(&mut payload, precision);
-            self.states[i].update_packed_a(&payload[..split], triangular, decay);
-            self.states[i].update_packed_g(&payload[split..], triangular, decay);
-        });
-        self.note_factor_residency();
-    }
-
     /// Stage 2: recompute decompositions on assigned workers and broadcast.
     fn update_decompositions(&mut self, comm: &dyn Communicator) {
         let rank = self.rank;
@@ -561,7 +360,6 @@ impl Kfac {
             if self.cfg.ekfac {
                 self.states[i].ekfac_scale = None;
             }
-            self.note_decomposition_transients(i);
 
             if !use_eigen {
                 // Eq. 12–14 fallback: damped direct inverses computed on the
@@ -840,38 +638,6 @@ impl Kfac {
         });
         // The preconditioned copies are written back and their buffers idle.
         self.mem.set(MemoryCategory::PrecondGrads, 0);
-    }
-}
-
-/// The two-shard ownership spec of one layer's packed factor payload: the
-/// `A` section `[0, split)` belongs to the layer's A-eigendecomposition
-/// worker, the `G` section `[split, total)` to its G-worker (one rank may
-/// own both).
-pub(crate) fn factor_shards(asn: &LayerAssignment, split: usize, total: usize) -> [ShardSpec; 2] {
-    [
-        ShardSpec { owner: asn.a_worker, start: 0, len: split },
-        ShardSpec { owner: asn.g_worker, start: split, len: total - split },
-    ]
-}
-
-/// Reorder a worker-group allgather result back into payload order. The
-/// gather concatenates sections in *group rank order* (ascending rank), so
-/// when the G worker's rank precedes the A worker's, the `G` section arrives
-/// first and must be swapped behind the `A` section.
-pub(crate) fn reassemble_gathered_payload(
-    asn: &LayerAssignment,
-    gathered: &[f32],
-    split: usize,
-) -> Vec<f32> {
-    debug_assert_ne!(asn.a_worker, asn.g_worker, "co-located workers never gather");
-    if asn.a_worker < asn.g_worker {
-        gathered.to_vec()
-    } else {
-        let g_len = gathered.len() - split;
-        let mut payload = Vec::with_capacity(gathered.len());
-        payload.extend_from_slice(&gathered[g_len..]);
-        payload.extend_from_slice(&gathered[..g_len]);
-        payload
     }
 }
 

@@ -68,80 +68,9 @@ pub fn factor_payload_len(a_rows: usize, g_rows: usize, triangular: bool) -> usi
     }
 }
 
-/// Wire-layout element count of a single factor section.
-pub fn packed_factor_len(rows: usize, triangular: bool) -> usize {
-    if triangular {
-        packed_len(rows)
-    } else {
-        rows * rows
-    }
-}
-
-/// Pack both batch factors into `buf` (cleared and reused across factor
-/// steps), scaling every element by `scale` during the copy, then quantize
-/// to the storage precision. Returns the element index where the `G`
-/// section starts.
-///
-/// This fuses the dense reference's `scale()` + [`pack_factor_payload`]
-/// into one pass over the statistics so the sharded path can stage its
-/// reduce-scatter payload without materializing scaled square matrices.
-/// `x * scale` per element is the exact product `Matrix::scale` computes,
-/// and quantization still runs over the identical packed values, so the
-/// staged payload is bitwise identical to the dense reference's.
-pub fn pack_factor_payload_scaled_into(
-    buf: &mut Vec<f32>,
-    a: &Matrix,
-    g: &Matrix,
-    scale: f32,
-    triangular: bool,
-    precision: Precision,
-) -> usize {
-    buf.clear();
-    if triangular {
-        for m in [a, g] {
-            for r in 0..m.rows() {
-                buf.extend(m.row(r)[r..].iter().map(|&x| x * scale));
-            }
-        }
-    } else {
-        buf.extend(a.as_slice().iter().map(|&x| x * scale));
-        buf.extend(g.as_slice().iter().map(|&x| x * scale));
-    }
-    let split = packed_factor_len(a.rows(), triangular);
-    quantize_slice(buf, precision);
-    split
-}
-
-/// A factor running average stored in its packed wire layout — exactly the
-/// shard section a reduce-scatter delivers (flat row-major square, or the
-/// upper triangle under `triangular_comm`) — so shard owners never hold a
-/// square matrix between decomposition steps.
-#[derive(Debug, Clone)]
-pub struct PackedFactor {
-    /// Packed elements at the storage precision (quantized in place).
-    pub data: Vec<f32>,
-    /// Whether `data` is an upper-triangle packing (Section 4.3) rather
-    /// than a flat row-major square.
-    pub triangular: bool,
-}
-
-impl PackedFactor {
-    /// Materialize the square symmetric matrix this packing represents.
-    /// Unpacking mirrors bit-equal elements, so the result is bitwise
-    /// identical to a square matrix maintained by the same folds.
-    pub fn to_matrix(&self, rows: usize) -> Matrix {
-        debug_assert_eq!(self.data.len(), packed_factor_len(rows, self.triangular));
-        if self.triangular {
-            unpack_upper(&self.data, rows)
-        } else {
-            Matrix::from_vec(rows, rows, self.data.clone())
-        }
-    }
-}
-
-/// The single EMA fold kernel for square factor state: first fold moves the
-/// fresh matrix in, later folds compute `x ← (1-decay)·x̂ + decay·x` — the
-/// exact `axpby` expression, so every square path shares one semantics.
+/// The single EMA fold kernel for factor state: first fold moves the fresh
+/// matrix in, later folds compute `x ← (1-decay)·x̂ + decay·x` — the exact
+/// `axpby` expression, so every fold shares one semantics.
 fn ema_fold_matrix(slot: &mut Option<Matrix>, fresh: Matrix, decay: f32) {
     match slot {
         Some(m) => m.axpby(1.0 - decay, &fresh, decay),
@@ -149,31 +78,12 @@ fn ema_fold_matrix(slot: &mut Option<Matrix>, fresh: Matrix, decay: f32) {
     }
 }
 
-/// The packed-space twin of [`ema_fold_matrix`]: identical first-fold and
-/// decay semantics, applied elementwise to the packed layout. Because the
-/// EMA is elementwise and square/packed layouts hold bit-equal elements,
-/// folding here then unpacking is bitwise identical to unpacking then
-/// folding in square space.
-fn ema_fold_packed(slot: &mut Option<PackedFactor>, fresh: &[f32], triangular: bool, decay: f32) {
-    match slot {
-        Some(p) => {
-            debug_assert_eq!(p.triangular, triangular, "packed layout changed mid-run");
-            debug_assert_eq!(p.data.len(), fresh.len());
-            for (x, f) in p.data.iter_mut().zip(fresh) {
-                *x = (1.0 - decay) * *f + decay * *x;
-            }
-        }
-        None => *slot = Some(PackedFactor { data: fresh.to_vec(), triangular }),
-    }
-}
-
 /// Running Kronecker-factor state and decomposition caches for one layer.
 ///
 /// Which fields are populated on a given rank depends on the distribution
-/// plan: under the dense path, factors `A`/`G` live on every rank (they are
-/// allreduced); under sharded reduction (`KfacConfig::sharded_factors`),
-/// only on the rank that eigendecomposes them. The eigendecomposition
-/// caches live only on that layer's gradient workers — this is exactly the
+/// plan: factors `A`/`G` live on every rank (they are allreduced), or only
+/// on the layer's owner under LOCAL-OPT. The eigendecomposition caches live
+/// only on that layer's gradient workers — this is exactly the
 /// memory/communication knob Figure 6 of the paper measures.
 #[derive(Debug, Clone)]
 pub struct KfacLayerState {
@@ -183,16 +93,10 @@ pub struct KfacLayerState {
     pub a_dim: usize,
     /// `G` factor dimension.
     pub g_dim: usize,
-    /// Running average of `A = E[a aᵀ]` in square form (dense path; `None`
-    /// everywhere on the shard-resident path).
+    /// Running average of `A = E[a aᵀ]` in square form.
     pub factor_a: Option<Matrix>,
-    /// Running average of `G = E[g gᵀ]` in square form (dense path).
+    /// Running average of `G = E[g gᵀ]` in square form.
     pub factor_g: Option<Matrix>,
-    /// Shard-resident running average of `A`, kept in the packed wire
-    /// layout on the layer's A-eigendecomposition worker only.
-    pub packed_a: Option<PackedFactor>,
-    /// Shard-resident running average of `G`, on the G-worker only.
-    pub packed_g: Option<PackedFactor>,
     /// Eigenvectors of `A` (columns), cached on gradient workers.
     pub qa: Option<Matrix>,
     /// Eigenvectors of `G` (columns), cached on gradient workers.
@@ -233,8 +137,6 @@ impl KfacLayerState {
             g_dim,
             factor_a: None,
             factor_g: None,
-            packed_a: None,
-            packed_g: None,
             qa: None,
             qg: None,
             outer: None,
@@ -269,10 +171,9 @@ impl KfacLayerState {
         self.update_factor_g(g_new, decay);
     }
 
-    /// Fold only the `A` running average (sharded reduction: each factor is
-    /// folded on its owning eigendecomposition worker alone). Shares its
-    /// first-fold/decay semantics with [`KfacLayerState::update_factors`]
-    /// through the single `ema_fold_matrix` kernel.
+    /// Fold only the `A` running average. Shares its first-fold/decay
+    /// semantics with [`KfacLayerState::update_factors`] through the single
+    /// `ema_fold_matrix` kernel.
     pub fn update_factor_a(&mut self, a_new: Matrix, decay: f32) {
         debug_assert_eq!(a_new.shape(), (self.a_dim, self.a_dim));
         ema_fold_matrix(&mut self.factor_a, a_new, decay);
@@ -284,47 +185,7 @@ impl KfacLayerState {
         ema_fold_matrix(&mut self.factor_g, g_new, decay);
     }
 
-    /// Fold a freshly-averaged packed `A` section straight into the
-    /// shard-resident running average — decay applied in packed space, no
-    /// square matrix materialized.
-    pub fn update_packed_a(&mut self, section: &[f32], triangular: bool, decay: f32) {
-        debug_assert_eq!(section.len(), packed_factor_len(self.a_dim, triangular));
-        ema_fold_packed(&mut self.packed_a, section, triangular, decay);
-    }
-
-    /// Fold a freshly-averaged packed `G` section into the shard-resident
-    /// running average.
-    pub fn update_packed_g(&mut self, section: &[f32], triangular: bool, decay: f32) {
-        debug_assert_eq!(section.len(), packed_factor_len(self.g_dim, triangular));
-        ema_fold_packed(&mut self.packed_g, section, triangular, decay);
-    }
-
-    /// Materialize the square running `A` factor: a clone of the dense
-    /// matrix when held square, otherwise a transient unpacking of the
-    /// shard-resident state.
-    ///
-    /// # Panics
-    /// If no factor has been accumulated yet.
-    pub fn square_factor_a(&self) -> Matrix {
-        match (&self.factor_a, &self.packed_a) {
-            (Some(a), _) => a.clone(),
-            (None, Some(p)) => p.to_matrix(self.a_dim),
-            (None, None) => panic!("A factor not yet accumulated"),
-        }
-    }
-
-    /// Materialize the square running `G` factor.
-    pub fn square_factor_g(&self) -> Matrix {
-        match (&self.factor_g, &self.packed_g) {
-            (Some(g), _) => g.clone(),
-            (None, Some(p)) => p.to_matrix(self.g_dim),
-            (None, None) => panic!("G factor not yet accumulated"),
-        }
-    }
-
-    /// Eigendecompose the running `A` factor; returns `(Q_A, v_A)`. On the
-    /// shard-resident path the square input is materialized transiently
-    /// here and dropped with the call.
+    /// Eigendecompose the running `A` factor; returns `(Q_A, v_A)`.
     ///
     /// # Panics
     /// If no factor has been accumulated yet.
@@ -335,12 +196,8 @@ impl KfacLayerState {
     /// [`Self::eig_a`] on a caller-held solver workspace (`Kfac` keeps one
     /// for all its decompositions, so a solve allocates only its result).
     pub fn eig_a_with(&self, scratch: &mut EigScratch) -> (Matrix, Vec<f32>) {
-        let eig = match (&self.factor_a, &self.packed_a) {
-            (Some(a), _) => sym_eig_with_scratch(a, scratch),
-            (None, Some(p)) => sym_eig_with_scratch(&p.to_matrix(self.a_dim), scratch),
-            (None, None) => panic!("A factor not yet accumulated"),
-        };
-        let eig = eig.expect("A factor eigendecomposition failed");
+        let a = self.factor_a.as_ref().expect("A factor not yet accumulated");
+        let eig = sym_eig_with_scratch(a, scratch).expect("A factor eigendecomposition failed");
         (eig.vectors, eig.values)
     }
 
@@ -351,12 +208,8 @@ impl KfacLayerState {
 
     /// [`Self::eig_g`] on a caller-held solver workspace.
     pub fn eig_g_with(&self, scratch: &mut EigScratch) -> (Matrix, Vec<f32>) {
-        let eig = match (&self.factor_g, &self.packed_g) {
-            (Some(g), _) => sym_eig_with_scratch(g, scratch),
-            (None, Some(p)) => sym_eig_with_scratch(&p.to_matrix(self.g_dim), scratch),
-            (None, None) => panic!("G factor not yet accumulated"),
-        };
-        let eig = eig.expect("G factor eigendecomposition failed");
+        let g = self.factor_g.as_ref().expect("G factor not yet accumulated");
+        let eig = sym_eig_with_scratch(g, scratch).expect("G factor eigendecomposition failed");
         (eig.vectors, eig.values)
     }
 
@@ -371,9 +224,9 @@ impl KfacLayerState {
     /// Compute the damped direct inverses `(A+γI)⁻¹`, `(G+γI)⁻¹` of Eq. 12
     /// (the non-eigendecomposition fallback).
     pub fn compute_inverses(&mut self, damping: f32) {
-        let mut a = self.square_factor_a();
+        let mut a = self.factor_a.clone().expect("A factor not yet accumulated");
         a.add_diag(damping);
-        let mut g = self.square_factor_g();
+        let mut g = self.factor_g.clone().expect("G factor not yet accumulated");
         g.add_diag(damping);
         self.inv_a = Some(spd_inverse(&a).expect("damped A must be SPD"));
         self.inv_g = Some(spd_inverse(&g).expect("damped G must be SPD"));
@@ -466,13 +319,11 @@ impl KfacLayerState {
     }
 
     /// Bytes of running factor state held on this rank at the given storage
-    /// precision: square matrices on the dense path, packed shard sections
-    /// on the shard-resident path.
+    /// precision.
     pub fn factor_memory_bytes(&self, precision: Precision) -> usize {
         let b = precision.bytes_per_element();
         let mat = |m: &Option<Matrix>| m.as_ref().map_or(0, |m| m.numel() * b);
-        let packed = |p: &Option<PackedFactor>| p.as_ref().map_or(0, |p| p.data.len() * b);
-        mat(&self.factor_a) + mat(&self.factor_g) + packed(&self.packed_a) + packed(&self.packed_g)
+        mat(&self.factor_a) + mat(&self.factor_g)
     }
 
     /// Bytes of cached decomposition state (eigenvectors, outer product,
@@ -526,10 +377,10 @@ mod tests {
 
     #[test]
     fn first_fold_semantics_unified_across_paths() {
-        // update_factors, the single-factor updates, and the packed updates
-        // all route through one EMA kernel: the first fold is a plain
-        // move-in, later folds apply (1-decay)·fresh + decay·old. All three
-        // paths must agree bitwise, fold for fold.
+        // update_factors and the single-factor updates route through one
+        // EMA kernel: the first fold is a plain move-in, later folds apply
+        // (1-decay)·fresh + decay·old. Both paths must agree bitwise, fold
+        // for fold.
         let mut rng = Rng::seed_from_u64(208);
         let decay = 0.95;
         let folds: Vec<(Matrix, Matrix)> =
@@ -537,13 +388,10 @@ mod tests {
 
         let mut joint = KfacLayerState::new("joint", 4, 3);
         let mut single = KfacLayerState::new("single", 4, 3);
-        let mut packed = KfacLayerState::new("packed", 4, 3);
         for (a, g) in &folds {
             joint.update_factors(a.clone(), g.clone(), decay);
             single.update_factor_a(a.clone(), decay);
             single.update_factor_g(g.clone(), decay);
-            packed.update_packed_a(a.as_slice(), false, decay);
-            packed.update_packed_g(g.as_slice(), false, decay);
             assert_eq!(
                 joint.factor_a.as_ref().unwrap().as_slice(),
                 single.factor_a.as_ref().unwrap().as_slice()
@@ -552,64 +400,6 @@ mod tests {
                 joint.factor_g.as_ref().unwrap().as_slice(),
                 single.factor_g.as_ref().unwrap().as_slice()
             );
-            assert_eq!(
-                joint.factor_a.as_ref().unwrap().as_slice(),
-                packed.square_factor_a().as_slice()
-            );
-            assert_eq!(
-                joint.factor_g.as_ref().unwrap().as_slice(),
-                packed.square_factor_g().as_slice()
-            );
-        }
-    }
-
-    #[test]
-    fn packed_triangular_fold_matches_square_fold_bitwise() {
-        // Folding in the triangular packed layout then unpacking must equal
-        // unpacking then folding in square space, bit for bit: the EMA is
-        // elementwise and unpack mirrors bit-equal elements.
-        let mut rng = Rng::seed_from_u64(209);
-        let decay = 0.9;
-        let mut square = KfacLayerState::new("sq", 5, 5);
-        let mut packed = KfacLayerState::new("pk", 5, 5);
-        for _ in 0..4 {
-            let fresh = random_psd(5, &mut rng);
-            let tri = pack_upper(&fresh);
-            square.update_factor_a(unpack_upper(&tri, 5), decay);
-            packed.update_packed_a(&tri, true, decay);
-            assert_eq!(
-                square.factor_a.as_ref().unwrap().as_slice(),
-                packed.square_factor_a().as_slice()
-            );
-        }
-        // The decomposition consumes identical inputs, so identical outputs.
-        let (q_sq, v_sq) = square.eig_a();
-        let (q_pk, v_pk) = packed.eig_a();
-        assert_eq!(q_sq.as_slice(), q_pk.as_slice());
-        assert_eq!(v_sq, v_pk);
-    }
-
-    #[test]
-    fn scaled_pack_matches_scale_then_pack() {
-        let mut rng = Rng::seed_from_u64(210);
-        let a = random_psd(5, &mut rng);
-        let g = random_psd(3, &mut rng);
-        let scale = 1.0 / 3.0f32;
-        for triangular in [false, true] {
-            for precision in [Precision::Fp32, Precision::Fp16] {
-                let mut a_scaled = a.clone();
-                a_scaled.scale(scale);
-                let mut g_scaled = g.clone();
-                g_scaled.scale(scale);
-                let (reference, ref_split) =
-                    pack_factor_payload(&a_scaled, &g_scaled, triangular, precision);
-                let mut fused = Vec::new();
-                let split = pack_factor_payload_scaled_into(
-                    &mut fused, &a, &g, scale, triangular, precision,
-                );
-                assert_eq!(split, ref_split, "tri={triangular} prec={precision:?}");
-                assert_eq!(fused, reference, "tri={triangular} prec={precision:?}");
-            }
         }
     }
 
@@ -617,8 +407,8 @@ mod tests {
     fn memory_split_separates_factors_from_eigens() {
         let mut rng = Rng::seed_from_u64(214);
         let mut state = KfacLayerState::new("split", 6, 4);
-        state.update_packed_a(&pack_upper(&random_psd(6, &mut rng)), true, 0.95);
-        assert_eq!(state.factor_memory_bytes(Precision::Fp32), packed_len(6) * 4);
+        state.update_factor_a(random_psd(6, &mut rng), 0.95);
+        assert_eq!(state.factor_memory_bytes(Precision::Fp32), 36 * 4);
         assert_eq!(state.eigen_memory_bytes(Precision::Fp32), 0);
         let (qa, _) = state.eig_a();
         state.qa = Some(qa);

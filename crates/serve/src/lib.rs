@@ -6,7 +6,7 @@
 //! control, pausable via byte-level checkpoints, and **elastically
 //! resizable** — a job checkpointed at world size `W` restores at world
 //! `W′`, re-running LPT factor placement and strategy resolution for the
-//! new world and re-sharding its packed factor state, with a bitwise
+//! new world and re-placing its factor and eigen state, with a bitwise
 //! guarantee: the resumed trajectory equals a fresh run that resized
 //! in-process at the same step.
 //!

@@ -16,8 +16,8 @@
 //! # Admission control
 //!
 //! At submission the manager models the job's per-rank K-FAC footprint
-//! with the analytic simulator (`kaisa_sim`'s `kfac_overhead_sharded()`,
-//! the sharded-factors residency the paper's Table 5 models). A job whose
+//! with the analytic simulator (`kaisa_sim`'s `kfac_overhead()`, the
+//! factor and eigen-cache residency the paper's Table 5 models). A job whose
 //! modeled footprint can never fit the budget is **rejected** outright; a
 //! job that merely doesn't fit *now* is **queued** FIFO and admitted when
 //! running jobs complete or pause. While a job runs, its own live
@@ -29,7 +29,7 @@
 //!
 //! A job's [`ResizePoint`]s split it into segments. Each segment claims
 //! `world` ranks from the pool, rebuilds the model, **restores** the
-//! packed factor/eigen state from the previous segment's byte checkpoint
+//! factor/eigen state from the previous segment's byte checkpoint
 //! (re-running LPT placement and strategy resolution at the new world
 //! size), trains to the next pause point, and writes a fresh checkpoint.
 //! Restore is bitwise transparent: the gated invariant is that pause →
@@ -59,7 +59,7 @@ pub struct ServeConfig {
     /// Rank threads available to all jobs combined.
     pub pool_ranks: usize,
     /// Pool-wide budget on per-rank K-FAC state, in bytes. Admission
-    /// queues jobs whose modeled `kfac_overhead_sharded()` would push the
+    /// queues jobs whose modeled `kfac_overhead()` would push the
     /// live total past this; jobs that could never fit are rejected.
     pub pool_budget_bytes: usize,
     /// Number of independent lock shards in the job map.
@@ -576,9 +576,10 @@ impl JobManager {
 }
 
 /// Model a job's per-rank K-FAC footprint at a given world size: the
-/// analytic sharded-residency overhead (`factors_sharded + eig_cache`)
-/// from the paper's memory model, evaluated over the job's actual layer
-/// shapes and K-FAC configuration.
+/// analytic overhead (`factors + eig_cache` on the heaviest rank) from the
+/// paper's memory model, evaluated over the job's actual layer shapes and
+/// K-FAC configuration. Factors are replicated for the exact strategies and
+/// held by their owner alone under LOCAL-OPT.
 pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
     let Some(kc) = &spec.kfac else { return 0 };
     let layers = spec
@@ -608,7 +609,7 @@ pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
     }
     params.grad_accum = spec.grad_accum;
     params.half_factors = kc.precision == Precision::Fp16;
-    Simulator::new(params).memory_breakdown().kfac_overhead_sharded()
+    Simulator::new(params).memory_breakdown().kfac_overhead()
 }
 
 #[cfg(test)]
@@ -626,7 +627,6 @@ mod tests {
                 .grad_worker_frac(0.5)
                 .factor_update_freq(2)
                 .inv_update_freq(4)
-                .sharded_factors(true)
                 .build(),
         );
         spec
@@ -765,5 +765,32 @@ mod tests {
         let mut sgd = JobSpec::small("none");
         sgd.kfac = None;
         assert_eq!(modeled_kfac_bytes(&sgd, 4), 0);
+    }
+
+    #[test]
+    fn modeled_footprint_is_the_residency_of_the_configured_path() {
+        // Three linear layers (33x64, 65x32, 33x4 factors) at world 2 with
+        // one gradient worker per layer. MEM-OPT replicates every factor
+        // (11,539 floats) beside the heaviest rank's eigen cache (layers 0
+        // and 2: 8,534 floats); LOCAL-OPT keeps each layer's factors on its
+        // owner alone (layers 0 and 2 again: 6,290 floats).
+        let spec = |strategy: DistStrategy| {
+            let mut s = JobSpec::small("fleet");
+            s.layer_sizes = vec![32, 64, 32, 4];
+            s.kfac = Some(
+                KfacConfig::builder()
+                    .strategy(strategy)
+                    .factor_update_freq(2)
+                    .inv_update_freq(4)
+                    .build(),
+            );
+            s
+        };
+        assert_eq!(modeled_kfac_bytes(&spec(DistStrategy::MemOpt), 2), (11_539 + 8_534) * 4);
+        assert_eq!(modeled_kfac_bytes(&spec(DistStrategy::LocalOpt), 2), (6_290 + 8_534) * 4);
+        // At world 1 one rank holds everything under either strategy.
+        let all = (11_539 + 7_297 + 7_329 + 1_237) * 4;
+        assert_eq!(modeled_kfac_bytes(&spec(DistStrategy::MemOpt), 1), all);
+        assert_eq!(modeled_kfac_bytes(&spec(DistStrategy::LocalOpt), 1), all);
     }
 }

@@ -169,14 +169,10 @@ pub struct MemoryBreakdown {
     pub optimizer_state: usize,
     /// Stored activations at the local batch size.
     pub activations: usize,
-    /// K-FAC factors (replicated on every rank).
+    /// K-FAC factor bytes on the heaviest-loaded rank: every factor,
+    /// replicated, for the exact strategies; under `local_factors` only the
+    /// square factors of the layers the rank owns.
     pub factors: usize,
-    /// K-FAC factor bytes on the heaviest-loaded rank under shard-resident
-    /// accumulation (`sharded_factors`): each rank keeps only the packed
-    /// sections it eigendecomposes, so this replaces `factors` when the
-    /// sharded path is on (flat square wire layout; triangular packing
-    /// halves it further).
-    pub factors_sharded: usize,
     /// Eigendecomposition caches on the heaviest-loaded rank.
     pub eig_cache: usize,
 }
@@ -185,12 +181,6 @@ impl MemoryBreakdown {
     /// The paper's "K-FAC memory overhead": factors + eigendecompositions.
     pub fn kfac_overhead(&self) -> usize {
         self.factors + self.eig_cache
-    }
-
-    /// The K-FAC memory overhead under shard-resident factor accumulation:
-    /// the heaviest rank's owned packed sections + eigendecomposition cache.
-    pub fn kfac_overhead_sharded(&self) -> usize {
-        self.factors_sharded + self.eig_cache
     }
 
     /// Absolute per-rank training memory (Table 5's "Abs." columns).
@@ -348,16 +338,14 @@ impl Simulator {
                 * ACTIVATION_OVERHEAD_FACTOR
                 * if p.half_training { 0.5 } else { 1.0 }) as usize,
             factors: 0,
-            factors_sharded: 0,
             eig_cache: 0,
         };
         if p.kfac_enabled {
             let fb = p.factor_elem_bytes();
-            out.factors = p.model.all_factor_bytes(fb);
             let world = p.cluster.world;
-            // Shard-resident accumulation: each rank holds only the factor
-            // sections it eigendecomposes (A on the A worker, G on the G
-            // worker); report the heaviest rank.
+            // Local factors live only on their owner (A on the A worker, G
+            // on the G worker, one rank under the one-owner grid); report
+            // the heaviest rank.
             let mut owned = vec![0usize; world];
             // Eigendecomposition cache on the heaviest rank.
             let mut cache = vec![0usize; world];
@@ -368,7 +356,11 @@ impl Simulator {
                     cache[r] += layer.eig_bytes(fb);
                 }
             }
-            out.factors_sharded = owned.into_iter().max().unwrap_or(0);
+            out.factors = if p.local_factors {
+                owned.into_iter().max().unwrap_or(0)
+            } else {
+                p.model.all_factor_bytes(fb)
+            };
             out.eig_cache = cache.into_iter().max().unwrap_or(0);
         }
         out
@@ -471,23 +463,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_factor_residency_beats_replicated() {
-        // Shard-resident accumulation keeps only owned sections per rank:
-        // strictly below full replication at world > 1, equal at world 1.
-        let multi = rn50_sim(1.0).memory_breakdown();
-        assert!(multi.factors_sharded > 0);
+    fn local_factor_residency_is_the_heaviest_owner_share() {
+        // Exact strategies replicate every factor; local factors keep each
+        // layer's on its one owner: strictly below full replication at
+        // world > 1, equal at world 1.
+        let local = |world: usize| {
+            let params =
+                SimParams::baseline(ModelInventory::resnet50(), ClusterSpec::frontera(world), 32)
+                    .with_kfac(1.0, 50, 500);
+            let exact = Simulator::new(params.clone()).memory_breakdown();
+            (exact, Simulator::new(params.with_local_factors()).memory_breakdown())
+        };
+        let (exact, multi) = local(64);
+        assert_eq!(exact.factors, ModelInventory::resnet50().all_factor_bytes(4));
+        assert!(multi.factors > 0);
         assert!(
-            multi.factors_sharded < multi.factors,
-            "sharded {} should undercut replicated {}",
-            multi.factors_sharded,
-            multi.factors
+            multi.factors < exact.factors,
+            "local {} should undercut replicated {}",
+            multi.factors,
+            exact.factors
         );
-        assert!(multi.kfac_overhead_sharded() < multi.kfac_overhead());
-
-        let params = SimParams::baseline(ModelInventory::resnet50(), ClusterSpec::frontera(1), 32)
-            .with_kfac(1.0, 50, 500);
-        let solo = Simulator::new(params).memory_breakdown();
-        assert_eq!(solo.factors_sharded, solo.factors, "one rank owns everything");
+        let (exact, solo) = local(1);
+        assert_eq!(solo.factors, exact.factors, "one rank owns everything");
     }
 
     #[test]

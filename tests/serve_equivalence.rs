@@ -4,14 +4,14 @@
 //! W, checkpoint through the byte format, restore at world W′, finish
 //! training — bitwise identical weights to a fresh run that resized
 //! in-process at the same step**, per rank, across distribution strategies
-//! and factor precisions with `sharded_factors` on.
+//! and factor precisions.
 //!
 //! The reference leg below re-implements the two-segment run directly on
 //! `ThreadComm` + `run_step` + in-memory `KfacCheckpoint` hand-off — no
 //! byte serialization, no job manager, no rank pool. The serve leg routes
 //! the same job through `JobManager`: admission, pool scheduling, byte
 //! checkpointing, and restore. Any divergence in the encode/decode path,
-//! the re-sharding placement, or the scheduler's segment arithmetic breaks
+//! the restored placement, or the scheduler's segment arithmetic breaks
 //! the bitwise comparison.
 
 use kaisa::comm::{Communicator, ThreadComm};
@@ -40,7 +40,6 @@ fn kfac_config(strategy: DistStrategy, precision: Precision) -> KfacConfig {
         .grad_worker_frac(0.5)
         .factor_update_freq(2)
         .inv_update_freq(4)
-        .sharded_factors(true)
         .precision(precision)
         .build()
 }
@@ -193,14 +192,13 @@ fn hybrid_opt_resize_is_bitwise_transparent() {
 
 #[test]
 fn direct_inverse_triangular_resize_is_bitwise_transparent() {
-    // The no-eigendecomposition fallback with triangular packing exercises
-    // the regather placement (both packed sections fold on the A owner).
+    // The no-eigendecomposition fallback with triangular packing: the
+    // direct inverses restore onto the new world's gradient workers.
     let kc = KfacConfig::builder()
         .strategy(DistStrategy::HybridOpt)
         .grad_worker_frac(0.5)
         .factor_update_freq(2)
         .inv_update_freq(4)
-        .sharded_factors(true)
         .use_eigen(false)
         .triangular_comm(true)
         .build();
@@ -217,7 +215,7 @@ fn direct_inverse_triangular_resize_is_bitwise_transparent() {
 #[test]
 fn checkpoint_bytes_are_stable_across_save_load_save() {
     // Satellite gate: serialize → deserialize → serialize is the identity
-    // on bytes for a checkpoint holding real sharded PackedFactor state.
+    // on bytes for a checkpoint holding real factor and eigen state.
     let mgr = JobManager::new(ServeConfig::default());
     let mut spec = job_spec(kfac_config(DistStrategy::HybridOpt, Precision::Fp16), 4, 2);
     spec.name = "byte-stability".to_string();
