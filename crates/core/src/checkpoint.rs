@@ -1,7 +1,7 @@
 //! Checkpoint/restore hooks on [`Kfac`] for elastic world resizing.
 //!
 //! A checkpoint captures the *complete* preconditioner state — running
-//! factor averages, cached eigendecompositions, direct inverses, EK-FAC
+//! factor averages, cached eigendecompositions and outer products, EK-FAC
 //! corrected moments, and the optimizer step counter — on **every** rank,
 //! so a paused job can resume on a *different* world size:
 //! [`Kfac::restore`] re-runs LPT placement and strategy resolution for the
@@ -24,9 +24,6 @@ use crate::config::KfacConfig;
 use crate::preconditioner::Kfac;
 use crate::state::KfacLayerState;
 
-/// Number of per-layer optional state fields a checkpoint carries.
-const FIELD_COUNT: usize = 10;
-
 /// One layer's checkpointed K-FAC state. Every field is optional — absent
 /// fields were not yet populated anywhere in the world (e.g. no
 /// eigendecomposition step has run).
@@ -48,20 +45,17 @@ pub struct LayerCheckpoint {
     pub qg: Option<Vec<f32>>,
     /// Precomputed damped reciprocal outer product (`g_dim × a_dim`).
     pub outer: Option<Vec<f32>>,
-    /// Eigenvalues of `A` (`a_dim`; the non-precompute ablation path).
-    pub va: Option<Vec<f32>>,
-    /// Eigenvalues of `G` (`g_dim`).
-    pub vg: Option<Vec<f32>>,
-    /// Damped direct inverse of `A` (`a_dim²`; the `use_eigen=false` path).
-    pub inv_a: Option<Vec<f32>>,
-    /// Damped direct inverse of `G` (`g_dim²`).
-    pub inv_g: Option<Vec<f32>>,
     /// EK-FAC corrected second moments (`g_dim × a_dim`).
     pub ekfac_scale: Option<Vec<f32>>,
 }
 
 impl LayerCheckpoint {
-    fn new(name: String, a_dim: usize, g_dim: usize) -> Self {
+    /// Number of optional state fields per layer. Field indices follow the
+    /// declaration order: `factor_a factor_g qa qg outer ekfac_scale`.
+    pub const FIELD_COUNT: usize = 6;
+
+    /// A layer entry with every field absent.
+    pub fn new(name: String, a_dim: usize, g_dim: usize) -> Self {
         LayerCheckpoint {
             name,
             a_dim,
@@ -71,27 +65,42 @@ impl LayerCheckpoint {
             qa: None,
             qg: None,
             outer: None,
-            va: None,
-            vg: None,
-            inv_a: None,
-            inv_g: None,
             ekfac_scale: None,
+        }
+    }
+
+    /// The element count field `f` must have for this layer's dimensions.
+    pub fn field_len(&self, f: usize) -> usize {
+        let (a, g) = (self.a_dim, self.g_dim);
+        match f {
+            0 | 2 => a * a, // factor_a, qa
+            1 | 3 => g * g, // factor_g, qg
+            4 | 5 => g * a, // outer, ekfac_scale
+            _ => unreachable!("checkpoint field index out of range"),
+        }
+    }
+
+    /// All fields, in field-index order.
+    pub fn fields(&self) -> [&Option<Vec<f32>>; Self::FIELD_COUNT] {
+        [&self.factor_a, &self.factor_g, &self.qa, &self.qg, &self.outer, &self.ekfac_scale]
+    }
+
+    /// Field `f`, for filling in.
+    pub fn field_mut(&mut self, f: usize) -> &mut Option<Vec<f32>> {
+        match f {
+            0 => &mut self.factor_a,
+            1 => &mut self.factor_g,
+            2 => &mut self.qa,
+            3 => &mut self.qg,
+            4 => &mut self.outer,
+            5 => &mut self.ekfac_scale,
+            _ => unreachable!("checkpoint field index out of range"),
         }
     }
 
     /// Total checkpointed f32 elements across present fields.
     pub fn element_count(&self) -> usize {
-        let opt = |v: &Option<Vec<f32>>| v.as_ref().map_or(0, Vec::len);
-        opt(&self.factor_a)
-            + opt(&self.factor_g)
-            + opt(&self.qa)
-            + opt(&self.qg)
-            + opt(&self.outer)
-            + opt(&self.va)
-            + opt(&self.vg)
-            + opt(&self.inv_a)
-            + opt(&self.inv_g)
-            + opt(&self.ekfac_scale)
+        self.fields().iter().map(|v| v.as_ref().map_or(0, Vec::len)).sum()
     }
 }
 
@@ -115,66 +124,15 @@ impl KfacCheckpoint {
     }
 }
 
-/// Element count of checkpoint field `f` for the given factor dimensions.
-fn field_len(f: usize, a_dim: usize, g_dim: usize) -> usize {
+/// The state matrix behind checkpoint field `f`, if this rank holds it.
+fn state_field(s: &KfacLayerState, f: usize) -> Option<&Matrix> {
     match f {
-        0 | 2 | 7 => a_dim * a_dim, // factor_a, qa, inv_a
-        1 | 3 | 8 => g_dim * g_dim, // factor_g, qg, inv_g
-        4 | 9 => g_dim * a_dim,     // outer, ekfac_scale
-        5 => a_dim,                 // va
-        6 => g_dim,                 // vg
-        _ => unreachable!("checkpoint field index out of range"),
-    }
-}
-
-/// Whether this rank holds checkpoint field `f` for layer state `s`.
-fn field_present(s: &KfacLayerState, f: usize) -> bool {
-    match f {
-        0 => s.factor_a.is_some(),
-        1 => s.factor_g.is_some(),
-        2 => s.qa.is_some(),
-        3 => s.qg.is_some(),
-        4 => s.outer.is_some(),
-        5 => s.va.is_some(),
-        6 => s.vg.is_some(),
-        7 => s.inv_a.is_some(),
-        8 => s.inv_g.is_some(),
-        9 => s.ekfac_scale.is_some(),
-        _ => unreachable!("checkpoint field index out of range"),
-    }
-}
-
-/// Extract checkpoint field `f` from a rank that holds it.
-fn extract_field(s: &KfacLayerState, f: usize) -> Vec<f32> {
-    let mat = |m: &Option<Matrix>| m.as_ref().expect("field flagged present").as_slice().to_vec();
-    match f {
-        0 => mat(&s.factor_a),
-        1 => mat(&s.factor_g),
-        2 => mat(&s.qa),
-        3 => mat(&s.qg),
-        4 => mat(&s.outer),
-        5 => s.va.clone().expect("field flagged present"),
-        6 => s.vg.clone().expect("field flagged present"),
-        7 => mat(&s.inv_a),
-        8 => mat(&s.inv_g),
-        9 => mat(&s.ekfac_scale),
-        _ => unreachable!("checkpoint field index out of range"),
-    }
-}
-
-/// Store a broadcast field into the layer entry.
-fn set_field(entry: &mut LayerCheckpoint, f: usize, buf: Vec<f32>) {
-    match f {
-        0 => entry.factor_a = Some(buf),
-        1 => entry.factor_g = Some(buf),
-        2 => entry.qa = Some(buf),
-        3 => entry.qg = Some(buf),
-        4 => entry.outer = Some(buf),
-        5 => entry.va = Some(buf),
-        6 => entry.vg = Some(buf),
-        7 => entry.inv_a = Some(buf),
-        8 => entry.inv_g = Some(buf),
-        9 => entry.ekfac_scale = Some(buf),
+        0 => s.factor_a.as_ref(),
+        1 => s.factor_g.as_ref(),
+        2 => s.qa.as_ref(),
+        3 => s.qg.as_ref(),
+        4 => s.outer.as_ref(),
+        5 => s.ekfac_scale.as_ref(),
         _ => unreachable!("checkpoint field index out of range"),
     }
 }
@@ -184,11 +142,12 @@ impl Kfac {
     /// checkpoint. Collective: every rank must call it, and every rank
     /// returns the identical checkpoint.
     pub fn checkpoint_state(&self, comm: &dyn Communicator) -> KfacCheckpoint {
+        const FIELD_COUNT: usize = LayerCheckpoint::FIELD_COUNT;
         let n = self.states.len();
         let mut flags = vec![0.0f32; n * FIELD_COUNT];
         for (i, s) in self.states.iter().enumerate() {
             for f in 0..FIELD_COUNT {
-                if field_present(s, f) {
+                if state_field(s, f).is_some() {
                     flags[i * FIELD_COUNT + f] = 1.0;
                 }
             }
@@ -207,14 +166,16 @@ impl Kfac {
                 let root =
                     (0..world).find(|r| all_flags[r * n * FIELD_COUNT + i * FIELD_COUNT + f] > 0.5);
                 let Some(root) = root else { continue };
-                let len = field_len(f, s.a_dim, s.g_dim);
-                let mut buf =
-                    if self.rank == root { extract_field(s, f) } else { vec![0.0f32; len] };
+                let len = entry.field_len(f);
+                let mut buf = match state_field(s, f) {
+                    Some(m) if self.rank == root => m.as_slice().to_vec(),
+                    _ => vec![0.0f32; len],
+                };
                 debug_assert_eq!(buf.len(), len);
                 if world > 1 {
                     comm.broadcast(&mut buf, root);
                 }
-                set_field(&mut entry, f, buf);
+                *entry.field_mut(f) = Some(buf);
             }
             layers.push(entry);
         }
@@ -227,16 +188,15 @@ impl Kfac {
     /// exactly the state each field's residency rules place on this rank:
     ///
     /// * factors land on every rank, or only on the owner under LOCAL-OPT,
-    /// * eigen caches land on gradient workers per the algorithm flags
-    ///   (`use_eigen`/`precompute_outer`/`ekfac`),
+    /// * eigenbases and the outer product land on gradient workers, and so
+    ///   do the EK-FAC corrected moments when `ekfac` is on,
     /// * the step counter restores the update-frequency phase, and capture
     ///   is re-armed accordingly.
     ///
-    /// `cfg` must use the same algorithm settings (`use_eigen`,
-    /// `precompute_outer`, `ekfac`, `precision`, `triangular_comm`, update
-    /// frequencies) as the run that wrote the checkpoint; the distribution
-    /// settings (strategy, `grad_worker_frac`, world) are free to change —
-    /// that is the elastic-resize path.
+    /// `cfg` must use the same algorithm settings (`ekfac`, `precision`,
+    /// `triangular_comm`, update frequencies) as the run that wrote the
+    /// checkpoint; the distribution settings (strategy, `grad_worker_frac`,
+    /// world) are free to change — that is the elastic-resize path.
     ///
     /// # Panics
     /// If the model's K-FAC layer dimensions disagree with the checkpoint.
@@ -280,35 +240,16 @@ impl Kfac {
                 }
             }
 
-            // Decomposition caches live on gradient workers only, shaped by
-            // the algorithm flags (which must match the checkpointing run).
+            // Decomposition caches live on gradient workers only.
             if asn.is_gradient_worker(rank) {
-                if kfac.cfg.use_eigen {
-                    if let Some(qa) = &entry.qa {
-                        kfac.states[i].qa = Some(square(qa, a_dim));
-                    }
-                    if let Some(qg) = &entry.qg {
-                        kfac.states[i].qg = Some(square(qg, g_dim));
-                    }
-                    if kfac.cfg.precompute_outer {
-                        if let Some(o) = &entry.outer {
-                            kfac.states[i].outer = Some(Matrix::from_vec(g_dim, a_dim, o.clone()));
-                        }
-                    } else {
-                        if let Some(va) = &entry.va {
-                            kfac.states[i].va = Some(va.clone());
-                        }
-                        if let Some(vg) = &entry.vg {
-                            kfac.states[i].vg = Some(vg.clone());
-                        }
-                    }
-                } else {
-                    if let Some(ia) = &entry.inv_a {
-                        kfac.states[i].inv_a = Some(square(ia, a_dim));
-                    }
-                    if let Some(ig) = &entry.inv_g {
-                        kfac.states[i].inv_g = Some(square(ig, g_dim));
-                    }
+                if let Some(qa) = &entry.qa {
+                    kfac.states[i].qa = Some(square(qa, a_dim));
+                }
+                if let Some(qg) = &entry.qg {
+                    kfac.states[i].qg = Some(square(qg, g_dim));
+                }
+                if let Some(o) = &entry.outer {
+                    kfac.states[i].outer = Some(Matrix::from_vec(g_dim, a_dim, o.clone()));
                 }
                 if kfac.cfg.ekfac {
                     if let Some(s) = &entry.ekfac_scale {
@@ -360,8 +301,7 @@ mod tests {
         for layer in &ckpt.layers {
             assert!(layer.factor_a.is_some() && layer.factor_g.is_some());
             assert!(layer.qa.is_some() && layer.qg.is_some() && layer.outer.is_some());
-            assert!(layer.va.is_none(), "precompute path stores no eigenvalues");
-            assert!(layer.inv_a.is_none(), "eigen path stores no direct inverses");
+            assert!(layer.ekfac_scale.is_none(), "plain K-FAC stores no corrected moments");
             assert_eq!(layer.factor_a.as_ref().unwrap().len(), layer.a_dim * layer.a_dim);
         }
         assert!(ckpt.element_count() > 0);
@@ -372,16 +312,11 @@ mod tests {
         // Pause/resume at world 1 must continue the exact trajectory: run A
         // trains 6 steps straight; run B trains 3, checkpoints, restores into
         // a fresh Kfac, and trains 3 more. Gradients must match bitwise.
-        for (use_eigen, triangular, precision) in [
-            (true, false, Precision::Fp32),
-            (true, true, Precision::Fp16),
-            (false, false, Precision::Fp32),
-        ] {
+        for (triangular, precision) in [(false, Precision::Fp32), (true, Precision::Fp16)] {
             let cfg = || {
                 KfacConfig::builder()
                     .factor_update_freq(2)
                     .inv_update_freq(2)
-                    .use_eigen(use_eigen)
                     .triangular_comm(triangular)
                     .precision(precision)
                     .build()
@@ -427,7 +362,7 @@ mod tests {
                 assert_eq!(
                     x0.to_bits(),
                     x1.to_bits(),
-                    "pause/resume diverged (use_eigen={use_eigen} tri={triangular} prec={precision:?})"
+                    "pause/resume diverged (tri={triangular} prec={precision:?})"
                 );
             }
         }

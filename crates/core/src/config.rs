@@ -41,13 +41,6 @@ pub struct KfacConfig {
     pub precision: Precision,
     /// Send only the upper triangle in the factor allreduce (Section 4.3).
     pub triangular_comm: bool,
-    /// Precompute `1/(v_G v_Aᵀ + γ)` once on the eigendecomposition worker
-    /// and broadcast it, instead of recomputing per step (Section 4.4).
-    pub precompute_outer: bool,
-    /// Use the eigendecomposition method (Eq. 15–17). When `false`, fall
-    /// back to damped direct inverses (Eq. 12–14) — the ablation of
-    /// Section 2.1.3.
-    pub use_eigen: bool,
     /// How eigendecomposition jobs are spread over ranks (Section 3.2).
     pub assignment: AssignmentStrategy,
     /// Run the EK-FAC variant (George et al.): keep KAISA's distribution of
@@ -76,8 +69,6 @@ impl Default for KfacConfig {
             inv_update_freq: 100,
             precision: Precision::Fp32,
             triangular_comm: false,
-            precompute_outer: true,
-            use_eigen: true,
             assignment: AssignmentStrategy::ComputeLpt,
             ekfac: false,
             pipelined: true,
@@ -168,18 +159,6 @@ impl KfacConfigBuilder {
     /// Toggle triangular factor communication.
     pub fn triangular_comm(mut self, on: bool) -> Self {
         self.cfg.triangular_comm = on;
-        self
-    }
-
-    /// Toggle the outer-product precompute optimization.
-    pub fn precompute_outer(mut self, on: bool) -> Self {
-        self.cfg.precompute_outer = on;
-        self
-    }
-
-    /// Toggle eigendecomposition (true) vs. direct damped inverse (false).
-    pub fn use_eigen(mut self, on: bool) -> Self {
-        self.cfg.use_eigen = on;
         self
     }
 

@@ -32,7 +32,8 @@
 //! (Section 3.3), gradient-accumulation-friendly factor capture (Section
 //! 4.2), triangular factor communication (Section 4.3), and the eigenvalue
 //! outer-product precompute that cut preconditioning time by up to 53%
-//! (Section 4.4).
+//! (Section 4.4). Gradients are preconditioned through the factor
+//! eigendecompositions (Section 2.1.3) and that precomputed outer product.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

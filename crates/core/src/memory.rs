@@ -17,7 +17,7 @@ pub enum MemoryCategory {
     /// Running factor averages: square `A`/`G` matrices.
     Factors,
     /// Cached decompositions: eigenvectors, the precomputed outer product,
-    /// direct inverses, eigenvalue vectors, and EK-FAC corrected moments.
+    /// and EK-FAC corrected moments.
     Eigens,
     /// Preconditioned gradients alive between preconditioning and the
     /// KL-clip write-back.

@@ -36,17 +36,12 @@ pub(crate) struct MatBcast {
     m: Matrix,
 }
 
-/// All result broadcasts a layer has in flight between sweeps 2 and 3 of
-/// the eigendecomposition phase.
-#[derive(Default)]
+/// The result broadcasts a gradient worker has in flight between sweeps 2
+/// and 3 of the eigendecomposition phase.
 struct LayerBcasts {
-    qa: Option<MatBcast>,
-    qg: Option<MatBcast>,
-    outer: Option<MatBcast>,
-    inv_a: Option<MatBcast>,
-    inv_g: Option<MatBcast>,
-    va_buf: Option<(PendingCollective, Vec<f32>)>,
-    vg_buf: Option<(PendingCollective, Vec<f32>)>,
+    qa: MatBcast,
+    qg: MatBcast,
+    outer: MatBcast,
 }
 
 impl Kfac {
@@ -119,29 +114,19 @@ impl Kfac {
         let rank = self.rank;
         let damping = self.cfg.damping;
         let precision = self.cfg.precision;
-        let precompute = self.cfg.precompute_outer;
-        let use_eigen = self.cfg.use_eigen;
         let n = self.states.len();
 
         let mut va: Vec<Option<Vec<f32>>> = vec![None; n];
         let mut vg: Vec<Option<Vec<f32>>> = vec![None; n];
         let mut va_pending: Vec<Option<(PendingCollective, Vec<f32>)>> =
             (0..n).map(|_| None).collect();
-        // Sweep 1: local eigensolves (or inverses); begin v_A pair shuttles.
+        // Sweep 1: local eigensolves; begin v_A pair shuttles.
         for i in 0..n {
             let asn = self.plan.layers[i].clone();
             // EK-FAC corrected moments live in the eigenbasis; a new basis
             // invalidates them (they re-seed from the fresh outer product).
             if self.cfg.ekfac {
                 self.states[i].ekfac_scale = None;
-            }
-            if !use_eigen {
-                if rank == asn.a_worker {
-                    self.times.time_layer(i, Stage::EigCompute, || {
-                        self.states[i].compute_inverses(damping);
-                    });
-                }
-                continue;
             }
             if rank == asn.a_worker {
                 let (qa, values) = self.times.time_layer(i, Stage::EigCompute, || {
@@ -157,13 +142,10 @@ impl Kfac {
                 self.states[i].qg = Some(qg);
                 vg[i] = Some(values);
             }
-            if precompute
-                && asn.a_worker != asn.g_worker
-                && (rank == asn.a_worker || rank == asn.g_worker)
-            {
+            if asn.a_worker != asn.g_worker && (rank == asn.a_worker || rank == asn.g_worker) {
                 let a_dim = self.states[i].a_dim;
                 let pair = [asn.a_worker, asn.g_worker];
-                let buf = va[i].clone().unwrap_or_else(|| vec![0.0; a_dim]);
+                let buf = va[i].take().unwrap_or_else(|| vec![0.0; a_dim]);
                 let pending = self.times.time_layer(i, Stage::EigComm, || {
                     comm.begin_broadcast(&buf, asn.a_worker, &pair, CommTag::EigComm)
                 });
@@ -175,163 +157,47 @@ impl Kfac {
         }
 
         // Sweep 2: finish shuttles, outer products; begin result broadcasts.
-        let mut bcasts: Vec<LayerBcasts> = (0..n).map(|_| LayerBcasts::default()).collect();
+        let mut bcasts: Vec<Option<LayerBcasts>> = (0..n).map(|_| None).collect();
         for i in 0..n {
             let asn = self.plan.layers[i].clone();
-            let is_gw = asn.is_gradient_worker(rank);
             let (a_dim, g_dim) = (self.states[i].a_dim, self.states[i].g_dim);
 
-            if use_eigen && precompute {
-                if let Some((pending, mut buf)) = va_pending[i].take() {
-                    self.times.time_layer(i, Stage::EigComm, || comm.complete(pending, &mut buf));
-                    if rank == asn.g_worker {
-                        va[i] = Some(buf);
-                    }
-                }
-                if rank == asn.g_worker {
-                    let outer = self.times.time_layer(i, Stage::EigCompute, || {
-                        KfacLayerState::compute_outer(
-                            vg[i].as_ref().expect("G worker has v_G"),
-                            va[i].as_ref().expect("G worker received v_A"),
-                            damping,
-                        )
-                    });
-                    self.states[i].outer = Some(outer);
-                }
+            if let Some((pending, mut buf)) = va_pending[i].take() {
+                self.times.time_layer(i, Stage::EigComm, || comm.complete(pending, &mut buf));
+                va[i] = Some(buf);
+            }
+            if rank == asn.g_worker {
+                let outer = self.times.time_layer(i, Stage::EigCompute, || {
+                    KfacLayerState::compute_outer(
+                        vg[i].as_ref().expect("G worker has v_G"),
+                        va[i].as_ref().expect("G worker received v_A"),
+                        damping,
+                    )
+                });
+                self.states[i].outer = Some(outer);
             }
 
-            if !use_eigen {
-                if is_gw && asn.gradient_workers.len() > 1 {
-                    let local = self.states[i].inv_a.take();
-                    bcasts[i].inv_a = Some(self.begin_matrix_bcast(
-                        i,
-                        comm,
-                        local,
-                        a_dim,
-                        a_dim,
-                        asn.a_worker,
-                        &asn.gradient_workers,
-                    ));
-                    let local = self.states[i].inv_g.take();
-                    bcasts[i].inv_g = Some(self.begin_matrix_bcast(
-                        i,
-                        comm,
-                        local,
-                        g_dim,
-                        g_dim,
-                        asn.a_worker,
-                        &asn.gradient_workers,
-                    ));
-                }
-                continue;
-            }
-
-            if is_gw && asn.gradient_workers.len() > 1 {
-                let local = self.states[i].qa.take();
-                bcasts[i].qa = Some(self.begin_matrix_bcast(
-                    i,
-                    comm,
-                    local,
-                    a_dim,
-                    a_dim,
-                    asn.a_worker,
-                    &asn.gradient_workers,
-                ));
-                let local = self.states[i].qg.take();
-                bcasts[i].qg = Some(self.begin_matrix_bcast(
-                    i,
-                    comm,
-                    local,
-                    g_dim,
-                    g_dim,
-                    asn.g_worker,
-                    &asn.gradient_workers,
-                ));
-                if precompute {
-                    let local = self.states[i].outer.take();
-                    bcasts[i].outer = Some(self.begin_matrix_bcast(
-                        i,
-                        comm,
-                        local,
-                        g_dim,
-                        a_dim,
-                        asn.g_worker,
-                        &asn.gradient_workers,
-                    ));
-                } else {
-                    // Ablation: ship raw eigenvalues; every worker recomputes
-                    // the outer product at every preconditioning step.
-                    let va_b = va[i].take().unwrap_or_else(|| vec![0.0; a_dim]);
-                    let vg_b = vg[i].take().unwrap_or_else(|| vec![0.0; g_dim]);
-                    let pending_a = self.times.time_layer(i, Stage::EigComm, || {
-                        comm.begin_broadcast(
-                            &va_b,
-                            asn.a_worker,
-                            &asn.gradient_workers,
-                            CommTag::EigComm,
-                        )
-                    });
-                    let pending_g = self.times.time_layer(i, Stage::EigComm, || {
-                        comm.begin_broadcast(
-                            &vg_b,
-                            asn.g_worker,
-                            &asn.gradient_workers,
-                            CommTag::EigComm,
-                        )
-                    });
-                    let receivers = (asn.gradient_workers.len() - 1) as u64;
-                    if rank == asn.a_worker {
-                        self.comm_bytes +=
-                            (a_dim * precision.bytes_per_element()) as u64 * receivers;
-                    }
-                    if rank == asn.g_worker {
-                        self.comm_bytes +=
-                            (g_dim * precision.bytes_per_element()) as u64 * receivers;
-                    }
-                    bcasts[i].va_buf = Some((pending_a, va_b));
-                    bcasts[i].vg_buf = Some((pending_g, vg_b));
-                }
-            } else if is_gw && !precompute {
-                // Single gradient worker: keep local values (no broadcast).
-                if let Some(values) = va[i].take() {
-                    self.states[i].va = Some(values);
-                }
-                if let Some(values) = vg[i].take() {
-                    self.states[i].vg = Some(values);
-                }
+            if asn.is_gradient_worker(rank) && asn.gradient_workers.len() > 1 {
+                let group = &asn.gradient_workers;
+                let (qa, qg, o) = (
+                    self.states[i].qa.take(),
+                    self.states[i].qg.take(),
+                    self.states[i].outer.take(),
+                );
+                bcasts[i] = Some(LayerBcasts {
+                    qa: self.begin_matrix_bcast(i, comm, qa, a_dim, a_dim, asn.a_worker, group),
+                    qg: self.begin_matrix_bcast(i, comm, qg, g_dim, g_dim, asn.g_worker, group),
+                    outer: self.begin_matrix_bcast(i, comm, o, g_dim, a_dim, asn.g_worker, group),
+                });
             }
         }
 
         // Sweep 3: complete every result broadcast into the layer state.
         for (i, b) in bcasts.into_iter().enumerate() {
-            if let Some(mb) = b.inv_a {
-                let m = self.complete_matrix_bcast(i, comm, mb);
-                self.states[i].inv_a = Some(m);
-            }
-            if let Some(mb) = b.inv_g {
-                let m = self.complete_matrix_bcast(i, comm, mb);
-                self.states[i].inv_g = Some(m);
-            }
-            if let Some(mb) = b.qa {
-                let m = self.complete_matrix_bcast(i, comm, mb);
-                self.states[i].qa = Some(m);
-            }
-            if let Some(mb) = b.qg {
-                let m = self.complete_matrix_bcast(i, comm, mb);
-                self.states[i].qg = Some(m);
-            }
-            if let Some(mb) = b.outer {
-                let m = self.complete_matrix_bcast(i, comm, mb);
-                self.states[i].outer = Some(m);
-            }
-            if let Some((pending, mut buf)) = b.va_buf {
-                self.times.time_layer(i, Stage::EigComm, || comm.complete(pending, &mut buf));
-                self.states[i].va = Some(buf);
-            }
-            if let Some((pending, mut buf)) = b.vg_buf {
-                self.times.time_layer(i, Stage::EigComm, || comm.complete(pending, &mut buf));
-                self.states[i].vg = Some(buf);
-            }
+            let Some(b) = b else { continue };
+            self.states[i].qa = Some(self.complete_matrix_bcast(i, comm, b.qa));
+            self.states[i].qg = Some(self.complete_matrix_bcast(i, comm, b.qg));
+            self.states[i].outer = Some(self.complete_matrix_bcast(i, comm, b.outer));
         }
     }
 

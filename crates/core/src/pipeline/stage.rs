@@ -19,10 +19,10 @@ pub enum PipelineStage {
     /// Allreduce-average the packed factor payload across the world
     /// (communication).
     FactorAllreduce,
-    /// Eigendecompose (or invert) the factors on the LPT-assigned worker,
+    /// Eigendecompose the factors on the LPT-assigned worker,
     /// including the `1/(v_G v_Aᵀ + γ)` outer product (compute).
     EigCompute,
-    /// Broadcast eigenvectors / outer product (or inverses) to the layer's
+    /// Broadcast eigenvectors / outer product to the layer's
     /// gradient workers, plus the `v_A` pair shuttle (communication).
     EigBcast,
     /// Apply Eq. 15–17 to the layer's gradient on its gradient workers

@@ -347,8 +347,6 @@ impl Kfac {
         let rank = self.rank;
         let damping = self.cfg.damping;
         let precision = self.cfg.precision;
-        let precompute = self.cfg.precompute_outer;
-        let use_eigen = self.cfg.use_eigen;
 
         for i in 0..self.states.len() {
             let asn = self.plan.layers[i].clone();
@@ -361,45 +359,6 @@ impl Kfac {
                 self.states[i].ekfac_scale = None;
             }
 
-            if !use_eigen {
-                // Eq. 12–14 fallback: damped direct inverses computed on the
-                // A worker (both factors live on every rank), broadcast to
-                // gradient workers.
-                if rank == asn.a_worker {
-                    self.times.time_layer(i, Stage::EigCompute, || {
-                        self.states[i].compute_inverses(damping);
-                    });
-                }
-                if is_gw && asn.gradient_workers.len() > 1 {
-                    let local_a = self.states[i].inv_a.take();
-                    let mb = self.begin_matrix_bcast(
-                        i,
-                        comm,
-                        local_a,
-                        a_dim,
-                        a_dim,
-                        asn.a_worker,
-                        &asn.gradient_workers,
-                    );
-                    let inv_a = self.complete_matrix_bcast(i, comm, mb);
-                    let local_g = self.states[i].inv_g.take();
-                    let mb = self.begin_matrix_bcast(
-                        i,
-                        comm,
-                        local_g,
-                        g_dim,
-                        g_dim,
-                        asn.a_worker,
-                        &asn.gradient_workers,
-                    );
-                    let inv_g = self.complete_matrix_bcast(i, comm, mb);
-                    self.states[i].inv_a = Some(inv_a);
-                    self.states[i].inv_g = Some(inv_g);
-                }
-                continue;
-            }
-
-            // Eigendecomposition path (Eq. 15–17).
             let mut va: Option<Vec<f32>> = None;
             let mut vg: Option<Vec<f32>> = None;
             if rank == asn.a_worker {
@@ -417,117 +376,42 @@ impl Kfac {
                 vg = Some(values);
             }
 
-            if precompute {
-                // Section 4.4: ship v_A to the G worker, which computes the
-                // damped reciprocal outer product exactly once.
-                if asn.a_worker != asn.g_worker && (rank == asn.a_worker || rank == asn.g_worker) {
-                    let pair = [asn.a_worker, asn.g_worker];
-                    let mut buf = va.clone().unwrap_or_else(|| vec![0.0; a_dim]);
-                    self.times.time_layer(i, Stage::EigComm, || {
-                        let pending =
-                            comm.begin_broadcast(&buf, asn.a_worker, &pair, CommTag::EigComm);
-                        comm.complete(pending, &mut buf);
-                    });
-                    if rank == asn.a_worker {
-                        self.comm_bytes += (a_dim * precision.bytes_per_element()) as u64;
-                    }
-                    if rank == asn.g_worker {
-                        va = Some(buf);
-                    }
+            // Section 4.4: ship v_A to the G worker, which computes the
+            // damped reciprocal outer product exactly once.
+            if asn.a_worker != asn.g_worker && (rank == asn.a_worker || rank == asn.g_worker) {
+                let pair = [asn.a_worker, asn.g_worker];
+                let mut buf = va.take().unwrap_or_else(|| vec![0.0; a_dim]);
+                self.times.time_layer(i, Stage::EigComm, || {
+                    let pending = comm.begin_broadcast(&buf, asn.a_worker, &pair, CommTag::EigComm);
+                    comm.complete(pending, &mut buf);
+                });
+                if rank == asn.a_worker {
+                    self.comm_bytes += (a_dim * precision.bytes_per_element()) as u64;
                 }
-                if rank == asn.g_worker {
-                    let outer = self.times.time_layer(i, Stage::EigCompute, || {
-                        KfacLayerState::compute_outer(
-                            vg.as_ref().expect("G worker has v_G"),
-                            va.as_ref().expect("G worker received v_A"),
-                            damping,
-                        )
-                    });
-                    self.states[i].outer = Some(outer);
-                }
+                va = Some(buf);
+            }
+            if rank == asn.g_worker {
+                let outer = self.times.time_layer(i, Stage::EigCompute, || {
+                    KfacLayerState::compute_outer(
+                        vg.as_ref().expect("G worker has v_G"),
+                        va.as_ref().expect("G worker received v_A"),
+                        damping,
+                    )
+                });
+                self.states[i].outer = Some(outer);
             }
 
             if is_gw && asn.gradient_workers.len() > 1 {
-                let local_qa = self.states[i].qa.take();
-                let mb = self.begin_matrix_bcast(
-                    i,
-                    comm,
-                    local_qa,
-                    a_dim,
-                    a_dim,
-                    asn.a_worker,
-                    &asn.gradient_workers,
-                );
-                let qa = self.complete_matrix_bcast(i, comm, mb);
-                self.states[i].qa = Some(qa);
-                let local_qg = self.states[i].qg.take();
-                let mb = self.begin_matrix_bcast(
-                    i,
-                    comm,
-                    local_qg,
-                    g_dim,
-                    g_dim,
-                    asn.g_worker,
-                    &asn.gradient_workers,
-                );
-                let qg = self.complete_matrix_bcast(i, comm, mb);
-                self.states[i].qg = Some(qg);
-                if precompute {
-                    let local_outer = self.states[i].outer.take();
-                    let mb = self.begin_matrix_bcast(
-                        i,
-                        comm,
-                        local_outer,
-                        g_dim,
-                        a_dim,
-                        asn.g_worker,
-                        &asn.gradient_workers,
-                    );
-                    let outer = self.complete_matrix_bcast(i, comm, mb);
-                    self.states[i].outer = Some(outer);
-                } else {
-                    // Ablation: ship raw eigenvalues; every worker recomputes
-                    // the outer product at every preconditioning step.
-                    let mut va_buf = va.take().unwrap_or_else(|| vec![0.0; a_dim]);
-                    let mut vg_buf = vg.take().unwrap_or_else(|| vec![0.0; g_dim]);
-                    self.times.time_layer(i, Stage::EigComm, || {
-                        let pending = comm.begin_broadcast(
-                            &va_buf,
-                            asn.a_worker,
-                            &asn.gradient_workers,
-                            CommTag::EigComm,
-                        );
-                        comm.complete(pending, &mut va_buf);
-                        let pending = comm.begin_broadcast(
-                            &vg_buf,
-                            asn.g_worker,
-                            &asn.gradient_workers,
-                            CommTag::EigComm,
-                        );
-                        comm.complete(pending, &mut vg_buf);
-                    });
-                    let receivers = (asn.gradient_workers.len() - 1) as u64;
-                    if rank == asn.a_worker {
-                        self.comm_bytes +=
-                            (a_dim * precision.bytes_per_element()) as u64 * receivers;
-                    }
-                    if rank == asn.g_worker {
-                        self.comm_bytes +=
-                            (g_dim * precision.bytes_per_element()) as u64 * receivers;
-                    }
-                    self.states[i].va = Some(va_buf);
-                    self.states[i].vg = Some(vg_buf);
-                }
-            } else if is_gw {
-                // Single gradient worker: keep local values (no broadcast).
-                if !precompute {
-                    if let Some(values) = va.take() {
-                        self.states[i].va = Some(values);
-                    }
-                    if let Some(values) = vg.take() {
-                        self.states[i].vg = Some(values);
-                    }
-                }
+                let group = &asn.gradient_workers;
+                let qa = self.states[i].qa.take();
+                let mb = self.begin_matrix_bcast(i, comm, qa, a_dim, a_dim, asn.a_worker, group);
+                self.states[i].qa = Some(self.complete_matrix_bcast(i, comm, mb));
+                let qg = self.states[i].qg.take();
+                let mb = self.begin_matrix_bcast(i, comm, qg, g_dim, g_dim, asn.g_worker, group);
+                self.states[i].qg = Some(self.complete_matrix_bcast(i, comm, mb));
+                let o = self.states[i].outer.take();
+                let mb = self.begin_matrix_bcast(i, comm, o, g_dim, a_dim, asn.g_worker, group);
+                self.states[i].outer = Some(self.complete_matrix_bcast(i, comm, mb));
             }
         }
     }
@@ -571,9 +455,9 @@ impl Kfac {
         self.scale_and_write_back(layers, &grads, preconditioned, lr);
     }
 
-    /// Precondition one layer's gradient locally (Eq. 15–17, EK-FAC, or the
-    /// direct-inverse fallback) — or return a zero receive buffer on
-    /// non-gradient-worker ranks. Shared by both executors. Either way the
+    /// Precondition one layer's gradient locally (Eq. 15–17, or EK-FAC when
+    /// configured) — or return a zero receive buffer on non-gradient-worker
+    /// ranks. Shared by both executors. Either way the
     /// matrix comes out of the layer's reused work buffers and goes back to
     /// them in [`Kfac::scale_and_write_back`].
     pub(crate) fn precondition_local(&mut self, i: usize, grad: &Matrix, is_gw: bool) -> Matrix {
@@ -583,17 +467,14 @@ impl Kfac {
             return recv;
         }
         let damping = self.cfg.damping;
-        let use_eigen = self.cfg.use_eigen;
         let ekfac = self.cfg.ekfac;
         let factor_decay = self.cfg.factor_decay;
         let state = &mut self.states[i];
         self.times.time_layer(i, Stage::Precondition, || {
             if ekfac {
                 state.precondition_ekfac(grad, damping, factor_decay)
-            } else if use_eigen {
-                state.precondition_eigen(grad, damping)
             } else {
-                state.precondition_inverse(grad)
+                state.precondition_eigen(grad)
             }
         })
     }
@@ -742,61 +623,6 @@ mod tests {
             model.grads_flat().iter().map(|v| (*v as f64).powi(2)).sum::<f64>().sqrt();
 
         assert!(clipped_norm < free_norm, "tiny kl_clip must shrink the update");
-    }
-
-    #[test]
-    fn eigen_and_inverse_paths_are_close_approximations() {
-        // Eq. 15–17 and Eq. 12–14 are *different* damped approximations (the
-        // denominators are v_G·v_A + γ vs (v_G+γ)(v_A+γ)); both must run and
-        // produce strongly correlated preconditioned gradients.
-        let (model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
-        let mut grads = Vec::new();
-        for use_eigen in [true, false] {
-            let mut m = model.clone();
-            let cfg = KfacConfig::builder()
-                .factor_update_freq(1)
-                .inv_update_freq(1)
-                .use_eigen(use_eigen)
-                .kl_clip(None)
-                .build();
-            let mut kfac = Kfac::new(cfg, &mut m, &comm);
-            kfac.prepare(&mut m);
-            m.zero_grad();
-            let _ = m.forward_backward(&x, &y);
-            kfac.step(&mut m, &comm, 0.1);
-            grads.push(m.grads_flat());
-        }
-        let dot: f64 = grads[0].iter().zip(&grads[1]).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
-        let n0: f64 = grads[0].iter().map(|v| (*v as f64).powi(2)).sum::<f64>().sqrt();
-        let n1: f64 = grads[1].iter().map(|v| (*v as f64).powi(2)).sum::<f64>().sqrt();
-        let cosine = dot / (n0 * n1);
-        assert!(cosine > 0.9, "paths should be strongly correlated, cosine={cosine}");
-        assert!(n0 > 0.0 && n1 > 0.0 && n0.is_finite() && n1.is_finite());
-    }
-
-    #[test]
-    fn outer_precompute_ablation_matches() {
-        let (model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
-        let mut grads = Vec::new();
-        for precompute in [true, false] {
-            let mut m = model.clone();
-            let cfg = KfacConfig::builder()
-                .factor_update_freq(1)
-                .inv_update_freq(1)
-                .precompute_outer(precompute)
-                .build();
-            let mut kfac = Kfac::new(cfg, &mut m, &comm);
-            kfac.prepare(&mut m);
-            m.zero_grad();
-            let _ = m.forward_backward(&x, &y);
-            kfac.step(&mut m, &comm, 0.1);
-            grads.push(m.grads_flat());
-        }
-        for (a, b) in grads[0].iter().zip(&grads[1]) {
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Per-layer K-FAC state: running factors and cached eigendecompositions,
 //! plus the pure pack/unpack kernels the stage pipeline uses as task bodies.
 
-use kaisa_linalg::{
-    pack_upper, packed_len, spd_inverse, sym_eig_with_scratch, unpack_upper, EigScratch,
-};
+use kaisa_linalg::{pack_upper, packed_len, sym_eig_with_scratch, unpack_upper, EigScratch};
 use kaisa_tensor::{Matrix, Precision};
 
 /// Quantize a payload to the storage precision in place (no-op at fp32).
@@ -103,16 +101,6 @@ pub struct KfacLayerState {
     pub qg: Option<Matrix>,
     /// Precomputed `1/(v_G v_Aᵀ + γ)` (Section 4.4), on gradient workers.
     pub outer: Option<Matrix>,
-    /// Eigenvalues of `A` (only kept when the outer product is *not*
-    /// precomputed, for the Section 4.4 ablation).
-    pub va: Option<Vec<f32>>,
-    /// Eigenvalues of `G` (ablation path).
-    pub vg: Option<Vec<f32>>,
-    /// Damped inverse of `A` (the Eq. 12–14 fallback when `use_eigen` is
-    /// off).
-    pub inv_a: Option<Matrix>,
-    /// Damped inverse of `G` (fallback path).
-    pub inv_g: Option<Matrix>,
     /// EK-FAC corrected second moments in the Kronecker eigenbasis
     /// (`g_dim x a_dim`), i.e. running `E[(Q_Gᵀ ∇L Q_A)²]` — the cheap
     /// per-step "partial update" of George et al. that the paper's Related
@@ -140,10 +128,6 @@ impl KfacLayerState {
             qa: None,
             qg: None,
             outer: None,
-            va: None,
-            vg: None,
-            inv_a: None,
-            inv_g: None,
             ekfac_scale: None,
             work: Vec::new(),
         }
@@ -221,37 +205,19 @@ impl KfacLayerState {
         outer
     }
 
-    /// Compute the damped direct inverses `(A+γI)⁻¹`, `(G+γI)⁻¹` of Eq. 12
-    /// (the non-eigendecomposition fallback).
-    pub fn compute_inverses(&mut self, damping: f32) {
-        let mut a = self.factor_a.clone().expect("A factor not yet accumulated");
-        a.add_diag(damping);
-        let mut g = self.factor_g.clone().expect("G factor not yet accumulated");
-        g.add_diag(damping);
-        self.inv_a = Some(spd_inverse(&a).expect("damped A must be SPD"));
-        self.inv_g = Some(spd_inverse(&g).expect("damped G must be SPD"));
-    }
-
     /// Precondition a combined gradient (`g_dim x a_dim`) through the cached
-    /// eigendecompositions (Eq. 15–17). Requires `qa`, `qg`, and either the
-    /// precomputed `outer` or both eigenvalue vectors plus `damping`. The
-    /// four products ping-pong between the state's two work buffers;
+    /// eigendecompositions (Eq. 15–17). Requires `qa`, `qg` and the
+    /// precomputed `outer`, which already carries the damping. The four
+    /// products ping-pong between the state's two work buffers;
     /// [`KfacLayerState::recycle`] the result when done with it.
-    pub fn precondition_eigen(&mut self, grad: &Matrix, damping: f32) -> Matrix {
+    pub fn precondition_eigen(&mut self, grad: &Matrix) -> Matrix {
         let (mut t, mut v) = (self.take_work(), self.take_work());
         let qa = self.qa.as_ref().expect("Q_A not cached on this rank");
         let qg = self.qg.as_ref().expect("Q_G not cached on this rank");
+        let outer = self.outer.as_ref().expect("outer product not cached on this rank");
         qg.matmul_tn_into(grad, &mut t);
         t.matmul_into(qa, &mut v);
-        match &self.outer {
-            Some(outer) => v.hadamard_assign(outer),
-            None => {
-                let va = self.va.as_ref().expect("v_A not cached (ablation path)");
-                let vg = self.vg.as_ref().expect("v_G not cached (ablation path)");
-                let outer = Self::compute_outer(vg, va, damping);
-                v.hadamard_assign(&outer);
-            }
-        }
+        v.hadamard_assign(outer);
         qg.matmul_into(&v, &mut t);
         t.matmul_nt_into(qa, &mut v);
         self.recycle(t);
@@ -272,6 +238,7 @@ impl KfacLayerState {
         let (mut t, mut v) = (self.take_work(), self.take_work());
         let qa = self.qa.as_ref().expect("Q_A not cached on this rank");
         let qg = self.qg.as_ref().expect("Q_G not cached on this rank");
+        let outer = self.outer.as_ref().expect("outer product not cached on this rank");
         qg.matmul_tn_into(grad, &mut t);
         t.matmul_into(qa, &mut v);
 
@@ -286,14 +253,8 @@ impl KfacLayerState {
                 // Seed with K-FAC's eigenvalue outer product (the prior the
                 // corrected moments refine): recover it from `outer`, which
                 // stores 1/(v_G v_Aᵀ + γ).
-                let seed = match &self.outer {
-                    Some(outer) => {
-                        let mut s = outer.map(|x| 1.0 / x - damping);
-                        s.map_inplace(|x| x.max(0.0));
-                        s
-                    }
-                    None => t.clone(),
-                };
+                let mut seed = outer.map(|x| 1.0 / x - damping);
+                seed.map_inplace(|x| x.max(0.0));
                 self.ekfac_scale = Some(seed);
             }
         }
@@ -307,17 +268,6 @@ impl KfacLayerState {
         v
     }
 
-    /// Precondition through the damped direct inverses (Eq. 14 fallback).
-    pub fn precondition_inverse(&mut self, grad: &Matrix) -> Matrix {
-        let (mut t, mut v) = (self.take_work(), self.take_work());
-        let inv_a = self.inv_a.as_ref().expect("A inverse not cached");
-        let inv_g = self.inv_g.as_ref().expect("G inverse not cached");
-        inv_g.matmul_into(grad, &mut t);
-        t.matmul_into(inv_a, &mut v);
-        self.recycle(t);
-        v
-    }
-
     /// Bytes of running factor state held on this rank at the given storage
     /// precision.
     pub fn factor_memory_bytes(&self, precision: Precision) -> usize {
@@ -327,19 +277,11 @@ impl KfacLayerState {
     }
 
     /// Bytes of cached decomposition state (eigenvectors, outer product,
-    /// direct inverses, eigenvalue vectors, EK-FAC corrected moments).
+    /// EK-FAC corrected moments).
     pub fn eigen_memory_bytes(&self, precision: Precision) -> usize {
         let b = precision.bytes_per_element();
         let mat = |m: &Option<Matrix>| m.as_ref().map_or(0, |m| m.numel() * b);
-        let vec = |v: &Option<Vec<f32>>| v.as_ref().map_or(0, |v| v.len() * b);
-        mat(&self.qa)
-            + mat(&self.qg)
-            + mat(&self.outer)
-            + mat(&self.inv_a)
-            + mat(&self.inv_g)
-            + mat(&self.ekfac_scale)
-            + vec(&self.va)
-            + vec(&self.vg)
+        mat(&self.qa) + mat(&self.qg) + mat(&self.outer) + mat(&self.ekfac_scale)
     }
 
     /// Bytes of K-FAC state held on this rank at the given storage
@@ -449,7 +391,7 @@ mod tests {
         state.qg = Some(qg);
 
         let grad = Matrix::randn(g_dim, a_dim, 1.0, &mut rng);
-        let via_eigen = state.precondition_eigen(&grad, damping);
+        let via_eigen = state.precondition_eigen(&grad);
 
         // Explicit: (kron(G, A) + γI)⁻¹ vec_row(grad).
         let mut k = kron(&g, &a);
@@ -467,32 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_fallback_approximates_eigen_at_small_damping() {
-        // (A+γI)⁻¹⊗(G+γI)⁻¹ (Eq. 12) differs from (Â⊗Ĝ+γI)⁻¹ (Eq. 15–17)
-        // by O(γ) cross terms; at small damping they must agree closely.
-        let mut rng = Rng::seed_from_u64(204);
-        let damping = 1e-4;
-        let mut state = KfacLayerState::new("approx", 5, 4);
-        let mut a = random_psd(5, &mut rng);
-        a.add_diag(0.5); // keep well-conditioned so γ is truly small
-        let mut g = random_psd(4, &mut rng);
-        g.add_diag(0.5);
-        state.update_factors(a, g, 0.0);
-        let (qa, va) = state.eig_a();
-        let (qg, vg) = state.eig_g();
-        state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
-        state.qa = Some(qa);
-        state.qg = Some(qg);
-        state.compute_inverses(damping);
-
-        let grad = Matrix::randn(4, 5, 1.0, &mut rng);
-        let via_eigen = state.precondition_eigen(&grad, damping);
-        let via_inverse = state.precondition_inverse(&grad);
-        let rel = via_eigen.max_abs_diff(&via_inverse) / via_eigen.max_abs().max(1e-9);
-        assert!(rel < 0.01, "methods differ by {rel} relative at tiny damping");
-    }
-
-    #[test]
     fn recycled_work_buffers_do_not_change_a_bit() {
         // The products must overwrite whatever a recycled buffer holds: a
         // state fed back its own (poisoned) results has to keep producing
@@ -506,57 +422,27 @@ mod tests {
         state.qa = Some(qa);
         state.qg = Some(qg);
         state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
-        state.compute_inverses(damping);
         let mut fresh = state.clone();
 
         for round in 0..3 {
             let grad = Matrix::randn(4, 7, 1.0, &mut rng);
-            let mut reused = [
-                state.precondition_eigen(&grad, damping),
-                state.precondition_inverse(&grad),
-                state.precondition_ekfac(&grad, damping, 0.9),
-            ];
+            let mut reused =
+                [state.precondition_eigen(&grad), state.precondition_ekfac(&grad, damping, 0.9)];
             fresh.work.clear();
-            let eigen = fresh.precondition_eigen(&grad, damping);
-            fresh.work.clear();
-            let inverse = fresh.precondition_inverse(&grad);
+            let eigen = fresh.precondition_eigen(&grad);
             fresh.work.clear();
             let ekfac = fresh.precondition_ekfac(&grad, damping, 0.9);
-            assert_eq!(reused, [eigen, inverse, ekfac], "round {round}");
+            assert_eq!(reused, [eigen, ekfac], "round {round}");
             for m in &mut reused {
                 m.map_inplace(|_| f32::NAN);
             }
-            let [a, b, c] = reused;
+            let [a, b] = reused;
             state.recycle(a);
             state.recycle(b);
-            state.recycle(c);
             state.recycle(Matrix::zeros(7, 4)); // wrong shape: dropped
             assert_eq!(state.work.len(), 2, "a step keeps two buffers, no more");
             assert!(state.work.iter().all(|m| m.shape() == (4, 7)));
         }
-    }
-
-    #[test]
-    fn ablation_path_matches_precomputed_outer() {
-        let mut rng = Rng::seed_from_u64(202);
-        let damping = 0.003;
-        let mut state = KfacLayerState::new("ab", 5, 5);
-        state.update_factors(random_psd(5, &mut rng), random_psd(5, &mut rng), 0.0);
-        let (qa, va) = state.eig_a();
-        let (qg, vg) = state.eig_g();
-        state.qa = Some(qa);
-        state.qg = Some(qg);
-
-        let grad = Matrix::randn(5, 5, 1.0, &mut rng);
-        // Path 1: precomputed outer.
-        state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
-        let fast = state.precondition_eigen(&grad, damping);
-        // Path 2: recompute from eigenvalues.
-        state.outer = None;
-        state.va = Some(va);
-        state.vg = Some(vg);
-        let slow = state.precondition_eigen(&grad, damping);
-        assert!(fast.max_abs_diff(&slow) < 1e-6);
     }
 
     #[test]
@@ -574,7 +460,7 @@ mod tests {
         state.qa = Some(qa);
         state.qg = Some(qg);
         let grad = Matrix::full(2, 2, 1.0);
-        let p = state.precondition_eigen(&grad, 0.001);
+        let p = state.precondition_eigen(&grad);
         let ratio = p.get(0, 1) / p.get(0, 0);
         assert!(ratio > 50.0, "curvature scaling ratio {ratio}");
     }
@@ -614,7 +500,7 @@ mod tests {
         state.qg = Some(qg);
 
         let grad = Matrix::randn(4, 5, 1.0, &mut rng);
-        let kfac = state.precondition_eigen(&grad, damping);
+        let kfac = state.precondition_eigen(&grad);
         let ek1 = state.precondition_ekfac(&grad, damping, 0.95);
         assert!(
             ek1.max_abs_diff(&kfac) < 1e-5,
@@ -628,7 +514,7 @@ mod tests {
         for _ in 0..10 {
             last = state.precondition_ekfac(&grad2, damping, 0.5);
         }
-        let kfac2 = state.precondition_eigen(&grad2, damping);
+        let kfac2 = state.precondition_eigen(&grad2);
         assert!(
             last.max_abs_diff(&kfac2) > 1e-4,
             "corrected moments should change the preconditioner"
@@ -694,7 +580,7 @@ mod tests {
         state.qg = Some(qg);
         state.outer = Some(KfacLayerState::compute_outer(&vg, &va, 0.003));
         let grad = Matrix::full(3, 3, 1.0);
-        let p = state.precondition_eigen(&grad, 0.003);
+        let p = state.precondition_eigen(&grad);
         assert!(p.is_finite());
         assert!(p.max_abs() <= 1.0 / 0.003 * grad.max_abs() * 9.0);
     }

@@ -37,7 +37,7 @@ pub enum Stage {
     FactorCompute = 0,
     /// Factor allreduce.
     FactorComm = 1,
-    /// Eigendecomposition (or inverse) computation.
+    /// Eigendecomposition and outer-product computation.
     EigCompute = 2,
     /// Eigendecomposition broadcasts.
     EigComm = 3,

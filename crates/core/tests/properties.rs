@@ -106,7 +106,7 @@ proptest! {
         state.qa = Some(qa);
         state.qg = Some(qg);
         let grad = Matrix::randn(g_dim, a_dim, 1.0, &mut rng);
-        let fast = state.precondition_eigen(&grad, damping);
+        let fast = state.precondition_eigen(&grad);
 
         // Explicit Kronecker matrix (row-major convention: kron(G, A)).
         let k = Matrix::from_fn(g_dim * a_dim, g_dim * a_dim, |r, c| {
@@ -141,7 +141,7 @@ proptest! {
         state.qa = Some(qa);
         state.qg = Some(qg);
         let grad = Matrix::randn(g_dim, a_dim, 1.0, &mut rng);
-        let p = state.precondition_eigen(&grad, damping);
+        let p = state.precondition_eigen(&grad);
         prop_assert!(p.frob_norm() <= grad.frob_norm() / damping * 1.01,
             "gain {} exceeds 1/γ = {}", p.frob_norm() / grad.frob_norm(), 1.0 / damping);
     }

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic    8 bytes  "KAISAJOB"
-//! version  u32      currently 1
+//! version  u32      currently 2
 //! step     u64
 //! params   u64 count, then count × u32   (f32::to_bits, LE)
 //! velocity u64 count, then count × u32
@@ -25,10 +25,14 @@
 //!     name    u64 byte-length + UTF-8 bytes
 //!     a_dim   u64
 //!     g_dim   u64
-//!     fields  10 × [u8 flag; if 1: u64 count + count × u32]
-//!             order: factor_a factor_g qa qg outer va vg inv_a inv_g
-//!             ekfac_scale
+//!     fields  6 × [u8 flag; if 1: u64 count + count × u32]
+//!             order: factor_a factor_g qa qg outer ekfac_scale
+//!             (`LayerCheckpoint`'s field indices); each count must be
+//!             `LayerCheckpoint::field_len` of that field
 //! ```
+//!
+//! Version 1 streams (ten fields per layer) are rejected with
+//! [`CheckpointError::UnsupportedVersion`], not misread.
 //!
 //! Floats are stored as raw IEEE-754 bit patterns, so encode→decode→encode
 //! is bytewise idempotent and restore is bitwise transparent — including
@@ -38,7 +42,7 @@
 use kaisa_core::{KfacCheckpoint, LayerCheckpoint};
 
 const MAGIC: &[u8; 8] = b"KAISAJOB";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// A decode failure: the byte stream is not a valid job checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +60,8 @@ pub enum CheckpointError {
     },
     /// Extra bytes follow a structurally complete checkpoint.
     TrailingBytes(usize),
-    /// A structural invariant failed (e.g. a non-UTF-8 layer name).
+    /// A structural invariant failed (e.g. a non-UTF-8 layer name, or a
+    /// field whose length contradicts its layer's dimensions).
     Invalid(&'static str),
 }
 
@@ -123,7 +128,7 @@ impl JobCheckpoint {
                     out.extend_from_slice(layer.name.as_bytes());
                     put_u64(&mut out, layer.a_dim as u64);
                     put_u64(&mut out, layer.g_dim as u64);
-                    for field in layer_fields(layer) {
+                    for field in layer.fields() {
                         match field {
                             None => out.push(0),
                             Some(data) => {
@@ -164,31 +169,21 @@ impl JobCheckpoint {
                         .to_string();
                     let a_dim = r.len()?;
                     let g_dim = r.len()?;
-                    let mut fields: [Option<Vec<f32>>; 10] = Default::default();
-                    for slot in fields.iter_mut() {
-                        *slot = match r.u8()? {
-                            0 => None,
-                            1 => Some(r.f32s()?),
+                    let mut layer = LayerCheckpoint::new(name, a_dim, g_dim);
+                    for f in 0..LayerCheckpoint::FIELD_COUNT {
+                        let data = match r.u8()? {
+                            0 => continue,
+                            1 => r.f32s()?,
                             _ => return Err(CheckpointError::Invalid("field flag is not 0/1")),
                         };
+                        if data.len() != layer.field_len(f) {
+                            return Err(CheckpointError::Invalid(
+                                "field length contradicts the layer's dimensions",
+                            ));
+                        }
+                        *layer.field_mut(f) = Some(data);
                     }
-                    let [factor_a, factor_g, qa, qg, outer, va, vg, inv_a, inv_g, ekfac_scale] =
-                        fields;
-                    layers.push(LayerCheckpoint {
-                        name,
-                        a_dim,
-                        g_dim,
-                        factor_a,
-                        factor_g,
-                        qa,
-                        qg,
-                        outer,
-                        va,
-                        vg,
-                        inv_a,
-                        inv_g,
-                        ekfac_scale,
-                    });
+                    layers.push(layer);
                 }
                 Some(KfacCheckpoint { steps, layers })
             }
@@ -199,22 +194,6 @@ impl JobCheckpoint {
         }
         Ok(JobCheckpoint { step, params, velocity, kfac })
     }
-}
-
-/// The ten optional per-layer state fields in wire order.
-fn layer_fields(layer: &LayerCheckpoint) -> [Option<&Vec<f32>>; 10] {
-    [
-        layer.factor_a.as_ref(),
-        layer.factor_g.as_ref(),
-        layer.qa.as_ref(),
-        layer.qg.as_ref(),
-        layer.outer.as_ref(),
-        layer.va.as_ref(),
-        layer.vg.as_ref(),
-        layer.inv_a.as_ref(),
-        layer.inv_g.as_ref(),
-        layer.ekfac_scale.as_ref(),
-    ]
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -315,10 +294,6 @@ mod tests {
                     qa: None,
                     qg: None,
                     outer: Some(vec![0.25, 0.75]),
-                    va: None,
-                    vg: None,
-                    inv_a: None,
-                    inv_g: None,
                     ekfac_scale: None,
                 }],
             }),
@@ -382,5 +357,32 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(JobCheckpoint::from_bytes(&bytes), Err(CheckpointError::UnsupportedVersion(99)));
+        // Version 1 (ten fields per layer) is refused, not misread.
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(JobCheckpoint::from_bytes(&bytes), Err(CheckpointError::UnsupportedVersion(1)));
+    }
+
+    #[test]
+    fn field_shorter_than_its_dimensions_is_rejected() {
+        // A hand-built stream: one layer with a_dim 5 whose `qa` carries 3
+        // elements instead of 25. Restoring it would panic in
+        // `Matrix::from_vec`; decoding must stop it with a typed error.
+        let mut bytes = MAGIC.to_vec();
+        put_u32(&mut bytes, VERSION);
+        put_u64(&mut bytes, 1); // step
+        put_f32s(&mut bytes, &[]); // params
+        put_f32s(&mut bytes, &[]); // velocity
+        bytes.push(1); // kfac present
+        put_u64(&mut bytes, 1); // kfac steps
+        put_u64(&mut bytes, 1); // one layer
+        put_u64(&mut bytes, 2);
+        bytes.extend_from_slice(b"fc");
+        put_u64(&mut bytes, 5); // a_dim
+        put_u64(&mut bytes, 2); // g_dim
+        bytes.extend_from_slice(&[0, 0]); // factor_a, factor_g absent
+        bytes.push(1);
+        put_f32s(&mut bytes, &[1.0, 2.0, 3.0]); // qa: 3 of 25 elements
+        bytes.extend_from_slice(&[0, 0, 0]); // qg, outer, ekfac_scale absent
+        assert!(matches!(JobCheckpoint::from_bytes(&bytes), Err(CheckpointError::Invalid(_))));
     }
 }

@@ -41,26 +41,23 @@ fn feature_matrix_all_combinations_run() {
     // finite preconditioned gradients on a multi-rank world.
     for precision in [Precision::Fp32, Precision::Fp16] {
         for triangular in [false, true] {
-            for precompute in [false, true] {
-                for frac in [0.25, 0.5, 1.0] {
-                    let cfg = KfacConfig::builder()
-                        .grad_worker_frac(frac)
-                        .factor_update_freq(1)
-                        .inv_update_freq(2)
-                        .precision(precision)
-                        .triangular_comm(triangular)
-                        .precompute_outer(precompute)
-                        .build();
-                    let grads = run_world(cfg, 3);
-                    assert!(
-                        grads.iter().all(|g| g.is_finite()),
-                        "non-finite grads at {precision}/tri={triangular}/pre={precompute}/frac={frac}"
-                    );
-                    assert!(
-                        grads.iter().any(|g| *g != 0.0),
-                        "zero grads at {precision}/tri={triangular}/pre={precompute}/frac={frac}"
-                    );
-                }
+            for frac in [0.25, 0.5, 1.0] {
+                let cfg = KfacConfig::builder()
+                    .grad_worker_frac(frac)
+                    .factor_update_freq(1)
+                    .inv_update_freq(2)
+                    .precision(precision)
+                    .triangular_comm(triangular)
+                    .build();
+                let grads = run_world(cfg, 3);
+                assert!(
+                    grads.iter().all(|g| g.is_finite()),
+                    "non-finite grads at {precision}/tri={triangular}/frac={frac}"
+                );
+                assert!(
+                    grads.iter().any(|g| *g != 0.0),
+                    "zero grads at {precision}/tri={triangular}/frac={frac}"
+                );
             }
         }
     }
@@ -114,14 +111,6 @@ fn assignment_strategies_all_precondition_identically() {
     );
     let diff = lpt.iter().zip(&rr).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
     assert!(diff < 1e-5, "assignment must not change numerics: {diff}");
-}
-
-#[test]
-fn inverse_fallback_runs_distributed() {
-    let cfg =
-        KfacConfig::builder().factor_update_freq(1).inv_update_freq(2).use_eigen(false).build();
-    let grads = run_world(cfg, 3);
-    assert!(grads.iter().all(|g| g.is_finite()));
 }
 
 #[test]

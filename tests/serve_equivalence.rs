@@ -191,15 +191,16 @@ fn hybrid_opt_resize_is_bitwise_transparent() {
 }
 
 #[test]
-fn direct_inverse_triangular_resize_is_bitwise_transparent() {
-    // The no-eigendecomposition fallback with triangular packing: the
-    // direct inverses restore onto the new world's gradient workers.
+fn triangular_fp16_resize_is_bitwise_transparent() {
+    // HYBRID-OPT 4 → 8 on the triangular fp16 factor wire (the one
+    // `bert_mem_opt_accum` runs): the packed-and-quantized factors and the
+    // eigen caches restore onto the new world's gradient workers.
     let kc = KfacConfig::builder()
         .strategy(DistStrategy::HybridOpt)
         .grad_worker_frac(0.5)
         .factor_update_freq(2)
         .inv_update_freq(4)
-        .use_eigen(false)
+        .precision(Precision::Fp16)
         .triangular_comm(true)
         .build();
     let mid = reference_segment(&kc, 4, 0, PAUSE_AT, None);
@@ -207,8 +208,9 @@ fn direct_inverse_triangular_resize_is_bitwise_transparent() {
     let mgr = JobManager::new(ServeConfig::default());
     let id = mgr.run_to_completion(job_spec(kc, 4, 8)).expect("admitted");
     let served = mgr.final_params(id).expect("final checkpoint");
+    assert_eq!(served.len(), reference.params.len());
     for (i, (s, r)) in served.iter().zip(&reference.params).enumerate() {
-        assert_eq!(s.to_bits(), r.to_bits(), "direct-inverse param {i} diverged");
+        assert_eq!(s.to_bits(), r.to_bits(), "triangular fp16 param {i} diverged");
     }
 }
 
