@@ -11,11 +11,10 @@
 //! one engine and has no options: [`ThreadComm::world`], [`ThreadComm::run`]
 //! and [`RankPool::new`] are the whole construction surface.
 //!
-//! Every collective is metered: byte volume, operation counts, and a
-//! *simulated wall time* from an α–β (latency–bandwidth) cost model with
-//! tree/ring collective algorithms. The simulated clock is what the
-//! figure-regeneration harness reads to reproduce the paper's timing results
-//! at scales (64–448 GPUs) this machine cannot physically host.
+//! Every collective is metered: operation counts and byte volume, per
+//! collective type and per issuing [`CommTag`]. The α–β (latency–bandwidth)
+//! model that prices collectives at scales (64–448 GPUs) this machine cannot
+//! host lives in `kaisa-sim`, its one reader.
 //!
 //! ## Example
 //! ```
@@ -35,7 +34,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cost_model;
 mod group;
 mod local;
 mod meter;
@@ -44,7 +42,6 @@ mod ring_comm;
 pub mod spsc;
 mod thread_comm;
 
-pub use cost_model::{ClusterNetwork, CollectiveAlgorithm, CollectiveCostModel};
 pub use local::LocalComm;
 pub use meter::{CommEvent, CommOp, CommTag, Meter, MeterSnapshot};
 pub use pool::RankPool;
@@ -204,9 +201,4 @@ pub trait Communicator: Send + Sync {
 
     /// Snapshot of this communicator's traffic meter.
     fn meter_snapshot(&self) -> MeterSnapshot;
-
-    /// Simulated communication seconds accumulated by the cost model.
-    fn simulated_seconds(&self) -> f64 {
-        self.meter_snapshot().simulated_seconds
-    }
 }

@@ -69,6 +69,6 @@ mod tests {
         comm.broadcast(&mut buf, 0);
         assert_eq!(buf, vec![1.0, 2.0]);
         assert_eq!(comm.allgather(&buf), buf);
-        assert_eq!(comm.simulated_seconds(), 0.0);
+        assert_eq!(comm.meter_snapshot(), MeterSnapshot::default());
     }
 }

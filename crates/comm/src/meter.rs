@@ -1,10 +1,9 @@
 //! Traffic metering for collectives.
 //!
 //! Each communicator owns a meter that records, per collective type, the
-//! number of invocations, total payload bytes, and the simulated seconds the
-//! α–β cost model assigns. Every event also carries a [`CommTag`] naming the
-//! pipeline stage that issued it, so the figure harness can break iteration
-//! time and byte volume into the stages of Figure 7 of the paper.
+//! number of invocations and total payload bytes. Every event also carries a
+//! [`CommTag`] naming the pipeline stage that issued it, so the figure
+//! harness can break byte volume into the stages of Figure 7 of the paper.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -121,10 +120,6 @@ pub struct CommEvent {
     /// payload `n`; allgather charges one rank's contribution; a barrier
     /// charges nothing.
     pub bytes: usize,
-    /// Size of the participating group.
-    pub group_size: usize,
-    /// Simulated seconds charged by the cost model.
-    pub seconds: f64,
     /// Pipeline stage that issued the collective.
     pub tag: CommTag,
 }
@@ -132,18 +127,14 @@ pub struct CommEvent {
 const N_OPS: usize = 4;
 const N_TAGS: usize = 7;
 
-/// Lock-free accumulation of communication statistics.
-///
-/// Seconds are stored as nanoseconds in a `u64` so the whole meter stays
-/// atomic (guide: prefer fetch-add counters over a mutex for statistics).
+/// Lock-free accumulation of communication statistics: fetch-add counters,
+/// no mutex.
 #[derive(Debug, Default)]
 pub struct Meter {
     calls: [AtomicU64; N_OPS],
     bytes: [AtomicU64; N_OPS],
-    nanos: [AtomicU64; N_OPS],
     tag_calls: [AtomicU64; N_TAGS],
     tag_bytes: [AtomicU64; N_TAGS],
-    tag_nanos: [AtomicU64; N_TAGS],
 }
 
 impl Meter {
@@ -157,11 +148,9 @@ impl Meter {
         let s = event.op.slot();
         self.calls[s].fetch_add(1, Ordering::Relaxed);
         self.bytes[s].fetch_add(event.bytes as u64, Ordering::Relaxed);
-        self.nanos[s].fetch_add((event.seconds * 1e9) as u64, Ordering::Relaxed);
         let t = event.tag.slot();
         self.tag_calls[t].fetch_add(1, Ordering::Relaxed);
         self.tag_bytes[t].fetch_add(event.bytes as u64, Ordering::Relaxed);
-        self.tag_nanos[t].fetch_add((event.seconds * 1e9) as u64, Ordering::Relaxed);
     }
 
     /// Consistent-enough snapshot for reporting (counters are monotone).
@@ -171,15 +160,12 @@ impl Meter {
             let s = op.slot();
             snap.calls[s] = self.calls[s].load(Ordering::Relaxed);
             snap.bytes[s] = self.bytes[s].load(Ordering::Relaxed);
-            snap.seconds[s] = self.nanos[s].load(Ordering::Relaxed) as f64 * 1e-9;
         }
         for tag in CommTag::ALL {
             let t = tag.slot();
             snap.tag_calls[t] = self.tag_calls[t].load(Ordering::Relaxed);
             snap.tag_bytes[t] = self.tag_bytes[t].load(Ordering::Relaxed);
-            snap.tag_seconds[t] = self.tag_nanos[t].load(Ordering::Relaxed) as f64 * 1e-9;
         }
-        snap.simulated_seconds = snap.seconds.iter().sum();
         snap
     }
 
@@ -188,27 +174,21 @@ impl Meter {
         for s in 0..N_OPS {
             self.calls[s].store(0, Ordering::Relaxed);
             self.bytes[s].store(0, Ordering::Relaxed);
-            self.nanos[s].store(0, Ordering::Relaxed);
         }
         for t in 0..N_TAGS {
             self.tag_calls[t].store(0, Ordering::Relaxed);
             self.tag_bytes[t].store(0, Ordering::Relaxed);
-            self.tag_nanos[t].store(0, Ordering::Relaxed);
         }
     }
 }
 
 /// Point-in-time copy of a [`Meter`].
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MeterSnapshot {
     calls: [u64; N_OPS],
     bytes: [u64; N_OPS],
-    seconds: [f64; N_OPS],
     tag_calls: [u64; N_TAGS],
     tag_bytes: [u64; N_TAGS],
-    tag_seconds: [f64; N_TAGS],
-    /// Total simulated communication seconds across all collectives.
-    pub simulated_seconds: f64,
 }
 
 impl MeterSnapshot {
@@ -222,11 +202,6 @@ impl MeterSnapshot {
         self.bytes[op.slot()]
     }
 
-    /// Simulated seconds for one collective type.
-    pub fn seconds(&self, op: CommOp) -> f64 {
-        self.seconds[op.slot()]
-    }
-
     /// Invocation count attributed to one pipeline stage.
     pub fn tag_calls(&self, tag: CommTag) -> u64 {
         self.tag_calls[tag.slot()]
@@ -235,11 +210,6 @@ impl MeterSnapshot {
     /// Payload bytes attributed to one pipeline stage.
     pub fn tag_bytes(&self, tag: CommTag) -> u64 {
         self.tag_bytes[tag.slot()]
-    }
-
-    /// Simulated seconds attributed to one pipeline stage.
-    pub fn tag_seconds(&self, tag: CommTag) -> f64 {
-        self.tag_seconds[tag.slot()]
     }
 
     /// Total payload bytes across all collectives.
@@ -253,14 +223,11 @@ impl MeterSnapshot {
         for s in 0..N_OPS {
             out.calls[s] = self.calls[s].saturating_sub(earlier.calls[s]);
             out.bytes[s] = self.bytes[s].saturating_sub(earlier.bytes[s]);
-            out.seconds[s] = (self.seconds[s] - earlier.seconds[s]).max(0.0);
         }
         for t in 0..N_TAGS {
             out.tag_calls[t] = self.tag_calls[t].saturating_sub(earlier.tag_calls[t]);
             out.tag_bytes[t] = self.tag_bytes[t].saturating_sub(earlier.tag_bytes[t]);
-            out.tag_seconds[t] = (self.tag_seconds[t] - earlier.tag_seconds[t]).max(0.0);
         }
-        out.simulated_seconds = out.seconds.iter().sum();
         out
     }
 }
@@ -272,59 +239,21 @@ mod tests {
     #[test]
     fn record_and_snapshot() {
         let m = Meter::new();
-        m.record(CommEvent {
-            op: CommOp::Allreduce,
-            bytes: 100,
-            group_size: 4,
-            seconds: 0.5,
-            tag: CommTag::FactorComm,
-        });
-        m.record(CommEvent {
-            op: CommOp::Allreduce,
-            bytes: 50,
-            group_size: 4,
-            seconds: 0.25,
-            tag: CommTag::FactorComm,
-        });
-        m.record(CommEvent {
-            op: CommOp::Broadcast,
-            bytes: 10,
-            group_size: 2,
-            seconds: 0.1,
-            tag: CommTag::EigComm,
-        });
+        m.record(CommEvent { op: CommOp::Allreduce, bytes: 100, tag: CommTag::FactorComm });
+        m.record(CommEvent { op: CommOp::Allreduce, bytes: 50, tag: CommTag::FactorComm });
+        m.record(CommEvent { op: CommOp::Broadcast, bytes: 10, tag: CommTag::EigComm });
         let s = m.snapshot();
         assert_eq!(s.calls(CommOp::Allreduce), 2);
         assert_eq!(s.bytes(CommOp::Allreduce), 150);
-        assert!((s.seconds(CommOp::Allreduce) - 0.75).abs() < 1e-6);
         assert_eq!(s.total_bytes(), 160);
-        assert!((s.simulated_seconds - 0.85).abs() < 1e-6);
     }
 
     #[test]
     fn tags_partition_traffic() {
         let m = Meter::new();
-        m.record(CommEvent {
-            op: CommOp::Allreduce,
-            bytes: 64,
-            group_size: 4,
-            seconds: 0.2,
-            tag: CommTag::FactorComm,
-        });
-        m.record(CommEvent {
-            op: CommOp::Broadcast,
-            bytes: 32,
-            group_size: 4,
-            seconds: 0.1,
-            tag: CommTag::GradComm,
-        });
-        m.record(CommEvent {
-            op: CommOp::Broadcast,
-            bytes: 16,
-            group_size: 2,
-            seconds: 0.05,
-            tag: CommTag::EigComm,
-        });
+        m.record(CommEvent { op: CommOp::Allreduce, bytes: 64, tag: CommTag::FactorComm });
+        m.record(CommEvent { op: CommOp::Broadcast, bytes: 32, tag: CommTag::GradComm });
+        m.record(CommEvent { op: CommOp::Broadcast, bytes: 16, tag: CommTag::EigComm });
         let s = m.snapshot();
         assert_eq!(s.tag_bytes(CommTag::FactorComm), 64);
         assert_eq!(s.tag_bytes(CommTag::GradComm), 32);
@@ -339,26 +268,13 @@ mod tests {
     #[test]
     fn delta_between_snapshots() {
         let m = Meter::new();
-        m.record(CommEvent {
-            op: CommOp::Broadcast,
-            bytes: 8,
-            group_size: 2,
-            seconds: 0.1,
-            tag: CommTag::Untagged,
-        });
+        m.record(CommEvent { op: CommOp::Broadcast, bytes: 8, tag: CommTag::Untagged });
         let before = m.snapshot();
-        m.record(CommEvent {
-            op: CommOp::Broadcast,
-            bytes: 24,
-            group_size: 2,
-            seconds: 0.3,
-            tag: CommTag::GradComm,
-        });
+        m.record(CommEvent { op: CommOp::Broadcast, bytes: 24, tag: CommTag::GradComm });
         let after = m.snapshot();
         let d = after.delta_since(&before);
         assert_eq!(d.calls(CommOp::Broadcast), 1);
         assert_eq!(d.bytes(CommOp::Broadcast), 24);
-        assert!((d.seconds(CommOp::Broadcast) - 0.3).abs() < 1e-6);
         assert_eq!(d.tag_bytes(CommTag::GradComm), 24);
         assert_eq!(d.tag_bytes(CommTag::Untagged), 0);
     }
@@ -366,13 +282,7 @@ mod tests {
     #[test]
     fn reset_zeroes() {
         let m = Meter::new();
-        m.record(CommEvent {
-            op: CommOp::Barrier,
-            bytes: 0,
-            group_size: 8,
-            seconds: 0.0,
-            tag: CommTag::Untagged,
-        });
+        m.record(CommEvent { op: CommOp::Barrier, bytes: 0, tag: CommTag::Untagged });
         m.reset();
         assert_eq!(m.snapshot().calls(CommOp::Barrier), 0);
         assert_eq!(m.snapshot().tag_calls(CommTag::Untagged), 0);

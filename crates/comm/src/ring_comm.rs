@@ -48,7 +48,7 @@ use std::time::Duration;
 use crate::group::GroupId;
 use crate::meter::{CommEvent, CommOp, CommTag, Meter};
 use crate::spsc::{self, CachePadded, Consumer, Producer};
-use crate::{CollectiveCostModel, ReduceOp};
+use crate::ReduceOp;
 
 /// Messages each ordered rank-pair ring holds (a power of two).
 pub(crate) const RING_CAPACITY: usize = 256;
@@ -404,7 +404,6 @@ impl RingHandle {
         &mut self,
         shared: &RingShared,
         meter: &Meter,
-        cost: &CollectiveCostModel,
         gid: GroupId,
         seq: u64,
     ) -> Arc<[f32]> {
@@ -444,7 +443,7 @@ impl RingHandle {
                     }
                 }
                 parts.insert(self.rank, own);
-                self.finish_as_leader(shared, meter, cost, gid, seq, kind, parts, &members, tag)
+                self.finish_as_leader(shared, meter, gid, seq, kind, parts, &members, tag)
             }
         }
     }
@@ -456,7 +455,6 @@ impl RingHandle {
         &mut self,
         shared: &RingShared,
         meter: &Meter,
-        cost: &CollectiveCostModel,
         gid: GroupId,
         seq: u64,
         kind: OpKind,
@@ -469,13 +467,7 @@ impl RingHandle {
             OpKind::Allreduce(op) => {
                 let result: Arc<[f32]> = reduce_scaled(&parts, op, p).into();
                 let bytes = std::mem::size_of::<f32>() * result.len();
-                meter.record(CommEvent {
-                    op: CommOp::Allreduce,
-                    bytes,
-                    group_size: p,
-                    seconds: cost.allreduce(bytes, p),
-                    tag,
-                });
+                meter.record(CommEvent { op: CommOp::Allreduce, bytes, tag });
                 for &m in members {
                     if m != self.rank {
                         self.push_quiet(shared, m, Message { gid, seq, data: Arc::clone(&result) });
@@ -492,13 +484,7 @@ impl RingHandle {
                 let out: Arc<[f32]> = gathered.into();
                 let bytes =
                     std::mem::size_of::<f32>() * parts.get(&self.rank).map_or(0, |a| a.len());
-                meter.record(CommEvent {
-                    op: CommOp::Allgather,
-                    bytes,
-                    group_size: p,
-                    seconds: cost.allgather(bytes, p),
-                    tag,
-                });
+                meter.record(CommEvent { op: CommOp::Allgather, bytes, tag });
                 for &m in members {
                     if m != self.rank {
                         self.push_quiet(shared, m, Message { gid, seq, data: Arc::clone(&out) });

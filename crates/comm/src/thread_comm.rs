@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use crate::group::{GroupTable, HandleGroups};
 use crate::meter::{CommEvent, CommOp, CommTag, Meter, MeterSnapshot};
 use crate::ring_comm::{self, OpKind, RingHandle, RingShared, Role};
-use crate::{CollectiveCostModel, Communicator, PendingCollective, ReduceOp};
+use crate::{Communicator, PendingCollective, ReduceOp};
 
 struct CommCore {
     world: usize,
@@ -20,7 +20,6 @@ struct CommCore {
     /// Park/unpark plumbing shared by every rank's ring endpoints.
     ring: RingShared,
     meter: Meter,
-    cost: CollectiveCostModel,
 }
 
 /// Rank-local mutable state (interior mutability because trait methods take
@@ -38,8 +37,8 @@ struct HandleState {
 ///
 /// Create a full world with [`ThreadComm::world`] (one handle per rank) or
 /// run a closure on every rank with [`ThreadComm::run`]. Handles share the
-/// group table and the traffic meter, whose simulated clock is the default
-/// [`CollectiveCostModel`]; each handle is owned by exactly one thread.
+/// group table and the traffic meter; each handle is owned by exactly one
+/// thread.
 ///
 /// Collectives come in blocking form ([`Communicator::allreduce_group`],
 /// [`Communicator::broadcast_group`]) and split begin/complete form
@@ -64,7 +63,6 @@ impl ThreadComm {
             groups: GroupTable::default(),
             ring: RingShared::new(n),
             meter: Meter::new(),
-            cost: CollectiveCostModel::default(),
         });
         ring_comm::build_mesh(n)
             .into_iter()
@@ -164,13 +162,7 @@ impl Communicator for ThreadComm {
             return PendingCollective::in_flight((gid, seq), tag);
         }
         let bytes = std::mem::size_of_val(buf);
-        self.core.meter.record(CommEvent {
-            op: CommOp::Broadcast,
-            bytes,
-            group_size: p,
-            seconds: self.core.cost.broadcast(bytes, p),
-            tag,
-        });
+        self.core.meter.record(CommEvent { op: CommOp::Broadcast, bytes, tag });
         st.ring.scatter_payload(&self.core.ring, gid, seq, &members, buf);
         // The root's buffer already holds the payload.
         PendingCollective::noop(tag)
@@ -187,13 +179,8 @@ impl Communicator for ThreadComm {
         };
         let (gid, seq) = ticket.key;
         let core = &*self.core;
-        let payload = self.state.lock().unwrap().ring.complete_vec(
-            &core.ring,
-            &core.meter,
-            &core.cost,
-            gid,
-            seq,
-        );
+        let payload =
+            self.state.lock().unwrap().ring.complete_vec(&core.ring, &core.meter, gid, seq);
         buf.copy_from_slice(&payload);
     }
 
@@ -208,7 +195,7 @@ impl Communicator for ThreadComm {
         let core = &*self.core;
         let kind = OpKind::Allgather;
         ring.begin_to_leader(&core.ring, (gid, seq), kind, send, members, CommTag::Untagged);
-        ring.complete_vec(&core.ring, &core.meter, &core.cost, gid, seq).to_vec()
+        ring.complete_vec(&core.ring, &core.meter, gid, seq).to_vec()
     }
 
     fn barrier(&self) {
@@ -227,8 +214,6 @@ impl Communicator for ThreadComm {
             self.core.meter.record(CommEvent {
                 op: CommOp::Barrier,
                 bytes: 0,
-                group_size: p,
-                seconds: self.core.cost.barrier(p),
                 tag: CommTag::Untagged,
             });
         });
@@ -370,8 +355,7 @@ mod tests {
         // One blocking collective of each kind at world 3, metered once per
         // collective (not per rank) under these byte conventions:
         // allreduce and broadcast charge the payload, allgather one rank's
-        // contribution, a barrier nothing. The simulated clock charges the
-        // default α–β model for each.
+        // contribution, a barrier nothing.
         let comms = ThreadComm::world(3);
         std::thread::scope(|s| {
             for comm in &comms {
@@ -385,18 +369,15 @@ mod tests {
             }
         });
         let snap = comms[0].meter_snapshot();
-        let cost = CollectiveCostModel::default();
         let expected = [
-            (CommOp::Allreduce, 1, 64, cost.allreduce(64, 3)),
-            (CommOp::Broadcast, 1, 64, cost.broadcast(64, 3)),
-            (CommOp::Allgather, 1, 16, cost.allgather(16, 3)),
-            (CommOp::Barrier, 1, 0, cost.barrier(3)),
+            (CommOp::Allreduce, 1, 64),
+            (CommOp::Broadcast, 1, 64),
+            (CommOp::Allgather, 1, 16),
+            (CommOp::Barrier, 1, 0),
         ];
-        for (op, calls, bytes, seconds) in expected {
+        for (op, calls, bytes) in expected {
             assert_eq!(snap.calls(op), calls, "{op:?} calls");
             assert_eq!(snap.bytes(op), bytes, "{op:?} bytes");
-            // The meter stores whole nanoseconds per event.
-            assert!((snap.seconds(op) - seconds).abs() < 4e-9, "{op:?} seconds");
         }
         assert_eq!(snap.tag_calls(CommTag::Untagged), 4);
         assert_eq!(snap.tag_bytes(CommTag::Untagged), 64 + 64 + 16);

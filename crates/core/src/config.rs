@@ -30,7 +30,9 @@ pub struct KfacConfig {
     /// Exponential decay of the running factor averages
     /// (`A ← decay·A + (1-decay)·Â`).
     pub factor_decay: f32,
-    /// KL-clip constant for gradient scaling; `None` disables scaling.
+    /// KL-clip constant for gradient scaling; `None` disables scaling. A
+    /// constant must be positive: zero would zero every preconditioned
+    /// gradient, and a negative or NaN one would silently disable clipping.
     pub kl_clip: Option<f32>,
     /// Iterations between factor updates (Table 2's `F_freq`).
     pub factor_update_freq: usize,
@@ -87,6 +89,7 @@ impl KfacConfig {
         assert!(self.grad_worker_frac > 0.0, "grad_worker_frac must be positive");
         assert!(self.damping > 0.0, "damping must be positive");
         assert!((0.0..1.0).contains(&self.factor_decay), "factor_decay must be in [0, 1)");
+        assert!(self.kl_clip.is_none_or(|c| c > 0.0), "kl_clip must be positive (or None)");
         assert!(self.factor_update_freq > 0, "factor_update_freq must be positive");
         assert!(self.inv_update_freq > 0, "inv_update_freq must be positive");
         assert!(
@@ -219,6 +222,16 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_frac_rejected() {
         let _ = KfacConfig::builder().grad_worker_frac(0.0).build();
+    }
+
+    #[test]
+    fn non_positive_or_nan_kl_clip_rejected() {
+        for clip in [-1.0, 0.0, f32::NAN] {
+            let built =
+                std::panic::catch_unwind(|| KfacConfig::builder().kl_clip(Some(clip)).build());
+            assert!(built.is_err(), "kl_clip Some({clip}) was accepted");
+        }
+        let _ = KfacConfig::builder().kl_clip(None).build();
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod assignment;
 mod checkpoint;
 mod config;
 mod memory;
-pub mod pipeline;
+mod pipeline;
 mod preconditioner;
 mod state;
 pub mod strategy;
@@ -52,7 +52,6 @@ pub use assignment::{plan_assignments, AssignmentStrategy, LayerAssignment, Work
 pub use checkpoint::{KfacCheckpoint, LayerCheckpoint};
 pub use config::{KfacConfig, KfacConfigBuilder};
 pub use memory::{MemoryBudget, MemoryCategory, MemoryMeter};
-pub use pipeline::PipelineStage;
 pub use preconditioner::Kfac;
 pub use state::KfacLayerState;
 pub use strategy::{effective_worker_frac, StrategyPlan};
@@ -125,28 +124,6 @@ impl std::fmt::Display for DistStrategy {
     }
 }
 
-impl std::str::FromStr for DistStrategy {
-    type Err = String;
-
-    /// Parse a strategy from its display name (`"MEM-OPT"`, `"COMM-OPT"`,
-    /// `"HYBRID-OPT"`, `"LOCAL-OPT"`), case-insensitively and with `_` or
-    /// nothing accepted in place of the hyphen — so `Display` output always
-    /// round-trips and CLI flags stay forgiving.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let canon: String =
-            s.chars().filter(|c| *c != '-' && *c != '_').collect::<String>().to_ascii_lowercase();
-        match canon.as_str() {
-            "memopt" | "mem" => Ok(DistStrategy::MemOpt),
-            "commopt" | "comm" => Ok(DistStrategy::CommOpt),
-            "hybridopt" | "hybrid" => Ok(DistStrategy::HybridOpt),
-            "localopt" | "local" => Ok(DistStrategy::LocalOpt),
-            _ => Err(format!(
-                "unknown strategy {s:?} (expected MEM-OPT, COMM-OPT, HYBRID-OPT, or LOCAL-OPT)"
-            )),
-        }
-    }
-}
-
 /// Number of gradient workers for a fraction and world size:
 /// `max(1, round(frac * world))`, clamped to the world (paper Section 3.1).
 pub fn gradient_worker_count(frac: f64, world: usize) -> usize {
@@ -199,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn strategy_names_round_trip_through_fromstr() {
+    fn strategy_display_is_its_name() {
         let all = [
             DistStrategy::MemOpt,
             DistStrategy::CommOpt,
@@ -207,14 +184,8 @@ mod tests {
             DistStrategy::LocalOpt,
         ];
         for s in all {
-            // Display → FromStr is the identity.
-            assert_eq!(s.name().parse::<DistStrategy>().unwrap(), s);
-            assert_eq!(s.to_string().parse::<DistStrategy>().unwrap(), s);
-            // Forgiving spellings parse too.
-            assert_eq!(s.name().to_lowercase().parse::<DistStrategy>().unwrap(), s);
-            assert_eq!(s.name().replace('-', "_").parse::<DistStrategy>().unwrap(), s);
+            assert_eq!(s.to_string(), s.name());
         }
-        assert_eq!("local".parse::<DistStrategy>().unwrap(), DistStrategy::LocalOpt);
-        assert!("fastest".parse::<DistStrategy>().is_err());
+        assert_eq!(DistStrategy::HybridOpt.to_string(), "HYBRID-OPT");
     }
 }

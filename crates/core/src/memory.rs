@@ -22,20 +22,12 @@ pub enum MemoryCategory {
     /// Preconditioned gradients alive between preconditioning and the
     /// KL-clip write-back.
     PrecondGrads,
-    /// Buffers layers keep between steps only to compute their statistics
-    /// (`KfacAble::capture_scratch_bytes`). Zero for every layer in
-    /// `kaisa-nn`; the category is where such a buffer must show up.
-    CaptureScratch,
 }
 
 impl MemoryCategory {
     /// Every category, in display order.
-    pub const ALL: [MemoryCategory; 4] = [
-        MemoryCategory::Factors,
-        MemoryCategory::Eigens,
-        MemoryCategory::PrecondGrads,
-        MemoryCategory::CaptureScratch,
-    ];
+    pub const ALL: [MemoryCategory; 3] =
+        [MemoryCategory::Factors, MemoryCategory::Eigens, MemoryCategory::PrecondGrads];
 
     /// Human-readable category name (figure/table labels).
     pub fn name(self) -> &'static str {
@@ -43,7 +35,6 @@ impl MemoryCategory {
             MemoryCategory::Factors => "factors",
             MemoryCategory::Eigens => "eigens",
             MemoryCategory::PrecondGrads => "precond grads",
-            MemoryCategory::CaptureScratch => "capture scratch",
         }
     }
 
@@ -52,7 +43,6 @@ impl MemoryCategory {
             MemoryCategory::Factors => 0,
             MemoryCategory::Eigens => 1,
             MemoryCategory::PrecondGrads => 2,
-            MemoryCategory::CaptureScratch => 3,
         }
     }
 }
@@ -63,8 +53,8 @@ impl MemoryCategory {
 /// mark.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryMeter {
-    current: [usize; 4],
-    peak: [usize; 4],
+    current: [usize; 3],
+    peak: [usize; 3],
 }
 
 impl MemoryMeter {

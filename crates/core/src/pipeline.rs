@@ -1,4 +1,11 @@
-//! The live pipelined executor: layer sweeps over non-blocking collectives.
+//! The pipelined executor behind [`crate::Kfac::step`]: layer sweeps over
+//! non-blocking collectives.
+//!
+//! The serial K-FAC step walks every layer through its stages in strict
+//! order, blocking at each collective. But the stages of *different layers*
+//! are largely independent: layer `i`'s factor allreduce can be in flight
+//! while layer `i+1` finalizes its statistics, and the eigendecomposition
+//! broadcasts of one layer can overlap another layer's eigensolve.
 //!
 //! Each phase of `Kfac::step` becomes two or three *sweeps* over the layers.
 //! An early sweep runs a layer's local compute and immediately `begin`s the
@@ -20,6 +27,8 @@
 //!   `crate::state`, quantize at identical points, and the allreduce
 //!   reduction itself is rank-order deterministic — so reordering
 //!   initiation/completion cannot change a single bit of the result.
+//!   `tests/pipeline_equivalence.rs` property-tests serial ≡ pipelined
+//!   across strategies, world sizes, precisions, and comm layouts.
 
 use kaisa_comm::{CommTag, Communicator, PendingCollective, ReduceOp};
 use kaisa_tensor::Matrix;

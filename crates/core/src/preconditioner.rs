@@ -125,12 +125,6 @@ impl Kfac {
         self.strat.strategy
     }
 
-    /// The resolved strategy plan all executors consume (inspection /
-    /// tests).
-    pub fn strategy_plan(&self) -> &StrategyPlan {
-        &self.strat
-    }
-
     /// The computed work plan (placement inspection / tests).
     pub fn plan(&self) -> &WorkPlan {
         &self.plan
@@ -182,13 +176,6 @@ impl Kfac {
         self.mem.set(MemoryCategory::Eigens, eig);
     }
 
-    /// Refresh the meter's capture-scratch residency from what the layers
-    /// report; called wherever the executor already holds the layer list.
-    pub(crate) fn note_capture_residency(&mut self, layers: &[&mut dyn kaisa_nn::KfacAble]) {
-        let bytes = layers.iter().map(|l| l.capture_scratch_bytes()).sum();
-        self.mem.set(MemoryCategory::CaptureScratch, bytes);
-    }
-
     /// Arm statistic capture on the model if the *upcoming* step is a
     /// factor-update step. Call before every forward pass (cheap).
     pub fn prepare<M: Model>(&self, model: &mut M) {
@@ -215,7 +202,6 @@ impl Kfac {
         let inv_step = self.is_inv_update_step();
         let mut layers = model.kfac_layers();
         assert_eq!(layers.len(), self.states.len(), "layer set changed after registration");
-        self.note_capture_residency(&layers);
 
         // The one strategy dispatch: every executor consumes the resolved
         // `StrategyPlan` instead of re-deriving the strategy from config

@@ -11,10 +11,10 @@
 //! | [`core`](mod@core) | The KAISA preconditioner: [`core::Kfac`], MEM-OPT / COMM-OPT / HYBRID-OPT placement, LPT distribution |
 //! | [`nn`] | Layers with K-FAC capture and the four application models |
 //! | [`optim`] | SGD / Adam / LAMB and learning-rate schedules |
-//! | [`comm`] | Thread-rank collectives with traffic metering and α–β cost models |
+//! | [`comm`] | Thread-rank collectives with traffic metering (calls and bytes) |
 //! | [`trainer`] | Distributed training harness with convergence tracking |
 //! | [`data`] | Deterministic synthetic datasets and shard samplers |
-//! | [`sim`] | Large-scale performance/memory simulator (Figures 6–8, Tables 4–5) |
+//! | [`sim`] | Large-scale performance/memory simulator with α–β collective cost models (Figures 6–8, Tables 4–5) |
 //! | [`tensor`], [`linalg`] | Dense kernels, fp16 emulation, symmetric eigensolver |
 //!
 //! ## Quickstart (the paper's Listing 1, in Rust)
@@ -64,7 +64,7 @@ pub use kaisa_linalg as linalg;
 /// Neural-network layers, models, and losses with K-FAC capture.
 pub use kaisa_nn as nn;
 
-/// Thread-rank collective communication and cost models.
+/// Thread-rank collective communication and traffic metering.
 pub use kaisa_comm as comm;
 
 /// The KAISA K-FAC preconditioner (the paper's contribution).

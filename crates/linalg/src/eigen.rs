@@ -222,17 +222,6 @@ impl SymEig {
         }
         scaled.matmul_nt(&self.vectors)
     }
-
-    /// The condition number `|λ_max| / |λ_min|` (infinite if singular).
-    pub fn condition_number(&self) -> f32 {
-        let max = self.values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let min = self.values.iter().fold(f32::INFINITY, |m, v| m.min(v.abs()));
-        if min == 0.0 {
-            f32::INFINITY
-        } else {
-            max / min
-        }
-    }
 }
 
 /// The solver body: widen `m` (square, non-empty) into `scratch`, then

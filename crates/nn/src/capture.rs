@@ -293,14 +293,6 @@ pub trait KfacAble {
     /// Overwrite the layer gradient from a combined `g_dim x a_dim` matrix
     /// (the preconditioned gradient coming back from K-FAC).
     fn set_combined_grad(&mut self, grad: &Matrix);
-
-    /// Bytes of buffers the layer keeps between steps only to compute its
-    /// statistics; the preconditioner meters them under its capture-scratch
-    /// memory category. No layer in this crate holds any: Linear and Conv2d
-    /// both take `A` from the matrix their forward pass multiplies by.
-    fn capture_scratch_bytes(&self) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]

@@ -9,15 +9,6 @@
 //! the preconditioned-gradient broadcast complexity from `O(log p)` to
 //! `O(log (p/g))`.
 
-/// Which algorithm a collective uses, for cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectiveAlgorithm {
-    /// Binomial (minimum-spanning) tree: `⌈log₂ p⌉` rounds.
-    BinomialTree,
-    /// Bandwidth-optimal ring: `p-1` rounds of `n/p` chunks.
-    Ring,
-}
-
 /// Latency–bandwidth model of one network link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterNetwork {
@@ -38,12 +29,6 @@ impl ClusterNetwork {
     /// effective, lower launch latency.
     pub fn dgx_a100() -> Self {
         ClusterNetwork { latency_s: 10e-6, seconds_per_byte: 1.0 / 25e9 }
-    }
-
-    /// Commodity 10 GbE for the "high communication cost" environments the
-    /// paper's conclusion targets.
-    pub fn ethernet_10g() -> Self {
-        ClusterNetwork { latency_s: 50e-6, seconds_per_byte: 1.0 / 1.25e9 }
     }
 
     /// Point-to-point cost of one `n`-byte message.
@@ -105,12 +90,6 @@ impl CollectiveCostModel {
         }
         let rounds = (usize::BITS - (p - 1).leading_zeros()) as f64;
         rounds * self.network.latency_s
-    }
-}
-
-impl Default for CollectiveCostModel {
-    fn default() -> Self {
-        CollectiveCostModel::new(ClusterNetwork::infiniband_edr())
     }
 }
 
@@ -176,9 +155,7 @@ mod tests {
     fn presets_are_ordered_by_speed() {
         let ib = ClusterNetwork::infiniband_edr();
         let dgx = ClusterNetwork::dgx_a100();
-        let eth = ClusterNetwork::ethernet_10g();
         let n = 1 << 24;
         assert!(dgx.p2p(n) < ib.p2p(n));
-        assert!(ib.p2p(n) < eth.p2p(n));
     }
 }

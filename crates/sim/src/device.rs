@@ -1,6 +1,6 @@
 //! GPU and cluster device models.
 
-use kaisa_comm::ClusterNetwork;
+use crate::cost_model::ClusterNetwork;
 
 /// Performance model of one accelerator.
 #[derive(Debug, Clone, Copy, PartialEq)]

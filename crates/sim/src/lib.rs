@@ -11,8 +11,8 @@
 //!   K-FAC factor dimension is derived from the real architecture;
 //! * **device models** of the V100-16GB and A100-40GB (peak FLOP/s,
 //!   achievable efficiency for GEMM vs. eigendecomposition, memory);
-//! * **α–β collective cost models** (tree broadcast, ring allreduce) shared
-//!   with `kaisa-comm`;
+//! * **α–β collective cost models** (tree broadcast, ring allreduce,
+//!   [`CollectiveCostModel`]) over a [`ClusterNetwork`] link model;
 //! * the **actual placement plan** from `kaisa-core` (gradient-worker sets,
 //!   LPT eigendecomposition assignment), so the simulated eigendecomposition
 //!   makespan and per-rank preconditioning load are the ones KAISA would
@@ -24,11 +24,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cost_model;
 mod device;
 pub mod experiments;
 mod inventory;
 mod strategy_sim;
 
+pub use cost_model::{ClusterNetwork, CollectiveCostModel};
 pub use device::{ClusterSpec, GpuSpec};
 pub use inventory::{LayerShape, ModelInventory};
 pub use strategy_sim::{IterationBreakdown, MemoryBreakdown, SimParams, Simulator};

@@ -1,8 +1,8 @@
 //! The per-iteration time and per-rank memory model.
 
-use kaisa_comm::CollectiveCostModel;
 use kaisa_core::{plan_assignments, AssignmentStrategy, WorkPlan};
 
+use crate::cost_model::CollectiveCostModel;
 use crate::device::ClusterSpec;
 use crate::inventory::ModelInventory;
 

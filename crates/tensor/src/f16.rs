@@ -134,14 +134,10 @@ pub fn quantize_f16(value: f32) -> f32 {
 /// This is the hot path of fp16 factor packing/unpacking: on x86-64 with
 /// AVX2 it rounds 8 lanes per instruction through the vector quantizer in
 /// `crate::simd`, which mirrors [`F16::from_f32`]/[`F16::to_f32`] bit for
-/// bit (property-tested). Selecting the `naive` kernel via
-/// `KAISA_GEMM_KERNEL` forces the scalar reference here too, so `naive`
-/// restores the fully scalar process.
+/// bit (property-tested).
 pub fn quantize_slice_f16(values: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if crate::gemm::gemm_kernel() != crate::gemm::GemmKernel::Naive
-        && crate::simd::quantize_slice_f16_avx2(values)
-    {
+    if crate::simd::quantize_slice_f16_avx2(values) {
         return;
     }
     quantize_slice_f16_scalar(values);

@@ -5,8 +5,9 @@
 //! are `Aᵀ·B` (factor statistics `aᵀa`, `gᵀg`) and plain products
 //! (preconditioning `Qᵀ·∇L·Q`), so those avoid materializing transposes.
 //!
-//! Two kernel families sit behind each entry point, selected by
-//! [`GemmKernel`] (env `KAISA_GEMM_KERNEL`, read once per process):
+//! Two kernel families sit behind each entry point, selected by the
+//! [`GemmKernel`] argument of its `_with` form; the plain entry points run
+//! [`GemmKernel::Auto`]:
 //!
 //! * **naive** — the original i-k-j / k-i-j / dot-product loops. These are
 //!   the reference implementation the blocked path is property-tested
@@ -41,7 +42,7 @@
 //! per-thread grow-only scratch.
 
 use std::cell::Cell;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::matrix::GRAM_BLOCK_ROWS;
 use crate::team;
@@ -54,13 +55,13 @@ pub(crate) const NR: usize = 16;
 /// Rows of packed A per cache block.
 pub(crate) const MC: usize = 48;
 
-/// GEMM kernel selection, settable per process via the `KAISA_GEMM_KERNEL`
-/// environment variable (`auto` | `blocked` | `naive`): an oracle switch for
-/// CI and bisection, not a tuning knob.
+/// GEMM kernel selection, passed to the `_with` entry points: the plain
+/// entry points always run [`GemmKernel::Auto`], and tests and benches pin
+/// `Blocked` or `Naive` to check one against the other.
 ///
 /// Both kernels produce bitwise-identical results (property-tested); the
 /// selection only trades packing overhead against microkernel throughput,
-/// so flipping it never perturbs the training trajectory.
+/// so it never perturbs the training trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmKernel {
     /// Blocked microkernels for shapes past the packing break-even point,
@@ -74,46 +75,14 @@ pub enum GemmKernel {
     Naive,
 }
 
-impl GemmKernel {
-    /// Stable lowercase name (the `KAISA_GEMM_KERNEL` vocabulary).
-    pub fn as_str(self) -> &'static str {
-        match self {
+impl std::fmt::Display for GemmKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
             GemmKernel::Auto => "auto",
             GemmKernel::Blocked => "blocked",
             GemmKernel::Naive => "naive",
-        }
+        })
     }
-}
-
-impl std::fmt::Display for GemmKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for GemmKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(GemmKernel::Auto),
-            "blocked" => Ok(GemmKernel::Blocked),
-            "naive" => Ok(GemmKernel::Naive),
-            other => Err(format!("unknown GEMM kernel '{other}' (auto|blocked|naive)")),
-        }
-    }
-}
-
-/// The process-wide GEMM kernel selection: `KAISA_GEMM_KERNEL`, else
-/// [`GemmKernel::Auto`].
-pub fn gemm_kernel() -> GemmKernel {
-    static ENV: OnceLock<GemmKernel> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("KAISA_GEMM_KERNEL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(GemmKernel::Auto)
-    })
 }
 
 /// Below this many multiply-adds `Auto` keeps the naive loops: the packed
@@ -195,11 +164,11 @@ pub(crate) enum Layout {
 /// `C[m x n] += A[m x k] · B[k x n]`, all row-major (zero `c` first for the
 /// plain product).
 pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nn_with(gemm_kernel(), m, k, n, a, b, c);
+    gemm_nn_with(GemmKernel::Auto, m, k, n, a, b, c);
 }
 
 /// `gemm_nn` with an explicit kernel selection (benchmarks and the
-/// property suite pin both paths without touching the process-wide knob).
+/// property suite pin both paths).
 pub fn gemm_nn_with(
     kernel: GemmKernel,
     m: usize,
@@ -250,7 +219,7 @@ fn gemm_nn_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f
 /// `m x k`), `B` is `[k x n]`. This is the factor-statistic kernel
 /// `A = aᵀ·a / batch` with `a` stored batch-major.
 pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_tn_with(gemm_kernel(), m, k, n, a, b, c);
+    gemm_tn_with(GemmKernel::Auto, m, k, n, a, b, c);
 }
 
 /// `gemm_tn` with an explicit kernel selection.
@@ -317,7 +286,7 @@ fn gemm_tn_serial_range(
 /// over consecutive `k` slices (a conv layer's images, DESIGN §5j) sums to
 /// the one-shot product bit for bit.
 pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_with(gemm_kernel(), m, k, n, a, b, c);
+    gemm_nt_with(GemmKernel::Auto, m, k, n, a, b, c);
 }
 
 /// `gemm_nt` with an explicit kernel selection.
@@ -356,7 +325,7 @@ pub fn gemm_nt_with(
 /// layout stacking every block's transpose (a conv layer's
 /// `dW = Σ G_img·Pt_imgᵀ`, DESIGN §5j).
 pub fn gemm_nt_blocks(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_blocks_with(gemm_kernel(), m, k, n, a, b, c);
+    gemm_nt_blocks_with(GemmKernel::Auto, m, k, n, a, b, c);
 }
 
 /// [`gemm_nt_blocks`] with an explicit kernel selection. The blocked
@@ -1050,18 +1019,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn kernel_selection_parses_and_displays() {
-        for (s, k) in [
-            ("auto", GemmKernel::Auto),
-            ("BLOCKED", GemmKernel::Blocked),
-            ("naive", GemmKernel::Naive),
-        ] {
-            assert_eq!(s.parse::<GemmKernel>().unwrap(), k);
-        }
-        assert!("fast".parse::<GemmKernel>().is_err());
-        assert_eq!(GemmKernel::Blocked.to_string(), "blocked");
     }
 }

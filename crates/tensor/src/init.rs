@@ -18,12 +18,6 @@ pub fn kaiming_normal(fan_out: usize, fan_in: usize, rng: &mut Rng) -> Matrix {
     Matrix::randn(fan_out, fan_in, std, rng)
 }
 
-/// Scaled initializer for residual branches (scales Kaiming by `gain`).
-pub fn scaled_kaiming(fan_out: usize, fan_in: usize, gain: f32, rng: &mut Rng) -> Matrix {
-    let std = gain * (2.0 / fan_in as f32).sqrt();
-    Matrix::randn(fan_out, fan_in, std, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,8 @@
 //! binary16 quantizer, behind runtime feature detection) and the calls
 //! into it, where every block carries a `SAFETY:` comment and is
 //! property-tested bitwise against the safe
-//! scalar reference kernels — which remain the permanent oracle and can be
-//! forced process-wide with `KAISA_GEMM_KERNEL=naive` — and to one
+//! scalar reference kernels — which remain the permanent oracle, reached
+//! through the `_with(GemmKernel::Naive, …)` entry points — and to one
 //! lifetime-erased closure reference in the `team` module (the helper
 //! threads that claim GEMM bands when a core is idle), whose contract is
 //! stated and enforced there.
@@ -50,14 +50,14 @@ mod tensor4;
 
 pub use f16::F16;
 pub use gemm::{
-    gemm_kernel, gemm_nn, gemm_nn_on, gemm_nn_with, gemm_nt_blocks, gemm_nt_blocks_with,
-    gemm_nt_on, gemm_nt_with, gemm_tn, gemm_tn_with, GemmKernel, Microkernel,
+    gemm_nn, gemm_nn_on, gemm_nn_with, gemm_nt_blocks, gemm_nt_blocks_with, gemm_nt_on,
+    gemm_nt_with, gemm_tn, gemm_tn_with, GemmKernel, Microkernel,
 };
 pub use im2col::{col2im, col2im_image, im2col, im2col_image, Conv2dGeom};
 pub use matrix::Matrix;
 pub use precision::Precision;
 pub use rng::Rng;
-pub use syrk::{gram_nt, syrk_mode, syrk_nt_with, syrk_tn, syrk_tn_with, SyrkMode};
+pub use syrk::{gram_nt, syrk_nt_with, syrk_tn, syrk_tn_with};
 pub use team::inline_bands;
 pub use tensor4::Tensor4;
 

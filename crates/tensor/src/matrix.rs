@@ -96,11 +96,6 @@ impl Matrix {
         self.rows == self.cols
     }
 
-    /// Bytes required to store this matrix at the given precision.
-    pub fn size_bytes(&self, precision: Precision) -> usize {
-        self.numel() * precision.bytes_per_element()
-    }
-
     /// Read element `(r, c)`.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -227,12 +222,9 @@ impl Matrix {
 
     /// `selfᵀ @ self` — the K-FAC factor-statistic Gram product.
     ///
-    /// Routes through the symmetric rank-k kernel ([`crate::syrk_tn`])
-    /// when the process-wide SYRK mode is on (the default): only the lower
-    /// triangle is computed and mirrored, bitwise identical to
-    /// `self.matmul_tn(self)`. With `KAISA_SYRK=off` it *is* exactly
-    /// `self.matmul_tn(self)`, so flipping the knob never perturbs the
-    /// training trajectory.
+    /// Runs the symmetric rank-k kernel ([`crate::syrk_tn`]): only the
+    /// lower triangle is computed and mirrored, bitwise identical to
+    /// `self.matmul_tn(self)`, which stays its oracle.
     ///
     /// A tall matrix (a conv layer's patch rows) is accumulated
     /// 1024 rows (`GRAM_BLOCK_ROWS`) at a time: the kernels pack panels of the
@@ -243,13 +235,8 @@ impl Matrix {
     pub fn gram_tn(&self) -> Matrix {
         let n = self.cols;
         let mut out = Matrix::zeros(n, n);
-        let syrk = crate::syrk_mode() == crate::SyrkMode::On;
         for block in self.data.chunks((GRAM_BLOCK_ROWS * n).max(1)) {
-            if syrk {
-                crate::syrk_tn(n, block.len() / n, block, &mut out.data);
-            } else {
-                gemm::gemm_tn(n, block.len() / n, n, block, block, &mut out.data);
-            }
+            crate::syrk_tn(n, block.len() / n, block, &mut out.data);
         }
         out
     }
@@ -315,14 +302,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a *= *b;
-        }
-    }
-
-    /// Elementwise division, in place.
-    pub fn div_assign_elem(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "div shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a /= *b;
         }
     }
 

@@ -105,11 +105,6 @@ impl Rng {
         (r * theta.cos()) as f32
     }
 
-    /// Normal variate with the given mean and standard deviation.
-    pub fn normal_scaled(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Fisher-Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

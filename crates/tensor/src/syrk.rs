@@ -34,80 +34,32 @@
 //! patch and gradient blocks (DESIGN §5j). It takes any number of such
 //! blocks in one call, accumulates them into the lower triangle in order
 //! and mirrors once, so the result is bit for bit `syrk_tn` of the row
-//! layout that stacks every block's transpose. [`gram_nt`] routes it by
-//! the [`SyrkMode`] like [`Matrix::gram_tn`](crate::Matrix::gram_tn).
+//! layout that stacks every block's transpose. [`gram_nt`] runs it on the
+//! shape-selected [`GemmKernel::Auto`], like
+//! [`Matrix::gram_tn`](crate::Matrix::gram_tn).
 
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::gemm::{
-    gemm_kernel, gemm_nt_blocks_with, microkernel, pack_a, pack_b, take_scratch, use_blocked,
-    GemmKernel, Layout, MC, MR, NR, PACKED_A, PACKED_B,
+    microkernel, pack_a, pack_b, take_scratch, use_blocked, GemmKernel, Layout, MC, MR, NR,
+    PACKED_A, PACKED_B,
 };
 use crate::matrix::GRAM_BLOCK_ROWS;
 use crate::team;
-
-/// Whether factor-statistic Gram products route through the SYRK fast path
-/// (env `KAISA_SYRK`, read once per process). Both settings produce
-/// bitwise-identical results; `off` exists as the permanent full-GEMM
-/// oracle lane for CI and bisection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyrkMode {
-    /// Lower-triangle SYRK + mirror (half the multiply-adds). The default.
-    #[default]
-    On,
-    /// Full-GEMM path, exactly as before the SYRK kernel existed.
-    Off,
-}
-
-impl SyrkMode {
-    /// Stable lowercase name (the `KAISA_SYRK` vocabulary).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SyrkMode::On => "on",
-            SyrkMode::Off => "off",
-        }
-    }
-}
-
-impl std::fmt::Display for SyrkMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for SyrkMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => Ok(SyrkMode::On),
-            "off" | "0" | "false" => Ok(SyrkMode::Off),
-            other => Err(format!("unknown SYRK mode '{other}' (on|off)")),
-        }
-    }
-}
-
-/// The process-wide SYRK mode: `KAISA_SYRK`, else [`SyrkMode::On`].
-pub fn syrk_mode() -> SyrkMode {
-    static ENV: OnceLock<SyrkMode> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("KAISA_SYRK").ok().and_then(|v| v.parse().ok()).unwrap_or(SyrkMode::On)
-    })
-}
 
 /// `C[m x m] += AᵀA` where `A` is stored `[k x m]` row-major — the
 /// symmetric-output counterpart of [`gemm_tn_with`](crate::gemm_tn_with) with `b = a`. Only
 /// the lower triangle is computed; the strict upper triangle is then
 /// overwritten with an exact bit copy of the lower. The result (including
 /// accumulation into a symmetric pre-existing `C`) is bitwise identical to
-/// `gemm_tn(m, k, m, a, a, c)`. Kernel selection follows the process-wide
-/// [`crate::gemm_kernel`].
+/// `gemm_tn(m, k, m, a, a, c)`. Runs the shape-selected
+/// [`GemmKernel::Auto`].
 pub fn syrk_tn(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
-    syrk_tn_with(gemm_kernel(), m, k, a, c);
+    syrk_tn_with(GemmKernel::Auto, m, k, a, c);
 }
 
 /// [`syrk_tn`] with an explicit kernel selection (benchmarks and the
-/// property suite pin both paths without touching the process-wide knob).
+/// property suite pin both paths).
 pub fn syrk_tn_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(c.len(), m * m);
@@ -146,17 +98,12 @@ pub fn syrk_nt_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [
 }
 
 /// The Gram product of column-layout blocks, `C[m x m] += Σ_b A_b·A_bᵀ`
-/// (see [`syrk_nt_with`]), on the process-wide kernel: the SYRK kernel when
-/// the [`SyrkMode`] is on, else the full
+/// (see [`syrk_nt_with`]), on the shape-selected [`GemmKernel::Auto`].
+/// Bitwise identical to the full
 /// [`gemm_nt_blocks_with`](crate::gemm_nt_blocks_with) with `B = A`, which
-/// accumulates into `C` the same way. Bitwise identical either way, like
-/// [`Matrix::gram_tn`](crate::Matrix::gram_tn).
+/// stays its oracle, like [`Matrix::gram_tn`](crate::Matrix::gram_tn).
 pub fn gram_nt(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
-    let kernel = gemm_kernel();
-    match syrk_mode() {
-        SyrkMode::On => syrk_nt_with(kernel, m, k, a, c),
-        SyrkMode::Off => gemm_nt_blocks_with(kernel, m, k, m, a, a, c),
-    }
+    syrk_nt_with(GemmKernel::Auto, m, k, a, c);
 }
 
 /// Accumulate the lower triangle (`j ≤ i`) of `C += AᵀA` (`Tn`: `A` stored
@@ -576,15 +523,5 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "({rows},{cols})");
             }
         }
-    }
-
-    #[test]
-    fn mode_parses_and_displays() {
-        for (s, mode) in [("on", SyrkMode::On), ("OFF", SyrkMode::Off), ("1", SyrkMode::On)] {
-            assert_eq!(s.parse::<SyrkMode>().unwrap(), mode);
-        }
-        assert!("triangular".parse::<SyrkMode>().is_err());
-        assert_eq!(SyrkMode::On.to_string(), "on");
-        assert_eq!(SyrkMode::Off.to_string(), "off");
     }
 }

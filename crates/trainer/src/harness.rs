@@ -171,7 +171,6 @@ where
 
     let mut result = TrainResult::default();
     let start = Instant::now();
-    let sim_comm_start = comm.simulated_seconds();
     let mut iterations = 0usize;
     let mut done = false;
 
@@ -212,7 +211,6 @@ where
             val_loss,
             val_metric,
             cumulative_seconds,
-            cumulative_sim_comm_seconds: comm.simulated_seconds() - sim_comm_start,
             iterations,
         });
 

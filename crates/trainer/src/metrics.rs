@@ -17,8 +17,6 @@ pub struct EpochRecord {
     pub val_metric: f32,
     /// Cumulative wall-clock seconds at the end of this epoch.
     pub cumulative_seconds: f64,
-    /// Cumulative *simulated* communication seconds (cost-model clock).
-    pub cumulative_sim_comm_seconds: f64,
     /// Optimizer iterations completed so far.
     pub iterations: usize,
 }
@@ -83,7 +81,6 @@ mod tests {
             val_loss: 1.0,
             val_metric: metric,
             cumulative_seconds: epoch as f64,
-            cumulative_sim_comm_seconds: 0.0,
             iterations: iters,
         }
     }
