@@ -1,6 +1,6 @@
 //! Serial vs pipelined `Kfac::step` at world size 4: the stage pipeline
 //! overlaps factor/eig/gradient collectives with other layers' local
-//! compute, so the pipelined executor should win on multi-rank worlds while
+//! compute, so the pipelined order should win on multi-rank worlds while
 //! staying bitwise-identical (see tests/pipeline_equivalence.rs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

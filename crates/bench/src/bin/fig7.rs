@@ -1,7 +1,7 @@
 //! Figure 7: per-stage time inside `KFAC.step()` across `grad_worker_frac`
 //! — simulated for ResNet-50 on 64 V100s, and measured live from the
 //! preconditioner's stage timers on 8 thread ranks, comparing the serial
-//! executor against the pipelined (compute/comm-overlap) executor.
+//! completion order against the pipelined (compute/comm-overlap) one.
 //!
 //! ```sh
 //! cargo run --release -p kaisa-bench --bin fig7

@@ -23,6 +23,7 @@ use kaisa_tensor::Matrix;
 use crate::config::KfacConfig;
 use crate::preconditioner::Kfac;
 use crate::state::KfacLayerState;
+use crate::DistStrategy;
 
 /// One layer's checkpointed K-FAC state. Every field is optional — absent
 /// fields were not yet populated anywhere in the world (e.g. no
@@ -231,7 +232,7 @@ impl Kfac {
 
             // Running factors, per the new plan's residency: replicated,
             // or on the LOCAL-OPT owner alone.
-            if !kfac.strat.local_factors() || rank == asn.a_worker {
+            if kfac.strategy != DistStrategy::LocalOpt || rank == asn.a_worker {
                 if let Some(a) = &entry.factor_a {
                     kfac.states[i].factor_a = Some(square(a, a_dim));
                 }

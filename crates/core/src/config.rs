@@ -50,12 +50,14 @@ pub struct KfacConfig {
     /// corrected second moments updated every step — the extension the
     /// paper's Related Work proposes layering on this framework.
     pub ekfac: bool,
-    /// Execute `step()` through the per-layer stage pipeline: collectives
-    /// are initiated with non-blocking handles and completed after other
-    /// layers' local compute, overlapping communication with computation.
-    /// The serial executor (`false`) runs each layer's stages strictly in
-    /// order; both paths are bitwise-identical (property-tested), so this
-    /// only trades wall-clock for simplicity when debugging.
+    /// When `step()`'s collectives complete. The stages always run as the
+    /// same layer sweeps; with `true` (the default) each collective's
+    /// handle is completed by a later sweep, after other layers' local
+    /// compute, overlapping communication with computation. With `false`
+    /// each handle completes right after its `begin`, so no two
+    /// collectives are ever in flight together — the serial reference
+    /// order. Both orders are bitwise identical (property-tested), so this
+    /// only trades wall-clock for a simpler order when debugging.
     pub pipelined: bool,
 }
 
@@ -177,8 +179,9 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Toggle the stage-pipelined executor (non-blocking collectives with
-    /// compute/communication overlap) vs. the serial reference executor.
+    /// Choose when collectives complete: in a later sweep, overlapping
+    /// other layers' compute (`true`), or right after each `begin`, the
+    /// serial reference order (`false`). See [`KfacConfig::pipelined`].
     pub fn pipelined(mut self, on: bool) -> Self {
         self.cfg.pipelined = on;
         self

@@ -45,7 +45,6 @@ mod memory;
 mod pipeline;
 mod preconditioner;
 mod state;
-pub mod strategy;
 mod timing;
 
 pub use assignment::{plan_assignments, AssignmentStrategy, LayerAssignment, WorkPlan};
@@ -54,7 +53,6 @@ pub use config::{KfacConfig, KfacConfigBuilder};
 pub use memory::{MemoryBudget, MemoryCategory, MemoryMeter};
 pub use preconditioner::Kfac;
 pub use state::KfacLayerState;
-pub use strategy::{effective_worker_frac, StrategyPlan};
 pub use timing::{Stage, StageTimes, KFAC_STAGES};
 
 /// Distribution strategy implied by a `grad_worker_frac` (Section 3.1),
@@ -124,6 +122,18 @@ impl std::fmt::Display for DistStrategy {
     }
 }
 
+/// The effective `grad_worker_frac` once an explicit strategy override is
+/// applied: `MemOpt` and `LocalOpt` pin one worker per layer, `CommOpt`
+/// pins every rank, `HybridOpt` (or no override) keeps the configured
+/// fraction.
+pub fn effective_worker_frac(strategy: Option<DistStrategy>, frac: f64, world: usize) -> f64 {
+    match strategy {
+        Some(DistStrategy::MemOpt) | Some(DistStrategy::LocalOpt) => 1.0 / world as f64,
+        Some(DistStrategy::CommOpt) => 1.0,
+        Some(DistStrategy::HybridOpt) | None => frac,
+    }
+}
+
 /// Number of gradient workers for a fraction and world size:
 /// `max(1, round(frac * world))`, clamped to the world (paper Section 3.1).
 pub fn gradient_worker_count(frac: f64, world: usize) -> usize {
@@ -173,6 +183,15 @@ mod tests {
                 assert_ne!(DistStrategy::from_worker_count(workers, world), DistStrategy::LocalOpt);
             }
         }
+    }
+
+    #[test]
+    fn effective_frac_applies_strategy_overrides() {
+        assert_eq!(effective_worker_frac(Some(DistStrategy::MemOpt), 1.0, 8), 1.0 / 8.0);
+        assert_eq!(effective_worker_frac(Some(DistStrategy::LocalOpt), 1.0, 8), 1.0 / 8.0);
+        assert_eq!(effective_worker_frac(Some(DistStrategy::CommOpt), 0.25, 8), 1.0);
+        assert_eq!(effective_worker_frac(Some(DistStrategy::HybridOpt), 0.25, 8), 0.25);
+        assert_eq!(effective_worker_frac(None, 0.75, 8), 0.75);
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! The pipelined executor behind [`crate::Kfac::step`]: layer sweeps over
+//! The stages of [`crate::Kfac::step`], written once as layer sweeps over
 //! non-blocking collectives.
 //!
-//! The serial K-FAC step walks every layer through its stages in strict
-//! order, blocking at each collective. But the stages of *different layers*
-//! are largely independent: layer `i`'s factor allreduce can be in flight
-//! while layer `i+1` finalizes its statistics, and the eigendecomposition
-//! broadcasts of one layer can overlap another layer's eigensolve.
+//! The stages of *different layers* are largely independent: layer `i`'s
+//! factor allreduce can be in flight while layer `i+1` finalizes its
+//! statistics, and the eigendecomposition broadcasts of one layer can
+//! overlap another layer's eigensolve. So each phase of the step is two or
+//! three *sweeps* over the layers. An early sweep runs a layer's local
+//! compute and `begin`s the collective that publishes its result; a later
+//! sweep `complete`s the handles in the same layer order and consumes the
+//! payloads.
 //!
-//! Each phase of `Kfac::step` becomes two or three *sweeps* over the layers.
-//! An early sweep runs a layer's local compute and immediately `begin`s the
-//! collective that publishes its result; a later sweep `complete`s the
-//! handles in the same layer order and consumes the payloads. Because every
-//! `begin` of a sweep is issued before any `complete` of the next sweep, all
-//! of a phase's collectives are in flight while the remaining layers'
-//! compute runs — communication/computation overlap without threads or an
-//! async runtime.
+//! Every handle passes through `Kfac::settle` right after its `begin`. It is
+//! the one reader of [`crate::KfacConfig::pipelined`], which selects *when*
+//! a handle completes:
+//!
+//! - **pipelined** (the default): the handle goes on untouched. Every
+//!   `begin` of a sweep is issued before any `complete` of the next, so all
+//!   of a phase's collectives are in flight while the remaining layers'
+//!   compute runs — communication/computation overlap without threads or an
+//!   async runtime.
+//! - **serial**: the handle is completed at once and replaced by a no-op,
+//!   so no two collectives are ever in flight together. This is the
+//!   reference order the equivalence suite measures against.
 //!
 //! Two invariants make this safe and bit-exact:
 //!
@@ -22,15 +29,16 @@
 //!   sweep, so each communication group observes the same collective
 //!   sequence on all of its members (the MPI matching rule ThreadComm's
 //!   rendezvous requires). Begins never block, and completes only wait on
-//!   begins, so no deadlock is possible.
-//! - **Bitwise equality**: both executors share the stage kernels in
+//!   begins, so no deadlock is possible in either order.
+//! - **Bitwise equality**: both orders run the same stage kernels in
 //!   `crate::state`, quantize at identical points, and the allreduce
-//!   reduction itself is rank-order deterministic — so reordering
-//!   initiation/completion cannot change a single bit of the result.
+//!   reduction itself is rank-order deterministic — so when a handle
+//!   completes cannot change a single bit of the result.
 //!   `tests/pipeline_equivalence.rs` property-tests serial ≡ pipelined
 //!   across strategies, world sizes, precisions, and comm layouts.
 
 use kaisa_comm::{CommTag, Communicator, PendingCollective, ReduceOp};
+use kaisa_nn::{KfacAble, KfacStats};
 use kaisa_tensor::Matrix;
 
 use crate::preconditioner::Kfac;
@@ -38,9 +46,10 @@ use crate::state::{
     factor_payload_len, pack_factor_payload, unpack_factor_payload, KfacLayerState,
 };
 use crate::timing::Stage;
+use crate::DistStrategy;
 
 /// A matrix broadcast in flight: the handle plus the destination buffer.
-pub(crate) struct MatBcast {
+struct MatBcast {
     pending: PendingCollective,
     m: Matrix,
 }
@@ -53,18 +62,50 @@ struct LayerBcasts {
     outer: MatBcast,
 }
 
+/// Take the statistics a layer captured during the forward/backward pass.
+fn take_stats(layer: &mut dyn KfacAble) -> KfacStats {
+    layer.capture_mut().take_stats().unwrap_or_else(|| {
+        panic!(
+            "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
+            layer.layer_name()
+        )
+    })
+}
+
+/// Finalize captured statistics into this rank's batch-mean factors
+/// `(Â, Ĝ)`.
+fn finalize_stats(stats: KfacStats) -> (Matrix, Matrix) {
+    let inv = 1.0 / stats.batches.max(1) as f32;
+    let mut a = stats.a_stat;
+    a.scale(inv);
+    let mut g = stats.g_stat;
+    g.scale(inv);
+    (a, g)
+}
+
 impl Kfac {
-    /// Pipelined factor update: sweep A finalizes statistics and begins
+    /// Stage 1, factor update: sweep A finalizes statistics and begins
     /// every layer's allreduce; sweep B completes them and folds the
     /// averages into the running factors.
-    pub(crate) fn update_factors_pipelined(
+    ///
+    /// Under LOCAL-OPT (DP-KFAC) sweep A is the whole phase: there is no
+    /// factor collective. Each layer's single owner finalizes and folds the
+    /// statistics **its own rank** captured; every other rank drops its
+    /// capture. The owner's payload still makes the pack/unpack
+    /// quantization round trip, so at world 1 (where the allreduce averages
+    /// over one rank, i.e. divides by 1.0 exactly) LOCAL-OPT is bitwise the
+    /// dense path at every precision. Ranks still apply identical updates:
+    /// the preconditioned gradients reach every rank through the per-layer
+    /// `GradComm` broadcast.
+    pub(crate) fn update_factors(
         &mut self,
-        layers: &mut [&mut dyn kaisa_nn::KfacAble],
+        layers: &mut [&mut dyn KfacAble],
         comm: &dyn Communicator,
     ) {
         let precision = self.cfg.precision;
         let decay = self.cfg.factor_decay;
         let triangular = self.cfg.triangular_comm;
+        let local = self.strategy == DistStrategy::LocalOpt;
         let world_group: Vec<usize> = (0..self.world).collect();
 
         struct InFlight {
@@ -76,27 +117,32 @@ impl Kfac {
         let mut inflight: Vec<InFlight> = Vec::with_capacity(layers.len());
 
         for (i, layer) in layers.iter_mut().enumerate() {
-            let stats = layer.capture_mut().take_stats().unwrap_or_else(|| {
-                panic!(
-                    "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
-                    layer.layer_name()
-                )
-            });
-            let (a_new, g_new) = self.times.time_layer(i, Stage::FactorCompute, || {
-                let inv = 1.0 / stats.batches.max(1) as f32;
-                let mut a = stats.a_stat;
-                a.scale(inv);
-                let mut g = stats.g_stat;
-                g.scale(inv);
-                (a, g)
-            });
-            let entry = self.times.time_layer(i, Stage::FactorComm, || {
+            let stats = take_stats(&mut **layer);
+            if local {
+                // LOCAL-OPT runs on the one-worker grid: owner == a_worker.
+                if self.rank == self.plan.layers[i].a_worker {
+                    self.times.time_layer(i, Stage::FactorCompute, || {
+                        let (a, g) = finalize_stats(stats);
+                        let (a_dim, g_dim) = (a.rows(), g.rows());
+                        let (mut buf, split) = pack_factor_payload(&a, &g, triangular, precision);
+                        let (a, g) = unpack_factor_payload(
+                            &mut buf, split, a_dim, g_dim, triangular, precision,
+                        );
+                        self.states[i].update_factors(a, g, decay);
+                    });
+                }
+                continue;
+            }
+            let (a_new, g_new) =
+                self.times.time_layer(i, Stage::FactorCompute, || finalize_stats(stats));
+            let (mut buf, split, pending) = self.times.time_layer(i, Stage::FactorComm, || {
                 let (buf, split) = pack_factor_payload(&a_new, &g_new, triangular, precision);
                 let pending =
                     comm.begin_allreduce(&buf, ReduceOp::Avg, &world_group, CommTag::FactorComm);
-                InFlight { layer: i, pending, buf, split }
+                (buf, split, pending)
             });
-            inflight.push(entry);
+            let pending = self.settle(i, Stage::FactorComm, comm, pending, &mut buf);
+            inflight.push(InFlight { layer: i, pending, buf, split });
         }
 
         for mut fl in inflight {
@@ -115,11 +161,11 @@ impl Kfac {
         self.note_factor_residency();
     }
 
-    /// Pipelined decomposition update: sweep 1 runs the LPT-assigned
+    /// Stage 2, decomposition update: sweep 1 runs the LPT-assigned
     /// eigensolves and begins the `v_A` pair shuttles; sweep 2 completes the
     /// shuttles, computes the outer products, and begins every result
     /// broadcast; sweep 3 completes them into the layer states.
-    pub(crate) fn update_decompositions_pipelined(&mut self, comm: &dyn Communicator) {
+    pub(crate) fn update_decompositions(&mut self, comm: &dyn Communicator) {
         let rank = self.rank;
         let damping = self.cfg.damping;
         let precision = self.cfg.precision;
@@ -151,13 +197,16 @@ impl Kfac {
                 self.states[i].qg = Some(qg);
                 vg[i] = Some(values);
             }
+            // Section 4.4: ship v_A to the G worker, which computes the
+            // damped reciprocal outer product exactly once.
             if asn.a_worker != asn.g_worker && (rank == asn.a_worker || rank == asn.g_worker) {
                 let a_dim = self.states[i].a_dim;
                 let pair = [asn.a_worker, asn.g_worker];
-                let buf = va[i].take().unwrap_or_else(|| vec![0.0; a_dim]);
+                let mut buf = va[i].take().unwrap_or_else(|| vec![0.0; a_dim]);
                 let pending = self.times.time_layer(i, Stage::EigComm, || {
                     comm.begin_broadcast(&buf, asn.a_worker, &pair, CommTag::EigComm)
                 });
+                let pending = self.settle(i, Stage::EigComm, comm, pending, &mut buf);
                 if rank == asn.a_worker {
                     self.comm_bytes += (a_dim * precision.bytes_per_element()) as u64;
                 }
@@ -210,12 +259,12 @@ impl Kfac {
         }
     }
 
-    /// Pipelined preconditioning: sweep 1 preconditions each layer and
-    /// begins its gradient broadcast; sweep 2 completes them; then the
-    /// (inherently serial) KL-clip scale writes everything back.
-    pub(crate) fn precondition_and_scale_pipelined(
+    /// Stages 3 and 4: sweep 1 preconditions each layer and begins its
+    /// gradient broadcast to the receivers; sweep 2 completes them; then
+    /// the (inherently serial) KL-clip scale writes everything back.
+    pub(crate) fn precondition_and_scale(
         &mut self,
-        layers: &mut [&mut dyn kaisa_nn::KfacAble],
+        layers: &mut [&mut dyn KfacAble],
         comm: &dyn Communicator,
         lr: f32,
     ) {
@@ -225,10 +274,9 @@ impl Kfac {
         let n = grads.len();
 
         let mut pending: Vec<Option<PendingCollective>> = (0..n).map(|_| None).collect();
-        let mut preconditioned: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
+        let mut preconditioned: Vec<Matrix> = Vec::with_capacity(n);
 
-        for i in 0..n {
-            let grad = &grads[i];
+        for (i, grad) in grads.iter().enumerate() {
             let asn = self.plan.layers[i].clone();
             let is_gw = asn.is_gradient_worker(rank);
             let mut precond = self.precondition_local(i, grad, is_gw);
@@ -240,31 +288,49 @@ impl Kfac {
                         * precision.bytes_per_element()
                         * (group.len() - 1)) as u64;
                 }
-                pending[i] = Some(self.times.time_layer(i, Stage::GradComm, || {
+                let p = self.times.time_layer(i, Stage::GradComm, || {
                     comm.begin_broadcast(precond.as_slice(), root, group, CommTag::GradComm)
-                }));
+                });
+                pending[i] = Some(self.settle(i, Stage::GradComm, comm, p, precond.as_mut_slice()));
             }
-            preconditioned[i] = Some(precond);
+            preconditioned.push(precond);
         }
 
-        for i in 0..n {
-            if let Some(p) = pending[i].take() {
-                let buf = preconditioned[i].as_mut().expect("filled in sweep 1").as_mut_slice();
-                self.times.time_layer(i, Stage::GradComm, || comm.complete(p, buf));
+        for (i, (p, buf)) in pending.into_iter().zip(&mut preconditioned).enumerate() {
+            if let Some(p) = p {
+                self.times.time_layer(i, Stage::GradComm, || comm.complete(p, buf.as_mut_slice()));
             }
         }
 
-        // The KL-clip scale consumes layers in the serial executor's order,
-        // so ν — and therefore the update — is bitwise the same.
-        let preconditioned: Vec<Matrix> =
-            preconditioned.into_iter().map(|p| p.expect("every layer preconditioned")).collect();
+        // The KL-clip scale consumes layers in order, so ν — and therefore
+        // the update — is bitwise the same whenever the broadcasts completed.
         self.scale_and_write_back(layers, &grads, preconditioned, lr);
+    }
+
+    /// Hand a just-begun collective on to the sweep that completes it — or,
+    /// in the serial order, complete it into `buf` now (timed under `stage`)
+    /// and hand on a no-op, so the later `complete` leaves `buf` as it is.
+    /// The one reader of `KfacConfig::pipelined`.
+    fn settle(
+        &mut self,
+        layer: usize,
+        stage: Stage,
+        comm: &dyn Communicator,
+        pending: PendingCollective,
+        buf: &mut [f32],
+    ) -> PendingCollective {
+        if self.cfg.pipelined {
+            return pending;
+        }
+        let tag = pending.tag();
+        self.times.time_layer(layer, stage, || comm.complete(pending, buf));
+        PendingCollective::noop(tag)
     }
 
     /// Begin a matrix broadcast within `group` from `root`: quantize on the
     /// root, attribute its logical bytes, and return the in-flight handle.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn begin_matrix_bcast(
+    fn begin_matrix_bcast(
         &mut self,
         layer: usize,
         comm: &dyn Communicator,
@@ -283,6 +349,7 @@ impl Kfac {
         let pending = self.times.time_layer(layer, Stage::EigComm, || {
             comm.begin_broadcast(m.as_slice(), root, group, CommTag::EigComm)
         });
+        let pending = self.settle(layer, Stage::EigComm, comm, pending, m.as_mut_slice());
         if self.rank == root {
             self.comm_bytes +=
                 (rows * cols * precision.bytes_per_element() * (group.len() - 1)) as u64;
@@ -291,7 +358,7 @@ impl Kfac {
     }
 
     /// Complete a matrix broadcast begun by [`Kfac::begin_matrix_bcast`].
-    pub(crate) fn complete_matrix_bcast(
+    fn complete_matrix_bcast(
         &mut self,
         layer: usize,
         comm: &dyn Communicator,

@@ -16,8 +16,11 @@
 //!    disjoint receiver groups.
 //! 4. **Scaling** (every step): KL-clip scaling `ν = min(1, √(κ/Σ⟨p,g⟩lr²))`
 //!    and write-back into the model's gradients.
+//!
+//! Stages 1–3 are written once, as layer sweeps, in `crate::pipeline`;
+//! [`KfacConfig::pipelined`] only selects when their collectives complete.
 
-use kaisa_comm::{CommTag, Communicator, ReduceOp};
+use kaisa_comm::Communicator;
 use kaisa_linalg::EigScratch;
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
@@ -25,12 +28,9 @@ use kaisa_tensor::Matrix;
 use crate::assignment::{plan_assignments, WorkPlan};
 use crate::config::KfacConfig;
 use crate::memory::{MemoryCategory, MemoryMeter};
-use crate::state::{
-    factor_payload_len, pack_factor_payload, unpack_factor_payload, KfacLayerState,
-};
-use crate::strategy::{effective_worker_frac, StrategyPlan};
+use crate::state::KfacLayerState;
 use crate::timing::{Stage, StageTimes};
-use crate::DistStrategy;
+use crate::{effective_worker_frac, DistStrategy};
 
 /// The KAISA K-FAC gradient preconditioner.
 ///
@@ -51,11 +51,9 @@ use crate::DistStrategy;
 pub struct Kfac {
     pub(crate) cfg: KfacConfig,
     pub(crate) plan: WorkPlan,
-    /// The resolved strategy plan: whether factors are allreduced or folded
-    /// locally, and the per-stage comm participation this run uses. Computed
-    /// once here and consumed uniformly by both executors — the single
-    /// source of strategy truth.
-    pub(crate) strat: StrategyPlan,
+    /// The strategy in effect: LOCAL-OPT when configured, else classified
+    /// from the realized gradient-worker count.
+    pub(crate) strategy: DistStrategy,
     pub(crate) states: Vec<KfacLayerState>,
     pub(crate) rank: usize,
     pub(crate) world: usize,
@@ -94,7 +92,13 @@ impl Kfac {
         // fraction decides.
         let frac = effective_worker_frac(cfg.strategy, cfg.grad_worker_frac, comm.world_size());
         let plan = plan_assignments(&dims, comm.world_size(), frac, cfg.assignment);
-        let strat = StrategyPlan::resolve(&cfg, &plan);
+        let strategy = match cfg.strategy {
+            Some(DistStrategy::LocalOpt) => DistStrategy::LocalOpt,
+            // Explicit MEM/HYBRID/COMM requests resolve through the same
+            // worker-count classification as frac-derived runs, so the
+            // reported strategy always matches the realized placement.
+            _ => DistStrategy::from_worker_count(plan.workers_per_layer, plan.world),
+        };
         let states = dims
             .iter()
             .zip(&names)
@@ -103,7 +107,7 @@ impl Kfac {
         let kfac = Kfac {
             cfg,
             plan,
-            strat,
+            strategy,
             states,
             rank: comm.rank(),
             world: comm.world_size(),
@@ -122,7 +126,7 @@ impl Kfac {
     /// `KfacConfig::strategy`, or classified from the realized worker
     /// count).
     pub fn strategy(&self) -> DistStrategy {
-        self.strat.strategy
+        self.strategy
     }
 
     /// The computed work plan (placement inspection / tests).
@@ -161,7 +165,7 @@ impl Kfac {
     }
 
     /// Refresh the meter's factor residency from the per-layer state;
-    /// called after every factor fold on every executor.
+    /// called after every factor update.
     pub(crate) fn note_factor_residency(&mut self) {
         let p = self.cfg.precision;
         let bytes = self.states.iter().map(|s| s.factor_memory_bytes(p)).sum();
@@ -203,248 +207,22 @@ impl Kfac {
         let mut layers = model.kfac_layers();
         assert_eq!(layers.len(), self.states.len(), "layer set changed after registration");
 
-        // The one strategy dispatch: every executor consumes the resolved
-        // `StrategyPlan` instead of re-deriving the strategy from config
-        // flags.
         if factor_step {
-            if self.strat.local_factors() {
-                self.update_factors_local(&mut layers);
-            } else if self.cfg.pipelined {
-                self.update_factors_pipelined(&mut layers, comm);
-            } else {
-                self.update_factors(&mut layers, comm);
-            }
+            self.update_factors(&mut layers, comm);
         }
-        if self.cfg.pipelined {
-            if inv_step {
-                self.update_decompositions_pipelined(comm);
-            }
-            self.precondition_and_scale_pipelined(&mut layers, comm, lr);
-        } else {
-            if inv_step {
-                self.update_decompositions(comm);
-            }
-            self.precondition_and_scale(&mut layers, comm, lr);
+        if inv_step {
+            self.update_decompositions(comm);
         }
+        self.precondition_and_scale(&mut layers, comm, lr);
 
         self.note_step_residency();
         self.steps += 1;
         self.times.steps += 1;
     }
 
-    /// Stage 1 (serial executor): finalize captured statistics and
-    /// allreduce-average factors, one blocking collective per layer.
-    fn update_factors(
-        &mut self,
-        layers: &mut [&mut dyn kaisa_nn::KfacAble],
-        comm: &dyn Communicator,
-    ) {
-        let precision = self.cfg.precision;
-        let decay = self.cfg.factor_decay;
-        let triangular = self.cfg.triangular_comm;
-        let world_group: Vec<usize> = (0..self.world).collect();
-        for (i, layer) in layers.iter_mut().enumerate() {
-            let stats = layer.capture_mut().take_stats().unwrap_or_else(|| {
-                panic!(
-                    "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
-                    layer.layer_name()
-                )
-            });
-            let (a_new, g_new) = self.times.time_layer(i, Stage::FactorCompute, || {
-                let inv = 1.0 / stats.batches.max(1) as f32;
-                let mut a = stats.a_stat;
-                a.scale(inv);
-                let mut g = stats.g_stat;
-                g.scale(inv);
-                (a, g)
-            });
-
-            let (a_dim, g_dim) = (a_new.rows(), g_new.rows());
-            let (a_new, g_new) = self.times.time_layer(i, Stage::FactorComm, || {
-                let (mut buf, split) = pack_factor_payload(&a_new, &g_new, triangular, precision);
-                let pending =
-                    comm.begin_allreduce(&buf, ReduceOp::Avg, &world_group, CommTag::FactorComm);
-                comm.complete(pending, &mut buf);
-                unpack_factor_payload(&mut buf, split, a_dim, g_dim, triangular, precision)
-            });
-            self.comm_bytes += (factor_payload_len(a_dim, g_dim, triangular)
-                * precision.bytes_per_element()) as u64;
-
-            self.times.time_layer(i, Stage::FactorCompute, || {
-                self.states[i].update_factors(a_new, g_new, decay);
-            });
-        }
-        self.note_factor_residency();
-    }
-
-    /// Stage 1 (LOCAL-OPT / DP-KFAC): no factor collective at all. Each
-    /// layer's single owner finalizes and folds the statistics **its own
-    /// rank** captured; every other rank just drops its capture buffers.
-    /// The owner's payload still makes the pack/unpack quantization round
-    /// trip so that at world 1 (where the dense allreduce averages over one
-    /// rank, i.e. divides by 1.0 exactly) LOCAL-OPT is bitwise identical to
-    /// the dense serial reference at every precision.
-    ///
-    /// Rank determinism is unaffected: owners decompose local curvature,
-    /// but the preconditioned gradients still reach every rank through the
-    /// per-layer `GradComm` broadcast, so all ranks apply identical updates.
-    pub(crate) fn update_factors_local(&mut self, layers: &mut [&mut dyn kaisa_nn::KfacAble]) {
-        debug_assert!(self.strat.local_factors());
-        for (i, layer) in layers.iter_mut().enumerate() {
-            let stats = layer.capture_mut().take_stats().unwrap_or_else(|| {
-                panic!(
-                    "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
-                    layer.layer_name()
-                )
-            });
-            self.fold_local_stats(i, stats);
-        }
-        self.note_factor_residency();
-    }
-
-    /// LOCAL-OPT's per-layer fold: the owner finalizes and folds the
-    /// statistics its own rank captured; every other rank is a no-op (it
-    /// already dropped its capture via `take_stats`).
-    fn fold_local_stats(&mut self, i: usize, stats: kaisa_nn::KfacStats) {
-        // LOCAL-OPT runs on the one-worker grid, so owner == a_worker ==
-        // g_worker.
-        if self.rank != self.plan.layers[i].a_worker {
-            return;
-        }
-        let precision = self.cfg.precision;
-        let decay = self.cfg.factor_decay;
-        let triangular = self.cfg.triangular_comm;
-        self.times.time_layer(i, Stage::FactorCompute, || {
-            let inv = 1.0 / stats.batches.max(1) as f32;
-            let mut a = stats.a_stat;
-            a.scale(inv);
-            let mut g = stats.g_stat;
-            g.scale(inv);
-            let (a_dim, g_dim) = (a.rows(), g.rows());
-            let (mut buf, split) = pack_factor_payload(&a, &g, triangular, precision);
-            let (a_new, g_new) =
-                unpack_factor_payload(&mut buf, split, a_dim, g_dim, triangular, precision);
-            self.states[i].update_factors(a_new, g_new, decay);
-        });
-    }
-
-    /// Stage 2: recompute decompositions on assigned workers and broadcast.
-    fn update_decompositions(&mut self, comm: &dyn Communicator) {
-        let rank = self.rank;
-        let damping = self.cfg.damping;
-        let precision = self.cfg.precision;
-
-        for i in 0..self.states.len() {
-            let asn = self.plan.layers[i].clone();
-            let is_gw = asn.is_gradient_worker(rank);
-            let (a_dim, g_dim) = (self.states[i].a_dim, self.states[i].g_dim);
-
-            // EK-FAC corrected moments live in the eigenbasis; a new basis
-            // invalidates them (they re-seed from the fresh outer product).
-            if self.cfg.ekfac {
-                self.states[i].ekfac_scale = None;
-            }
-
-            let mut va: Option<Vec<f32>> = None;
-            let mut vg: Option<Vec<f32>> = None;
-            if rank == asn.a_worker {
-                let (qa, values) = self.times.time_layer(i, Stage::EigCompute, || {
-                    self.states[i].eig_a_with(&mut self.eig_scratch)
-                });
-                self.states[i].qa = Some(qa);
-                va = Some(values);
-            }
-            if rank == asn.g_worker {
-                let (qg, values) = self.times.time_layer(i, Stage::EigCompute, || {
-                    self.states[i].eig_g_with(&mut self.eig_scratch)
-                });
-                self.states[i].qg = Some(qg);
-                vg = Some(values);
-            }
-
-            // Section 4.4: ship v_A to the G worker, which computes the
-            // damped reciprocal outer product exactly once.
-            if asn.a_worker != asn.g_worker && (rank == asn.a_worker || rank == asn.g_worker) {
-                let pair = [asn.a_worker, asn.g_worker];
-                let mut buf = va.take().unwrap_or_else(|| vec![0.0; a_dim]);
-                self.times.time_layer(i, Stage::EigComm, || {
-                    let pending = comm.begin_broadcast(&buf, asn.a_worker, &pair, CommTag::EigComm);
-                    comm.complete(pending, &mut buf);
-                });
-                if rank == asn.a_worker {
-                    self.comm_bytes += (a_dim * precision.bytes_per_element()) as u64;
-                }
-                va = Some(buf);
-            }
-            if rank == asn.g_worker {
-                let outer = self.times.time_layer(i, Stage::EigCompute, || {
-                    KfacLayerState::compute_outer(
-                        vg.as_ref().expect("G worker has v_G"),
-                        va.as_ref().expect("G worker received v_A"),
-                        damping,
-                    )
-                });
-                self.states[i].outer = Some(outer);
-            }
-
-            if is_gw && asn.gradient_workers.len() > 1 {
-                let group = &asn.gradient_workers;
-                let qa = self.states[i].qa.take();
-                let mb = self.begin_matrix_bcast(i, comm, qa, a_dim, a_dim, asn.a_worker, group);
-                self.states[i].qa = Some(self.complete_matrix_bcast(i, comm, mb));
-                let qg = self.states[i].qg.take();
-                let mb = self.begin_matrix_bcast(i, comm, qg, g_dim, g_dim, asn.g_worker, group);
-                self.states[i].qg = Some(self.complete_matrix_bcast(i, comm, mb));
-                let o = self.states[i].outer.take();
-                let mb = self.begin_matrix_bcast(i, comm, o, g_dim, a_dim, asn.g_worker, group);
-                self.states[i].outer = Some(self.complete_matrix_bcast(i, comm, mb));
-            }
-        }
-    }
-
-    /// Stages 3 and 4: precondition gradients, broadcast to receivers,
-    /// KL-clip scale, and write back.
-    fn precondition_and_scale(
-        &mut self,
-        layers: &mut [&mut dyn kaisa_nn::KfacAble],
-        comm: &dyn Communicator,
-        lr: f32,
-    ) {
-        let rank = self.rank;
-        let precision = self.cfg.precision;
-
-        let grads: Vec<Matrix> = layers.iter().map(|l| l.combined_grad()).collect();
-        let mut preconditioned: Vec<Matrix> = Vec::with_capacity(grads.len());
-
-        for (i, grad) in grads.iter().enumerate() {
-            let asn = self.plan.layers[i].clone();
-            let is_gw = asn.is_gradient_worker(rank);
-            let mut precond = self.precondition_local(i, grad, is_gw);
-
-            if let Some(group) = asn.bcast_group_of(rank) {
-                let root = group[0];
-                if rank == root {
-                    precond.quantize(precision);
-                    self.comm_bytes += (precond.numel()
-                        * precision.bytes_per_element()
-                        * (group.len() - 1)) as u64;
-                }
-                self.times.time_layer(i, Stage::GradComm, || {
-                    let pending =
-                        comm.begin_broadcast(precond.as_slice(), root, group, CommTag::GradComm);
-                    comm.complete(pending, precond.as_mut_slice());
-                });
-            }
-            preconditioned.push(precond);
-        }
-
-        self.scale_and_write_back(layers, &grads, preconditioned, lr);
-    }
-
     /// Precondition one layer's gradient locally (Eq. 15–17, or EK-FAC when
     /// configured) — or return a zero receive buffer on non-gradient-worker
-    /// ranks. Shared by both executors. Either way the
-    /// matrix comes out of the layer's reused work buffers and goes back to
+    /// ranks. Either way the matrix comes out of the layer's reused work buffers and goes back to
     /// them in [`Kfac::scale_and_write_back`].
     pub(crate) fn precondition_local(&mut self, i: usize, grad: &Matrix, is_gw: bool) -> Matrix {
         if !is_gw {
@@ -467,8 +245,8 @@ impl Kfac {
 
     /// Stage 4: KL-clip scaling and write-back (identical on every rank
     /// because both the gradients and the preconditioned gradients are
-    /// replicated). Runs in serial layer order on both executors so the
-    /// `Σ⟨p,g⟩` accumulation — and hence ν — is bitwise identical.
+    /// replicated). Runs in layer order whatever the completion order, so
+    /// the `Σ⟨p,g⟩` accumulation — and hence ν — is bitwise identical.
     pub(crate) fn scale_and_write_back(
         &mut self,
         layers: &mut [&mut dyn kaisa_nn::KfacAble],
@@ -540,6 +318,27 @@ mod tests {
         assert_ne!(before, after, "preconditioning must change the gradients");
         assert!(after.iter().all(|v| v.is_finite()));
         assert_eq!(kfac.steps(), 1);
+    }
+
+    #[test]
+    fn strategy_resolves_against_the_realized_grid() {
+        // `Kfac::new` reads only the rank and world, so one handle of a
+        // world-4 ThreadComm is enough. LOCAL-OPT is never inferred from a
+        // worker count, so it must survive resolution, on the one-owner
+        // grid; any other explicit request reports what the grid realized.
+        let comms = kaisa_comm::ThreadComm::world(4);
+        let resolve = |cfg: KfacConfig| {
+            let (mut model, ..) = toy_setup();
+            let kfac = Kfac::new(cfg, &mut model, &comms[1]);
+            (kfac.strategy(), kfac.plan().workers_per_layer)
+        };
+        let local = KfacConfig::builder().strategy(DistStrategy::LocalOpt).build();
+        assert_eq!(resolve(local), (DistStrategy::LocalOpt, 1));
+        let hybrid_at_one =
+            KfacConfig::builder().strategy(DistStrategy::HybridOpt).grad_worker_frac(1.0).build();
+        assert_eq!(resolve(hybrid_at_one), (DistStrategy::CommOpt, 4));
+        let half = KfacConfig::builder().grad_worker_frac(0.5).build();
+        assert_eq!(resolve(half), (DistStrategy::HybridOpt, 2));
     }
 
     #[test]

@@ -57,17 +57,6 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> ClassLoss {
     ClassLoss { loss: (loss / n as f64) as f32, grad, accuracy: correct as f32 / n as f32 }
 }
 
-/// Mean-squared-error loss; returns `(loss, grad)`.
-pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.numel().max(1);
-    let mut grad = pred.clone();
-    grad.sub_assign(target);
-    let loss = grad.as_slice().iter().map(|v| (*v as f64).powi(2)).sum::<f64>() / n as f64;
-    grad.scale(2.0 / n as f32);
-    (loss as f32, grad)
-}
-
 /// Smooth-L1 (Huber) loss used for bounding-box regression in detection
 /// heads; returns `(loss, grad)`.
 pub fn smooth_l1_loss(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
@@ -213,15 +202,6 @@ mod tests {
         let out = softmax_cross_entropy(&logits, &[2, 0]);
         assert_eq!(out.accuracy, 1.0);
         assert!(out.loss < 1e-4);
-    }
-
-    #[test]
-    fn mse_known() {
-        let p = Matrix::from_vec(1, 2, vec![1.0, 3.0]);
-        let t = Matrix::from_vec(1, 2, vec![0.0, 0.0]);
-        let (loss, grad) = mse_loss(&p, &t);
-        assert!((loss - 5.0).abs() < 1e-6); // (1 + 9) / 2
-        assert_eq!(grad.as_slice(), &[1.0, 3.0]); // 2d/n
     }
 
     #[test]

@@ -125,6 +125,9 @@ impl JobSpec {
         if self.layer_sizes.len() < 2 {
             return Err("layer_sizes needs at least input and output widths".to_string());
         }
+        if let Some(i) = self.layer_sizes.iter().position(|&w| w == 0) {
+            return Err(format!("layer_sizes[{i}] is zero; every width must be positive"));
+        }
         if self.total_steps == 0 {
             return Err("total_steps must be positive".to_string());
         }

@@ -14,7 +14,7 @@
 //!
 //! * [`RankPool`](kaisa_comm::RankPool) (in `kaisa-comm`) — a counting
 //!   semaphore over rank threads; every job world is carved out of it.
-//! * [`JobManager`] — sharded-lock job map, FIFO-with-backfill scheduler,
+//! * [`JobManager`] — one locked job map, FIFO-with-backfill scheduler,
 //!   admission driven by the analytic memory model *and* the live
 //!   measured `MemoryMeter` of running jobs.
 //! * [`JobCheckpoint`] — the stable byte format for paused jobs: flat

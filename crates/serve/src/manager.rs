@@ -7,9 +7,9 @@
 //!
 //! * a [`RankPool`] — the machine's rank-thread capacity, shared by every
 //!   job's communicator world;
-//! * a **sharded-lock job map** — `N` independent `RwLock<HashMap>` shards
-//!   keyed by [`JobId`], so status queries and per-rank live-memory
-//!   updates on different jobs never contend on one lock;
+//! * a **job map** — one `RwLock<HashMap>` keyed by [`JobId`]: status
+//!   queries share it, and rank-0 threads take it briefly to record
+//!   their job's live memory;
 //! * a [`MemoryBudget`] — the pool-wide cap on modeled per-rank K-FAC
 //!   state, driving admission.
 //!
@@ -62,13 +62,11 @@ pub struct ServeConfig {
     /// queues jobs whose modeled `kfac_overhead()` would push the
     /// live total past this; jobs that could never fit are rejected.
     pub pool_budget_bytes: usize,
-    /// Number of independent lock shards in the job map.
-    pub map_shards: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig { pool_ranks: 8, pool_budget_bytes: 256 << 20, map_shards: 8 }
+        ServeConfig { pool_ranks: 8, pool_budget_bytes: 256 << 20 }
     }
 }
 
@@ -218,7 +216,7 @@ pub struct JobManager {
     cfg: ServeConfig,
     pool: RankPool,
     budget: MemoryBudget,
-    shards: Vec<RwLock<HashMap<u64, JobEntry>>>,
+    jobs: RwLock<HashMap<u64, JobEntry>>,
     sched: Mutex<Sched>,
     wake: Condvar,
     events: Mutex<Vec<ServeEvent>>,
@@ -229,12 +227,10 @@ pub struct JobManager {
 impl JobManager {
     /// Build a manager over a fresh rank pool.
     pub fn new(cfg: ServeConfig) -> Self {
-        assert!(cfg.map_shards >= 1, "job map needs at least one shard");
-        let shards = (0..cfg.map_shards).map(|_| RwLock::new(HashMap::new())).collect();
         JobManager {
             pool: RankPool::new(cfg.pool_ranks),
             budget: MemoryBudget::new(cfg.pool_budget_bytes),
-            shards,
+            jobs: RwLock::new(HashMap::new()),
             sched: Mutex::new(Sched { queue: VecDeque::new(), running: 0 }),
             wake: Condvar::new(),
             events: Mutex::new(Vec::new()),
@@ -291,7 +287,7 @@ impl JobManager {
             checkpoint: None,
             segment_losses: Vec::new(),
         };
-        self.shard(id).write().expect("job map poisoned").insert(id.0, entry);
+        self.jobs.write().expect("job map poisoned").insert(id.0, entry);
         self.record(ServeEvent::Submitted { job: id, at: self.now() });
         let mut sched = self.sched.lock().expect("scheduler poisoned");
         sched.queue.push_back(id);
@@ -307,16 +303,18 @@ impl JobManager {
     pub fn drain(&self) {
         std::thread::scope(|scope| loop {
             let mut sched = self.sched.lock().expect("scheduler poisoned");
-            let pick =
-                sched.queue.iter().position(|&id| self.admissible(id, self.live_resident_bytes()));
+            // One snapshot of the running jobs' footprint judges every
+            // queued job of this scan.
+            let live = self.live_resident_bytes();
+            let pick = sched.queue.iter().position(|&id| self.admissible(id, live));
             match pick {
                 Some(i) => {
                     let id = sched.queue.remove(i).expect("index in range");
                     sched.running += 1;
                     drop(sched);
                     let (step, world) = {
-                        let mut shard = self.shard(id).write().expect("job map poisoned");
-                        let entry = shard.get_mut(&id.0).expect("queued job in map");
+                        let mut jobs = self.jobs.write().expect("job map poisoned");
+                        let entry = jobs.get_mut(&id.0).expect("queued job in map");
                         entry.state = JobState::Running;
                         (entry.step, entry.world)
                     };
@@ -350,8 +348,8 @@ impl JobManager {
 
     /// Point-in-time status of one job.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let shard = self.shard(id).read().expect("job map poisoned");
-        shard.get(&id.0).map(|e| JobStatus {
+        let jobs = self.jobs.read().expect("job map poisoned");
+        jobs.get(&id.0).map(|e| JobStatus {
             id,
             name: e.spec.name.clone(),
             state: e.state,
@@ -366,10 +364,8 @@ impl JobManager {
 
     /// Status of every job, ordered by id.
     pub fn statuses(&self) -> Vec<JobStatus> {
-        let mut ids: Vec<JobId> = Vec::new();
-        for shard in &self.shards {
-            ids.extend(shard.read().expect("job map poisoned").keys().map(|&k| JobId(k)));
-        }
+        let mut ids: Vec<JobId> =
+            self.jobs.read().expect("job map poisoned").keys().map(|&k| JobId(k)).collect();
         ids.sort();
         ids.into_iter().filter_map(|id| self.status(id)).collect()
     }
@@ -377,7 +373,7 @@ impl JobManager {
     /// The latest checkpoint bytes of a job (after any pause, and always
     /// after completion).
     pub fn checkpoint_bytes(&self, id: JobId) -> Option<Vec<u8>> {
-        self.shard(id).read().expect("job map poisoned").get(&id.0)?.checkpoint.clone()
+        self.jobs.read().expect("job map poisoned").get(&id.0)?.checkpoint.clone()
     }
 
     /// Decode the final model parameters from a job's latest checkpoint.
@@ -393,19 +389,10 @@ impl JobManager {
 
     /// Sum of resident-byte claims of currently running jobs.
     pub fn live_resident_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for shard in &self.shards {
-            for e in shard.read().expect("job map poisoned").values() {
-                if e.state == JobState::Running {
-                    total = total.saturating_add(e.claim.max(e.measured.unwrap_or(0)));
-                }
-            }
-        }
-        total
-    }
-
-    fn shard(&self, id: JobId) -> &RwLock<HashMap<u64, JobEntry>> {
-        &self.shards[(id.0 as usize) % self.shards.len()]
+        let jobs = self.jobs.read().expect("job map poisoned");
+        jobs.values()
+            .filter(|e| e.state == JobState::Running)
+            .fold(0usize, |total, e| total.saturating_add(e.claim.max(e.measured.unwrap_or(0))))
     }
 
     fn now(&self) -> f64 {
@@ -417,16 +404,16 @@ impl JobManager {
     }
 
     fn admissible(&self, id: JobId, live: usize) -> bool {
-        let shard = self.shard(id).read().expect("job map poisoned");
-        let entry = shard.get(&id.0).expect("queued job in map");
+        let jobs = self.jobs.read().expect("job map poisoned");
+        let entry = jobs.get(&id.0).expect("queued job in map");
         self.budget.admits(live, entry.claim)
     }
 
     /// Rank-0 threads report their job's live measured footprint here
     /// while the segment runs, so admission sees reality, not the model.
     fn record_measured(&self, id: JobId, bytes: usize) {
-        let mut shard = self.shard(id).write().expect("job map poisoned");
-        let entry = shard.get_mut(&id.0).expect("running job in map");
+        let mut jobs = self.jobs.write().expect("job map poisoned");
+        let entry = jobs.get_mut(&id.0).expect("running job in map");
         entry.measured = Some(entry.measured.unwrap_or(0).max(bytes));
     }
 
@@ -435,8 +422,8 @@ impl JobManager {
     /// re-queue.
     fn run_segment(&self, id: JobId) {
         let (spec, start_step, world, ckpt_bytes) = {
-            let shard = self.shard(id).read().expect("job map poisoned");
-            let e = shard.get(&id.0).expect("running job in map");
+            let jobs = self.jobs.read().expect("job map poisoned");
+            let e = jobs.get(&id.0).expect("running job in map");
             (e.spec.clone(), e.step, e.world, e.checkpoint.clone())
         };
         let target = spec
@@ -556,8 +543,8 @@ impl JobManager {
             }
         }
         {
-            let mut shard = self.shard(id).write().expect("job map poisoned");
-            let entry = shard.get_mut(&id.0).expect("running job in map");
+            let mut jobs = self.jobs.write().expect("job map poisoned");
+            let entry = jobs.get_mut(&id.0).expect("running job in map");
             entry.step = target;
             entry.world = next_world;
             entry.claim = modeled_kfac_bytes(&spec, next_world);
@@ -693,6 +680,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_width_layer_is_rejected_at_submit() {
+        // A zero output width would panic inside a pool rank thread
+        // (no classes to generate), and `drain` would never return.
+        let mgr = JobManager::new(ServeConfig::default());
+        for sizes in [vec![8, 0], vec![0, 4]] {
+            let mut spec = JobSpec::small("zero");
+            spec.layer_sizes = sizes.clone();
+            let err = mgr.submit(spec).unwrap_err();
+            assert!(matches!(err, AdmissionError::InvalidSpec(_)), "{sizes:?}: {err}");
+        }
+        assert!(mgr.statuses().is_empty(), "a rejected spec is never queued");
+    }
+
+    #[test]
     fn oversized_world_is_rejected() {
         let mgr = JobManager::new(ServeConfig { pool_ranks: 2, ..ServeConfig::default() });
         let err = mgr.submit(kfac_spec("wide", 4, 4)).unwrap_err();
@@ -704,11 +705,7 @@ mod tests {
         // Budget fits exactly one of the two identical jobs at a time.
         let one_job = modeled_kfac_bytes(&kfac_spec("probe", 2, 4), 2);
         assert!(one_job > 0);
-        let cfg = ServeConfig {
-            pool_ranks: 8,
-            pool_budget_bytes: one_job + one_job / 2,
-            ..ServeConfig::default()
-        };
+        let cfg = ServeConfig { pool_ranks: 8, pool_budget_bytes: one_job + one_job / 2 };
         let mgr = JobManager::new(cfg);
         let a = mgr.submit(kfac_spec("first", 2, 4)).unwrap();
         let b = mgr.submit(kfac_spec("second", 2, 4)).unwrap();

@@ -269,14 +269,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise `self -= other`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "sub_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= *b;
-        }
-    }
-
     /// `self = alpha * other + beta * self` (BLAS-style axpby).
     pub fn axpby(&mut self, alpha: f32, other: &Matrix, beta: f32) {
         assert_eq!(self.shape(), other.shape(), "axpby shape mismatch");

@@ -1,6 +1,6 @@
 //! Four-dimensional NCHW activation tensors for convolutional layers.
 
-use crate::{Matrix, Rng};
+use crate::Rng;
 
 /// A dense 4-D tensor in NCHW layout (batch, channels, height, width).
 #[derive(Debug, Clone, PartialEq)]
@@ -106,17 +106,6 @@ impl Tensor4 {
         &self.data[n * sz..(n + 1) * sz]
     }
 
-    /// View as a `(n, c*h*w)` matrix (copies the data).
-    pub fn flatten_batch(&self) -> Matrix {
-        Matrix::from_vec(self.n, self.c * self.h * self.w, self.data.clone())
-    }
-
-    /// Rebuild an NCHW tensor from a `(n, c*h*w)` matrix.
-    pub fn from_matrix(m: &Matrix, c: usize, h: usize, w: usize) -> Tensor4 {
-        assert_eq!(m.cols(), c * h * w, "matrix cols must equal c*h*w");
-        Tensor4::from_vec(m.rows(), c, h, w, m.as_slice().to_vec())
-    }
-
     /// Elementwise `self += other`.
     pub fn add_assign(&mut self, other: &Tensor4) {
         assert_eq!(self.shape(), other.shape(), "tensor add shape mismatch");
@@ -169,16 +158,6 @@ mod tests {
         t.set(1, 2, 3, 4, 7.5);
         assert_eq!(t.get(1, 2, 3, 4), 7.5);
         assert_eq!(t.as_slice()[t.idx(1, 2, 3, 4)], 7.5);
-    }
-
-    #[test]
-    fn flatten_and_rebuild() {
-        let mut rng = Rng::seed_from_u64(1);
-        let t = Tensor4::randn(3, 2, 4, 4, 1.0, &mut rng);
-        let m = t.flatten_batch();
-        assert_eq!(m.shape(), (3, 32));
-        let back = Tensor4::from_matrix(&m, 2, 4, 4);
-        assert_eq!(back, t);
     }
 
     #[test]

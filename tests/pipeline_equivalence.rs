@@ -1,11 +1,17 @@
-//! The pipelined executor's contract: splitting `Kfac::step` into per-layer
-//! stage tasks with non-blocking collectives changes *when* work happens,
-//! never *what* is computed. Serial and pipelined execution must be bitwise
-//! identical — same preconditioned gradients, same trained weights, same
-//! logical communication volume — across every distribution strategy, world
-//! size, precision, and communication layout.
+//! The completion-order contract: `Kfac::step` runs its stages as layer
+//! sweeps over non-blocking collectives, and `KfacConfig::pipelined` only
+//! chooses *when* each handle completes — in a later sweep, overlapping other
+//! layers' compute, or right after its `begin` (the serial order, with
+//! nothing in flight together). That changes *when* work happens, never
+//! *what* is computed. The two orders must be bitwise identical — same
+//! preconditioned gradients, same trained weights, same logical
+//! communication volume — across every distribution strategy, world size,
+//! precision, and communication layout; and the serial order must really be
+//! serial, or this suite would compare pipelined with itself.
 
-use kaisa::comm::{CommTag, Communicator, MeterSnapshot, ThreadComm};
+use std::sync::Mutex;
+
+use kaisa::comm::{CommTag, Communicator, MeterSnapshot, PendingCollective, ReduceOp, ThreadComm};
 use kaisa::core::{Kfac, KfacConfig, KfacConfigBuilder};
 use kaisa::data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa::nn::models::Mlp;
@@ -71,7 +77,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Assert the two executors produced bit-identical training on every rank.
+/// Assert the two completion orders produced bit-identical training on
+/// every rank.
 fn assert_bitwise_equal(
     serial: &[(Vec<f32>, Vec<f32>, u64, MeterSnapshot)],
     pipelined: &[(Vec<f32>, Vec<f32>, u64, MeterSnapshot)],
@@ -152,7 +159,7 @@ fn meter_attributes_every_byte_to_an_issuing_stage() {
         .sum();
         assert_eq!(tagged, meter.total_bytes(), "rank {rank}: bytes leaked a tag");
     }
-    // Serial execution routes through the same tagged begin/complete pairs,
+    // The serial order routes through the same tagged begin/complete pairs,
     // so its attribution must be identical collective-for-collective.
     let serial = train(4, 8, 71, |b| b.grad_worker_frac(0.5).pipelined(false));
     for (rank, (s, p)) in serial.iter().zip(&results).enumerate() {
@@ -160,10 +167,142 @@ fn meter_attributes_every_byte_to_an_issuing_stage() {
             assert_eq!(
                 s.3.tag_bytes(tag),
                 p.3.tag_bytes(tag),
-                "rank {rank}: {tag:?} bytes differ between executors"
+                "rank {rank}: {tag:?} bytes differ between completion orders"
             );
         }
     }
+}
+
+/// One entry of a rank's collective log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Call {
+    Begin,
+    Complete,
+}
+
+/// A communicator that logs this rank's collective begins and completes
+/// (a blocking collective logs as a begin completed at once) and forwards
+/// every call to the wrapped [`ThreadComm`].
+struct CallLog<'a> {
+    inner: &'a ThreadComm,
+    calls: Mutex<Vec<Call>>,
+}
+
+impl CallLog<'_> {
+    fn push(&self, call: Call) {
+        self.calls.lock().unwrap().push(call);
+    }
+
+    fn blocking(&self) {
+        self.push(Call::Begin);
+        self.push(Call::Complete);
+    }
+}
+
+impl Communicator for CallLog<'_> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn world_size(&self) -> usize {
+        self.inner.world_size()
+    }
+
+    fn allreduce(&self, buf: &mut [f32], op: ReduceOp) {
+        self.blocking();
+        self.inner.allreduce(buf, op);
+    }
+
+    fn allreduce_group(&self, buf: &mut [f32], op: ReduceOp, group: &[usize]) {
+        self.blocking();
+        self.inner.allreduce_group(buf, op, group);
+    }
+
+    fn broadcast(&self, buf: &mut [f32], root: usize) {
+        self.blocking();
+        self.inner.broadcast(buf, root);
+    }
+
+    fn broadcast_group(&self, buf: &mut [f32], root: usize, group: &[usize]) {
+        self.blocking();
+        self.inner.broadcast_group(buf, root, group);
+    }
+
+    fn allgather(&self, send: &[f32]) -> Vec<f32> {
+        self.blocking();
+        self.inner.allgather(send)
+    }
+
+    fn barrier(&self) {
+        self.inner.barrier();
+    }
+
+    fn begin_allreduce(
+        &self,
+        buf: &[f32],
+        op: ReduceOp,
+        group: &[usize],
+        tag: CommTag,
+    ) -> PendingCollective {
+        self.push(Call::Begin);
+        self.inner.begin_allreduce(buf, op, group, tag)
+    }
+
+    fn begin_broadcast(
+        &self,
+        buf: &[f32],
+        root: usize,
+        group: &[usize],
+        tag: CommTag,
+    ) -> PendingCollective {
+        self.push(Call::Begin);
+        self.inner.begin_broadcast(buf, root, group, tag)
+    }
+
+    fn complete(&self, pending: PendingCollective, buf: &mut [f32]) {
+        self.push(Call::Complete);
+        self.inner.complete(pending, buf);
+    }
+
+    fn meter_snapshot(&self) -> MeterSnapshot {
+        self.inner.meter_snapshot()
+    }
+}
+
+/// Each rank's log of the collectives one factor-and-eigendecomposition
+/// `Kfac::step` issues: HYBRID-OPT on a 3-layer MLP at world 4, so the
+/// factor allreduces, the `v_A` shuttles, the result broadcasts and the
+/// gradient broadcasts all run.
+fn step_calls(pipelined: bool) -> Vec<Vec<Call>> {
+    let dataset = GaussianBlobs::generate(64, 8, 4, 0.4, 83);
+    ThreadComm::run(4, |comm| {
+        let mut model = Mlp::new(&[8, 12, 10, 4], &mut Rng::seed_from_u64(84));
+        let cfg = KfacConfig::builder().grad_worker_frac(0.5).pipelined(pipelined).build();
+        let mut kfac = Kfac::new(cfg, &mut model, comm);
+        assert!(kfac.is_factor_update_step() && kfac.is_inv_update_step());
+        let indices: Vec<usize> = (comm.rank() * 8..comm.rank() * 8 + 8).collect();
+        let (x, y) = dataset.batch(&indices);
+        kfac.prepare(&mut model);
+        model.zero_grad();
+        let _ = model.forward_backward(&x, &y);
+        kaisa::trainer::allreduce_gradients(&mut model, comm, 1);
+        let log = CallLog { inner: comm, calls: Mutex::new(Vec::new()) };
+        kfac.step(&mut model, &log, 0.1);
+        log.calls.into_inner().unwrap()
+    })
+}
+
+#[test]
+fn serial_order_never_has_two_collectives_in_flight() {
+    let overlaps = |calls: &[Call]| calls.windows(2).any(|w| w == [Call::Begin, Call::Begin]);
+    for (rank, calls) in step_calls(false).iter().enumerate() {
+        assert!(calls.contains(&Call::Begin), "rank {rank} issued no collective");
+        assert!(!overlaps(calls), "rank {rank}: serial order overlapped collectives: {calls:?}");
+    }
+    assert!(
+        step_calls(true).iter().any(|calls| overlaps(calls)),
+        "pipelined order never had two collectives in flight"
+    );
 }
 
 proptest! {

@@ -245,7 +245,6 @@ fn admission_queues_over_budget_job_until_memory_frees() {
     let mgr = JobManager::new(ServeConfig {
         pool_ranks: 8,
         pool_budget_bytes: one + one / 2, // room for one job, not two
-        ..ServeConfig::default()
     });
     let mut first = probe.clone();
     first.resizes.clear();

@@ -7,7 +7,7 @@
 //! LOCAL-OPT (DP-KFAC) deliberately breaks that equivalence at world > 1 —
 //! each owner folds only its own rank's statistics — so its contract is
 //! different: zero factor-collective traffic, bitwise determinism across
-//! ranks and executors, and exact agreement with the dense reference in the
+//! ranks and completion orders, and exact agreement with the dense reference in the
 //! degenerate single-rank world where "local" and "global" coincide.
 
 use kaisa::comm::{CommTag, Communicator, MeterSnapshot, ThreadComm};
@@ -237,7 +237,7 @@ fn local_opt_world1_is_bitwise_identical_to_dense_serial() {
 
 #[test]
 fn local_opt_is_deterministic_across_executors_ranks_and_worlds() {
-    // The fourth strategy through both executors: serial and pipelined
+    // The fourth strategy in both completion orders: serial and pipelined
     // must train bit-identically at every world, and all ranks must hold the
     // same weights — DP-KFAC changes *whose* statistics feed the
     // preconditioner, not the data-parallel contract.
@@ -265,7 +265,7 @@ fn local_opt_is_deterministic_across_executors_ranks_and_worlds() {
 fn local_opt_survives_fp16_and_grad_accum() {
     // The layouts that most reshape the owner-side fold: half-precision
     // triangular payloads and accumulated micro-batch statistics. The
-    // pipelined executor must still match serial.
+    // pipelined order must still match serial.
     for (precision, triangular, grad_accum) in
         [(Precision::Fp16, true, 1), (Precision::Fp16, false, 2), (Precision::Fp32, true, 2)]
     {
@@ -294,7 +294,7 @@ fn local_opt_survives_fp16_and_grad_accum() {
 fn local_opt_moves_zero_factor_collective_bytes_at_world_8() {
     // The acceptance gate: DP-KFAC's whole point is deleting the factor
     // collective. At world 8, every rank's meter must show exactly zero
-    // factor-allreduce bytes in both executors, while the rest of the step
+    // factor-allreduce bytes in both completion orders, while the rest of the step
     // (gradient broadcast, DDP) still flows.
     type Exec = (&'static str, fn(KfacConfigBuilder) -> KfacConfigBuilder);
     let execs: [Exec; 2] =
