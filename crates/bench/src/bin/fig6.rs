@@ -52,8 +52,10 @@ fn live() {
         blocks_stage2: 2,
         classes: 4,
     };
+    let fracs = [1.0 / 8.0, 0.25, 0.5, 1.0];
     let mut table = Vec::new();
-    for &frac in &[1.0 / 8.0, 0.25, 0.5, 1.0] {
+    let mut rank0 = Vec::new();
+    for &frac in &fracs {
         let run = ThreadComm::run(world, |comm| {
             let mut model = ResNetMini::new(model_cfg, &mut Rng::seed_from_u64(30));
             let cfg = KfacConfig::builder()
@@ -84,6 +86,7 @@ fn live() {
         let (iter_s, mem, sent, _) = run[0];
         let max_mem = run.iter().map(|r| r.1).max().unwrap();
         let peak_factors = run.iter().map(|r| r.3).max().unwrap();
+        rank0.push((mem, sent));
         table.push(vec![
             format!("{frac:.3}"),
             format!("{:.1}", iter_s * 1e3),
@@ -107,8 +110,36 @@ fn live() {
             &table
         )
     );
-    println!("(live memory grows with frac and rank-0 send volume falls — the Figure 6 tradeoff;");
+    let ((mem_lo, sent_lo), (mem_hi, sent_hi)) = (rank0[0], rank0[rank0.len() - 1]);
+    println!(
+        "(from frac {:.3} to {:.3}, rank-0 K-FAC memory {} ({} -> {} KiB) and rank-0 send \
+         volume {} ({sent_lo} -> {sent_hi} B);",
+        fracs[0],
+        fracs[fracs.len() - 1],
+        direction(mem_lo, mem_hi),
+        mem_lo / 1024,
+        mem_hi / 1024,
+        direction(sent_lo, sent_hi),
+    );
+    if sent_hi > sent_lo {
+        println!(
+            " at this sweep's inv_update_freq(4), COMM-OPT's eigendecomposition broadcast to \
+             every rank outweighs the gradient broadcast it removes; Figure 6's falling volume \
+             assumes Table 2's longer intervals;"
+        );
+    } else {
+        println!(" memory bought with send volume — the Figure 6 tradeoff;");
+    }
     println!(" the factor column is the MemoryMeter-measured peak, the same at every frac)");
+}
+
+/// How a quantity moved between the first and the last row of a sweep.
+fn direction<T: Ord>(first: T, last: T) -> &'static str {
+    match last.cmp(&first) {
+        std::cmp::Ordering::Greater => "rises",
+        std::cmp::Ordering::Less => "falls",
+        std::cmp::Ordering::Equal => "stays flat",
+    }
 }
 
 fn main() {

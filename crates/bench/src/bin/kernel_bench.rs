@@ -5,9 +5,11 @@
 //! factor sizes and `sym_eig`'s AVX2 solver body against its portable
 //! compilation, the blocked GEMM through the AVX-512 microkernel against
 //! the AVX2 one, the elementwise layers of the step path (`Gelu`,
-//! `BatchNorm2d`) in ns per element, and `Conv2d` forward + backward +
+//! `BatchNorm2d`) in ns per element, `Conv2d` forward + backward +
 //! capture in its column layout against the row-layout pipeline it
-//! replaced, written as `BENCH_kernels.json` next to `BENCH_comm.json`.
+//! replaced, and gradient preconditioning with the cached eigenvalue outer
+//! product against recomputing it every call (KAISA §4.4), written as
+//! `BENCH_kernels.json` next to `BENCH_comm.json`.
 //!
 //! Both kernels are measured in the same process on the same machine with
 //! interleaved best-of trials (the comm_bench protocol), so the comparison
@@ -58,9 +60,14 @@
 //!   [`CONV_SHAPES`] (and the two must agree bit for bit, or the run
 //!   panics). The cell explains `bench_e2e`'s `nn.*` deltas; it claims
 //!   nothing by itself.
+//!
+//! The §4.4 `precondition_outer` cell at [`PRECONDITION_SHAPES`] gates no
+//! time: it explains why `Kfac` caches the outer product and claims
+//! nothing. Its two arms must agree bit for bit, or the run panics.
 
 use std::time::Instant;
 
+use kaisa_core::KfacLayerState;
 use kaisa_linalg::{sym_eig, sym_eig_portable, sym_eig_reference, EigScratch, EigenError, SymEig};
 use kaisa_nn::{activation::Gelu, norm::BatchNorm2d, Conv2d, KfacCapture};
 use kaisa_tensor::{
@@ -138,6 +145,12 @@ const BN2D_SHAPE: (usize, usize, usize, usize) = (16, 32, 16, 16);
 /// (stride 1, padding 1, no bias): stage 1 and stage 2 at batch 16.
 const CONV_SHAPES: [(usize, usize, usize, usize, usize); 2] =
     [(16, 32, 16, 16, 32), (16, 64, 8, 8, 64)];
+
+/// `(a_dim, g_dim)` of the §4.4 precompute-vs-recompute cell: a small and
+/// a wide linear layer, and a 576-wide conv patch factor over 64 channels.
+const PRECONDITION_SHAPES: [(usize, usize); 3] = [(64, 32), (256, 128), (576, 64)];
+/// Damping γ of the outer product `1/(v_G v_Aᵀ + γ)` in that cell.
+const PRECONDITION_DAMPING: f32 = 0.003;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Layout {
@@ -631,6 +644,61 @@ fn measure_conv((n, c_in, h, w, c_out): (usize, usize, usize, usize, usize)) -> 
     (col_ms, row_ms)
 }
 
+/// KAISA §4.4 at one `(a_dim, g_dim)`: `precondition_eigen` with the
+/// cached outer product `1/(v_G v_Aᵀ + γ)` against the same call preceded
+/// by `compute_outer`, which is the per-step work a recomputing
+/// preconditioner does. Interleaved best-of-[`TRIALS`] µs per call with
+/// alternating order, every band inline on this thread:
+/// `(cached_us, recompute_us)`. Panics unless the two arms return the same
+/// bits.
+fn measure_precondition_outer((a_dim, g_dim): (usize, usize)) -> (f64, f64) {
+    let mut rng = Rng::seed_from_u64(52);
+    let mut state = KfacLayerState::new("bench", a_dim, g_dim);
+    state.update_factors(random_spd(a_dim, &mut rng), random_spd(g_dim, &mut rng), 0.0);
+    let ((qa, va), (qg, vg)) = (state.eig_a(), state.eig_g());
+    (state.qa, state.qg) = (Some(qa), Some(qg));
+    state.outer = Some(KfacLayerState::compute_outer(&vg, &va, PRECONDITION_DAMPING));
+    let grad = Matrix::randn(g_dim, a_dim, 1.0, &mut rng);
+    // As in `Kfac::step`, each result goes back to the layer's work buffers.
+    let call = |state: &mut KfacLayerState, recompute: bool| {
+        if recompute {
+            state.outer = Some(KfacLayerState::compute_outer(&vg, &va, PRECONDITION_DAMPING));
+        }
+        state.precondition_eigen(&grad)
+    };
+    let mut bits = |recompute: bool| {
+        let p = call(&mut state, recompute);
+        let bits = p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        state.recycle(p);
+        bits
+    };
+    assert!(
+        bits(false) == bits(true),
+        "precondition {a_dim}x{g_dim}: cached and recomputed outer product disagree bitwise"
+    );
+
+    // The four products of Eq. 15–17: two `g·g·a` and two `g·a·a`.
+    let flops = 4.0 * (g_dim * a_dim * (g_dim + a_dim)) as f64;
+    let iters = (WINDOW_FLOPS / flops).ceil().max(1.0) as usize;
+    let (mut cached_us, mut recompute_us) = (f64::INFINITY, f64::INFINITY);
+    for t in 0..TRIALS {
+        for recompute in if t % 2 == 0 { [false, true] } else { [true, false] } {
+            let start = Instant::now();
+            for _ in 0..iters {
+                let p = call(&mut state, recompute);
+                state.recycle(std::hint::black_box(p));
+            }
+            let us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
+            if recompute {
+                recompute_us = recompute_us.min(us);
+            } else {
+                cached_us = cached_us.min(us);
+            }
+        }
+    }
+    (cached_us, recompute_us)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -883,6 +951,19 @@ fn main() {
         ));
     }
 
+    let mut precondition_rows = Vec::new();
+    for shape in PRECONDITION_SHAPES {
+        let (a_dim, g_dim) = shape;
+        let (cached, recompute) = inline_bands(|| measure_precondition_outer(shape));
+        let speedup = recompute / cached;
+        eprintln!(
+            "precondition_outer a={a_dim:<3} g={g_dim:<3}  cached {cached:>9.1} us | recompute {recompute:>9.1} us | {speedup:>5.2}x (not gated)"
+        );
+        precondition_rows.push(format!(
+            "    {{\"a_dim\": {a_dim}, \"g_dim\": {g_dim}, \"cached_us\": {cached:.2}, \"recompute_us\": {recompute:.2}, \"speedup\": {speedup:.3}, \"gated\": false}}"
+        ));
+    }
+
     let gate_passed = gate_failures.is_empty();
     let json = format!(
         concat!(
@@ -904,6 +985,7 @@ fn main() {
             "    {{\"name\": \"bn2d_fwd_bwd\", \"shape\": [{}, {}, {}, {}], \"ns_per_element\": {:.2}, \"gated\": false}}\n",
             "  ],\n",
             "  \"conv\": [\n{}\n  ],\n",
+            "  \"precondition_outer\": [\n{}\n  ],\n",
             "  \"gate\": {{\"tolerance\": {}, \"speedup_floor\": {}, \"floor_shape\": [{}, {}, {}], ",
             "\"syrk_speedup_floor\": {}, \"syrk_floor_shape\": [{}, {}], ",
             "\"eig_speedup_floors\": {:?}, \"eig_twin_floor\": [{}, {}], ",
@@ -938,6 +1020,7 @@ fn main() {
         bw,
         bn2d_ns,
         conv_rows.join(",\n"),
+        precondition_rows.join(",\n"),
         GATE_TOLERANCE,
         SPEEDUP_FLOOR,
         FLOOR_SHAPE.0,

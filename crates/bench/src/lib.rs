@@ -1,9 +1,10 @@
 //! # kaisa-bench
 //!
-//! Shared helpers for the table/figure regeneration binaries and Criterion
-//! micro-benchmarks. One binary exists per table and figure of the paper's
-//! evaluation section; see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! Shared helpers for the table/figure regeneration binaries. One binary
+//! exists per table and figure of the paper's evaluation section, beside
+//! the `kernel_bench` and `comm_bench` micro-benchmarks, which write JSON
+//! and explain end-to-end deltas; see `DESIGN.md` for the experiment index
+//! and `EXPERIMENTS.md` for paper-vs-measured results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

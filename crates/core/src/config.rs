@@ -86,21 +86,26 @@ impl KfacConfig {
         KfacConfigBuilder { cfg: KfacConfig::default() }
     }
 
-    /// Validate invariants; called by [`crate::Kfac::new`].
-    pub fn validate(&self) {
-        assert!(self.grad_worker_frac > 0.0, "grad_worker_frac must be positive");
-        assert!(self.damping > 0.0, "damping must be positive");
-        assert!((0.0..1.0).contains(&self.factor_decay), "factor_decay must be in [0, 1)");
-        assert!(self.kl_clip.is_none_or(|c| c > 0.0), "kl_clip must be positive (or None)");
-        assert!(self.factor_update_freq > 0, "factor_update_freq must be positive");
-        assert!(self.inv_update_freq > 0, "inv_update_freq must be positive");
-        assert!(
-            self.inv_update_freq.is_multiple_of(self.factor_update_freq),
-            "inv_update_freq ({}) should be a multiple of factor_update_freq ({}) so \
-             eigendecompositions never run on stale-by-construction factors",
-            self.inv_update_freq,
-            self.factor_update_freq
-        );
+    /// Check invariants, describing the first violation.
+    /// [`KfacConfigBuilder::build`] and [`crate::Kfac::new`] panic with that
+    /// description; a caller that must not panic (serve admission) checks
+    /// first.
+    pub fn validate(&self) -> Result<(), String> {
+        let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
+        ensure(self.grad_worker_frac > 0.0, "grad_worker_frac must be positive")?;
+        ensure(self.damping > 0.0, "damping must be positive")?;
+        ensure((0.0..1.0).contains(&self.factor_decay), "factor_decay must be in [0, 1)")?;
+        ensure(self.kl_clip.is_none_or(|c| c > 0.0), "kl_clip must be positive (or None)")?;
+        ensure(self.factor_update_freq > 0, "factor_update_freq must be positive")?;
+        ensure(self.inv_update_freq > 0, "inv_update_freq must be positive")?;
+        if !self.inv_update_freq.is_multiple_of(self.factor_update_freq) {
+            return Err(format!(
+                "inv_update_freq ({}) should be a multiple of factor_update_freq ({}) so \
+                 eigendecompositions never run on stale-by-construction factors",
+                self.inv_update_freq, self.factor_update_freq
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -189,7 +194,7 @@ impl KfacConfigBuilder {
 
     /// Finish building.
     pub fn build(self) -> KfacConfig {
-        self.cfg.validate();
+        self.cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         self.cfg
     }
 }

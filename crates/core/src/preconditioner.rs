@@ -79,7 +79,7 @@ impl Kfac {
     /// Register a model: record layer factor dimensions, compute the
     /// distribution plan, and enable capture for the first step.
     pub fn new<M: Model>(cfg: KfacConfig, model: &mut M, comm: &dyn Communicator) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut dims = Vec::new();
         let mut names = Vec::new();
         for layer in model.kfac_layers() {

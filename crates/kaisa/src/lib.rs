@@ -58,7 +58,7 @@
 /// Dense matrices, NCHW tensors, fp16 emulation, deterministic RNG.
 pub use kaisa_tensor as tensor;
 
-/// Symmetric eigensolver, Cholesky, triangular packing.
+/// Symmetric eigensolver, LU inverse oracle, triangular packing.
 pub use kaisa_linalg as linalg;
 
 /// Neural-network layers, models, and losses with K-FAC capture.

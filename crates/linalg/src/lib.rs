@@ -18,11 +18,9 @@
 //! * [`sym_eig_reference`] — the same algorithm as the one-to-one EISPACK
 //!   transcription with strided inner loops: the oracle [`sym_eig`] must
 //!   match bit for bit, called only by tests and `kernel_bench`.
-//! * [`cholesky`] / [`cholesky_solve`] / [`spd_inverse`] — SPD factorizations
-//!   for the direct damped-inverse preconditioning baseline (Eq. 12–14),
-//!   implemented so the eigendecomposition-vs-inverse ablation in the paper
-//!   can be reproduced.
-//! * [`lu_inverse`] — general matrix inverse with partial pivoting.
+//! * [`lu_inverse`] — general matrix inverse with partial pivoting: the
+//!   damped-Kronecker-inverse oracle (Eq. 15–17) the eigen-preconditioned
+//!   gradient is tested against.
 //! * [`pack_upper`] / [`unpack_upper`] — symmetric triangular packing used by
 //!   KAISA's triangular factor communication (Section 4.3).
 //!
@@ -37,13 +35,11 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cholesky;
 mod eigen;
 mod inverse;
 mod reference;
 mod triangular;
 
-pub use cholesky::{cholesky, cholesky_solve, spd_inverse, CholeskyError};
 pub use eigen::{sym_eig, sym_eig_portable, sym_eig_with_scratch, EigScratch, EigenError, SymEig};
 pub use inverse::lu_inverse;
 pub use reference::sym_eig_reference;

@@ -2,7 +2,7 @@
 //! orthogonality, and packing invariants over random symmetric matrices.
 
 use kaisa_linalg::{
-    cholesky, lu_inverse, pack_upper, packed_len, sym_eig, sym_eig_portable, sym_eig_reference,
+    lu_inverse, pack_upper, packed_len, sym_eig, sym_eig_portable, sym_eig_reference,
     sym_eig_with_scratch, unpack_upper, EigScratch, EigenError,
 };
 use kaisa_tensor::{Matrix, Precision, Rng};
@@ -191,15 +191,6 @@ proptest! {
         }
         let sum: f32 = eig.values.iter().sum();
         prop_assert!((sum - m.trace()).abs() < 1e-2 * m.trace().abs().max(1.0));
-    }
-
-    #[test]
-    fn cholesky_reconstructs_with_damping(n in 1usize..20, seed in any::<u64>(), damping in 0.001f32..1.0) {
-        let mut m = random_symmetric(n, seed);
-        m.add_diag(damping);
-        let l = cholesky(&m).unwrap();
-        let rec = l.matmul_nt(&l);
-        prop_assert!(rec.max_abs_diff(&m) < 1e-3 * m.max_abs().max(1.0));
     }
 
     #[test]

@@ -5,15 +5,12 @@
 //! (`G = E[g gᵀ]`), Eq. 9 of the paper. Layers record these during the
 //! forward/backward pass when capture is enabled.
 //!
-//! Two capture modes reproduce the paper's Section 4.2 design point:
-//!
-//! * [`CaptureMode::Accumulate`] (KAISA's approach) — the `aᵀa` / `gᵀg`
-//!   contributions are computed immediately during the pass and summed, so
-//!   gradient accumulation over `k` micro-batches costs O(dim²) extra memory
-//!   instead of O(k · batch · dim).
-//! * [`CaptureMode::StoreRaw`] (the baseline KAISA improves on) — the raw
-//!   `a` and `g` matrices are retained and the statistics are computed at
-//!   `KFAC.step()` time. Memory grows linearly with accumulation steps.
+//! The `aᵀa` / `gᵀg` contributions are computed immediately during the
+//! pass and summed into one `A` and one `G` (the paper's Section 4.2), so
+//! gradient accumulation over `k` micro-batches costs O(dim²) extra memory.
+//! The baseline KAISA improves on keeps every micro-batch's raw `a` and `g`
+//! until `KFAC.step()` and computes the statistics there, so its memory
+//! grows as O(k · batch · dim).
 //!
 //! Scaling conventions (`n` = samples in the micro-batch, `T` = spatial
 //! positions per sample, rows = `n·T`):
@@ -28,16 +25,6 @@
 //! the rows those blocks transpose to, bit for bit.
 
 use kaisa_tensor::{gram_nt, Matrix};
-
-/// When the statistics are materialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CaptureMode {
-    /// Compute `aᵀa`/`gᵀg` during the pass (KAISA, paper Section 4.2).
-    #[default]
-    Accumulate,
-    /// Store raw `a`/`g` and compute at `step()` (memory-hungry baseline).
-    StoreRaw,
-}
 
 /// Accumulated factor statistics for one layer and one optimizer step.
 #[derive(Debug, Clone)]
@@ -55,53 +42,9 @@ pub struct KfacStats {
 pub struct KfacCapture {
     /// Whether the layer records statistics during passes.
     pub enabled: bool,
-    /// Capture strategy.
-    pub mode: CaptureMode,
     a_stat: Option<Matrix>,
     g_stat: Option<Matrix>,
-    raw_a: Vec<(Raw, usize)>,
-    raw_g: Vec<(Raw, usize)>,
     batches: usize,
-}
-
-/// A raw `a` or `g` kept for [`CaptureMode::StoreRaw`], in the layout its
-/// layer computes in.
-#[derive(Debug, Clone)]
-enum Raw {
-    /// `rows × dim` (a Linear layer).
-    Rows(Matrix),
-    /// One `dim × T` block per sample, stacked into `(n·dim) × T` (a Conv2d
-    /// layer).
-    Cols { blocks: Matrix, dim: usize },
-}
-
-impl Raw {
-    /// A copy of `n` consecutive `dim × T` column blocks.
-    fn cols(cols: &[f32], dim: usize, n: usize) -> Raw {
-        let blocks = Matrix::from_vec(n * dim, cols.len() / (n * dim), cols.to_vec());
-        Raw::Cols { blocks, dim }
-    }
-
-    /// The `rows` of the scaling conventions: positions over all samples.
-    fn rows(&self) -> usize {
-        match self {
-            Raw::Rows(m) => m.rows(),
-            Raw::Cols { blocks, dim } => blocks.numel() / dim,
-        }
-    }
-
-    fn gram(&self) -> Matrix {
-        match self {
-            Raw::Rows(m) => m.gram_tn(),
-            Raw::Cols { blocks, dim } => gram_cols(blocks.as_slice(), *dim, blocks.rows() / dim),
-        }
-    }
-
-    fn numel(&self) -> usize {
-        match self {
-            Raw::Rows(m) | Raw::Cols { blocks: m, .. } => m.numel(),
-        }
-    }
 }
 
 /// `Σ_b B_b·B_bᵀ` over the `n` consecutive `dim × T` blocks of `cols`,
@@ -130,12 +73,8 @@ impl KfacCapture {
     /// Record the layer-input matrix `a` (rows × a_dim, already augmented
     /// with a ones column if the layer has a bias) for `n_samples` samples.
     pub fn record_forward(&mut self, a: &Matrix, n_samples: usize) {
-        if !self.enabled {
-            return;
-        }
-        match self.mode {
-            CaptureMode::Accumulate => self.record_forward_stat(a.gram_tn(), n_samples),
-            CaptureMode::StoreRaw => self.record_raw_a(Raw::Rows(a.clone()), n_samples),
+        if self.enabled {
+            self.record_forward_stat(a.gram_tn(), n_samples);
         }
     }
 
@@ -144,53 +83,32 @@ impl KfacCapture {
     /// blocks in all. Bitwise what `record_forward` gives for the
     /// `(n·T) × dim` rows the blocks transpose to.
     pub fn record_forward_cols(&mut self, cols: &[f32], dim: usize, n_samples: usize) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.record_forward_stat(gram_cols(cols, dim, n_samples), n_samples);
         }
-        match self.mode {
-            CaptureMode::Accumulate => {
-                self.record_forward_stat(gram_cols(cols, dim, n_samples), n_samples)
-            }
-            CaptureMode::StoreRaw => self.record_raw_a(Raw::cols(cols, dim, n_samples), n_samples),
-        }
-    }
-
-    fn record_raw_a(&mut self, raw: Raw, n_samples: usize) {
-        self.raw_a.push((raw, n_samples));
-        // Convention: one forward + one backward == one micro-batch; count on
-        // the forward side.
-        self.batches += 1;
     }
 
     /// Record a pre-computed `aᵀa` contribution (unscaled) for `n_samples`
     /// samples — how a Conv2d layer with a bias hands over its bordered
-    /// Gram, built without the ones column. Only meaningful in
-    /// [`CaptureMode::Accumulate`], where it is bitwise
+    /// Gram, built without the ones column. Bitwise
     /// [`record_forward`](Self::record_forward) of any `a` whose `gram_tn`
     /// is `contrib`.
     pub fn record_forward_stat(&mut self, mut contrib: Matrix, n_samples: usize) {
         if !self.enabled {
             return;
         }
-        debug_assert_eq!(
-            self.mode,
-            CaptureMode::Accumulate,
-            "record_forward_stat is an Accumulate-mode entry point"
-        );
         contrib.scale(1.0 / n_samples as f32);
         accumulate(&mut self.a_stat, contrib);
+        // Convention: one forward + one backward == one micro-batch; count on
+        // the forward side.
         self.batches += 1;
     }
 
     /// Record the pre-activation gradient matrix `g` (rows × g_dim, gradients
     /// of the *mean* loss) for `n_samples` samples.
     pub fn record_backward(&mut self, g: &Matrix, n_samples: usize) {
-        if !self.enabled {
-            return;
-        }
-        match self.mode {
-            CaptureMode::Accumulate => self.record_g_stat(g.gram_tn(), g.rows(), n_samples),
-            CaptureMode::StoreRaw => self.raw_g.push((Raw::Rows(g.clone()), n_samples)),
+        if self.enabled {
+            self.record_g_stat(g.gram_tn(), g.rows(), n_samples);
         }
     }
 
@@ -198,14 +116,8 @@ impl KfacCapture {
     /// layout: one `dim × T` block per sample, as in
     /// [`record_forward_cols`](Self::record_forward_cols).
     pub fn record_backward_cols(&mut self, cols: &[f32], dim: usize, n_samples: usize) {
-        if !self.enabled {
-            return;
-        }
-        match self.mode {
-            CaptureMode::Accumulate => {
-                self.record_g_stat(gram_cols(cols, dim, n_samples), cols.len() / dim, n_samples)
-            }
-            CaptureMode::StoreRaw => self.raw_g.push((Raw::cols(cols, dim, n_samples), n_samples)),
+        if self.enabled {
+            self.record_g_stat(gram_cols(cols, dim, n_samples), cols.len() / dim, n_samples);
         }
     }
 
@@ -218,33 +130,9 @@ impl KfacCapture {
     /// step). Returns `None` if nothing was captured.
     pub fn take_stats(&mut self) -> Option<KfacStats> {
         let batches = std::mem::take(&mut self.batches);
-        match self.mode {
-            CaptureMode::Accumulate => {
-                let a_stat = self.a_stat.take()?;
-                let g_stat = self.g_stat.take()?;
-                Some(KfacStats { a_stat, g_stat, batches })
-            }
-            CaptureMode::StoreRaw => {
-                if self.raw_a.is_empty() || self.raw_g.is_empty() {
-                    self.raw_a.clear();
-                    self.raw_g.clear();
-                    return None;
-                }
-                let mut a_stat: Option<Matrix> = None;
-                for (a, n) in self.raw_a.drain(..) {
-                    let mut contrib = a.gram();
-                    contrib.scale(1.0 / n as f32);
-                    accumulate(&mut a_stat, contrib);
-                }
-                let mut g_stat: Option<Matrix> = None;
-                for (g, n) in self.raw_g.drain(..) {
-                    let mut contrib = g.gram();
-                    contrib.scale((n * n) as f32 / g.rows().max(1) as f32);
-                    accumulate(&mut g_stat, contrib);
-                }
-                Some(KfacStats { a_stat: a_stat?, g_stat: g_stat?, batches })
-            }
-        }
+        let a_stat = self.a_stat.take()?;
+        let g_stat = self.g_stat.take()?;
+        Some(KfacStats { a_stat, g_stat, batches })
     }
 
     /// Bytes currently held by the capture state — the quantity KAISA's
@@ -252,21 +140,13 @@ impl KfacCapture {
     pub fn memory_bytes(&self) -> usize {
         let stat = self.a_stat.as_ref().map_or(0, |m| m.numel())
             + self.g_stat.as_ref().map_or(0, |m| m.numel());
-        let raw: usize = self
-            .raw_a
-            .iter()
-            .map(|(raw, _)| raw.numel())
-            .chain(self.raw_g.iter().map(|(raw, _)| raw.numel()))
-            .sum();
-        (stat + raw) * std::mem::size_of::<f32>()
+        stat * std::mem::size_of::<f32>()
     }
 
     /// Discard any captured state without producing statistics.
     pub fn clear(&mut self) {
         self.a_stat = None;
         self.g_stat = None;
-        self.raw_a.clear();
-        self.raw_g.clear();
         self.batches = 0;
     }
 }
@@ -312,48 +192,53 @@ mod tests {
 
     #[test]
     fn accumulate_matches_store_raw() {
+        // Three micro-batches: `A` and `G` are, bit for bit, the in-order
+        // sums of the stored per-micro-batch contributions `gram_tn(aᵢ)/n`
+        // and `gram_tn(gᵢ)·n²/rows` (Section 4.2).
         let mut rng = Rng::seed_from_u64(61);
-        let mut acc =
-            KfacCapture { enabled: true, mode: CaptureMode::Accumulate, ..Default::default() };
-        let mut raw =
-            KfacCapture { enabled: true, mode: CaptureMode::StoreRaw, ..Default::default() };
+        let (rows, n, a_dim, g_dim) = (8, 4, 5, 3);
+        let mut cap = KfacCapture { enabled: true, ..Default::default() };
+        let (mut a_contribs, mut g_contribs) = (Vec::new(), Vec::new());
         for _ in 0..3 {
-            let a = Matrix::randn(8, 5, 1.0, &mut rng);
-            let g = Matrix::randn(8, 4, 1.0, &mut rng);
-            acc.record_forward(&a, 8);
-            acc.record_backward(&g, 8);
-            raw.record_forward(&a, 8);
-            raw.record_backward(&g, 8);
+            let a = Matrix::randn(rows, a_dim, 1.0, &mut rng);
+            let g = Matrix::randn(rows, g_dim, 1.0, &mut rng);
+            cap.record_forward(&a, n);
+            cap.record_backward(&g, n);
+            let (mut a_contrib, mut g_contrib) = (a.gram_tn(), g.gram_tn());
+            a_contrib.scale(1.0 / n as f32);
+            g_contrib.scale((n * n) as f32 / rows as f32);
+            a_contribs.push(a_contrib);
+            g_contribs.push(g_contrib);
         }
-        let s_acc = acc.take_stats().unwrap();
-        let s_raw = raw.take_stats().unwrap();
-        assert_eq!(s_acc.batches, 3);
-        assert_eq!(s_raw.batches, 3);
-        assert!(s_acc.a_stat.max_abs_diff(&s_raw.a_stat) < 1e-4);
-        assert!(s_acc.g_stat.max_abs_diff(&s_raw.g_stat) < 1e-4);
+        let in_order_sum = |contribs: &[Matrix]| {
+            let mut sum = contribs[0].clone();
+            contribs[1..].iter().for_each(|c| sum.add_assign(c));
+            sum
+        };
+        let (a_sum, g_sum) = (in_order_sum(&a_contribs), in_order_sum(&g_contribs));
+        let s = cap.take_stats().unwrap();
+        assert_eq!(s.batches, 3);
+        for (x, y) in s.a_stat.as_slice().iter().zip(a_sum.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "A");
+        }
+        for (x, y) in s.g_stat.as_slice().iter().zip(g_sum.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "G");
+        }
     }
 
     #[test]
     fn accumulate_memory_is_constant_in_microbatches() {
-        let mut rng = Rng::seed_from_u64(62);
-        let mut acc = KfacCapture { enabled: true, ..Default::default() };
-        let mut raw =
-            KfacCapture { enabled: true, mode: CaptureMode::StoreRaw, ..Default::default() };
-        let mut acc_sizes = Vec::new();
-        let mut raw_sizes = Vec::new();
-        for _ in 0..4 {
-            let a = Matrix::randn(16, 6, 1.0, &mut rng);
-            let g = Matrix::randn(16, 6, 1.0, &mut rng);
-            acc.record_forward(&a, 16);
-            acc.record_backward(&g, 16);
-            raw.record_forward(&a, 16);
-            raw.record_backward(&g, 16);
-            acc_sizes.push(acc.memory_bytes());
-            raw_sizes.push(raw.memory_bytes());
+        // The capture holds one `A` and one `G` after every micro-batch,
+        // however many were accumulated (Section 4.2).
+        let mut rng = Rng::seed_from_u64(61);
+        let (rows, n, a_dim, g_dim) = (8, 4, 5, 3);
+        let mut cap = KfacCapture { enabled: true, ..Default::default() };
+        let one_of_each = (a_dim * a_dim + g_dim * g_dim) * std::mem::size_of::<f32>();
+        for i in 0..3 {
+            cap.record_forward(&Matrix::randn(rows, a_dim, 1.0, &mut rng), n);
+            cap.record_backward(&Matrix::randn(rows, g_dim, 1.0, &mut rng), n);
+            assert_eq!(cap.memory_bytes(), one_of_each, "after micro-batch {i}");
         }
-        // KAISA: flat. Baseline: grows linearly.
-        assert_eq!(acc_sizes[0], acc_sizes[3]);
-        assert_eq!(raw_sizes[3], 4 * raw_sizes[0]);
     }
 
     #[test]
@@ -403,31 +288,29 @@ mod tests {
     fn column_blocks_record_like_their_rows_bitwise() {
         // Three samples of four positions, recorded as `dim × 4` column
         // blocks and as the `12 × dim` rows they transpose to: same bits,
-        // same bytes held, in both modes.
+        // same bytes held.
         let mut rng = Rng::seed_from_u64(65);
-        for mode in [CaptureMode::Accumulate, CaptureMode::StoreRaw] {
-            let mut rows = KfacCapture { enabled: true, mode, ..Default::default() };
-            let mut cols = KfacCapture { enabled: true, mode, ..Default::default() };
-            for _ in 0..2 {
-                let a = Matrix::randn(3 * 5, 4, 1.0, &mut rng);
-                let g = Matrix::randn(3 * 2, 4, 1.0, &mut rng);
-                let to_rows = |blocks: &Matrix, dim: usize| {
-                    Matrix::from_fn(12, dim, |r, i| blocks.get((r / 4) * dim + i, r % 4))
-                };
-                rows.record_forward(&to_rows(&a, 5), 3);
-                rows.record_backward(&to_rows(&g, 2), 3);
-                cols.record_forward_cols(a.as_slice(), 5, 3);
-                cols.record_backward_cols(g.as_slice(), 2, 3);
-                assert_eq!(rows.memory_bytes(), cols.memory_bytes(), "{mode:?}");
-            }
-            let (r, c) = (rows.take_stats().unwrap(), cols.take_stats().unwrap());
-            assert_eq!(r.batches, c.batches);
-            for (x, y) in r.a_stat.as_slice().iter().zip(c.a_stat.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "A {mode:?}");
-            }
-            for (x, y) in r.g_stat.as_slice().iter().zip(c.g_stat.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "G {mode:?}");
-            }
+        let mut rows = KfacCapture { enabled: true, ..Default::default() };
+        let mut cols = KfacCapture { enabled: true, ..Default::default() };
+        for _ in 0..2 {
+            let a = Matrix::randn(3 * 5, 4, 1.0, &mut rng);
+            let g = Matrix::randn(3 * 2, 4, 1.0, &mut rng);
+            let to_rows = |blocks: &Matrix, dim: usize| {
+                Matrix::from_fn(12, dim, |r, i| blocks.get((r / 4) * dim + i, r % 4))
+            };
+            rows.record_forward(&to_rows(&a, 5), 3);
+            rows.record_backward(&to_rows(&g, 2), 3);
+            cols.record_forward_cols(a.as_slice(), 5, 3);
+            cols.record_backward_cols(g.as_slice(), 2, 3);
+            assert_eq!(rows.memory_bytes(), cols.memory_bytes());
+        }
+        let (r, c) = (rows.take_stats().unwrap(), cols.take_stats().unwrap());
+        assert_eq!(r.batches, c.batches);
+        for (x, y) in r.a_stat.as_slice().iter().zip(c.a_stat.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "A");
+        }
+        for (x, y) in r.g_stat.as_slice().iter().zip(c.g_stat.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "G");
         }
     }
 

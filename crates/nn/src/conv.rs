@@ -20,7 +20,7 @@ use kaisa_tensor::{
     Tensor4,
 };
 
-use crate::capture::{gram_cols, CaptureMode, KfacAble, KfacCapture};
+use crate::capture::{gram_cols, KfacAble, KfacCapture};
 
 /// A 2-D convolution layer with weight shape `(c_out, c_in·kh·kw)`.
 #[derive(Debug, Clone)]
@@ -115,14 +115,9 @@ impl Conv2d {
             if self.kfac.enabled {
                 // `A` comes from the blocks the products above were just
                 // computed from; nothing is lowered a second time.
-                match (&self.bias, self.kfac.mode) {
-                    (None, _) => self.kfac.record_forward_cols(cols.as_slice(), p, n),
-                    (Some(_), CaptureMode::Accumulate) => {
-                        self.kfac.record_forward_stat(bordered_gram(&cols, p), n)
-                    }
-                    (Some(_), CaptureMode::StoreRaw) => {
-                        self.kfac.record_forward_cols(&append_ones_rows(&cols, p), p + 1, n)
-                    }
+                match &self.bias {
+                    None => self.kfac.record_forward_cols(cols.as_slice(), p, n),
+                    Some(_) => self.kfac.record_forward_stat(bordered_gram(&cols, p), n),
                 }
             }
             self.col_cache = Some(cols);
@@ -210,18 +205,6 @@ fn bordered_gram(cols: &Matrix, p: usize) -> Matrix {
         out.set(p, i, s);
     }
     out.set(p, p, (n * hw).min(1 << 24) as f32);
-    out
-}
-
-/// The column blocks of `[P 1]`: each image's `p × hw` block of `cols`
-/// followed by a row of ones — what a bias layer's raw capture stores.
-fn append_ones_rows(cols: &Matrix, p: usize) -> Vec<f32> {
-    let hw = cols.cols();
-    let mut out = Vec::with_capacity(cols.numel() + cols.rows() / p * hw);
-    for block in cols.as_slice().chunks_exact(p * hw) {
-        out.extend_from_slice(block);
-        out.resize(out.len() + hw, 1.0);
-    }
     out
 }
 
@@ -478,7 +461,7 @@ mod tests {
             k in 1usize..=5, stride in 1usize..=3, pad in 0usize..=2,
             extra in 0usize..3, wider in any::<bool>(),
             n in 1usize..=3, c_in in 1usize..=3, c_out in 1usize..=4,
-            has_bias in any::<bool>(), raw in any::<bool>(), seed in any::<u64>(),
+            has_bias in any::<bool>(), seed in any::<u64>(),
         ) {
             // Output, dx, dW, db, `A` and `G`, each bit for bit the row
             // pipeline's, over two forward/backward calls whose gradients
@@ -486,16 +469,13 @@ mod tests {
             let mut rng = Rng::seed_from_u64(seed);
             let h = k.saturating_sub(2 * pad).max(1) + extra;
             let (h, w) = if wider { (h, h + 1 + extra) } else { (h + 2, h) };
-            let mode = if raw { CaptureMode::StoreRaw } else { CaptureMode::Accumulate };
             let mut conv = Conv2d::new("col", c_in, c_out, k, stride, pad, has_bias, &mut rng);
             if let Some(b) = &mut conv.bias {
                 b.iter_mut().for_each(|v| *v = rng.normal());
             }
             conv.kfac.enabled = true;
-            conv.kfac.mode = mode;
             let mut cap = KfacCapture::new();
             cap.enabled = true;
-            cap.mode = mode;
             let mut grads =
                 (Matrix::zeros(c_out, conv.weight.cols()), has_bias.then(|| vec![0.0; c_out]));
             for _ in 0..2 {

@@ -30,7 +30,7 @@ pub mod models;
 pub mod norm;
 pub mod pool;
 
-pub use capture::{CaptureMode, KfacAble, KfacCapture, KfacStats};
+pub use capture::{KfacAble, KfacCapture, KfacStats};
 pub use conv::Conv2d;
 pub use linear::Linear;
 pub use model::{EvalResult, Model, ParamSegment};

@@ -5,7 +5,7 @@
 //! gradients are handed to the application's standard optimizer — momentum
 //! SGD for ResNet/Mask R-CNN, Adam for U-Net, (Fused) LAMB for BERT —
 //! which this crate provides, along with the learning-rate schedules the
-//! experiments use (linear warmup, step decay, cosine, polynomial).
+//! experiments use (linear warmup, step decay, polynomial).
 //!
 //! All optimizers operate on flat parameter/gradient buffers with a named
 //! per-layer segmentation (see [`kaisa_nn::Model::param_segments`]), which is

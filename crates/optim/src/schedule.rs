@@ -30,15 +30,6 @@ pub enum LrSchedule {
         /// Decay factor per milestone.
         gamma: f32,
     },
-    /// Linear warmup then cosine decay to zero at `total` iterations.
-    WarmupCosine {
-        /// Peak learning rate.
-        lr: f32,
-        /// Warmup iterations.
-        warmup: usize,
-        /// Total training iterations.
-        total: usize,
-    },
     /// Linear warmup then polynomial decay (power 1 = linear), the BERT
     /// pretraining schedule.
     WarmupPoly {
@@ -62,16 +53,6 @@ impl LrSchedule {
             LrSchedule::WarmupStep { lr, warmup, milestones, gamma } => {
                 let passed = milestones.iter().filter(|&&m| step >= m).count();
                 warmup_factor(step, *warmup) * lr * gamma.powi(passed as i32)
-            }
-            LrSchedule::WarmupCosine { lr, warmup, total } => {
-                if step < *warmup {
-                    warmup_factor(step, *warmup) * lr
-                } else {
-                    let progress =
-                        (step - warmup) as f32 / (total.saturating_sub(*warmup)).max(1) as f32;
-                    let progress = progress.min(1.0);
-                    0.5 * lr * (1.0 + (std::f32::consts::PI * progress).cos())
-                }
             }
             LrSchedule::WarmupPoly { lr, warmup, total, power } => {
                 if step < *warmup {
@@ -125,15 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_decays_to_zero() {
-        let s = LrSchedule::WarmupCosine { lr: 1.0, warmup: 0, total: 100 };
-        assert_eq!(s.lr_at(0), 1.0);
-        assert!((s.lr_at(50) - 0.5).abs() < 0.02);
-        assert!(s.lr_at(100) < 1e-6);
-        assert!(s.lr_at(500) < 1e-6, "stays at zero past the end");
-    }
-
-    #[test]
     fn poly_linear_decay() {
         let s = LrSchedule::WarmupPoly { lr: 1.0, warmup: 0, total: 100, power: 1.0 };
         assert!((s.lr_at(25) - 0.75).abs() < 0.02);
@@ -142,16 +114,12 @@ mod tests {
 
     #[test]
     fn schedules_are_monotone_after_warmup() {
-        for s in [
-            LrSchedule::WarmupCosine { lr: 1.0, warmup: 10, total: 100 },
-            LrSchedule::WarmupPoly { lr: 1.0, warmup: 10, total: 100, power: 2.0 },
-        ] {
-            let mut prev = f32::INFINITY;
-            for step in 10..100 {
-                let lr = s.lr_at(step);
-                assert!(lr <= prev + 1e-6, "schedule must not increase after warmup");
-                prev = lr;
-            }
+        let s = LrSchedule::WarmupPoly { lr: 1.0, warmup: 10, total: 100, power: 2.0 };
+        let mut prev = f32::INFINITY;
+        for step in 10..100 {
+            let lr = s.lr_at(step);
+            assert!(lr <= prev + 1e-6, "schedule must not increase after warmup");
+            prev = lr;
         }
     }
 }

@@ -4,39 +4,31 @@ use kaisa_nn::ParamSegment;
 
 use crate::Optimizer;
 
-/// Stochastic gradient descent with momentum, optional Nesterov momentum,
-/// and decoupled L2 weight decay.
+/// Stochastic gradient descent with heavy-ball momentum and L2 weight
+/// decay.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     /// Momentum coefficient (0 disables).
     pub momentum: f32,
     /// L2 weight-decay coefficient (applied to the gradient, PyTorch-style).
     pub weight_decay: f32,
-    /// Use Nesterov momentum.
-    pub nesterov: bool,
     velocity: Vec<f32>,
 }
 
 impl Sgd {
     /// Plain SGD.
     pub fn new() -> Self {
-        Sgd { momentum: 0.0, weight_decay: 0.0, nesterov: false, velocity: Vec::new() }
+        Sgd { momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
     }
 
     /// Momentum SGD, the paper's ResNet baseline configuration.
     pub fn with_momentum(momentum: f32) -> Self {
-        Sgd { momentum, weight_decay: 0.0, nesterov: false, velocity: Vec::new() }
+        Sgd { momentum, weight_decay: 0.0, velocity: Vec::new() }
     }
 
     /// Set weight decay (builder style).
     pub fn weight_decay(mut self, wd: f32) -> Self {
         self.weight_decay = wd;
-        self
-    }
-
-    /// Enable Nesterov momentum (builder style).
-    pub fn nesterov(mut self) -> Self {
-        self.nesterov = true;
         self
     }
 
@@ -77,8 +69,7 @@ impl Optimizer for Sgd {
         for ((p, &g), v) in params.iter_mut().zip(grads).zip(self.velocity.iter_mut()) {
             let g = g + self.weight_decay * *p;
             *v = self.momentum * *v + g;
-            let update = if self.nesterov { g + self.momentum * *v } else { *v };
-            *p -= lr * update;
+            *p -= lr * *v;
         }
     }
 
@@ -120,17 +111,6 @@ mod tests {
         let mut p = vec![10.0];
         opt.step(&mut p, &[0.0], &[], 1.0);
         assert!((p[0] - 9.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn nesterov_differs_from_heavy_ball() {
-        let mut heavy = Sgd::with_momentum(0.9);
-        let mut nest = Sgd::with_momentum(0.9).nesterov();
-        let mut p1 = vec![0.0];
-        let mut p2 = vec![0.0];
-        heavy.step(&mut p1, &[1.0], &[], 1.0);
-        nest.step(&mut p2, &[1.0], &[], 1.0);
-        assert!(p2[0] < p1[0], "nesterov takes the larger first step");
     }
 
     #[test]

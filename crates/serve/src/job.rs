@@ -161,12 +161,9 @@ impl JobSpec {
                 ));
             }
         }
-        if let Some(kfac) = &self.kfac {
-            // Panics on an invalid K-FAC configuration (its contract);
-            // better at submit time than inside a pool rank thread.
-            kfac.validate();
-        }
-        Ok(())
+        // An invalid K-FAC configuration would panic in `Kfac::new`, inside
+        // a pool rank thread; reject it here instead.
+        self.kfac.as_ref().map_or(Ok(()), KfacConfig::validate)
     }
 }
 

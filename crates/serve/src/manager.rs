@@ -694,6 +694,21 @@ mod tests {
     }
 
     #[test]
+    fn invalid_kfac_config_is_rejected_at_submit() {
+        // Built as a struct literal, so no builder panics first; the
+        // submitting thread gets an error, not a panic.
+        let mgr = JobManager::new(ServeConfig::default());
+        let mut spec = JobSpec::small("damping");
+        spec.kfac = Some(KfacConfig { damping: 0.0, ..Default::default() });
+        let err = mgr.submit(spec).unwrap_err();
+        assert!(
+            matches!(&err, AdmissionError::InvalidSpec(why) if why.contains("damping")),
+            "{err}"
+        );
+        assert!(mgr.statuses().is_empty(), "a rejected spec is never queued");
+    }
+
+    #[test]
     fn oversized_world_is_rejected() {
         let mgr = JobManager::new(ServeConfig { pool_ranks: 2, ..ServeConfig::default() });
         let err = mgr.submit(kfac_spec("wide", 4, 4)).unwrap_err();

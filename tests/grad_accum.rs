@@ -1,13 +1,13 @@
 //! Gradient accumulation under K-FAC (paper Section 4.2): accumulating k
 //! micro-batches must match one big batch, both for the gradients and for
 //! the captured Kronecker-factor statistics, and KAISA's
-//! accumulate-during-pass capture must hold memory constant while the
-//! store-raw baseline grows linearly.
+//! accumulate-during-pass capture must hold memory constant in the number
+//! of micro-batches.
 
 use kaisa::comm::LocalComm;
 use kaisa::core::{Kfac, KfacConfig};
 use kaisa::nn::models::Mlp;
-use kaisa::nn::{CaptureMode, Model};
+use kaisa::nn::Model;
 use kaisa::tensor::{Matrix, Rng};
 
 fn toy() -> (Mlp, Matrix, Vec<usize>) {
@@ -60,14 +60,10 @@ fn accumulated_step_matches_full_batch_step() {
 }
 
 #[test]
-fn accumulate_mode_memory_constant_store_raw_linear() {
+fn accumulate_mode_memory_constant() {
     let (mut model, x, y) = toy();
-    // Accumulate (KAISA) mode.
     model.set_kfac_capture(true);
-    for layer in model.kfac_layers() {
-        layer.capture_mut().mode = CaptureMode::Accumulate;
-    }
-    let mut acc_sizes = Vec::new();
+    let mut sizes = Vec::new();
     for step in 0..4 {
         let lo = step * 8;
         let xc = x.rows_slice(lo, lo + 8);
@@ -75,27 +71,9 @@ fn accumulate_mode_memory_constant_store_raw_linear() {
         let _ = model.forward_backward(&xc, &yc);
         let total: usize =
             model.kfac_layers().iter_mut().map(|l| l.capture_mut().memory_bytes()).sum();
-        acc_sizes.push(total);
+        sizes.push(total);
     }
-    assert_eq!(acc_sizes[0], acc_sizes[3], "KAISA capture memory must not grow: {acc_sizes:?}");
-
-    // StoreRaw baseline.
-    let (mut model, x, y) = toy();
-    model.set_kfac_capture(true);
-    for layer in model.kfac_layers() {
-        layer.capture_mut().mode = CaptureMode::StoreRaw;
-    }
-    let mut raw_sizes = Vec::new();
-    for step in 0..4 {
-        let lo = step * 8;
-        let xc = x.rows_slice(lo, lo + 8);
-        let yc = y[lo..lo + 8].to_vec();
-        let _ = model.forward_backward(&xc, &yc);
-        let total: usize =
-            model.kfac_layers().iter_mut().map(|l| l.capture_mut().memory_bytes()).sum();
-        raw_sizes.push(total);
-    }
-    assert_eq!(raw_sizes[3], 4 * raw_sizes[0], "store-raw must grow linearly: {raw_sizes:?}");
+    assert_eq!(sizes[0], sizes[3], "KAISA capture memory must not grow: {sizes:?}");
 }
 
 #[test]
