@@ -600,25 +600,30 @@ fn measure_conv((n, c_in, h, w, c_out): (usize, usize, usize, usize, usize)) -> 
     cap.enabled = true;
     let mut grad_weight = Matrix::zeros(c_out, conv.weight.cols());
 
-    let column = |conv: &mut Conv2d| {
+    // Each pass drains its capture; `keep` also returns the statistics,
+    // mirrored to full matrices, for the bitwise check.
+    let column = |conv: &mut Conv2d, keep: bool| {
         conv.zero_grad();
         let y = conv.forward(&x, true);
         let dx = conv.backward(&g);
-        (y, dx, conv.kfac.take_stats().expect("capture is on"))
+        let stats = conv.kfac.take_stats().expect("capture is on");
+        (y, dx, keep.then(|| stats.mirrored()))
     };
-    let mut row = |conv: &Conv2d| {
+    let mut row = |conv: &Conv2d, keep: bool| {
         grad_weight.fill_zero();
         let (y, dx) = row_conv_pass(conv, &x, &g, &mut grad_weight, &mut cap);
-        (y, dx, cap.take_stats().expect("capture is on"), grad_weight.clone())
+        let stats = cap.take_stats().expect("capture is on");
+        (y, dx, keep.then(|| stats.mirrored()), grad_weight.clone())
     };
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let (y, dx, stats) = column(&mut conv);
-    let (y_ref, dx_ref, stats_ref, dw_ref) = row(&conv);
+    let (y, dx, stats) = column(&mut conv, true);
+    let (y_ref, dx_ref, stats_ref, dw_ref) = row(&conv, true);
+    let ((a, g_stat), (a_ref, g_ref)) = (stats.unwrap(), stats_ref.unwrap());
     let agree = bits(y.as_slice()) == bits(y_ref.as_slice())
         && bits(dx.as_slice()) == bits(dx_ref.as_slice())
         && bits(conv.grad_weight.as_slice()) == bits(dw_ref.as_slice())
-        && bits(stats.a_stat.as_slice()) == bits(stats_ref.a_stat.as_slice())
-        && bits(stats.g_stat.as_slice()) == bits(stats_ref.g_stat.as_slice());
+        && bits(a.as_slice()) == bits(a_ref.as_slice())
+        && bits(g_stat.as_slice()) == bits(g_ref.as_slice());
     assert!(agree, "conv {n}x{c_in}x{h}x{w}->{c_out}: column path and row oracle disagree bitwise");
 
     let iters = 5;
@@ -628,9 +633,9 @@ fn measure_conv((n, c_in, h, w, c_out): (usize, usize, usize, usize, usize)) -> 
             let start = Instant::now();
             for _ in 0..iters {
                 if column_first {
-                    std::hint::black_box(column(&mut conv));
+                    std::hint::black_box(column(&mut conv, false));
                 } else {
-                    std::hint::black_box(row(&conv));
+                    std::hint::black_box(row(&conv, false));
                 }
             }
             let ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
@@ -654,7 +659,7 @@ fn measure_conv((n, c_in, h, w, c_out): (usize, usize, usize, usize, usize)) -> 
 fn measure_precondition_outer((a_dim, g_dim): (usize, usize)) -> (f64, f64) {
     let mut rng = Rng::seed_from_u64(52);
     let mut state = KfacLayerState::new("bench", a_dim, g_dim);
-    state.update_factors(random_spd(a_dim, &mut rng), random_spd(g_dim, &mut rng), 0.0);
+    state.update_factors(&random_spd(a_dim, &mut rng), &random_spd(g_dim, &mut rng), 0.0);
     let ((qa, va), (qg, vg)) = (state.eig_a(), state.eig_g());
     (state.qa, state.qg) = (Some(qa), Some(qg));
     state.outer = Some(KfacLayerState::compute_outer(&vg, &va, PRECONDITION_DAMPING));

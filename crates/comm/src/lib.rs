@@ -158,9 +158,11 @@ pub trait Communicator: Send + Sync {
     /// with [`Communicator::complete`].
     ///
     /// The default implementation blocks (begin-then-complete degenerates to
-    /// the plain collective) — correct for single-rank backends like
-    /// [`LocalComm`]; true multi-rank backends must override it to be
-    /// non-blocking or a begin-many-then-complete pattern would deadlock.
+    /// the plain collective, through a copy of `buf`); true multi-rank
+    /// backends must override it to be non-blocking or a
+    /// begin-many-then-complete pattern would deadlock, and [`LocalComm`]
+    /// overrides it with a no-op, since at world 1 `buf` already holds the
+    /// result.
     fn begin_allreduce(
         &self,
         buf: &[f32],

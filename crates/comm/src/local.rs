@@ -1,7 +1,7 @@
 //! Single-process communicator (world size 1).
 
-use crate::meter::{Meter, MeterSnapshot};
-use crate::{Communicator, ReduceOp};
+use crate::meter::{CommTag, Meter, MeterSnapshot};
+use crate::{Communicator, PendingCollective, ReduceOp};
 
 /// A no-op communicator for single-process training, mirroring KAISA's
 /// automatic backend selection (Torch / Horovod / single-process).
@@ -49,6 +49,31 @@ impl Communicator for LocalComm {
 
     fn barrier(&self) {}
 
+    /// At world 1 the buffer already holds the result: nothing to copy.
+    fn begin_allreduce(
+        &self,
+        _buf: &[f32],
+        _op: ReduceOp,
+        group: &[usize],
+        tag: CommTag,
+    ) -> PendingCollective {
+        debug_assert_eq!(group, [0], "LocalComm only has rank 0");
+        PendingCollective::noop(tag)
+    }
+
+    /// At world 1 the buffer already holds the result: nothing to copy.
+    fn begin_broadcast(
+        &self,
+        _buf: &[f32],
+        root: usize,
+        group: &[usize],
+        tag: CommTag,
+    ) -> PendingCollective {
+        debug_assert_eq!(root, 0);
+        debug_assert_eq!(group, [0]);
+        PendingCollective::noop(tag)
+    }
+
     fn meter_snapshot(&self) -> MeterSnapshot {
         self.meter.snapshot()
     }
@@ -70,5 +95,24 @@ mod tests {
         assert_eq!(buf, vec![1.0, 2.0]);
         assert_eq!(comm.allgather(&buf), buf);
         assert_eq!(comm.meter_snapshot(), MeterSnapshot::default());
+    }
+
+    #[test]
+    fn split_collectives_leave_the_buffer_bits_alone() {
+        // Begin/complete at world 1 is a no-op round trip: `Avg`, `Sum`
+        // and broadcast leave every bit — NaN payloads and -0.0 included.
+        let comm = LocalComm::new();
+        let orig = [1.5f32, -0.0, f32::from_bits(0x7fc0_1234), 3.0e-39, f32::NEG_INFINITY];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for op in [ReduceOp::Avg, ReduceOp::Sum] {
+            let mut buf = orig;
+            let pending = comm.begin_allreduce(&buf, op, &[0], CommTag::FactorComm);
+            comm.complete(pending, &mut buf);
+            assert_eq!(bits(&buf), bits(&orig), "{op:?}");
+        }
+        let mut buf = orig;
+        let pending = comm.begin_broadcast(&buf, 0, &[0], CommTag::GradComm);
+        comm.complete(pending, &mut buf);
+        assert_eq!(bits(&buf), bits(&orig), "broadcast");
     }
 }

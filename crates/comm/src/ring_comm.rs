@@ -40,7 +40,7 @@
 //! every sleeper at once. The lock-free data path never touches the
 //! doorbell mutex; it exists purely as the cold-path sleep mechanism.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -436,20 +436,20 @@ impl RingHandle {
             Role::Leader { kind, own, members, tag } => {
                 let arrived = Arc::clone(&members);
                 self.wait_until(shared, |h| h.members_arrived(gid, seq, &arrived));
-                let mut parts: BTreeMap<usize, Arc<[f32]>> = BTreeMap::new();
-                for &m in members.iter() {
-                    if m != self.rank {
-                        parts.insert(m, self.stash.remove(&(gid, seq, m)).expect("member part"));
-                    }
-                }
-                parts.insert(self.rank, own);
-                self.finish_as_leader(shared, meter, gid, seq, kind, parts, &members, tag)
+                // Members are sorted and the leader is the lowest, so `own`
+                // followed by these is the ascending rank order.
+                let rest: Vec<Arc<[f32]>> = members[1..]
+                    .iter()
+                    .map(|&m| self.stash.remove(&(gid, seq, m)).expect("member part"))
+                    .collect();
+                self.finish_as_leader(shared, meter, gid, seq, kind, own, &rest, &members, tag)
             }
         }
     }
 
-    /// Leader epilogue: reduce/concatenate `parts`, meter, distribute, and
-    /// return the leader's own result.
+    /// Leader epilogue: reduce/concatenate the leader's `own` contribution
+    /// and the other members' `rest` (ascending rank order), meter,
+    /// distribute, and return the leader's own result.
     #[allow(clippy::too_many_arguments)]
     fn finish_as_leader(
         &mut self,
@@ -458,14 +458,15 @@ impl RingHandle {
         gid: GroupId,
         seq: u64,
         kind: OpKind,
-        parts: BTreeMap<usize, Arc<[f32]>>,
+        own: Arc<[f32]>,
+        rest: &[Arc<[f32]>],
         members: &[usize],
         tag: CommTag,
     ) -> Arc<[f32]> {
         let p = members.len();
         match kind {
             OpKind::Allreduce(op) => {
-                let result: Arc<[f32]> = reduce_scaled(&parts, op, p).into();
+                let result = reduce_into_own(own, rest, op, p);
                 let bytes = std::mem::size_of::<f32>() * result.len();
                 meter.record(CommEvent { op: CommOp::Allreduce, bytes, tag });
                 for &m in members {
@@ -477,13 +478,12 @@ impl RingHandle {
                 result
             }
             OpKind::Allgather => {
-                let mut gathered = Vec::new();
-                for part in parts.values() {
+                let mut gathered = own.to_vec();
+                for part in rest {
                     gathered.extend_from_slice(part);
                 }
                 let out: Arc<[f32]> = gathered.into();
-                let bytes =
-                    std::mem::size_of::<f32>() * parts.get(&self.rank).map_or(0, |a| a.len());
+                let bytes = std::mem::size_of::<f32>() * own.len();
                 meter.record(CommEvent { op: CommOp::Allgather, bytes, tag });
                 for &m in members {
                     if m != self.rank {
@@ -497,32 +497,42 @@ impl RingHandle {
     }
 }
 
-/// Reduce the contributions in ascending rank order, so results are
-/// bit-deterministic regardless of thread scheduling (floating-point addition
-/// is not associative), then apply the `Avg` scale.
-fn reduce_scaled(parts: &BTreeMap<usize, Arc<[f32]>>, op: ReduceOp, p: usize) -> Vec<f32> {
-    let mut parts = parts.values();
-    let mut acc = parts.next().expect("at least one contribution").to_vec();
-    for part in parts {
-        debug_assert_eq!(acc.len(), part.len(), "reduction length mismatch");
-        match op {
-            ReduceOp::Sum | ReduceOp::Avg => {
-                for (a, b) in acc.iter_mut().zip(part.iter()) {
-                    *a += *b;
-                }
-            }
-            ReduceOp::Max => {
-                for (a, b) in acc.iter_mut().zip(part.iter()) {
-                    *a = a.max(*b);
-                }
-            }
+/// Reduce the contributions in ascending rank order — the leader's `own`,
+/// then `rest` — so results are bit-deterministic regardless of thread
+/// scheduling (floating-point addition is not associative), then apply the
+/// `Avg` scale. The result is written straight into `own`, which the leader
+/// allocated at `begin` and nobody else holds: every element gets its sum
+/// in rank order and then its scale, and the last contribution's pass
+/// applies the scale too, so a two-rank group takes one pass and no
+/// allocation.
+fn reduce_into_own(mut own: Arc<[f32]>, rest: &[Arc<[f32]>], op: ReduceOp, p: usize) -> Arc<[f32]> {
+    let inv = 1.0 / p as f32;
+    let acc = Arc::get_mut(&mut own).expect("the leader's contribution is not shared");
+    match op {
+        ReduceOp::Sum => reduce_with(acc, rest, |a, b| a + b, |x| x),
+        ReduceOp::Avg => reduce_with(acc, rest, |a, b| a + b, |x| x * inv),
+        ReduceOp::Max => reduce_with(acc, rest, f32::max, |x| x),
+    }
+    own
+}
+
+/// `acc ← finish(combine(…combine(acc, rest[0])…, rest[last]))`, one pass
+/// per contribution with `finish` fused into the last (monomorphized per
+/// operator, so each pass is a plain vectorizable loop).
+fn reduce_with(
+    acc: &mut [f32],
+    rest: &[Arc<[f32]>],
+    combine: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
+) {
+    assert!(rest.iter().all(|part| part.len() == acc.len()), "reduction length mismatch");
+    let (last, middle) = rest.split_last().expect("a leader reduces at least one member's part");
+    for part in middle {
+        for (a, &b) in acc.iter_mut().zip(part.iter()) {
+            *a = combine(*a, b);
         }
     }
-    if op == ReduceOp::Avg {
-        let inv = 1.0 / p as f32;
-        for v in acc.iter_mut() {
-            *v *= inv;
-        }
+    for (a, &b) in acc.iter_mut().zip(last.iter()) {
+        *a = finish(combine(*a, b));
     }
-    acc
 }

@@ -124,8 +124,9 @@ impl Communicator for ThreadComm {
         let mut st = self.state.lock().unwrap();
         let (gid, members) = st.groups.resolve(&self.core.groups, group);
         if members.len() == 1 {
-            // Sum/Avg/Max over a singleton group is the identity.
-            return PendingCollective::ready(buf.to_vec(), tag);
+            // Sum/Avg/Max over a singleton group is the identity: the
+            // buffer already holds the result.
+            return PendingCollective::noop(tag);
         }
         let key = (gid, st.groups.next_seq(gid));
         st.ring.begin_to_leader(&self.core.ring, key, OpKind::Allreduce(op), buf, members, tag);

@@ -195,7 +195,7 @@ impl Kfac {
     ///   is re-armed accordingly.
     ///
     /// `cfg` must use the same algorithm settings (`ekfac`, `precision`,
-    /// `triangular_comm`, update frequencies) as the run that wrote the
+    /// update frequencies) as the run that wrote the
     /// checkpoint; the distribution settings (strategy, `grad_worker_frac`,
     /// world) are free to change — that is the elastic-resize path.
     ///
@@ -313,12 +313,11 @@ mod tests {
         // Pause/resume at world 1 must continue the exact trajectory: run A
         // trains 6 steps straight; run B trains 3, checkpoints, restores into
         // a fresh Kfac, and trains 3 more. Gradients must match bitwise.
-        for (triangular, precision) in [(false, Precision::Fp32), (true, Precision::Fp16)] {
+        for precision in [Precision::Fp32, Precision::Fp16] {
             let cfg = || {
                 KfacConfig::builder()
                     .factor_update_freq(2)
                     .inv_update_freq(2)
-                    .triangular_comm(triangular)
                     .precision(precision)
                     .build()
             };
@@ -363,7 +362,7 @@ mod tests {
                 assert_eq!(
                     x0.to_bits(),
                     x1.to_bits(),
-                    "pause/resume diverged (tri={triangular} prec={precision:?})"
+                    "pause/resume diverged (prec={precision:?})"
                 );
             }
         }

@@ -41,7 +41,10 @@ pub struct KfacConfig {
     /// Storage/communication precision for factors and eigendecompositions
     /// (Section 3.3). Eigendecompositions always *compute* in full precision.
     pub precision: Precision,
-    /// Send only the upper triangle in the factor allreduce (Section 4.3).
+    /// Inert: every factor payload is already the packed lower triangle
+    /// (Section 4.3), so this selects nothing. It stays only because the
+    /// end-to-end benchmark's `bert_mem_opt_accum` workload still sets it
+    /// through the builder; once that call is gone the field goes too.
     pub triangular_comm: bool,
     /// How eigendecomposition jobs are spread over ranks (Section 3.2).
     pub assignment: AssignmentStrategy,
@@ -166,7 +169,8 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Toggle triangular factor communication.
+    /// Set the inert [`KfacConfig::triangular_comm`] flag (the factor wire
+    /// is always the packed triangle).
     pub fn triangular_comm(mut self, on: bool) -> Self {
         self.cfg.triangular_comm = on;
         self

@@ -30,7 +30,9 @@
 //! Also implemented from the paper: greedy longest-processing-time factor
 //! distribution (Section 3.2), half-precision factor storage/communication
 //! (Section 3.3), gradient-accumulation-friendly factor capture (Section
-//! 4.2), triangular factor communication (Section 4.3), and the eigenvalue
+//! 4.2), triangular factor communication (Section 4.3: every factor payload
+//! is the row-packed lower triangle, from capture to the fold), and the
+//! eigenvalue
 //! outer-product precompute that cut preconditioning time by up to 53%
 //! (Section 4.4). Gradients are preconditioned through the factor
 //! eigendecompositions (Section 2.1.3) and that precomputed outer product.

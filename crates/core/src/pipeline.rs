@@ -42,9 +42,7 @@ use kaisa_nn::{KfacAble, KfacStats};
 use kaisa_tensor::Matrix;
 
 use crate::preconditioner::Kfac;
-use crate::state::{
-    factor_payload_len, pack_factor_payload, unpack_factor_payload, KfacLayerState,
-};
+use crate::state::{quantize_slice, KfacLayerState};
 use crate::timing::Stage;
 use crate::DistStrategy;
 
@@ -63,40 +61,34 @@ struct LayerBcasts {
 }
 
 /// Take the statistics a layer captured during the forward/backward pass.
-fn take_stats(layer: &mut dyn KfacAble) -> KfacStats {
-    layer.capture_mut().take_stats().unwrap_or_else(|| {
+fn take_stats(layer: &mut dyn KfacAble) -> KfacStats<'_> {
+    if !layer.capture_mut().has_stats() {
         panic!(
             "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
             layer.layer_name()
         )
-    })
-}
-
-/// Finalize captured statistics into this rank's batch-mean factors
-/// `(Â, Ĝ)`.
-fn finalize_stats(stats: KfacStats) -> (Matrix, Matrix) {
-    let inv = 1.0 / stats.batches.max(1) as f32;
-    let mut a = stats.a_stat;
-    a.scale(inv);
-    let mut g = stats.g_stat;
-    g.scale(inv);
-    (a, g)
+    }
+    layer.capture_mut().take_stats().expect("checked above")
 }
 
 impl Kfac {
-    /// Stage 1, factor update: sweep A finalizes statistics and begins
-    /// every layer's allreduce; sweep B completes them and folds the
-    /// averages into the running factors.
+    /// Stage 1, factor update: sweep A finalizes each layer's captured
+    /// statistics into its factor wire (the row-packed lower triangles of
+    /// `A` and `G`, §4.3), quantizes it and begins its allreduce; sweep B
+    /// completes them, re-quantizes, and folds each wire straight into the
+    /// running factors. The wire is the only form a factor takes between
+    /// capture and the running average.
     ///
     /// Under LOCAL-OPT (DP-KFAC) sweep A is the whole phase: there is no
     /// factor collective. Each layer's single owner finalizes and folds the
     /// statistics **its own rank** captured; every other rank drops its
-    /// capture. The owner's payload still makes the pack/unpack
-    /// quantization round trip, so at world 1 (where the allreduce averages
-    /// over one rank, i.e. divides by 1.0 exactly) LOCAL-OPT is bitwise the
-    /// dense path at every precision. Ranks still apply identical updates:
-    /// the preconditioned gradients reach every rank through the per-layer
-    /// `GradComm` broadcast.
+    /// capture. The owner's wire is still quantized (the dense path's
+    /// second rounding, after the allreduce, leaves an fp16 value as it
+    /// is), so at world 1 (where the allreduce averages over one rank, i.e.
+    /// divides by 1.0 exactly) LOCAL-OPT is bitwise the dense path at every
+    /// precision.
+    /// Ranks still apply identical updates: the preconditioned gradients
+    /// reach every rank through the per-layer `GradComm` broadcast.
     pub(crate) fn update_factors(
         &mut self,
         layers: &mut [&mut dyn KfacAble],
@@ -104,15 +96,13 @@ impl Kfac {
     ) {
         let precision = self.cfg.precision;
         let decay = self.cfg.factor_decay;
-        let triangular = self.cfg.triangular_comm;
         let local = self.strategy == DistStrategy::LocalOpt;
         let world_group: Vec<usize> = (0..self.world).collect();
 
         struct InFlight {
             layer: usize,
             pending: PendingCollective,
-            buf: Vec<f32>,
-            split: usize,
+            wire: Vec<f32>,
         }
         let mut inflight: Vec<InFlight> = Vec::with_capacity(layers.len());
 
@@ -121,42 +111,37 @@ impl Kfac {
             if local {
                 // LOCAL-OPT runs on the one-worker grid: owner == a_worker.
                 if self.rank == self.plan.layers[i].a_worker {
+                    let state = &mut self.states[i];
                     self.times.time_layer(i, Stage::FactorCompute, || {
-                        let (a, g) = finalize_stats(stats);
-                        let (a_dim, g_dim) = (a.rows(), g.rows());
-                        let (mut buf, split) = pack_factor_payload(&a, &g, triangular, precision);
-                        let (a, g) = unpack_factor_payload(
-                            &mut buf, split, a_dim, g_dim, triangular, precision,
-                        );
-                        self.states[i].update_factors(a, g, decay);
+                        state.pack_stats(&stats);
+                        quantize_slice(&mut state.wire, precision);
+                        state.fold_wire(decay);
                     });
                 }
                 continue;
             }
-            let (a_new, g_new) =
-                self.times.time_layer(i, Stage::FactorCompute, || finalize_stats(stats));
-            let (mut buf, split, pending) = self.times.time_layer(i, Stage::FactorComm, || {
-                let (buf, split) = pack_factor_payload(&a_new, &g_new, triangular, precision);
-                let pending =
-                    comm.begin_allreduce(&buf, ReduceOp::Avg, &world_group, CommTag::FactorComm);
-                (buf, split, pending)
+            let state = &mut self.states[i];
+            self.times.time_layer(i, Stage::FactorCompute, || state.pack_stats(&stats));
+            // The wire leaves the state while its collective is in flight
+            // (a move, not a copy) and goes back for the fold.
+            let mut wire = std::mem::take(&mut self.states[i].wire);
+            let pending = self.times.time_layer(i, Stage::FactorComm, || {
+                quantize_slice(&mut wire, precision);
+                comm.begin_allreduce(&wire, ReduceOp::Avg, &world_group, CommTag::FactorComm)
             });
-            let pending = self.settle(i, Stage::FactorComm, comm, pending, &mut buf);
-            inflight.push(InFlight { layer: i, pending, buf, split });
+            let pending = self.settle(i, Stage::FactorComm, comm, pending, &mut wire);
+            inflight.push(InFlight { layer: i, pending, wire });
         }
 
-        for mut fl in inflight {
-            let i = fl.layer;
-            let (a_dim, g_dim) = (self.states[i].a_dim, self.states[i].g_dim);
-            let (a_new, g_new) = self.times.time_layer(i, Stage::FactorComm, || {
-                comm.complete(fl.pending, &mut fl.buf);
-                unpack_factor_payload(&mut fl.buf, fl.split, a_dim, g_dim, triangular, precision)
+        for InFlight { layer: i, pending, mut wire } in inflight {
+            self.times.time_layer(i, Stage::FactorComm, || {
+                comm.complete(pending, &mut wire);
+                quantize_slice(&mut wire, precision);
             });
-            self.comm_bytes += (factor_payload_len(a_dim, g_dim, triangular)
-                * precision.bytes_per_element()) as u64;
-            self.times.time_layer(i, Stage::FactorCompute, || {
-                self.states[i].update_factors(a_new, g_new, decay);
-            });
+            self.comm_bytes += (wire.len() * precision.bytes_per_element()) as u64;
+            let state = &mut self.states[i];
+            state.wire = wire;
+            self.times.time_layer(i, Stage::FactorCompute, || state.fold_wire(decay));
         }
         self.note_factor_residency();
     }
@@ -368,5 +353,83 @@ impl Kfac {
         let buf = m.as_mut_slice();
         self.times.time_layer(layer, Stage::EigComm, || comm.complete(pending, buf));
         m
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::KfacConfig;
+    use kaisa_comm::ThreadComm;
+    use kaisa_nn::models::Mlp;
+    use kaisa_nn::Model;
+    use kaisa_tensor::{Precision, Rng};
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_wire_is_the_square_wire_bitwise() {
+        // World 2, three factor folds, fp32 and fp16: the running factors
+        // the packed-triangle sweep builds equal, bit for bit, what the
+        // square wire builds from the same captures — finalize, pack the
+        // full squares, quantize, allreduce-average the whole payload,
+        // quantize, then `axpby` into the running average (the first fold
+        // moves in).
+        for precision in [Precision::Fp32, Precision::Fp16] {
+            ThreadComm::run(2, |comm| {
+                let mut model = Mlp::new(&[9, 12, 5], &mut Rng::seed_from_u64(61));
+                let mut rng = Rng::seed_from_u64(62 + comm.rank() as u64);
+                let cfg = KfacConfig::builder()
+                    .factor_update_freq(1)
+                    .inv_update_freq(1)
+                    .precision(precision)
+                    .build();
+                let decay = cfg.factor_decay;
+                let mut kfac = Kfac::new(cfg, &mut model, comm);
+                let mut oracle: Vec<Option<(Matrix, Matrix)>> = vec![None; 2];
+                for fold in 0..3 {
+                    let x = Matrix::randn(16, 9, 1.0, &mut rng);
+                    let y: Vec<usize> = (0..16).map(|i| (i + fold) % 5).collect();
+                    kfac.prepare(&mut model);
+                    model.zero_grad();
+                    let _ = model.forward_backward(&x, &y);
+
+                    // The square wire, from a copy of this pass's captures
+                    // mirrored to the symmetric Grams they stand for.
+                    let mut shadow = model.clone();
+                    for (layer, slot) in shadow.kfac_layers().into_iter().zip(&mut oracle) {
+                        let stats = layer.capture_mut().take_stats().expect("captured");
+                        let inv = 1.0 / stats.batches as f32;
+                        let (mut a, mut g) = stats.mirrored();
+                        a.scale(inv);
+                        g.scale(inv);
+                        let mut buf = [a.as_slice(), g.as_slice()].concat();
+                        quantize_slice(&mut buf, precision);
+                        comm.allreduce_group(&mut buf, ReduceOp::Avg, &[0, 1]);
+                        quantize_slice(&mut buf, precision);
+                        let split = a.numel();
+                        let a = Matrix::from_vec(a.rows(), a.cols(), buf[..split].to_vec());
+                        let g = Matrix::from_vec(g.rows(), g.cols(), buf[split..].to_vec());
+                        match slot {
+                            Some((ra, rg)) => {
+                                ra.axpby(1.0 - decay, &a, decay);
+                                rg.axpby(1.0 - decay, &g, decay);
+                            }
+                            None => *slot = Some((a, g)),
+                        }
+                    }
+
+                    kfac.step(&mut model, comm, 0.1);
+                    for (state, slot) in kfac.states.iter().zip(&oracle) {
+                        let (ra, rg) = slot.as_ref().expect("folded");
+                        let ctx = format!("{precision:?} fold {fold} {}", state.name);
+                        assert_eq!(bits(state.factor_a.as_ref().unwrap()), bits(ra), "A {ctx}");
+                        assert_eq!(bits(state.factor_g.as_ref().unwrap()), bits(rg), "G {ctx}");
+                    }
+                }
+            });
+        }
     }
 }

@@ -1,7 +1,12 @@
 //! Per-layer K-FAC state: running factors and cached eigendecompositions,
-//! plus the pure pack/unpack kernels the stage pipeline uses as task bodies.
+//! plus the factor wire — the one form a factor takes between capture and
+//! the running average.
 
-use kaisa_linalg::{pack_upper, packed_len, sym_eig_with_scratch, unpack_upper, EigScratch};
+use kaisa_linalg::{
+    fold_packed_lower, pack_lower_scaled, packed_len, sym_eig_with_scratch, unpack_lower,
+    EigScratch,
+};
+use kaisa_nn::KfacStats;
 use kaisa_tensor::{Matrix, Precision};
 
 /// Quantize a payload to the storage precision in place (no-op at fp32).
@@ -11,68 +16,14 @@ pub fn quantize_slice(buf: &mut [f32], precision: Precision) {
     }
 }
 
-/// Pack both batch factors into one allreduce payload at the storage
-/// precision (the factor-allreduce *begin* task body). Returns the payload
-/// and the element index where the `G` section starts.
-pub fn pack_factor_payload(
-    a: &Matrix,
-    g: &Matrix,
-    triangular: bool,
-    precision: Precision,
-) -> (Vec<f32>, usize) {
-    let mut buf = if triangular {
-        // Section 4.3: send only the upper triangles, rebuild after.
-        let mut packed = pack_upper(a);
-        packed.extend_from_slice(&pack_upper(g));
-        packed
-    } else {
-        let mut flat = Vec::with_capacity(a.numel() + g.numel());
-        flat.extend_from_slice(a.as_slice());
-        flat.extend_from_slice(g.as_slice());
-        flat
-    };
-    let split = if triangular { packed_len(a.rows()) } else { a.numel() };
-    quantize_slice(&mut buf, precision);
-    (buf, split)
-}
-
-/// Rebuild the two factor matrices from an averaged payload (the
-/// factor-allreduce *complete* task body): re-quantize, then unpack.
-pub fn unpack_factor_payload(
-    buf: &mut [f32],
-    split: usize,
-    a_rows: usize,
-    g_rows: usize,
-    triangular: bool,
-    precision: Precision,
-) -> (Matrix, Matrix) {
-    quantize_slice(buf, precision);
-    if triangular {
-        (unpack_upper(&buf[..split], a_rows), unpack_upper(&buf[split..], g_rows))
-    } else {
-        (
-            Matrix::from_vec(a_rows, a_rows, buf[..split].to_vec()),
-            Matrix::from_vec(g_rows, g_rows, buf[split..].to_vec()),
-        )
-    }
-}
-
-/// Logical element count of the factor payload on the wire.
-pub fn factor_payload_len(a_rows: usize, g_rows: usize, triangular: bool) -> usize {
-    if triangular {
-        packed_len(a_rows) + packed_len(g_rows)
-    } else {
-        a_rows * a_rows + g_rows * g_rows
-    }
-}
-
-/// The single EMA fold kernel for factor state: first fold moves the fresh
-/// matrix in, later folds compute `x ← (1-decay)·x̂ + decay·x` — the exact
-/// `axpby` expression, so every fold shares one semantics.
-fn ema_fold_matrix(slot: &mut Option<Matrix>, fresh: Matrix, decay: f32) {
+/// The single EMA fold kernel for factor state: the first fold unpacks the
+/// fresh triangle, later folds compute `x ← (1-decay)·x̂ + decay·x` on the
+/// lower triangle — the exact `axpby` expression — and mirror it, so every
+/// fold shares one semantics.
+fn ema_fold_packed(slot: &mut Option<Matrix>, packed: &[f32], n: usize, decay: f32) {
     match slot {
-        Some(m) => m.axpby(1.0 - decay, &fresh, decay),
-        None => *slot = Some(fresh),
+        Some(m) => fold_packed_lower(m, packed, 1.0 - decay, decay),
+        None => *slot = Some(unpack_lower(packed, n)),
     }
 }
 
@@ -114,6 +65,12 @@ pub struct KfacLayerState {
     /// nor the `MemoryMeter` (which meters the preconditioned gradients
     /// while they are live) counts it.
     work: Vec<Matrix>,
+    /// The factor payload of a factor step: `A`'s lower triangle row-packed
+    /// ([`packed_len`]`(a_dim)` elements), then `G`'s. Written by
+    /// [`KfacLayerState::pack_stats`], quantized and allreduced in place,
+    /// and folded by [`KfacLayerState::fold_wire`]. Scratch like `work`:
+    /// sized once, un-metered.
+    pub(crate) wire: Vec<f32>,
 }
 
 impl KfacLayerState {
@@ -130,6 +87,7 @@ impl KfacLayerState {
             outer: None,
             ekfac_scale: None,
             work: Vec::new(),
+            wire: Vec::new(),
         }
     }
 
@@ -148,25 +106,45 @@ impl KfacLayerState {
         }
     }
 
-    /// Fold freshly-averaged batch factors into the running averages:
-    /// `A ← decay·A + (1-decay)·Â` (first update sets `A = Â`).
-    pub fn update_factors(&mut self, a_new: Matrix, g_new: Matrix, decay: f32) {
-        self.update_factor_a(a_new, decay);
-        self.update_factor_g(g_new, decay);
+    /// Finalize a step's captured statistics into the factor wire in one
+    /// pass: each lower-triangle element times `1/batches`, row-packed, `A`
+    /// then `G`.
+    ///
+    /// # Panics
+    /// If the statistics do not have this layer's factor dimensions.
+    pub fn pack_stats(&mut self, stats: &KfacStats<'_>) {
+        assert_eq!(stats.a_stat.shape(), (self.a_dim, self.a_dim), "{}: A statistic", self.name);
+        assert_eq!(stats.g_stat.shape(), (self.g_dim, self.g_dim), "{}: G statistic", self.name);
+        let inv = 1.0 / stats.batches.max(1) as f32;
+        let split = packed_len(self.a_dim);
+        self.wire.resize(split + packed_len(self.g_dim), 0.0);
+        let (wa, wg) = self.wire.split_at_mut(split);
+        pack_lower_scaled(stats.a_stat.as_slice(), self.a_dim, inv, wa);
+        pack_lower_scaled(stats.g_stat.as_slice(), self.g_dim, inv, wg);
     }
 
-    /// Fold only the `A` running average. Shares its first-fold/decay
-    /// semantics with [`KfacLayerState::update_factors`] through the single
-    /// `ema_fold_matrix` kernel.
-    pub fn update_factor_a(&mut self, a_new: Matrix, decay: f32) {
-        debug_assert_eq!(a_new.shape(), (self.a_dim, self.a_dim));
-        ema_fold_matrix(&mut self.factor_a, a_new, decay);
+    /// Fold the (averaged, quantized) factor wire into the running
+    /// averages: `A ← decay·A + (1-decay)·Â` on the lower triangle, then
+    /// mirrored (the first fold sets `A = Â`).
+    pub fn fold_wire(&mut self, decay: f32) {
+        let split = packed_len(self.a_dim);
+        assert_eq!(
+            self.wire.len(),
+            split + packed_len(self.g_dim),
+            "{}: no factor wire",
+            self.name
+        );
+        let (wa, wg) = self.wire.split_at(split);
+        ema_fold_packed(&mut self.factor_a, wa, self.a_dim, decay);
+        ema_fold_packed(&mut self.factor_g, wg, self.g_dim, decay);
     }
 
-    /// Fold only the `G` running average.
-    pub fn update_factor_g(&mut self, g_new: Matrix, decay: f32) {
-        debug_assert_eq!(g_new.shape(), (self.g_dim, self.g_dim));
-        ema_fold_matrix(&mut self.factor_g, g_new, decay);
+    /// Fold symmetric batch factors into the running averages — the same
+    /// pack and fold a factor step runs (only their lower triangles are
+    /// read), for callers that hold square matrices (tests, benchmarks).
+    pub fn update_factors(&mut self, a_new: &Matrix, g_new: &Matrix, decay: f32) {
+        self.pack_stats(&KfacStats { a_stat: a_new, g_stat: g_new, batches: 1 });
+        self.fold_wire(decay);
     }
 
     /// Eigendecompose the running `A` factor; returns `(Q_A, v_A)`.
@@ -309,39 +287,54 @@ mod tests {
         let mut state = KfacLayerState::new("l", 2, 2);
         let a1 = Matrix::identity(2);
         let g1 = Matrix::identity(2).scaled(2.0);
-        state.update_factors(a1.clone(), g1.clone(), 0.9);
+        state.update_factors(&a1, &g1, 0.9);
         assert_eq!(state.factor_a.as_ref().unwrap(), &a1, "first update is a copy");
         let a2 = Matrix::identity(2).scaled(3.0);
-        state.update_factors(a2, g1.clone(), 0.9);
+        state.update_factors(&a2, &g1, 0.9);
         // 0.9*1 + 0.1*3 = 1.2 on the diagonal.
         assert!((state.factor_a.as_ref().unwrap().get(0, 0) - 1.2).abs() < 1e-6);
     }
 
     #[test]
     fn first_fold_semantics_unified_across_paths() {
-        // update_factors and the single-factor updates route through one
-        // EMA kernel: the first fold is a plain move-in, later folds apply
-        // (1-decay)·fresh + decay·old. Both paths must agree bitwise, fold
-        // for fold.
+        // `update_factors` (square inputs) and a factor step's wire
+        // (captured lower triangles with stale upper halves, finalized by
+        // `1/batches`) route through one EMA kernel: the first fold is a
+        // plain move-in, later folds apply (1-decay)·fresh + decay·old.
+        // Both must agree bitwise, fold for fold, with the square recipe —
+        // `scale`, then `axpby`.
         let mut rng = Rng::seed_from_u64(208);
         let decay = 0.95;
         let folds: Vec<(Matrix, Matrix)> =
             (0..3).map(|_| (random_psd(4, &mut rng), random_psd(3, &mut rng))).collect();
+        let stale = |m: &Matrix| {
+            Matrix::from_fn(m.rows(), m.cols(), |r, c| if c > r { f32::NAN } else { m.get(r, c) })
+        };
+        let fold = |slot: &mut Option<Matrix>, fresh: Matrix| match slot {
+            Some(m) => m.axpby(1.0 - decay, &fresh, decay),
+            None => *slot = Some(fresh),
+        };
+        let bits = |m: &Option<Matrix>| -> Vec<u32> {
+            m.as_ref().unwrap().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
 
-        let mut joint = KfacLayerState::new("joint", 4, 3);
-        let mut single = KfacLayerState::new("single", 4, 3);
+        let mut square = KfacLayerState::new("square", 4, 3);
+        let mut wire = KfacLayerState::new("wire", 4, 3);
+        let mut oracle: [Option<Matrix>; 4] = Default::default();
         for (a, g) in &folds {
-            joint.update_factors(a.clone(), g.clone(), decay);
-            single.update_factor_a(a.clone(), decay);
-            single.update_factor_g(g.clone(), decay);
-            assert_eq!(
-                joint.factor_a.as_ref().unwrap().as_slice(),
-                single.factor_a.as_ref().unwrap().as_slice()
-            );
-            assert_eq!(
-                joint.factor_g.as_ref().unwrap().as_slice(),
-                single.factor_g.as_ref().unwrap().as_slice()
-            );
+            square.update_factors(a, g, decay);
+            let (sa, sg) = (stale(a), stale(g));
+            wire.pack_stats(&KfacStats { a_stat: &sa, g_stat: &sg, batches: 3 });
+            wire.fold_wire(decay);
+            let [sq_a, sq_g, wire_a, wire_g] = &mut oracle;
+            fold(sq_a, a.clone());
+            fold(sq_g, g.clone());
+            fold(wire_a, a.scaled(1.0 / 3.0));
+            fold(wire_g, g.scaled(1.0 / 3.0));
+            assert_eq!(bits(&square.factor_a), bits(&oracle[0]), "square A");
+            assert_eq!(bits(&square.factor_g), bits(&oracle[1]), "square G");
+            assert_eq!(bits(&wire.factor_a), bits(&oracle[2]), "wire A");
+            assert_eq!(bits(&wire.factor_g), bits(&oracle[3]), "wire G");
         }
     }
 
@@ -349,8 +342,8 @@ mod tests {
     fn memory_split_separates_factors_from_eigens() {
         let mut rng = Rng::seed_from_u64(214);
         let mut state = KfacLayerState::new("split", 6, 4);
-        state.update_factor_a(random_psd(6, &mut rng), 0.95);
-        assert_eq!(state.factor_memory_bytes(Precision::Fp32), 36 * 4);
+        state.update_factors(&random_psd(6, &mut rng), &random_psd(4, &mut rng), 0.95);
+        assert_eq!(state.factor_memory_bytes(Precision::Fp32), (36 + 16) * 4);
         assert_eq!(state.eigen_memory_bytes(Precision::Fp32), 0);
         let (qa, _) = state.eig_a();
         state.qa = Some(qa);
@@ -382,7 +375,7 @@ mod tests {
         let mut state = KfacLayerState::new("eq", a_dim, g_dim);
         let a = random_psd(a_dim, &mut rng);
         let g = random_psd(g_dim, &mut rng);
-        state.update_factors(a.clone(), g.clone(), 0.0);
+        state.update_factors(&a, &g, 0.0);
 
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
@@ -416,7 +409,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(203);
         let damping = 0.003;
         let mut state = KfacLayerState::new("rw", 7, 4);
-        state.update_factors(random_psd(7, &mut rng), random_psd(4, &mut rng), 0.0);
+        state.update_factors(&random_psd(7, &mut rng), &random_psd(4, &mut rng), 0.0);
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
         state.qa = Some(qa);
@@ -453,7 +446,7 @@ mod tests {
         let mut a = Matrix::zeros(2, 2);
         a.set(0, 0, 100.0);
         a.set(1, 1, 1.0);
-        state.update_factors(a, Matrix::identity(2), 0.0);
+        state.update_factors(&a, &Matrix::identity(2), 0.0);
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
         state.outer = Some(KfacLayerState::compute_outer(&vg, &va, 0.001));
@@ -470,7 +463,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(203);
         let mut state = KfacLayerState::new("mem", 8, 4);
         assert_eq!(state.memory_bytes(Precision::Fp32), 0);
-        state.update_factors(random_psd(8, &mut rng), random_psd(4, &mut rng), 0.0);
+        state.update_factors(&random_psd(8, &mut rng), &random_psd(4, &mut rng), 0.0);
         let factors_only = state.memory_bytes(Precision::Fp32);
         assert_eq!(factors_only, (64 + 16) * 4);
         let (qa, va) = state.eig_a();
@@ -492,7 +485,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(205);
         let damping = 0.003;
         let mut state = KfacLayerState::new("ek", 5, 4);
-        state.update_factors(random_psd(5, &mut rng), random_psd(4, &mut rng), 0.0);
+        state.update_factors(&random_psd(5, &mut rng), &random_psd(4, &mut rng), 0.0);
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
         state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
@@ -529,7 +522,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(206);
         let damping = 0.01;
         let mut state = KfacLayerState::new("fix", 3, 3);
-        state.update_factors(random_psd(3, &mut rng), random_psd(3, &mut rng), 0.0);
+        state.update_factors(&random_psd(3, &mut rng), &random_psd(3, &mut rng), 0.0);
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
         state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
@@ -547,24 +540,26 @@ mod tests {
     }
 
     #[test]
-    fn factor_payload_roundtrip_both_layouts() {
+    fn factor_wire_carries_the_square_payload_bitwise() {
+        // The wire holds `A`'s then `G`'s lower triangle, row-packed and
+        // finalized; the first fold rebuilds exactly the finalized square
+        // factors, and fp16 rounds the payload element for element.
         let mut rng = Rng::seed_from_u64(207);
-        let a = random_psd(5, &mut rng);
-        let g = random_psd(3, &mut rng);
-        for triangular in [false, true] {
-            let (mut buf, split) = pack_factor_payload(&a, &g, triangular, Precision::Fp32);
-            assert_eq!(buf.len(), factor_payload_len(5, 3, triangular));
-            let (a2, g2) =
-                unpack_factor_payload(&mut buf, split, 5, 3, triangular, Precision::Fp32);
-            assert_eq!(a.as_slice(), a2.as_slice(), "triangular={triangular}");
-            assert_eq!(g.as_slice(), g2.as_slice(), "triangular={triangular}");
-        }
-        // Half precision rounds the payload.
-        let (buf16, _) = pack_factor_payload(&a, &g, false, Precision::Fp16);
-        let mut expect = a.as_slice().to_vec();
-        expect.extend_from_slice(g.as_slice());
-        quantize_slice(&mut expect, Precision::Fp16);
-        assert_eq!(buf16, expect);
+        let (a, g) = (random_psd(5, &mut rng), random_psd(3, &mut rng));
+        let mut state = KfacLayerState::new("wire", 5, 3);
+        state.pack_stats(&KfacStats { a_stat: &a, g_stat: &g, batches: 2 });
+        assert_eq!(state.wire.len(), packed_len(5) + packed_len(3));
+        assert_eq!(state.wire[..3], [a.get(0, 0) * 0.5, a.get(1, 0) * 0.5, a.get(1, 1) * 0.5]);
+        let mut half = state.clone();
+        state.fold_wire(0.9);
+        assert_eq!(state.factor_a.as_ref().unwrap(), &a.scaled(0.5));
+        assert_eq!(state.factor_g.as_ref().unwrap(), &g.scaled(0.5));
+
+        quantize_slice(&mut half.wire, Precision::Fp16);
+        half.fold_wire(0.9);
+        let mut expect = a.scaled(0.5);
+        expect.quantize(Precision::Fp16);
+        assert_eq!(half.factor_a.as_ref().unwrap(), &expect);
     }
 
     #[test]
@@ -573,7 +568,7 @@ mod tests {
         // denominator is ≥ γ.
         let mut state = KfacLayerState::new("sing", 3, 3);
         let v = [1.0f32, 1.0, 1.0];
-        state.update_factors(Matrix::outer(&v, &v), Matrix::outer(&v, &v), 0.0);
+        state.update_factors(&Matrix::outer(&v, &v), &Matrix::outer(&v, &v), 0.0);
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
         state.qa = Some(qa);

@@ -99,7 +99,7 @@ proptest! {
         let fa = random_psd(a_dim, &mut rng);
         let fg = random_psd(g_dim, &mut rng);
         let mut state = KfacLayerState::new("prop", a_dim, g_dim);
-        state.update_factors(fa.clone(), fg.clone(), 0.0);
+        state.update_factors(&fa, &fg, 0.0);
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
         state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
@@ -134,7 +134,7 @@ proptest! {
         // bounded, so K-FAC cannot blow up a gradient unboundedly.
         let mut rng = Rng::seed_from_u64(seed);
         let mut state = KfacLayerState::new("gain", a_dim, g_dim);
-        state.update_factors(random_psd(a_dim, &mut rng), random_psd(g_dim, &mut rng), 0.0);
+        state.update_factors(&random_psd(a_dim, &mut rng), &random_psd(g_dim, &mut rng), 0.0);
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
         state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));

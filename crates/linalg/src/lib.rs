@@ -21,8 +21,9 @@
 //! * [`lu_inverse`] — general matrix inverse with partial pivoting: the
 //!   damped-Kronecker-inverse oracle (Eq. 15–17) the eigen-preconditioned
 //!   gradient is tested against.
-//! * [`pack_upper`] / [`unpack_upper`] — symmetric triangular packing used by
-//!   KAISA's triangular factor communication (Section 4.3).
+//! * [`pack_lower_scaled`] / [`fold_packed_lower`] / [`unpack_lower`] —
+//!   row-packed lower-triangle packing, the form every factor payload takes
+//!   on the wire (KAISA's triangular factor communication, Section 4.3).
 //!
 //! All decompositions compute internally in `f64` for stability (mirroring
 //! the paper's practice of casting half-precision factors to single precision
@@ -43,4 +44,4 @@ mod triangular;
 pub use eigen::{sym_eig, sym_eig_portable, sym_eig_with_scratch, EigScratch, EigenError, SymEig};
 pub use inverse::lu_inverse;
 pub use reference::sym_eig_reference;
-pub use triangular::{pack_upper, packed_len, unpack_upper};
+pub use triangular::{fold_packed_lower, pack_lower_scaled, packed_len, unpack_lower};

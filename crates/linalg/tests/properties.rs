@@ -2,8 +2,8 @@
 //! orthogonality, and packing invariants over random symmetric matrices.
 
 use kaisa_linalg::{
-    lu_inverse, pack_upper, packed_len, sym_eig, sym_eig_portable, sym_eig_reference,
-    sym_eig_with_scratch, unpack_upper, EigScratch, EigenError,
+    lu_inverse, pack_lower_scaled, packed_len, sym_eig, sym_eig_portable, sym_eig_reference,
+    sym_eig_with_scratch, unpack_lower, EigScratch, EigenError,
 };
 use kaisa_tensor::{Matrix, Precision, Rng};
 use proptest::prelude::*;
@@ -205,9 +205,9 @@ proptest! {
     #[test]
     fn pack_roundtrip(n in 1usize..32, seed in any::<u64>()) {
         let m = random_symmetric(n, seed);
-        let packed = pack_upper(&m);
-        prop_assert_eq!(packed.len(), packed_len(n));
-        prop_assert_eq!(unpack_upper(&packed, n), m);
+        let mut packed = vec![0.0; packed_len(n)];
+        pack_lower_scaled(m.as_slice(), n, 1.0, &mut packed);
+        prop_assert_eq!(unpack_lower(&packed, n), m);
     }
 
     #[test]

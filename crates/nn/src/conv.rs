@@ -20,7 +20,7 @@ use kaisa_tensor::{
     Tensor4,
 };
 
-use crate::capture::{gram_cols, KfacAble, KfacCapture};
+use crate::capture::{gram_cols_lower, KfacAble, KfacCapture};
 
 /// A 2-D convolution layer with weight shape `(c_out, c_in·kh·kw)`.
 #[derive(Debug, Clone)]
@@ -117,7 +117,9 @@ impl Conv2d {
                 // computed from; nothing is lowered a second time.
                 match &self.bias {
                     None => self.kfac.record_forward_cols(cols.as_slice(), p, n),
-                    Some(_) => self.kfac.record_forward_stat(bordered_gram(&cols, p), n),
+                    Some(_) => self
+                        .kfac
+                        .record_forward_with(p + 1, n, |c| bordered_gram_lower(&cols, p, c)),
                 }
             }
             self.col_cache = Some(cols);
@@ -179,33 +181,32 @@ impl Conv2d {
     }
 }
 
-/// `[P 1]ᵀ[P 1]` for the patch rows `P` of a bias layer, from its column
-/// blocks `cols` (`(n·p) × hw`) without building `[P 1]`: the corner block
-/// is `Σ Pt·Ptᵀ`, and multiplying by the ones column is adding — so the
+/// The lower triangle of `[P 1]ᵀ[P 1]` for the patch rows `P` of a bias
+/// layer, from its column blocks `cols` (`(n·p) × hw`) without building
+/// `[P 1]`, into the zero-filled `(p+1) x (p+1)` buffer `c`. The corner
+/// block is `Σ Pt·Ptᵀ`, formed in `c`'s first `p²` elements and moved row by
+/// row to stride `p + 1`; multiplying by the ones column is adding — so the
 /// border is the row sums of the blocks, taken image after image in pixel
 /// order from `0.0` (the patch rows' ascending order), and the last entry
 /// counts the pixels the same way (exact up to 2²⁴, where a running `f32`
-/// count stops moving). Bit for bit `gram_tn` of `P` with a ones column
-/// appended.
-fn bordered_gram(cols: &Matrix, p: usize) -> Matrix {
+/// count stops moving). Bit for bit the lower triangle of `gram_tn` of `P`
+/// with a ones column appended.
+fn bordered_gram_lower(cols: &Matrix, p: usize, c: &mut [f32]) {
+    debug_assert_eq!(c.len(), (p + 1) * (p + 1));
     let (n, hw) = (cols.rows() / p, cols.cols());
-    let gram = gram_cols(cols.as_slice(), p, n);
-    let mut out = Matrix::zeros(p + 1, p + 1);
-    let mut sums = vec![0.0f32; p];
-    for i in 0..p {
-        out.row_mut(i)[..p].copy_from_slice(gram.row(i));
+    gram_cols_lower(cols.as_slice(), p, n, &mut c[..p * p]);
+    // Descending rows: row `i`'s destination starts past every source row
+    // not yet moved, and every lower-triangle element gets written.
+    for i in (1..p).rev() {
+        c.copy_within(i * p..i * p + i + 1, i * (p + 1));
     }
+    let border = &mut c[p * (p + 1)..];
     for block in cols.as_slice().chunks_exact(p * hw) {
-        for (s, row) in sums.iter_mut().zip(block.chunks_exact(hw)) {
+        for (s, row) in border.iter_mut().zip(block.chunks_exact(hw)) {
             *s = row.iter().fold(*s, |acc, &v| acc + v);
         }
     }
-    for (i, &s) in sums.iter().enumerate() {
-        out.set(i, p, s);
-        out.set(p, i, s);
-    }
-    out.set(p, p, (n * hw).min(1 << 24) as f32);
-    out
+    border[p] = (n * hw).min(1 << 24) as f32;
 }
 
 impl KfacAble for Conv2d {
@@ -351,9 +352,9 @@ mod tests {
             let y = conv.forward(&x, true);
             let g = Tensor4::randn(y.n(), y.c(), y.h(), y.w(), 0.1, &mut rng);
             let _ = conv.backward(&g);
-            let stats = conv.kfac.take_stats().unwrap();
-            assert_eq!(stats.a_stat.shape(), expect.shape());
-            for (a, b) in stats.a_stat.as_slice().iter().zip(expect.as_slice()) {
+            let (a_stat, _) = conv.kfac.take_stats().unwrap().mirrored();
+            assert_eq!(a_stat.shape(), expect.shape());
+            for (a, b) in a_stat.as_slice().iter().zip(expect.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "bias={has_bias}");
             }
         }
@@ -363,7 +364,9 @@ mod tests {
     fn bordered_gram_counts_rows_like_a_running_f32_sum() {
         // One image, one kernel tap, five pixels of zeros: only the count
         // is nonzero.
-        assert_eq!(bordered_gram(&Matrix::zeros(1, 5), 1).as_slice(), &[0.0, 0.0, 0.0, 5.0]);
+        let mut c = [0.0f32; 4];
+        bordered_gram_lower(&Matrix::zeros(1, 5), 1, &mut c);
+        assert_eq!(c, [0.0, 0.0, 0.0, 5.0]);
         // Why the count is capped at 2^24: that is where adding 1.0 to an
         // `f32`, as the ones column's Gram entry does, stops moving it.
         let mut count = (1u32 << 24) as f32 - 1.0;
@@ -493,9 +496,10 @@ mod tests {
             prop_assert_eq!(conv.grad_bias.as_deref().map(bits), grads.1.as_deref().map(bits), "db");
             let (got, expect) = (conv.kfac.take_stats().unwrap(), cap.take_stats().unwrap());
             prop_assert_eq!(got.batches, expect.batches);
-            prop_assert_eq!(got.a_stat.shape(), expect.a_stat.shape());
-            prop_assert_eq!(bits(got.a_stat.as_slice()), bits(expect.a_stat.as_slice()), "A");
-            prop_assert_eq!(bits(got.g_stat.as_slice()), bits(expect.g_stat.as_slice()), "G");
+            let ((got_a, got_g), (expect_a, expect_g)) = (got.mirrored(), expect.mirrored());
+            prop_assert_eq!(got_a.shape(), expect_a.shape());
+            prop_assert_eq!(bits(got_a.as_slice()), bits(expect_a.as_slice()), "A");
+            prop_assert_eq!(bits(got_g.as_slice()), bits(expect_g.as_slice()), "G");
         }
     }
 

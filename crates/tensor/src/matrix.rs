@@ -8,7 +8,7 @@ use crate::{Precision, Rng, ShapeError};
 ///
 /// This is the workhorse type of the whole framework: layer weights,
 /// gradients, Kronecker factors, and eigendecompositions are all `Matrix`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -222,9 +222,9 @@ impl Matrix {
 
     /// `selfᵀ @ self` — the K-FAC factor-statistic Gram product.
     ///
-    /// Runs the symmetric rank-k kernel ([`crate::syrk_tn`]): only the
-    /// lower triangle is computed and mirrored, bitwise identical to
-    /// `self.matmul_tn(self)`, which stays its oracle.
+    /// Runs the symmetric rank-k kernel ([`crate::gram_tn_lower`]): only
+    /// the lower triangle is computed, then mirrored once, bitwise
+    /// identical to `self.matmul_tn(self)`, which stays its oracle.
     ///
     /// A tall matrix (a conv layer's patch rows) is accumulated
     /// 1024 rows (`GRAM_BLOCK_ROWS`) at a time: the kernels pack panels of the
@@ -235,9 +235,8 @@ impl Matrix {
     pub fn gram_tn(&self) -> Matrix {
         let n = self.cols;
         let mut out = Matrix::zeros(n, n);
-        for block in self.data.chunks((GRAM_BLOCK_ROWS * n).max(1)) {
-            crate::syrk_tn(n, block.len() / n, block, &mut out.data);
-        }
+        crate::gram_tn_lower(n, self.rows, &self.data, &mut out.data);
+        crate::mirror_lower(n, &mut out.data);
         out
     }
 

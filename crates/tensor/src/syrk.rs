@@ -37,6 +37,12 @@
 //! layout that stacks every block's transpose. [`gram_nt`] runs it on the
 //! shape-selected [`GemmKernel::Auto`], like
 //! [`Matrix::gram_tn`](crate::Matrix::gram_tn).
+//!
+//! [`gram_tn_lower`] and [`gram_nt_lower`] are those two Gram products
+//! without the mirror: the K-FAC capture reads only the lower triangle (it
+//! is what goes on the wire), so it never pays for the upper one.
+//! [`mirror_lower`] is the one mirror, a tiled pass shared with the
+//! factor fold.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -85,15 +91,10 @@ pub fn syrk_tn_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [
 /// the kernel per call, so `C` is staged through the register tiles as
 /// often as it is for the row layout.
 pub fn syrk_nt_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len() % (m * k).max(1), 0);
-    debug_assert_eq!(c.len(), m * m);
     if m == 0 || k == 0 || a.is_empty() {
         return;
     }
-    let per_call = (GRAM_BLOCK_ROWS / k).max(1);
-    for blocks in a.chunks(per_call * m * k) {
-        syrk_lower(kernel, Layout::Nt, m, blocks.len() / m, k, blocks, c);
-    }
+    nt_lower(kernel, m, k, a, c);
     mirror_lower(m, c);
 }
 
@@ -104,6 +105,46 @@ pub fn syrk_nt_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [
 /// stays its oracle, like [`Matrix::gram_tn`](crate::Matrix::gram_tn).
 pub fn gram_nt(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
     syrk_nt_with(GemmKernel::Auto, m, k, a, c);
+}
+
+/// [`gram_nt`] without the mirror: only the lower triangle (`j ≤ i`) of
+/// `C` is written, bit for bit what [`gram_nt`] leaves there; the strict
+/// upper triangle is left stale or partly updated. The K-FAC capture's
+/// entry — a factor statistic never needs its upper half.
+pub fn gram_nt_lower(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+    if m == 0 || k == 0 || a.is_empty() {
+        return;
+    }
+    nt_lower(GemmKernel::Auto, m, k, a, c);
+}
+
+/// The lower triangle (`j ≤ i`) of `C[m x m] += AᵀA` for `A` stored
+/// `[k x m]` row-major, on the shape-selected [`GemmKernel::Auto`], handed
+/// to the kernel `GRAM_BLOCK_ROWS` rows at a time: bit for bit the lower
+/// triangle [`Matrix::gram_tn`](crate::Matrix::gram_tn) produces, which is
+/// this plus one [`mirror_lower`]. The strict upper triangle is left stale
+/// or partly updated.
+pub fn gram_tn_lower(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(a.len(), k * m);
+    debug_assert_eq!(c.len(), m * m);
+    if m == 0 {
+        return;
+    }
+    for block in a.chunks(GRAM_BLOCK_ROWS * m) {
+        let rows = block.len() / m;
+        syrk_lower(GemmKernel::Auto, Layout::Tn, m, rows, rows, block, c);
+    }
+}
+
+/// The `Nt` lower-triangle sweep of [`syrk_nt_with`] (`m`, `k`, `a`
+/// non-empty): blocks packed several to a kernel call.
+fn nt_lower(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(a.len() % (m * k), 0);
+    debug_assert_eq!(c.len(), m * m);
+    let per_call = (GRAM_BLOCK_ROWS / k).max(1);
+    for blocks in a.chunks(per_call * m * k) {
+        syrk_lower(kernel, Layout::Nt, m, blocks.len() / m, k, blocks, c);
+    }
 }
 
 /// Accumulate the lower triangle (`j ≤ i`) of `C += AᵀA` (`Tn`: `A` stored
@@ -175,11 +216,26 @@ fn naive_syrk_rows(
     }
 }
 
-/// Copy the lower triangle into the strict upper triangle, bit for bit.
-fn mirror_lower(m: usize, c: &mut [f32]) {
-    for i in 0..m {
-        for j in i + 1..m {
-            c[i * m + j] = c[j * m + i];
+/// Side of the square tiles [`mirror_lower`] walks: a tile's source rows
+/// (`MIRROR_TILE` runs of `MIRROR_TILE` floats) stay in L1 while its
+/// destination rows are written.
+const MIRROR_TILE: usize = 32;
+
+/// Copy the lower triangle of the row-major `m x m` matrix `c` into its
+/// strict upper triangle, bit for bit (`c[i][j] = c[j][i]` for `j > i`).
+/// Walks the upper triangle in square tiles, so the column-wise reads of
+/// the lower triangle stay within one tile's rows.
+pub fn mirror_lower(m: usize, c: &mut [f32]) {
+    debug_assert_eq!(c.len(), m * m);
+    for i0 in (0..m).step_by(MIRROR_TILE) {
+        let i1 = (i0 + MIRROR_TILE).min(m);
+        for j0 in (i0..m).step_by(MIRROR_TILE) {
+            let j1 = (j0 + MIRROR_TILE).min(m);
+            for i in i0..i1 {
+                for j in j0.max(i + 1)..j1 {
+                    c[i * m + j] = c[j * m + i];
+                }
+            }
         }
     }
 }
@@ -491,6 +547,43 @@ mod tests {
                     assert_eq!(x.to_bits(), y.to_bits(), "{kernel} ({m},{k})x{blocks}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lower_entries_write_the_mirrored_products_lower_triangle() {
+        // Same lower triangle as `gram_tn` / `gram_nt`, bit for bit, into a
+        // poisoned upper half the lower entries never read back; and the
+        // tiled mirror is the element-by-element copy, across tile edges.
+        let mut rng = Rng::seed_from_u64(23);
+        for &(rows, m) in &[(1usize, 1usize), (7, 5), (40, 33), (1100, 64), (3, 97)] {
+            let a = Matrix::randn(rows, m, 1.0, &mut rng);
+            let full = a.gram_tn();
+            let mut lower: Vec<f32> =
+                (0..m * m).map(|e| if e % m > e / m { f32::NAN } else { 0.0 }).collect();
+            gram_tn_lower(m, rows, a.as_slice(), &mut lower);
+            let mut nt_full = vec![0.0f32; m * m];
+            let mut nt_lower =
+                lower.iter().map(|&v| if v.is_nan() { v } else { 0.0 }).collect::<Vec<_>>();
+            gram_nt(m, rows, a.transpose().as_slice(), &mut nt_full);
+            gram_nt_lower(m, rows, a.transpose().as_slice(), &mut nt_lower);
+            for i in 0..m {
+                for j in 0..=i {
+                    let e = i * m + j;
+                    assert_eq!(lower[e].to_bits(), full.as_slice()[e].to_bits(), "tn ({rows},{m})");
+                    assert_eq!(nt_lower[e].to_bits(), nt_full[e].to_bits(), "nt ({rows},{m})");
+                }
+            }
+            let mut naive = lower.clone();
+            for i in 0..m {
+                for j in i + 1..m {
+                    naive[i * m + j] = naive[j * m + i];
+                }
+            }
+            mirror_lower(m, &mut lower);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&lower), bits(&naive), "mirror ({rows},{m})");
+            assert_eq!(bits(&lower), bits(full.as_slice()), "gram_tn ({rows},{m})");
         }
     }
 

@@ -1,6 +1,6 @@
 //! End-to-end exercises of the full KAISA feature matrix: precision modes,
-//! triangular communication, assignment strategies, the inverse fallback,
-//! and failure-injection cases.
+//! assignment strategies, the inverse fallback, and failure-injection
+//! cases.
 
 use kaisa::comm::{LocalComm, ThreadComm};
 use kaisa::core::{plan_assignments, AssignmentStrategy, Kfac, KfacConfig};
@@ -40,25 +40,19 @@ fn feature_matrix_all_combinations_run() {
     // Every combination of the paper's optional features must produce
     // finite preconditioned gradients on a multi-rank world.
     for precision in [Precision::Fp32, Precision::Fp16] {
-        for triangular in [false, true] {
-            for frac in [0.25, 0.5, 1.0] {
-                let cfg = KfacConfig::builder()
-                    .grad_worker_frac(frac)
-                    .factor_update_freq(1)
-                    .inv_update_freq(2)
-                    .precision(precision)
-                    .triangular_comm(triangular)
-                    .build();
-                let grads = run_world(cfg, 3);
-                assert!(
-                    grads.iter().all(|g| g.is_finite()),
-                    "non-finite grads at {precision}/tri={triangular}/frac={frac}"
-                );
-                assert!(
-                    grads.iter().any(|g| *g != 0.0),
-                    "zero grads at {precision}/tri={triangular}/frac={frac}"
-                );
-            }
+        for frac in [0.25, 0.5, 1.0] {
+            let cfg = KfacConfig::builder()
+                .grad_worker_frac(frac)
+                .factor_update_freq(1)
+                .inv_update_freq(2)
+                .precision(precision)
+                .build();
+            let grads = run_world(cfg, 3);
+            assert!(
+                grads.iter().all(|g| g.is_finite()),
+                "non-finite grads at {precision}/frac={frac}"
+            );
+            assert!(grads.iter().any(|g| *g != 0.0), "zero grads at {precision}/frac={frac}");
         }
     }
 }

@@ -105,18 +105,15 @@ fn pipelined_is_bitwise_identical_across_strategies_and_worlds() {
 
 #[test]
 fn pipelined_is_bitwise_identical_with_fp16_and_triangular_comm() {
-    for (precision, triangular) in
-        [(Precision::Fp16, false), (Precision::Fp32, true), (Precision::Fp16, true)]
-    {
+    // Every factor payload is the packed triangle (§4.3); fp16 quantizes
+    // it on both sides of the allreduce.
+    for precision in [Precision::Fp16, Precision::Fp32] {
         let mk = |pipelined: bool| {
             train(4, 8, 47, move |b| {
-                b.grad_worker_frac(0.5)
-                    .precision(precision)
-                    .triangular_comm(triangular)
-                    .pipelined(pipelined)
+                b.grad_worker_frac(0.5).precision(precision).pipelined(pipelined)
             })
         };
-        let ctx = format!("precision={precision:?} triangular={triangular}");
+        let ctx = format!("precision={precision:?}");
         assert_bitwise_equal(&mk(false), &mk(true), &ctx);
     }
 }
@@ -315,16 +312,12 @@ proptest! {
         steps in 3usize..8,
         seed in 100u64..200,
         fp16 in any::<bool>(),
-        triangular in any::<bool>(),
         grad_accum in 1usize..3,
     ) {
         let precision = if fp16 { Precision::Fp16 } else { Precision::Fp32 };
         let run = |pipelined: bool| {
             train_accum(world, steps, seed, grad_accum, move |b| {
-                b.grad_worker_frac(frac)
-                    .precision(precision)
-                    .triangular_comm(triangular)
-                    .pipelined(pipelined)
+                b.grad_worker_frac(frac).precision(precision).pipelined(pipelined)
             })
         };
         let (serial, pipelined) = (run(false), run(true));

@@ -192,16 +192,16 @@ fn hybrid_opt_resize_is_bitwise_transparent() {
 
 #[test]
 fn triangular_fp16_resize_is_bitwise_transparent() {
-    // HYBRID-OPT 4 → 8 on the triangular fp16 factor wire (the one
-    // `bert_mem_opt_accum` runs): the packed-and-quantized factors and the
-    // eigen caches restore onto the new world's gradient workers.
+    // HYBRID-OPT 4 → 8 on the fp16 factor wire (the one
+    // `bert_mem_opt_accum` runs; every factor wire is the packed
+    // triangle): the quantized factors and the eigen caches restore onto
+    // the new world's gradient workers.
     let kc = KfacConfig::builder()
         .strategy(DistStrategy::HybridOpt)
         .grad_worker_frac(0.5)
         .factor_update_freq(2)
         .inv_update_freq(4)
         .precision(Precision::Fp16)
-        .triangular_comm(true)
         .build();
     let mid = reference_segment(&kc, 4, 0, PAUSE_AT, None);
     let reference = reference_segment(&kc, 8, PAUSE_AT, TOTAL_STEPS, Some(&mid));

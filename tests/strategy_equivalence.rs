@@ -218,18 +218,13 @@ fn train_cfg(
 fn local_opt_world1_is_bitwise_identical_to_dense_serial() {
     // At world 1 a rank's "local" statistics ARE the global statistics, so
     // DP-KFAC must coincide bit-for-bit with the dense serial reference —
-    // the owner-side fold replays the same pack/unpack quantization the
-    // dense allreduce applies, in every precision and payload layout.
-    for (precision, triangular) in
-        [(Precision::Fp32, false), (Precision::Fp16, false), (Precision::Fp16, true)]
-    {
-        let dense = train_cfg(1, 10, 131, 1, |b| {
-            b.grad_worker_frac(1.0).precision(precision).triangular_comm(triangular)
-        });
-        let local = train_cfg(1, 10, 131, 1, |b| {
-            b.strategy(DistStrategy::LocalOpt).precision(precision).triangular_comm(triangular)
-        });
-        let ctx = format!("world=1 precision={precision:?} triangular={triangular}");
+    // the owner-side fold replays the same two quantizations of the factor
+    // wire the dense allreduce applies, in every precision.
+    for precision in [Precision::Fp32, Precision::Fp16] {
+        let dense = train_cfg(1, 10, 131, 1, |b| b.grad_worker_frac(1.0).precision(precision));
+        let local =
+            train_cfg(1, 10, 131, 1, |b| b.strategy(DistStrategy::LocalOpt).precision(precision));
+        let ctx = format!("world=1 precision={precision:?}");
         assert_eq!(bits(&dense[0].0), bits(&local[0].0), "{ctx}: params differ");
         assert_eq!(bits(&dense[0].1), bits(&local[0].1), "{ctx}: grads differ");
     }
@@ -263,26 +258,19 @@ fn local_opt_is_deterministic_across_executors_ranks_and_worlds() {
 
 #[test]
 fn local_opt_survives_fp16_and_grad_accum() {
-    // The layouts that most reshape the owner-side fold: half-precision
-    // triangular payloads and accumulated micro-batch statistics. The
-    // pipelined order must still match serial.
-    for (precision, triangular, grad_accum) in
-        [(Precision::Fp16, true, 1), (Precision::Fp16, false, 2), (Precision::Fp32, true, 2)]
+    // The settings that most reshape the owner-side fold: half-precision
+    // payloads and accumulated micro-batch statistics. The pipelined order
+    // must still match serial.
+    for (precision, grad_accum) in
+        [(Precision::Fp16, 1), (Precision::Fp16, 2), (Precision::Fp32, 2)]
     {
         let serial = train_cfg(4, 8, 139, grad_accum, move |b| {
-            b.strategy(DistStrategy::LocalOpt)
-                .precision(precision)
-                .triangular_comm(triangular)
-                .pipelined(false)
+            b.strategy(DistStrategy::LocalOpt).precision(precision).pipelined(false)
         });
         let pipelined = train_cfg(4, 8, 139, grad_accum, move |b| {
-            b.strategy(DistStrategy::LocalOpt)
-                .precision(precision)
-                .triangular_comm(triangular)
-                .pipelined(true)
+            b.strategy(DistStrategy::LocalOpt).precision(precision).pipelined(true)
         });
-        let ctx =
-            format!("precision={precision:?} triangular={triangular} grad_accum={grad_accum}");
+        let ctx = format!("precision={precision:?} grad_accum={grad_accum}");
         for (rank, (s, p)) in serial.iter().zip(&pipelined).enumerate() {
             assert_eq!(bits(&s.0), bits(&p.0), "{ctx}: rank {rank} params differ");
             assert_eq!(bits(&s.1), bits(&p.1), "{ctx}: rank {rank} grads differ");
