@@ -1,7 +1,8 @@
 //! Data generators for every simulated table and figure of the paper's
 //! evaluation (Section 5). The convergence experiments (Figures 1 and 5,
-//! Table 3) run live in `kaisa-bench`; everything that required the 64-GPU /
-//! 128-GPU clusters is regenerated here from the cost model.
+//! Table 3) run live in `kaisa-bench`'s `repro` driver, which also prints
+//! these; everything that required the 64-GPU / 128-GPU clusters is
+//! regenerated here from the cost model.
 
 use crate::device::ClusterSpec;
 use crate::inventory::ModelInventory;
