@@ -44,9 +44,17 @@ impl LayerShape {
         }
     }
 
-    /// Bytes of the two factors at `bytes_per_elem` element size.
+    /// Bytes of the two factors at `bytes_per_elem` element size, as the
+    /// running factors are held: square.
     pub fn factor_bytes(&self, bytes_per_elem: usize) -> usize {
         (self.a_dim * self.a_dim + self.g_dim * self.g_dim) * bytes_per_elem
+    }
+
+    /// Bytes of the two factors on the allreduce wire: the row-packed lower
+    /// triangle of each, `n(n+1)/2` elements.
+    pub fn factor_wire_bytes(&self, bytes_per_elem: usize) -> usize {
+        let packed = |n: usize| n * (n + 1) / 2;
+        (packed(self.a_dim) + packed(self.g_dim)) * bytes_per_elem
     }
 
     /// Bytes of the eigendecomposition cache (`Q_A`, `Q_G`, and the
@@ -120,6 +128,12 @@ impl ModelInventory {
     /// rank after the allreduce).
     pub fn all_factor_bytes(&self, bytes_per_elem: usize) -> usize {
         self.layers.iter().map(|l| l.factor_bytes(bytes_per_elem)).sum()
+    }
+
+    /// Bytes one factor allreduce sends for the whole model (the packed
+    /// triangles of every factor).
+    pub fn all_factor_wire_bytes(&self, bytes_per_elem: usize) -> usize {
+        self.layers.iter().map(|l| l.factor_wire_bytes(bytes_per_elem)).sum()
     }
 
     // ----- the paper's models -----

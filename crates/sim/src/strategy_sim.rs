@@ -262,12 +262,12 @@ impl Simulator {
             .sum();
         out.factor_compute = stat_flops / gpu.gemm_flops(p.half_training) / f_freq;
 
-        // Factor allreduce — absent entirely under DP-KFAC local folds.
+        // Factor allreduce of the packed triangles — absent entirely under
+        // DP-KFAC local folds.
         out.factor_comm = if p.local_factors {
             0.0
         } else {
-            let factor_bytes = p.model.all_factor_bytes(fb);
-            self.cost.allreduce(factor_bytes, world) / f_freq
+            self.cost.allreduce(p.model.all_factor_wire_bytes(fb), world) / f_freq
         };
 
         // Eigendecomposition: the realized LPT makespan.
@@ -371,6 +371,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::device::ClusterSpec;
+    use crate::inventory::LayerShape;
 
     fn rn50_sim(frac: f64) -> Simulator {
         let params = SimParams::baseline(ModelInventory::resnet50(), ClusterSpec::frontera(64), 32)
@@ -449,6 +450,30 @@ mod tests {
         assert_eq!(local.precondition, mem_opt.precondition);
         assert_eq!(local.grad_bcast, mem_opt.grad_bcast);
         assert!(local.total() < mem_opt.total());
+    }
+
+    #[test]
+    fn factor_comm_charges_the_packed_triangle() {
+        // The live wire sends each factor's row-packed lower triangle; the
+        // running factors it folds into stay square.
+        let (a, g, fb, world, f_freq) = (65usize, 32usize, 4usize, 8usize, 5usize);
+        let layer = LayerShape { name: "fc".into(), a_dim: a, g_dim: g, spatial: 1, params: a * g };
+        let model = ModelInventory {
+            name: "one layer",
+            layers: vec![layer],
+            extra_params: 0,
+            activation_bytes_per_sample: 0,
+            extra_fwd_flops_per_sample: 0.0,
+        };
+        let sim = Simulator::new(
+            SimParams::baseline(model, ClusterSpec::frontera(world), 32).with_kfac(1.0, f_freq, 10),
+        );
+        let packed = (a * (a + 1) / 2 + g * (g + 1) / 2) * fb;
+        assert_eq!(
+            sim.iteration_breakdown().factor_comm,
+            sim.cost.allreduce(packed, world) / f_freq as f64
+        );
+        assert_eq!(sim.memory_breakdown().factors, (a * a + g * g) * fb);
     }
 
     #[test]
