@@ -446,14 +446,17 @@ fn fig6() {
                 )
             });
         let (iter_s, mem, sent, _, tag_bytes) = &run[0];
-        let max_mem = run.iter().map(|r| r.1).max().unwrap();
-        let peak_factors = run.iter().map(|r| r.3).max().unwrap();
+        let max_mem = run.iter().map(|r| r.1).max().expect("a world has ranks");
+        let peak_factors = run.iter().map(|r| r.3).max().expect("a world has ranks");
         rank0.push((*mem, *sent));
-        let mut row =
-            vec![format!("{frac:.3}"), format!("{}", mem / 1024), format!("{}", max_mem / 1024)];
-        row.push(format!("{sent}"));
-        row.push(format!("{}", peak_factors / 1024));
-        row.extend(tag_bytes.iter().map(|b| b.to_string()));
+        let mut row = vec![
+            format!("{frac:.3}"),
+            (mem / 1024).to_string(),
+            (max_mem / 1024).to_string(),
+            sent.to_string(),
+            (peak_factors / 1024).to_string(),
+        ];
+        row.extend(tag_bytes.iter().map(u64::to_string));
         table.push(row);
         timing.push(vec![format!("{frac:.3}"), format!("{:.1}", iter_s * 1e3)]);
     }
