@@ -399,6 +399,27 @@ fn direction<T: Ord>(first: T, last: T) -> &'static str {
     }
 }
 
+/// How a sweep's series moves from its first row to its last: one
+/// direction, or, when its minimum or maximum lies inside the sweep, to
+/// that turning point and on from there.
+fn trend(fracs: &[f64], values: &[u64], unit: &str) -> String {
+    let n = values.len();
+    let (first, last) = (values[0], values[n - 1]);
+    let argmin = (0..n).min_by_key(|&i| values[i]).expect("a sweep has rows");
+    let argmax = (0..n).max_by_key(|&i| values[i]).expect("a sweep has rows");
+    match [argmin, argmax].into_iter().find(|&i| 0 < i && i < n - 1) {
+        Some(i) => format!(
+            "{} to its {} at frac {:.3} ({first} -> {} {unit}), then {} (-> {last} {unit})",
+            direction(first, values[i]),
+            if i == argmin { "minimum" } else { "maximum" },
+            fracs[i],
+            values[i],
+            direction(values[i], last),
+        ),
+        None => format!("{} ({first} -> {last} {unit})", direction(first, last)),
+    }
+}
+
 /// Figure 6: iteration time and K-FAC memory across `grad_worker_frac`,
 /// simulated on 64 V100s for the paper's six models, plus a live sweep on
 /// 8 thread ranks.
@@ -448,7 +469,7 @@ fn fig6() {
         let (iter_s, mem, sent, _, tag_bytes) = &run[0];
         let max_mem = run.iter().map(|r| r.1).max().expect("a world has ranks");
         let peak_factors = run.iter().map(|r| r.3).max().expect("a world has ranks");
-        rank0.push((*mem, *sent));
+        rank0.push(((mem / 1024) as u64, *sent));
         let mut row = vec![
             format!("{frac:.3}"),
             (mem / 1024).to_string(),
@@ -472,18 +493,15 @@ fn fig6() {
     ];
     println!("{}", render_table(&header, &table));
     eprintln!("{}", render_table(&["frac", "iter ms"], &timing));
-    let ((mem_lo, sent_lo), (mem_hi, sent_hi)) = (rank0[0], rank0[rank0.len() - 1]);
+    let (mem_kib, sent): (Vec<u64>, Vec<u64>) = rank0.into_iter().unzip();
     println!(
-        "(from frac {:.3} to {:.3}, rank-0 K-FAC memory {} ({} -> {} KiB) and rank-0 send \
-         volume {} ({sent_lo} -> {sent_hi} B);",
+        "(from frac {:.3} to {:.3}, rank-0 K-FAC memory {} and rank-0 send volume {};",
         fracs[0],
         fracs[fracs.len() - 1],
-        direction(mem_lo, mem_hi),
-        mem_lo / 1024,
-        mem_hi / 1024,
-        direction(sent_lo, sent_hi),
+        trend(&fracs, &mem_kib, "KiB"),
+        trend(&fracs, &sent, "B"),
     );
-    if sent_hi > sent_lo {
+    if sent[sent.len() - 1] > sent[0] {
         println!(
             " at this sweep's inv_update_freq(4), COMM-OPT's eigendecomposition broadcast to \
              every rank outweighs the gradient broadcast it removes; Figure 6's falling volume \
@@ -580,8 +598,7 @@ fn fig7() {
 }
 
 /// Figure 8: projected end-to-end speedup over the baseline optimizer for
-/// MEM-OPT / HYBRID-OPT / COMM-OPT / LOCAL-OPT at 8–128 simulated A100s.
-/// LOCAL-OPT (DP-KFAC) is MEM-OPT's placement without the factor allreduce.
+/// MEM-OPT / HYBRID-OPT / COMM-OPT at 8–128 simulated A100s.
 fn fig8() {
     println!("Figure 8 — projected end-to-end speedup on DGX-A100 nodes\n");
     let rows = sim::fig8();
@@ -591,7 +608,7 @@ fn fig8() {
     ] {
         println!("--- {app} (baseline: {baseline}) ---");
         let mut table = Vec::new();
-        for strategy in ["MEM-OPT", "HYBRID-OPT", "COMM-OPT", "LOCAL-OPT"] {
+        for strategy in ["MEM-OPT", "HYBRID-OPT", "COMM-OPT"] {
             let series: Vec<f64> = sim::FIG8_SCALES
                 .iter()
                 .map(|&s| {
@@ -611,8 +628,7 @@ fn fig8() {
     println!("Shape checks (paper Section 5.6):");
     println!(" * COMM-OPT's speedup margin over MEM-OPT grows with scale;");
     println!(" * HYBRID-OPT tracks COMM-OPT while caching half the eigendecompositions;");
-    println!(" * BERT-Large speedups exceed ResNet-50's and are strategy-insensitive;");
-    println!(" * LOCAL-OPT edges out MEM-OPT (no factor allreduce) at stale curvature.");
+    println!(" * BERT-Large speedups exceed ResNet-50's and are strategy-insensitive.");
 }
 
 /// Tables 1 and 2: the paper's baseline/hardware summary and

@@ -6,20 +6,6 @@
 
 use crate::gradient_worker_count;
 
-/// Cost model for distributing eigendecomposition jobs (Section 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AssignmentStrategy {
-    /// Longest-processing-time with O(N³) per-factor cost — optimizes the
-    /// eigendecomposition makespan.
-    #[default]
-    ComputeLpt,
-    /// LPT with O(N²) cost (the factor's memory footprint) — optimizes peak
-    /// per-rank memory.
-    MemoryLpt,
-    /// Round-robin by layer index (the naive baseline for the ablation).
-    RoundRobin,
-}
-
 /// Placement decisions for one layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerAssignment {
@@ -94,7 +80,6 @@ pub fn plan_assignments(
     layer_dims: &[(usize, usize)],
     world: usize,
     grad_worker_frac: f64,
-    strategy: AssignmentStrategy,
 ) -> WorkPlan {
     assert!(world > 0, "world must be positive");
     let workers_per_layer = gradient_worker_count(grad_worker_frac, world);
@@ -128,64 +113,40 @@ pub fn plan_assignments(
     }
 
     // 3. Eigendecomposition jobs → ranks, restricted to each layer's
-    //    gradient workers, greedy LPT on the configured cost model.
+    //    gradient workers, greedy LPT on the O(N³) eigensolve cost: sort
+    //    jobs by decreasing cost, assign each to the least-loaded allowed
+    //    rank (ties broken by rank id for determinism).
     let mut rank_loads = vec![0.0f64; world];
+    let cost = |n: usize| (n as f64).powi(3);
     let mut jobs: Vec<Job> = layer_dims
         .iter()
         .enumerate()
         .flat_map(|(i, &(a_dim, g_dim))| {
-            let cost = |n: usize| match strategy {
-                AssignmentStrategy::ComputeLpt => (n as f64).powi(3),
-                AssignmentStrategy::MemoryLpt => (n as f64).powi(2),
-                AssignmentStrategy::RoundRobin => 0.0,
-            };
             [
                 Job { layer: i, is_a: true, cost: cost(a_dim) },
                 Job { layer: i, is_a: false, cost: cost(g_dim) },
             ]
         })
         .collect();
-
-    match strategy {
-        AssignmentStrategy::RoundRobin => {
-            for (k, job) in jobs.iter().enumerate() {
-                let allowed = &layers[job.layer].gradient_workers;
-                let rank = allowed[k % allowed.len()];
-                let dims = layer_dims[job.layer];
-                let n = if job.is_a { dims.0 } else { dims.1 };
-                rank_loads[rank] += (n as f64).powi(3);
-                if job.is_a {
-                    layers[job.layer].a_worker = rank;
-                } else {
-                    layers[job.layer].g_worker = rank;
-                }
-            }
-        }
-        _ => {
-            // LPT: sort jobs by decreasing cost, assign each to the
-            // least-loaded allowed rank (ties broken by rank id for
-            // determinism).
-            jobs.sort_by(|a, b| {
-                b.cost
-                    .partial_cmp(&a.cost)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.layer.cmp(&b.layer))
-                    .then(a.is_a.cmp(&b.is_a))
-            });
-            for job in &jobs {
-                let allowed = &layers[job.layer].gradient_workers;
-                let min_load = allowed.iter().map(|&r| rank_loads[r]).fold(f64::INFINITY, f64::min);
-                let rank = *allowed
-                    .iter()
-                    .find(|&&r| rank_loads[r] == min_load)
-                    .expect("gradient worker set is non-empty");
-                rank_loads[rank] += job.cost;
-                if job.is_a {
-                    layers[job.layer].a_worker = rank;
-                } else {
-                    layers[job.layer].g_worker = rank;
-                }
-            }
+    jobs.sort_by(|a, b| {
+        b.cost
+            .partial_cmp(&a.cost)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.layer.cmp(&b.layer))
+            .then(a.is_a.cmp(&b.is_a))
+    });
+    for job in &jobs {
+        let allowed = &layers[job.layer].gradient_workers;
+        let min_load = allowed.iter().map(|&r| rank_loads[r]).fold(f64::INFINITY, f64::min);
+        let rank = *allowed
+            .iter()
+            .find(|&&r| rank_loads[r] == min_load)
+            .expect("gradient worker set is non-empty");
+        rank_loads[rank] += job.cost;
+        if job.is_a {
+            layers[job.layer].a_worker = rank;
+        } else {
+            layers[job.layer].g_worker = rank;
         }
     }
 
@@ -202,7 +163,7 @@ mod tests {
 
     #[test]
     fn comm_opt_has_no_bcast_groups() {
-        let plan = plan_assignments(&dims(6), 4, 1.0, AssignmentStrategy::ComputeLpt);
+        let plan = plan_assignments(&dims(6), 4, 1.0);
         for layer in &plan.layers {
             assert_eq!(layer.gradient_workers, vec![0, 1, 2, 3]);
             assert!(layer.bcast_groups.is_empty(), "COMM-OPT never broadcasts gradients");
@@ -211,7 +172,7 @@ mod tests {
 
     #[test]
     fn mem_opt_has_one_worker_and_world_group() {
-        let plan = plan_assignments(&dims(6), 4, 0.25, AssignmentStrategy::ComputeLpt);
+        let plan = plan_assignments(&dims(6), 4, 0.25);
         for layer in &plan.layers {
             assert_eq!(layer.gradient_workers.len(), 1);
             assert_eq!(layer.bcast_groups.len(), 1);
@@ -224,7 +185,7 @@ mod tests {
 
     #[test]
     fn hybrid_groups_are_disjoint_and_cover() {
-        let plan = plan_assignments(&dims(5), 8, 0.5, AssignmentStrategy::ComputeLpt);
+        let plan = plan_assignments(&dims(5), 8, 0.5);
         for layer in &plan.layers {
             assert_eq!(layer.gradient_workers.len(), 4);
             let mut seen = std::collections::HashSet::new();
@@ -243,7 +204,7 @@ mod tests {
     #[test]
     fn eig_workers_are_gradient_workers() {
         for frac in [0.125, 0.25, 0.5, 1.0] {
-            let plan = plan_assignments(&dims(9), 8, frac, AssignmentStrategy::ComputeLpt);
+            let plan = plan_assignments(&dims(9), 8, frac);
             for layer in &plan.layers {
                 assert!(layer.is_gradient_worker(layer.a_worker));
                 assert!(layer.is_gradient_worker(layer.g_worker));
@@ -258,7 +219,7 @@ mod tests {
         let layer_dims: Vec<(usize, usize)> =
             (0..40).map(|i| (10 + 17 * (i % 7), 5 + 11 * (i % 4))).collect();
         let world = 8;
-        let plan = plan_assignments(&layer_dims, world, 1.0, AssignmentStrategy::ComputeLpt);
+        let plan = plan_assignments(&layer_dims, world, 1.0);
         let total = plan.total_load();
         let largest = layer_dims
             .iter()
@@ -279,22 +240,28 @@ mod tests {
         // One huge layer among many small ones: round-robin can stack badly.
         let mut layer_dims = vec![(512, 256)];
         layer_dims.extend(std::iter::repeat_n((16, 8), 15));
-        let lpt = plan_assignments(&layer_dims, 4, 1.0, AssignmentStrategy::ComputeLpt);
-        let rr = plan_assignments(&layer_dims, 4, 1.0, AssignmentStrategy::RoundRobin);
-        assert!(lpt.makespan() <= rr.makespan() + 1e-6);
+        let lpt = plan_assignments(&layer_dims, 4, 1.0);
+        // Round-robin oracle: the k-th job (A then G, layer by layer) on
+        // rank k mod world.
+        let mut rr_loads = [0.0f64; 4];
+        for (k, n) in layer_dims.iter().flat_map(|&(a, g)| [a, g]).enumerate() {
+            rr_loads[k % 4] += (n as f64).powi(3);
+        }
+        let rr_makespan = rr_loads.iter().cloned().fold(0.0, f64::max);
+        assert!(lpt.makespan() <= rr_makespan + 1e-6);
     }
 
     #[test]
     fn plan_is_deterministic() {
-        let a = plan_assignments(&dims(12), 8, 0.5, AssignmentStrategy::ComputeLpt);
-        let b = plan_assignments(&dims(12), 8, 0.5, AssignmentStrategy::ComputeLpt);
+        let a = plan_assignments(&dims(12), 8, 0.5);
+        let b = plan_assignments(&dims(12), 8, 0.5);
         assert_eq!(a.layers, b.layers);
     }
 
     #[test]
     fn layers_rotate_over_ranks() {
         // With frac < 1, different layers should use different worker sets.
-        let plan = plan_assignments(&dims(4), 8, 0.25, AssignmentStrategy::ComputeLpt);
+        let plan = plan_assignments(&dims(4), 8, 0.25);
         let sets: std::collections::HashSet<Vec<usize>> =
             plan.layers.iter().map(|l| l.gradient_workers.clone()).collect();
         assert!(sets.len() > 1, "worker sets should rotate across layers");
@@ -302,24 +269,10 @@ mod tests {
 
     #[test]
     fn world_of_one() {
-        let plan = plan_assignments(&dims(3), 1, 1.0, AssignmentStrategy::ComputeLpt);
+        let plan = plan_assignments(&dims(3), 1, 1.0);
         for layer in &plan.layers {
             assert_eq!(layer.gradient_workers, vec![0]);
             assert!(layer.bcast_groups.is_empty());
-        }
-    }
-
-    #[test]
-    fn memory_lpt_differs_from_compute_lpt_when_it_should() {
-        // Compute cost n³ vs memory cost n² rank jobs differently for mixed
-        // shapes; both must still produce valid plans.
-        let layer_dims = vec![(100, 10), (10, 100), (50, 50), (80, 20)];
-        let a = plan_assignments(&layer_dims, 4, 1.0, AssignmentStrategy::ComputeLpt);
-        let b = plan_assignments(&layer_dims, 4, 1.0, AssignmentStrategy::MemoryLpt);
-        for plan in [&a, &b] {
-            for layer in &plan.layers {
-                assert!(layer.a_worker < 4 && layer.g_worker < 4);
-            }
         }
     }
 }

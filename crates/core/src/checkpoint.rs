@@ -8,8 +8,8 @@
 //! new world and re-populates exactly the state each new rank's residency
 //! rules call for.
 //!
-//! Distributed state is scattered (LOCAL-OPT factors live only on their
-//! owner; eigen caches only on gradient workers), so
+//! Distributed state is scattered (eigen caches live only on gradient
+//! workers), so
 //! [`Kfac::checkpoint_state`] runs a small collective protocol: one
 //! allgather of per-layer presence flags, then one broadcast per present
 //! field from its lowest-rank holder. Every holder of a field holds bitwise
@@ -23,7 +23,6 @@ use kaisa_tensor::Matrix;
 use crate::config::KfacConfig;
 use crate::preconditioner::Kfac;
 use crate::state::KfacLayerState;
-use crate::DistStrategy;
 
 /// One layer's checkpointed K-FAC state. Every field is optional — absent
 /// fields were not yet populated anywhere in the world (e.g. no
@@ -188,7 +187,7 @@ impl Kfac {
     /// placement and strategy resolution via [`Kfac::new`], then populates
     /// exactly the state each field's residency rules place on this rank:
     ///
-    /// * factors land on every rank, or only on the owner under LOCAL-OPT,
+    /// * factors land on every rank,
     /// * eigenbases and the outer product land on gradient workers, and so
     ///   do the EK-FAC corrected moments when `ekfac` is on,
     /// * the step counter restores the update-frequency phase, and capture
@@ -196,8 +195,8 @@ impl Kfac {
     ///
     /// `cfg` must use the same algorithm settings (`ekfac`, `precision`,
     /// update frequencies) as the run that wrote the
-    /// checkpoint; the distribution settings (strategy, `grad_worker_frac`,
-    /// world) are free to change — that is the elastic-resize path.
+    /// checkpoint; the distribution settings (`grad_worker_frac`, world) are
+    /// free to change — that is the elastic-resize path.
     ///
     /// # Panics
     /// If the model's K-FAC layer dimensions disagree with the checkpoint.
@@ -230,15 +229,12 @@ impl Kfac {
             let (a_dim, g_dim) = (entry.a_dim, entry.g_dim);
             let square = |v: &Vec<f32>, d: usize| Matrix::from_vec(d, d, v.clone());
 
-            // Running factors, per the new plan's residency: replicated,
-            // or on the LOCAL-OPT owner alone.
-            if kfac.strategy != DistStrategy::LocalOpt || rank == asn.a_worker {
-                if let Some(a) = &entry.factor_a {
-                    kfac.states[i].factor_a = Some(square(a, a_dim));
-                }
-                if let Some(g) = &entry.factor_g {
-                    kfac.states[i].factor_g = Some(square(g, g_dim));
-                }
+            // Running factors are replicated on every rank.
+            if let Some(a) = &entry.factor_a {
+                kfac.states[i].factor_a = Some(square(a, a_dim));
+            }
+            if let Some(g) = &entry.factor_g {
+                kfac.states[i].factor_g = Some(square(g, g_dim));
             }
 
             // Decomposition caches live on gradient workers only.

@@ -2,8 +2,6 @@
 
 use kaisa_tensor::Precision;
 
-use crate::{AssignmentStrategy, DistStrategy};
-
 /// Configuration of the [`crate::Kfac`] preconditioner.
 ///
 /// Defaults mirror the paper's Table 2 settings where a single value is used
@@ -11,20 +9,9 @@ use crate::{AssignmentStrategy, DistStrategy};
 #[derive(Debug, Clone)]
 pub struct KfacConfig {
     /// Fraction of ranks that act as gradient workers per layer
-    /// (Section 3.1). `1/world` = MEM-OPT, `1` = COMM-OPT.
+    /// (Section 3.1). `1/world` = MEM-OPT, `1` = COMM-OPT, anything
+    /// between = HYBRID-OPT: the whole distribution follows from it.
     pub grad_worker_frac: f64,
-    /// Explicit distribution-strategy override. `None` (the default)
-    /// classifies the strategy from the `grad_worker_frac`-derived worker
-    /// count. `Some(MemOpt)`/`Some(CommOpt)` pin the worker grid to the
-    /// corresponding extreme regardless of the fraction;
-    /// `Some(HybridOpt)` keeps the configured fraction.
-    /// `Some(LocalOpt)` selects DP-KFAC local preconditioning: one owner
-    /// per layer folds and decomposes its rank-local factor statistics with
-    /// **no factor collective at all** — zero `FactorComm` traffic, at the
-    /// cost of curvature freshness (each owner's preconditioner reflects
-    /// only its own rank's data shard). LocalOpt is never inferred; it must
-    /// be requested here.
-    pub strategy: Option<DistStrategy>,
     /// Tikhonov damping γ added to the eigenvalue outer product (Eq. 16).
     pub damping: f32,
     /// Exponential decay of the running factor averages
@@ -46,8 +33,6 @@ pub struct KfacConfig {
     /// end-to-end benchmark's `bert_mem_opt_accum` workload still sets it
     /// through the builder; once that call is gone the field goes too.
     pub triangular_comm: bool,
-    /// How eigendecomposition jobs are spread over ranks (Section 3.2).
-    pub assignment: AssignmentStrategy,
     /// Run the EK-FAC variant (George et al.): keep KAISA's distribution of
     /// eigenbases but replace the eigenvalue outer product with running
     /// corrected second moments updated every step — the extension the
@@ -68,7 +53,6 @@ impl Default for KfacConfig {
     fn default() -> Self {
         KfacConfig {
             grad_worker_frac: 1.0,
-            strategy: None,
             damping: 0.003,
             factor_decay: 0.95,
             kl_clip: Some(0.001),
@@ -76,7 +60,6 @@ impl Default for KfacConfig {
             inv_update_freq: 100,
             precision: Precision::Fp32,
             triangular_comm: false,
-            assignment: AssignmentStrategy::ComputeLpt,
             ekfac: false,
             pipelined: true,
         }
@@ -125,14 +108,6 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Pin the distribution strategy explicitly (see
-    /// [`KfacConfig::strategy`]); `LocalOpt` selects DP-KFAC local
-    /// preconditioning with zero factor-collective traffic.
-    pub fn strategy(mut self, strategy: DistStrategy) -> Self {
-        self.cfg.strategy = Some(strategy);
-        self
-    }
-
     /// Set the Tikhonov damping γ.
     pub fn damping(mut self, damping: f32) -> Self {
         self.cfg.damping = damping;
@@ -173,12 +148,6 @@ impl KfacConfigBuilder {
     /// is always the packed triangle).
     pub fn triangular_comm(mut self, on: bool) -> Self {
         self.cfg.triangular_comm = on;
-        self
-    }
-
-    /// Set the eigendecomposition assignment strategy.
-    pub fn assignment(mut self, strategy: AssignmentStrategy) -> Self {
-        self.cfg.assignment = strategy;
         self
     }
 
@@ -244,12 +213,5 @@ mod tests {
             assert!(built.is_err(), "kl_clip Some({clip}) was accepted");
         }
         let _ = KfacConfig::builder().kl_clip(None).build();
-    }
-
-    #[test]
-    fn strategy_builder_roundtrip() {
-        let cfg = KfacConfig::builder().strategy(DistStrategy::LocalOpt).build();
-        assert_eq!(cfg.strategy, Some(DistStrategy::LocalOpt));
-        assert_eq!(KfacConfig::default().strategy, None);
     }
 }

@@ -49,7 +49,7 @@ mod preconditioner;
 mod state;
 mod timing;
 
-pub use assignment::{plan_assignments, AssignmentStrategy, LayerAssignment, WorkPlan};
+pub use assignment::{plan_assignments, LayerAssignment, WorkPlan};
 pub use checkpoint::{KfacCheckpoint, LayerCheckpoint};
 pub use config::{KfacConfig, KfacConfigBuilder};
 pub use memory::{MemoryBudget, MemoryCategory, MemoryMeter};
@@ -57,8 +57,7 @@ pub use preconditioner::Kfac;
 pub use state::KfacLayerState;
 pub use timing::{Stage, StageTimes, KFAC_STAGES};
 
-/// Distribution strategy implied by a `grad_worker_frac` (Section 3.1),
-/// plus the DP-KFAC local-preconditioning point on the same tradeoff curve.
+/// Distribution strategy implied by a `grad_worker_frac` (Section 3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistStrategy {
     /// One gradient worker per layer (`frac == 1/world`).
@@ -67,13 +66,6 @@ pub enum DistStrategy {
     CommOpt,
     /// A proper subset of ranks per layer.
     HybridOpt,
-    /// DP-KFAC (Zhang et al.): one *owner* per layer folds and decomposes
-    /// its **rank-local** factor statistics — no factor allreduce. Zero
-    /// factor-collective traffic at the cost of curvature freshness (each
-    /// owner's preconditioner reflects only the data its own rank saw).
-    /// Never inferred from worker counts; selected explicitly via
-    /// `KfacConfig::strategy`.
-    LocalOpt,
 }
 
 impl DistStrategy {
@@ -88,11 +80,6 @@ impl DistStrategy {
     ///    defining behavior.
     /// 2. `workers <= 1` (with `world > 1`) → [`DistStrategy::MemOpt`].
     /// 3. otherwise → [`DistStrategy::HybridOpt`].
-    ///
-    /// [`DistStrategy::LocalOpt`] is never returned: DP-KFAC shares
-    /// MEM-OPT's one-worker grid but changes the *algorithm* (local
-    /// curvature), so it must be requested explicitly through
-    /// `KfacConfig::strategy`, never inferred from a worker count.
     pub fn from_worker_count(workers: usize, world: usize) -> DistStrategy {
         // A worker grid is never empty (`gradient_worker_count` clamps to
         // 1); treat a raw 0 as that clamped 1 so degenerate inputs classify
@@ -113,7 +100,6 @@ impl DistStrategy {
             DistStrategy::MemOpt => "MEM-OPT",
             DistStrategy::CommOpt => "COMM-OPT",
             DistStrategy::HybridOpt => "HYBRID-OPT",
-            DistStrategy::LocalOpt => "LOCAL-OPT",
         }
     }
 }
@@ -121,18 +107,6 @@ impl DistStrategy {
 impl std::fmt::Display for DistStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The effective `grad_worker_frac` once an explicit strategy override is
-/// applied: `MemOpt` and `LocalOpt` pin one worker per layer, `CommOpt`
-/// pins every rank, `HybridOpt` (or no override) keeps the configured
-/// fraction.
-pub fn effective_worker_frac(strategy: Option<DistStrategy>, frac: f64, world: usize) -> f64 {
-    match strategy {
-        Some(DistStrategy::MemOpt) | Some(DistStrategy::LocalOpt) => 1.0 / world as f64,
-        Some(DistStrategy::CommOpt) => 1.0,
-        Some(DistStrategy::HybridOpt) | None => frac,
     }
 }
 
@@ -179,32 +153,11 @@ mod tests {
         assert_eq!(DistStrategy::from_worker_count(2, 2), DistStrategy::CommOpt);
         // Grid size 1 at larger worlds stays MEM-OPT (workers == 0 clamps).
         assert_eq!(DistStrategy::from_worker_count(0, 8), DistStrategy::MemOpt);
-        // LocalOpt is never produced by classification at any grid size.
-        for workers in 0..=4 {
-            for world in 1..=4 {
-                assert_ne!(DistStrategy::from_worker_count(workers, world), DistStrategy::LocalOpt);
-            }
-        }
-    }
-
-    #[test]
-    fn effective_frac_applies_strategy_overrides() {
-        assert_eq!(effective_worker_frac(Some(DistStrategy::MemOpt), 1.0, 8), 1.0 / 8.0);
-        assert_eq!(effective_worker_frac(Some(DistStrategy::LocalOpt), 1.0, 8), 1.0 / 8.0);
-        assert_eq!(effective_worker_frac(Some(DistStrategy::CommOpt), 0.25, 8), 1.0);
-        assert_eq!(effective_worker_frac(Some(DistStrategy::HybridOpt), 0.25, 8), 0.25);
-        assert_eq!(effective_worker_frac(None, 0.75, 8), 0.75);
     }
 
     #[test]
     fn strategy_display_is_its_name() {
-        let all = [
-            DistStrategy::MemOpt,
-            DistStrategy::CommOpt,
-            DistStrategy::HybridOpt,
-            DistStrategy::LocalOpt,
-        ];
-        for s in all {
+        for s in [DistStrategy::MemOpt, DistStrategy::CommOpt, DistStrategy::HybridOpt] {
             assert_eq!(s.to_string(), s.name());
         }
         assert_eq!(DistStrategy::HybridOpt.to_string(), "HYBRID-OPT");

@@ -44,7 +44,6 @@ use kaisa_tensor::Matrix;
 use crate::preconditioner::Kfac;
 use crate::state::{quantize_slice, KfacLayerState};
 use crate::timing::Stage;
-use crate::DistStrategy;
 
 /// A matrix broadcast in flight: the handle plus the destination buffer.
 struct MatBcast {
@@ -78,17 +77,6 @@ impl Kfac {
     /// completes them, re-quantizes, and folds each wire straight into the
     /// running factors. The wire is the only form a factor takes between
     /// capture and the running average.
-    ///
-    /// Under LOCAL-OPT (DP-KFAC) sweep A is the whole phase: there is no
-    /// factor collective. Each layer's single owner finalizes and folds the
-    /// statistics **its own rank** captured; every other rank drops its
-    /// capture. The owner's wire is still quantized (the dense path's
-    /// second rounding, after the allreduce, leaves an fp16 value as it
-    /// is), so at world 1 (where the allreduce averages over one rank, i.e.
-    /// divides by 1.0 exactly) LOCAL-OPT is bitwise the dense path at every
-    /// precision.
-    /// Ranks still apply identical updates: the preconditioned gradients
-    /// reach every rank through the per-layer `GradComm` broadcast.
     pub(crate) fn update_factors(
         &mut self,
         layers: &mut [&mut dyn KfacAble],
@@ -96,7 +84,6 @@ impl Kfac {
     ) {
         let precision = self.cfg.precision;
         let decay = self.cfg.factor_decay;
-        let local = self.strategy == DistStrategy::LocalOpt;
         let world_group: Vec<usize> = (0..self.world).collect();
 
         struct InFlight {
@@ -108,18 +95,6 @@ impl Kfac {
 
         for (i, layer) in layers.iter_mut().enumerate() {
             let stats = take_stats(&mut **layer);
-            if local {
-                // LOCAL-OPT runs on the one-worker grid: owner == a_worker.
-                if self.rank == self.plan.layers[i].a_worker {
-                    let state = &mut self.states[i];
-                    self.times.time_layer(i, Stage::FactorCompute, || {
-                        state.pack_stats(&stats);
-                        quantize_slice(&mut state.wire, precision);
-                        state.fold_wire(decay);
-                    });
-                }
-                continue;
-            }
             let state = &mut self.states[i];
             self.times.time_layer(i, Stage::FactorCompute, || state.pack_stats(&stats));
             // The wire leaves the state while its collective is in flight

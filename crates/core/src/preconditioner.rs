@@ -30,7 +30,7 @@ use crate::config::KfacConfig;
 use crate::memory::{MemoryCategory, MemoryMeter};
 use crate::state::KfacLayerState;
 use crate::timing::{Stage, StageTimes};
-use crate::{effective_worker_frac, DistStrategy};
+use crate::DistStrategy;
 
 /// The KAISA K-FAC gradient preconditioner.
 ///
@@ -51,9 +51,6 @@ use crate::{effective_worker_frac, DistStrategy};
 pub struct Kfac {
     pub(crate) cfg: KfacConfig,
     pub(crate) plan: WorkPlan,
-    /// The strategy in effect: LOCAL-OPT when configured, else classified
-    /// from the realized gradient-worker count.
-    pub(crate) strategy: DistStrategy,
     pub(crate) states: Vec<KfacLayerState>,
     pub(crate) rank: usize,
     pub(crate) world: usize,
@@ -87,18 +84,7 @@ impl Kfac {
             names.push(layer.layer_name().to_string());
         }
         assert!(!dims.is_empty(), "model exposes no K-FAC-preconditionable layers");
-        // An explicit strategy override (MemOpt / CommOpt / LocalOpt) pins
-        // the gradient-worker grid to its extreme; otherwise the configured
-        // fraction decides.
-        let frac = effective_worker_frac(cfg.strategy, cfg.grad_worker_frac, comm.world_size());
-        let plan = plan_assignments(&dims, comm.world_size(), frac, cfg.assignment);
-        let strategy = match cfg.strategy {
-            Some(DistStrategy::LocalOpt) => DistStrategy::LocalOpt,
-            // Explicit MEM/HYBRID/COMM requests resolve through the same
-            // worker-count classification as frac-derived runs, so the
-            // reported strategy always matches the realized placement.
-            _ => DistStrategy::from_worker_count(plan.workers_per_layer, plan.world),
-        };
+        let plan = plan_assignments(&dims, comm.world_size(), cfg.grad_worker_frac);
         let states = dims
             .iter()
             .zip(&names)
@@ -107,7 +93,6 @@ impl Kfac {
         let kfac = Kfac {
             cfg,
             plan,
-            strategy,
             states,
             rank: comm.rank(),
             world: comm.world_size(),
@@ -122,11 +107,10 @@ impl Kfac {
         kfac
     }
 
-    /// The distribution strategy in effect (an explicit
-    /// `KfacConfig::strategy`, or classified from the realized worker
-    /// count).
+    /// The distribution strategy in effect, classified from the realized
+    /// gradient-worker count (Section 3.1).
     pub fn strategy(&self) -> DistStrategy {
-        self.strategy
+        DistStrategy::from_worker_count(self.plan.workers_per_layer, self.plan.world)
     }
 
     /// The computed work plan (placement inspection / tests).
@@ -324,20 +308,18 @@ mod tests {
     #[test]
     fn strategy_resolves_against_the_realized_grid() {
         // `Kfac::new` reads only the rank and world, so one handle of a
-        // world-4 ThreadComm is enough. LOCAL-OPT is never inferred from a
-        // worker count, so it must survive resolution, on the one-owner
-        // grid; any other explicit request reports what the grid realized.
+        // world-4 ThreadComm is enough. The strategy reported is the one
+        // the fraction's grid realized: 0.5 rounds up to two of four ranks.
         let comms = kaisa_comm::ThreadComm::world(4);
         let resolve = |cfg: KfacConfig| {
             let (mut model, ..) = toy_setup();
             let kfac = Kfac::new(cfg, &mut model, &comms[1]);
             (kfac.strategy(), kfac.plan().workers_per_layer)
         };
-        let local = KfacConfig::builder().strategy(DistStrategy::LocalOpt).build();
-        assert_eq!(resolve(local), (DistStrategy::LocalOpt, 1));
-        let hybrid_at_one =
-            KfacConfig::builder().strategy(DistStrategy::HybridOpt).grad_worker_frac(1.0).build();
-        assert_eq!(resolve(hybrid_at_one), (DistStrategy::CommOpt, 4));
+        let mem = KfacConfig::builder().grad_worker_frac(0.125).build();
+        assert_eq!(resolve(mem), (DistStrategy::MemOpt, 1));
+        let comm_opt = KfacConfig::builder().grad_worker_frac(1.0).build();
+        assert_eq!(resolve(comm_opt), (DistStrategy::CommOpt, 4));
         let half = KfacConfig::builder().grad_worker_frac(0.5).build();
         assert_eq!(resolve(half), (DistStrategy::HybridOpt, 2));
     }

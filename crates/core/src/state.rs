@@ -30,9 +30,8 @@ fn ema_fold_packed(slot: &mut Option<Matrix>, packed: &[f32], n: usize, decay: f
 /// Running Kronecker-factor state and decomposition caches for one layer.
 ///
 /// Which fields are populated on a given rank depends on the distribution
-/// plan: factors `A`/`G` live on every rank (they are allreduced), or only
-/// on the layer's owner under LOCAL-OPT. The eigendecomposition caches live
-/// only on that layer's gradient workers — this is exactly the
+/// plan: factors `A`/`G` live on every rank (they are allreduced). The
+/// eigendecomposition caches live only on that layer's gradient workers — this is exactly the
 /// memory/communication knob Figure 6 of the paper measures.
 #[derive(Debug, Clone)]
 pub struct KfacLayerState {

@@ -2,7 +2,7 @@
 //! LPT bound, preconditioner algebra, and strategy equivalence over random
 //! layer configurations.
 
-use kaisa_core::{gradient_worker_count, plan_assignments, AssignmentStrategy, KfacLayerState};
+use kaisa_core::{gradient_worker_count, plan_assignments, KfacLayerState};
 use kaisa_tensor::{Matrix, Rng};
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ proptest! {
         world in 1usize..17,
         frac in 0.01f64..1.0,
     ) {
-        let plan = plan_assignments(&layers, world, frac, AssignmentStrategy::ComputeLpt);
+        let plan = plan_assignments(&layers, world, frac);
         for layer in &plan.layers {
             // Workers sorted, unique, within range.
             for w in layer.gradient_workers.windows(2) {
@@ -64,7 +64,7 @@ proptest! {
         world in 1usize..33,
     ) {
         // LPT makespan <= 3/2 * OPT with OPT >= max(total/m, largest job).
-        let plan = plan_assignments(&layers, world, 1.0, AssignmentStrategy::ComputeLpt);
+        let plan = plan_assignments(&layers, world, 1.0);
         let total = plan.total_load();
         let largest = layers
             .iter()
@@ -81,9 +81,15 @@ proptest! {
         layers in prop::collection::vec((2usize..100, 2usize..100), 1..24),
         world in 1usize..17,
     ) {
-        let lpt = plan_assignments(&layers, world, 1.0, AssignmentStrategy::ComputeLpt);
-        let rr = plan_assignments(&layers, world, 1.0, AssignmentStrategy::RoundRobin);
-        prop_assert!(lpt.makespan() <= rr.makespan() + 1e-6);
+        let lpt = plan_assignments(&layers, world, 1.0);
+        // Round-robin oracle: the k-th job (A then G, layer by layer) on
+        // rank k mod world.
+        let mut rr_loads = vec![0.0f64; world];
+        for (k, n) in layers.iter().flat_map(|&(a, g)| [a, g]).enumerate() {
+            rr_loads[k % world] += (n as f64).powi(3);
+        }
+        let rr_makespan = rr_loads.iter().cloned().fold(0.0, f64::max);
+        prop_assert!(lpt.makespan() <= rr_makespan + 1e-6);
     }
 
     #[test]
@@ -152,8 +158,8 @@ proptest! {
         world in 1usize..9,
         frac in 0.1f64..1.0,
     ) {
-        let a = plan_assignments(&layers, world, frac, AssignmentStrategy::ComputeLpt);
-        let b = plan_assignments(&layers, world, frac, AssignmentStrategy::ComputeLpt);
+        let a = plan_assignments(&layers, world, frac);
+        let b = plan_assignments(&layers, world, frac);
         prop_assert_eq!(a.layers, b.layers);
     }
 }

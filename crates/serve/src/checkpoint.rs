@@ -277,6 +277,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> JobCheckpoint {
         JobCheckpoint {
@@ -384,5 +385,54 @@ mod tests {
         put_f32s(&mut bytes, &[1.0, 2.0, 3.0]); // qa: 3 of 25 elements
         bytes.extend_from_slice(&[0, 0, 0]); // qg, outer, ekfac_scale absent
         assert!(matches!(JobCheckpoint::from_bytes(&bytes), Err(CheckpointError::Invalid(_))));
+    }
+
+    /// Two layers with every K-FAC field present: the mutation fuzz's seed
+    /// stream, so edits land in every kind of field.
+    fn full_sample() -> JobCheckpoint {
+        let layer = |name: &str, a_dim: usize, g_dim: usize| {
+            let mut l = LayerCheckpoint::new(name.to_string(), a_dim, g_dim);
+            for f in 0..LayerCheckpoint::FIELD_COUNT {
+                *l.field_mut(f) = Some((0..l.field_len(f)).map(|i| i as f32 - 1.5).collect());
+            }
+            l
+        };
+        JobCheckpoint {
+            step: 9,
+            params: vec![0.5, -1.0, 2.0],
+            velocity: vec![0.25],
+            kfac: Some(KfacCheckpoint {
+                steps: 9,
+                layers: vec![layer("fc0", 3, 2), layer("fc1", 2, 3)],
+            }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn mutated_streams_fail_typed_or_decode_canonically(
+            edits in prop::collection::vec((0u32..3, any::<usize>(), any::<u32>()), 1..5),
+        ) {
+            // Byte overwrites, truncations and insertions at random
+            // offsets. A panic fails the case; a stream that decodes must
+            // re-encode to exactly the mutated bytes (the format is
+            // canonical).
+            let mut bytes = full_sample().to_bytes();
+            for &(kind, at, value) in &edits {
+                match kind {
+                    0 if !bytes.is_empty() => {
+                        let i = at % bytes.len();
+                        bytes[i] = value as u8;
+                    }
+                    1 => bytes.truncate(at % (bytes.len() + 1)),
+                    _ => bytes.insert(at % (bytes.len() + 1), value as u8),
+                }
+            }
+            if let Ok(decoded) = JobCheckpoint::from_bytes(&bytes) {
+                prop_assert_eq!(decoded.to_bytes(), bytes);
+            }
+        }
     }
 }

@@ -42,7 +42,7 @@ use std::sync::{Condvar, Mutex, RwLock};
 use std::time::Instant;
 
 use kaisa_comm::{Communicator, RankPool, ReduceOp};
-use kaisa_core::{effective_worker_frac, DistStrategy, Kfac, MemoryBudget};
+use kaisa_core::{Kfac, MemoryBudget};
 use kaisa_data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa_nn::{models::Mlp, Model};
 use kaisa_optim::{Optimizer, Sgd};
@@ -565,8 +565,8 @@ impl JobManager {
 /// Model a job's per-rank K-FAC footprint at a given world size: the
 /// analytic overhead (`factors + eig_cache` on the heaviest rank) from the
 /// paper's memory model, evaluated over the job's actual layer shapes and
-/// K-FAC configuration. Factors are replicated for the exact strategies and
-/// held by their owner alone under LOCAL-OPT.
+/// K-FAC configuration: every factor replicated, plus the heaviest rank's
+/// eigendecompositions and, under EK-FAC, its corrected moments.
 pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
     let Some(kc) = &spec.kfac else { return 0 };
     let layers = spec
@@ -588,12 +588,9 @@ pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
         activation_bytes_per_sample: 4 * spec.layer_sizes.iter().sum::<usize>(),
         extra_fwd_flops_per_sample: 0.0,
     };
-    let frac = effective_worker_frac(kc.strategy, kc.grad_worker_frac, world);
     let mut params = SimParams::baseline(inventory, ClusterSpec::frontera(world), spec.local_batch)
-        .with_kfac(frac, kc.factor_update_freq, kc.inv_update_freq);
-    if kc.strategy == Some(DistStrategy::LocalOpt) {
-        params = params.with_local_factors();
-    }
+        .with_kfac(kc.grad_worker_frac, kc.factor_update_freq, kc.inv_update_freq);
+    params.ekfac = kc.ekfac;
     params.grad_accum = spec.grad_accum;
     params.half_factors = kc.precision == Precision::Fp16;
     Simulator::new(params).memory_breakdown().kfac_overhead()
@@ -603,7 +600,8 @@ pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
 mod tests {
     use super::*;
     use crate::job::ResizePoint;
-    use kaisa_core::KfacConfig;
+    use kaisa_comm::ThreadComm;
+    use kaisa_core::{KfacConfig, MemoryCategory};
 
     fn kfac_spec(name: &str, world: usize, steps: u64) -> JobSpec {
         let mut spec = JobSpec::small(name);
@@ -782,27 +780,92 @@ mod tests {
     #[test]
     fn modeled_footprint_is_the_residency_of_the_configured_path() {
         // Three linear layers (33x64, 65x32, 33x4 factors) at world 2 with
-        // one gradient worker per layer. MEM-OPT replicates every factor
-        // (11,539 floats) beside the heaviest rank's eigen cache (layers 0
-        // and 2: 8,534 floats); LOCAL-OPT keeps each layer's factors on its
-        // owner alone (layers 0 and 2 again: 6,290 floats).
-        let spec = |strategy: DistStrategy| {
+        // one gradient worker per layer. Every factor is replicated (11,539
+        // floats) beside the heaviest rank's eigen cache (layers 0 and 2:
+        // 8,534 floats); EK-FAC adds those layers' corrected moments (2,244
+        // floats).
+        let spec = |frac: f64, ekfac: bool| {
             let mut s = JobSpec::small("fleet");
             s.layer_sizes = vec![32, 64, 32, 4];
             s.kfac = Some(
                 KfacConfig::builder()
-                    .strategy(strategy)
+                    .grad_worker_frac(frac)
+                    .ekfac(ekfac)
                     .factor_update_freq(2)
                     .inv_update_freq(4)
                     .build(),
             );
             s
         };
-        assert_eq!(modeled_kfac_bytes(&spec(DistStrategy::MemOpt), 2), (11_539 + 8_534) * 4);
-        assert_eq!(modeled_kfac_bytes(&spec(DistStrategy::LocalOpt), 2), (6_290 + 8_534) * 4);
-        // At world 1 one rank holds everything under either strategy.
+        assert_eq!(modeled_kfac_bytes(&spec(0.5, false), 2), (11_539 + 8_534) * 4);
+        assert_eq!(modeled_kfac_bytes(&spec(0.5, true), 2), (11_539 + 8_534 + 2_244) * 4);
+        // At world 1 one rank holds everything.
         let all = (11_539 + 7_297 + 7_329 + 1_237) * 4;
-        assert_eq!(modeled_kfac_bytes(&spec(DistStrategy::MemOpt), 1), all);
-        assert_eq!(modeled_kfac_bytes(&spec(DistStrategy::LocalOpt), 1), all);
+        assert_eq!(modeled_kfac_bytes(&spec(1.0, false), 1), all);
+        assert_eq!(modeled_kfac_bytes(&spec(1.0, true), 1), all + (2_112 + 2_080 + 132) * 4);
+    }
+
+    /// The live footprint after one step (step 0 updates factors and
+    /// decompositions): the largest `Factors + Eigens` over the ranks.
+    fn live_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
+        let features = spec.layer_sizes[0];
+        let classes = *spec.layer_sizes.last().unwrap();
+        let data = GaussianBlobs::generate(
+            spec.dataset_samples,
+            features,
+            classes,
+            spec.dataset_noise,
+            spec.data_seed,
+        );
+        let per_rank = ThreadComm::run(world, |comm| {
+            let mut model = Mlp::new(&spec.layer_sizes, &mut Rng::seed_from_u64(spec.model_seed));
+            let mut optimizer = Sgd::with_momentum(spec.momentum);
+            let mut kfac = Kfac::new(spec.kfac.clone().unwrap(), &mut model, comm);
+            let sampler = ShardSampler::new(data.len(), world, comm.rank(), spec.local_batch, 0);
+            let batch = &sampler.epoch_batches(0)[0];
+            let _ = run_step(
+                comm,
+                &mut model,
+                &mut optimizer as &mut dyn Optimizer,
+                Some(&mut kfac),
+                false,
+                &data,
+                batch,
+                spec.local_batch,
+                1,
+                0.1,
+            );
+            let meter = kfac.memory_meter();
+            meter.current(MemoryCategory::Factors) + meter.current(MemoryCategory::Eigens)
+        });
+        per_rank.into_iter().max().unwrap()
+    }
+
+    #[test]
+    fn modeled_footprint_equals_the_live_meter() {
+        for world in [1usize, 2, 4] {
+            for frac in [1.0 / world as f64, 0.5, 1.0] {
+                for precision in [Precision::Fp32, Precision::Fp16] {
+                    for ekfac in [false, true] {
+                        let mut spec = JobSpec::small("model-vs-live");
+                        spec.layer_sizes = vec![32, 64, 32, 4];
+                        spec.kfac = Some(
+                            KfacConfig::builder()
+                                .grad_worker_frac(frac)
+                                .precision(precision)
+                                .ekfac(ekfac)
+                                .factor_update_freq(2)
+                                .inv_update_freq(4)
+                                .build(),
+                        );
+                        assert_eq!(
+                            modeled_kfac_bytes(&spec, world),
+                            live_kfac_bytes(&spec, world),
+                            "world {world}, frac {frac}, {precision:?}, ekfac {ekfac}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -116,7 +116,7 @@ pub struct Fig8Row {
     pub app: &'static str,
     /// GPU count.
     pub scale: usize,
-    /// Strategy name ("MEM-OPT", "HYBRID-OPT", "COMM-OPT", "LOCAL-OPT").
+    /// Strategy name ("MEM-OPT", "HYBRID-OPT", "COMM-OPT").
     pub strategy: &'static str,
     /// Projected end-to-end speedup over SGD (ResNet) / LAMB (BERT).
     pub speedup: f64,
@@ -125,9 +125,7 @@ pub struct Fig8Row {
 /// Figure 8 scales (A100 GPUs).
 pub const FIG8_SCALES: [usize; 5] = [8, 16, 32, 64, 128];
 
-/// Figure 8: projected end-to-end speedup for the KAISA strategies on A100s,
-/// plus the DP-KFAC LOCAL-OPT point (MEM-OPT's placement with the factor
-/// allreduce removed entirely).
+/// Figure 8: projected end-to-end speedup for the KAISA strategies on A100s.
 ///
 /// ResNet-50: 90 SGD epochs vs. 55 KAISA epochs, weak scaling at fixed
 /// per-GPU batch 128. BERT-Large phase 2: 1563 LAMB steps vs. 800 KAISA
@@ -135,11 +133,10 @@ pub const FIG8_SCALES: [usize; 5] = [8, 16, 32, 64, 128];
 /// FP16.
 pub fn fig8() -> Vec<Fig8Row> {
     let mut rows = Vec::new();
-    let strategies: [(&'static str, f64); 4] = [
+    let strategies: [(&'static str, f64); 3] = [
         ("MEM-OPT", 0.0), // resolved per scale to 1/world
         ("HYBRID-OPT", 0.5),
         ("COMM-OPT", 1.0),
-        ("LOCAL-OPT", 0.0), // 1/world placement, local factors
     ];
 
     for &scale in &FIG8_SCALES {
@@ -157,9 +154,6 @@ pub fn fig8() -> Vec<Fig8Row> {
             let frac = if frac == 0.0 { 1.0 / scale as f64 } else { frac };
             let mut p = base.clone().with_kfac(frac, 50, 500);
             p.half_factors = true;
-            if name == "LOCAL-OPT" {
-                p = p.with_local_factors();
-            }
             let t_kfac = Simulator::new(p).iteration_breakdown().total();
             rows.push(Fig8Row {
                 app: "ResNet-50",
@@ -182,9 +176,6 @@ pub fn fig8() -> Vec<Fig8Row> {
             let frac = if frac == 0.0 { 1.0 / scale as f64 } else { frac };
             let mut p = base.clone().with_kfac(frac, 10, 100);
             p.half_factors = true;
-            if name == "LOCAL-OPT" {
-                p = p.with_local_factors();
-            }
             let t_kfac = Simulator::new(p).iteration_breakdown().total();
             rows.push(Fig8Row {
                 app: "BERT-Large",
@@ -443,11 +434,9 @@ mod tests {
         // COMM-OPT and HYBRID-OPT stay profitable at every scale; MEM-OPT's
         // every-step broadcast erodes its margin at scale (the paper's
         // motivation for the tunable fraction) but stays near break-even.
-        // LOCAL-OPT shares MEM-OPT's placement minus the factor allreduce,
-        // so it is at least as fast but inherits the same broadcast erosion.
         for r in &rows {
             match r.strategy {
-                "MEM-OPT" | "LOCAL-OPT" => {
+                "MEM-OPT" => {
                     assert!(
                         r.speedup > 0.85,
                         "{} {} @{} = {}",
@@ -467,22 +456,6 @@ mod tests {
                         r.speedup
                     );
                 }
-            }
-        }
-        // LOCAL-OPT never trails MEM-OPT: dropping the amortized factor
-        // allreduce can only help iteration time.
-        for &s in &FIG8_SCALES {
-            for app in ["ResNet-50", "BERT-Large"] {
-                let get = |strat: &str| {
-                    rows.iter()
-                        .find(|r| r.app == app && r.strategy == strat && r.scale == s)
-                        .unwrap()
-                        .speedup
-                };
-                assert!(
-                    get("LOCAL-OPT") >= get("MEM-OPT") - 1e-12,
-                    "{app} LOCAL-OPT slower than MEM-OPT at {s}"
-                );
             }
         }
         // BERT: the low-communication model keeps near-identical speedups

@@ -1,6 +1,6 @@
 //! The per-iteration time and per-rank memory model.
 
-use kaisa_core::{plan_assignments, AssignmentStrategy, WorkPlan};
+use kaisa_core::{plan_assignments, WorkPlan};
 
 use crate::cost_model::CollectiveCostModel;
 use crate::device::ClusterSpec;
@@ -41,10 +41,9 @@ pub struct SimParams {
     pub optimizer_state_bytes: usize,
     /// Whether K-FAC runs at all (false = the SGD/LAMB baselines).
     pub kfac_enabled: bool,
-    /// DP-KFAC / LOCAL-OPT: factors fold from rank-local statistics, so the
-    /// factor allreduce disappears entirely. Pair with
-    /// `grad_worker_frac = 1/world` (the one-owner grid).
-    pub local_factors: bool,
+    /// EK-FAC: every gradient worker also caches the layer's corrected
+    /// second moments (`g_dim × a_dim`) beside its eigendecompositions.
+    pub ekfac: bool,
 }
 
 impl SimParams {
@@ -62,7 +61,7 @@ impl SimParams {
             half_training: false,
             optimizer_state_bytes: 4,
             kfac_enabled: false,
-            local_factors: false,
+            ekfac: false,
         }
     }
 
@@ -72,14 +71,6 @@ impl SimParams {
         self.grad_worker_frac = frac;
         self.factor_update_freq = f_freq;
         self.inv_update_freq = k_freq;
-        self
-    }
-
-    /// Switch the K-FAC run to DP-KFAC local preconditioning (builder
-    /// style): one owner per layer, no factor allreduce.
-    pub fn with_local_factors(mut self) -> Self {
-        self.local_factors = true;
-        self.grad_worker_frac = 1.0 / self.cluster.world as f64;
         self
     }
 
@@ -169,11 +160,10 @@ pub struct MemoryBreakdown {
     pub optimizer_state: usize,
     /// Stored activations at the local batch size.
     pub activations: usize,
-    /// K-FAC factor bytes on the heaviest-loaded rank: every factor,
-    /// replicated, for the exact strategies; under `local_factors` only the
-    /// square factors of the layers the rank owns.
+    /// K-FAC factor bytes per rank: every square factor, replicated.
     pub factors: usize,
-    /// Eigendecomposition caches on the heaviest-loaded rank.
+    /// Eigendecomposition caches (and EK-FAC corrected moments) on the
+    /// heaviest-loaded rank.
     pub eig_cache: usize,
 }
 
@@ -210,7 +200,6 @@ impl Simulator {
             &params.model.layer_dims(),
             params.cluster.world,
             params.grad_worker_frac,
-            AssignmentStrategy::ComputeLpt,
         );
         let cost = CollectiveCostModel::new(params.cluster.network);
         Simulator { params, plan, cost }
@@ -262,13 +251,8 @@ impl Simulator {
             .sum();
         out.factor_compute = stat_flops / gpu.gemm_flops(p.half_training) / f_freq;
 
-        // Factor allreduce of the packed triangles — absent entirely under
-        // DP-KFAC local folds.
-        out.factor_comm = if p.local_factors {
-            0.0
-        } else {
-            self.cost.allreduce(p.model.all_factor_wire_bytes(fb), world) / f_freq
-        };
+        // Factor allreduce of the packed triangles.
+        out.factor_comm = self.cost.allreduce(p.model.all_factor_wire_bytes(fb), world) / f_freq;
 
         // Eigendecomposition: the realized LPT makespan.
         let mut eig_loads = vec![0.0f64; world];
@@ -342,25 +326,16 @@ impl Simulator {
         };
         if p.kfac_enabled {
             let fb = p.factor_elem_bytes();
-            let world = p.cluster.world;
-            // Local factors live only on their owner (A on the A worker, G
-            // on the G worker, one rank under the one-owner grid); report
-            // the heaviest rank.
-            let mut owned = vec![0usize; world];
-            // Eigendecomposition cache on the heaviest rank.
-            let mut cache = vec![0usize; world];
+            // Eigendecomposition cache on the heaviest rank; EK-FAC adds
+            // the corrected moments to every cached layer.
+            let mut cache = vec![0usize; p.cluster.world];
             for (layer, asn) in p.model.layers.iter().zip(&self.plan.layers) {
-                owned[asn.a_worker] += layer.a_dim * layer.a_dim * fb;
-                owned[asn.g_worker] += layer.g_dim * layer.g_dim * fb;
+                let ekfac = if p.ekfac { layer.a_dim * layer.g_dim * fb } else { 0 };
                 for &r in &asn.gradient_workers {
-                    cache[r] += layer.eig_bytes(fb);
+                    cache[r] += layer.eig_bytes(fb) + ekfac;
                 }
             }
-            out.factors = if p.local_factors {
-                owned.into_iter().max().unwrap_or(0)
-            } else {
-                p.model.all_factor_bytes(fb)
-            };
+            out.factors = p.model.all_factor_bytes(fb);
             out.eig_cache = cache.into_iter().max().unwrap_or(0);
         }
         out
@@ -434,25 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn local_factors_drop_the_factor_allreduce_and_nothing_else() {
-        let world = 64;
-        let mem_opt = rn50_sim(1.0 / world as f64).iteration_breakdown();
-        let local = Simulator::new(
-            SimParams::baseline(ModelInventory::resnet50(), ClusterSpec::frontera(world), 32)
-                .with_kfac(1.0 / world as f64, 50, 500)
-                .with_local_factors(),
-        )
-        .iteration_breakdown();
-        assert_eq!(local.factor_comm, 0.0, "DP-KFAC never allreduces factors");
-        assert!(mem_opt.factor_comm > 0.0);
-        // Same one-owner placement: every other stage is untouched.
-        assert_eq!(local.eig_compute, mem_opt.eig_compute);
-        assert_eq!(local.precondition, mem_opt.precondition);
-        assert_eq!(local.grad_bcast, mem_opt.grad_bcast);
-        assert!(local.total() < mem_opt.total());
-    }
-
-    #[test]
     fn factor_comm_charges_the_packed_triangle() {
         // The live wire sends each factor's row-packed lower triangle; the
         // running factors it folds into stay square.
@@ -485,31 +441,6 @@ mod tests {
         assert!(lo < mid && mid < hi);
         let ratio = hi as f64 / lo as f64;
         assert!((1.3..3.2).contains(&ratio), "max/min overhead ratio {ratio}");
-    }
-
-    #[test]
-    fn local_factor_residency_is_the_heaviest_owner_share() {
-        // Exact strategies replicate every factor; local factors keep each
-        // layer's on its one owner: strictly below full replication at
-        // world > 1, equal at world 1.
-        let local = |world: usize| {
-            let params =
-                SimParams::baseline(ModelInventory::resnet50(), ClusterSpec::frontera(world), 32)
-                    .with_kfac(1.0, 50, 500);
-            let exact = Simulator::new(params.clone()).memory_breakdown();
-            (exact, Simulator::new(params.with_local_factors()).memory_breakdown())
-        };
-        let (exact, multi) = local(64);
-        assert_eq!(exact.factors, ModelInventory::resnet50().all_factor_bytes(4));
-        assert!(multi.factors > 0);
-        assert!(
-            multi.factors < exact.factors,
-            "local {} should undercut replicated {}",
-            multi.factors,
-            exact.factors
-        );
-        let (exact, solo) = local(1);
-        assert_eq!(solo.factors, exact.factors, "one rank owns everything");
     }
 
     #[test]

@@ -380,38 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn local_opt_trains_through_the_harness() {
-        // DP-KFAC through the full training loop: every rank preconditions
-        // from locally-owned curvature and the harness still converges
-        // (zero-factor-traffic is gated in the equivalence suite).
-        use kaisa_core::DistStrategy;
-        let (train, val) = blobs();
-        let cfg = TrainConfig {
-            epochs: 4,
-            local_batch: 16,
-            schedule: LrSchedule::Constant { lr: 0.2 },
-            kfac: Some(
-                KfacConfig::builder()
-                    .strategy(DistStrategy::LocalOpt)
-                    .factor_update_freq(2)
-                    .inv_update_freq(4)
-                    .build(),
-            ),
-            ..Default::default()
-        };
-        let result = train_distributed(
-            4,
-            || Mlp::new(&[8, 16, 4], &mut Rng::seed_from_u64(3)),
-            Sgd::new,
-            &train,
-            &val,
-            &cfg,
-        );
-        assert!(result.kfac_memory_bytes > 0);
-        assert!(result.best_metric() > 0.5, "metric {}", result.best_metric());
-    }
-
-    #[test]
     fn grad_accum_preserves_convergence() {
         let (train, val) = blobs();
         let cfg = TrainConfig {

@@ -3,7 +3,7 @@
 //! cases.
 
 use kaisa::comm::{LocalComm, ThreadComm};
-use kaisa::core::{plan_assignments, AssignmentStrategy, Kfac, KfacConfig};
+use kaisa::core::{plan_assignments, Kfac, KfacConfig};
 use kaisa::nn::models::Mlp;
 use kaisa::nn::Model;
 use kaisa::tensor::{Matrix, Precision, Rng};
@@ -71,43 +71,6 @@ fn fp16_stays_close_to_fp32() {
 }
 
 #[test]
-fn assignment_strategies_all_precondition_identically() {
-    for strategy in [
-        AssignmentStrategy::ComputeLpt,
-        AssignmentStrategy::MemoryLpt,
-        AssignmentStrategy::RoundRobin,
-    ] {
-        let cfg = KfacConfig::builder()
-            .factor_update_freq(1)
-            .inv_update_freq(1)
-            .assignment(strategy)
-            .build();
-        let grads = run_world(cfg, 2);
-        assert!(grads.iter().all(|g| g.is_finite()));
-    }
-    // Placement differs but results agree (the assignment only moves *where*
-    // the eigendecompositions happen).
-    let lpt = run_world(
-        KfacConfig::builder()
-            .factor_update_freq(1)
-            .inv_update_freq(1)
-            .assignment(AssignmentStrategy::ComputeLpt)
-            .build(),
-        3,
-    );
-    let rr = run_world(
-        KfacConfig::builder()
-            .factor_update_freq(1)
-            .inv_update_freq(1)
-            .assignment(AssignmentStrategy::RoundRobin)
-            .build(),
-        3,
-    );
-    let diff = lpt.iter().zip(&rr).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-    assert!(diff < 1e-5, "assignment must not change numerics: {diff}");
-}
-
-#[test]
 fn stage_times_and_comm_bytes_populated() {
     let (mut model, x, y) = toy();
     let comm = LocalComm::new();
@@ -166,10 +129,7 @@ fn degenerate_worlds_and_shapes() {
 #[test]
 fn more_layers_than_ranks_and_vice_versa() {
     // 6 layers on 4 ranks, and 2 layers on 8 ranks.
-    let plans = [
-        plan_assignments(&[(5, 4); 6], 4, 0.5, AssignmentStrategy::ComputeLpt),
-        plan_assignments(&[(5, 4); 2], 8, 0.5, AssignmentStrategy::ComputeLpt),
-    ];
+    let plans = [plan_assignments(&[(5, 4); 6], 4, 0.5), plan_assignments(&[(5, 4); 2], 8, 0.5)];
     for plan in &plans {
         for layer in &plan.layers {
             assert!(layer.is_gradient_worker(layer.a_worker));

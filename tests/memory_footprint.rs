@@ -1,10 +1,10 @@
 //! The live `MemoryMeter` (not the analytic model) at world 8 on a mixed
-//! conv/linear model: every rank replicates every factor under the exact
-//! strategies, LOCAL-OPT keeps each layer's factors on its owner alone, and
-//! preconditioned gradients are metered.
+//! conv/linear model: every rank replicates every factor, under MEM-OPT a
+//! rank that works on no layer caches no decomposition, and preconditioned
+//! gradients are metered.
 
 use kaisa::comm::{Communicator, ThreadComm};
-use kaisa::core::{DistStrategy, Kfac, KfacConfig, MemoryCategory, MemoryMeter};
+use kaisa::core::{Kfac, KfacConfig, MemoryCategory, MemoryMeter};
 use kaisa::data::{Dataset, PatternImages, ShardSampler};
 use kaisa::nn::models::{ResNetMini, ResNetMiniConfig};
 use kaisa::nn::Model;
@@ -28,24 +28,22 @@ fn small_model_cfg() -> ResNetMiniConfig {
 /// meter plus the per-layer `(a_worker, g_worker)` plan and factor dims.
 #[allow(clippy::type_complexity)]
 fn run(frac: f64) -> Vec<(MemoryMeter, Vec<(usize, usize)>, Vec<(usize, usize)>)> {
-    run_model(model_cfg(), frac, None)
+    run_model(model_cfg(), frac)
 }
 
 #[allow(clippy::type_complexity)]
 fn run_model(
     mcfg: ResNetMiniConfig,
     frac: f64,
-    strategy: Option<DistStrategy>,
 ) -> Vec<(MemoryMeter, Vec<(usize, usize)>, Vec<(usize, usize)>)> {
     let dataset = PatternImages::generate(128, 3, 12, 4, 0.3, 121);
     ThreadComm::run(WORLD, |comm| {
         let mut model = ResNetMini::new(mcfg, &mut Rng::seed_from_u64(30));
-        let mut cfg =
-            KfacConfig::builder().grad_worker_frac(frac).factor_update_freq(2).inv_update_freq(4);
-        if let Some(strategy) = strategy {
-            cfg = cfg.strategy(strategy);
-        }
-        let cfg = cfg.build();
+        let cfg = KfacConfig::builder()
+            .grad_worker_frac(frac)
+            .factor_update_freq(2)
+            .inv_update_freq(4)
+            .build();
         let mut kfac = Kfac::new(cfg, &mut model, comm);
         let sampler = ShardSampler::new(dataset.len(), WORLD, comm.rank(), 4, 2);
         for indices in sampler.epoch_batches(0) {
@@ -76,35 +74,27 @@ fn dense_peak_matches_analytic_replicated_bytes() {
 
 #[test]
 fn non_worker_ranks_hold_zero_factor_bytes() {
-    // LOCAL-OPT gives each layer one owner, which alone folds and keeps its
-    // factors; with fewer K-FAC layers than ranks, some ranks own nothing.
-    let local = run_model(small_model_cfg(), 1.0 / WORLD as f64, Some(DistStrategy::LocalOpt));
-    let plan = &local[0].1;
-    let mut owner = [false; WORLD];
+    // MEM-OPT gives each layer one gradient worker, which alone caches its
+    // decompositions; with fewer K-FAC layers than ranks, some ranks work
+    // on no layer and never hold an eigen byte.
+    let mem_opt = run_model(small_model_cfg(), 1.0 / WORLD as f64);
+    let plan = &mem_opt[0].1;
+    let mut worker = [false; WORLD];
     for &(a, g) in plan {
-        owner[a] = true;
-        owner[g] = true;
+        worker[a] = true;
+        worker[g] = true;
     }
-    let non_workers: Vec<usize> = (0..WORLD).filter(|&r| !owner[r]).collect();
-    assert!(!non_workers.is_empty(), "expected at least one rank owning no layer; plan {plan:?}");
+    let non_workers: Vec<usize> = (0..WORLD).filter(|&r| !worker[r]).collect();
+    assert!(
+        !non_workers.is_empty(),
+        "expected at least one rank working on no layer; plan {plan:?}"
+    );
     for &r in &non_workers {
         assert_eq!(
-            local[r].0.peak(MemoryCategory::Factors),
+            mem_opt[r].0.peak(MemoryCategory::Eigens),
             0,
-            "non-worker rank {r} should never allocate factor state"
+            "non-worker rank {r} should never cache a decomposition"
         );
-        assert_eq!(local[r].0.peak(MemoryCategory::Eigens), 0);
-    }
-    // Owner ranks hold exactly the square factors of the layers they own.
-    let dims = &local[0].2;
-    for (r, (meter, ..)) in local.iter().enumerate() {
-        let owned: usize = plan
-            .iter()
-            .zip(dims)
-            .filter(|(&(a, _), _)| a == r)
-            .map(|(_, &(a, g))| (a * a + g * g) * 4)
-            .sum();
-        assert_eq!(meter.peak(MemoryCategory::Factors), owned, "rank {r}");
     }
 }
 

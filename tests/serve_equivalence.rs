@@ -15,7 +15,7 @@
 //! the bitwise comparison.
 
 use kaisa::comm::{Communicator, ThreadComm};
-use kaisa::core::{DistStrategy, Kfac, KfacCheckpoint, KfacConfig};
+use kaisa::core::{Kfac, KfacCheckpoint, KfacConfig};
 use kaisa::data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa::nn::{models::Mlp, Model};
 use kaisa::optim::{LrSchedule, Optimizer, Sgd};
@@ -34,10 +34,17 @@ const MOMENTUM: f32 = 0.9;
 const TOTAL_STEPS: u64 = 10;
 const PAUSE_AT: u64 = 5;
 
-fn kfac_config(strategy: DistStrategy, precision: Precision) -> KfacConfig {
+/// The strategies by fraction: over the worlds these tests use ({1, 4,
+/// 8}), `1/8` always yields one gradient worker per layer (MEM-OPT; at
+/// world 4, 0.5 workers round up to 1), `1` every rank (COMM-OPT), and
+/// `0.5` half of them (HYBRID-OPT).
+const MEM_OPT: f64 = 1.0 / 8.0;
+const HYBRID_OPT: f64 = 0.5;
+const COMM_OPT: f64 = 1.0;
+
+fn kfac_config(frac: f64, precision: Precision) -> KfacConfig {
     KfacConfig::builder()
-        .strategy(strategy)
-        .grad_worker_frac(0.5)
+        .grad_worker_frac(frac)
         .factor_update_freq(2)
         .inv_update_freq(4)
         .precision(precision)
@@ -134,9 +141,9 @@ fn reference_segment(
     outs.swap_remove(0)
 }
 
-/// The headline gate for one (strategy, precision, W, W′) cell.
-fn assert_resize_equivalence(strategy: DistStrategy, precision: Precision, w: usize, w2: usize) {
-    let kc = kfac_config(strategy, precision);
+/// The headline gate for one (fraction, precision, W, W′) cell.
+fn assert_resize_equivalence(frac: f64, precision: Precision, w: usize, w2: usize) {
+    let kc = kfac_config(frac, precision);
 
     // Reference: two in-process segments with an in-memory state hand-off.
     let mid = reference_segment(&kc, w, 0, PAUSE_AT, None);
@@ -155,7 +162,7 @@ fn assert_resize_equivalence(strategy: DistStrategy, precision: Precision, w: us
         assert_eq!(
             s.to_bits(),
             r.to_bits(),
-            "{strategy}/{precision:?} {w}→{w2}: param {i} diverged (serve {s} vs reference {r})"
+            "frac {frac}/{precision:?} {w}→{w2}: param {i} diverged (serve {s} vs reference {r})"
         );
     }
 }
@@ -167,7 +174,7 @@ const WORLD_PAIRS: [(usize, usize); 4] = [(1, 4), (4, 8), (8, 4), (4, 1)];
 fn comm_opt_resize_is_bitwise_transparent() {
     for precision in [Precision::Fp32, Precision::Fp16] {
         for (w, w2) in WORLD_PAIRS {
-            assert_resize_equivalence(DistStrategy::CommOpt, precision, w, w2);
+            assert_resize_equivalence(COMM_OPT, precision, w, w2);
         }
     }
 }
@@ -176,7 +183,7 @@ fn comm_opt_resize_is_bitwise_transparent() {
 fn mem_opt_resize_is_bitwise_transparent() {
     for precision in [Precision::Fp32, Precision::Fp16] {
         for (w, w2) in WORLD_PAIRS {
-            assert_resize_equivalence(DistStrategy::MemOpt, precision, w, w2);
+            assert_resize_equivalence(MEM_OPT, precision, w, w2);
         }
     }
 }
@@ -185,7 +192,7 @@ fn mem_opt_resize_is_bitwise_transparent() {
 fn hybrid_opt_resize_is_bitwise_transparent() {
     for precision in [Precision::Fp32, Precision::Fp16] {
         for (w, w2) in WORLD_PAIRS {
-            assert_resize_equivalence(DistStrategy::HybridOpt, precision, w, w2);
+            assert_resize_equivalence(HYBRID_OPT, precision, w, w2);
         }
     }
 }
@@ -196,13 +203,7 @@ fn triangular_fp16_resize_is_bitwise_transparent() {
     // `bert_mem_opt_accum` runs; every factor wire is the packed
     // triangle): the quantized factors and the eigen caches restore onto
     // the new world's gradient workers.
-    let kc = KfacConfig::builder()
-        .strategy(DistStrategy::HybridOpt)
-        .grad_worker_frac(0.5)
-        .factor_update_freq(2)
-        .inv_update_freq(4)
-        .precision(Precision::Fp16)
-        .build();
+    let kc = kfac_config(HYBRID_OPT, Precision::Fp16);
     let mid = reference_segment(&kc, 4, 0, PAUSE_AT, None);
     let reference = reference_segment(&kc, 8, PAUSE_AT, TOTAL_STEPS, Some(&mid));
     let mgr = JobManager::new(ServeConfig::default());
@@ -219,7 +220,7 @@ fn checkpoint_bytes_are_stable_across_save_load_save() {
     // Satellite gate: serialize → deserialize → serialize is the identity
     // on bytes for a checkpoint holding real factor and eigen state.
     let mgr = JobManager::new(ServeConfig::default());
-    let mut spec = job_spec(kfac_config(DistStrategy::HybridOpt, Precision::Fp16), 4, 2);
+    let mut spec = job_spec(kfac_config(HYBRID_OPT, Precision::Fp16), 4, 2);
     spec.name = "byte-stability".to_string();
     let id = mgr.run_to_completion(spec).expect("admitted");
     let bytes = mgr.checkpoint_bytes(id).expect("checkpoint present");
@@ -239,7 +240,7 @@ fn checkpoint_bytes_are_stable_across_save_load_save() {
 fn admission_queues_over_budget_job_until_memory_frees() {
     // Satellite gate: a job whose modeled footprint does not fit alongside
     // the running job is provably queued, not run concurrently.
-    let probe = job_spec(kfac_config(DistStrategy::CommOpt, Precision::Fp32), 4, 4);
+    let probe = job_spec(kfac_config(COMM_OPT, Precision::Fp32), 4, 4);
     let one = modeled_kfac_bytes(&probe, 4);
     assert!(one > 0);
     let mgr = JobManager::new(ServeConfig {

@@ -2,20 +2,16 @@
 //! and COMM-OPT are *distribution* strategies, not different algorithms —
 //! for the same model, data, and hyperparameters they must produce the same
 //! preconditioned gradients and the same trained weights (paper Section 3.1:
-//! "COMM-OPT and MEM-OPT are special cases of HYBRID-OPT").
-//!
-//! LOCAL-OPT (DP-KFAC) deliberately breaks that equivalence at world > 1 —
-//! each owner folds only its own rank's statistics — so its contract is
-//! different: zero factor-collective traffic, bitwise determinism across
-//! ranks and completion orders, and exact agreement with the dense reference in the
-//! degenerate single-rank world where "local" and "global" coincide.
+//! "COMM-OPT and MEM-OPT are special cases of HYBRID-OPT"). The strategy is
+//! a function of `grad_worker_frac` alone, so each run here picks it by
+//! fraction; which rank computes a layer changes no number.
 
-use kaisa::comm::{CommTag, Communicator, MeterSnapshot, ThreadComm};
-use kaisa::core::{DistStrategy, Kfac, KfacConfig, KfacConfigBuilder};
+use kaisa::comm::{Communicator, ThreadComm};
+use kaisa::core::{DistStrategy, Kfac, KfacConfig};
 use kaisa::data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa::nn::{models::Mlp, Model};
 use kaisa::optim::{Optimizer, Sgd};
-use kaisa::tensor::{Precision, Rng};
+use kaisa::tensor::Rng;
 
 const WORLD: usize = 4;
 
@@ -169,145 +165,4 @@ fn hybrid_comm_volume_between_extremes() {
 fn max_diff(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Train with an arbitrary config (and optional gradient accumulation) on
-/// `world` ranks; return per rank the final params, last preconditioned
-/// grads, and the rank's comm-meter snapshot.
-fn train_cfg(
-    world: usize,
-    steps: usize,
-    seed: u64,
-    grad_accum: usize,
-    build: impl Fn(KfacConfigBuilder) -> KfacConfigBuilder + Sync,
-) -> Vec<(Vec<f32>, Vec<f32>, MeterSnapshot)> {
-    let dataset = GaussianBlobs::generate(128, 8, 4, 0.4, seed);
-    ThreadComm::run(world, |comm| {
-        let mut model = Mlp::new(&[8, 12, 4], &mut Rng::seed_from_u64(seed + 1));
-        let mut opt = Sgd::with_momentum(0.9);
-        let cfg = build(KfacConfig::builder().factor_update_freq(2).inv_update_freq(4)).build();
-        let mut kfac = Kfac::new(cfg, &mut model, comm);
-        let sampler = ShardSampler::new(dataset.len(), world, comm.rank(), 8, seed);
-        let mut last_grads = Vec::new();
-        for step in 0..steps {
-            let epoch = step / sampler.batches_per_epoch();
-            let batches = sampler.epoch_batches(epoch);
-            let indices = &batches[step % sampler.batches_per_epoch()];
-            kfac.prepare(&mut model);
-            model.zero_grad();
-            let micro = indices.len().div_ceil(grad_accum).max(1);
-            for chunk in indices.chunks(micro) {
-                let (x, y) = dataset.batch(chunk);
-                let _ = model.forward_backward(&x, &y);
-            }
-            kaisa::trainer::allreduce_gradients(&mut model, comm, grad_accum);
-            kfac.step(&mut model, comm, 0.1);
-            last_grads = model.grads_flat();
-            opt.step_model(&mut model, 0.1);
-        }
-        comm.barrier();
-        (model.params_flat(), last_grads, comm.meter_snapshot())
-    })
-}
-
-#[test]
-fn local_opt_world1_is_bitwise_identical_to_dense_serial() {
-    // At world 1 a rank's "local" statistics ARE the global statistics, so
-    // DP-KFAC must coincide bit-for-bit with the dense serial reference —
-    // the owner-side fold replays the same two quantizations of the factor
-    // wire the dense allreduce applies, in every precision.
-    for precision in [Precision::Fp32, Precision::Fp16] {
-        let dense = train_cfg(1, 10, 131, 1, |b| b.grad_worker_frac(1.0).precision(precision));
-        let local =
-            train_cfg(1, 10, 131, 1, |b| b.strategy(DistStrategy::LocalOpt).precision(precision));
-        let ctx = format!("world=1 precision={precision:?}");
-        assert_eq!(bits(&dense[0].0), bits(&local[0].0), "{ctx}: params differ");
-        assert_eq!(bits(&dense[0].1), bits(&local[0].1), "{ctx}: grads differ");
-    }
-}
-
-#[test]
-fn local_opt_is_deterministic_across_executors_ranks_and_worlds() {
-    // The fourth strategy in both completion orders: serial and pipelined
-    // must train bit-identically at every world, and all ranks must hold the
-    // same weights — DP-KFAC changes *whose* statistics feed the
-    // preconditioner, not the data-parallel contract.
-    for world in [1usize, 2, 4] {
-        let serial =
-            train_cfg(world, 10, 137, 1, |b| b.strategy(DistStrategy::LocalOpt).pipelined(false));
-        let pipelined =
-            train_cfg(world, 10, 137, 1, |b| b.strategy(DistStrategy::LocalOpt).pipelined(true));
-        for (rank, (s, p)) in serial.iter().zip(&pipelined).enumerate() {
-            assert_eq!(bits(&s.0), bits(&p.0), "world={world}: rank {rank} params differ");
-            assert_eq!(bits(&s.1), bits(&p.1), "world={world}: rank {rank} grads differ");
-        }
-        // Ranks agree bit-for-bit within the strategy.
-        for (rank, r) in serial.iter().enumerate().skip(1) {
-            assert_eq!(
-                bits(&serial[0].0),
-                bits(&r.0),
-                "world={world}: rank {rank} diverged from rank 0"
-            );
-        }
-    }
-}
-
-#[test]
-fn local_opt_survives_fp16_and_grad_accum() {
-    // The settings that most reshape the owner-side fold: half-precision
-    // payloads and accumulated micro-batch statistics. The pipelined order
-    // must still match serial.
-    for (precision, grad_accum) in
-        [(Precision::Fp16, 1), (Precision::Fp16, 2), (Precision::Fp32, 2)]
-    {
-        let serial = train_cfg(4, 8, 139, grad_accum, move |b| {
-            b.strategy(DistStrategy::LocalOpt).precision(precision).pipelined(false)
-        });
-        let pipelined = train_cfg(4, 8, 139, grad_accum, move |b| {
-            b.strategy(DistStrategy::LocalOpt).precision(precision).pipelined(true)
-        });
-        let ctx = format!("precision={precision:?} grad_accum={grad_accum}");
-        for (rank, (s, p)) in serial.iter().zip(&pipelined).enumerate() {
-            assert_eq!(bits(&s.0), bits(&p.0), "{ctx}: rank {rank} params differ");
-            assert_eq!(bits(&s.1), bits(&p.1), "{ctx}: rank {rank} grads differ");
-        }
-    }
-}
-
-#[test]
-fn local_opt_moves_zero_factor_collective_bytes_at_world_8() {
-    // The acceptance gate: DP-KFAC's whole point is deleting the factor
-    // collective. At world 8, every rank's meter must show exactly zero
-    // factor-allreduce bytes in both completion orders, while the rest of the step
-    // (gradient broadcast, DDP) still flows.
-    type Exec = (&'static str, fn(KfacConfigBuilder) -> KfacConfigBuilder);
-    let execs: [Exec; 2] =
-        [("serial", |b| b.pipelined(false)), ("pipelined", |b| b.pipelined(true))];
-    for (name, exec) in execs {
-        let results = train_cfg(8, 10, 149, 1, |b| exec(b.strategy(DistStrategy::LocalOpt)));
-        for (rank, (_, _, meter)) in results.iter().enumerate() {
-            assert_eq!(
-                meter.tag_bytes(CommTag::FactorComm),
-                0,
-                "{name} rank {rank}: LOCAL-OPT must not run the dense factor allreduce"
-            );
-            // One owner per layer means no eigendecomposition sharing —
-            // like MEM-OPT, the owner preconditions in place and only the
-            // result is broadcast.
-            assert_eq!(
-                meter.tag_bytes(CommTag::EigComm),
-                0,
-                "{name} rank {rank}: single-owner layers have no eig broadcast"
-            );
-            assert!(
-                meter.tag_bytes(CommTag::GradComm) > 0,
-                "{name} rank {rank}: preconditioned-gradient broadcast should still flow"
-            );
-            assert!(meter.tag_bytes(CommTag::Ddp) > 0, "{name} rank {rank}: DDP missing");
-        }
-    }
 }
