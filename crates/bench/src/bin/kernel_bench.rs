@@ -2,9 +2,10 @@
 //! layout and shape, SYRK-vs-`gemm_tn` Gram cells, the compute team against
 //! its inline band loop (small-product latency at the step shapes, and two
 //! concurrent callers), `sym_eig`-vs-oracle eigensolve latency at real
-//! factor sizes and `sym_eig`'s AVX2 solver body against its portable
-//! compilation, the blocked GEMM through the AVX-512 microkernel against
-//! the AVX2 one, the elementwise layers of the step path (`Gelu`,
+//! factor sizes (through `sym_eig_packed`, the entry `Kfac` calls on its
+//! packed running factors) and `sym_eig`'s AVX2 solver body against its
+//! portable compilation, the blocked GEMM through the AVX-512 microkernel
+//! against the AVX2 one, the elementwise layers of the step path (`Gelu`,
 //! `BatchNorm2d`) in ns per element, `Conv2d` forward + backward +
 //! capture in its column layout against the row-layout pipeline it
 //! replaced, and gradient preconditioning with the cached eigenvalue outer
@@ -68,7 +69,10 @@
 use std::time::Instant;
 
 use kaisa_core::KfacLayerState;
-use kaisa_linalg::{sym_eig, sym_eig_portable, sym_eig_reference, EigScratch, EigenError, SymEig};
+use kaisa_linalg::{
+    pack_lower_scaled, packed_len, sym_eig_packed, sym_eig_packed_portable, sym_eig_reference,
+    EigScratch, EigenError, SymEig,
+};
 use kaisa_nn::{activation::Gelu, norm::BatchNorm2d, Conv2d, KfacCapture};
 use kaisa_tensor::{
     col2im, gemm_nn_on, gemm_nn_with, gemm_nt_on, gemm_nt_with, gemm_tn_with, im2col, inline_bands,
@@ -400,11 +404,23 @@ fn random_spd(n: usize, rng: &mut Rng) -> Matrix {
     s
 }
 
-type Solver = fn(&Matrix) -> Result<SymEig, EigenError>;
+/// An eigensolver under test, handed the square matrix and its row-packed
+/// lower triangle; each reads the form its caller holds.
+type Solver = fn(&Matrix, &[f32]) -> Result<SymEig, EigenError>;
 
-/// `sym_eig` through the portable compilation of its solver body.
-fn portable(m: &Matrix) -> Result<SymEig, EigenError> {
-    sym_eig_portable(m, &mut EigScratch::new())
+/// The step path's solve: `Kfac` decomposes its packed running factors.
+fn step_path(m: &Matrix, packed: &[f32]) -> Result<SymEig, EigenError> {
+    sym_eig_packed(packed, m.rows(), &mut EigScratch::new())
+}
+
+/// [`step_path`] through the portable compilation of the solver body.
+fn portable(m: &Matrix, packed: &[f32]) -> Result<SymEig, EigenError> {
+    sym_eig_packed_portable(packed, m.rows(), &mut EigScratch::new())
+}
+
+/// The strided one-to-one transcription, on the square matrix.
+fn oracle(m: &Matrix, _packed: &[f32]) -> Result<SymEig, EigenError> {
+    sym_eig_reference(m)
 }
 
 /// The blocked product at `shape` through the AVX-512 and the AVX2
@@ -460,8 +476,10 @@ fn measure_micro_twin(layout: Layout, (m, k, n): (usize, usize, usize)) -> (f64,
 fn measure_eig(n: usize, a: Solver, b: Solver) -> (f64, f64) {
     let mut rng = Rng::seed_from_u64(45);
     let m = random_spd(n, &mut rng);
+    let mut packed = vec![0.0; packed_len(n)];
+    pack_lower_scaled(m.as_slice(), n, 1.0, &mut packed);
     let bits = |solve: Solver| {
-        let eig = solve(&m).expect("SPD input decomposes");
+        let eig = solve(&m, &packed).expect("SPD input decomposes");
         eig.values.iter().chain(eig.vectors.as_slice()).map(|v| v.to_bits()).collect::<Vec<_>>()
     };
     assert!(bits(a) == bits(b), "sym_eig {n}: the two solvers disagree bitwise");
@@ -470,7 +488,8 @@ fn measure_eig(n: usize, a: Solver, b: Solver) -> (f64, f64) {
     let trial = |solve: Solver| {
         let start = Instant::now();
         for _ in 0..iters {
-            let _ = std::hint::black_box(solve(std::hint::black_box(&m))).unwrap();
+            let (m, packed) = std::hint::black_box((&m, &packed[..]));
+            let _ = std::hint::black_box(solve(m, packed)).unwrap();
         }
         start.elapsed().as_secs_f64() * 1e3 / iters as f64
     };
@@ -844,7 +863,7 @@ fn main() {
 
     let mut eig_rows = Vec::new();
     for &n in eig_sizes {
-        let (fast, reference) = measure_eig(n, sym_eig, sym_eig_reference);
+        let (fast, reference) = measure_eig(n, step_path, oracle);
         let speedup = reference / fast;
         eprintln!(
             "sym_eig {n:>4}x{n:<4}        sym_eig {fast:>9.3} ms | reference {reference:>9.3} ms | {speedup:>5.2}x"
@@ -871,7 +890,7 @@ fn main() {
     let mut twin_rows = Vec::new();
     if avx2 {
         for n in TWIN_SIZES {
-            let (twin, portable) = measure_eig(n, sym_eig, portable);
+            let (twin, portable) = measure_eig(n, step_path, portable);
             let speedup = portable / twin;
             eprintln!(
                 "sym_eig {n:>4}x{n:<4}   AVX2 twin {twin:>9.3} ms | portable {portable:>9.3} ms | {speedup:>5.2}x"

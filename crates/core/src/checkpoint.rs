@@ -1,22 +1,25 @@
 //! Checkpoint/restore hooks on [`Kfac`] for elastic world resizing.
 //!
 //! A checkpoint captures the *complete* preconditioner state — running
-//! factor averages, cached eigendecompositions and outer products, EK-FAC
-//! corrected moments, and the optimizer step counter — on **every** rank,
-//! so a paused job can resume on a *different* world size:
-//! [`Kfac::restore`] re-runs LPT placement and strategy resolution for the
-//! new world and re-populates exactly the state each new rank's residency
-//! rules call for.
+//! factor averages (packed triangles, as they are held), cached
+//! eigendecompositions and outer products, EK-FAC corrected moments, and
+//! the optimizer step counter — on **every** rank, so a paused job can
+//! resume on a *different* world size: [`Kfac::restore`] re-runs LPT
+//! placement for the new world and re-populates exactly the state each new
+//! rank's residency rules call for.
 //!
-//! Distributed state is scattered (eigen caches live only on gradient
-//! workers), so
-//! [`Kfac::checkpoint_state`] runs a small collective protocol: one
-//! allgather of per-layer presence flags, then one broadcast per present
-//! field from its lowest-rank holder. Every holder of a field holds bitwise
-//! identical values (they arrived by broadcast or identical deterministic
-//! compute), so the choice of root does not affect the checkpoint bits.
+//! The running factors are replicated: every rank folds the same allreduced
+//! wire, so every rank holds them bit for bit and copies its own. The eigen
+//! caches are scattered (they live only on gradient workers), so
+//! [`Kfac::checkpoint_state`] runs a small collective protocol for them:
+//! one allgather of per-layer presence flags, then one broadcast per
+//! present eigen field from its lowest-rank holder. Every holder of a field
+//! holds bitwise identical values (they arrived by broadcast or identical
+//! deterministic compute), so the choice of root does not affect the
+//! checkpoint bits.
 
 use kaisa_comm::Communicator;
+use kaisa_linalg::packed_len;
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
 
@@ -35,9 +38,11 @@ pub struct LayerCheckpoint {
     pub a_dim: usize,
     /// `G` factor dimension.
     pub g_dim: usize,
-    /// Running `A` average in square row-major form (`a_dim²`).
+    /// Running `A` average: its row-packed lower triangle
+    /// (`packed_len(a_dim)`), as `KfacLayerState` holds it.
     pub factor_a: Option<Vec<f32>>,
-    /// Running `G` average in square row-major form (`g_dim²`).
+    /// Running `G` average: its row-packed lower triangle
+    /// (`packed_len(g_dim)`).
     pub factor_g: Option<Vec<f32>>,
     /// Eigenvectors of `A` (`a_dim²`).
     pub qa: Option<Vec<f32>>,
@@ -53,6 +58,8 @@ impl LayerCheckpoint {
     /// Number of optional state fields per layer. Field indices follow the
     /// declaration order: `factor_a factor_g qa qg outer ekfac_scale`.
     pub const FIELD_COUNT: usize = 6;
+    /// The leading fields `factor_a factor_g`: replicated on every rank.
+    const FACTOR_FIELDS: usize = 2;
 
     /// A layer entry with every field absent.
     pub fn new(name: String, a_dim: usize, g_dim: usize) -> Self {
@@ -73,9 +80,11 @@ impl LayerCheckpoint {
     pub fn field_len(&self, f: usize) -> usize {
         let (a, g) = (self.a_dim, self.g_dim);
         match f {
-            0 | 2 => a * a, // factor_a, qa
-            1 | 3 => g * g, // factor_g, qg
-            4 | 5 => g * a, // outer, ekfac_scale
+            0 => packed_len(a), // factor_a
+            1 => packed_len(g), // factor_g
+            2 => a * a,         // qa
+            3 => g * g,         // qg
+            4 | 5 => g * a,     // outer, ekfac_scale
             _ => unreachable!("checkpoint field index out of range"),
         }
     }
@@ -105,9 +114,9 @@ impl LayerCheckpoint {
 }
 
 /// A world-size-independent snapshot of a [`Kfac`] instance: the step
-/// counter plus every layer's accumulated state in canonical (square,
-/// rank-agnostic) form. Identical on every rank after
-/// [`Kfac::checkpoint_state`].
+/// counter plus every layer's accumulated state in canonical,
+/// rank-agnostic form (packed factor triangles, square eigenbases).
+/// Identical on every rank after [`Kfac::checkpoint_state`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KfacCheckpoint {
     /// Completed preconditioner steps — restores the `factor_update_freq` /
@@ -124,15 +133,15 @@ impl KfacCheckpoint {
     }
 }
 
-/// The state matrix behind checkpoint field `f`, if this rank holds it.
-fn state_field(s: &KfacLayerState, f: usize) -> Option<&Matrix> {
+/// The state behind checkpoint field `f`, if this rank holds it.
+fn state_field(s: &KfacLayerState, f: usize) -> Option<&[f32]> {
     match f {
-        0 => s.factor_a.as_ref(),
-        1 => s.factor_g.as_ref(),
-        2 => s.qa.as_ref(),
-        3 => s.qg.as_ref(),
-        4 => s.outer.as_ref(),
-        5 => s.ekfac_scale.as_ref(),
+        0 => s.factor_a.as_deref(),
+        1 => s.factor_g.as_deref(),
+        2 => s.qa.as_ref().map(Matrix::as_slice),
+        3 => s.qg.as_ref().map(Matrix::as_slice),
+        4 => s.outer.as_ref().map(Matrix::as_slice),
+        5 => s.ekfac_scale.as_ref().map(Matrix::as_slice),
         _ => unreachable!("checkpoint field index out of range"),
     }
 }
@@ -153,22 +162,31 @@ impl Kfac {
             }
         }
         // One allgather tells every rank which fields exist where; the
-        // lowest-rank holder then broadcasts each present field (holders all
-        // carry identical bits, so any root works — lowest is deterministic).
+        // lowest-rank holder then broadcasts each present eigen field
+        // (holders all carry identical bits, so any root works — lowest is
+        // deterministic).
         let all_flags = comm.allgather(&flags);
         let world = comm.world_size();
         debug_assert_eq!(all_flags.len(), world * n * FIELD_COUNT);
+        let held = |r: usize, i: usize, f: usize| all_flags[(r * n + i) * FIELD_COUNT + f] > 0.5;
 
         let mut layers = Vec::with_capacity(n);
         for (i, s) in self.states.iter().enumerate() {
             let mut entry = LayerCheckpoint::new(s.name.clone(), s.a_dim, s.g_dim);
-            for f in 0..FIELD_COUNT {
-                let root =
-                    (0..world).find(|r| all_flags[r * n * FIELD_COUNT + i * FIELD_COUNT + f] > 0.5);
-                let Some(root) = root else { continue };
+            // The factors are replicated bit for bit: copy this rank's own.
+            for f in 0..LayerCheckpoint::FACTOR_FIELDS {
+                debug_assert!(
+                    (0..world).all(|r| held(r, i, f) == held(self.rank, i, f)),
+                    "layer {:?}: factor field {f} is not on every rank",
+                    s.name
+                );
+                *entry.field_mut(f) = state_field(s, f).map(<[f32]>::to_vec);
+            }
+            for f in LayerCheckpoint::FACTOR_FIELDS..FIELD_COUNT {
+                let Some(root) = (0..world).find(|&r| held(r, i, f)) else { continue };
                 let len = entry.field_len(f);
                 let mut buf = match state_field(s, f) {
-                    Some(m) if self.rank == root => m.as_slice().to_vec(),
+                    Some(v) if self.rank == root => v.to_vec(),
                     _ => vec![0.0f32; len],
                 };
                 debug_assert_eq!(buf.len(), len);
@@ -184,8 +202,8 @@ impl Kfac {
 
     /// Rebuild a preconditioner from a checkpoint on the *current* world —
     /// which may differ in size from the world that wrote it. Re-runs LPT
-    /// placement and strategy resolution via [`Kfac::new`], then populates
-    /// exactly the state each field's residency rules place on this rank:
+    /// placement via [`Kfac::new`], then populates exactly the state each
+    /// field's residency rules place on this rank:
     ///
     /// * factors land on every rank,
     /// * eigenbases and the outer product land on gradient workers, and so
@@ -230,12 +248,8 @@ impl Kfac {
             let square = |v: &Vec<f32>, d: usize| Matrix::from_vec(d, d, v.clone());
 
             // Running factors are replicated on every rank.
-            if let Some(a) = &entry.factor_a {
-                kfac.states[i].factor_a = Some(square(a, a_dim));
-            }
-            if let Some(g) = &entry.factor_g {
-                kfac.states[i].factor_g = Some(square(g, g_dim));
-            }
+            kfac.states[i].factor_a.clone_from(&entry.factor_a);
+            kfac.states[i].factor_g.clone_from(&entry.factor_g);
 
             // Decomposition caches live on gradient workers only.
             if asn.is_gradient_worker(rank) {
@@ -269,7 +283,7 @@ impl Kfac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaisa_comm::LocalComm;
+    use kaisa_comm::{CommOp, LocalComm};
     use kaisa_nn::models::Mlp;
     use kaisa_tensor::{Precision, Rng};
 
@@ -299,7 +313,7 @@ mod tests {
             assert!(layer.factor_a.is_some() && layer.factor_g.is_some());
             assert!(layer.qa.is_some() && layer.qg.is_some() && layer.outer.is_some());
             assert!(layer.ekfac_scale.is_none(), "plain K-FAC stores no corrected moments");
-            assert_eq!(layer.factor_a.as_ref().unwrap().len(), layer.a_dim * layer.a_dim);
+            assert_eq!(layer.factor_a.as_ref().unwrap().len(), packed_len(layer.a_dim));
         }
         assert!(ckpt.element_count() > 0);
     }
@@ -374,6 +388,66 @@ mod tests {
         let restored = Kfac::restore(cfg(), &mut model, &comm, &first);
         let second = restored.checkpoint_state(&comm);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn checkpoint_broadcasts_only_the_eigen_fields() {
+        // Every rank holds the replicated factors, so a checkpoint sends
+        // none of them: the world meter's bytes over `checkpoint_state` are
+        // the presence-flag allgather plus one broadcast per eigen field.
+        for world in [2usize, 4] {
+            for ekfac in [false, true] {
+                let per_rank = kaisa_comm::ThreadComm::run(world, |comm| {
+                    let cfg = KfacConfig::builder()
+                        .grad_worker_frac(0.5)
+                        .factor_update_freq(1)
+                        .inv_update_freq(2)
+                        .ekfac(ekfac)
+                        .build();
+                    let mut rng = Rng::seed_from_u64(404);
+                    let mut model = Mlp::new(&[6, 9, 3], &mut rng);
+                    let x = Matrix::randn(12, 6, 1.0, &mut rng);
+                    let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
+                    let mut kfac = Kfac::new(cfg, &mut model, comm);
+                    for _ in 0..3 {
+                        kfac.prepare(&mut model);
+                        model.zero_grad();
+                        let _ = model.forward_backward(&x, &y);
+                        kfac.step(&mut model, comm, 0.1);
+                    }
+                    // Rank 0 reads the world meter while no rank is inside
+                    // the checkpoint.
+                    comm.barrier();
+                    let before = comm.meter_snapshot();
+                    comm.barrier();
+                    let ckpt = kfac.checkpoint_state(comm);
+                    comm.barrier();
+                    let delta = comm.meter_snapshot().delta_since(&before);
+                    (ckpt, delta)
+                });
+                let (ckpt, delta) = &per_rank[0];
+                assert!(per_rank.iter().all(|(c, _)| c == ckpt), "world {world}: ranks disagree");
+                let (mut eigen_bytes, mut eigen_fields) = (0, 0);
+                for layer in &ckpt.layers {
+                    assert!(layer.factor_a.is_some() && layer.factor_g.is_some());
+                    for v in
+                        layer.fields()[LayerCheckpoint::FACTOR_FIELDS..].iter().copied().flatten()
+                    {
+                        eigen_bytes += 4 * v.len() as u64;
+                        eigen_fields += 1;
+                    }
+                }
+                // qa, qg, outer and, under EK-FAC, the corrected moments.
+                let per_layer = if ekfac { 4 } else { 3 };
+                assert_eq!(eigen_fields, per_layer * ckpt.layers.len() as u64, "world {world}");
+                let flag_bytes = 4 * (ckpt.layers.len() * LayerCheckpoint::FIELD_COUNT) as u64;
+                let ctx = format!("world {world}, ekfac {ekfac}");
+                assert_eq!(delta.calls(CommOp::Broadcast), eigen_fields, "{ctx}");
+                assert_eq!(delta.bytes(CommOp::Broadcast), eigen_bytes, "{ctx}");
+                assert_eq!(delta.bytes(CommOp::Allgather), flag_bytes, "{ctx}");
+                assert_eq!(delta.total_bytes(), eigen_bytes + flag_bytes, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 /// A category of K-FAC resident memory tracked by the [`MemoryMeter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryCategory {
-    /// Running factor averages: square `A`/`G` matrices.
+    /// Running factor averages: the packed lower triangles of `A`/`G`
+    /// (`n(n+1)/2` elements each).
     Factors,
     /// Cached decompositions: eigenvectors, the precomputed outer product,
     /// and EK-FAC corrected moments.

@@ -36,17 +36,35 @@ use crate::DistStrategy;
 ///
 /// Usage mirrors the paper's Listing 1:
 ///
-/// ```ignore
+/// ```
+/// use kaisa_comm::{Communicator, LocalComm, ReduceOp};
+/// use kaisa_core::{Kfac, KfacConfig};
+/// use kaisa_nn::{models::Mlp, Model};
+/// use kaisa_optim::{Optimizer, Sgd};
+/// use kaisa_tensor::{Matrix, Rng};
+///
+/// let mut rng = Rng::seed_from_u64(0);
+/// let mut model = Mlp::new(&[4, 8, 2], &mut rng);
+/// let x = Matrix::randn(16, 4, 1.0, &mut rng);
+/// let y: Vec<usize> = (0..16).map(|i| i % 2).collect();
+/// let comm = LocalComm::new();
+/// let mut optimizer = Sgd::new();
+/// let lr = 0.1;
+///
 /// let mut kfac = Kfac::new(KfacConfig::builder().grad_worker_frac(0.5).build(),
 ///                          &mut model, &comm);
-/// loop {
-///     kfac.prepare(&mut model);             // enable capture when needed
+/// for _ in 0..4 {
+///     kfac.prepare(&mut model);              // enable capture when needed
 ///     model.zero_grad();
-///     model.forward_backward(&x, &y);
-///     comm.allreduce(&mut grads, Avg);       // standard DDP allreduce
-///     kfac.step(&mut model, &comm, lr);      // precondition in place
-///     optimizer.step_model(&mut model, lr);  // SGD / Adam / LAMB
+///     let _ = model.forward_backward(&x, &y);
+///     let mut grads = model.grads_flat();     // standard DDP allreduce
+///     comm.allreduce(&mut grads, ReduceOp::Avg);
+///     model.set_grads_flat(&grads);
+///     kfac.step(&mut model, &comm, lr);       // precondition in place
+///     optimizer.step_model(&mut model, lr);   // SGD / Adam / LAMB
 /// }
+/// assert_eq!(kfac.steps(), 4);
+/// assert!(model.params_flat().iter().all(|p| p.is_finite()));
 /// ```
 pub struct Kfac {
     pub(crate) cfg: KfacConfig,
@@ -355,10 +373,10 @@ mod tests {
         let _ = model.forward_backward(&x, &y);
         kfac.step(&mut model, &comm, 0.1);
         let mem = kfac.memory_bytes();
-        // Factors + Q_A + Q_G + outer for both layers.
-        // Layer 0: a=7, g=10 → 49+100+49+100+70 = 368; layer 1: a=11, g=3 →
-        // 121+9+121+9+33 = 293. Total 661 floats.
-        assert_eq!(mem, 661 * 4);
+        // Packed factors + Q_A + Q_G + outer for both layers.
+        // Layer 0: a=7, g=10 → 28+55+49+100+70 = 302; layer 1: a=11, g=3 →
+        // 66+6+121+9+33 = 235. Total 537 floats.
+        assert_eq!(mem, 537 * 4);
     }
 
     #[test]

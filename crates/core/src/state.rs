@@ -1,11 +1,8 @@
 //! Per-layer K-FAC state: running factors and cached eigendecompositions,
-//! plus the factor wire — the one form a factor takes between capture and
-//! the running average.
+//! plus the factor wire — the one form a factor takes from capture to the
+//! running average, and the form the running average keeps.
 
-use kaisa_linalg::{
-    fold_packed_lower, pack_lower_scaled, packed_len, sym_eig_with_scratch, unpack_lower,
-    EigScratch,
-};
+use kaisa_linalg::{pack_lower_scaled, packed_len, sym_eig_packed, EigScratch};
 use kaisa_nn::KfacStats;
 use kaisa_tensor::{Matrix, Precision};
 
@@ -16,21 +13,28 @@ pub fn quantize_slice(buf: &mut [f32], precision: Precision) {
     }
 }
 
-/// The single EMA fold kernel for factor state: the first fold unpacks the
-/// fresh triangle, later folds compute `x ← (1-decay)·x̂ + decay·x` on the
-/// lower triangle — the exact `axpby` expression — and mirror it, so every
-/// fold shares one semantics.
-fn ema_fold_packed(slot: &mut Option<Matrix>, packed: &[f32], n: usize, decay: f32) {
+/// The single EMA fold kernel for factor state: the first fold copies the
+/// fresh triangle in, later folds compute `x ← (1-decay)·x̂ + decay·x` over
+/// the packed payload — the exact `axpby` expression — so every fold shares
+/// one semantics.
+fn ema_fold_packed(slot: &mut Option<Vec<f32>>, packed: &[f32], decay: f32) {
     match slot {
-        Some(m) => fold_packed_lower(m, packed, 1.0 - decay, decay),
-        None => *slot = Some(unpack_lower(packed, n)),
+        Some(x) => {
+            let (alpha, beta) = (1.0 - decay, decay);
+            for (x, &p) in x.iter_mut().zip(packed) {
+                *x = alpha * p + beta * *x;
+            }
+        }
+        None => *slot = Some(packed.to_vec()),
     }
 }
 
 /// Running Kronecker-factor state and decomposition caches for one layer.
 ///
 /// Which fields are populated on a given rank depends on the distribution
-/// plan: factors `A`/`G` live on every rank (they are allreduced). The
+/// plan: factors `A`/`G` live on every rank (they are allreduced), as packed
+/// lower triangles in the factor wire's layout — the square form exists
+/// only in tests and oracles, through `unpack_lower`. The
 /// eigendecomposition caches live only on that layer's gradient workers — this is exactly the
 /// memory/communication knob Figure 6 of the paper measures.
 #[derive(Debug, Clone)]
@@ -41,10 +45,11 @@ pub struct KfacLayerState {
     pub a_dim: usize,
     /// `G` factor dimension.
     pub g_dim: usize,
-    /// Running average of `A = E[a aᵀ]` in square form.
-    pub factor_a: Option<Matrix>,
-    /// Running average of `G = E[g gᵀ]` in square form.
-    pub factor_g: Option<Matrix>,
+    /// Running average of `A = E[a aᵀ]`: its lower triangle, row-packed
+    /// ([`packed_len`]`(a_dim)` elements, the factor wire's layout).
+    pub factor_a: Option<Vec<f32>>,
+    /// Running average of `G = E[g gᵀ]`, packed like `factor_a`.
+    pub factor_g: Option<Vec<f32>>,
     /// Eigenvectors of `A` (columns), cached on gradient workers.
     pub qa: Option<Matrix>,
     /// Eigenvectors of `G` (columns), cached on gradient workers.
@@ -123,8 +128,8 @@ impl KfacLayerState {
     }
 
     /// Fold the (averaged, quantized) factor wire into the running
-    /// averages: `A ← decay·A + (1-decay)·Â` on the lower triangle, then
-    /// mirrored (the first fold sets `A = Â`).
+    /// averages: `A ← decay·A + (1-decay)·Â`, element for element over the
+    /// packed triangles (the first fold sets `A = Â`).
     pub fn fold_wire(&mut self, decay: f32) {
         let split = packed_len(self.a_dim);
         assert_eq!(
@@ -134,8 +139,8 @@ impl KfacLayerState {
             self.name
         );
         let (wa, wg) = self.wire.split_at(split);
-        ema_fold_packed(&mut self.factor_a, wa, self.a_dim, decay);
-        ema_fold_packed(&mut self.factor_g, wg, self.g_dim, decay);
+        ema_fold_packed(&mut self.factor_a, wa, decay);
+        ema_fold_packed(&mut self.factor_g, wg, decay);
     }
 
     /// Fold symmetric batch factors into the running averages — the same
@@ -158,7 +163,8 @@ impl KfacLayerState {
     /// for all its decompositions, so a solve allocates only its result).
     pub fn eig_a_with(&self, scratch: &mut EigScratch) -> (Matrix, Vec<f32>) {
         let a = self.factor_a.as_ref().expect("A factor not yet accumulated");
-        let eig = sym_eig_with_scratch(a, scratch).expect("A factor eigendecomposition failed");
+        let eig =
+            sym_eig_packed(a, self.a_dim, scratch).expect("A factor eigendecomposition failed");
         (eig.vectors, eig.values)
     }
 
@@ -170,7 +176,8 @@ impl KfacLayerState {
     /// [`Self::eig_g`] on a caller-held solver workspace.
     pub fn eig_g_with(&self, scratch: &mut EigScratch) -> (Matrix, Vec<f32>) {
         let g = self.factor_g.as_ref().expect("G factor not yet accumulated");
-        let eig = sym_eig_with_scratch(g, scratch).expect("G factor eigendecomposition failed");
+        let eig =
+            sym_eig_packed(g, self.g_dim, scratch).expect("G factor eigendecomposition failed");
         (eig.vectors, eig.values)
     }
 
@@ -246,11 +253,11 @@ impl KfacLayerState {
     }
 
     /// Bytes of running factor state held on this rank at the given storage
-    /// precision.
+    /// precision: the two packed triangles.
     pub fn factor_memory_bytes(&self, precision: Precision) -> usize {
         let b = precision.bytes_per_element();
-        let mat = |m: &Option<Matrix>| m.as_ref().map_or(0, |m| m.numel() * b);
-        mat(&self.factor_a) + mat(&self.factor_g)
+        let packed = |v: &Option<Vec<f32>>| v.as_ref().map_or(0, |v| v.len() * b);
+        packed(&self.factor_a) + packed(&self.factor_g)
     }
 
     /// Bytes of cached decomposition state (eigenvectors, outer product,
@@ -272,7 +279,13 @@ impl KfacLayerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kaisa_linalg::unpack_lower;
     use kaisa_tensor::Rng;
+
+    /// The square matrix a packed running factor stands for.
+    fn square(factor: &Option<Vec<f32>>, n: usize) -> Matrix {
+        unpack_lower(factor.as_ref().expect("factor accumulated"), n)
+    }
 
     fn random_psd(n: usize, rng: &mut Rng) -> Matrix {
         let a = Matrix::randn(n, n, 1.0, rng);
@@ -287,11 +300,11 @@ mod tests {
         let a1 = Matrix::identity(2);
         let g1 = Matrix::identity(2).scaled(2.0);
         state.update_factors(&a1, &g1, 0.9);
-        assert_eq!(state.factor_a.as_ref().unwrap(), &a1, "first update is a copy");
+        assert_eq!(square(&state.factor_a, 2), a1, "first update is a copy");
         let a2 = Matrix::identity(2).scaled(3.0);
         state.update_factors(&a2, &g1, 0.9);
         // 0.9*1 + 0.1*3 = 1.2 on the diagonal.
-        assert!((state.factor_a.as_ref().unwrap().get(0, 0) - 1.2).abs() < 1e-6);
+        assert!((square(&state.factor_a, 2).get(0, 0) - 1.2).abs() < 1e-6);
     }
 
     #[test]
@@ -299,9 +312,9 @@ mod tests {
         // `update_factors` (square inputs) and a factor step's wire
         // (captured lower triangles with stale upper halves, finalized by
         // `1/batches`) route through one EMA kernel: the first fold is a
-        // plain move-in, later folds apply (1-decay)·fresh + decay·old.
-        // Both must agree bitwise, fold for fold, with the square recipe —
-        // `scale`, then `axpby`.
+        // plain copy, later folds apply (1-decay)·fresh + decay·old. Both
+        // packed running factors must agree bitwise, fold for fold, with
+        // the square recipe — `scale`, then `axpby`.
         let mut rng = Rng::seed_from_u64(208);
         let decay = 0.95;
         let folds: Vec<(Matrix, Matrix)> =
@@ -313,15 +326,13 @@ mod tests {
             Some(m) => m.axpby(1.0 - decay, &fresh, decay),
             None => *slot = Some(fresh),
         };
-        let bits = |m: &Option<Matrix>| -> Vec<u32> {
-            m.as_ref().unwrap().as_slice().iter().map(|x| x.to_bits()).collect()
-        };
+        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
 
-        let mut square = KfacLayerState::new("square", 4, 3);
+        let mut square_state = KfacLayerState::new("square", 4, 3);
         let mut wire = KfacLayerState::new("wire", 4, 3);
         let mut oracle: [Option<Matrix>; 4] = Default::default();
         for (a, g) in &folds {
-            square.update_factors(a, g, decay);
+            square_state.update_factors(a, g, decay);
             let (sa, sg) = (stale(a), stale(g));
             wire.pack_stats(&KfacStats { a_stat: &sa, g_stat: &sg, batches: 3 });
             wire.fold_wire(decay);
@@ -330,10 +341,11 @@ mod tests {
             fold(sq_g, g.clone());
             fold(wire_a, a.scaled(1.0 / 3.0));
             fold(wire_g, g.scaled(1.0 / 3.0));
-            assert_eq!(bits(&square.factor_a), bits(&oracle[0]), "square A");
-            assert_eq!(bits(&square.factor_g), bits(&oracle[1]), "square G");
-            assert_eq!(bits(&wire.factor_a), bits(&oracle[2]), "wire A");
-            assert_eq!(bits(&wire.factor_g), bits(&oracle[3]), "wire G");
+            let [sq_a, sq_g, wire_a, wire_g] = oracle.each_ref().map(|m| bits(m.as_ref().unwrap()));
+            assert_eq!(bits(&square(&square_state.factor_a, 4)), sq_a, "square A");
+            assert_eq!(bits(&square(&square_state.factor_g, 3)), sq_g, "square G");
+            assert_eq!(bits(&square(&wire.factor_a, 4)), wire_a, "wire A");
+            assert_eq!(bits(&square(&wire.factor_g, 3)), wire_g, "wire G");
         }
     }
 
@@ -342,7 +354,8 @@ mod tests {
         let mut rng = Rng::seed_from_u64(214);
         let mut state = KfacLayerState::new("split", 6, 4);
         state.update_factors(&random_psd(6, &mut rng), &random_psd(4, &mut rng), 0.95);
-        assert_eq!(state.factor_memory_bytes(Precision::Fp32), (36 + 16) * 4);
+        // The packed triangles: 21 + 10 elements.
+        assert_eq!(state.factor_memory_bytes(Precision::Fp32), (21 + 10) * 4);
         assert_eq!(state.eigen_memory_bytes(Precision::Fp32), 0);
         let (qa, _) = state.eig_a();
         state.qa = Some(qa);
@@ -464,7 +477,8 @@ mod tests {
         assert_eq!(state.memory_bytes(Precision::Fp32), 0);
         state.update_factors(&random_psd(8, &mut rng), &random_psd(4, &mut rng), 0.0);
         let factors_only = state.memory_bytes(Precision::Fp32);
-        assert_eq!(factors_only, (64 + 16) * 4);
+        // The packed triangles of the 8x8 and 4x4 factors.
+        assert_eq!(factors_only, (36 + 10) * 4);
         let (qa, va) = state.eig_a();
         let (qg, vg) = state.eig_g();
         state.qa = Some(qa);
@@ -541,8 +555,9 @@ mod tests {
     #[test]
     fn factor_wire_carries_the_square_payload_bitwise() {
         // The wire holds `A`'s then `G`'s lower triangle, row-packed and
-        // finalized; the first fold rebuilds exactly the finalized square
-        // factors, and fp16 rounds the payload element for element.
+        // finalized; the first fold copies it into the running factors,
+        // which stand for exactly the finalized square factors, and fp16
+        // rounds the payload element for element.
         let mut rng = Rng::seed_from_u64(207);
         let (a, g) = (random_psd(5, &mut rng), random_psd(3, &mut rng));
         let mut state = KfacLayerState::new("wire", 5, 3);
@@ -551,14 +566,39 @@ mod tests {
         assert_eq!(state.wire[..3], [a.get(0, 0) * 0.5, a.get(1, 0) * 0.5, a.get(1, 1) * 0.5]);
         let mut half = state.clone();
         state.fold_wire(0.9);
-        assert_eq!(state.factor_a.as_ref().unwrap(), &a.scaled(0.5));
-        assert_eq!(state.factor_g.as_ref().unwrap(), &g.scaled(0.5));
+        assert_eq!(state.factor_a.as_deref(), Some(&state.wire[..packed_len(5)]));
+        assert_eq!(square(&state.factor_a, 5), a.scaled(0.5));
+        assert_eq!(square(&state.factor_g, 3), g.scaled(0.5));
 
         quantize_slice(&mut half.wire, Precision::Fp16);
         half.fold_wire(0.9);
         let mut expect = a.scaled(0.5);
         expect.quantize(Precision::Fp16);
-        assert_eq!(half.factor_a.as_ref().unwrap(), &expect);
+        assert_eq!(square(&half.factor_a, 5), expect);
+    }
+
+    #[test]
+    fn fold_is_the_square_axpby_bitwise() {
+        // Scale-while-packing then fold into the packed running factor,
+        // against the square recipe: `scale` the fresh matrix, then `axpby`
+        // it into the running one. Sizes straddle the 32-wide tiles.
+        let mut rng = Rng::seed_from_u64(52);
+        for &n in &[1usize, 5, 31, 32, 33, 65] {
+            let running = Matrix::randn(2 * n, n, 1.0, &mut rng).gram_tn();
+            let fresh = Matrix::randn(n + 3, n, 1.0, &mut rng).gram_tn();
+            let g = Matrix::identity(1);
+            let decay = 0.95;
+            let mut state = KfacLayerState::new("fold", n, 1);
+            state.update_factors(&running, &g, 0.0);
+            state.pack_stats(&KfacStats { a_stat: &fresh, g_stat: &g, batches: 3 });
+            state.fold_wire(decay);
+
+            let (mut scaled, mut square_running) = (fresh.clone(), running.clone());
+            scaled.scale(1.0 / 3.0);
+            square_running.axpby(1.0 - decay, &scaled, decay);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&square(&state.factor_a, n)), bits(&square_running), "n={n}");
+        }
     }
 
     #[test]

@@ -36,11 +36,20 @@
 //!
 //! The solver body is `#[inline(always)]` and is compiled twice: as is
 //! (SSE2 on `x86_64`) and inside a `#[target_feature(enable = "avx2")]`
-//! function, which [`sym_eig_with_scratch`] picks at run time when the CPU
-//! has AVX2. The body has no FMA to contract and no reduction LLVM may
-//! reorder, so every 4-lane operation is the scalar's own multiply or add
-//! and both compilations return the same bits. The portable compilation
-//! stays reachable as `sym_eig_portable` for the tests and `kernel_bench`.
+//! function, which the entry points pick at run time when the CPU has
+//! AVX2. The body has no FMA to contract and no reduction LLVM may reorder,
+//! so every 4-lane operation is the scalar's own multiply or add and both
+//! compilations return the same bits. The portable compilation stays
+//! reachable as `sym_eig_portable` / `sym_eig_packed_portable` for the
+//! tests and `kernel_bench`.
+//!
+//! # Two entries, one body
+//!
+//! The body reads its input one lower-triangle row at a time, from column 0
+//! through the diagonal, and never reads an upper entry: [`sym_eig`] takes
+//! those rows from a square matrix, [`sym_eig_packed`] from the row-packed
+//! triangle `Kfac` holds its running factors in. The widened rows are the
+//! same `f64`s either way, so the two entries return the same bits.
 //!
 //! # Bitwise contract
 //!
@@ -54,6 +63,8 @@
 //! unaffected.
 
 use kaisa_tensor::Matrix;
+
+use crate::packed_len;
 
 /// Result of a symmetric eigendecomposition `M = Q diag(values) Qᵀ`.
 #[derive(Debug, Clone)]
@@ -131,6 +142,35 @@ impl EigScratch {
     }
 }
 
+/// The matrix a solve decomposes, given by its lower triangle — the only
+/// part the solver reads.
+#[derive(Clone, Copy)]
+enum Lower<'a> {
+    /// A square row-major matrix; its upper triangle is ignored.
+    Square(&'a Matrix),
+    /// The row-packed lower triangle of an `n x n` matrix
+    /// ([`crate::packed_len`]`(n)` elements, the factor wire's layout).
+    Packed(&'a [f32], usize),
+}
+
+impl<'a> Lower<'a> {
+    fn n(self) -> usize {
+        match self {
+            Lower::Square(m) => m.rows(),
+            Lower::Packed(_, n) => n,
+        }
+    }
+
+    /// Row `i` from column 0 through the diagonal.
+    #[inline(always)]
+    fn row(self, i: usize) -> &'a [f32] {
+        match self {
+            Lower::Square(m) => &m.row(i)[..=i],
+            Lower::Packed(p, _) => &p[packed_len(i)..packed_len(i + 1)],
+        }
+    }
+}
+
 /// Compute the eigendecomposition of a symmetric matrix.
 ///
 /// Only the lower triangle of `m` is referenced (the matrix is assumed
@@ -148,24 +188,55 @@ pub fn sym_eig(m: &Matrix) -> Result<SymEig, EigenError> {
 /// # Panics
 /// If `m` is not square.
 pub fn sym_eig_with_scratch(m: &Matrix, scratch: &mut EigScratch) -> Result<SymEig, EigenError> {
-    sym_eig_by(solve, m, scratch)
+    assert!(m.is_square(), "sym_eig requires a square matrix");
+    sym_eig_by(solve, Lower::Square(m), scratch)
+}
+
+/// [`sym_eig_with_scratch`] of the symmetric `n x n` matrix whose row-packed
+/// lower triangle is `packed` — the form `Kfac` holds its running factors
+/// in. The solver body reads the same lower-triangle rows either way, so
+/// this returns exactly the bits (and the same [`EigenError`]) of
+/// [`sym_eig`] on the square matrix.
+///
+/// # Panics
+/// If `packed.len() != packed_len(n)`.
+pub fn sym_eig_packed(
+    packed: &[f32],
+    n: usize,
+    scratch: &mut EigScratch,
+) -> Result<SymEig, EigenError> {
+    assert_eq!(packed.len(), packed_len(n), "sym_eig_packed: packed length mismatch for n={n}");
+    sym_eig_by(solve, Lower::Packed(packed, n), scratch)
 }
 
 /// [`sym_eig_with_scratch`] through the portable compilation of the solver
-/// body, whatever the CPU: the twin the tests and `kernel_bench` hold the
-/// AVX2 compilation against. Same bits as [`sym_eig`].
+/// body, whatever the CPU: the twin the tests hold the AVX2 compilation
+/// against. Same bits as [`sym_eig`].
 #[doc(hidden)]
 pub fn sym_eig_portable(m: &Matrix, scratch: &mut EigScratch) -> Result<SymEig, EigenError> {
-    sym_eig_by(solve_body, m, scratch)
+    assert!(m.is_square(), "sym_eig requires a square matrix");
+    sym_eig_by(solve_body, Lower::Square(m), scratch)
+}
+
+/// [`sym_eig_packed`] through the portable compilation of the solver body:
+/// the twin the tests and `kernel_bench` hold the AVX2 compilation against.
+#[doc(hidden)]
+pub fn sym_eig_packed_portable(
+    packed: &[f32],
+    n: usize,
+    scratch: &mut EigScratch,
+) -> Result<SymEig, EigenError> {
+    assert_eq!(packed.len(), packed_len(n), "sym_eig_packed: packed length mismatch for n={n}");
+    sym_eig_by(solve_body, Lower::Packed(packed, n), scratch)
 }
 
 /// The solver body, compiled for AVX2 when the running CPU has it.
 #[allow(unsafe_code)]
-fn solve(m: &Matrix, scratch: &mut EigScratch) -> Result<(), EigenError> {
+fn solve(m: Lower<'_>, scratch: &mut EigScratch) -> Result<(), EigenError> {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         #[target_feature(enable = "avx2")]
-        fn solve_avx2(m: &Matrix, scratch: &mut EigScratch) -> Result<(), EigenError> {
+        fn solve_avx2(m: Lower<'_>, scratch: &mut EigScratch) -> Result<(), EigenError> {
             solve_body(m, scratch)
         }
         // SAFETY: the running CPU supports AVX2, detected just above.
@@ -174,15 +245,13 @@ fn solve(m: &Matrix, scratch: &mut EigScratch) -> Result<(), EigenError> {
     solve_body(m, scratch)
 }
 
-/// Run `solve` on a square non-empty `m`, then sort its result into a
-/// [`SymEig`].
+/// Run `solve` on a non-empty `m`, then sort its result into a [`SymEig`].
 fn sym_eig_by(
-    solve: fn(&Matrix, &mut EigScratch) -> Result<(), EigenError>,
-    m: &Matrix,
+    solve: fn(Lower<'_>, &mut EigScratch) -> Result<(), EigenError>,
+    m: Lower<'_>,
     scratch: &mut EigScratch,
 ) -> Result<SymEig, EigenError> {
-    assert!(m.is_square(), "sym_eig requires a square matrix");
-    let n = m.rows();
+    let n = m.n();
     if n == 0 {
         return Ok(SymEig { values: vec![], vectors: Matrix::zeros(0, 0) });
     }
@@ -224,24 +293,26 @@ impl SymEig {
     }
 }
 
-/// The solver body: widen `m` (square, non-empty) into `scratch`, then
-/// `tred2` → transpose → `tql2`, leaving the eigenvalues in `d` and the
-/// eigenvectors as the rows of `z`. `#[inline(always)]`, with everything it
-/// calls, so that the AVX2 twin in [`solve`] compiles all of it under the
-/// target feature.
+/// The solver body: widen the lower triangle of `m` (non-empty) into
+/// `scratch`, then `tred2` → transpose → `tql2`, leaving the eigenvalues in
+/// `d` and the eigenvectors as the rows of `z`. `#[inline(always)]`, with
+/// everything it calls, so that the AVX2 twin in [`solve`] compiles all of
+/// it under the target feature.
 #[inline(always)]
-fn solve_body(m: &Matrix, scratch: &mut EigScratch) -> Result<(), EigenError> {
-    let n = m.rows();
-    // Work in f64. The upper triangle is widened along with the lower but
-    // never read: tred2 writes every upper entry before its first use.
+fn solve_body(m: Lower<'_>, scratch: &mut EigScratch) -> Result<(), EigenError> {
+    let n = m.n();
+    // Work in f64. Only the lower triangle is input: the upper one starts
+    // as zeros, and tred2 writes every upper entry before its first use.
     let EigScratch { z, d, e, g, rot } = scratch;
     z.clear();
     z.reserve(n * n);
-    for (row, src) in m.as_slice().chunks_exact(n).enumerate() {
-        if let Some(col) = src[..=row].iter().position(|v| !v.is_finite()) {
+    for row in 0..n {
+        let src = m.row(row);
+        if let Some(col) = src.iter().position(|v| !v.is_finite()) {
             return Err(EigenError::NonFinite { row, col });
         }
         z.extend(src.iter().map(|&v| v as f64));
+        z.extend(std::iter::repeat_n(0.0, n - row - 1));
     }
     for buf in [&mut *d, &mut *e, &mut *g] {
         buf.clear();

@@ -2,7 +2,8 @@
 //!
 //! Dense linear algebra kernels used by the KAISA K-FAC preconditioner:
 //!
-//! * [`sym_eig`] / [`sym_eig_with_scratch`] — symmetric eigendecomposition
+//! * [`sym_eig`] / [`sym_eig_with_scratch`] / [`sym_eig_packed`] — symmetric
+//!   eigendecomposition
 //!   (Householder tridiagonal reduction + implicit-shift QL), the paper's
 //!   replacement for matrix inversion (Section 2.1.3). Factor
 //!   eigendecompositions produce real eigenvalues and orthogonal
@@ -13,17 +14,22 @@
 //!   across solves); a NaN/Inf input is refused up front with
 //!   [`EigenError::NonFinite`]. The solver body is compiled twice, as is and
 //!   for AVX2, and the AVX2 compilation runs when the CPU has it; both give
-//!   the same bits (the hidden `sym_eig_portable` keeps the portable one
-//!   reachable for tests and benchmarks).
+//!   the same bits (the hidden `sym_eig_portable` / `sym_eig_packed_portable`
+//!   keep the portable one reachable for tests and benchmarks). The solver
+//!   reads only the lower triangle, so [`sym_eig_packed`] decomposes a
+//!   row-packed triangle — the form the running factors are held in — to
+//!   the same bits as [`sym_eig`] on the square matrix.
 //! * [`sym_eig_reference`] — the same algorithm as the one-to-one EISPACK
 //!   transcription with strided inner loops: the oracle [`sym_eig`] must
 //!   match bit for bit, called only by tests and `kernel_bench`.
 //! * [`lu_inverse`] — general matrix inverse with partial pivoting: the
 //!   damped-Kronecker-inverse oracle (Eq. 15–17) the eigen-preconditioned
 //!   gradient is tested against.
-//! * [`pack_lower_scaled`] / [`fold_packed_lower`] / [`unpack_lower`] —
-//!   row-packed lower-triangle packing, the form every factor payload takes
-//!   on the wire (KAISA's triangular factor communication, Section 4.3).
+//! * [`pack_lower_scaled`] / [`unpack_lower`] — row-packed lower-triangle
+//!   packing, the form every factor takes from capture to checkpoint: on the
+//!   wire (KAISA's triangular factor communication, Section 4.3) and as the
+//!   running average itself. The square form is rebuilt only for tests and
+//!   oracles.
 //!
 //! All decompositions compute internally in `f64` for stability (mirroring
 //! the paper's practice of casting half-precision factors to single precision
@@ -41,7 +47,10 @@ mod inverse;
 mod reference;
 mod triangular;
 
-pub use eigen::{sym_eig, sym_eig_portable, sym_eig_with_scratch, EigScratch, EigenError, SymEig};
+pub use eigen::{
+    sym_eig, sym_eig_packed, sym_eig_packed_portable, sym_eig_portable, sym_eig_with_scratch,
+    EigScratch, EigenError, SymEig,
+};
 pub use inverse::lu_inverse;
 pub use reference::sym_eig_reference;
-pub use triangular::{fold_packed_lower, pack_lower_scaled, packed_len, unpack_lower};
+pub use triangular::{pack_lower_scaled, packed_len, unpack_lower};

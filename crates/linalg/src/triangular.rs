@@ -5,11 +5,12 @@
 //! `n(n+1)/2` elements instead of `n²`. Here it is the **lower** triangle,
 //! packed row by row (`(0,0), (1,0), (1,1), (2,0), …`): the capture
 //! computes only the lower triangle of each Gram, so packing reads it in
-//! contiguous row runs, and folding the averaged payload back into a
-//! running factor writes those same runs before one tiled
-//! [`mirror_lower`] rebuilds the upper half. Every step is elementwise and
-//! the factors are exactly symmetric, so the triangle carries the square
-//! payload bit for bit.
+//! contiguous row runs. The running factors are held in the same layout, so
+//! folding the averaged payload into them is one elementwise pass, and the
+//! eigensolver reads the rows straight from it (`sym_eig_packed`). Every
+//! step is elementwise and the factors are exactly symmetric, so the
+//! triangle carries the square payload bit for bit; [`unpack_lower`]
+//! rebuilds the square for tests and oracles.
 
 use kaisa_tensor::{mirror_lower, Matrix};
 
@@ -34,29 +35,6 @@ pub fn pack_lower_scaled(src: &[f32], n: usize, s: f32, out: &mut [f32]) {
         }
         at += i + 1;
     }
-}
-
-/// Fold a row-packed lower triangle into the square running average `dst`:
-/// `dst[i][j] ← alpha·packed + beta·dst[i][j]` for every `j ≤ i` — the
-/// exact expression of [`Matrix::axpby`] — then mirror the lower triangle
-/// into the upper. On a symmetric `dst` this is bitwise
-/// `dst.axpby(alpha, &square, beta)` of the square matrix `packed` came
-/// from.
-///
-/// # Panics
-/// If `dst` is not square or `packed` is not [`packed_len`] of its side.
-pub fn fold_packed_lower(dst: &mut Matrix, packed: &[f32], alpha: f32, beta: f32) {
-    let n = dst.rows();
-    assert!(dst.is_square(), "fold_packed_lower requires a square matrix");
-    assert_eq!(packed.len(), packed_len(n), "fold_packed_lower: packed length mismatch");
-    let mut at = 0;
-    for i in 0..n {
-        for (d, &p) in dst.row_mut(i)[..=i].iter_mut().zip(&packed[at..at + i + 1]) {
-            *d = alpha * p + beta * *d;
-        }
-        at += i + 1;
-    }
-    mirror_lower(n, dst.as_mut_slice());
 }
 
 /// Rebuild the symmetric `n x n` matrix a row-packed lower triangle came
@@ -111,28 +89,6 @@ mod tests {
         let mut packed = [0.0f32; 6];
         pack_lower_scaled(m.as_slice(), 3, 0.5, &mut packed);
         assert_eq!(packed, [0.0, 5.0, 5.5, 10.0, 10.5, 11.0]);
-    }
-
-    #[test]
-    fn fold_is_the_square_axpby_bitwise() {
-        // Scale-while-packing then fold, against the square recipe:
-        // `scale` the fresh matrix, then `axpby` it into the running one.
-        let mut rng = Rng::seed_from_u64(52);
-        for &n in &[1usize, 5, 31, 32, 33, 65] {
-            let fresh = Matrix::randn(n + 3, n, 1.0, &mut rng).gram_tn();
-            let mut running = Matrix::randn(2 * n, n, 1.0, &mut rng).gram_tn();
-            let mut square_running = running.clone();
-            let (s, alpha, beta) = (1.0 / 3.0, 0.05, 0.95);
-
-            let mut packed = vec![0.0; packed_len(n)];
-            pack_lower_scaled(fresh.as_slice(), n, s, &mut packed);
-            fold_packed_lower(&mut running, &packed, alpha, beta);
-
-            let mut scaled = fresh.clone();
-            scaled.scale(s);
-            square_running.axpby(alpha, &scaled, beta);
-            assert_eq!(bits(running.as_slice()), bits(square_running.as_slice()), "n={n}");
-        }
     }
 
     #[test]

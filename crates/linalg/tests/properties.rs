@@ -2,8 +2,9 @@
 //! orthogonality, and packing invariants over random symmetric matrices.
 
 use kaisa_linalg::{
-    lu_inverse, pack_lower_scaled, packed_len, sym_eig, sym_eig_portable, sym_eig_reference,
-    sym_eig_with_scratch, unpack_lower, EigScratch, EigenError,
+    lu_inverse, pack_lower_scaled, packed_len, sym_eig, sym_eig_packed, sym_eig_packed_portable,
+    sym_eig_portable, sym_eig_reference, sym_eig_with_scratch, unpack_lower, EigScratch,
+    EigenError, SymEig,
 };
 use kaisa_tensor::{Matrix, Precision, Rng};
 use proptest::prelude::*;
@@ -145,6 +146,60 @@ fn non_finite_lower_triangle_fails_fast_with_a_typed_error() {
     small.set(4, 4, f32::NAN);
     assert_eq!(sym_eig(&small).unwrap_err(), EigenError::NonFinite { row: 4, col: 4 });
     assert!(matches!(sym_eig_reference(&small), Err(EigenError::NoConvergence { .. })));
+}
+
+fn packed_of(m: &Matrix) -> Vec<f32> {
+    let mut packed = vec![0.0; packed_len(m.rows())];
+    pack_lower_scaled(m.as_slice(), m.rows(), 1.0, &mut packed);
+    packed
+}
+
+/// The packed entry (what `Kfac` calls on its running factors) against the
+/// square one, body for body: the dispatched (AVX2 where the CPU has it)
+/// and the portable compilation each return the same bits from the packed
+/// triangle as from the square matrix it came from, and refuse the same
+/// non-finite entry with the same error.
+#[test]
+fn packed_entry_is_the_square_entry_bitwise() {
+    type Square = fn(&Matrix, &mut EigScratch) -> Result<SymEig, EigenError>;
+    type Packed = fn(&[f32], usize, &mut EigScratch) -> Result<SymEig, EigenError>;
+    let bodies: [(&str, Square, Packed); 2] = [
+        ("dispatched", sym_eig_with_scratch, sym_eig_packed),
+        ("portable", sym_eig_portable, sym_eig_packed_portable),
+    ];
+    let bits = |r: Result<SymEig, EigenError>| {
+        r.map(|e| e.values.iter().chain(e.vectors.as_slice()).map(|x| x.to_bits()).collect())
+    };
+    let mut scratch = EigScratch::new();
+    for n in [1usize, 2, 7, 65, 257] {
+        for kind in [0, 1, 9] {
+            // Kind 9 carries NaN and garbage above the diagonal: the square
+            // entry must not read it, the packed one cannot.
+            let m = eig_family(kind, n, 77 + n as u64);
+            let packed = packed_of(&m);
+            for (body, square, packed_entry) in bodies {
+                let want: Result<Vec<u32>, _> = bits(square(&m, &mut scratch));
+                assert!(want.is_ok(), "n={n} kind={kind} {body}: the square entry failed");
+                let got = bits(packed_entry(&packed, n, &mut scratch));
+                assert!(got == want, "n={n} kind={kind} {body}: the packed entry differs");
+            }
+        }
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut m = random_symmetric(n, 78 + n as u64);
+            let (row, col) = (n - 1, (n - 1) / 2);
+            m.set(row, col, bad);
+            let packed = packed_of(&m);
+            for (body, square, packed_entry) in bodies {
+                let want = EigenError::NonFinite { row, col };
+                assert_eq!(square(&m, &mut scratch).unwrap_err(), want, "n={n} {body} square");
+                assert_eq!(
+                    packed_entry(&packed, n, &mut scratch).unwrap_err(),
+                    want,
+                    "n={n} {body} packed"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

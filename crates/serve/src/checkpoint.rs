@@ -3,9 +3,9 @@
 //! A [`JobCheckpoint`] captures everything a paused training job needs to
 //! resume **on a different world size**: the flat model parameters, the
 //! first-order optimizer's momentum velocity, the K-FAC preconditioner
-//! state (running factor averages stored square, cached decompositions,
-//! the optimizer step counter — see `kaisa_core::KfacCheckpoint`), and the
-//! global step the job paused at. Data-shard progress needs no state at
+//! state (running factor averages as packed lower triangles, cached
+//! decompositions, the optimizer step counter — see
+//! `kaisa_core::KfacCheckpoint`), and the global step the job paused at. Data-shard progress needs no state at
 //! all: the `ShardSampler` is a pure function of `(world, rank, seed,
 //! epoch)`, so the resumed world re-derives its batches from the step
 //! index alone.
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic    8 bytes  "KAISAJOB"
-//! version  u32      currently 2
+//! version  u32      currently 3
 //! step     u64
 //! params   u64 count, then count × u32   (f32::to_bits, LE)
 //! velocity u64 count, then count × u32
@@ -28,11 +28,14 @@
 //!     fields  6 × [u8 flag; if 1: u64 count + count × u32]
 //!             order: factor_a factor_g qa qg outer ekfac_scale
 //!             (`LayerCheckpoint`'s field indices); each count must be
-//!             `LayerCheckpoint::field_len` of that field
+//!             `LayerCheckpoint::field_len` of that field: the factors
+//!             are packed lower triangles (`n(n+1)/2`), the eigenbases
+//!             square, outer and ekfac_scale `g_dim × a_dim`
 //! ```
 //!
-//! Version 1 streams (ten fields per layer) are rejected with
-//! [`CheckpointError::UnsupportedVersion`], not misread.
+//! Version 1 streams (ten fields per layer) and version 2 streams (square
+//! factors) are rejected with [`CheckpointError::UnsupportedVersion`], not
+//! misread.
 //!
 //! Floats are stored as raw IEEE-754 bit patterns, so encode→decode→encode
 //! is bytewise idempotent and restore is bitwise transparent — including
@@ -42,7 +45,7 @@
 use kaisa_core::{KfacCheckpoint, LayerCheckpoint};
 
 const MAGIC: &[u8; 8] = b"KAISAJOB";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// A decode failure: the byte stream is not a valid job checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -290,7 +293,7 @@ mod tests {
                     name: "fc0".to_string(),
                     a_dim: 2,
                     g_dim: 1,
-                    factor_a: Some(vec![1.0, 0.5, 0.5, 2.0]),
+                    factor_a: Some(vec![1.0, 0.5, 2.0]),
                     factor_g: Some(vec![3.0]),
                     qa: None,
                     qg: None,
@@ -358,9 +361,15 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(JobCheckpoint::from_bytes(&bytes), Err(CheckpointError::UnsupportedVersion(99)));
-        // Version 1 (ten fields per layer) is refused, not misread.
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(JobCheckpoint::from_bytes(&bytes), Err(CheckpointError::UnsupportedVersion(1)));
+        // Version 1 (ten fields per layer) and version 2 (square factors)
+        // are refused, not misread.
+        for old in [1u32, 2] {
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                JobCheckpoint::from_bytes(&bytes),
+                Err(CheckpointError::UnsupportedVersion(old))
+            );
+        }
     }
 
     #[test]

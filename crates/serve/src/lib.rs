@@ -5,8 +5,8 @@
 //! preconditioner state, scheduled through memory-budget admission
 //! control, pausable via byte-level checkpoints, and **elastically
 //! resizable** — a job checkpointed at world size `W` restores at world
-//! `W′`, re-running LPT factor placement and strategy resolution for the
-//! new world and re-placing its factor and eigen state, with a bitwise
+//! `W′`, re-running LPT factor placement for the new world and re-placing
+//! its factor and eigen state, with a bitwise
 //! guarantee: the resumed trajectory equals a fresh run that resized
 //! in-process at the same step.
 //!
@@ -18,7 +18,7 @@
 //!   admission driven by the analytic memory model *and* the live
 //!   measured `MemoryMeter` of running jobs.
 //! * [`JobCheckpoint`] — the stable byte format for paused jobs: flat
-//!   weights, SGD velocity, and the full `KfacCheckpoint` (square factor
+//!   weights, SGD velocity, and the full `KfacCheckpoint` (packed factor
 //!   running averages, cached eigendecompositions, step counters).
 //!
 //! ```no_run

@@ -16,8 +16,9 @@
 //! # Admission control
 //!
 //! At submission the manager models the job's per-rank K-FAC footprint
-//! with the analytic simulator (`kaisa_sim`'s `kfac_overhead()`, the
-//! factor and eigen-cache residency the paper's Table 5 models). A job whose
+//! with the analytic simulator ([`modeled_kfac_bytes`]: the packed factor
+//! triangles every rank holds plus the heaviest rank's eigen cache, in
+//! `kaisa_sim`'s memory model). A job whose
 //! modeled footprint can never fit the budget is **rejected** outright; a
 //! job that merely doesn't fit *now* is **queued** FIFO and admitted when
 //! running jobs complete or pause. While a job runs, its own live
@@ -30,8 +31,8 @@
 //! A job's [`ResizePoint`]s split it into segments. Each segment claims
 //! `world` ranks from the pool, rebuilds the model, **restores** the
 //! factor/eigen state from the previous segment's byte checkpoint
-//! (re-running LPT placement and strategy resolution at the new world
-//! size), trains to the next pause point, and writes a fresh checkpoint.
+//! (re-running LPT placement at the new world size), trains to the next
+//! pause point, and writes a fresh checkpoint.
 //! Restore is bitwise transparent: the gated invariant is that pause →
 //! checkpoint → resume at a different world equals a fresh run that
 //! resized in-process at the same step, bit for bit, on every rank.
@@ -562,11 +563,13 @@ impl JobManager {
     }
 }
 
-/// Model a job's per-rank K-FAC footprint at a given world size: the
-/// analytic overhead (`factors + eig_cache` on the heaviest rank) from the
-/// paper's memory model, evaluated over the job's actual layer shapes and
-/// K-FAC configuration: every factor replicated, plus the heaviest rank's
-/// eigendecompositions and, under EK-FAC, its corrected moments.
+/// Model a job's per-rank K-FAC footprint at a given world size, evaluated
+/// over the job's actual layer shapes and K-FAC configuration: every factor
+/// replicated as the packed triangle the live state holds (the model's
+/// factor wire bytes), plus the heaviest rank's eigendecompositions and,
+/// under EK-FAC, its corrected moments (the paper memory model's
+/// `eig_cache`). The model's own `factors` stay square, as the paper's
+/// PyTorch KAISA holds them.
 pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
     let Some(kc) = &spec.kfac else { return 0 };
     let layers = spec
@@ -588,12 +591,13 @@ pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
         activation_bytes_per_sample: 4 * spec.layer_sizes.iter().sum::<usize>(),
         extra_fwd_flops_per_sample: 0.0,
     };
+    let factors = inventory.all_factor_wire_bytes(kc.precision.bytes_per_element());
     let mut params = SimParams::baseline(inventory, ClusterSpec::frontera(world), spec.local_batch)
         .with_kfac(kc.grad_worker_frac, kc.factor_update_freq, kc.inv_update_freq);
     params.ekfac = kc.ekfac;
     params.grad_accum = spec.grad_accum;
     params.half_factors = kc.precision == Precision::Fp16;
-    Simulator::new(params).memory_breakdown().kfac_overhead()
+    Simulator::new(params).memory_breakdown().eig_cache + factors
 }
 
 #[cfg(test)]
@@ -780,10 +784,10 @@ mod tests {
     #[test]
     fn modeled_footprint_is_the_residency_of_the_configured_path() {
         // Three linear layers (33x64, 65x32, 33x4 factors) at world 2 with
-        // one gradient worker per layer. Every factor is replicated (11,539
-        // floats) beside the heaviest rank's eigen cache (layers 0 and 2:
-        // 8,534 floats); EK-FAC adds those layers' corrected moments (2,244
-        // floats).
+        // one gradient worker per layer. Every factor is replicated as its
+        // packed triangle (5,885 floats) beside the heaviest rank's eigen
+        // cache (layers 0 and 2: 8,534 floats); EK-FAC adds those layers'
+        // corrected moments (2,244 floats).
         let spec = |frac: f64, ekfac: bool| {
             let mut s = JobSpec::small("fleet");
             s.layer_sizes = vec![32, 64, 32, 4];
@@ -797,10 +801,10 @@ mod tests {
             );
             s
         };
-        assert_eq!(modeled_kfac_bytes(&spec(0.5, false), 2), (11_539 + 8_534) * 4);
-        assert_eq!(modeled_kfac_bytes(&spec(0.5, true), 2), (11_539 + 8_534 + 2_244) * 4);
+        assert_eq!(modeled_kfac_bytes(&spec(0.5, false), 2), (5_885 + 8_534) * 4);
+        assert_eq!(modeled_kfac_bytes(&spec(0.5, true), 2), (5_885 + 8_534 + 2_244) * 4);
         // At world 1 one rank holds everything.
-        let all = (11_539 + 7_297 + 7_329 + 1_237) * 4;
+        let all = (5_885 + 7_297 + 7_329 + 1_237) * 4;
         assert_eq!(modeled_kfac_bytes(&spec(1.0, false), 1), all);
         assert_eq!(modeled_kfac_bytes(&spec(1.0, true), 1), all + (2_112 + 2_080 + 132) * 4);
     }

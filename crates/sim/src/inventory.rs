@@ -44,14 +44,15 @@ impl LayerShape {
         }
     }
 
-    /// Bytes of the two factors at `bytes_per_elem` element size, as the
-    /// running factors are held: square.
+    /// Bytes of the two factors at `bytes_per_elem` element size, held
+    /// square as the paper's PyTorch implementation holds them.
     pub fn factor_bytes(&self, bytes_per_elem: usize) -> usize {
         (self.a_dim * self.a_dim + self.g_dim * self.g_dim) * bytes_per_elem
     }
 
     /// Bytes of the two factors on the allreduce wire: the row-packed lower
-    /// triangle of each, `n(n+1)/2` elements.
+    /// triangle of each, `n(n+1)/2` elements — also what KAISA-RS holds as
+    /// its running factors.
     pub fn factor_wire_bytes(&self, bytes_per_elem: usize) -> usize {
         let packed = |n: usize| n * (n + 1) / 2;
         (packed(self.a_dim) + packed(self.g_dim)) * bytes_per_elem

@@ -160,7 +160,12 @@ pub struct MemoryBreakdown {
     pub optimizer_state: usize,
     /// Stored activations at the local batch size.
     pub activations: usize,
-    /// K-FAC factor bytes per rank: every square factor, replicated.
+    /// K-FAC factor bytes per rank: every square factor, replicated. Square
+    /// because the paper's PyTorch implementation holds its factors square,
+    /// and Table 5 and Figure 6's simulated MB model that implementation;
+    /// KAISA-RS holds the packed triangles
+    /// ([`ModelInventory::all_factor_wire_bytes`]), which is what serve
+    /// admission charges.
     pub factors: usize,
     /// Eigendecomposition caches (and EK-FAC corrected moments) on the
     /// heaviest-loaded rank.
@@ -411,7 +416,8 @@ mod tests {
     #[test]
     fn factor_comm_charges_the_packed_triangle() {
         // The live wire sends each factor's row-packed lower triangle; the
-        // running factors it folds into stay square.
+        // modeled residency stays square, as the paper's implementation
+        // holds it.
         let (a, g, fb, world, f_freq) = (65usize, 32usize, 4usize, 8usize, 5usize);
         let layer = LayerShape { name: "fc".into(), a_dim: a, g_dim: g, spatial: 1, params: a * g };
         let model = ModelInventory {

@@ -6,6 +6,7 @@
 use kaisa::comm::{Communicator, ThreadComm};
 use kaisa::core::{Kfac, KfacConfig, MemoryCategory, MemoryMeter};
 use kaisa::data::{Dataset, PatternImages, ShardSampler};
+use kaisa::linalg::packed_len;
 use kaisa::nn::models::{ResNetMini, ResNetMiniConfig};
 use kaisa::nn::Model;
 use kaisa::tensor::Rng;
@@ -64,8 +65,9 @@ fn run_model(
 fn dense_peak_matches_analytic_replicated_bytes() {
     let dense = run(0.25);
     let (meter, _, dims) = &dense[0];
-    // Every rank replicates every layer's square A and G at fp32.
-    let expect: usize = dims.iter().map(|&(a, g)| (a * a + g * g) * 4).sum();
+    // Every rank replicates every layer's A and G at fp32, each held as
+    // its packed lower triangle.
+    let expect: usize = dims.iter().map(|&(a, g)| (packed_len(a) + packed_len(g)) * 4).sum();
     for (rank, r) in dense.iter().enumerate() {
         assert_eq!(r.0.peak(MemoryCategory::Factors), expect, "rank {rank} dense factor residency");
     }
