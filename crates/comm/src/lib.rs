@@ -44,7 +44,7 @@ mod thread_comm;
 
 pub use local::LocalComm;
 pub use meter::{CommEvent, CommOp, CommTag, Meter, MeterSnapshot};
-pub use pool::RankPool;
+pub use pool::{RankLease, RankPool};
 pub use thread_comm::ThreadComm;
 
 use group::GroupId;

@@ -13,10 +13,10 @@
 //! The pieces:
 //!
 //! * [`RankPool`](kaisa_comm::RankPool) (in `kaisa-comm`) — a counting
-//!   semaphore over rank threads; every job world is carved out of it.
-//! * [`JobManager`] — one locked job map, FIFO-with-backfill scheduler,
-//!   admission driven by the analytic memory model *and* the live
-//!   measured `MemoryMeter` of running jobs.
+//!   semaphore over rank threads; every job world is a lease from it.
+//! * [`JobManager`] — one locked job map and a FIFO-with-backfill
+//!   scheduler whose one gate claims a segment's ranks and its memory
+//!   (the analytic model, raised to the live `MemoryMeter`) together.
 //! * [`JobCheckpoint`] — the stable byte format for paused jobs: flat
 //!   weights, SGD velocity, and the full `KfacCheckpoint` (packed factor
 //!   running averages, cached eigendecompositions, step counters).

@@ -18,13 +18,14 @@
 //! At submission the manager models the job's per-rank K-FAC footprint
 //! with the analytic simulator ([`modeled_kfac_bytes`]: the packed factor
 //! triangles every rank holds plus the heaviest rank's eigen cache, in
-//! `kaisa_sim`'s memory model). A job whose
-//! modeled footprint can never fit the budget is **rejected** outright; a
-//! job that merely doesn't fit *now* is **queued** FIFO and admitted when
-//! running jobs complete or pause. While a job runs, its own live
+//! `kaisa_sim`'s memory model). A job whose modeled footprint or world can
+//! never fit is **rejected** outright; otherwise it is **queued**. One gate
+//! admits: under the queue lock, the first queued segment (FIFO with
+//! backfill) whose world fits the ranks free now and whose claim fits the
+//! budget leases its ranks and is recorded `Admitted`; no segment ever
+//! waits on the pool. While a job runs, its own live
 //! [`MemoryMeter`](kaisa_core::MemoryMeter) reading (max across its
-//! ranks) replaces the model whenever it is larger, so admission tracks
-//! reality rather than the estimate.
+//! ranks) replaces the model whenever it is larger.
 //!
 //! # Elastic resizing
 //!
@@ -39,10 +40,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
-use kaisa_comm::{Communicator, RankPool, ReduceOp};
+use kaisa_comm::{Communicator, RankLease, RankPool, ReduceOp};
 use kaisa_core::{Kfac, MemoryBudget};
 use kaisa_data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa_nn::{models::Mlp, Model};
@@ -121,7 +122,8 @@ pub enum ServeEvent {
         /// Seconds since manager creation.
         at: f64,
     },
-    /// The scheduler admitted a segment and claimed pool ranks for it.
+    /// The scheduler admitted a segment and leased its pool ranks; they and
+    /// its budget claim stay taken until the segment's `Paused`/`Completed`.
     Admitted {
         /// The job.
         job: JobId,
@@ -206,19 +208,34 @@ struct JobEntry {
     segment_losses: Vec<f32>,
 }
 
-struct Sched {
-    queue: VecDeque<JobId>,
-    running: usize,
+/// An admitted segment's hold on the scheduler, moved into its thread.
+/// Dropping it — when the thread returns or unwinds — gives back the
+/// ranks under the queue lock, so `drain` sees the pool change only
+/// between its scans, then wakes `drain`: a panicking segment can neither
+/// leak ranks nor leave `drain` waiting for it.
+struct Segment<'a> {
+    mgr: &'a JobManager,
+    id: JobId,
+    lease: Option<RankLease<'a>>,
+}
+
+impl Drop for Segment<'_> {
+    fn drop(&mut self) {
+        let queue = self.mgr.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(self.lease.take());
+        drop(queue);
+        self.mgr.wake.notify_all();
+    }
 }
 
 /// The multi-job K-FAC training service. See the module docs for the
 /// architecture.
 pub struct JobManager {
-    cfg: ServeConfig,
     pool: RankPool,
     budget: MemoryBudget,
     jobs: RwLock<HashMap<u64, JobEntry>>,
-    sched: Mutex<Sched>,
+    /// Segments waiting for admission, in FIFO order.
+    queue: Mutex<VecDeque<JobId>>,
     wake: Condvar,
     events: Mutex<Vec<ServeEvent>>,
     next_id: AtomicU64,
@@ -232,28 +249,12 @@ impl JobManager {
             pool: RankPool::new(cfg.pool_ranks),
             budget: MemoryBudget::new(cfg.pool_budget_bytes),
             jobs: RwLock::new(HashMap::new()),
-            sched: Mutex::new(Sched { queue: VecDeque::new(), running: 0 }),
+            queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             events: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
             epoch: Instant::now(),
-            cfg,
         }
-    }
-
-    /// The configuration the manager was built with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
-    /// The pool-wide K-FAC memory budget.
-    pub fn budget(&self) -> MemoryBudget {
-        self.budget
-    }
-
-    /// The shared rank pool.
-    pub fn pool(&self) -> &RankPool {
-        &self.pool
     }
 
     /// Submit a job. Returns its id, or an [`AdmissionError`] when the
@@ -290,9 +291,7 @@ impl JobManager {
         };
         self.jobs.write().expect("job map poisoned").insert(id.0, entry);
         self.record(ServeEvent::Submitted { job: id, at: self.now() });
-        let mut sched = self.sched.lock().expect("scheduler poisoned");
-        sched.queue.push_back(id);
-        drop(sched);
+        self.queue.lock().expect("scheduler poisoned").push_back(id);
         self.wake.notify_all();
         Ok(id)
     }
@@ -300,38 +299,21 @@ impl JobManager {
     /// Run the scheduler until every submitted job has completed. Jobs
     /// execute concurrently up to the rank-pool and memory-budget limits;
     /// queued jobs are admitted FIFO with backfilling (a later job that
-    /// fits may start while an earlier, larger one waits).
+    /// fits may start while an earlier one waits). A segment's panic
+    /// surfaces here once the other segments finish.
     pub fn drain(&self) {
         std::thread::scope(|scope| loop {
-            let mut sched = self.sched.lock().expect("scheduler poisoned");
-            // One snapshot of the running jobs' footprint judges every
-            // queued job of this scan.
-            let live = self.live_resident_bytes();
-            let pick = sched.queue.iter().position(|&id| self.admissible(id, live));
-            match pick {
-                Some(i) => {
-                    let id = sched.queue.remove(i).expect("index in range");
-                    sched.running += 1;
-                    drop(sched);
-                    let (step, world) = {
-                        let mut jobs = self.jobs.write().expect("job map poisoned");
-                        let entry = jobs.get_mut(&id.0).expect("queued job in map");
-                        entry.state = JobState::Running;
-                        (entry.step, entry.world)
-                    };
-                    self.record(ServeEvent::Admitted { job: id, step, world, at: self.now() });
-                    scope.spawn(move || {
-                        self.run_segment(id);
-                        let mut sched = self.sched.lock().expect("scheduler poisoned");
-                        sched.running -= 1;
-                        drop(sched);
-                        self.wake.notify_all();
-                    });
+            let mut queue = self.queue.lock().expect("scheduler poisoned");
+            match self.admit(&mut queue) {
+                Some(segment) => {
+                    drop(queue);
+                    scope.spawn(move || self.run_segment(segment));
                 }
-                None if sched.running > 0 => {
-                    let _unused = self.wake.wait(sched).expect("scheduler poisoned");
+                // Every running segment holds at least one rank.
+                None if self.pool.available() < self.pool.capacity() => {
+                    let _unused = self.wake.wait(queue).expect("scheduler poisoned");
                 }
-                None if sched.queue.is_empty() => break,
+                None if queue.is_empty() => break,
                 None => unreachable!(
                     "queued jobs exist, nothing is running, yet none is admissible — \
                      submit-time reject checks should make this impossible"
@@ -404,10 +386,27 @@ impl JobManager {
         self.events.lock().expect("event log poisoned").push(event);
     }
 
-    fn admissible(&self, id: JobId, live: usize) -> bool {
-        let jobs = self.jobs.read().expect("job map poisoned");
-        let entry = jobs.get(&id.0).expect("queued job in map");
-        self.budget.admits(live, entry.claim)
+    /// Admit the first queued segment whose world fits the ranks free now
+    /// and whose claim fits the budget: lease its ranks, mark it running
+    /// and record `Admitted`, all under the lock that guards `queue`.
+    fn admit(&self, queue: &mut VecDeque<JobId>) -> Option<Segment<'_>> {
+        // One snapshot of the running jobs' footprint judges every queued
+        // job of this scan.
+        let live = self.live_resident_bytes();
+        let mut jobs = self.jobs.write().expect("job map poisoned");
+        let (i, lease) = queue.iter().enumerate().find_map(|(i, id)| {
+            let entry = &jobs[&id.0];
+            if !self.budget.admits(live, entry.claim) {
+                return None;
+            }
+            self.pool.try_lease(entry.world).map(|lease| (i, lease))
+        })?;
+        let id = queue.remove(i).expect("index in range");
+        let entry = jobs.get_mut(&id.0).expect("queued job in map");
+        entry.state = JobState::Running;
+        let (step, world) = (entry.step, entry.world);
+        self.record(ServeEvent::Admitted { job: id, step, world, at: self.now() });
+        Some(Segment { mgr: self, id, lease: Some(lease) })
     }
 
     /// Rank-0 threads report their job's live measured footprint here
@@ -418,10 +417,12 @@ impl JobManager {
         entry.measured = Some(entry.measured.unwrap_or(0).max(bytes));
     }
 
-    /// Execute one segment of a job: restore (or build fresh), train to
-    /// the next pause point or completion, checkpoint, and either finish or
-    /// re-queue.
-    fn run_segment(&self, id: JobId) {
+    /// Execute one admitted segment on its leased ranks: restore (or build
+    /// fresh), train to the next pause point or completion, checkpoint, and
+    /// either finish or re-queue; the ranks go back when `segment` drops.
+    fn run_segment(&self, segment: Segment<'_>) {
+        let id = segment.id;
+        let lease = segment.lease.as_ref().expect("an admitted segment holds its ranks");
         let (spec, start_step, world, ckpt_bytes) = {
             let jobs = self.jobs.read().expect("job map poisoned");
             let e = jobs.get(&id.0).expect("running job in map");
@@ -437,7 +438,7 @@ impl JobManager {
         let features = spec.layer_sizes[0];
         let classes = *spec.layer_sizes.last().expect("validated non-empty");
 
-        let outcomes = self.pool.run_job(world, |comm| {
+        let outcomes = lease.run_job(|comm| {
             let rank = comm.rank();
             let mut model = Mlp::new(&spec.layer_sizes, &mut Rng::seed_from_u64(spec.model_seed));
             let mut optimizer = Sgd::with_momentum(spec.momentum);
@@ -555,9 +556,7 @@ impl JobManager {
             entry.state = if finished { JobState::Completed } else { JobState::Queued };
         }
         if !finished {
-            let mut sched = self.sched.lock().expect("scheduler poisoned");
-            sched.queue.push_back(id);
-            drop(sched);
+            self.queue.lock().expect("scheduler poisoned").push_back(id);
             self.wake.notify_all();
         }
     }
@@ -758,6 +757,126 @@ mod tests {
         }
         assert_eq!(mgr.statuses().len(), 3);
         assert_eq!(mgr.live_resident_bytes(), 0, "nothing running after drain");
+    }
+
+    /// A K-FAC job of `serve_fleet`'s shape on `world` ranks.
+    fn fleet_job(name: &str, world: usize, steps: u64) -> JobSpec {
+        let mut spec = kfac_spec(name, world, steps);
+        spec.layer_sizes = vec![32, 64, 32, 4];
+        spec
+    }
+
+    /// Two ranks and room for two world-1 claims of a fleet job, as in
+    /// `serve_fleet`.
+    fn fleet_config() -> ServeConfig {
+        let claim = modeled_kfac_bytes(&fleet_job("probe", 1, 1), 1);
+        ServeConfig { pool_ranks: 2, pool_budget_bytes: 2 * claim }
+    }
+
+    #[test]
+    fn admitted_worlds_never_exceed_the_pool() {
+        // Beside a running world-1 segment the world-2 one fits the budget
+        // but not the ranks: a budget-only gate admits it to wait on the
+        // pool, and the admitted worlds sum to 3.
+        let cfg = fleet_config();
+        let mgr = JobManager::new(cfg.clone());
+        for world in [1, 2, 1] {
+            mgr.submit(fleet_job(&format!("w{world}"), world, 6)).unwrap();
+        }
+        mgr.drain();
+        let mut admitted: HashMap<JobId, usize> = HashMap::new();
+        for event in mgr.events() {
+            match event {
+                ServeEvent::Admitted { job, world, .. } => {
+                    admitted.insert(job, world);
+                    let leased: usize = admitted.values().sum();
+                    assert!(
+                        leased <= cfg.pool_ranks,
+                        "{leased} ranks admitted on a {}-rank pool at {job}",
+                        cfg.pool_ranks
+                    );
+                }
+                ServeEvent::Paused { job, .. } | ServeEvent::Completed { job, .. } => {
+                    admitted.remove(&job);
+                }
+                _ => {}
+            }
+        }
+        assert!(mgr.statuses().iter().all(|s| s.state == JobState::Completed));
+    }
+
+    #[test]
+    fn a_free_rank_backfills_past_a_segment_waiting_for_ranks() {
+        let mgr = JobManager::new(fleet_config());
+        let ids = [1, 2, 1].map(|world| mgr.submit(fleet_job("w", world, 6)).unwrap());
+        let mut queue = mgr.queue.lock().unwrap();
+        let first = mgr.admit(&mut queue).expect("an empty pool admits the head");
+        let second = mgr.admit(&mut queue).expect("the free rank backfills");
+        assert_eq!((first.id, second.id), (ids[0], ids[2]));
+        assert!(mgr.admit(&mut queue).is_none(), "the world-2 segment waits for ranks");
+        assert_eq!((queue.len(), mgr.pool.available()), (1, 0));
+        drop(queue);
+        drop((first, second));
+        assert_eq!(mgr.pool.available(), 2);
+    }
+
+    #[test]
+    fn ranks_come_back_only_between_scans() {
+        // After a scan admits nothing, `drain` reads the pool under the
+        // queue lock. Ranks freed outside that lock could show it an idle
+        // pool, a non-empty queue and nothing admissible.
+        let mgr = JobManager::new(fleet_config());
+        mgr.submit(fleet_job("w2", 2, 6)).unwrap();
+        let mut queue = mgr.queue.lock().unwrap();
+        let segment = mgr.admit(&mut queue).unwrap();
+        std::thread::scope(|scope| {
+            let ending = scope.spawn(move || drop(segment));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert_eq!(mgr.pool.available(), 0, "ranks freed while the queue was locked");
+            drop(queue);
+            ending.join().unwrap();
+        });
+        assert_eq!(mgr.pool.available(), 2);
+    }
+
+    #[test]
+    fn a_panicking_segment_returns_its_ranks() {
+        let mgr = JobManager::new(ServeConfig { pool_ranks: 2, ..ServeConfig::default() });
+        let id = mgr.submit(kfac_spec("corrupt", 2, 4)).unwrap();
+        // A checkpoint that does not parse panics every rank of the segment.
+        mgr.jobs.write().unwrap().get_mut(&id.0).unwrap().checkpoint = Some(vec![0; 3]);
+        let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mgr.drain()));
+        assert!(drained.is_err(), "the segment's panic surfaces from drain");
+        assert_eq!(mgr.pool.available(), 2, "the segment's ranks came back");
+        let next = mgr.run_to_completion(kfac_spec("next", 2, 4)).unwrap();
+        assert_eq!(mgr.status(next).unwrap().state, JobState::Completed);
+    }
+
+    #[test]
+    fn scheduling_never_changes_a_result() {
+        // A wave like `serve_fleet`'s: even jobs grow from one rank to two
+        // mid-run, odd jobs shrink from two to one.
+        let wave: Vec<JobSpec> = (0..4u64)
+            .map(|i| {
+                let (world, resized) = if i.is_multiple_of(2) { (1, 2) } else { (2, 1) };
+                let mut spec = fleet_job(&format!("fleet{i}"), world, 8);
+                (spec.data_seed, spec.model_seed, spec.sampler_seed) = (10 + i, 20 + i, 30 + i);
+                spec.resizes = vec![ResizePoint { at_step: 4, world: resized }];
+                spec
+            })
+            .collect();
+        let mgr = JobManager::new(fleet_config());
+        let ids: Vec<JobId> = wave.iter().map(|s| mgr.submit(s.clone()).unwrap()).collect();
+        mgr.drain();
+        for (spec, id) in wave.into_iter().zip(ids) {
+            let alone = JobManager::new(ServeConfig { pool_ranks: 2, ..ServeConfig::default() });
+            let solo = alone.run_to_completion(spec).unwrap();
+            let (a, b) = (mgr.final_params(id).unwrap(), alone.final_params(solo).unwrap());
+            assert_eq!(a.len(), b.len());
+            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{id}: param {i} depends on the schedule");
+            }
+        }
     }
 
     #[test]
