@@ -1,8 +1,8 @@
 //! # repro
 //!
 //! The paper's evaluation section, one artefact at a time: Figures 1 and
-//! 5–8, Tables 1–5 and the EK-FAC extension, on the simulated clusters of
-//! `kaisa-sim` and on live thread-rank worlds at miniature scale.
+//! 5–8 and Tables 1–5, on the simulated clusters of `kaisa-sim` and on
+//! live thread-rank worlds at miniature scale.
 //!
 //! ```sh
 //! cargo run --release -p kaisa-bench --bin repro -- fig6   # one artefact
@@ -25,7 +25,7 @@ use kaisa_comm::{CommTag, Communicator, ThreadComm};
 use kaisa_core::{Kfac, KfacConfig, MemoryCategory, KFAC_STAGES};
 use kaisa_data::{
     BlobSegmentation, Dataset, GaussianBlobs, MaskedTokenTask, PatternImages, SequenceRules,
-    ShardSampler, SpiralDataset,
+    ShardSampler,
 };
 use kaisa_nn::models::{
     BertMini, BertMiniConfig, Mlp, ResNetMini, ResNetMiniConfig, RoiHeadMini, RoiTargets, UNetMini,
@@ -37,7 +37,7 @@ use kaisa_tensor::{Matrix, Rng};
 use kaisa_trainer::{train_distributed, TrainConfig, TrainResult};
 
 /// Every artefact, by the name `repro` takes and `results/repro/` files.
-const ARTEFACTS: [(&str, fn()); 10] = [
+const ARTEFACTS: [(&str, fn()); 9] = [
     ("fig1", fig1),
     ("fig5", fig5),
     ("fig6", fig6),
@@ -47,7 +47,6 @@ const ARTEFACTS: [(&str, fn()); 10] = [
     ("table3", table3),
     ("table4", table4),
     ("table5", table5),
-    ("ekfac", ekfac),
 ];
 
 fn main() {
@@ -789,51 +788,6 @@ fn table5() {
         .collect();
     println!("{}", render_table(&["category", "peak B"], &table));
     println!("(peaks are the max over ranks; every rank holds every factor)");
-}
-
-/// Extension: EK-FAC (eigenvalue-corrected K-FAC, George et al. 2018),
-/// which the paper's Related Work names as a variant KAISA's design
-/// applies to, head-to-head with K-FAC under identical hyperparameters and
-/// distribution settings on spiral classification.
-fn ekfac() {
-    println!("EK-FAC extension — eigenvalue-corrected K-FAC under KAISA's framework\n");
-    let (train, val) = SpiralDataset::generate(600, 6, 2, 0.05, 73).split_fifth();
-    let target = 0.93f32;
-    let kfac = || KfacConfig::builder().factor_update_freq(5).inv_update_freq(10);
-    let (mut rows, mut timing) = (Vec::new(), Vec::new());
-    for (label, kfac) in [
-        ("SGD", None),
-        ("KAISA (K-FAC)", Some(kfac().build())),
-        ("KAISA (EK-FAC)", Some(kfac().ekfac(true).build())),
-    ] {
-        let cfg = TrainConfig {
-            epochs: 40,
-            local_batch: 24,
-            schedule: LrSchedule::Constant { lr: 0.25 },
-            kfac,
-            seed: 5,
-            ..Default::default()
-        };
-        let r = train_distributed(
-            2,
-            || Mlp::new(&[6, 24, 24, 2], &mut Rng::seed_from_u64(15)),
-            || Sgd::with_momentum(0.9),
-            &train,
-            &val,
-            &cfg,
-        );
-        let epochs =
-            r.epochs_to_metric(target).map_or_else(|| "never".to_string(), |e| e.to_string());
-        rows.push(vec![label.to_string(), format!("{:.3}", r.best_metric()), epochs]);
-        timing.push(vec![label.to_string(), format!("{:.1}", r.total_seconds)]);
-    }
-    let header = ["optimizer", "best val acc", &format!("epochs to {target}")];
-    println!("{}", render_table(&header, &rows));
-    eprintln!("{}", render_table(&["optimizer", "wall s"], &timing));
-    println!("EK-FAC refreshes the diagonal scaling every step in the cached");
-    println!("eigenbasis (a cheap partial update), so it tolerates staler");
-    println!("eigendecompositions than plain K-FAC — the property that motivated");
-    println!("the variant. Both run under identical HYBRID-OPT distribution.");
 }
 
 #[cfg(test)]

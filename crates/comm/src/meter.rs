@@ -168,18 +168,6 @@ impl Meter {
         }
         snap
     }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        for s in 0..N_OPS {
-            self.calls[s].store(0, Ordering::Relaxed);
-            self.bytes[s].store(0, Ordering::Relaxed);
-        }
-        for t in 0..N_TAGS {
-            self.tag_calls[t].store(0, Ordering::Relaxed);
-            self.tag_bytes[t].store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Point-in-time copy of a [`Meter`].
@@ -277,14 +265,5 @@ mod tests {
         assert_eq!(d.bytes(CommOp::Broadcast), 24);
         assert_eq!(d.tag_bytes(CommTag::GradComm), 24);
         assert_eq!(d.tag_bytes(CommTag::Untagged), 0);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let m = Meter::new();
-        m.record(CommEvent { op: CommOp::Barrier, bytes: 0, tag: CommTag::Untagged });
-        m.reset();
-        assert_eq!(m.snapshot().calls(CommOp::Barrier), 0);
-        assert_eq!(m.snapshot().tag_calls(CommTag::Untagged), 0);
     }
 }

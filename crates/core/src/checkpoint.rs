@@ -2,11 +2,11 @@
 //!
 //! A checkpoint captures the *complete* preconditioner state — running
 //! factor averages (packed triangles, as they are held), cached
-//! eigendecompositions and outer products, EK-FAC corrected moments, and
-//! the optimizer step counter — on **every** rank, so a paused job can
-//! resume on a *different* world size: [`Kfac::restore`] re-runs LPT
-//! placement for the new world and re-populates exactly the state each new
-//! rank's residency rules call for.
+//! eigendecompositions and outer products, and the optimizer step counter
+//! — on **every** rank, so a paused job can resume on a *different* world
+//! size: [`Kfac::restore`] re-runs LPT placement for the new world and
+//! re-populates exactly the state each new rank's residency rules call
+//! for.
 //!
 //! The running factors are replicated: every rank folds the same allreduced
 //! wire, so every rank holds them bit for bit and copies its own. The eigen
@@ -50,14 +50,12 @@ pub struct LayerCheckpoint {
     pub qg: Option<Vec<f32>>,
     /// Precomputed damped reciprocal outer product (`g_dim × a_dim`).
     pub outer: Option<Vec<f32>>,
-    /// EK-FAC corrected second moments (`g_dim × a_dim`).
-    pub ekfac_scale: Option<Vec<f32>>,
 }
 
 impl LayerCheckpoint {
     /// Number of optional state fields per layer. Field indices follow the
-    /// declaration order: `factor_a factor_g qa qg outer ekfac_scale`.
-    pub const FIELD_COUNT: usize = 6;
+    /// declaration order: `factor_a factor_g qa qg outer`.
+    pub const FIELD_COUNT: usize = 5;
     /// The leading fields `factor_a factor_g`: replicated on every rank.
     const FACTOR_FIELDS: usize = 2;
 
@@ -72,7 +70,6 @@ impl LayerCheckpoint {
             qa: None,
             qg: None,
             outer: None,
-            ekfac_scale: None,
         }
     }
 
@@ -84,14 +81,14 @@ impl LayerCheckpoint {
             1 => packed_len(g), // factor_g
             2 => a * a,         // qa
             3 => g * g,         // qg
-            4 | 5 => g * a,     // outer, ekfac_scale
+            4 => g * a,         // outer
             _ => unreachable!("checkpoint field index out of range"),
         }
     }
 
     /// All fields, in field-index order.
     pub fn fields(&self) -> [&Option<Vec<f32>>; Self::FIELD_COUNT] {
-        [&self.factor_a, &self.factor_g, &self.qa, &self.qg, &self.outer, &self.ekfac_scale]
+        [&self.factor_a, &self.factor_g, &self.qa, &self.qg, &self.outer]
     }
 
     /// Field `f`, for filling in.
@@ -102,7 +99,6 @@ impl LayerCheckpoint {
             2 => &mut self.qa,
             3 => &mut self.qg,
             4 => &mut self.outer,
-            5 => &mut self.ekfac_scale,
             _ => unreachable!("checkpoint field index out of range"),
         }
     }
@@ -141,7 +137,6 @@ fn state_field(s: &KfacLayerState, f: usize) -> Option<&[f32]> {
         2 => s.qa.as_ref().map(Matrix::as_slice),
         3 => s.qg.as_ref().map(Matrix::as_slice),
         4 => s.outer.as_ref().map(Matrix::as_slice),
-        5 => s.ekfac_scale.as_ref().map(Matrix::as_slice),
         _ => unreachable!("checkpoint field index out of range"),
     }
 }
@@ -206,15 +201,14 @@ impl Kfac {
     /// field's residency rules place on this rank:
     ///
     /// * factors land on every rank,
-    /// * eigenbases and the outer product land on gradient workers, and so
-    ///   do the EK-FAC corrected moments when `ekfac` is on,
+    /// * eigenbases and the outer product land on gradient workers,
     /// * the step counter restores the update-frequency phase, and capture
     ///   is re-armed accordingly.
     ///
-    /// `cfg` must use the same algorithm settings (`ekfac`, `precision`,
-    /// update frequencies) as the run that wrote the
-    /// checkpoint; the distribution settings (`grad_worker_frac`, world) are
-    /// free to change — that is the elastic-resize path.
+    /// `cfg` must use the same algorithm settings (`precision`, update
+    /// frequencies) as the run that wrote the checkpoint; the distribution
+    /// settings (`grad_worker_frac`, world) are free to change — that is the
+    /// elastic-resize path.
     ///
     /// # Panics
     /// If the model's K-FAC layer dimensions disagree with the checkpoint.
@@ -262,12 +256,6 @@ impl Kfac {
                 if let Some(o) = &entry.outer {
                     kfac.states[i].outer = Some(Matrix::from_vec(g_dim, a_dim, o.clone()));
                 }
-                if kfac.cfg.ekfac {
-                    if let Some(s) = &entry.ekfac_scale {
-                        kfac.states[i].ekfac_scale =
-                            Some(Matrix::from_vec(g_dim, a_dim, s.clone()));
-                    }
-                }
             }
         }
 
@@ -312,7 +300,6 @@ mod tests {
         for layer in &ckpt.layers {
             assert!(layer.factor_a.is_some() && layer.factor_g.is_some());
             assert!(layer.qa.is_some() && layer.qg.is_some() && layer.outer.is_some());
-            assert!(layer.ekfac_scale.is_none(), "plain K-FAC stores no corrected moments");
             assert_eq!(layer.factor_a.as_ref().unwrap().len(), packed_len(layer.a_dim));
         }
         assert!(ckpt.element_count() > 0);
@@ -396,57 +383,52 @@ mod tests {
         // none of them: the world meter's bytes over `checkpoint_state` are
         // the presence-flag allgather plus one broadcast per eigen field.
         for world in [2usize, 4] {
-            for ekfac in [false, true] {
-                let per_rank = kaisa_comm::ThreadComm::run(world, |comm| {
-                    let cfg = KfacConfig::builder()
-                        .grad_worker_frac(0.5)
-                        .factor_update_freq(1)
-                        .inv_update_freq(2)
-                        .ekfac(ekfac)
-                        .build();
-                    let mut rng = Rng::seed_from_u64(404);
-                    let mut model = Mlp::new(&[6, 9, 3], &mut rng);
-                    let x = Matrix::randn(12, 6, 1.0, &mut rng);
-                    let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
-                    let mut kfac = Kfac::new(cfg, &mut model, comm);
-                    for _ in 0..3 {
-                        kfac.prepare(&mut model);
-                        model.zero_grad();
-                        let _ = model.forward_backward(&x, &y);
-                        kfac.step(&mut model, comm, 0.1);
-                    }
-                    // Rank 0 reads the world meter while no rank is inside
-                    // the checkpoint.
-                    comm.barrier();
-                    let before = comm.meter_snapshot();
-                    comm.barrier();
-                    let ckpt = kfac.checkpoint_state(comm);
-                    comm.barrier();
-                    let delta = comm.meter_snapshot().delta_since(&before);
-                    (ckpt, delta)
-                });
-                let (ckpt, delta) = &per_rank[0];
-                assert!(per_rank.iter().all(|(c, _)| c == ckpt), "world {world}: ranks disagree");
-                let (mut eigen_bytes, mut eigen_fields) = (0, 0);
-                for layer in &ckpt.layers {
-                    assert!(layer.factor_a.is_some() && layer.factor_g.is_some());
-                    for v in
-                        layer.fields()[LayerCheckpoint::FACTOR_FIELDS..].iter().copied().flatten()
-                    {
-                        eigen_bytes += 4 * v.len() as u64;
-                        eigen_fields += 1;
-                    }
+            let per_rank = kaisa_comm::ThreadComm::run(world, |comm| {
+                let cfg = KfacConfig::builder()
+                    .grad_worker_frac(0.5)
+                    .factor_update_freq(1)
+                    .inv_update_freq(2)
+                    .build();
+                let mut rng = Rng::seed_from_u64(404);
+                let mut model = Mlp::new(&[6, 9, 3], &mut rng);
+                let x = Matrix::randn(12, 6, 1.0, &mut rng);
+                let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
+                let mut kfac = Kfac::new(cfg, &mut model, comm);
+                for _ in 0..3 {
+                    kfac.prepare(&mut model);
+                    model.zero_grad();
+                    let _ = model.forward_backward(&x, &y);
+                    kfac.step(&mut model, comm, 0.1);
                 }
-                // qa, qg, outer and, under EK-FAC, the corrected moments.
-                let per_layer = if ekfac { 4 } else { 3 };
-                assert_eq!(eigen_fields, per_layer * ckpt.layers.len() as u64, "world {world}");
-                let flag_bytes = 4 * (ckpt.layers.len() * LayerCheckpoint::FIELD_COUNT) as u64;
-                let ctx = format!("world {world}, ekfac {ekfac}");
-                assert_eq!(delta.calls(CommOp::Broadcast), eigen_fields, "{ctx}");
-                assert_eq!(delta.bytes(CommOp::Broadcast), eigen_bytes, "{ctx}");
-                assert_eq!(delta.bytes(CommOp::Allgather), flag_bytes, "{ctx}");
-                assert_eq!(delta.total_bytes(), eigen_bytes + flag_bytes, "{ctx}");
+                // Rank 0 reads the world meter while no rank is inside the
+                // checkpoint.
+                comm.barrier();
+                let before = comm.meter_snapshot();
+                comm.barrier();
+                let ckpt = kfac.checkpoint_state(comm);
+                comm.barrier();
+                let delta = comm.meter_snapshot().delta_since(&before);
+                (ckpt, delta)
+            });
+            let (ckpt, delta) = &per_rank[0];
+            assert!(per_rank.iter().all(|(c, _)| c == ckpt), "world {world}: ranks disagree");
+            let (mut eigen_bytes, mut eigen_fields) = (0, 0);
+            for layer in &ckpt.layers {
+                assert!(layer.factor_a.is_some() && layer.factor_g.is_some());
+                for v in layer.fields()[LayerCheckpoint::FACTOR_FIELDS..].iter().copied().flatten()
+                {
+                    eigen_bytes += 4 * v.len() as u64;
+                    eigen_fields += 1;
+                }
             }
+            // qa, qg and outer.
+            assert_eq!(eigen_fields, 3 * ckpt.layers.len() as u64, "world {world}");
+            let flag_bytes = 4 * (ckpt.layers.len() * LayerCheckpoint::FIELD_COUNT) as u64;
+            let ctx = format!("world {world}");
+            assert_eq!(delta.calls(CommOp::Broadcast), eigen_fields, "{ctx}");
+            assert_eq!(delta.bytes(CommOp::Broadcast), eigen_bytes, "{ctx}");
+            assert_eq!(delta.bytes(CommOp::Allgather), flag_bytes, "{ctx}");
+            assert_eq!(delta.total_bytes(), eigen_bytes + flag_bytes, "{ctx}");
         }
     }
 

@@ -33,11 +33,6 @@ pub struct KfacConfig {
     /// end-to-end benchmark's `bert_mem_opt_accum` workload still sets it
     /// through the builder; once that call is gone the field goes too.
     pub triangular_comm: bool,
-    /// Run the EK-FAC variant (George et al.): keep KAISA's distribution of
-    /// eigenbases but replace the eigenvalue outer product with running
-    /// corrected second moments updated every step — the extension the
-    /// paper's Related Work proposes layering on this framework.
-    pub ekfac: bool,
     /// When `step()`'s collectives complete. The stages always run as the
     /// same layer sweeps; with `true` (the default) each collective's
     /// handle is completed by a later sweep, after other layers' local
@@ -60,7 +55,6 @@ impl Default for KfacConfig {
             inv_update_freq: 100,
             precision: Precision::Fp32,
             triangular_comm: false,
-            ekfac: false,
             pipelined: true,
         }
     }
@@ -148,12 +142,6 @@ impl KfacConfigBuilder {
     /// is always the packed triangle).
     pub fn triangular_comm(mut self, on: bool) -> Self {
         self.cfg.triangular_comm = on;
-        self
-    }
-
-    /// Toggle the EK-FAC eigenvalue correction.
-    pub fn ekfac(mut self, on: bool) -> Self {
-        self.cfg.ekfac = on;
         self
     }
 

@@ -17,8 +17,8 @@ pub enum MemoryCategory {
     /// Running factor averages: the packed lower triangles of `A`/`G`
     /// (`n(n+1)/2` elements each).
     Factors,
-    /// Cached decompositions: eigenvectors, the precomputed outer product,
-    /// and EK-FAC corrected moments.
+    /// Cached decompositions: eigenvectors and the precomputed outer
+    /// product.
     Eigens,
     /// Preconditioned gradients alive between preconditioning and the
     /// KL-clip write-back.

@@ -138,11 +138,6 @@ impl Kfac {
         // Sweep 1: local eigensolves; begin v_A pair shuttles.
         for i in 0..n {
             let asn = self.plan.layers[i].clone();
-            // EK-FAC corrected moments live in the eigenbasis; a new basis
-            // invalidates them (they re-seed from the fresh outer product).
-            if self.cfg.ekfac {
-                self.states[i].ekfac_scale = None;
-            }
             if rank == asn.a_worker {
                 let (qa, values) = self.times.time_layer(i, Stage::EigCompute, || {
                     self.states[i].eig_a_with(&mut self.eig_scratch)

@@ -222,9 +222,9 @@ impl Kfac {
         self.times.steps += 1;
     }
 
-    /// Precondition one layer's gradient locally (Eq. 15–17, or EK-FAC when
-    /// configured) — or return a zero receive buffer on non-gradient-worker
-    /// ranks. Either way the matrix comes out of the layer's reused work buffers and goes back to
+    /// Precondition one layer's gradient locally (Eq. 15–17) — or return a
+    /// zero receive buffer on non-gradient-worker ranks. Either way the
+    /// matrix comes out of the layer's reused work buffers and goes back to
     /// them in [`Kfac::scale_and_write_back`].
     pub(crate) fn precondition_local(&mut self, i: usize, grad: &Matrix, is_gw: bool) -> Matrix {
         if !is_gw {
@@ -232,17 +232,8 @@ impl Kfac {
             recv.fill_zero();
             return recv;
         }
-        let damping = self.cfg.damping;
-        let ekfac = self.cfg.ekfac;
-        let factor_decay = self.cfg.factor_decay;
         let state = &mut self.states[i];
-        self.times.time_layer(i, Stage::Precondition, || {
-            if ekfac {
-                state.precondition_ekfac(grad, damping, factor_decay)
-            } else {
-                state.precondition_eigen(grad)
-            }
-        })
+        self.times.time_layer(i, Stage::Precondition, || state.precondition_eigen(grad))
     }
 
     /// Stage 4: KL-clip scaling and write-back (identical on every rank

@@ -56,12 +56,7 @@ pub struct KfacLayerState {
     pub qg: Option<Matrix>,
     /// Precomputed `1/(v_G v_Aᵀ + γ)` (Section 4.4), on gradient workers.
     pub outer: Option<Matrix>,
-    /// EK-FAC corrected second moments in the Kronecker eigenbasis
-    /// (`g_dim x a_dim`), i.e. running `E[(Q_Gᵀ ∇L Q_A)²]` — the cheap
-    /// per-step "partial update" of George et al. that the paper's Related
-    /// Work proposes running under KAISA's distribution framework.
-    pub ekfac_scale: Option<Matrix>,
-    /// Up to two idle `g_dim x a_dim` product buffers: `precondition_*`
+    /// Up to two idle `g_dim x a_dim` product buffers: `precondition_eigen`
     /// writes its chained products into them instead of allocating one
     /// matrix per product per step, hands the result out as an owned
     /// matrix, and gets it back through [`KfacLayerState::recycle`]. Pure
@@ -89,7 +84,6 @@ impl KfacLayerState {
             qa: None,
             qg: None,
             outer: None,
-            ekfac_scale: None,
             work: Vec::new(),
             wire: Vec::new(),
         }
@@ -101,7 +95,7 @@ impl KfacLayerState {
         self.work.pop().unwrap_or_else(|| Matrix::zeros(self.g_dim, self.a_dim))
     }
 
-    /// Hand a matrix returned by `precondition_*` back for reuse once its
+    /// Hand a matrix returned by `precondition_eigen` back for reuse once its
     /// contents are no longer needed. Anything of another shape, or beyond
     /// the two buffers a step uses, is simply dropped.
     pub fn recycle(&mut self, buf: Matrix) {
@@ -208,50 +202,6 @@ impl KfacLayerState {
         v
     }
 
-    /// EK-FAC preconditioning (George et al., NeurIPS 2018): project into
-    /// the Kronecker eigenbasis, update the running *corrected* second
-    /// moments `S ← decay·S + (1-decay)·V₁²`, and rescale by `1/(S + γ)`
-    /// instead of the K-FAC eigenvalue outer product. The eigenbases still
-    /// come from the (infrequent) factor eigendecompositions; only the cheap
-    /// diagonal scaling refreshes every step.
-    ///
-    /// Seeded from the K-FAC outer product when no corrected moments exist
-    /// yet, so the first EK-FAC step after an eigendecomposition update
-    /// coincides with plain K-FAC.
-    pub fn precondition_ekfac(&mut self, grad: &Matrix, damping: f32, decay: f32) -> Matrix {
-        let (mut t, mut v) = (self.take_work(), self.take_work());
-        let qa = self.qa.as_ref().expect("Q_A not cached on this rank");
-        let qg = self.qg.as_ref().expect("Q_G not cached on this rank");
-        let outer = self.outer.as_ref().expect("outer product not cached on this rank");
-        qg.matmul_tn_into(grad, &mut t);
-        t.matmul_into(qa, &mut v);
-
-        // Update the corrected second moments from this step's projection
-        // `v`; its elementwise square goes into `t`, which is free again.
-        for (sq, &x) in t.as_mut_slice().iter_mut().zip(v.as_slice()) {
-            *sq = x * x;
-        }
-        match self.ekfac_scale.as_mut() {
-            Some(s) => s.axpby(1.0 - decay, &t, decay),
-            None => {
-                // Seed with K-FAC's eigenvalue outer product (the prior the
-                // corrected moments refine): recover it from `outer`, which
-                // stores 1/(v_G v_Aᵀ + γ).
-                let mut seed = outer.map(|x| 1.0 / x - damping);
-                seed.map_inplace(|x| x.max(0.0));
-                self.ekfac_scale = Some(seed);
-            }
-        }
-        let scale = self.ekfac_scale.as_ref().expect("just initialized");
-        for (x, s) in v.as_mut_slice().iter_mut().zip(scale.as_slice()) {
-            *x /= s.max(0.0) + damping;
-        }
-        qg.matmul_into(&v, &mut t);
-        t.matmul_nt_into(qa, &mut v);
-        self.recycle(t);
-        v
-    }
-
     /// Bytes of running factor state held on this rank at the given storage
     /// precision: the two packed triangles.
     pub fn factor_memory_bytes(&self, precision: Precision) -> usize {
@@ -260,12 +210,12 @@ impl KfacLayerState {
         packed(&self.factor_a) + packed(&self.factor_g)
     }
 
-    /// Bytes of cached decomposition state (eigenvectors, outer product,
-    /// EK-FAC corrected moments).
+    /// Bytes of cached decomposition state (eigenvectors and the outer
+    /// product).
     pub fn eigen_memory_bytes(&self, precision: Precision) -> usize {
         let b = precision.bytes_per_element();
         let mat = |m: &Option<Matrix>| m.as_ref().map_or(0, |m| m.numel() * b);
-        mat(&self.qa) + mat(&self.qg) + mat(&self.outer) + mat(&self.ekfac_scale)
+        mat(&self.qa) + mat(&self.qg) + mat(&self.outer)
     }
 
     /// Bytes of K-FAC state held on this rank at the given storage
@@ -431,13 +381,10 @@ mod tests {
 
         for round in 0..3 {
             let grad = Matrix::randn(4, 7, 1.0, &mut rng);
-            let mut reused =
-                [state.precondition_eigen(&grad), state.precondition_ekfac(&grad, damping, 0.9)];
+            let mut reused = [state.precondition_eigen(&grad), state.precondition_eigen(&grad)];
             fresh.work.clear();
             let eigen = fresh.precondition_eigen(&grad);
-            fresh.work.clear();
-            let ekfac = fresh.precondition_ekfac(&grad, damping, 0.9);
-            assert_eq!(reused, [eigen, ekfac], "round {round}");
+            assert_eq!(reused, [eigen.clone(), eigen], "round {round}");
             for m in &mut reused {
                 m.map_inplace(|_| f32::NAN);
             }
@@ -488,68 +435,6 @@ mod tests {
         assert_eq!(with_eig, factors_only + (64 + 16 + 32) * 4);
         // Half precision halves it.
         assert_eq!(state.memory_bytes(Precision::Fp16), with_eig / 2);
-    }
-
-    #[test]
-    fn ekfac_first_step_matches_kfac_then_adapts() {
-        // With the scale seeded from the K-FAC outer product, the first
-        // EK-FAC step equals plain K-FAC; subsequent steps incorporate the
-        // corrected moments and diverge.
-        let mut rng = Rng::seed_from_u64(205);
-        let damping = 0.003;
-        let mut state = KfacLayerState::new("ek", 5, 4);
-        state.update_factors(&random_psd(5, &mut rng), &random_psd(4, &mut rng), 0.0);
-        let (qa, va) = state.eig_a();
-        let (qg, vg) = state.eig_g();
-        state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
-        state.qa = Some(qa);
-        state.qg = Some(qg);
-
-        let grad = Matrix::randn(4, 5, 1.0, &mut rng);
-        let kfac = state.precondition_eigen(&grad);
-        let ek1 = state.precondition_ekfac(&grad, damping, 0.95);
-        assert!(
-            ek1.max_abs_diff(&kfac) < 1e-5,
-            "seeded EK-FAC must match K-FAC: {}",
-            ek1.max_abs_diff(&kfac)
-        );
-        // Feed several steps of a different gradient: the corrected moments
-        // shift and the output departs from plain K-FAC.
-        let grad2 = Matrix::randn(4, 5, 3.0, &mut rng);
-        let mut last = Matrix::zeros(4, 5);
-        for _ in 0..10 {
-            last = state.precondition_ekfac(&grad2, damping, 0.5);
-        }
-        let kfac2 = state.precondition_eigen(&grad2);
-        assert!(
-            last.max_abs_diff(&kfac2) > 1e-4,
-            "corrected moments should change the preconditioner"
-        );
-        assert!(last.is_finite());
-    }
-
-    #[test]
-    fn ekfac_scale_converges_to_squared_projection() {
-        // Repeating one gradient drives S -> V1 squared, so the
-        // preconditioned projection approaches V1 / (V1 squared + damping).
-        let mut rng = Rng::seed_from_u64(206);
-        let damping = 0.01;
-        let mut state = KfacLayerState::new("fix", 3, 3);
-        state.update_factors(&random_psd(3, &mut rng), &random_psd(3, &mut rng), 0.0);
-        let (qa, va) = state.eig_a();
-        let (qg, vg) = state.eig_g();
-        state.outer = Some(KfacLayerState::compute_outer(&vg, &va, damping));
-        state.qa = Some(qa.clone());
-        state.qg = Some(qg.clone());
-        let grad = Matrix::randn(3, 3, 1.0, &mut rng);
-        for _ in 0..200 {
-            let _ = state.precondition_ekfac(&grad, damping, 0.9);
-        }
-        let v1 = qg.matmul_tn(&grad).matmul(&qa);
-        let scale = state.ekfac_scale.as_ref().unwrap();
-        for (s, v) in scale.as_slice().iter().zip(v1.as_slice()) {
-            assert!((s - v * v).abs() < 0.05 * (v * v).max(0.05), "s={s} v2={}", v * v);
-        }
     }
 
     #[test]

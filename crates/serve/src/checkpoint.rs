@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic    8 bytes  "KAISAJOB"
-//! version  u32      currently 3
+//! version  u32      currently 4
 //! step     u64
 //! params   u64 count, then count × u32   (f32::to_bits, LE)
 //! velocity u64 count, then count × u32
@@ -25,17 +25,17 @@
 //!     name    u64 byte-length + UTF-8 bytes
 //!     a_dim   u64
 //!     g_dim   u64
-//!     fields  6 × [u8 flag; if 1: u64 count + count × u32]
-//!             order: factor_a factor_g qa qg outer ekfac_scale
+//!     fields  5 × [u8 flag; if 1: u64 count + count × u32]
+//!             order: factor_a factor_g qa qg outer
 //!             (`LayerCheckpoint`'s field indices); each count must be
 //!             `LayerCheckpoint::field_len` of that field: the factors
 //!             are packed lower triangles (`n(n+1)/2`), the eigenbases
-//!             square, outer and ekfac_scale `g_dim × a_dim`
+//!             square, outer `g_dim × a_dim`
 //! ```
 //!
-//! Version 1 streams (ten fields per layer) and version 2 streams (square
-//! factors) are rejected with [`CheckpointError::UnsupportedVersion`], not
-//! misread.
+//! Version 1 streams (ten fields per layer), version 2 streams (square
+//! factors) and version 3 streams (six fields per layer) are rejected with
+//! [`CheckpointError::UnsupportedVersion`], not misread.
 //!
 //! Floats are stored as raw IEEE-754 bit patterns, so encode→decode→encode
 //! is bytewise idempotent and restore is bitwise transparent — including
@@ -45,7 +45,7 @@
 use kaisa_core::{KfacCheckpoint, LayerCheckpoint};
 
 const MAGIC: &[u8; 8] = b"KAISAJOB";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// A decode failure: the byte stream is not a valid job checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,7 +298,6 @@ mod tests {
                     qa: None,
                     qg: None,
                     outer: Some(vec![0.25, 0.75]),
-                    ekfac_scale: None,
                 }],
             }),
         }
@@ -361,9 +360,9 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(JobCheckpoint::from_bytes(&bytes), Err(CheckpointError::UnsupportedVersion(99)));
-        // Version 1 (ten fields per layer) and version 2 (square factors)
-        // are refused, not misread.
-        for old in [1u32, 2] {
+        // Version 1 (ten fields per layer), version 2 (square factors) and
+        // version 3 (six fields per layer) are refused, not misread.
+        for old in [1u32, 2, 3] {
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
                 JobCheckpoint::from_bytes(&bytes),
@@ -392,7 +391,7 @@ mod tests {
         bytes.extend_from_slice(&[0, 0]); // factor_a, factor_g absent
         bytes.push(1);
         put_f32s(&mut bytes, &[1.0, 2.0, 3.0]); // qa: 3 of 25 elements
-        bytes.extend_from_slice(&[0, 0, 0]); // qg, outer, ekfac_scale absent
+        bytes.extend_from_slice(&[0, 0]); // qg, outer absent
         assert!(matches!(JobCheckpoint::from_bytes(&bytes), Err(CheckpointError::Invalid(_))));
     }
 

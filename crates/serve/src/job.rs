@@ -176,6 +176,9 @@ pub enum JobState {
     Running,
     /// All `total_steps` finished; final checkpoint retained.
     Completed,
+    /// A segment panicked. The job runs no further and claims no budget;
+    /// the checkpoint of its last finished segment, if any, is retained.
+    Failed,
 }
 
 impl JobState {
@@ -185,6 +188,7 @@ impl JobState {
             JobState::Queued => "queued",
             JobState::Running => "running",
             JobState::Completed => "completed",
+            JobState::Failed => "failed",
         }
     }
 }
@@ -204,7 +208,8 @@ pub struct JobStatus {
     pub total_steps: u64,
     /// World size of the current/next segment.
     pub world: usize,
-    /// Bytes this job counts against the pool budget: the modeled
+    /// Bytes this job counts against the pool budget while it is
+    /// `Running` (in any other state it counts none): the modeled
     /// per-rank K-FAC footprint, raised to the measured live footprint
     /// when the job's own `MemoryMeter` reports more.
     pub resident_bytes: usize,

@@ -123,7 +123,8 @@ pub enum ServeEvent {
         at: f64,
     },
     /// The scheduler admitted a segment and leased its pool ranks; they and
-    /// its budget claim stay taken until the segment's `Paused`/`Completed`.
+    /// its budget claim stay taken until the segment's `Paused`/`Completed`,
+    /// or until it panics (the job is then [`JobState::Failed`]).
     Admitted {
         /// The job.
         job: JobId,
@@ -212,7 +213,8 @@ struct JobEntry {
 /// Dropping it — when the thread returns or unwinds — gives back the
 /// ranks under the queue lock, so `drain` sees the pool change only
 /// between its scans, then wakes `drain`: a panicking segment can neither
-/// leak ranks nor leave `drain` waiting for it.
+/// leak ranks nor leave `drain` waiting for it. An unwinding segment also
+/// marks its job [`JobState::Failed`], which drops the job's budget claim.
 struct Segment<'a> {
     mgr: &'a JobManager,
     id: JobId,
@@ -222,6 +224,12 @@ struct Segment<'a> {
 impl Drop for Segment<'_> {
     fn drop(&mut self) {
         let queue = self.mgr.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        if std::thread::panicking() {
+            let mut jobs = self.mgr.jobs.write().unwrap_or_else(PoisonError::into_inner);
+            if let Some(entry) = jobs.get_mut(&self.id.0) {
+                entry.state = JobState::Failed;
+            }
+        }
         drop(self.lease.take());
         drop(queue);
         self.mgr.wake.notify_all();
@@ -299,8 +307,10 @@ impl JobManager {
     /// Run the scheduler until every submitted job has completed. Jobs
     /// execute concurrently up to the rank-pool and memory-budget limits;
     /// queued jobs are admitted FIFO with backfilling (a later job that
-    /// fits may start while an earlier one waits). A segment's panic
-    /// surfaces here once the other segments finish.
+    /// fits may start while an earlier one waits). A panicking segment's
+    /// job turns [`JobState::Failed`] and frees its ranks and budget claim
+    /// at once, so the queue keeps draining; the panic surfaces here once
+    /// the other segments finish.
     pub fn drain(&self) {
         std::thread::scope(|scope| loop {
             let mut queue = self.queue.lock().expect("scheduler poisoned");
@@ -565,10 +575,9 @@ impl JobManager {
 /// Model a job's per-rank K-FAC footprint at a given world size, evaluated
 /// over the job's actual layer shapes and K-FAC configuration: every factor
 /// replicated as the packed triangle the live state holds (the model's
-/// factor wire bytes), plus the heaviest rank's eigendecompositions and,
-/// under EK-FAC, its corrected moments (the paper memory model's
-/// `eig_cache`). The model's own `factors` stay square, as the paper's
-/// PyTorch KAISA holds them.
+/// factor wire bytes), plus the heaviest rank's eigendecompositions (the
+/// paper memory model's `eig_cache`). The model's own `factors` stay
+/// square, as the paper's PyTorch KAISA holds them.
 pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
     let Some(kc) = &spec.kfac else { return 0 };
     let layers = spec
@@ -593,7 +602,6 @@ pub fn modeled_kfac_bytes(spec: &JobSpec, world: usize) -> usize {
     let factors = inventory.all_factor_wire_bytes(kc.precision.bytes_per_element());
     let mut params = SimParams::baseline(inventory, ClusterSpec::frontera(world), spec.local_batch)
         .with_kfac(kc.grad_worker_frac, kc.factor_update_freq, kc.inv_update_freq);
-    params.ekfac = kc.ekfac;
     params.grad_accum = spec.grad_accum;
     params.half_factors = kc.precision == Precision::Fp16;
     Simulator::new(params).memory_breakdown().eig_cache + factors
@@ -853,6 +861,26 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_segment_releases_its_budget_claim() {
+        // Two world-1 jobs on a 2-rank pool whose budget holds one claim:
+        // the second runs only once the first's claim is gone.
+        let spec = |name: &str| kfac_spec(name, 1, 4);
+        let budget = modeled_kfac_bytes(&spec("size"), 1);
+        let mgr = JobManager::new(ServeConfig { pool_ranks: 2, pool_budget_bytes: budget });
+        let failed = mgr.submit(spec("corrupt")).unwrap();
+        let corrupt = vec![0; 3];
+        mgr.jobs.write().unwrap().get_mut(&failed.0).unwrap().checkpoint = Some(corrupt.clone());
+        let next = mgr.submit(spec("next")).unwrap();
+        let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mgr.drain()));
+        assert!(drained.is_err(), "the segment's panic surfaces from drain");
+        assert_eq!(mgr.status(next).unwrap().state, JobState::Completed, "admitted in that drain");
+        assert_eq!(mgr.status(failed).unwrap().state, JobState::Failed);
+        assert_eq!(mgr.checkpoint_bytes(failed), Some(corrupt), "the last checkpoint is kept");
+        assert_eq!(mgr.live_resident_bytes(), 0);
+        assert_eq!(mgr.pool.available(), 2);
+    }
+
+    #[test]
     fn scheduling_never_changes_a_result() {
         // A wave like `serve_fleet`'s: even jobs grow from one rank to two
         // mid-run, odd jobs shrink from two to one.
@@ -905,27 +933,23 @@ mod tests {
         // Three linear layers (33x64, 65x32, 33x4 factors) at world 2 with
         // one gradient worker per layer. Every factor is replicated as its
         // packed triangle (5,885 floats) beside the heaviest rank's eigen
-        // cache (layers 0 and 2: 8,534 floats); EK-FAC adds those layers'
-        // corrected moments (2,244 floats).
-        let spec = |frac: f64, ekfac: bool| {
+        // cache (layers 0 and 2: 8,534 floats).
+        let spec = |frac: f64| {
             let mut s = JobSpec::small("fleet");
             s.layer_sizes = vec![32, 64, 32, 4];
             s.kfac = Some(
                 KfacConfig::builder()
                     .grad_worker_frac(frac)
-                    .ekfac(ekfac)
                     .factor_update_freq(2)
                     .inv_update_freq(4)
                     .build(),
             );
             s
         };
-        assert_eq!(modeled_kfac_bytes(&spec(0.5, false), 2), (5_885 + 8_534) * 4);
-        assert_eq!(modeled_kfac_bytes(&spec(0.5, true), 2), (5_885 + 8_534 + 2_244) * 4);
+        assert_eq!(modeled_kfac_bytes(&spec(0.5), 2), (5_885 + 8_534) * 4);
         // At world 1 one rank holds everything.
         let all = (5_885 + 7_297 + 7_329 + 1_237) * 4;
-        assert_eq!(modeled_kfac_bytes(&spec(1.0, false), 1), all);
-        assert_eq!(modeled_kfac_bytes(&spec(1.0, true), 1), all + (2_112 + 2_080 + 132) * 4);
+        assert_eq!(modeled_kfac_bytes(&spec(1.0), 1), all);
     }
 
     /// The live footprint after one step (step 0 updates factors and
@@ -969,24 +993,21 @@ mod tests {
         for world in [1usize, 2, 4] {
             for frac in [1.0 / world as f64, 0.5, 1.0] {
                 for precision in [Precision::Fp32, Precision::Fp16] {
-                    for ekfac in [false, true] {
-                        let mut spec = JobSpec::small("model-vs-live");
-                        spec.layer_sizes = vec![32, 64, 32, 4];
-                        spec.kfac = Some(
-                            KfacConfig::builder()
-                                .grad_worker_frac(frac)
-                                .precision(precision)
-                                .ekfac(ekfac)
-                                .factor_update_freq(2)
-                                .inv_update_freq(4)
-                                .build(),
-                        );
-                        assert_eq!(
-                            modeled_kfac_bytes(&spec, world),
-                            live_kfac_bytes(&spec, world),
-                            "world {world}, frac {frac}, {precision:?}, ekfac {ekfac}"
-                        );
-                    }
+                    let mut spec = JobSpec::small("model-vs-live");
+                    spec.layer_sizes = vec![32, 64, 32, 4];
+                    spec.kfac = Some(
+                        KfacConfig::builder()
+                            .grad_worker_frac(frac)
+                            .precision(precision)
+                            .factor_update_freq(2)
+                            .inv_update_freq(4)
+                            .build(),
+                    );
+                    assert_eq!(
+                        modeled_kfac_bytes(&spec, world),
+                        live_kfac_bytes(&spec, world),
+                        "world {world}, frac {frac}, {precision:?}"
+                    );
                 }
             }
         }

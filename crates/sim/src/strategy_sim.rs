@@ -41,9 +41,6 @@ pub struct SimParams {
     pub optimizer_state_bytes: usize,
     /// Whether K-FAC runs at all (false = the SGD/LAMB baselines).
     pub kfac_enabled: bool,
-    /// EK-FAC: every gradient worker also caches the layer's corrected
-    /// second moments (`g_dim × a_dim`) beside its eigendecompositions.
-    pub ekfac: bool,
 }
 
 impl SimParams {
@@ -61,7 +58,6 @@ impl SimParams {
             half_training: false,
             optimizer_state_bytes: 4,
             kfac_enabled: false,
-            ekfac: false,
         }
     }
 
@@ -167,8 +163,7 @@ pub struct MemoryBreakdown {
     /// ([`ModelInventory::all_factor_wire_bytes`]), which is what serve
     /// admission charges.
     pub factors: usize,
-    /// Eigendecomposition caches (and EK-FAC corrected moments) on the
-    /// heaviest-loaded rank.
+    /// Eigendecomposition caches on the heaviest-loaded rank.
     pub eig_cache: usize,
 }
 
@@ -331,13 +326,11 @@ impl Simulator {
         };
         if p.kfac_enabled {
             let fb = p.factor_elem_bytes();
-            // Eigendecomposition cache on the heaviest rank; EK-FAC adds
-            // the corrected moments to every cached layer.
+            // Eigendecomposition cache on the heaviest rank.
             let mut cache = vec![0usize; p.cluster.world];
             for (layer, asn) in p.model.layers.iter().zip(&self.plan.layers) {
-                let ekfac = if p.ekfac { layer.a_dim * layer.g_dim * fb } else { 0 };
                 for &r in &asn.gradient_workers {
-                    cache[r] += layer.eig_bytes(fb) + ekfac;
+                    cache[r] += layer.eig_bytes(fb);
                 }
             }
             out.factors = p.model.all_factor_bytes(fb);

@@ -119,16 +119,6 @@ fn pipelined_is_bitwise_identical_with_fp16_and_triangular_comm() {
 }
 
 #[test]
-fn pipelined_is_bitwise_identical_on_variant_algorithms() {
-    // EK-FAC refreshes its corrected moments every step on top of the
-    // eigenbases; it must stay bit-exact too.
-    let mk = |pipelined: bool| {
-        train(4, 8, 59, |b| b.grad_worker_frac(0.5).ekfac(true).pipelined(pipelined))
-    };
-    assert_bitwise_equal(&mk(false), &mk(true), "ekfac");
-}
-
-#[test]
 fn meter_attributes_every_byte_to_an_issuing_stage() {
     // HYBRID-OPT at world 4 (two gradient workers per layer): factor
     // allreduces, eigendecomposition broadcasts, per-step gradient
