@@ -351,7 +351,7 @@ fn fig5_roi_head() {
     let (val_x, val_y) = make_set(128, &mut rng);
 
     let run = |kfac_cfg: Option<KfacConfig>| -> Curve {
-        let comm = kaisa_comm::LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let mut model = RoiHeadMini::new(feat, 24, classes, &mut Rng::seed_from_u64(23));
         let mut opt = Sgd::with_momentum(0.9);
         let mut kfac = kfac_cfg.map(|c| Kfac::new(c, &mut model, &comm));

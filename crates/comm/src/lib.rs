@@ -35,26 +35,17 @@
 #![warn(missing_docs)]
 
 mod group;
-mod local;
 mod meter;
 mod pool;
 mod ring_comm;
 pub mod spsc;
 mod thread_comm;
 
-pub use local::LocalComm;
 pub use meter::{CommEvent, CommOp, CommTag, Meter, MeterSnapshot};
 pub use pool::{RankLease, RankPool};
 pub use thread_comm::ThreadComm;
 
 use group::GroupId;
-
-/// Ticket for a collective still in flight on [`ThreadComm`]: the
-/// (interned-group, sequence) key it was matched under.
-#[derive(Debug)]
-pub(crate) struct PendingTicket {
-    pub(crate) key: (GroupId, u64),
-}
 
 /// Handle for a collective started with [`Communicator::begin_allreduce`] or
 /// [`Communicator::begin_broadcast`] and finished with
@@ -71,36 +62,21 @@ pub(crate) struct PendingTicket {
 #[must_use = "a pending collective must be passed to Communicator::complete"]
 #[derive(Debug)]
 pub struct PendingCollective {
-    /// Result already available at begin time (world-of-one, default
-    /// blocking impls, or backends that finished eagerly).
-    payload: Option<Vec<f32>>,
-    /// Matching ticket when the result is not yet available.
-    ticket: Option<PendingTicket>,
+    /// The (interned-group, sequence) key a collective still in flight
+    /// was matched under; `None` when completion is a no-op.
+    ticket: Option<(GroupId, u64)>,
     tag: CommTag,
 }
 
 impl PendingCollective {
-    /// A collective that finished at begin time with this result.
-    pub fn ready(payload: Vec<f32>, tag: CommTag) -> Self {
-        PendingCollective { payload: Some(payload), ticket: None, tag }
-    }
-
     /// A collective whose completion is a no-op (e.g. the broadcast root:
     /// its buffer already holds the payload).
     pub fn noop(tag: CommTag) -> Self {
-        PendingCollective { payload: None, ticket: None, tag }
+        PendingCollective { ticket: None, tag }
     }
 
     pub(crate) fn in_flight(key: (GroupId, u64), tag: CommTag) -> Self {
-        PendingCollective { payload: None, ticket: Some(PendingTicket { key }), tag }
-    }
-
-    pub(crate) fn take_payload(&mut self) -> Option<Vec<f32>> {
-        self.payload.take()
-    }
-
-    pub(crate) fn take_ticket(&mut self) -> Option<PendingTicket> {
-        self.ticket.take()
+        PendingCollective { ticket: Some(key), tag }
     }
 
     /// The pipeline stage this collective was issued by.
@@ -120,12 +96,13 @@ pub enum ReduceOp {
     Max,
 }
 
-/// Collective communication interface shared by the single-process and
-/// thread-rank backends.
+/// Collective communication interface; [`ThreadComm`] implements it.
 ///
 /// Matching semantics follow MPI: every member of a group must issue the
 /// group's collectives in the same order. A "group" is any sorted set of
-/// ranks; the world group is implied by the plain methods.
+/// ranks. The primitives are the split `begin_*`/[`Communicator::complete`]
+/// pair, over any group; the blocking [`Communicator::allreduce`] and
+/// [`Communicator::broadcast`] over the world group are that pair.
 pub trait Communicator: Send + Sync {
     /// This process's rank in `[0, world_size)`.
     fn rank(&self) -> usize;
@@ -133,18 +110,32 @@ pub trait Communicator: Send + Sync {
     /// Total number of ranks.
     fn world_size(&self) -> usize;
 
-    /// Elementwise reduction across all ranks; every rank receives the result.
-    fn allreduce(&self, buf: &mut [f32], op: ReduceOp);
+    /// Start a (sub-)group allreduce without waiting for its result. Only
+    /// ranks in `group` may call. The contribution is captured from `buf`
+    /// at call time; retrieve the result with [`Communicator::complete`].
+    fn begin_allreduce(
+        &self,
+        buf: &[f32],
+        op: ReduceOp,
+        group: &[usize],
+        tag: CommTag,
+    ) -> PendingCollective;
 
-    /// Reduction across a sub-group. Only ranks in `group` may call.
-    fn allreduce_group(&self, buf: &mut [f32], op: ReduceOp, group: &[usize]);
+    /// Start a (sub-)group broadcast without waiting. Only ranks in `group`
+    /// may call, and `root` must be a member. On the root, `buf` supplies
+    /// the payload and completion is a no-op; on other members the payload
+    /// arrives at [`Communicator::complete`].
+    fn begin_broadcast(
+        &self,
+        buf: &[f32],
+        root: usize,
+        group: &[usize],
+        tag: CommTag,
+    ) -> PendingCollective;
 
-    /// Broadcast `buf` from `root` to all ranks.
-    fn broadcast(&self, buf: &mut [f32], root: usize);
-
-    /// Broadcast within a sub-group. Only ranks in `group` may call, and
-    /// `root` must be a member.
-    fn broadcast_group(&self, buf: &mut [f32], root: usize, group: &[usize]);
+    /// Block until `pending` finishes and write its result into `buf`
+    /// (no-op completions leave `buf` untouched).
+    fn complete(&self, pending: PendingCollective, buf: &mut [f32]);
 
     /// Gather each rank's `send` buffer; returns the concatenation in rank
     /// order on every rank.
@@ -153,54 +144,23 @@ pub trait Communicator: Send + Sync {
     /// Block until every rank has reached the barrier.
     fn barrier(&self);
 
-    /// Start a (sub-)group allreduce without waiting for its result. The
-    /// contribution is captured from `buf` at call time; retrieve the result
-    /// with [`Communicator::complete`].
-    ///
-    /// The default implementation blocks (begin-then-complete degenerates to
-    /// the plain collective, through a copy of `buf`); true multi-rank
-    /// backends must override it to be non-blocking or a
-    /// begin-many-then-complete pattern would deadlock, and [`LocalComm`]
-    /// overrides it with a no-op, since at world 1 `buf` already holds the
-    /// result.
-    fn begin_allreduce(
-        &self,
-        buf: &[f32],
-        op: ReduceOp,
-        group: &[usize],
-        tag: CommTag,
-    ) -> PendingCollective {
-        let mut tmp = buf.to_vec();
-        self.allreduce_group(&mut tmp, op, group);
-        PendingCollective::ready(tmp, tag)
-    }
-
-    /// Start a (sub-)group broadcast without waiting. On the root, `buf`
-    /// supplies the payload and completion is a no-op; on other members the
-    /// payload arrives at [`Communicator::complete`].
-    ///
-    /// Same blocking-default caveat as [`Communicator::begin_allreduce`].
-    fn begin_broadcast(
-        &self,
-        buf: &[f32],
-        root: usize,
-        group: &[usize],
-        tag: CommTag,
-    ) -> PendingCollective {
-        let mut tmp = buf.to_vec();
-        self.broadcast_group(&mut tmp, root, group);
-        PendingCollective::ready(tmp, tag)
-    }
-
-    /// Block until `pending` finishes and write its result into `buf`
-    /// (no-op completions leave `buf` untouched).
-    fn complete(&self, pending: PendingCollective, buf: &mut [f32]) {
-        let mut pending = pending;
-        if let Some(payload) = pending.take_payload() {
-            buf.copy_from_slice(&payload);
-        }
-    }
-
     /// Snapshot of this communicator's traffic meter.
     fn meter_snapshot(&self) -> MeterSnapshot;
+
+    /// Elementwise reduction across all ranks; every rank receives the
+    /// result. [`Communicator::begin_allreduce`] over the world, completed
+    /// at once.
+    fn allreduce(&self, buf: &mut [f32], op: ReduceOp) {
+        let world: Vec<usize> = (0..self.world_size()).collect();
+        let pending = self.begin_allreduce(buf, op, &world, CommTag::Untagged);
+        self.complete(pending, buf);
+    }
+
+    /// Broadcast `buf` from `root` to all ranks.
+    /// [`Communicator::begin_broadcast`] over the world, completed at once.
+    fn broadcast(&self, buf: &mut [f32], root: usize) {
+        let world: Vec<usize> = (0..self.world_size()).collect();
+        let pending = self.begin_broadcast(buf, root, &world, CommTag::Untagged);
+        self.complete(pending, buf);
+    }
 }

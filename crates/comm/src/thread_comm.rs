@@ -40,12 +40,11 @@ struct HandleState {
 /// group table and the traffic meter; each handle is owned by exactly one
 /// thread.
 ///
-/// Collectives come in blocking form ([`Communicator::allreduce_group`],
-/// [`Communicator::broadcast_group`]) and split begin/complete form
-/// ([`Communicator::begin_allreduce`], [`Communicator::begin_broadcast`],
-/// [`Communicator::complete`]). The blocking form is implemented as
-/// begin-then-complete, so both paths share one code path and produce
-/// bitwise-identical results. `begin_*` never blocks on a peer: an
+/// It is the one [`Communicator`], at every world size including 1. Its
+/// collectives are the split form ([`Communicator::begin_allreduce`],
+/// [`Communicator::begin_broadcast`], [`Communicator::complete`]); the
+/// trait's blocking world forms are that pair completed at once, so both
+/// produce bitwise-identical results. `begin_*` never blocks on a peer: an
 /// allreduce contribution is pushed to the group leader's ring, and a
 /// broadcast root pushes its payload to every member immediately.
 pub struct ThreadComm {
@@ -104,16 +103,6 @@ impl Communicator for ThreadComm {
         self.core.world
     }
 
-    fn allreduce(&self, buf: &mut [f32], op: ReduceOp) {
-        let group = { self.state.lock().unwrap().world_group.clone() };
-        self.allreduce_group(buf, op, &group);
-    }
-
-    fn allreduce_group(&self, buf: &mut [f32], op: ReduceOp, group: &[usize]) {
-        let pending = self.begin_allreduce(buf, op, group, CommTag::Untagged);
-        self.complete(pending, buf);
-    }
-
     fn begin_allreduce(
         &self,
         buf: &[f32],
@@ -131,16 +120,6 @@ impl Communicator for ThreadComm {
         let key = (gid, st.groups.next_seq(gid));
         st.ring.begin_to_leader(&self.core.ring, key, OpKind::Allreduce(op), buf, members, tag);
         PendingCollective::in_flight(key, tag)
-    }
-
-    fn broadcast(&self, buf: &mut [f32], root: usize) {
-        let group = { self.state.lock().unwrap().world_group.clone() };
-        self.broadcast_group(buf, root, &group);
-    }
-
-    fn broadcast_group(&self, buf: &mut [f32], root: usize, group: &[usize]) {
-        let pending = self.begin_broadcast(buf, root, group, CommTag::Untagged);
-        self.complete(pending, buf);
     }
 
     fn begin_broadcast(
@@ -170,15 +149,9 @@ impl Communicator for ThreadComm {
     }
 
     fn complete(&self, pending: PendingCollective, buf: &mut [f32]) {
-        let mut pending = pending;
-        if let Some(payload) = pending.take_payload() {
-            buf.copy_from_slice(&payload);
-            return;
-        }
-        let Some(ticket) = pending.take_ticket() else {
+        let Some((gid, seq)) = pending.ticket else {
             return; // No-op completion (broadcast root, singleton group).
         };
-        let (gid, seq) = ticket.key;
         let core = &*self.core;
         let payload =
             self.state.lock().unwrap().ring.complete_vec(&core.ring, &core.meter, gid, seq);
@@ -291,7 +264,8 @@ mod tests {
                 (vec![2usize, 3], 3usize, 9.0f32)
             };
             let mut buf = if comm.rank() == root { vec![value] } else { vec![0.0] };
-            comm.broadcast_group(&mut buf, root, &group);
+            let pending = comm.begin_broadcast(&buf, root, &group, CommTag::Untagged);
+            comm.complete(pending, &mut buf);
             buf[0]
         });
         assert_eq!(results, vec![7.0, 7.0, 9.0, 9.0]);
@@ -302,7 +276,8 @@ mod tests {
         let results = ThreadComm::run(4, |comm| {
             if comm.rank() % 2 == 0 {
                 let mut buf = vec![comm.rank() as f32];
-                comm.allreduce_group(&mut buf, ReduceOp::Sum, &[0, 2]);
+                let pending = comm.begin_allreduce(&buf, ReduceOp::Sum, &[0, 2], CommTag::Untagged);
+                comm.complete(pending, &mut buf);
                 Some(buf[0])
             } else {
                 None
@@ -352,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn meter_counts_collectives_identically_across_backends() {
+    fn meter_counts_each_collective_once() {
         // One blocking collective of each kind at world 3, metered once per
         // collective (not per rank) under these byte conventions:
         // allreduce and broadcast charge the payload, allgather one rank's
@@ -389,14 +364,18 @@ mod tests {
     #[test]
     fn world_of_one_is_noop() {
         let results = ThreadComm::run(1, |comm| {
-            let mut buf = vec![5.0f32];
+            let mut buf = vec![5.0f32, 2.0];
             comm.allreduce(&mut buf, ReduceOp::Sum);
             comm.broadcast(&mut buf, 0);
             comm.barrier();
             let g = comm.allgather(&buf);
-            (buf[0], g, comm.meter_snapshot().total_bytes())
+            (comm.rank(), comm.world_size(), buf, g, comm.meter_snapshot())
         });
-        assert_eq!(results[0], (5.0, vec![5.0], 0));
+        let (rank, world, buf, gathered, meter) = results.into_iter().next().unwrap();
+        assert_eq!((rank, world), (0, 1));
+        assert_eq!(buf, vec![5.0, 2.0]);
+        assert_eq!(gathered, buf);
+        assert_eq!(meter, MeterSnapshot::default());
     }
 
     #[test]
@@ -477,7 +456,7 @@ mod pending_tests {
     }
 
     #[test]
-    fn split_and_blocking_forms_match_bitwise_on_both_backends() {
+    fn split_and_blocking_forms_match_bitwise() {
         // The split path must reduce in exactly the same order as the
         // blocking one.
         let blocking = ThreadComm::run(4, |comm| {
@@ -501,6 +480,26 @@ mod pending_tests {
     }
 
     #[test]
+    fn split_collectives_leave_the_buffer_bits_alone_at_world_one() {
+        // Begin/complete at world 1 is a no-op round trip: `Avg`, `Sum`
+        // and broadcast leave every bit — NaN payloads, -0.0, subnormals
+        // and -inf included — and meter nothing.
+        let comm = ThreadComm::world(1).remove(0);
+        let orig = [1.5f32, -0.0, f32::from_bits(0x7fc0_1234), 3.0e-39, f32::NEG_INFINITY];
+        for op in [ReduceOp::Avg, ReduceOp::Sum] {
+            let mut buf = orig;
+            let pending = comm.begin_allreduce(&buf, op, &[0], CommTag::FactorComm);
+            comm.complete(pending, &mut buf);
+            assert_eq!(bits(&buf), bits(&orig), "{op:?}");
+        }
+        let mut buf = orig;
+        let pending = comm.begin_broadcast(&buf, 0, &[0], CommTag::GradComm);
+        comm.complete(pending, &mut buf);
+        assert_eq!(bits(&buf), bits(&orig), "broadcast");
+        assert_eq!(comm.meter_snapshot(), MeterSnapshot::default());
+    }
+
+    #[test]
     fn multiple_in_flight_collectives_complete_out_of_order() {
         // Begin several collectives on different groups, then complete them
         // in reverse order — the per-group sequence numbers keep matching
@@ -521,7 +520,7 @@ mod pending_tests {
     }
 
     #[test]
-    fn meter_attributes_bytes_to_tags_identically_across_backends() {
+    fn meter_attributes_bytes_to_tags() {
         let comms = ThreadComm::world(2);
         std::thread::scope(|s| {
             for comm in &comms {

@@ -2,7 +2,7 @@
 //! payloads, and group partitions, the ring engine must match the
 //! sequential specification.
 
-use kaisa_comm::{Communicator, ReduceOp, ThreadComm};
+use kaisa_comm::{CommTag, Communicator, ReduceOp, ThreadComm};
 use kaisa_tensor::Rng;
 use proptest::prelude::*;
 
@@ -113,7 +113,8 @@ proptest! {
             for round in 0..5u64 {
                 let value = (root as u64 * 17 + round * 3 + seed % 1000) as f32;
                 let mut buf = if r == root { vec![value] } else { vec![-1.0] };
-                comm.broadcast_group(&mut buf, root, &group);
+                let pending = comm.begin_broadcast(&buf, root, &group, CommTag::Untagged);
+                comm.complete(pending, &mut buf);
                 seen.push(buf[0]);
             }
             (root, seen)
@@ -139,7 +140,8 @@ proptest! {
                 acc += buf[0];
                 if comm.rank() % 2 == 0 && evens.len() > 1 {
                     let mut sub = vec![1.0f32];
-                    comm.allreduce_group(&mut sub, ReduceOp::Sum, &evens);
+                    let pending = comm.begin_allreduce(&sub, ReduceOp::Sum, &evens, CommTag::Untagged);
+                    comm.complete(pending, &mut sub);
                     acc += sub[0];
                 }
             }

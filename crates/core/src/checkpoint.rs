@@ -271,16 +271,16 @@ impl Kfac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaisa_comm::{CommOp, LocalComm};
+    use kaisa_comm::{CommOp, ThreadComm};
     use kaisa_nn::models::Mlp;
     use kaisa_tensor::{Precision, Rng};
 
-    fn trained_kfac(cfg: KfacConfig, steps: usize) -> (Mlp, Kfac, LocalComm) {
+    fn trained_kfac(cfg: KfacConfig, steps: usize) -> (Mlp, Kfac, ThreadComm) {
         let mut rng = Rng::seed_from_u64(401);
         let mut model = Mlp::new(&[6, 9, 3], &mut rng);
         let x = Matrix::randn(12, 6, 1.0, &mut rng);
         let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let mut kfac = Kfac::new(cfg, &mut model, &comm);
         for _ in 0..steps {
             kfac.prepare(&mut model);
@@ -322,7 +322,7 @@ mod tests {
             let model0 = Mlp::new(&[6, 9, 3], &mut rng);
             let x = Matrix::randn(12, 6, 1.0, &mut rng);
             let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
-            let comm = LocalComm::new();
+            let comm = ThreadComm::world(1).remove(0);
 
             let drive = |model: &mut Mlp, kfac: &mut Kfac, steps: usize| {
                 for _ in 0..steps {

@@ -52,7 +52,7 @@ mod timing;
 pub use assignment::{plan_assignments, LayerAssignment, WorkPlan};
 pub use checkpoint::{KfacCheckpoint, LayerCheckpoint};
 pub use config::{KfacConfig, KfacConfigBuilder};
-pub use memory::{MemoryBudget, MemoryCategory, MemoryMeter};
+pub use memory::{MemoryCategory, MemoryMeter};
 pub use preconditioner::Kfac;
 pub use state::KfacLayerState;
 pub use timing::{Stage, StageTimes, KFAC_STAGES};

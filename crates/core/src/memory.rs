@@ -93,50 +93,6 @@ impl MemoryMeter {
     }
 }
 
-/// A fixed pool-wide K-FAC memory budget for admission control.
-///
-/// The serve layer models a candidate job's per-rank K-FAC footprint (the
-/// analytic `kfac_overhead()` from `kaisa-sim`) and asks the budget
-/// whether that footprint fits on top of what running jobs' live
-/// [`MemoryMeter`]s currently hold. The two query flavors drive the two
-/// admission outcomes: a job that [`MemoryBudget::would_ever_fit`] rejects
-/// can never run on this pool (modeled footprint exceeds the whole budget);
-/// a job that merely fails [`MemoryBudget::admits`] right now is queued and
-/// retried when a running job pauses or completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryBudget {
-    limit: usize,
-}
-
-impl MemoryBudget {
-    /// A budget of `limit_bytes` total K-FAC state across the pool.
-    pub fn new(limit_bytes: usize) -> Self {
-        MemoryBudget { limit: limit_bytes }
-    }
-
-    /// The configured limit in bytes.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Whether a job with `modeled` additional bytes fits alongside `live`
-    /// bytes currently resident.
-    pub fn admits(&self, live: usize, modeled: usize) -> bool {
-        live.saturating_add(modeled) <= self.limit
-    }
-
-    /// Whether a job with `modeled` bytes could fit on an otherwise-empty
-    /// pool at all — `false` means reject outright rather than queue.
-    pub fn would_ever_fit(&self, modeled: usize) -> bool {
-        modeled <= self.limit
-    }
-
-    /// Bytes still unclaimed with `live` bytes resident.
-    pub fn remaining(&self, live: usize) -> usize {
-        self.limit.saturating_sub(live)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,22 +116,6 @@ mod tests {
         m.set(MemoryCategory::PrecondGrads, 0);
         assert_eq!(m.current_total(), 30);
         assert_eq!(m.peak_total(), 35);
-    }
-
-    #[test]
-    fn budget_admission_queries() {
-        let b = MemoryBudget::new(1000);
-        assert_eq!(b.limit(), 1000);
-        assert!(b.admits(0, 1000));
-        assert!(!b.admits(1, 1000));
-        assert!(b.admits(400, 600));
-        assert!(!b.admits(401, 600));
-        assert!(b.would_ever_fit(1000));
-        assert!(!b.would_ever_fit(1001));
-        assert_eq!(b.remaining(400), 600);
-        assert_eq!(b.remaining(2000), 0);
-        // Saturating: absurd live totals never overflow.
-        assert!(!b.admits(usize::MAX, 1));
     }
 
     #[test]

@@ -378,7 +378,9 @@ mod tests {
                         g.scale(inv);
                         let mut buf = [a.as_slice(), g.as_slice()].concat();
                         quantize_slice(&mut buf, precision);
-                        comm.allreduce_group(&mut buf, ReduceOp::Avg, &[0, 1]);
+                        let pending =
+                            comm.begin_allreduce(&buf, ReduceOp::Avg, &[0, 1], CommTag::Untagged);
+                        comm.complete(pending, &mut buf);
                         quantize_slice(&mut buf, precision);
                         let split = a.numel();
                         let a = Matrix::from_vec(a.rows(), a.cols(), buf[..split].to_vec());

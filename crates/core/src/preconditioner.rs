@@ -37,7 +37,7 @@ use crate::DistStrategy;
 /// Usage mirrors the paper's Listing 1:
 ///
 /// ```
-/// use kaisa_comm::{Communicator, LocalComm, ReduceOp};
+/// use kaisa_comm::{Communicator, ReduceOp, ThreadComm};
 /// use kaisa_core::{Kfac, KfacConfig};
 /// use kaisa_nn::{models::Mlp, Model};
 /// use kaisa_optim::{Optimizer, Sgd};
@@ -47,7 +47,7 @@ use crate::DistStrategy;
 /// let mut model = Mlp::new(&[4, 8, 2], &mut rng);
 /// let x = Matrix::randn(16, 4, 1.0, &mut rng);
 /// let y: Vec<usize> = (0..16).map(|i| i % 2).collect();
-/// let comm = LocalComm::new();
+/// let comm = ThreadComm::world(1).remove(0);
 /// let mut optimizer = Sgd::new();
 /// let lr = 0.1;
 ///
@@ -282,7 +282,7 @@ impl Kfac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaisa_comm::LocalComm;
+    use kaisa_comm::ThreadComm;
     use kaisa_linalg::packed_len;
     use kaisa_nn::models::Mlp;
     use kaisa_tensor::{Precision, Rng};
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn single_process_step_preconditions() {
         let (mut model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(1).build();
         let mut kfac = Kfac::new(cfg, &mut model, &comm);
         assert_eq!(kfac.strategy(), DistStrategy::CommOpt);
@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn non_update_steps_reuse_cached_decompositions() {
         let (mut model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let cfg = KfacConfig::builder().factor_update_freq(2).inv_update_freq(4).build();
         let mut kfac = Kfac::new(cfg, &mut model, &comm);
         for step in 0..6 {
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     fn memory_grows_after_first_step() {
         let (mut model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(1).build();
         let mut kfac = Kfac::new(cfg, &mut model, &comm);
         assert_eq!(kfac.memory_bytes(), 0);
@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn kl_clip_bounds_update_magnitude() {
         let (mut model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let clipped_cfg = KfacConfig::builder()
             .factor_update_freq(1)
             .inv_update_freq(1)
@@ -406,7 +406,7 @@ mod tests {
     fn triangular_comm_is_equivalent_single_rank() {
         // The flag is inert: every factor payload is the packed triangle.
         let (model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let mut grads = Vec::new();
         for triangular in [false, true] {
             let mut m = model.clone();
@@ -434,7 +434,7 @@ mod tests {
         // Σ (packed_len(a) + packed_len(g)) × bytes per element — with the
         // inert `triangular_comm` flag set either way.
         let (model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         for (triangular, precision) in
             [false, true].into_iter().flat_map(|t| [(t, Precision::Fp32), (t, Precision::Fp16)])
         {
@@ -462,7 +462,7 @@ mod tests {
     #[test]
     fn fp16_halves_logical_volume_and_memory() {
         let (model, x, y, _) = toy_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let mut volumes = Vec::new();
         let mut memories = Vec::new();
         for precision in [Precision::Fp32, Precision::Fp16] {
@@ -492,7 +492,7 @@ mod tests {
         let model = Mlp::new(&[8, 16, 4], &mut rng);
         let x = Matrix::randn(64, 8, 1.0, &mut rng);
         let y: Vec<usize> = (0..64).map(|i| i % 4).collect();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let lr = 0.05;
         let steps = 30;
 

@@ -20,7 +20,7 @@
 //! ## Quickstart (the paper's Listing 1, in Rust)
 //!
 //! ```
-//! use kaisa::comm::{Communicator, LocalComm};
+//! use kaisa::comm::{Communicator, ThreadComm};
 //! use kaisa::core::{Kfac, KfacConfig};
 //! use kaisa::nn::{models::Mlp, Model};
 //! use kaisa::optim::{Optimizer, Sgd};
@@ -28,7 +28,7 @@
 //!
 //! let mut rng = Rng::seed_from_u64(0);
 //! let mut model = Mlp::new(&[8, 16, 4], &mut rng);
-//! let comm = LocalComm::new();
+//! let comm = ThreadComm::world(1).remove(0); // one rank; ThreadComm::run(n, …) for n
 //! let mut optimizer = Sgd::with_momentum(0.9);
 //! let mut kfac = Kfac::new(
 //!     KfacConfig::builder()

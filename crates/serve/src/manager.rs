@@ -10,8 +10,8 @@
 //! * a **job map** — one `RwLock<HashMap>` keyed by [`JobId`]: status
 //!   queries share it, and rank-0 threads take it briefly to record
 //!   their job's live memory;
-//! * a [`MemoryBudget`] — the pool-wide cap on modeled per-rank K-FAC
-//!   state, driving admission.
+//! * a **budget** — the pool-wide cap, in bytes, on modeled per-rank
+//!   K-FAC state, driving admission.
 //!
 //! # Admission control
 //!
@@ -44,7 +44,7 @@ use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use kaisa_comm::{Communicator, RankLease, RankPool, ReduceOp};
-use kaisa_core::{Kfac, MemoryBudget};
+use kaisa_core::Kfac;
 use kaisa_data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa_nn::{models::Mlp, Model};
 use kaisa_optim::{Optimizer, Sgd};
@@ -240,7 +240,8 @@ impl Drop for Segment<'_> {
 /// architecture.
 pub struct JobManager {
     pool: RankPool,
-    budget: MemoryBudget,
+    /// [`ServeConfig::pool_budget_bytes`].
+    budget: usize,
     jobs: RwLock<HashMap<u64, JobEntry>>,
     /// Segments waiting for admission, in FIFO order.
     queue: Mutex<VecDeque<JobId>>,
@@ -255,7 +256,7 @@ impl JobManager {
     pub fn new(cfg: ServeConfig) -> Self {
         JobManager {
             pool: RankPool::new(cfg.pool_ranks),
-            budget: MemoryBudget::new(cfg.pool_budget_bytes),
+            budget: cfg.pool_budget_bytes,
             jobs: RwLock::new(HashMap::new()),
             queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
@@ -278,10 +279,10 @@ impl JobManager {
                 });
             }
             let modeled = modeled_kfac_bytes(&spec, world);
-            if !self.budget.would_ever_fit(modeled) {
+            if modeled > self.budget {
                 return Err(AdmissionError::FootprintExceedsBudget {
                     modeled,
-                    budget: self.budget.limit(),
+                    budget: self.budget,
                 });
             }
         }
@@ -406,7 +407,7 @@ impl JobManager {
         let mut jobs = self.jobs.write().expect("job map poisoned");
         let (i, lease) = queue.iter().enumerate().find_map(|(i, id)| {
             let entry = &jobs[&id.0];
-            if !self.budget.admits(live, entry.claim) {
+            if live.saturating_add(entry.claim) > self.budget {
                 return None;
             }
             self.pool.try_lease(entry.world).map(|lease| (i, lease))
@@ -686,6 +687,25 @@ mod tests {
         assert!(matches!(err, AdmissionError::FootprintExceedsBudget { .. }), "{err}");
         // First-order jobs model zero K-FAC bytes and always pass.
         assert!(mgr.submit(JobSpec::small("sgd-only")).is_ok());
+    }
+
+    #[test]
+    fn a_footprint_equal_to_the_budget_is_admitted() {
+        // The budget is inclusive: a claim of exactly the budget runs, and
+        // one byte less budget rejects the same job at submit.
+        let spec = || kfac_spec("exact", 2, 4);
+        let modeled = modeled_kfac_bytes(&spec(), 2);
+        assert!(modeled > 0);
+        let fits = JobManager::new(ServeConfig { pool_ranks: 2, pool_budget_bytes: modeled });
+        let id = fits.run_to_completion(spec()).unwrap();
+        assert_eq!(fits.status(id).unwrap().state, JobState::Completed);
+        let short = JobManager::new(ServeConfig { pool_ranks: 2, pool_budget_bytes: modeled - 1 });
+        let err = short.submit(spec()).unwrap_err();
+        assert!(
+            matches!(err, AdmissionError::FootprintExceedsBudget { modeled: m, budget }
+                if m == modeled && budget == modeled - 1),
+            "{err}"
+        );
     }
 
     #[test]

@@ -129,20 +129,6 @@ impl IterationBreakdown {
     pub fn kfac_overhead(&self) -> f64 {
         self.total() - self.forward_backward - self.grad_allreduce
     }
-
-    /// Total seconds per iteration under the pipelined executor's stage
-    /// model: within each K-FAC phase, communication of one layer hides
-    /// behind compute of the others, so a phase costs `max(compute, comm)`
-    /// instead of their sum. The baseline stages and the (inherently serial)
-    /// KL-clip scale are unchanged.
-    pub fn overlapped_total(&self) -> f64 {
-        self.forward_backward
-            + self.grad_allreduce
-            + self.factor_compute.max(self.factor_comm)
-            + self.eig_compute.max(self.eig_comm)
-            + self.precondition.max(self.grad_bcast)
-            + self.scale
-    }
 }
 
 /// Per-rank memory, bytes.
@@ -384,26 +370,6 @@ mod tests {
         );
         let speedup = (t_mem - t_comm) / t_mem;
         assert!((0.02..0.6).contains(&speedup), "speedup {speedup} out of the plausible band");
-    }
-
-    #[test]
-    fn overlapped_total_bounded_by_serial_and_baseline() {
-        for frac in [1.0 / 64.0, 0.5, 1.0] {
-            let b = rn50_sim(frac).iteration_breakdown();
-            let overlapped = b.overlapped_total();
-            assert!(
-                overlapped <= b.total() + 1e-15,
-                "overlap can only help: {} > {}",
-                overlapped,
-                b.total()
-            );
-            // The hidden stages can't shrink below the baseline + compute.
-            assert!(overlapped >= b.forward_backward + b.grad_allreduce + b.scale);
-        }
-        // MEM-OPT has real grad broadcasts overlapping precondition, so the
-        // pipelined model must be strictly cheaper there.
-        let mem_opt = rn50_sim(1.0 / 64.0).iteration_breakdown();
-        assert!(mem_opt.overlapped_total() < mem_opt.total());
     }
 
     #[test]

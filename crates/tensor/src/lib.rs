@@ -57,9 +57,7 @@ pub use im2col::{col2im, col2im_image, im2col, im2col_image, Conv2dGeom};
 pub use matrix::Matrix;
 pub use precision::Precision;
 pub use rng::Rng;
-pub use syrk::{
-    gram_nt, gram_nt_lower, gram_tn_lower, mirror_lower, syrk_nt_with, syrk_tn, syrk_tn_with,
-};
+pub use syrk::{gram_nt_lower, gram_tn_lower, mirror_lower, syrk_nt_with, syrk_tn, syrk_tn_with};
 pub use team::inline_bands;
 pub use tensor4::Tensor4;
 

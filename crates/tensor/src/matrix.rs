@@ -409,15 +409,6 @@ impl Matrix {
         )
     }
 
-    /// Vertically stack two matrices with equal column counts.
-    pub fn vstack(top: &Matrix, bottom: &Matrix) -> Matrix {
-        assert_eq!(top.cols, bottom.cols, "vstack column mismatch");
-        let mut data = Vec::with_capacity(top.numel() + bottom.numel());
-        data.extend_from_slice(&top.data);
-        data.extend_from_slice(&bottom.data);
-        Matrix::from_vec(top.rows + bottom.rows, top.cols, data)
-    }
-
     /// Append a constant column (used to fold biases into K-FAC `A` factors:
     /// the activation is augmented with a trailing 1).
     pub fn append_ones_column(&self) -> Matrix {
@@ -616,12 +607,9 @@ mod tests {
     }
 
     #[test]
-    fn vstack_and_rows_slice_roundtrip() {
-        let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let b = Matrix::from_vec(1, 2, vec![5., 6.]);
-        let v = Matrix::vstack(&a, &b);
-        assert_eq!(v.shape(), (3, 2));
-        assert_eq!(v.rows_slice(0, 2), a);
-        assert_eq!(v.rows_slice(2, 3), b);
+    fn rows_slice_splits_at_a_row() {
+        let v = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
+        assert_eq!(v.rows_slice(0, 2), Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
+        assert_eq!(v.rows_slice(2, 3), Matrix::from_vec(1, 2, vec![5., 6.]));
     }
 }

@@ -34,13 +34,13 @@
 //! patch and gradient blocks (DESIGN §5j). It takes any number of such
 //! blocks in one call, accumulates them into the lower triangle in order
 //! and mirrors once, so the result is bit for bit `syrk_tn` of the row
-//! layout that stacks every block's transpose. [`gram_nt`] runs it on the
-//! shape-selected [`GemmKernel::Auto`], like
-//! [`Matrix::gram_tn`](crate::Matrix::gram_tn).
+//! layout that stacks every block's transpose.
 //!
-//! [`gram_tn_lower`] and [`gram_nt_lower`] are those two Gram products
-//! without the mirror: the K-FAC capture reads only the lower triangle (it
-//! is what goes on the wire), so it never pays for the upper one.
+//! [`gram_tn_lower`] and [`gram_nt_lower`] are the two Gram products
+//! ([`Matrix::gram_tn`](crate::Matrix::gram_tn) and [`syrk_nt_with`], both
+//! on the shape-selected [`GemmKernel::Auto`]) without the mirror: the
+//! K-FAC capture reads only the lower triangle (it is what goes on the
+//! wire), so it never pays for the upper one.
 //! [`mirror_lower`] is the one mirror, a tiled pass shared with the
 //! factor fold.
 
@@ -98,17 +98,10 @@ pub fn syrk_nt_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [
     mirror_lower(m, c);
 }
 
-/// The Gram product of column-layout blocks, `C[m x m] += Σ_b A_b·A_bᵀ`
-/// (see [`syrk_nt_with`]), on the shape-selected [`GemmKernel::Auto`].
-/// Bitwise identical to the full
-/// [`gemm_nt_blocks_with`](crate::gemm_nt_blocks_with) with `B = A`, which
-/// stays its oracle, like [`Matrix::gram_tn`](crate::Matrix::gram_tn).
-pub fn gram_nt(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
-    syrk_nt_with(GemmKernel::Auto, m, k, a, c);
-}
-
-/// [`gram_nt`] without the mirror: only the lower triangle (`j ≤ i`) of
-/// `C` is written, bit for bit what [`gram_nt`] leaves there; the strict
+/// The Gram product of column-layout blocks, `C[m x m] += Σ_b A_b·A_bᵀ`,
+/// on the shape-selected [`GemmKernel::Auto`], without the mirror: only
+/// the lower triangle (`j ≤ i`) of `C` is written, bit for bit what
+/// [`syrk_nt_with`] leaves there on that kernel; the strict
 /// upper triangle is left stale or partly updated. The K-FAC capture's
 /// entry — a factor statistic never needs its upper half.
 pub fn gram_nt_lower(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
@@ -552,7 +545,7 @@ mod tests {
 
     #[test]
     fn lower_entries_write_the_mirrored_products_lower_triangle() {
-        // Same lower triangle as `gram_tn` / `gram_nt`, bit for bit, into a
+        // Same lower triangle as `gram_tn` / `syrk_nt_with`, bit for bit, into a
         // poisoned upper half the lower entries never read back; and the
         // tiled mirror is the element-by-element copy, across tile edges.
         let mut rng = Rng::seed_from_u64(23);
@@ -565,7 +558,7 @@ mod tests {
             let mut nt_full = vec![0.0f32; m * m];
             let mut nt_lower =
                 lower.iter().map(|&v| if v.is_nan() { v } else { 0.0 }).collect::<Vec<_>>();
-            gram_nt(m, rows, a.transpose().as_slice(), &mut nt_full);
+            syrk_nt_with(GemmKernel::Auto, m, rows, a.transpose().as_slice(), &mut nt_full);
             gram_nt_lower(m, rows, a.transpose().as_slice(), &mut nt_lower);
             for i in 0..m {
                 for j in 0..=i {

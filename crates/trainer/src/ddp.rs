@@ -58,7 +58,7 @@ mod tests {
         let mut model = Mlp::new(&[3, 4, 2], &mut rng);
         let x = Matrix::randn(4, 3, 1.0, &mut rng);
         let y = vec![0usize, 1, 0, 1];
-        let comm = kaisa_comm::LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
 
         // One pass, no accumulation.
         model.zero_grad();

@@ -8,7 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use kaisa::comm::LocalComm;
+use kaisa::comm::ThreadComm;
 use kaisa::core::{Kfac, KfacConfig};
 use kaisa::data::{Dataset, GaussianBlobs};
 use kaisa::nn::{models::Mlp, Model};
@@ -46,7 +46,7 @@ fn main() {
     let sgd_acc = model.evaluate(&vx, &vy).metric;
 
     println!("\n== K-FAC preconditioned SGD (KAISA) ==");
-    let comm = LocalComm::new();
+    let comm = ThreadComm::world(1).remove(0);
     let mut model = Mlp::new(&[16, 32, 4], &mut Rng::seed_from_u64(1));
     let mut opt = Sgd::with_momentum(0.9);
     let mut kfac = Kfac::new(

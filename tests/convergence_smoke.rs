@@ -146,7 +146,7 @@ fn roi_head_converges_with_kfac() {
     }
     let targets = RoiTargets { classes, boxes };
 
-    let comm = kaisa::comm::LocalComm::new();
+    let comm = kaisa::comm::ThreadComm::world(1).remove(0);
     let mut model = RoiHeadMini::new(feat, 16, 3, &mut rng);
     let mut kfac = kaisa::core::Kfac::new(kfac_cfg(), &mut model, &comm);
     let mut opt = Sgd::with_momentum(0.9);

@@ -2,7 +2,7 @@
 //! assignment strategies, the inverse fallback, and failure-injection
 //! cases.
 
-use kaisa::comm::{LocalComm, ThreadComm};
+use kaisa::comm::ThreadComm;
 use kaisa::core::{plan_assignments, Kfac, KfacConfig};
 use kaisa::nn::models::Mlp;
 use kaisa::nn::Model;
@@ -73,7 +73,7 @@ fn fp16_stays_close_to_fp32() {
 #[test]
 fn stage_times_and_comm_bytes_populated() {
     let (mut model, x, y) = toy();
-    let comm = LocalComm::new();
+    let comm = ThreadComm::world(1).remove(0);
     let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(1).build();
     let mut kfac = Kfac::new(cfg, &mut model, &comm);
     for _ in 0..3 {
@@ -97,7 +97,7 @@ fn degenerate_worlds_and_shapes() {
     // World of one with every strategy value collapses to COMM-OPT and runs.
     for frac in [0.001, 0.5, 1.0] {
         let (mut model, x, y) = toy();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::world(1).remove(0);
         let cfg = KfacConfig::builder()
             .grad_worker_frac(frac)
             .factor_update_freq(1)
@@ -114,7 +114,7 @@ fn degenerate_worlds_and_shapes() {
     // A model with a single tiny layer (1 output unit).
     let mut rng = Rng::seed_from_u64(97);
     let mut tiny = Mlp::new(&[3, 1], &mut rng);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::world(1).remove(0);
     let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(1).build();
     let mut kfac = Kfac::new(cfg, &mut tiny, &comm);
     let x = Matrix::randn(4, 3, 1.0, &mut rng);
@@ -158,7 +158,7 @@ fn zero_gradient_step_is_safe() {
     // zeros through rather than producing NaNs.
     let mut rng = Rng::seed_from_u64(101);
     let mut model = Mlp::new(&[4, 6, 2], &mut rng);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::world(1).remove(0);
     let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(1).build();
     let mut kfac = Kfac::new(cfg, &mut model, &comm);
     let x = Matrix::randn(8, 4, 1.0, &mut rng);
@@ -182,7 +182,7 @@ fn single_sample_batches_work() {
     // damping must keep the eigendecomposition path healthy.
     let mut rng = Rng::seed_from_u64(102);
     let mut model = Mlp::new(&[4, 6, 2], &mut rng);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::world(1).remove(0);
     let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(1).build();
     let mut kfac = Kfac::new(cfg, &mut model, &comm);
     for step in 0..4 {
@@ -202,7 +202,7 @@ fn identical_inputs_rank_deficient_factors_are_damped() {
     // keeps Eq. 16's denominators positive.
     let mut rng = Rng::seed_from_u64(103);
     let mut model = Mlp::new(&[3, 5, 2], &mut rng);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::world(1).remove(0);
     let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(1).build();
     let mut kfac = Kfac::new(cfg, &mut model, &comm);
     let row = [1.0f32, -2.0, 0.5];

@@ -4,7 +4,7 @@
 //! accumulate-during-pass capture must hold memory constant in the number
 //! of micro-batches.
 
-use kaisa::comm::LocalComm;
+use kaisa::comm::ThreadComm;
 use kaisa::core::{Kfac, KfacConfig};
 use kaisa::nn::models::Mlp;
 use kaisa::nn::Model;
@@ -21,7 +21,7 @@ fn toy() -> (Mlp, Matrix, Vec<usize>) {
 /// One K-FAC step over the batch split into `chunks` micro-batches; returns
 /// the preconditioned gradients.
 fn kfac_step_with_accum(model: &Mlp, x: &Matrix, y: &[usize], chunks: usize) -> Vec<f32> {
-    let comm = LocalComm::new();
+    let comm = ThreadComm::world(1).remove(0);
     let mut model = model.clone();
     let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(1).build();
     let mut kfac = Kfac::new(cfg, &mut model, &comm);

@@ -168,8 +168,9 @@ enum Call {
 }
 
 /// A communicator that logs this rank's collective begins and completes
-/// (a blocking collective logs as a begin completed at once) and forwards
-/// every call to the wrapped [`ThreadComm`].
+/// and forwards every primitive to the wrapped [`ThreadComm`]. A blocking
+/// collective logs as a begin completed at once: `allreduce`/`broadcast`
+/// are the trait's begin+complete, and `allgather` logs both itself.
 struct CallLog<'a> {
     inner: &'a ThreadComm,
     calls: Mutex<Vec<Call>>,
@@ -178,11 +179,6 @@ struct CallLog<'a> {
 impl CallLog<'_> {
     fn push(&self, call: Call) {
         self.calls.lock().unwrap().push(call);
-    }
-
-    fn blocking(&self) {
-        self.push(Call::Begin);
-        self.push(Call::Complete);
     }
 }
 
@@ -195,28 +191,9 @@ impl Communicator for CallLog<'_> {
         self.inner.world_size()
     }
 
-    fn allreduce(&self, buf: &mut [f32], op: ReduceOp) {
-        self.blocking();
-        self.inner.allreduce(buf, op);
-    }
-
-    fn allreduce_group(&self, buf: &mut [f32], op: ReduceOp, group: &[usize]) {
-        self.blocking();
-        self.inner.allreduce_group(buf, op, group);
-    }
-
-    fn broadcast(&self, buf: &mut [f32], root: usize) {
-        self.blocking();
-        self.inner.broadcast(buf, root);
-    }
-
-    fn broadcast_group(&self, buf: &mut [f32], root: usize, group: &[usize]) {
-        self.blocking();
-        self.inner.broadcast_group(buf, root, group);
-    }
-
     fn allgather(&self, send: &[f32]) -> Vec<f32> {
-        self.blocking();
+        self.push(Call::Begin);
+        self.push(Call::Complete);
         self.inner.allgather(send)
     }
 
