@@ -70,13 +70,13 @@ use std::time::Instant;
 
 use kaisa_core::KfacLayerState;
 use kaisa_linalg::{
-    pack_lower_scaled, packed_len, sym_eig_packed, sym_eig_packed_portable, sym_eig_reference,
-    EigScratch, EigenError, SymEig,
+    sym_eig_packed, sym_eig_packed_portable, sym_eig_reference, EigScratch, EigenError, SymEig,
 };
 use kaisa_nn::{activation::Gelu, norm::BatchNorm2d, Conv2d, KfacCapture};
 use kaisa_tensor::{
-    col2im, gemm_nn_on, gemm_nn_with, gemm_nt_on, gemm_nt_with, gemm_tn_with, im2col, inline_bands,
-    syrk_tn_with, GemmKernel, Matrix, Microkernel, Rng, Tensor4,
+    col2im, gemm_nn_on, gemm_nn_with, gemm_nt_on, gemm_nt_with, gemm_tn_with, gram_tn_lower,
+    im2col, inline_bands, pack_lower_scaled, packed_len, GemmKernel, Matrix, Microkernel, Rng,
+    Tensor4,
 };
 
 /// Measured trials per cell; best is kept (each trial is a complete
@@ -256,23 +256,25 @@ fn measure_gemm(layout: Layout, m: usize, k: usize, n: usize) -> (f64, f64) {
     (blocked, naive)
 }
 
-/// Measure one `(m, k)` Gram cell — `C = AᵀA` via the SYRK fast path vs
-/// the full `gemm_tn` — interleaved best-of-[`TRIALS`], both on the
-/// blocked kernel (the production dispatch at these shapes). GFLOP/s are
-/// *full-GEMM-equivalent* (`2·m²·k`) for both, so the reported speedup is
-/// exactly the wall-time ratio and >1 means the triangular saving is real.
+/// Measure one `(m, k)` Gram cell — `AᵀA` via the capture's packed SYRK
+/// entry ([`gram_tn_lower`]) vs the full `gemm_tn` — interleaved
+/// best-of-[`TRIALS`], both on the blocked kernel (the production dispatch
+/// at these shapes). GFLOP/s are *full-GEMM-equivalent* (`2·m²·k`) for
+/// both, so the reported speedup is exactly the wall-time ratio and >1
+/// means the triangular saving is real.
 fn measure_syrk(m: usize, k: usize) -> (f64, f64) {
     let mut rng = Rng::seed_from_u64(44);
     let a: Vec<f32> = (0..k * m).map(|_| rng.next_f32() - 0.5).collect();
     let mut c = vec![0.0f32; m * m];
+    let mut packed = vec![0.0f32; packed_len(m)];
     let flops = 2.0 * m as f64 * m as f64 * k as f64;
     let iters = (WINDOW_FLOPS / flops).ceil().max(1.0) as usize;
 
-    let syrk_trial = |c: &mut Vec<f32>| {
+    let syrk_trial = |packed: &mut Vec<f32>| {
         let start = Instant::now();
         for _ in 0..iters {
-            c.fill(0.0);
-            syrk_tn_with(GemmKernel::Blocked, m, k, &a, c);
+            packed.fill(0.0);
+            gram_tn_lower(GemmKernel::Blocked, m, k, &a, packed);
         }
         flops * iters as f64 / start.elapsed().as_secs_f64() / 1.0e9
     };
@@ -286,18 +288,17 @@ fn measure_syrk(m: usize, k: usize) -> (f64, f64) {
     };
 
     // Warm both paths (page-faults the buffers, settles detection).
-    syrk_tn_with(GemmKernel::Blocked, m, k, &a, &mut c);
-    c.fill(0.0);
+    gram_tn_lower(GemmKernel::Blocked, m, k, &a, &mut packed);
     gemm_tn_with(GemmKernel::Blocked, m, k, m, &a, &a, &mut c);
 
     let (mut syrk, mut gemm) = (0.0f64, 0.0f64);
     for t in 0..TRIALS {
         if t % 2 == 0 {
-            syrk = syrk.max(syrk_trial(&mut c));
+            syrk = syrk.max(syrk_trial(&mut packed));
             gemm = gemm.max(gemm_trial(&mut c));
         } else {
             gemm = gemm.max(gemm_trial(&mut c));
-            syrk = syrk.max(syrk_trial(&mut c));
+            syrk = syrk.max(syrk_trial(&mut packed));
         }
     }
     (syrk, gemm)
@@ -615,24 +616,28 @@ fn measure_conv((n, c_in, h, w, c_out): (usize, usize, usize, usize, usize)) -> 
     conv.kfac.enabled = true;
     let x = Tensor4::randn(n, c_in, h, w, 1.0, &mut rng);
     let g = Tensor4::randn(n, c_out, h, w, 0.1, &mut rng);
-    let mut cap = KfacCapture::new();
-    cap.enabled = true;
+    let mut cap = conv.kfac.clone();
     let mut grad_weight = Matrix::zeros(c_out, conv.weight.cols());
 
-    // Each pass drains its capture; `keep` also returns the statistics,
-    // mirrored to full matrices, for the bitwise check.
+    // Each pass drains its capture and hands the statistic buffer back, as
+    // a factor step does; `keep` also returns the statistics, mirrored to
+    // full matrices, for the bitwise check.
     let column = |conv: &mut Conv2d, keep: bool| {
         conv.zero_grad();
         let y = conv.forward(&x, true);
         let dx = conv.backward(&g);
         let stats = conv.kfac.take_stats().expect("capture is on");
-        (y, dx, keep.then(|| stats.mirrored()))
+        let kept = keep.then(|| stats.mirrored());
+        conv.kfac.recycle(stats.packed);
+        (y, dx, kept)
     };
     let mut row = |conv: &Conv2d, keep: bool| {
         grad_weight.fill_zero();
         let (y, dx) = row_conv_pass(conv, &x, &g, &mut grad_weight, &mut cap);
         let stats = cap.take_stats().expect("capture is on");
-        (y, dx, keep.then(|| stats.mirrored()), grad_weight.clone())
+        let kept = keep.then(|| stats.mirrored());
+        cap.recycle(stats.packed);
+        (y, dx, kept, grad_weight.clone())
     };
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let (y, dx, stats) = column(&mut conv, true);

@@ -100,12 +100,14 @@ fn render_sweep(
     render_table(&header.iter().map(String::as_str).collect::<Vec<_>>(), rows)
 }
 
-/// An ASCII sparkline of a series.
+/// An ASCII sparkline of a series: eight bars over a span at least 10 % of
+/// its largest magnitude, so a drift under about 0.7 % of the values (what
+/// `{:.2}` hides at fig8's ~1.4x) draws flat.
 fn sparkline(values: &[f64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let max = values.iter().cloned().fold(f64::MIN, f64::max);
     let min = values.iter().cloned().fold(f64::MAX, f64::min);
-    let span = (max - min).max(1e-12);
+    let span = (max - min).max(0.1 * max.abs().max(min.abs())).max(1e-12);
     values.iter().map(|v| BARS[(((v - min) / span) * 7.0).round() as usize]).collect()
 }
 
@@ -812,6 +814,10 @@ mod tests {
         assert_eq!(s.chars().count(), 3);
         assert!(s.starts_with('▁'));
         assert!(s.ends_with('█'));
+        // fig8's ResNet-50 HYBRID-OPT row prints 1.38x at every scale: it
+        // draws flat, not █▆▅▃▁. Its MEM-OPT row keeps its full trend.
+        assert_eq!(sparkline(&[1.3809, 1.3795, 1.3782, 1.3770, 1.3755]), "▁▁▁▁▁");
+        assert_eq!(sparkline(&[1.2518, 1.1919, 1.1407, 1.0899, 1.0432]), "█▆▄▃▁");
     }
 
     /// No artefact ships without its pinned exact block, and no pinned

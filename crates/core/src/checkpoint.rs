@@ -19,9 +19,8 @@
 //! checkpoint bits.
 
 use kaisa_comm::Communicator;
-use kaisa_linalg::packed_len;
 use kaisa_nn::Model;
-use kaisa_tensor::Matrix;
+use kaisa_tensor::{packed_len, Matrix};
 
 use crate::config::KfacConfig;
 use crate::preconditioner::Kfac;

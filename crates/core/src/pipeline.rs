@@ -42,7 +42,7 @@ use kaisa_nn::{KfacAble, KfacStats};
 use kaisa_tensor::Matrix;
 
 use crate::preconditioner::Kfac;
-use crate::state::{quantize_slice, KfacLayerState};
+use crate::state::{average_stats, quantize_slice, KfacLayerState};
 use crate::timing::Stage;
 
 /// A matrix broadcast in flight: the handle plus the destination buffer.
@@ -60,7 +60,7 @@ struct LayerBcasts {
 }
 
 /// Take the statistics a layer captured during the forward/backward pass.
-fn take_stats(layer: &mut dyn KfacAble) -> KfacStats<'_> {
+fn take_stats(layer: &mut dyn KfacAble) -> KfacStats {
     if !layer.capture_mut().has_stats() {
         panic!(
             "layer {}: no captured statistics — call Kfac::prepare() before the forward pass",
@@ -71,12 +71,14 @@ fn take_stats(layer: &mut dyn KfacAble) -> KfacStats<'_> {
 }
 
 impl Kfac {
-    /// Stage 1, factor update: sweep A finalizes each layer's captured
-    /// statistics into its factor wire (the row-packed lower triangles of
-    /// `A` and `G`, §4.3), quantizes it and begins its allreduce; sweep B
-    /// completes them, re-quantizes, and folds each wire straight into the
-    /// running factors. The wire is the only form a factor takes between
-    /// capture and the running average.
+    /// Stage 1, factor update: sweep A moves each layer's captured
+    /// statistic buffer out of its capture — the row-packed lower triangles
+    /// of `A` and `G`, the factor wire (§4.3) — averages it over the
+    /// micro-batches in place, quantizes it and begins its allreduce; sweep
+    /// B completes them, re-quantizes, folds each wire straight into the
+    /// running factors and hands the buffer back to the capture. The
+    /// capture's buffer is the only form a factor takes between the Gram
+    /// kernels and the running average.
     pub(crate) fn update_factors(
         &mut self,
         layers: &mut [&mut dyn KfacAble],
@@ -94,12 +96,10 @@ impl Kfac {
         let mut inflight: Vec<InFlight> = Vec::with_capacity(layers.len());
 
         for (i, layer) in layers.iter_mut().enumerate() {
-            let stats = take_stats(&mut **layer);
-            let state = &mut self.states[i];
-            self.times.time_layer(i, Stage::FactorCompute, || state.pack_stats(&stats));
-            // The wire leaves the state while its collective is in flight
-            // (a move, not a copy) and goes back for the fold.
-            let mut wire = std::mem::take(&mut self.states[i].wire);
+            let KfacStats { packed: mut wire, a_dim, g_dim, batches } = take_stats(&mut **layer);
+            let state = &self.states[i];
+            assert_eq!((a_dim, g_dim), (state.a_dim, state.g_dim), "{}: statistics", state.name);
+            self.times.time_layer(i, Stage::FactorCompute, || average_stats(&mut wire, batches));
             let pending = self.times.time_layer(i, Stage::FactorComm, || {
                 quantize_slice(&mut wire, precision);
                 comm.begin_allreduce(&wire, ReduceOp::Avg, &world_group, CommTag::FactorComm)
@@ -115,8 +115,8 @@ impl Kfac {
             });
             self.comm_bytes += (wire.len() * precision.bytes_per_element()) as u64;
             let state = &mut self.states[i];
-            state.wire = wire;
-            self.times.time_layer(i, Stage::FactorCompute, || state.fold_wire(decay));
+            self.times.time_layer(i, Stage::FactorCompute, || state.fold_wire(&wire, decay));
+            layers[i].capture_mut().recycle(wire);
         }
         self.note_factor_residency();
     }
@@ -331,10 +331,9 @@ mod tests {
     use super::*;
     use crate::KfacConfig;
     use kaisa_comm::ThreadComm;
-    use kaisa_linalg::unpack_lower;
     use kaisa_nn::models::Mlp;
     use kaisa_nn::Model;
-    use kaisa_tensor::{Precision, Rng};
+    use kaisa_tensor::{packed_len, unpack_lower, Precision, Rng};
 
     fn bits(m: &Matrix) -> Vec<u32> {
         m.as_slice().iter().map(|x| x.to_bits()).collect()
@@ -406,5 +405,40 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn a_layer_holds_one_packed_statistic_buffer() {
+        // World 2, two factor steps: before and after each step a layer's
+        // capture holds one statistic buffer of `packed_len(a) +
+        // packed_len(g)` floats — the buffer the Gram kernels summed into
+        // is the allreduce payload and comes back for the next step — and
+        // the layer state's running factors are the same two triangles.
+        ThreadComm::run(2, |comm| {
+            let mut model = Mlp::new(&[9, 12, 5], &mut Rng::seed_from_u64(71));
+            let mut rng = Rng::seed_from_u64(72 + comm.rank() as u64);
+            let cfg = KfacConfig::builder().factor_update_freq(1).inv_update_freq(100).build();
+            let mut kfac = Kfac::new(cfg, &mut model, comm);
+            let packed_bytes = |a: usize, g: usize| (packed_len(a) + packed_len(g)) * 4;
+            for step in 0..2 {
+                let x = Matrix::randn(16, 9, 1.0, &mut rng);
+                let y: Vec<usize> = (0..16).map(|i| (i + step) % 5).collect();
+                kfac.prepare(&mut model);
+                model.zero_grad();
+                let _ = model.forward_backward(&x, &y);
+                let held = |model: &mut Mlp| -> Vec<usize> {
+                    model.kfac_layers().iter_mut().map(|l| l.capture_mut().memory_bytes()).collect()
+                };
+                let expect: Vec<usize> =
+                    kfac.states.iter().map(|s| packed_bytes(s.a_dim, s.g_dim)).collect();
+                assert_eq!(held(&mut model), expect, "captured, step {step}");
+                kfac.step(&mut model, comm, 0.1);
+                assert_eq!(held(&mut model), expect, "handed back, step {step}");
+                for state in &kfac.states {
+                    let factors = state.factor_memory_bytes(Precision::Fp32);
+                    assert_eq!(factors, packed_bytes(state.a_dim, state.g_dim), "{}", state.name);
+                }
+            }
+        });
     }
 }

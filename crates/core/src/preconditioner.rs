@@ -283,8 +283,8 @@ impl Kfac {
 mod tests {
     use super::*;
     use kaisa_comm::ThreadComm;
-    use kaisa_linalg::packed_len;
     use kaisa_nn::models::Mlp;
+    use kaisa_tensor::packed_len;
     use kaisa_tensor::{Precision, Rng};
 
     fn toy_setup() -> (Mlp, Matrix, Vec<usize>, Rng) {

@@ -1,16 +1,35 @@
-//! Per-layer K-FAC state: running factors and cached eigendecompositions,
-//! plus the factor wire — the one form a factor takes from capture to the
-//! running average, and the form the running average keeps.
+//! Per-layer K-FAC state: running factors and cached eigendecompositions.
+//! The running factors keep the factor wire's form — row-packed lower
+//! triangles, the one form a factor takes from the capture's Gram kernels
+//! to the running average.
 
-use kaisa_linalg::{pack_lower_scaled, packed_len, sym_eig_packed, EigScratch};
-use kaisa_nn::KfacStats;
-use kaisa_tensor::{Matrix, Precision};
+use kaisa_linalg::{sym_eig_packed, EigScratch};
+use kaisa_tensor::{pack_lower_scaled, packed_len, Matrix, Precision};
 
 /// Quantize a payload to the storage precision in place (no-op at fp32).
 pub fn quantize_slice(buf: &mut [f32], precision: Precision) {
     if precision.is_half() {
         kaisa_tensor::f16::quantize_slice_f16(buf);
     }
+}
+
+/// Average a step's summed statistics (the capture's packed buffer) over
+/// its `batches` micro-batches in place: each element times `1/batches`,
+/// one IEEE multiply, exactly [`Matrix::scale`]'s.
+pub(crate) fn average_stats(packed: &mut [f32], batches: usize) {
+    let inv = 1.0 / batches.max(1) as f32;
+    packed.iter_mut().for_each(|v| *v *= inv);
+}
+
+/// The factor wire of two square symmetric matrices: `A`'s lower triangle
+/// row-packed, then `G`'s.
+fn wire_of(a: &Matrix, g: &Matrix) -> Vec<f32> {
+    let (na, ng) = (a.rows(), g.rows());
+    let mut wire = vec![0.0; packed_len(na) + packed_len(ng)];
+    let (wa, wg) = wire.split_at_mut(packed_len(na));
+    pack_lower_scaled(a.as_slice(), na, 1.0, wa);
+    pack_lower_scaled(g.as_slice(), ng, 1.0, wg);
+    wire
 }
 
 /// The single EMA fold kernel for factor state: the first fold copies the
@@ -64,12 +83,6 @@ pub struct KfacLayerState {
     /// nor the `MemoryMeter` (which meters the preconditioned gradients
     /// while they are live) counts it.
     work: Vec<Matrix>,
-    /// The factor payload of a factor step: `A`'s lower triangle row-packed
-    /// ([`packed_len`]`(a_dim)` elements), then `G`'s. Written by
-    /// [`KfacLayerState::pack_stats`], quantized and allreduced in place,
-    /// and folded by [`KfacLayerState::fold_wire`]. Scratch like `work`:
-    /// sized once, un-metered.
-    pub(crate) wire: Vec<f32>,
 }
 
 impl KfacLayerState {
@@ -85,7 +98,6 @@ impl KfacLayerState {
             qg: None,
             outer: None,
             work: Vec::new(),
-            wire: Vec::new(),
         }
     }
 
@@ -104,45 +116,29 @@ impl KfacLayerState {
         }
     }
 
-    /// Finalize a step's captured statistics into the factor wire in one
-    /// pass: each lower-triangle element times `1/batches`, row-packed, `A`
-    /// then `G`.
+    /// Fold a factor step's (averaged, quantized) wire — `A`'s lower
+    /// triangle row-packed then `G`'s, the capture's statistic buffer —
+    /// into the running averages: `A ← decay·A + (1-decay)·Â`, element for
+    /// element over the packed triangles (the first fold sets `A = Â`).
     ///
     /// # Panics
-    /// If the statistics do not have this layer's factor dimensions.
-    pub fn pack_stats(&mut self, stats: &KfacStats<'_>) {
-        assert_eq!(stats.a_stat.shape(), (self.a_dim, self.a_dim), "{}: A statistic", self.name);
-        assert_eq!(stats.g_stat.shape(), (self.g_dim, self.g_dim), "{}: G statistic", self.name);
-        let inv = 1.0 / stats.batches.max(1) as f32;
+    /// If `wire` is not [`packed_len`]`(a_dim) + `[`packed_len`]`(g_dim)` long.
+    pub fn fold_wire(&mut self, wire: &[f32], decay: f32) {
         let split = packed_len(self.a_dim);
-        self.wire.resize(split + packed_len(self.g_dim), 0.0);
-        let (wa, wg) = self.wire.split_at_mut(split);
-        pack_lower_scaled(stats.a_stat.as_slice(), self.a_dim, inv, wa);
-        pack_lower_scaled(stats.g_stat.as_slice(), self.g_dim, inv, wg);
-    }
-
-    /// Fold the (averaged, quantized) factor wire into the running
-    /// averages: `A ← decay·A + (1-decay)·Â`, element for element over the
-    /// packed triangles (the first fold sets `A = Â`).
-    pub fn fold_wire(&mut self, decay: f32) {
-        let split = packed_len(self.a_dim);
-        assert_eq!(
-            self.wire.len(),
-            split + packed_len(self.g_dim),
-            "{}: no factor wire",
-            self.name
-        );
-        let (wa, wg) = self.wire.split_at(split);
+        let len = split + packed_len(self.g_dim);
+        assert_eq!(wire.len(), len, "{}: factor wire length", self.name);
+        let (wa, wg) = wire.split_at(split);
         ema_fold_packed(&mut self.factor_a, wa, decay);
         ema_fold_packed(&mut self.factor_g, wg, decay);
     }
 
-    /// Fold symmetric batch factors into the running averages — the same
-    /// pack and fold a factor step runs (only their lower triangles are
-    /// read), for callers that hold square matrices (tests, benchmarks).
+    /// Fold symmetric batch factors into the running averages — packed
+    /// (only their lower triangles are read) and folded as a factor step's
+    /// wire is, for callers that hold square matrices (tests, benchmarks).
     pub fn update_factors(&mut self, a_new: &Matrix, g_new: &Matrix, decay: f32) {
-        self.pack_stats(&KfacStats { a_stat: a_new, g_stat: g_new, batches: 1 });
-        self.fold_wire(decay);
+        let dims = (a_new.rows(), g_new.rows());
+        assert_eq!(dims, (self.a_dim, self.g_dim), "{}: factor dimensions", self.name);
+        self.fold_wire(&wire_of(a_new, g_new), decay);
     }
 
     /// Eigendecompose the running `A` factor; returns `(Q_A, v_A)`.
@@ -229,8 +225,7 @@ impl KfacLayerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaisa_linalg::unpack_lower;
-    use kaisa_tensor::Rng;
+    use kaisa_tensor::{unpack_lower, Rng};
 
     /// The square matrix a packed running factor stands for.
     fn square(factor: &Option<Vec<f32>>, n: usize) -> Matrix {
@@ -260,18 +255,15 @@ mod tests {
     #[test]
     fn first_fold_semantics_unified_across_paths() {
         // `update_factors` (square inputs) and a factor step's wire
-        // (captured lower triangles with stale upper halves, finalized by
-        // `1/batches`) route through one EMA kernel: the first fold is a
-        // plain copy, later folds apply (1-decay)·fresh + decay·old. Both
-        // packed running factors must agree bitwise, fold for fold, with
-        // the square recipe — `scale`, then `axpby`.
+        // (captured packed triangles, averaged over 3 micro-batches in
+        // place) route through one EMA kernel: the first fold is a plain
+        // copy, later folds apply (1-decay)·fresh + decay·old. Both packed
+        // running factors must agree bitwise, fold for fold, with the
+        // square recipe — `scale`, then `axpby`.
         let mut rng = Rng::seed_from_u64(208);
         let decay = 0.95;
         let folds: Vec<(Matrix, Matrix)> =
             (0..3).map(|_| (random_psd(4, &mut rng), random_psd(3, &mut rng))).collect();
-        let stale = |m: &Matrix| {
-            Matrix::from_fn(m.rows(), m.cols(), |r, c| if c > r { f32::NAN } else { m.get(r, c) })
-        };
         let fold = |slot: &mut Option<Matrix>, fresh: Matrix| match slot {
             Some(m) => m.axpby(1.0 - decay, &fresh, decay),
             None => *slot = Some(fresh),
@@ -283,9 +275,9 @@ mod tests {
         let mut oracle: [Option<Matrix>; 4] = Default::default();
         for (a, g) in &folds {
             square_state.update_factors(a, g, decay);
-            let (sa, sg) = (stale(a), stale(g));
-            wire.pack_stats(&KfacStats { a_stat: &sa, g_stat: &sg, batches: 3 });
-            wire.fold_wire(decay);
+            let mut payload = wire_of(a, g);
+            average_stats(&mut payload, 3);
+            wire.fold_wire(&payload, decay);
             let [sq_a, sq_g, wire_a, wire_g] = &mut oracle;
             fold(sq_a, a.clone());
             fold(sq_g, g.clone());
@@ -440,23 +432,24 @@ mod tests {
     #[test]
     fn factor_wire_carries_the_square_payload_bitwise() {
         // The wire holds `A`'s then `G`'s lower triangle, row-packed and
-        // finalized; the first fold copies it into the running factors,
-        // which stand for exactly the finalized square factors, and fp16
+        // averaged; the first fold copies it into the running factors,
+        // which stand for exactly the averaged square factors, and fp16
         // rounds the payload element for element.
         let mut rng = Rng::seed_from_u64(207);
         let (a, g) = (random_psd(5, &mut rng), random_psd(3, &mut rng));
         let mut state = KfacLayerState::new("wire", 5, 3);
-        state.pack_stats(&KfacStats { a_stat: &a, g_stat: &g, batches: 2 });
-        assert_eq!(state.wire.len(), packed_len(5) + packed_len(3));
-        assert_eq!(state.wire[..3], [a.get(0, 0) * 0.5, a.get(1, 0) * 0.5, a.get(1, 1) * 0.5]);
+        let mut wire = wire_of(&a, &g);
+        average_stats(&mut wire, 2);
+        assert_eq!(wire.len(), packed_len(5) + packed_len(3));
+        assert_eq!(wire[..3], [a.get(0, 0) * 0.5, a.get(1, 0) * 0.5, a.get(1, 1) * 0.5]);
         let mut half = state.clone();
-        state.fold_wire(0.9);
-        assert_eq!(state.factor_a.as_deref(), Some(&state.wire[..packed_len(5)]));
+        state.fold_wire(&wire, 0.9);
+        assert_eq!(state.factor_a.as_deref(), Some(&wire[..packed_len(5)]));
         assert_eq!(square(&state.factor_a, 5), a.scaled(0.5));
         assert_eq!(square(&state.factor_g, 3), g.scaled(0.5));
 
-        quantize_slice(&mut half.wire, Precision::Fp16);
-        half.fold_wire(0.9);
+        quantize_slice(&mut wire, Precision::Fp16);
+        half.fold_wire(&wire, 0.9);
         let mut expect = a.scaled(0.5);
         expect.quantize(Precision::Fp16);
         assert_eq!(square(&half.factor_a, 5), expect);
@@ -464,7 +457,7 @@ mod tests {
 
     #[test]
     fn fold_is_the_square_axpby_bitwise() {
-        // Scale-while-packing then fold into the packed running factor,
+        // Average in place then fold into the packed running factor,
         // against the square recipe: `scale` the fresh matrix, then `axpby`
         // it into the running one. Sizes straddle the 32-wide tiles.
         let mut rng = Rng::seed_from_u64(52);
@@ -475,8 +468,9 @@ mod tests {
             let decay = 0.95;
             let mut state = KfacLayerState::new("fold", n, 1);
             state.update_factors(&running, &g, 0.0);
-            state.pack_stats(&KfacStats { a_stat: &fresh, g_stat: &g, batches: 3 });
-            state.fold_wire(decay);
+            let mut wire = wire_of(&fresh, &g);
+            average_stats(&mut wire, 3);
+            state.fold_wire(&wire, decay);
 
             let (mut scaled, mut square_running) = (fresh.clone(), running.clone());
             scaled.scale(1.0 / 3.0);

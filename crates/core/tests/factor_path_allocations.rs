@@ -3,9 +3,10 @@
 //! per rank more than the plain step beside it.
 //!
 //! A factor step differs from a plain one by capture (the `aᵀa`/`gᵀg`
-//! Grams during the pass) and by `Kfac::update_factors` (finalize, pack,
-//! allreduce, fold). With the statistic buffers kept by the capture and the
-//! wire kept by the layer state, what is left is the allreduce itself — each
+//! Grams, summed straight into each layer's packed statistic buffer) and
+//! by `Kfac::update_factors` (average, allreduce and fold that buffer in
+//! place, then hand it back to the capture). With that one buffer per
+//! layer kept across steps, what is left is the allreduce itself — each
 //! rank's contribution message, which the leader reduces into — and the
 //! bias layers' ones-augmented inputs. Square factors on that path would
 //! cost several square payloads (about two packed ones each) per rank.
@@ -19,10 +20,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kaisa_comm::{Communicator, ThreadComm};
 use kaisa_core::{Kfac, KfacConfig};
-use kaisa_linalg::packed_len;
 use kaisa_nn::models::Mlp;
 use kaisa_nn::Model;
-use kaisa_tensor::{Matrix, Rng};
+use kaisa_tensor::{packed_len, Matrix, Rng};
 
 /// The system allocator, counting every byte it hands out.
 struct Counting;

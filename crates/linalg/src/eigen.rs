@@ -62,9 +62,7 @@
 //! compilations), and every equivalence matrix built on top of `sym_eig` is
 //! unaffected.
 
-use kaisa_tensor::Matrix;
-
-use crate::packed_len;
+use kaisa_tensor::{packed_len, Matrix};
 
 /// Result of a symmetric eigendecomposition `M = Q diag(values) Qᵀ`.
 #[derive(Debug, Clone)]
@@ -149,7 +147,7 @@ enum Lower<'a> {
     /// A square row-major matrix; its upper triangle is ignored.
     Square(&'a Matrix),
     /// The row-packed lower triangle of an `n x n` matrix
-    /// ([`crate::packed_len`]`(n)` elements, the factor wire's layout).
+    /// ([`packed_len`]`(n)` elements, the factor wire's layout).
     Packed(&'a [f32], usize),
 }
 

@@ -25,11 +25,6 @@
 //! * [`lu_inverse`] — general matrix inverse with partial pivoting: the
 //!   damped-Kronecker-inverse oracle (Eq. 15–17) the eigen-preconditioned
 //!   gradient is tested against.
-//! * [`pack_lower_scaled`] / [`unpack_lower`] — row-packed lower-triangle
-//!   packing, the form every factor takes from capture to checkpoint: on the
-//!   wire (KAISA's triangular factor communication, Section 4.3) and as the
-//!   running average itself. The square form is rebuilt only for tests and
-//!   oracles.
 //!
 //! All decompositions compute internally in `f64` for stability (mirroring
 //! the paper's practice of casting half-precision factors to single precision
@@ -45,7 +40,6 @@
 mod eigen;
 mod inverse;
 mod reference;
-mod triangular;
 
 pub use eigen::{
     sym_eig, sym_eig_packed, sym_eig_packed_portable, sym_eig_portable, sym_eig_with_scratch,
@@ -53,4 +47,3 @@ pub use eigen::{
 };
 pub use inverse::lu_inverse;
 pub use reference::sym_eig_reference;
-pub use triangular::{pack_lower_scaled, packed_len, unpack_lower};

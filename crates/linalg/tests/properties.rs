@@ -2,11 +2,10 @@
 //! orthogonality, and packing invariants over random symmetric matrices.
 
 use kaisa_linalg::{
-    lu_inverse, pack_lower_scaled, packed_len, sym_eig, sym_eig_packed, sym_eig_packed_portable,
-    sym_eig_portable, sym_eig_reference, sym_eig_with_scratch, unpack_lower, EigScratch,
-    EigenError, SymEig,
+    lu_inverse, sym_eig, sym_eig_packed, sym_eig_packed_portable, sym_eig_portable,
+    sym_eig_reference, sym_eig_with_scratch, EigScratch, EigenError, SymEig,
 };
-use kaisa_tensor::{Matrix, Precision, Rng};
+use kaisa_tensor::{pack_lower_scaled, packed_len, unpack_lower, Matrix, Precision, Rng};
 use proptest::prelude::*;
 
 fn random_symmetric(n: usize, seed: u64) -> Matrix {

@@ -24,124 +24,81 @@
 //! block per sample, whose Gram products ([`gram_nt_lower`]) are `aᵀa`/`gᵀg`
 //! of the rows those blocks transpose to, bit for bit.
 //!
-//! Only the **lower triangle** (`j ≤ i`) of each statistic is ever computed,
-//! scaled or summed: the statistics are symmetric, and the factor path
-//! packs that triangle straight onto the wire (Section 4.3). The two
-//! statistic buffers live in the capture across steps and are zero-filled,
-//! not reallocated, when a step's first micro-batch arrives.
+//! The statistics are symmetric, so each exists only as its row-packed
+//! lower triangle ([`packed_len`]`(dim)` elements), which the Gram kernels
+//! sum straight into. A layer holds one statistic buffer, `A△` then `G△`:
+//! the factor wire (Section 4.3). [`KfacCapture::take_stats`] moves it to
+//! the preconditioner, which averages, allreduces and folds it in place
+//! and hands it back ([`KfacCapture::recycle`]) for the next step.
 
-use kaisa_tensor::{gram_nt_lower, gram_tn_lower, mirror_lower, Matrix};
+use kaisa_tensor::{gram_nt_lower, gram_tn_lower, packed_len, unpack_lower, GemmKernel, Matrix};
 
-/// A layer's accumulated factor statistics for one optimizer step, borrowed
-/// from its [`KfacCapture`].
-///
-/// **Only the lower triangle (`j ≤ i`) of `a_stat` and `g_stat` is valid**;
-/// the strict upper triangle holds stale or partial sums.
-/// [`KfacStats::mirrored`] builds the full symmetric matrices for tests and
-/// oracles.
-#[derive(Debug, Clone, Copy)]
-pub struct KfacStats<'a> {
-    /// Summed `A` contributions (`a_dim x a_dim`, lower triangle valid).
-    pub a_stat: &'a Matrix,
-    /// Summed `G` contributions (`g_dim x g_dim`, lower triangle valid).
-    pub g_stat: &'a Matrix,
+/// A layer's accumulated factor statistics for one optimizer step, moved
+/// out of its [`KfacCapture`].
+#[derive(Debug, Clone)]
+pub struct KfacStats {
+    /// Summed `A` contributions as a row-packed lower triangle
+    /// ([`packed_len`]`(a_dim)` elements), then `G`'s
+    /// ([`packed_len`]`(g_dim)`): the factor wire's layout.
+    pub packed: Vec<f32>,
+    /// `A` factor dimension.
+    pub a_dim: usize,
+    /// `G` factor dimension.
+    pub g_dim: usize,
     /// Number of micro-batches accumulated (divide by this to average).
     pub batches: usize,
 }
 
-impl KfacStats<'_> {
-    /// Both statistics as full symmetric matrices: the lower triangle
-    /// mirrored into the upper, bit for bit.
+impl KfacStats {
+    /// Both statistics as full symmetric matrices, bit for bit: for tests
+    /// and oracles.
     pub fn mirrored(&self) -> (Matrix, Matrix) {
-        let full = |m: &Matrix| {
-            let mut m = m.clone();
-            mirror_lower(m.rows(), m.as_mut_slice());
-            m
-        };
-        (full(self.a_stat), full(self.g_stat))
+        let (a, g) = self.packed.split_at(packed_len(self.a_dim));
+        (unpack_lower(a, self.a_dim), unpack_lower(g, self.g_dim))
     }
 }
 
 /// Per-layer capture state owned by preconditionable layers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct KfacCapture {
     /// Whether the layer records statistics during passes.
     pub enabled: bool,
-    a_stat: Matrix,
-    g_stat: Matrix,
+    a_dim: usize,
+    g_dim: usize,
+    /// `A△` then `G△` (see [`KfacStats::packed`]).
+    stats: Vec<f32>,
     /// Micro-batches recorded this step (forward side) — zero means the
     /// next `A` contribution starts the step.
     batches: usize,
     /// `G` contributions recorded this step.
     g_batches: usize,
     /// Where the second and later micro-batches' contributions are formed
-    /// before they are added (grows once to the larger factor, then kept).
+    /// before they are added (grows once to the larger triangle, then kept).
     contrib: Vec<f32>,
 }
 
-/// The lower triangle of `Σ_b B_b·B_bᵀ` over the `n` consecutive `dim × T`
-/// blocks of `cols`, accumulated into `c` (`dim x dim`).
+/// The packed lower triangle of `Σ_b B_b·B_bᵀ` over the `n` consecutive
+/// `dim × T` blocks of `cols`, accumulated into `c` ([`packed_len`]`(dim)`).
 pub(crate) fn gram_cols_lower(cols: &[f32], dim: usize, n: usize, c: &mut [f32]) {
-    gram_nt_lower(dim, cols.len() / (dim * n).max(1), cols, c);
-}
-
-/// Multiply the lower triangle of the row-major `dim x dim` matrix `m` by
-/// `s`.
-fn scale_lower(m: &mut [f32], dim: usize, s: f32) {
-    for (i, row) in m.chunks_exact_mut(dim.max(1)).enumerate() {
-        row[..=i].iter_mut().for_each(|v| *v *= s);
-    }
-}
-
-/// Fold one micro-batch's contribution into `stat` (lower triangle only):
-/// the first of a step is computed by `gram` straight into the zero-filled
-/// `stat` and scaled there; a later one is computed into the zero-filled
-/// `contrib`, scaled, and added — `stat = contrib`, then `stat += contrib`,
-/// element for element.
-fn accumulate_lower(
-    stat: &mut Matrix,
-    contrib: &mut Vec<f32>,
-    first: bool,
-    dim: usize,
-    scale: f32,
-    gram: impl FnOnce(&mut [f32]),
-) {
-    if first {
-        if stat.shape() == (dim, dim) {
-            stat.fill_zero();
-        } else {
-            *stat = Matrix::zeros(dim, dim);
-        }
-        gram(stat.as_mut_slice());
-        scale_lower(stat.as_mut_slice(), dim, scale);
-        return;
-    }
-    assert_eq!(stat.shape(), (dim, dim), "factor dimension changed within a step");
-    contrib.clear();
-    contrib.resize(dim * dim, 0.0);
-    gram(contrib);
-    scale_lower(contrib, dim, scale);
-    for (i, (s, c)) in
-        stat.as_mut_slice().chunks_exact_mut(dim).zip(contrib.chunks_exact(dim)).enumerate()
-    {
-        for (s, &c) in s[..=i].iter_mut().zip(&c[..=i]) {
-            *s += c;
-        }
-    }
+    gram_nt_lower(GemmKernel::Auto, dim, cols.len() / (dim * n).max(1), cols, c);
 }
 
 impl KfacCapture {
-    /// Create a disabled capture (layers start inert until a preconditioner
-    /// registers them).
-    pub fn new() -> Self {
-        Self::default()
+    /// Create a disabled capture for a layer whose factors are
+    /// `a_dim x a_dim` and `g_dim x g_dim` (layers start inert until a
+    /// preconditioner registers them).
+    pub fn new(a_dim: usize, g_dim: usize) -> Self {
+        let (stats, contrib) = (Vec::new(), Vec::new());
+        Self { enabled: false, a_dim, g_dim, stats, batches: 0, g_batches: 0, contrib }
     }
 
     /// Record the layer-input matrix `a` (rows × a_dim, already augmented
     /// with a ones column if the layer has a bias) for `n_samples` samples.
     pub fn record_forward(&mut self, a: &Matrix, n_samples: usize) {
         let (rows, dim) = a.shape();
-        self.record_forward_with(dim, n_samples, |c| gram_tn_lower(dim, rows, a.as_slice(), c));
+        self.record_forward_with(dim, n_samples, |c| {
+            gram_tn_lower(GemmKernel::Auto, dim, rows, a.as_slice(), c)
+        });
     }
 
     /// [`record_forward`](Self::record_forward) for an `a` in the column
@@ -153,33 +110,35 @@ impl KfacCapture {
     }
 
     /// Record an `aᵀa` contribution (unscaled, `dim x dim`) for `n_samples`
-    /// samples that `gram` writes — lower triangle only — into the
-    /// zero-filled buffer it is handed: how a Conv2d layer with a bias
-    /// hands over its bordered Gram, built without the ones column.
-    /// Bitwise [`record_forward`](Self::record_forward) of any `a` whose
-    /// `gram_tn` has that lower triangle.
+    /// samples that `gram` sums, as a row-packed lower triangle, into the
+    /// zero-filled [`packed_len`]`(dim)` buffer it is handed: how a Conv2d
+    /// layer with a bias hands over its bordered Gram, built without the
+    /// ones column. Bitwise [`record_forward`](Self::record_forward) of any
+    /// `a` whose `gram_tn` has that lower triangle.
+    ///
+    /// # Panics
+    /// If `dim` is not the capture's `a_dim`.
     pub fn record_forward_with(
         &mut self,
         dim: usize,
         n_samples: usize,
         gram: impl FnOnce(&mut [f32]),
     ) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            assert_eq!(dim, self.a_dim, "A statistic dimension");
+            // Convention: one forward + one backward == one micro-batch;
+            // count on the forward side.
+            self.record(false, 1.0 / n_samples as f32, gram);
         }
-        let first = self.batches == 0;
-        let scale = 1.0 / n_samples as f32;
-        accumulate_lower(&mut self.a_stat, &mut self.contrib, first, dim, scale, gram);
-        // Convention: one forward + one backward == one micro-batch; count on
-        // the forward side.
-        self.batches += 1;
     }
 
     /// Record the pre-activation gradient matrix `g` (rows × g_dim, gradients
     /// of the *mean* loss) for `n_samples` samples.
     pub fn record_backward(&mut self, g: &Matrix, n_samples: usize) {
         let (rows, dim) = g.shape();
-        self.record_g_stat(dim, rows, n_samples, |c| gram_tn_lower(dim, rows, g.as_slice(), c));
+        self.record_g_stat(dim, rows, n_samples, |c| {
+            gram_tn_lower(GemmKernel::Auto, dim, rows, g.as_slice(), c)
+        });
     }
 
     /// [`record_backward`](Self::record_backward) for a `g` in the column
@@ -197,13 +156,36 @@ impl KfacCapture {
         n_samples: usize,
         gram: impl FnOnce(&mut [f32]),
     ) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            assert_eq!(dim, self.g_dim, "G statistic dimension");
+            self.record(true, (n_samples * n_samples) as f32 / rows.max(1) as f32, gram);
         }
-        let first = self.g_batches == 0;
-        let scale = (n_samples * n_samples) as f32 / rows.max(1) as f32;
-        accumulate_lower(&mut self.g_stat, &mut self.contrib, first, dim, scale, gram);
-        self.g_batches += 1;
+    }
+
+    /// Fold the contribution `gram` sums into a zero-filled slice into `G△`
+    /// (`g_side`) or `A△`: the first of a step is formed in place, a later
+    /// one in `contrib`; each is scaled, element for element.
+    fn record(&mut self, g_side: bool, scale: f32, gram: impl FnOnce(&mut [f32])) {
+        let split = packed_len(self.a_dim);
+        self.stats.resize(split + packed_len(self.g_dim), 0.0);
+        let (stat, count) = if g_side {
+            (&mut self.stats[split..], &mut self.g_batches)
+        } else {
+            (&mut self.stats[..split], &mut self.batches)
+        };
+        if *count == 0 {
+            stat.fill(0.0);
+            gram(stat);
+            stat.iter_mut().for_each(|v| *v *= scale);
+        } else {
+            self.contrib.clear();
+            self.contrib.resize(stat.len(), 0.0);
+            gram(&mut self.contrib);
+            for (s, &c) in stat.iter_mut().zip(&self.contrib) {
+                *s += c * scale;
+            }
+        }
+        *count += 1;
     }
 
     /// Whether both statistics have been recorded since the last
@@ -212,22 +194,36 @@ impl KfacCapture {
         self.batches > 0 && self.g_batches > 0
     }
 
-    /// Drain the accumulated statistics: the capture's next contribution
-    /// starts a new step (its buffers are kept and zero-filled then).
-    /// Returns `None` if nothing was captured.
-    pub fn take_stats(&mut self) -> Option<KfacStats<'_>> {
+    /// Drain the accumulated statistics, moving the statistic buffer out:
+    /// the capture's next contribution starts a new step. Returns `None`
+    /// (and keeps the buffer) if nothing was captured.
+    pub fn take_stats(&mut self) -> Option<KfacStats> {
         let ready = self.has_stats();
         let batches = std::mem::take(&mut self.batches);
         self.g_batches = 0;
-        ready.then_some(KfacStats { a_stat: &self.a_stat, g_stat: &self.g_stat, batches })
+        ready.then(|| KfacStats {
+            packed: std::mem::take(&mut self.stats),
+            a_dim: self.a_dim,
+            g_dim: self.g_dim,
+            batches,
+        })
     }
 
-    /// Bytes the capture holds for its two statistics — the quantity
+    /// Hand a drained statistic buffer (its contents are spent) back, so
+    /// the next step sums into it instead of allocating. Dropped if a new
+    /// step has already started recording.
+    pub fn recycle(&mut self, packed: Vec<f32>) {
+        if self.batches == 0 && self.g_batches == 0 {
+            self.stats = packed;
+        }
+    }
+
+    /// Bytes the capture holds for its two packed statistics — the quantity
     /// KAISA's factor-accumulation optimization (Section 4.2) keeps
     /// O(dim²). The contribution scratch a second micro-batch forms its
     /// Gram in is not counted, like the preconditioner's work buffers.
     pub fn memory_bytes(&self) -> usize {
-        (self.a_stat.numel() + self.g_stat.numel()) * std::mem::size_of::<f32>()
+        self.stats.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -258,11 +254,11 @@ pub trait KfacAble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaisa_tensor::Rng;
+    use kaisa_tensor::{pack_lower_scaled, Rng};
 
     #[test]
     fn disabled_capture_records_nothing() {
-        let mut cap = KfacCapture::new();
+        let mut cap = KfacCapture::new(3, 3);
         let a = Matrix::full(4, 3, 1.0);
         cap.record_forward(&a, 4);
         cap.record_backward(&a, 4);
@@ -277,7 +273,7 @@ mod tests {
         // and `gram_tn(gᵢ)·n²/rows` (Section 4.2).
         let mut rng = Rng::seed_from_u64(61);
         let (rows, n, a_dim, g_dim) = (8, 4, 5, 3);
-        let mut cap = KfacCapture { enabled: true, ..Default::default() };
+        let mut cap = KfacCapture { enabled: true, ..KfacCapture::new(a_dim, g_dim) };
         let (mut a_contribs, mut g_contribs) = (Vec::new(), Vec::new());
         for _ in 0..3 {
             let a = Matrix::randn(rows, a_dim, 1.0, &mut rng);
@@ -309,12 +305,13 @@ mod tests {
 
     #[test]
     fn accumulate_memory_is_constant_in_microbatches() {
-        // The capture holds one `A` and one `G` after every micro-batch,
-        // however many were accumulated (Section 4.2).
+        // The capture holds one packed `A` and one packed `G` after every
+        // micro-batch, however many were accumulated (Section 4.2).
         let mut rng = Rng::seed_from_u64(61);
         let (rows, n, a_dim, g_dim) = (8, 4, 5, 3);
-        let mut cap = KfacCapture { enabled: true, ..Default::default() };
-        let one_of_each = (a_dim * a_dim + g_dim * g_dim) * std::mem::size_of::<f32>();
+        let mut cap = KfacCapture { enabled: true, ..KfacCapture::new(a_dim, g_dim) };
+        let one_of_each = (packed_len(a_dim) + packed_len(g_dim)) * std::mem::size_of::<f32>();
+        assert_eq!(one_of_each, (15 + 6) * 4);
         for i in 0..3 {
             cap.record_forward(&Matrix::randn(rows, a_dim, 1.0, &mut rng), n);
             cap.record_backward(&Matrix::randn(rows, g_dim, 1.0, &mut rng), n);
@@ -325,7 +322,7 @@ mod tests {
     #[test]
     fn stats_are_symmetric_psd_shaped() {
         let mut rng = Rng::seed_from_u64(63);
-        let mut cap = KfacCapture { enabled: true, ..Default::default() };
+        let mut cap = KfacCapture { enabled: true, ..KfacCapture::new(7, 3) };
         let a = Matrix::randn(10, 7, 1.0, &mut rng);
         let g = Matrix::randn(10, 3, 1.0, &mut rng);
         cap.record_forward(&a, 10);
@@ -347,14 +344,16 @@ mod tests {
         // conv's bordered Gram) must be indistinguishable from recording
         // the matrix itself.
         let mut rng = Rng::seed_from_u64(64);
-        let mut whole = KfacCapture { enabled: true, ..Default::default() };
-        let mut handed = KfacCapture { enabled: true, ..Default::default() };
+        let mut whole = KfacCapture { enabled: true, ..KfacCapture::new(5, 4) };
+        let mut handed = KfacCapture { enabled: true, ..KfacCapture::new(5, 4) };
         for _ in 0..3 {
             let a = Matrix::randn(12, 5, 1.0, &mut rng);
             let g = Matrix::randn(12, 4, 1.0, &mut rng);
             whole.record_forward(&a, 12);
             whole.record_backward(&g, 12);
-            handed.record_forward_with(5, 12, |c| c.copy_from_slice(a.gram_tn().as_slice()));
+            handed.record_forward_with(5, 12, |c| {
+                pack_lower_scaled(a.gram_tn().as_slice(), 5, 1.0, c)
+            });
             handed.record_backward(&g, 12);
         }
         let (sw, ss) = (whole.take_stats().unwrap(), handed.take_stats().unwrap());
@@ -368,10 +367,10 @@ mod tests {
     fn column_blocks_record_like_their_rows_bitwise() {
         // Three samples of four positions, recorded as `dim × 4` column
         // blocks and as the `12 × dim` rows they transpose to: same bits,
-        // same bytes held.
+        // same bytes held — the two packed triangles.
         let mut rng = Rng::seed_from_u64(65);
-        let mut rows = KfacCapture { enabled: true, ..Default::default() };
-        let mut cols = KfacCapture { enabled: true, ..Default::default() };
+        let mut rows = KfacCapture { enabled: true, ..KfacCapture::new(5, 2) };
+        let mut cols = KfacCapture { enabled: true, ..KfacCapture::new(5, 2) };
         for _ in 0..2 {
             let a = Matrix::randn(3 * 5, 4, 1.0, &mut rng);
             let g = Matrix::randn(3 * 2, 4, 1.0, &mut rng);
@@ -383,6 +382,7 @@ mod tests {
             cols.record_forward_cols(a.as_slice(), 5, 3);
             cols.record_backward_cols(g.as_slice(), 2, 3);
             assert_eq!(rows.memory_bytes(), cols.memory_bytes());
+            assert_eq!(cols.memory_bytes(), (packed_len(5) + packed_len(2)) * 4);
         }
         let (r, c) = (rows.take_stats().unwrap(), cols.take_stats().unwrap());
         assert_eq!(r.batches, c.batches);
@@ -397,15 +397,19 @@ mod tests {
 
     #[test]
     fn a_new_step_reuses_the_buffers_and_starts_from_zero() {
-        // The statistic buffers outlive `take_stats`; the next step's first
-        // micro-batch zero-fills them in place, so a capture that already
-        // ran a (different) step gives the bits a fresh capture gives.
+        // A statistic buffer handed back after `take_stats` is the next
+        // step's: its first micro-batch zero-fills it in place, so a capture
+        // that already ran a (different) step gives the bits a fresh
+        // capture gives.
         let mut rng = Rng::seed_from_u64(66);
-        let mut reused = KfacCapture { enabled: true, ..Default::default() };
+        let mut reused = KfacCapture { enabled: true, ..KfacCapture::new(6, 4) };
         reused.record_forward(&Matrix::randn(9, 6, 3.0, &mut rng), 9);
         reused.record_backward(&Matrix::randn(9, 4, 3.0, &mut rng), 9);
-        let ptr = reused.take_stats().unwrap().a_stat.as_slice().as_ptr();
-        let mut fresh = KfacCapture { enabled: true, ..Default::default() };
+        let spent = reused.take_stats().unwrap().packed;
+        assert_eq!(reused.memory_bytes(), 0, "the buffer moved out");
+        let ptr = spent.as_ptr();
+        reused.recycle(spent);
+        let mut fresh = KfacCapture { enabled: true, ..KfacCapture::new(6, 4) };
         for _ in 0..2 {
             let (a, g) = (Matrix::randn(8, 6, 1.0, &mut rng), Matrix::randn(8, 4, 1.0, &mut rng));
             for cap in [&mut reused, &mut fresh] {
@@ -414,7 +418,7 @@ mod tests {
             }
         }
         let (r, f) = (reused.take_stats().unwrap(), fresh.take_stats().unwrap());
-        assert_eq!(r.a_stat.as_slice().as_ptr(), ptr, "the A buffer was reallocated");
+        assert_eq!(r.packed.as_ptr(), ptr, "the statistic buffer was reallocated");
         let ((ra, rg), (fa, fg)) = (r.mirrored(), f.mirrored());
         assert_eq!(ra, fa);
         assert_eq!(rg, fg);
@@ -422,7 +426,7 @@ mod tests {
 
     #[test]
     fn take_stats_resets() {
-        let mut cap = KfacCapture { enabled: true, ..Default::default() };
+        let mut cap = KfacCapture { enabled: true, ..KfacCapture::new(2, 2) };
         let a = Matrix::full(2, 2, 1.0);
         cap.record_forward(&a, 2);
         cap.record_backward(&a, 2);
@@ -438,7 +442,7 @@ mod tests {
         let v = [2.0f32, -1.0];
         let rows: Vec<f32> = (0..n).flat_map(|_| v.iter().map(|x| x / n as f32)).collect();
         let g = Matrix::from_vec(n, 2, rows);
-        let mut cap = KfacCapture { enabled: true, ..Default::default() };
+        let mut cap = KfacCapture { enabled: true, ..KfacCapture::new(1, 2) };
         cap.record_forward(&Matrix::full(n, 1, 1.0), n);
         cap.record_backward(&g, n);
         let (_, g_stat) = cap.take_stats().unwrap().mirrored();

@@ -16,8 +16,8 @@
 //! pipeline's, bit for bit (DESIGN §5j).
 
 use kaisa_tensor::{
-    col2im_image, gemm_nn, gemm_nt_blocks, gemm_tn, im2col_image, init, Conv2dGeom, Matrix, Rng,
-    Tensor4,
+    col2im_image, gemm_nn, gemm_nt_blocks, gemm_tn, im2col_image, init, packed_len, Conv2dGeom,
+    Matrix, Rng, Tensor4,
 };
 
 use crate::capture::{gram_cols_lower, KfacAble, KfacCapture};
@@ -67,7 +67,7 @@ impl Conv2d {
             bias: bias.then(|| vec![0.0; c_out]),
             grad_weight: Matrix::zeros(c_out, patch),
             grad_bias: bias.then(|| vec![0.0; c_out]),
-            kfac: KfacCapture::new(),
+            kfac: KfacCapture::new(patch + usize::from(bias), c_out),
             geom: Conv2dGeom::square(kernel, stride, pad),
             c_in,
             c_out,
@@ -181,26 +181,21 @@ impl Conv2d {
     }
 }
 
-/// The lower triangle of `[P 1]ᵀ[P 1]` for the patch rows `P` of a bias
-/// layer, from its column blocks `cols` (`(n·p) × hw`) without building
-/// `[P 1]`, into the zero-filled `(p+1) x (p+1)` buffer `c`. The corner
-/// block is `Σ Pt·Ptᵀ`, formed in `c`'s first `p²` elements and moved row by
-/// row to stride `p + 1`; multiplying by the ones column is adding — so the
-/// border is the row sums of the blocks, taken image after image in pixel
-/// order from `0.0` (the patch rows' ascending order), and the last entry
-/// counts the pixels the same way (exact up to 2²⁴, where a running `f32`
-/// count stops moving). Bit for bit the lower triangle of `gram_tn` of `P`
-/// with a ones column appended.
+/// The packed lower triangle of `[P 1]ᵀ[P 1]` for the patch rows `P` of a
+/// bias layer, from its column blocks `cols` (`(n·p) × hw`) without
+/// building `[P 1]`, into the zero-filled [`packed_len`]`(p + 1)` buffer
+/// `c`. The corner block `Σ Pt·Ptᵀ` packs to the first [`packed_len`]`(p)`
+/// elements, and the border row follows it; multiplying by the ones column
+/// is adding — so the border is the row sums of the blocks, taken image
+/// after image in pixel order from `0.0` (the patch rows' ascending order),
+/// and the last entry counts the pixels the same way (exact up to 2²⁴,
+/// where a running `f32` count stops moving). Bit for bit the lower
+/// triangle of `gram_tn` of `P` with a ones column appended.
 fn bordered_gram_lower(cols: &Matrix, p: usize, c: &mut [f32]) {
-    debug_assert_eq!(c.len(), (p + 1) * (p + 1));
+    debug_assert_eq!(c.len(), packed_len(p + 1));
     let (n, hw) = (cols.rows() / p, cols.cols());
-    gram_cols_lower(cols.as_slice(), p, n, &mut c[..p * p]);
-    // Descending rows: row `i`'s destination starts past every source row
-    // not yet moved, and every lower-triangle element gets written.
-    for i in (1..p).rev() {
-        c.copy_within(i * p..i * p + i + 1, i * (p + 1));
-    }
-    let border = &mut c[p * (p + 1)..];
+    let (corner, border) = c.split_at_mut(packed_len(p));
+    gram_cols_lower(cols.as_slice(), p, n, corner);
     for block in cols.as_slice().chunks_exact(p * hw) {
         for (s, row) in border.iter_mut().zip(block.chunks_exact(hw)) {
             *s = row.iter().fold(*s, |acc, &v| acc + v);
@@ -364,9 +359,9 @@ mod tests {
     fn bordered_gram_counts_rows_like_a_running_f32_sum() {
         // One image, one kernel tap, five pixels of zeros: only the count
         // is nonzero.
-        let mut c = [0.0f32; 4];
+        let mut c = [0.0f32; 3];
         bordered_gram_lower(&Matrix::zeros(1, 5), 1, &mut c);
-        assert_eq!(c, [0.0, 0.0, 0.0, 5.0]);
+        assert_eq!(c, [0.0, 0.0, 5.0]);
         // Why the count is capped at 2^24: that is where adding 1.0 to an
         // `f32`, as the ones column's Gram entry does, stops moving it.
         let mut count = (1u32 << 24) as f32 - 1.0;
@@ -477,8 +472,7 @@ mod tests {
                 b.iter_mut().for_each(|v| *v = rng.normal());
             }
             conv.kfac.enabled = true;
-            let mut cap = KfacCapture::new();
-            cap.enabled = true;
+            let mut cap = conv.kfac.clone();
             let mut grads =
                 (Matrix::zeros(c_out, conv.weight.cols()), has_bias.then(|| vec![0.0; c_out]));
             for _ in 0..2 {
@@ -512,9 +506,9 @@ mod tests {
         let y = conv.forward(&x, true);
         let g = Tensor4::randn(y.n(), y.c(), y.h(), y.w(), 0.1, &mut rng);
         let _ = conv.backward(&g);
-        let stats = conv.kfac.take_stats().unwrap();
-        assert_eq!(stats.a_stat.shape(), (19, 19));
-        assert_eq!(stats.g_stat.shape(), (3, 3));
-        assert!(stats.a_stat.is_finite() && stats.g_stat.is_finite());
+        let (a_stat, g_stat) = conv.kfac.take_stats().unwrap().mirrored();
+        assert_eq!(a_stat.shape(), (19, 19));
+        assert_eq!(g_stat.shape(), (3, 3));
+        assert!(a_stat.is_finite() && g_stat.is_finite());
     }
 }

@@ -36,7 +36,7 @@ impl Linear {
             bias: bias.then(|| vec![0.0; out_features]),
             grad_weight: Matrix::zeros(out_features, in_features),
             grad_bias: bias.then(|| vec![0.0; out_features]),
-            kfac: KfacCapture::new(),
+            kfac: KfacCapture::new(in_features + usize::from(bias), out_features),
             input_cache: None,
         }
     }
@@ -301,11 +301,11 @@ mod tests {
         let y = layer.forward(&x, true);
         let g = Matrix::full(y.rows(), y.cols(), 0.1);
         let _ = layer.backward(&g);
-        let stats = layer.kfac.take_stats().unwrap();
-        assert_eq!(stats.a_stat.shape(), (5, 5));
-        assert_eq!(stats.g_stat.shape(), (2, 2));
+        let (a_stat, g_stat) = layer.kfac.take_stats().unwrap().mirrored();
+        assert_eq!(a_stat.shape(), (5, 5));
+        assert_eq!(g_stat.shape(), (2, 2));
         // Bias augmentation: bottom-right of A is E[1·1] = 1.
-        assert!((stats.a_stat.get(4, 4) - 1.0).abs() < 1e-5);
+        assert!((a_stat.get(4, 4) - 1.0).abs() < 1e-5);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! * [`f16`](mod@f16) — a software implementation of IEEE 754 binary16 used to
 //!   emulate half-precision *storage and communication* of Kronecker factors
 //!   (Section 3.3 of the KAISA paper) on hardware without native fp16.
+//! * [`packed_len`] / [`pack_lower_scaled`] / [`unpack_lower`] — the
+//!   row-packed lower triangle, the form every K-FAC factor takes from the
+//!   capture's Gram kernels to the checkpoint (KAISA's triangular factor
+//!   communication, Section 4.3). The square form is rebuilt only for tests
+//!   and oracles.
 //! * [`Precision`] — storage-precision selection with byte accounting, the
 //!   knob KAISA uses to trade accuracy for memory/bandwidth.
 //! * [`Rng`] — a deterministic xoshiro256++ generator so every experiment in
@@ -47,6 +52,7 @@ mod simd;
 mod syrk;
 mod team;
 mod tensor4;
+mod triangular;
 
 pub use f16::F16;
 pub use gemm::{
@@ -57,9 +63,10 @@ pub use im2col::{col2im, col2im_image, im2col, im2col_image, Conv2dGeom};
 pub use matrix::Matrix;
 pub use precision::Precision;
 pub use rng::Rng;
-pub use syrk::{gram_nt_lower, gram_tn_lower, mirror_lower, syrk_nt_with, syrk_tn, syrk_tn_with};
+pub use syrk::{gram_nt_lower, gram_tn_lower, syrk_nt_with, syrk_tn_with};
 pub use team::inline_bands;
 pub use tensor4::Tensor4;
+pub use triangular::{pack_lower_scaled, packed_len, unpack_lower};
 
 /// Convenience result alias for shape-checked tensor operations.
 pub type Result<T> = std::result::Result<T, ShapeError>;

@@ -222,9 +222,10 @@ impl Matrix {
 
     /// `selfᵀ @ self` — the K-FAC factor-statistic Gram product.
     ///
-    /// Runs the symmetric rank-k kernel ([`crate::gram_tn_lower`]): only
-    /// the lower triangle is computed, then mirrored once, bitwise
-    /// identical to `self.matmul_tn(self)`, which stays its oracle.
+    /// Runs the symmetric rank-k kernel ([`crate::syrk_tn_with`] on
+    /// `GemmKernel::Auto`): only the lower triangle is computed, then
+    /// mirrored once, bitwise identical to `self.matmul_tn(self)`, which
+    /// stays its oracle.
     ///
     /// A tall matrix (a conv layer's patch rows) is accumulated
     /// 1024 rows (`GRAM_BLOCK_ROWS`) at a time: the kernels pack panels of the
@@ -235,8 +236,7 @@ impl Matrix {
     pub fn gram_tn(&self) -> Matrix {
         let n = self.cols;
         let mut out = Matrix::zeros(n, n);
-        crate::gram_tn_lower(n, self.rows, &self.data, &mut out.data);
-        crate::mirror_lower(n, &mut out.data);
+        crate::syrk_tn_with(crate::GemmKernel::Auto, n, self.rows, &self.data, &mut out.data);
         out
     }
 

@@ -2,26 +2,33 @@
 //!
 //! Every K-FAC factor statistic is a Gram product — `A = aᵀa`, `G = gᵀg` —
 //! whose output is symmetric, so a full GEMM wastes half its multiply-adds.
-//! [`syrk_tn`] computes only the **lower triangle** (`j ≤ i`) and then
-//! mirrors it into the upper triangle with an exact bit copy
-//! (`c[i][j] = c[j][i]`). Each lower-triangle element receives the identical
-//! per-`kk`-ascending mul-then-add sequence as [`gemm_tn_with`](crate::gemm_tn_with), and the
-//! mirrored upper element is bitwise equal to what the GEMM would have
-//! produced there because IEEE 754 multiplication is commutative at the bit
-//! level for the operand classes that reach it (`A[kk,i]·A[kk,j]` vs
-//! `A[kk,j]·A[kk,i]`) — so the whole matrix is **bitwise identical** to
-//! `gemm_tn(m, k, m, a, a, c)` and the repo's equivalence contract holds.
+//! One lower-triangle sweep computes only `C[i, j]` with `j ≤ i`, each with
+//! the identical per-`kk`-ascending mul-then-add sequence as
+//! [`gemm_tn_with`](crate::gemm_tn_with), and is told only where row `i` of
+//! `C` starts: `i·m` in a square `m x m` matrix, `i(i+1)/2` in the
+//! row-packed lower triangle ([`crate::packed_len`]).
+//!
+//! * [`syrk_tn_with`] and [`syrk_nt_with`] write a square `C` and then
+//!   mirror its lower triangle into the upper with an exact bit copy
+//!   ([`mirror_lower`]). The mirrored element is bitwise what the GEMM
+//!   would have produced there, because IEEE 754 multiplication is
+//!   commutative at the bit level for the operand classes that reach it
+//!   (`A[kk,i]·A[kk,j]` vs `A[kk,j]·A[kk,i]`) — so the whole matrix is
+//!   **bitwise identical** to `gemm_tn(m, k, m, a, a, c)`.
+//! * [`gram_tn_lower`] and [`gram_nt_lower`], the K-FAC capture's entries,
+//!   sum the same products straight into a packed triangle: bit for bit
+//!   the triangle the square products pack to, and the factor wire.
 //!
 //! Like the GEMM kernels, two variants sit behind the [`GemmKernel`]
 //! selector: the naive scalar reference (the oracle) and a blocked path
 //! reusing the packed panels, the register-tiled `MR x NR` microkernel
 //! (AVX-512F, else AVX2, behind runtime detection; portable fallback), and
-//! the full-k no-FMA discipline from `gemm`. The blocked sweep simply **skips every
-//! register tile that lies entirely above the diagonal**; tiles straddling
-//! it are computed in full and the spilled upper elements are overwritten
-//! by the mirror. A product big enough to pay is cut into MR-aligned row
-//! bands with *triangle-balanced* boundaries (`r_i ≈ m·√(i/bands)`), so each
-//! band holds roughly the same number of lower-triangle flops; the calling
+//! the full-k no-FMA discipline from `gemm`. The blocked sweep **skips every
+//! register tile that lies entirely above the diagonal**; a tile straddling
+//! it is computed in full, but loads and stores only its lower elements. A
+//! product big enough to pay is cut into MR-aligned row bands with
+//! *triangle-balanced* boundaries (`r_i ≈ m·√(i/bands)`), so each band
+//! holds roughly the same number of lower-triangle flops; the calling
 //! thread claims them from a queue and, exactly as for the GEMM row bands,
 //! idle [`team`](crate::team) helpers claim from the same queue.
 //!
@@ -29,20 +36,12 @@
 //! order, accumulating row blocks of `A` one call at a time is bitwise
 //! identical to one shot.
 //!
-//! [`syrk_nt_with`] is the same kernel fed the transposed storage: `A`
+//! The `Nt` layout is the same kernel fed the transposed storage: `A`
 //! row-major `[m x k]`, `C += A·Aᵀ`, as a Conv2d layer holds its per-image
 //! patch and gradient blocks (DESIGN §5j). It takes any number of such
-//! blocks in one call, accumulates them into the lower triangle in order
-//! and mirrors once, so the result is bit for bit `syrk_tn` of the row
-//! layout that stacks every block's transpose.
-//!
-//! [`gram_tn_lower`] and [`gram_nt_lower`] are the two Gram products
-//! ([`Matrix::gram_tn`](crate::Matrix::gram_tn) and [`syrk_nt_with`], both
-//! on the shape-selected [`GemmKernel::Auto`]) without the mirror: the
-//! K-FAC capture reads only the lower triangle (it is what goes on the
-//! wire), so it never pays for the upper one.
-//! [`mirror_lower`] is the one mirror, a tiled pass shared with the
-//! factor fold.
+//! blocks in one call and accumulates them in order, so the result is bit
+//! for bit the `Tn` Gram of the row layout that stacks every block's
+//! transpose.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -51,30 +50,25 @@ use crate::gemm::{
     PACKED_A, PACKED_B,
 };
 use crate::matrix::GRAM_BLOCK_ROWS;
-use crate::team;
+use crate::{packed_len, team};
 
 /// `C[m x m] += AᵀA` where `A` is stored `[k x m]` row-major — the
 /// symmetric-output counterpart of [`gemm_tn_with`](crate::gemm_tn_with) with `b = a`. Only
 /// the lower triangle is computed; the strict upper triangle is then
 /// overwritten with an exact bit copy of the lower. The result (including
 /// accumulation into a symmetric pre-existing `C`) is bitwise identical to
-/// `gemm_tn(m, k, m, a, a, c)`. Runs the shape-selected
-/// [`GemmKernel::Auto`].
-pub fn syrk_tn(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
-    syrk_tn_with(GemmKernel::Auto, m, k, a, c);
-}
-
-/// [`syrk_tn`] with an explicit kernel selection (benchmarks and the
-/// property suite pin both paths).
+/// `gemm_tn(m, k, m, a, a, c)` on the same `kernel` (benchmarks and the
+/// property suite pin both paths). `A` is fed to the sweep
+/// `GRAM_BLOCK_ROWS` rows at a time, as for
+/// [`Matrix::gram_tn`](crate::Matrix::gram_tn), which runs this on
+/// `GemmKernel::Auto`.
 pub fn syrk_tn_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(c.len(), m * m);
     if m == 0 || k == 0 {
         // Match gemm_tn: C untouched, and in particular *not* mirrored —
         // a k=0 update must leave arbitrary caller data intact.
         return;
     }
-    syrk_lower(kernel, Layout::Tn, m, k, k, a, c);
+    tn_blocks(kernel, Store::Square, m, k, a, c);
     mirror_lower(m, c);
 }
 
@@ -82,7 +76,7 @@ pub fn syrk_tn_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [
 /// blocks `A_b` that make up `a` (its length is a multiple of `m·k`). The
 /// blocks accumulate into the lower triangle in order and the upper
 /// triangle is mirrored once at the end, so the result is bitwise
-/// [`syrk_tn`] of the `[blocks·k x m]` matrix stacking every `A_bᵀ`: each
+/// [`syrk_tn_with`] of the `[blocks·k x m]` matrix stacking every `A_bᵀ`: each
 /// lower element is the live value plus one mul-then-add per column of
 /// each block, blocks and columns ascending.
 ///
@@ -94,118 +88,222 @@ pub fn syrk_nt_with(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [
     if m == 0 || k == 0 || a.is_empty() {
         return;
     }
-    nt_lower(kernel, m, k, a, c);
+    nt_blocks(kernel, Store::Square, m, k, a, c);
     mirror_lower(m, c);
 }
 
-/// The Gram product of column-layout blocks, `C[m x m] += Σ_b A_b·A_bᵀ`,
-/// on the shape-selected [`GemmKernel::Auto`], without the mirror: only
-/// the lower triangle (`j ≤ i`) of `C` is written, bit for bit what
-/// [`syrk_nt_with`] leaves there on that kernel; the strict
-/// upper triangle is left stale or partly updated. The K-FAC capture's
-/// entry — a factor statistic never needs its upper half.
-pub fn gram_nt_lower(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+/// [`syrk_nt_with`]'s `Σ_b A_b·A_bᵀ` accumulated into the row-packed lower
+/// triangle `c` ([`packed_len`]`(m)` elements): bit for bit the triangle
+/// the square product packs to. The capture's entry for Conv2d blocks.
+pub fn gram_nt_lower(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
     if m == 0 || k == 0 || a.is_empty() {
         return;
     }
-    nt_lower(GemmKernel::Auto, m, k, a, c);
+    nt_blocks(kernel, Store::Packed, m, k, a, c);
 }
 
-/// The lower triangle (`j ≤ i`) of `C[m x m] += AᵀA` for `A` stored
-/// `[k x m]` row-major, on the shape-selected [`GemmKernel::Auto`], handed
-/// to the kernel `GRAM_BLOCK_ROWS` rows at a time: bit for bit the lower
-/// triangle [`Matrix::gram_tn`](crate::Matrix::gram_tn) produces, which is
-/// this plus one [`mirror_lower`]. The strict upper triangle is left stale
-/// or partly updated.
-pub fn gram_tn_lower(m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+/// [`Matrix::gram_tn`](crate::Matrix::gram_tn)'s `AᵀA` (`A` stored
+/// `[k x m]`) accumulated into the row-packed lower triangle `c`
+/// ([`packed_len`]`(m)` elements), bit for bit the triangle it packs to.
+/// The capture's entry for row-layout activations and gradients.
+pub fn gram_tn_lower(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+    tn_blocks(kernel, Store::Packed, m, k, a, c);
+}
+
+/// The lower triangle of `C += AᵀA`, `GRAM_BLOCK_ROWS` rows of `A` per
+/// sweep: the kernels pack panels of the full row extent, which stop
+/// fitting the cache long before a conv layer's patch matrix ends.
+fn tn_blocks(kernel: GemmKernel, store: Store, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
     debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(c.len(), m * m);
     if m == 0 {
         return;
     }
     for block in a.chunks(GRAM_BLOCK_ROWS * m) {
         let rows = block.len() / m;
-        syrk_lower(GemmKernel::Auto, Layout::Tn, m, rows, rows, block, c);
+        Sweep { layout: Layout::Tn, store, m, k: rows, kb: rows, a: block }.run(kernel, c);
     }
 }
 
-/// The `Nt` lower-triangle sweep of [`syrk_nt_with`] (`m`, `k`, `a`
-/// non-empty): blocks packed several to a kernel call.
-fn nt_lower(kernel: GemmKernel, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
+/// The lower triangle of `C += Σ_b A_b·A_bᵀ` (`m`, `k`, `a` non-empty):
+/// short blocks packed several to a sweep.
+fn nt_blocks(kernel: GemmKernel, store: Store, m: usize, k: usize, a: &[f32], c: &mut [f32]) {
     debug_assert_eq!(a.len() % (m * k), 0);
-    debug_assert_eq!(c.len(), m * m);
     let per_call = (GRAM_BLOCK_ROWS / k).max(1);
     for blocks in a.chunks(per_call * m * k) {
-        syrk_lower(kernel, Layout::Nt, m, blocks.len() / m, k, blocks, c);
+        Sweep { layout: Layout::Nt, store, m, k: blocks.len() / m, kb: k, a: blocks }
+            .run(kernel, c);
     }
 }
 
-/// Accumulate the lower triangle (`j ≤ i`) of `C += AᵀA` (`Tn`: `A` stored
-/// `[k x m]`, `kb = k`) or `C += A·Aᵀ` (`Nt`: `A` stored as `k / kb`
-/// consecutive `[m x kb]` blocks); strict-upper elements are left stale or
-/// partly updated, for the caller's mirror.
-fn syrk_lower(
-    kernel: GemmKernel,
-    layout: Layout,
-    m: usize,
-    k: usize,
-    kb: usize,
-    a: &[f32],
-    c: &mut [f32],
-) {
-    if use_blocked(kernel, m, k, m) {
-        blocked_syrk(layout, m, k, kb, a, c);
-    } else if team::pays(m * m * k / 2) && m > 1 {
-        par_triangle_bands(m, c, |r0, rows, band| {
-            naive_syrk_rows(layout, r0, rows, m, k, kb, a, band);
-        });
-    } else {
-        naive_syrk_rows(layout, 0, m, m, k, kb, a, c);
+/// Where row `i` of the lower-triangle output `C` starts.
+#[derive(Clone, Copy)]
+enum Store {
+    /// A row-major `m x m` matrix: row `i` at `i·m`. The sweep leaves its
+    /// strict upper triangle alone, for the mirror.
+    Square,
+    /// The row-packed lower triangle: row `i` at `i(i+1)/2`.
+    Packed,
+}
+
+impl Store {
+    /// Offset of row `i` in an output with `m` rows; `row(m, m)` is the
+    /// output's length.
+    fn row(self, m: usize, i: usize) -> usize {
+        match self {
+            Store::Square => i * m,
+            Store::Packed => packed_len(i),
+        }
     }
 }
 
-/// Naive lower-triangle reference: for each `C[i, j]` with `j ≤ i`, the
-/// exact `kk`-ascending mul-then-add chain of `gemm_tn_serial_range` —
-/// zero terms accumulated, never skipped (IEEE NaN/Inf propagation). `Nt`
-/// runs each chain as one dot product from the live value, through the
-/// blocks in order; `Tn` streams `kk` outermost.
-#[allow(clippy::too_many_arguments)]
-fn naive_syrk_rows(
+/// One lower-triangle Gram sweep: `C[i, j] (j ≤ i) += (AᵀA)[i, j]` (`Tn`:
+/// `A` stored `[k x m]`, `kb = k`) or `+= (A·Aᵀ)[i, j]` (`Nt`: `A` stored
+/// as `k / kb` consecutive `[m x kb]` blocks), each row of `C` where
+/// `store` puts it. Only lower-triangle elements of `C` are read or
+/// written.
+#[derive(Clone, Copy)]
+struct Sweep<'a> {
     layout: Layout,
-    r0: usize,
-    rows: usize,
+    store: Store,
     m: usize,
     k: usize,
     kb: usize,
-    a: &[f32],
-    c: &mut [f32],
-) {
-    if layout == Layout::Nt {
-        for i in 0..rows {
-            let gi = r0 + i;
-            for (j, cj) in c[i * m..i * m + gi + 1].iter_mut().enumerate() {
-                let mut acc = *cj;
-                for block in a.chunks_exact(m * kb) {
-                    let (a_i, a_j) = (&block[gi * kb..(gi + 1) * kb], &block[j * kb..(j + 1) * kb]);
-                    for (&x, &y) in a_i.iter().zip(a_j) {
-                        acc += x * y;
+    a: &'a [f32],
+}
+
+impl Sweep<'_> {
+    /// Run the sweep on `kernel` over the whole of `C`.
+    fn run(&self, kernel: GemmKernel, c: &mut [f32]) {
+        let (m, k) = (self.m, self.k);
+        debug_assert_eq!(c.len(), self.store.row(m, m));
+        let banded = team::pays(m * m * k / 2) && m > 1;
+        if use_blocked(kernel, m, k, m) {
+            let bp = pack_b(self.layout, k, self.kb, m, self.a);
+            if banded {
+                let bp = &bp;
+                self.bands(c, |r0, rows, band| self.blocked_rows(r0, rows, bp, band));
+            } else {
+                self.blocked_rows(0, m, &bp, c);
+            }
+            PACKED_B.set(bp);
+        } else if banded {
+            self.bands(c, |r0, rows, band| self.naive_rows(r0, rows, band));
+        } else {
+            self.naive_rows(0, m, c);
+        }
+    }
+
+    /// Where row `i` starts in the band of `C` that begins at row `r0`.
+    fn at(&self, r0: usize, i: usize) -> usize {
+        self.store.row(self.m, i) - self.store.row(self.m, r0)
+    }
+
+    /// Naive lower-triangle reference over rows `r0..r0 + rows` (`c` is
+    /// their band): for each `C[i, j]` with `j ≤ i`, the exact
+    /// `kk`-ascending mul-then-add chain of `gemm_tn_serial_range` — zero
+    /// terms accumulated, never skipped (IEEE NaN/Inf propagation). `Nt`
+    /// runs each chain as one dot product from the live value, through the
+    /// blocks in order; `Tn` streams `kk` outermost.
+    fn naive_rows(&self, r0: usize, rows: usize, c: &mut [f32]) {
+        let Sweep { m, kb, a, .. } = *self;
+        if self.layout == Layout::Nt {
+            for gi in r0..r0 + rows {
+                let at = self.at(r0, gi);
+                for (j, cj) in c[at..=at + gi].iter_mut().enumerate() {
+                    let mut acc = *cj;
+                    for block in a.chunks_exact(m * kb) {
+                        let (a_i, a_j) =
+                            (&block[gi * kb..(gi + 1) * kb], &block[j * kb..(j + 1) * kb]);
+                        for (&x, &y) in a_i.iter().zip(a_j) {
+                            acc += x * y;
+                        }
+                    }
+                    *cj = acc;
+                }
+            }
+            return;
+        }
+        for a_row in a.chunks_exact(m).take(self.k) {
+            for gi in r0..r0 + rows {
+                let aik = a_row[gi];
+                let at = self.at(r0, gi);
+                for (cj, &bj) in c[at..=at + gi].iter_mut().zip(&a_row[..=gi]) {
+                    *cj += aik * bj;
+                }
+            }
+        }
+    }
+
+    /// Serial blocked sweep over rows `r0..r0 + rows` (`c` is their band).
+    /// Identical tile staging and microkernel to `gemm::blocked_rows` (`C`
+    /// is the live accumulator), except that column panels entirely above
+    /// the diagonal of a tile row are skipped, and a tile loads and stores
+    /// only its lower-triangle elements.
+    fn blocked_rows(&self, r0: usize, rows: usize, bp: &[f32], c: &mut [f32]) {
+        let Sweep { layout, m, k, kb, a, .. } = *self;
+        let n_panels = m.div_ceil(NR);
+        let mut ap = take_scratch(&PACKED_A, MC.min(rows).div_ceil(MR) * MR * k);
+        let mut tile = [0.0f32; MR * NR];
+        for ic in (0..rows).step_by(MC) {
+            let mc = MC.min(rows - ic);
+            let m_panels = mc.div_ceil(MR);
+            pack_a(layout, r0 + ic, mc, m, k, kb, a, &mut ap[..m_panels * MR * k]);
+            for ip in 0..m_panels {
+                let i0 = ip * MR;
+                let mr = MR.min(mc - i0);
+                let a_panel = &ap[ip * k * MR..(ip + 1) * k * MR];
+                let g0 = r0 + ic + i0;
+                // Last column index this tile row must cover is its last
+                // (global) row index: panels strictly right of it are upper-
+                // triangle only.
+                let jp_last = ((g0 + mr - 1) / NR).min(n_panels - 1);
+                for jp in 0..=jp_last {
+                    let j0 = jp * NR;
+                    let nr = NR.min(m - j0);
+                    let b_panel = &bp[jp * k * NR..(jp + 1) * k * NR];
+                    // Row `g0 + rr` holds `len(rr)` of the panel's columns
+                    // on or left of its diagonal.
+                    let len = |rr: usize| nr.min((g0 + rr + 1).saturating_sub(j0));
+                    tile.fill(0.0);
+                    for rr in 0..mr {
+                        let at = self.at(r0, g0 + rr) + j0;
+                        tile[rr * NR..rr * NR + len(rr)].copy_from_slice(&c[at..at + len(rr)]);
+                    }
+                    microkernel(k, a_panel, b_panel, &mut tile);
+                    for rr in 0..mr {
+                        let at = self.at(r0, g0 + rr) + j0;
+                        c[at..at + len(rr)].copy_from_slice(&tile[rr * NR..rr * NR + len(rr)]);
                     }
                 }
-                *cj = acc;
             }
         }
-        return;
+        PACKED_A.set(ap);
     }
-    for kk in 0..k {
-        let a_row = &a[kk * m..(kk + 1) * m];
-        for i in 0..rows {
-            let gi = r0 + i;
-            let aik = a_row[gi];
-            let c_row = &mut c[i * m..i * m + gi + 1];
-            for (cj, &bj) in c_row.iter_mut().zip(&a_row[..gi + 1]) {
-                *cj += aik * bj;
-            }
-        }
+
+    /// Run `kernel(r0, rows, c_band)` once per triangle-balanced row band
+    /// of `C` (the diagonal-block scheduler): on the calling thread, and on
+    /// idle team helpers when there are any.
+    fn bands<F>(&self, c: &mut [f32], kernel: F)
+    where
+        F: Fn(usize, usize, &mut [f32]) + Sync,
+    {
+        let m = self.m;
+        let count = triangle_bands(m).count();
+        let queue = Mutex::new((triangle_bands(m), c));
+        team::run(count, &|| {
+            // Claim the next band and split its rows off the front of what
+            // is left of `C`; the lock is released before the band runs.
+            let (r0, r1, band) = {
+                let mut queue = queue.lock().unwrap_or_else(PoisonError::into_inner);
+                let Some((r0, r1)) = queue.0.next() else { return false };
+                let len = self.at(r0, r1);
+                let (band, rest) = std::mem::take(&mut queue.1).split_at_mut(len);
+                queue.1 = rest;
+                (r0, r1, band)
+            };
+            kernel(r0, r1 - r0, band);
+            true
+        });
     }
 }
 
@@ -218,7 +316,7 @@ const MIRROR_TILE: usize = 32;
 /// strict upper triangle, bit for bit (`c[i][j] = c[j][i]` for `j > i`).
 /// Walks the upper triangle in square tiles, so the column-wise reads of
 /// the lower triangle stay within one tile's rows.
-pub fn mirror_lower(m: usize, c: &mut [f32]) {
+pub(crate) fn mirror_lower(m: usize, c: &mut [f32]) {
     debug_assert_eq!(c.len(), m * m);
     for i0 in (0..m).step_by(MIRROR_TILE) {
         let i1 = (i0 + MIRROR_TILE).min(m);
@@ -269,105 +367,15 @@ impl Iterator for TriangleBands {
     }
 }
 
-/// Run `kernel(r0, rows, c_band)` once per triangle-balanced row band of
-/// `C` (the diagonal-block scheduler): on the calling thread, and on idle
-/// team helpers when there are any.
-fn par_triangle_bands<F>(m: usize, c: &mut [f32], kernel: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    let count = triangle_bands(m).count();
-    let queue = Mutex::new((triangle_bands(m), c));
-    team::run(count, &|| {
-        // Claim the next band and split its rows off the front of what is
-        // left of `C`; the lock is released before the band runs.
-        let (r0, r1, band) = {
-            let mut queue = queue.lock().unwrap_or_else(PoisonError::into_inner);
-            let Some((r0, r1)) = queue.0.next() else { return false };
-            let (band, rest) = std::mem::take(&mut queue.1).split_at_mut((r1 - r0) * m);
-            queue.1 = rest;
-            (r0, r1, band)
-        };
-        kernel(r0, r1 - r0, band);
-        true
-    });
-}
-
-/// Blocked SYRK driver: pack `A` once as the shared B-side panels, then
-/// sweep triangle-balanced row bands. `layout` is `Tn` or `Nt`; the packers
-/// read `Nt` storage as a row-major `A` and a `[n x k]` `B`, which is
-/// exactly `A·Aᵀ` (in `[m x kb]` blocks).
-fn blocked_syrk(layout: Layout, m: usize, k: usize, kb: usize, a: &[f32], c: &mut [f32]) {
-    let bp = pack_b(layout, k, kb, m, a);
-    if team::pays(m * m * k / 2) && m > 1 {
-        let bp = &bp;
-        par_triangle_bands(m, c, |r0, rows, band| {
-            blocked_syrk_rows(layout, r0, rows, m, k, kb, a, bp, band);
-        });
-    } else {
-        blocked_syrk_rows(layout, 0, m, m, k, kb, a, &bp, c);
-    }
-    PACKED_B.set(bp);
-}
-
-/// Serial blocked SYRK over `rows` rows of `C` starting at logical row
-/// `r0` (`c` is the band's slice). Identical tile staging and microkernel
-/// to `gemm::blocked_rows` (`C` is the live accumulator), except column
-/// panels entirely above the diagonal of a tile row are skipped — their
-/// elements are produced by the mirror instead.
-#[allow(clippy::too_many_arguments)]
-fn blocked_syrk_rows(
-    layout: Layout,
-    r0: usize,
-    rows: usize,
-    m: usize,
-    k: usize,
-    kb: usize,
-    a: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-) {
-    let n_panels = m.div_ceil(NR);
-    let mut ap = take_scratch(&PACKED_A, MC.min(rows).div_ceil(MR) * MR * k);
-    let mut tile = [0.0f32; MR * NR];
-    for ic in (0..rows).step_by(MC) {
-        let mc = MC.min(rows - ic);
-        let m_panels = mc.div_ceil(MR);
-        pack_a(layout, r0 + ic, mc, m, k, kb, a, &mut ap[..m_panels * MR * k]);
-        for ip in 0..m_panels {
-            let i0 = ip * MR;
-            let mr = MR.min(mc - i0);
-            let a_panel = &ap[ip * k * MR..(ip + 1) * k * MR];
-            let c0 = ic + i0;
-            // Last column index this tile row must cover is its last
-            // (global) row index: panels strictly right of it are upper-
-            // triangle only.
-            let jp_last = ((r0 + c0 + mr - 1) / NR).min(n_panels - 1);
-            for jp in 0..=jp_last {
-                let j0 = jp * NR;
-                let nr = NR.min(m - j0);
-                let b_panel = &bp[jp * k * NR..(jp + 1) * k * NR];
-                tile.fill(0.0);
-                for rr in 0..mr {
-                    let src = &c[(c0 + rr) * m + j0..(c0 + rr) * m + j0 + nr];
-                    tile[rr * NR..rr * NR + nr].copy_from_slice(src);
-                }
-                microkernel(k, a_panel, b_panel, &mut tile);
-                for rr in 0..mr {
-                    let dst = &mut c[(c0 + rr) * m + j0..(c0 + rr) * m + j0 + nr];
-                    dst.copy_from_slice(&tile[rr * NR..rr * NR + nr]);
-                }
-            }
-        }
-    }
-    PACKED_A.set(ap);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::gemm_tn_with;
-    use crate::{Matrix, Rng};
+    use crate::{pack_lower_scaled, Matrix, Rng};
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn fill(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = Rng::seed_from_u64(seed);
@@ -506,7 +514,8 @@ mod tests {
                 let mut c_par = vec![0.0f32; m * m];
                 entry(kernel, m, k, &a, &mut c_par);
                 let mut c_serial = vec![0.0f32; m * m];
-                naive_syrk_rows(layout, 0, m, m, k, k, &a, &mut c_serial);
+                let sweep = Sweep { layout, store: Store::Square, m, k, kb: k, a: &a };
+                sweep.naive_rows(0, m, &mut c_serial);
                 mirror_lower(m, &mut c_serial);
                 // Blocked vs naive bitwise equality is the stronger check.
                 for (x, y) in c_par.iter().zip(&c_serial) {
@@ -545,28 +554,44 @@ mod tests {
 
     #[test]
     fn lower_entries_write_the_mirrored_products_lower_triangle() {
-        // Same lower triangle as `gram_tn` / `syrk_nt_with`, bit for bit, into a
-        // poisoned upper half the lower entries never read back; and the
-        // tiled mirror is the element-by-element copy, across tile edges.
+        // The packed entries are, bit for bit, `pack_lower_scaled` of the
+        // square products (`syrk_tn_with` / `syrk_nt_with`) on the same
+        // live C: both layouts, both kernels, a non-zero packed C they
+        // accumulate into, tall operands (several `GRAM_BLOCK_ROWS` blocks)
+        // and the banded path (m = 300). And the tiled mirror is the
+        // element-by-element copy, across tile edges.
         let mut rng = Rng::seed_from_u64(23);
-        for &(rows, m) in &[(1usize, 1usize), (7, 5), (40, 33), (1100, 64), (3, 97)] {
+        for &(rows, m) in &[(1usize, 1usize), (7, 5), (40, 33), (1100, 64), (3, 97), (200, 300)] {
             let a = Matrix::randn(rows, m, 1.0, &mut rng);
-            let full = a.gram_tn();
-            let mut lower: Vec<f32> =
-                (0..m * m).map(|e| if e % m > e / m { f32::NAN } else { 0.0 }).collect();
-            gram_tn_lower(m, rows, a.as_slice(), &mut lower);
-            let mut nt_full = vec![0.0f32; m * m];
-            let mut nt_lower =
-                lower.iter().map(|&v| if v.is_nan() { v } else { 0.0 }).collect::<Vec<_>>();
-            syrk_nt_with(GemmKernel::Auto, m, rows, a.transpose().as_slice(), &mut nt_full);
-            gram_nt_lower(m, rows, a.transpose().as_slice(), &mut nt_lower);
-            for i in 0..m {
-                for j in 0..=i {
-                    let e = i * m + j;
-                    assert_eq!(lower[e].to_bits(), full.as_slice()[e].to_bits(), "tn ({rows},{m})");
-                    assert_eq!(nt_lower[e].to_bits(), nt_full[e].to_bits(), "nt ({rows},{m})");
-                }
+            let at = a.transpose();
+            let live = Matrix::randn(m + 2, m, 1.0, &mut rng).gram_tn();
+            let pack = |square: &[f32]| {
+                let mut packed = vec![f32::NAN; packed_len(m)];
+                pack_lower_scaled(square, m, 1.0, &mut packed);
+                packed
+            };
+            for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
+                let (mut tn_square, mut nt_square) = (live.clone(), live.clone());
+                syrk_tn_with(kernel, m, rows, a.as_slice(), tn_square.as_mut_slice());
+                syrk_nt_with(kernel, m, rows, at.as_slice(), nt_square.as_mut_slice());
+                let (mut tn, mut nt) = (pack(live.as_slice()), pack(live.as_slice()));
+                gram_tn_lower(kernel, m, rows, a.as_slice(), &mut tn);
+                gram_nt_lower(kernel, m, rows, at.as_slice(), &mut nt);
+                assert_eq!(
+                    bits(&tn),
+                    bits(&pack(tn_square.as_slice())),
+                    "{kernel} tn ({rows},{m})"
+                );
+                assert_eq!(
+                    bits(&nt),
+                    bits(&pack(nt_square.as_slice())),
+                    "{kernel} nt ({rows},{m})"
+                );
             }
+            let full = a.gram_tn();
+            let mut lower: Vec<f32> = (0..m * m)
+                .map(|e| if e % m > e / m { f32::NAN } else { full.as_slice()[e] })
+                .collect();
             let mut naive = lower.clone();
             for i in 0..m {
                 for j in i + 1..m {
@@ -574,7 +599,6 @@ mod tests {
                 }
             }
             mirror_lower(m, &mut lower);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&lower), bits(&naive), "mirror ({rows},{m})");
             assert_eq!(bits(&lower), bits(full.as_slice()), "gram_tn ({rows},{m})");
         }

@@ -1,18 +1,17 @@
-//! Symmetric triangular packing.
+//! The row-packed lower triangle: the one form a K-FAC factor takes.
 //!
 //! The Kronecker factors are symmetric, so KAISA's triangular factor
 //! communication (paper Section 4.3) sends only one triangle —
 //! `n(n+1)/2` elements instead of `n²`. Here it is the **lower** triangle,
-//! packed row by row (`(0,0), (1,0), (1,1), (2,0), …`): the capture
-//! computes only the lower triangle of each Gram, so packing reads it in
-//! contiguous row runs. The running factors are held in the same layout, so
-//! folding the averaged payload into them is one elementwise pass, and the
-//! eigensolver reads the rows straight from it (`sym_eig_packed`). Every
-//! step is elementwise and the factors are exactly symmetric, so the
-//! triangle carries the square payload bit for bit; [`unpack_lower`]
-//! rebuilds the square for tests and oracles.
+//! packed row by row (`(0,0), (1,0), (1,1), (2,0), …`). The capture's Gram
+//! entries sum straight into it, the wire carries it, the running factors
+//! are held in it (folding is one elementwise pass), and the eigensolver
+//! reads its rows (`sym_eig_packed`). The factors are exactly symmetric,
+//! so the triangle carries the square matrix bit for bit;
+//! [`unpack_lower`] rebuilds the square for tests and oracles.
 
-use kaisa_tensor::{mirror_lower, Matrix};
+use crate::syrk::mirror_lower;
+use crate::Matrix;
 
 /// Number of packed elements for an `n x n` symmetric matrix.
 pub const fn packed_len(n: usize) -> usize {
@@ -57,7 +56,7 @@ pub fn unpack_lower(packed: &[f32], n: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaisa_tensor::Rng;
+    use crate::Rng;
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()

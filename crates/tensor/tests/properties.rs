@@ -2,8 +2,9 @@
 //! must hold for arbitrary shapes and values.
 
 use kaisa_tensor::{
-    f16, gemm_nn_with, gemm_nt_blocks_with, gemm_nt_with, gemm_tn_with, syrk_nt_with, syrk_tn_with,
-    GemmKernel, Matrix, Rng, F16,
+    f16, gemm_nn_with, gemm_nt_blocks_with, gemm_nt_with, gemm_tn_with, gram_nt_lower,
+    gram_tn_lower, pack_lower_scaled, packed_len, syrk_nt_with, syrk_tn_with, GemmKernel, Matrix,
+    Rng, F16,
 };
 use proptest::prelude::*;
 
@@ -268,11 +269,13 @@ proptest! {
         // A NaN or ±Inf anywhere in A must propagate through the mirrored
         // triangle exactly as through the full GEMM: bitwise-equal output
         // (canonical specials make IEEE multiplication bitwise commutative)
-        // and an exactly bit-symmetric result.
+        // and an exactly bit-symmetric result. The packed entries of both
+        // layouts carry the same triangle, bit for bit.
         let mut a = fill(k * m, seed);
         let kk = (pos_k % k as u64) as usize;
         let j = (pos_j % m as u64) as usize;
         a[kk * m + j] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][special];
+        let a_nt: Vec<f32> = (0..m * k).map(|e| a[(e % k) * m + e / k]).collect();
         for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
             let mut c_gemm = vec![0.0f32; m * m];
             gemm_tn_with(kernel, m, k, m, &a, &a, &mut c_gemm);
@@ -280,6 +283,15 @@ proptest! {
             syrk_tn_with(kernel, m, k, &a, &mut c_syrk);
             for (x, y) in c_syrk.iter().zip(&c_gemm) {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs gemm", kernel);
+            }
+            let mut expect = vec![0.0f32; packed_len(m)];
+            pack_lower_scaled(&c_syrk, m, 1.0, &mut expect);
+            let (mut tn, mut nt) = (vec![0.0f32; packed_len(m)], vec![0.0f32; packed_len(m)]);
+            gram_tn_lower(kernel, m, k, &a, &mut tn);
+            gram_nt_lower(kernel, m, k, &a_nt, &mut nt);
+            for ((x, y), z) in tn.iter().zip(&nt).zip(&expect) {
+                prop_assert_eq!(x.to_bits(), z.to_bits(), "{} packed tn", kernel);
+                prop_assert_eq!(y.to_bits(), z.to_bits(), "{} packed nt", kernel);
             }
             // The poisoned column's row and column are non-finite…
             for i in 0..m {

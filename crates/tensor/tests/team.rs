@@ -39,7 +39,7 @@ fn product(which: usize, m: usize, k: usize, n: usize, seed: u64) -> Vec<f32> {
         }
         _ => {
             // A Gram product of the `[k x m]` operand; `C` starts at zero,
-            // as symmetric as `syrk_tn` requires.
+            // as symmetric as `syrk_tn_with` requires.
             let mut c = vec![0.0f32; m * m];
             syrk_tn_with(kernel, m, k, &a, &mut c);
             c

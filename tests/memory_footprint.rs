@@ -6,10 +6,9 @@
 use kaisa::comm::{Communicator, ThreadComm};
 use kaisa::core::{Kfac, KfacConfig, MemoryCategory, MemoryMeter};
 use kaisa::data::{Dataset, PatternImages, ShardSampler};
-use kaisa::linalg::packed_len;
 use kaisa::nn::models::{ResNetMini, ResNetMiniConfig};
 use kaisa::nn::Model;
-use kaisa::tensor::Rng;
+use kaisa::tensor::{packed_len, Rng};
 
 const WORLD: usize = 8;
 
